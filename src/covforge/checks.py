@@ -1320,34 +1320,3 @@ def check_scaling_1_1(seed: int = 42, trials: int = 30) -> CheckResult:
 
     details = {"trials": trials, "seed": seed}
     return _finish("property/scaling_1_1", started, residuals, details)
-
-
-# ---------------------------------------------------------------------------
-# Convenience runners
-
-
-SYMBOLIC_CHECKS = (
-    check_expansion_1_2,
-    check_action_table_3_1,
-    check_group_structure,
-    check_equivariance_and_invariant_spaces,
-    check_jacobians,
-    check_lemma_4_2,
-    check_derivation_4_5,
-    check_strata_6,
-)
-
-PROPERTY_CHECKS = (
-    check_field_axioms,
-    check_mpoly_ring,
-    check_transvectant_properties,
-    check_scaling_1_1,
-)
-
-
-def run_symbolic_checks() -> list[CheckResult]:
-    return [fn() for fn in SYMBOLIC_CHECKS]
-
-
-def run_property_checks(seed: int = 42) -> list[CheckResult]:
-    return [fn(seed=seed) for fn in PROPERTY_CHECKS]

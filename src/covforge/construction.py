@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .binform import BinaryForm, GroupElt, group_act
 from .exlinalg import ExactMatrix
@@ -33,6 +33,11 @@ R_NAMES = ("r1", "r2", "r3")
 
 _F = Fraction
 _I = CycScalar.i()
+
+
+def as_exact(value):
+    """Exact scalar with ints promoted to Fractions; others pass through."""
+    return _F(value) if isinstance(value, int) else value
 
 
 def _poly(terms, table: VarTable = DEFAULT_TABLE) -> MPoly:
@@ -56,9 +61,7 @@ class ProjPoint:
     __slots__ = ("coords", "space")
 
     def __init__(self, coords: Sequence, space: str | None = None) -> None:
-        cs = []
-        for c in coords:
-            cs.append(_F(c) if isinstance(c, int) else c)
+        cs = [as_exact(c) for c in coords]
         if all(scalar_is_zero(c) for c in cs):
             raise ValueError("all homogeneous coordinates vanish")
         self.coords = tuple(cs)
@@ -349,17 +352,6 @@ def y_equations_4_5() -> tuple[MPoly, ...]:
     return E1, E2, E3, E4, E5
 
 
-def equations(tag: str) -> tuple[MPoly, ...]:
-    """Stored equation sets by tag: Q_system, eqs_3_2, eqs_4_5."""
-    if tag == "Q_system":
-        return delta_coordinate_system()
-    if tag == "eqs_3_2":
-        return restricted_system_3_2()
-    if tag == "eqs_4_5":
-        return y_equations_4_5()
-    raise KeyError(f"unknown equation set {tag!r}")
-
-
 # ---------------------------------------------------------------------------
 # The finite symmetry group and its stored actions
 
@@ -377,19 +369,8 @@ def generators() -> dict[str, GroupElt]:
     }
 
 
-@lru_cache(maxsize=1)
-def quartic_stabilizer_elements() -> dict[str, GroupElt]:
-    g = generators()
-    return {
-        "e": GroupElt.identity(),
-        "omega": g["omega"],
-        "rho": g["rho"],
-        "omega_rho": g["omega"] * g["rho"],
-    }
-
-
 def _rows_to_matrix(rows: Sequence[Sequence]) -> list[list]:
-    return [[(_F(v) if isinstance(v, int) else v) for v in row] for row in rows]
+    return [[as_exact(v) for v in row] for row in rows]
 
 
 @lru_cache(maxsize=1)
@@ -540,16 +521,14 @@ def pi_chart(coords15: Sequence) -> tuple[tuple, ProjPoint]:
     v = list(coords15)
     if len(v) != 15:
         raise ValueError("expected 15 coordinates")
-    if not all(scalar_is_zero(v[i] if not isinstance(v[i], int) else _F(v[i]))
-               for i in (12, 13, 14)):
+    if not all(scalar_is_zero(as_exact(v[i])) for i in (12, 13, 14)):
         raise ValueError("point outside the chart domain: trailing quartic "
                          "coordinates must vanish")
     x1, x2, x3 = v[0], v[1], v[2]
     for val in (x1, x2, x3):
-        if scalar_is_zero(_F(val) if isinstance(val, int) else val):
+        if scalar_is_zero(as_exact(val)):
             raise ValueError("point outside the chart domain: x1*x2*x3 = 0")
-    i1, i2, i3 = (scalar_inverse(_F(t) if isinstance(t, int) else t)
-                  for t in (x1, x2, x3))
+    i1, i2, i3 = (scalar_inverse(as_exact(t)) for t in (x1, x2, x3))
     r = (v[3] * i1, v[4] * i2, v[5] * i3)
     y = ProjPoint([x2 * x3 * i1, x3 * x1 * i2, x1 * x2 * i3,
                    v[6], v[7], v[8], v[9], v[10], v[11]], space="P8")
@@ -655,7 +634,7 @@ def domain_inequations() -> tuple[MPoly, ...]:
 def restricted_octic_quadrics(r: tuple) -> tuple[MPoly, ...]:
     """The five quadrics on the parameterized linear space, in the six free
     coordinates x1, x2, x3, x7, x8, x9."""
-    r1, r2, r3 = (_F(v) if isinstance(v, int) else v for v in r)
+    r1, r2, r3 = map(as_exact, r)
     t = DEFAULT_TABLE
     bindings = {
         "x4": r1 * MPoly.var("x1", t),
@@ -674,14 +653,6 @@ def octic_vector_on_slice(r: tuple, free: Sequence) -> list:
 
 # ---------------------------------------------------------------------------
 # The two linear subspaces of the projection argument
-
-
-@lru_cache(maxsize=1)
-def target_space_conditions() -> tuple[MPoly, ...]:
-    """Linear forms cutting the projection target out of the chart space."""
-    t = DEFAULT_TABLE
-    y = {n: MPoly.var(n, t) for n in Y_NAMES}
-    return (y["y1"], y["y2"], y["y3"], y["y7"] + 7 * y["y9"], y["y10"])
 
 
 @lru_cache(maxsize=1)
@@ -777,48 +748,3 @@ def expected_orbit_quadratic() -> MPoly:
         (24 * _I, {"alpha2": 2}),
         (-312 * _I, {"alpha3": 2}),
     ])
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def _scalar_str(v) -> str:
-    return str(v)
-
-
-def export_constants() -> dict:
-    """All stored constants as a JSON-compatible dictionary."""
-    pts = special_points()
-    return {
-        "coordinate_names": list(VEC15_NAMES),
-        "chart_coordinate_names": list(Y_NAMES),
-        "parameter_names": list(R_NAMES),
-        "octic_basis_coefficients": [[str(_F(c)) for c in row]
-                                     for row in _OCTIC_BASIS_COEFFS],
-        "quartic_basis_coefficients": [[str(_F(c)) for c in row]
-                                       for row in _QUARTIC_BASIS_COEFFS],
-        "coordinate_system": [str(p) for p in delta_coordinate_system()],
-        "restricted_system": [str(p) for p in restricted_system_3_2()],
-        "chart_image_equations": [str(p) for p in y_equations_4_5()],
-        "action_table": {name: [[_scalar_str(v) for v in row] for row in mat]
-                         for name, mat in action_table().items()},
-        "parameter_action": {name: [[_scalar_str(v) for v in row] for row in mat]
-                             for name, mat in parameter_action().items()},
-        "chart_space_action": {name: [[_scalar_str(v) for v in row] for row in mat]
-                               for name, mat in chart_space_action().items()},
-        "block_permutation": {name: {str(k): v for k, v in perm.items()}
-                              for name, perm in block_permutation().items()},
-        "special_points": {
-            "base_point": [_scalar_str(v) for v in pts["base_point"]],
-            "invariant_octic": [_scalar_str(v) for v in pts["invariant_octic"]],
-            "crossing_point": [_scalar_str(v) for v in pts["crossing_point"]],
-            "u_prime": [_scalar_str(v) for v in pts["u_prime"].coords],
-            "u_dprime_0": [_scalar_str(v) for v in pts["u_dprime_0"].coords],
-            "sparse_solutions": [[_scalar_str(v) for v in p]
-                                 for p in pts["sparse_solutions"]],
-        },
-        "domain_inequations": [str(p) for p in domain_inequations()],
-        "target_space_conditions": [str(p) for p in target_space_conditions()],
-        "square_root_relation": str(square_root_relation()),
-    }

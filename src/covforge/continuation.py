@@ -33,7 +33,7 @@ import numpy as np
 from . import construction
 from .binform import expanded_coordinate_system
 from .checks import CheckResult, _finish
-from .construction import Y_NAMES
+from .construction import Y_NAMES, as_exact
 from .exlinalg import ExactMatrix, Subspace
 from .mpoly import MPoly
 from .scalar import CycScalar, embed_complex
@@ -43,23 +43,26 @@ _F = Fraction
 CHART_VARS = ("x1", "x2", "x3", "x7", "x8", "x9")
 
 
+# Fixed limits of the tracker and the classifiers.
+TOL_MATCH = 1e-8            # chordal distance that matches an exact anchor
+SV_REGULAR = 1e-6           # smallest singular value of a regular endpoint
+MIN_STEP = 1e-14
+MAX_STEP = 0.1
+FIRST_STEP = 0.05
+CORRECTOR_ITERS = 3
+POLISH_ITERS = 20           # double-precision endpoint Newton steps
+MP_POLISH_ITERS = 12        # high-precision endpoint Newton steps
+WORKING_DPS = 40            # decimal digits of the high-precision work
+
+
 @dataclass(frozen=True)
 class TrackConfig:
-    """Tolerances and limits for the tracker and the classifiers."""
+    """The tolerances a run can set for the tracker and the classifiers."""
 
-    seed: int = 42
     tol_track: float = 1e-10
     tol_dedup: float = 1e-6
     tol_rank: float = 1e-8
-    tol_match: float = 1e-8
     cluster_radius: float = 1e-4
-    min_step: float = 1e-14
-    max_step: float = 0.1
-    first_step: float = 0.05
-    corrector_iters: int = 3
-    polish_iters: int = 20
-    working_dps: int = 40
-    sv_regular: float = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +202,13 @@ def _mp_jac_entry(terms, x, j):
     return acc
 
 
-def mp_polish(system: CompiledSystem, x0: np.ndarray, dps: int = 40,
-              iters: int = 12):
+def mp_polish(system: CompiledSystem, x0: np.ndarray):
     """High-precision Newton refinement of a double-precision endpoint."""
-    with mp.workdps(dps):
+    with mp.workdps(WORKING_DPS):
         terms = system.mp_terms()
         n = system.nvars
         x = [mp.mpc(v) for v in x0]
-        for _ in range(iters):
+        for _ in range(MP_POLISH_ITERS):
             fx = mp.matrix([_mp_eval(t, x) for t in terms])
             jac = mp.matrix(n, n)
             for i, t in enumerate(terms):
@@ -217,7 +219,7 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray, dps: int = 40,
             except Exception:
                 break
             x = [xv - dv for xv, dv in zip(x, dx)]
-            if max(abs(d) for d in dx) < mp.mpf(10) ** (-dps + 4):
+            if max(abs(d) for d in dx) < mp.mpf(10) ** (-WORKING_DPS + 4):
                 break
         return x
 
@@ -317,7 +319,7 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
                cfg: TrackConfig) -> PathResult:
     x = x0.copy()
     t = 0.0
-    h = cfg.first_step
+    h = FIRST_STEP
     steps = 0
     while t < 1.0:
         if steps > 20000:
@@ -331,13 +333,13 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
             dx = np.linalg.solve(jh, -ht * h)
         except np.linalg.LinAlgError:
             h *= 0.5
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 return PathResult(index, "stalled", steps=steps)
             continue
         xn = x + dx
         tn = t + h
         ok = False
-        for _ in range(cfg.corrector_iters):
+        for _ in range(CORRECTOR_ITERS):
             hv = gamma * (1.0 - tn) * start.eval_all(xn) \
                 + tn * target.eval_all(xn)
             jn = gamma * (1.0 - tn) * start.jacobian(xn) \
@@ -353,16 +355,16 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
                 break
         if ok:
             x, t = xn, tn
-            h = min(h * 1.5, cfg.max_step)
+            h = min(h * 1.5, MAX_STEP)
             if np.linalg.norm(x) > 1e10:
                 return PathResult(index, "diverged", steps=steps)
         else:
             h *= 0.5
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 return PathResult(index, "stalled", steps=steps)
     # Endpoint polish on the target system.
     converged = False
-    for _ in range(cfg.polish_iters):
+    for _ in range(POLISH_ITERS):
         fv = target.eval_all(x)
         try:
             delta = np.linalg.solve(target.jacobian(x), fv)
@@ -385,11 +387,14 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
     return PathResult(index, "accepted", x=x, residual=res, steps=steps)
 
 
-def _chordal(a: np.ndarray, b: np.ndarray) -> float:
-    ah = a / np.linalg.norm(a)
-    bh = b / np.linalg.norm(b)
-    inner = abs(np.vdot(ah, bh))
-    return math.sqrt(max(0.0, 1.0 - min(1.0, inner) ** 2))
+def _chordal(a, b) -> float:
+    """Chordal distance of two projective points, the sine of the angle
+    between their representatives (complex doubles or mp values).  It is
+    taken from the 2x2 minors, so nearby points keep their digits."""
+    cross = sum(abs(a[i] * b[j] - a[j] * b[i]) ** 2
+                for i, j in itertools.combinations(range(len(a)), 2))
+    norms = sum(abs(v) ** 2 for v in a) * sum(abs(v) ** 2 for v in b)
+    return math.sqrt(float(cross / norms))
 
 
 def _dedup(endpoints: list[Endpoint], tol: float) -> list[Endpoint]:
@@ -477,7 +482,7 @@ def literal_pure_quadrics() -> tuple[MPoly, ...]:
 
 def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
     """The literal quadrics on the parameterized slice, in six coordinates."""
-    r1, r2, r3 = (_F(v) if isinstance(v, int) else v for v in r)
+    r1, r2, r3 = map(as_exact, r)
     table = construction.DEFAULT_TABLE
     bindings = {
         "x4": r1 * MPoly.var("x1", table),
@@ -487,19 +492,7 @@ def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
     return tuple(q.substitute(bindings) for q in literal_pure_quadrics())
 
 
-_OCTIC_COEFF_COLUMNS = None
-
-
-def _octic_coeff_columns():
-    """Exact 9x9 matrix: column i = degree-ordered coefficients of basis i."""
-    global _OCTIC_COEFF_COLUMNS
-    if _OCTIC_COEFF_COLUMNS is None:
-        _OCTIC_COEFF_COLUMNS = [form.coeffs
-                                for form in construction.octic_basis()]
-    return _OCTIC_COEFF_COLUMNS
-
-
-def octic_root_clusters(vec9, cluster_radius: float, dps: int = 40):
+def octic_root_clusters(vec9, cluster_radius: float):
     """Root clusters of the octic with the given basis coordinates.
 
     Roots are computed at high precision and clustered by spherical
@@ -507,13 +500,13 @@ def octic_root_clusters(vec9, cluster_radius: float, dps: int = 40):
     leading coefficients count as roots at infinity.  Returns the sorted
     cluster sizes.
     """
-    with mp.workdps(dps):
-        cols = _octic_coeff_columns()
+    with mp.workdps(WORKING_DPS):
+        basis = construction.octic_basis()
         coeffs = []
         for d in range(9):
             acc = mp.mpc(0)
-            for i, v in enumerate(vec9):
-                base = cols[i][d]
+            for v, form in zip(vec9, basis):
+                base = form.coeffs[d]
                 if base == 0:
                     continue
                 acc += (v if isinstance(v, mp.mpc) else mp.mpc(v)) \
@@ -543,20 +536,8 @@ def octic_root_clusters(vec9, cluster_radius: float, dps: int = 40):
                 except mp.libmp.NoConvergence:
                     if attempt == len(ladder) - 1:
                         raise
-        points = [("f", z) for z in finite] + [("inf", None)] * at_infinity
-
-        def chordal(p, q):
-            kp, zp = p
-            kq, zq = q
-            if kp == "inf" and kq == "inf":
-                return mp.mpf(0)
-            if kp == "inf":
-                return 1 / mp.sqrt(1 + abs(zq) ** 2)
-            if kq == "inf":
-                return 1 / mp.sqrt(1 + abs(zp) ** 2)
-            return abs(zp - zq) / mp.sqrt((1 + abs(zp) ** 2)
-                                          * (1 + abs(zq) ** 2))
-
+        one, zero = mp.mpc(1), mp.mpc(0)
+        points = [(z, one) for z in finite] + [(one, zero)] * at_infinity
         parent = list(range(len(points)))
 
         def find(i):
@@ -567,7 +548,7 @@ def octic_root_clusters(vec9, cluster_radius: float, dps: int = 40):
 
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                if chordal(points[i], points[j]) < cluster_radius:
+                if _chordal(points[i], points[j]) < cluster_radius:
                     parent[find(i)] = find(j)
         sizes: dict[int, int] = {}
         for i in range(len(points)):
@@ -604,7 +585,7 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool, list]:
     """Stratum label and multiple-root flag for a polished chart point."""
     norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
     unit = [c / norm for c in point_mp]
-    zero = [abs(unit[i]) < cfg.tol_match for i in range(3)]
+    zero = [abs(unit[i]) < TOL_MATCH for i in range(3)]
     nz = [i for i, z in enumerate(zero) if not z]
     if len(nz) == 0:
         stratum = "L0"
@@ -614,14 +595,11 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool, list]:
         stratum = "Lopen"
     else:
         stratum = "?"
-    r_mp = [_mp_scalar(_F(v) if isinstance(v, int) else v) for v in r]
+    r_mp = [_mp_scalar(as_exact(v)) for v in r]
     x1, x2, x3, x7, x8, x9 = unit
     vec9 = [x1, x2, x3, r_mp[0] * x1, r_mp[1] * x2, r_mp[2] * x3, x7, x8, x9]
-    sizes = octic_root_clusters(vec9, cfg.cluster_radius, cfg.working_dps)
+    sizes = octic_root_clusters(vec9, cfg.cluster_radius)
     return stratum, (sizes[0] >= 6), [int(s) for s in sizes]
-
-
-_CENSUS_CACHE: dict = {}
 
 
 def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
@@ -631,13 +609,10 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
     The partition counts endpoints by coordinate-vanishing stratum and,
     within each stratum, by the multiple-root classifier (a sixfold or
     larger root cluster) versus its complement.  Runs are deterministic
-    in (r, seed, configuration) and memoized.
+    in (r, seed, configuration).
     """
     cfg = cfg or TrackConfig()
-    r = tuple(_F(v) if isinstance(v, int) else v for v in r)
-    key = (r, seed, cfg)
-    if key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
+    r = tuple(map(as_exact, r))
     for ineq in construction.domain_inequations():
         val = ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]})
         if val == 0:
@@ -649,9 +624,9 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
     sys6: CompiledSystem = run["system"]
     points = []
     min_sv = math.inf
-    with mp.workdps(cfg.working_dps):
+    with mp.workdps(WORKING_DPS):
         for e in run["distinct"]:
-            e.mp_x = mp_polish(sys6, e.x, cfg.working_dps)
+            e.mp_x = mp_polish(sys6, e.x)
             stratum, multiple, sizes = _classify_point(e.mp_x, r, cfg)
             points.append(StratumPoint(endpoint=e, coords=e.mp_x,
                                        stratum=stratum, multiple_root=multiple,
@@ -674,23 +649,13 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
         else:
             notes.append("endpoint with exactly one vanishing leading "
                          "coordinate (unclassifiable)")
-    census = StratumCensus(r=r, seed=seed, partition=partition, points=points,
-                           path_count=run["path_count"],
-                           accepted_count=len(run["accepted"]),
-                           distinct_count=len(run["distinct"]),
-                           failed=run["failed"],
-                           rescue_added=run["rescue_added"],
-                           min_sv=min_sv, notes=notes)
-    _CENSUS_CACHE[key] = census
-    return census
-
-
-def _mp_chordal(a, b) -> float:
-    na = mp.sqrt(sum(abs(c) ** 2 for c in a))
-    nb = mp.sqrt(sum(abs(c) ** 2 for c in b))
-    inner = abs(sum(x * mp.conj(y) for x, y in zip(a, b))) / (na * nb)
-    inner = min(inner, mp.mpf(1))
-    return float(mp.sqrt(1 - inner ** 2))
+    return StratumCensus(r=r, seed=seed, partition=partition, points=points,
+                         path_count=run["path_count"],
+                         accepted_count=len(run["accepted"]),
+                         distinct_count=len(run["distinct"]),
+                         failed=run["failed"],
+                         rescue_added=run["rescue_added"],
+                         min_sv=min_sv, notes=notes)
 
 
 def h_orbit_signs() -> list[tuple]:
@@ -698,15 +663,13 @@ def h_orbit_signs() -> list[tuple]:
     read off the stored generator matrices."""
     table = construction.action_table()
     idx = [0, 1, 2, 6, 7, 8]
-    om = construction.octic_block(table["omega"])
-    rh = construction.octic_block(table["rho"])
-    ident = [[_F(1) if i == j else _F(0) for j in range(9)] for i in range(9)]
-    prod = [[sum(om[i][k] * rh[k][j] for k in range(9)) for j in range(9)]
-            for i in range(9)]
-    return [tuple(mat[i][i] for i in idx) for mat in (ident, om, rh, prod)]
+    om = ExactMatrix(construction.octic_block(table["omega"]))
+    rh = ExactMatrix(construction.octic_block(table["rho"]))
+    return [tuple(mat.rows[i][i] for i in idx)
+            for mat in (ExactMatrix.identity(9), om, rh, om * rh)]
 
 
-def u_dprime_image(census: StratumCensus, tol: float = 1e-6):
+def u_dprime_image(census: StratumCensus):
     """Common chart image of the non-multiple-root open-stratum points.
 
     Returns (image as a 9-vector of mp complex, pairwise spread, count).
@@ -714,7 +677,7 @@ def u_dprime_image(census: StratumCensus, tol: float = 1e-6):
     pts = [p for p in census.points
            if p.stratum == "Lopen" and not p.multiple_root]
     images = []
-    with mp.workdps(40):
+    with mp.workdps(WORKING_DPS):
         for p in pts:
             x1, x2, x3, x7, x8, x9 = p.coords
             y = [x2 * x3 / x1, x3 * x1 / x2, x1 * x2 / x3,
@@ -722,7 +685,7 @@ def u_dprime_image(census: StratumCensus, tol: float = 1e-6):
             images.append(y)
         spread = 0.0
         for a, b in itertools.combinations(images, 2):
-            spread = max(spread, _mp_chordal(a, b))
+            spread = max(spread, _chordal(a, b))
     return images, spread, len(pts)
 
 
@@ -735,9 +698,6 @@ def _fiber_equations_exact(r: tuple) -> list[MPoly]:
     return [e.substitute(env) for e in construction.y_equations_4_5()]
 
 
-_PROBE_CACHE: dict = {}
-
-
 def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
                 slice_count: int = 1) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
@@ -746,13 +706,10 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
     linear equations down to a square chart system; the probe records
     the endpoint count per slice, a numeric rank of the fiber Jacobian
     at a sample endpoint, and the sampled points themselves.  Runs are
-    deterministic in the arguments and memoized.
+    deterministic in the arguments.
     """
     cfg = cfg or TrackConfig()
-    r = tuple(_F(v) if isinstance(v, int) else v for v in r)
-    key = (r, seed, cfg, slice_count)
-    if key in _PROBE_CACHE:
-        return _PROBE_CACHE[key]
+    r = tuple(map(as_exact, r))
     eqs = _fiber_equations_exact(r)
     base_rows = [_poly_terms(e, Y_NAMES) for e in eqs]
     fiber_sys = CompiledSystem(base_rows, 9)
@@ -771,7 +728,7 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
                              np.linalg.norm(sampled_points[0]))
     sv = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(sv > cfg.tol_rank * sv[0]))
-    probe = {
+    return {
         "slice_runs": slice_results,
         "slice_counts": [len(run["distinct"]) for run in slice_results],
         "path_counts": [run["path_count"] for run in slice_results],
@@ -780,8 +737,35 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
         "fiber_jacobian_sv": [float(v) for v in sv],
         "fiber_system": fiber_sys,
     }
-    _PROBE_CACHE[key] = probe
-    return probe
+
+
+class NumericRun:
+    """The census and probe results of one battery run, shared by its
+    numeric checks.
+
+    Each distinct request is computed once, with this run's tolerances,
+    by whichever check asks for it first.  The work goes through the
+    module's `count_stratum_points` and `fiber_probe`, so a tracer that
+    wraps those attributes sees every computation.
+    """
+
+    def __init__(self, cfg: TrackConfig | None = None) -> None:
+        self.cfg = cfg or TrackConfig()
+        self._results: dict = {}
+
+    def census(self, r: tuple, seed: int) -> StratumCensus:
+        r = tuple(map(as_exact, r))
+        key = ("census", r, seed)
+        if key not in self._results:
+            self._results[key] = count_stratum_points(r, seed, self.cfg)
+        return self._results[key]
+
+    def probe(self, r: tuple, seed: int, slice_count: int) -> dict:
+        r = tuple(map(as_exact, r))
+        key = ("probe", r, seed, slice_count)
+        if key not in self._results:
+            self._results[key] = fiber_probe(r, seed, self.cfg, slice_count)
+        return self._results[key]
 
 
 def projection_data():
@@ -836,7 +820,7 @@ def _stratum_anchor_vectors(r1: Fraction) -> list[list] | None:
 
 def check_stratum_counts(seed: int = 42,
                          sample_r: tuple = (_F(10), _F(1, 2), _F(1, 3)),
-                         cfg: TrackConfig | None = None) -> CheckResult:
+                         numeric: NumericRun | None = None) -> CheckResult:
     """Numeric census of the restricted system over two parameter values.
 
     At the generic sample the thirty-two paths must produce thirty-two
@@ -846,12 +830,13 @@ def check_stratum_counts(seed: int = 42,
     single orbit of the diagonal subgroup.  At the parameter origin the
     open stratum must carry sixteen points.
     """
-    cfg = cfg or TrackConfig(seed=seed)
+    numeric = numeric or NumericRun()
+    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
-    sample_r = tuple(_F(v) if isinstance(v, int) else v for v in sample_r)
+    sample_r = tuple(map(as_exact, sample_r))
 
-    census = count_stratum_points(sample_r, seed, cfg)
+    census = numeric.census(sample_r, seed)
     residuals.extend(census.notes)
     expected = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2, "L2_X2": 2,
                 "L3_X1": 2, "L3_X2": 2, "Lopen_X1": 12, "Lopen_X2": 4}
@@ -864,26 +849,26 @@ def check_stratum_counts(seed: int = 42,
             f"(failed paths: {census.failed})")
     if census.partition != expected:
         residuals.append(f"partition {census.partition} != {expected}")
-    if census.min_sv <= cfg.sv_regular:
+    if census.min_sv <= SV_REGULAR:
         residuals.append(
             f"smallest endpoint singular value {census.min_sv:.3e} is not "
-            f"above {cfg.sv_regular:.0e} (a multiple point)")
+            f"above {SV_REGULAR:.0e} (a multiple point)")
 
     # Exact anchors: the four sparse solutions, always; the single-pair
     # instances whenever the square-root relation has a rational root.
-    with mp.workdps(cfg.working_dps):
+    with mp.workdps(WORKING_DPS):
         sparse = construction.special_points()["sparse_solutions"]
         for p in sparse:
             anchor = [_F(0), _F(0), _F(0)] + [_F(v) for v in p]
             target = [_mp_scalar(c) for c in anchor]
-            if not any(_mp_chordal(pt.coords, target) < cfg.tol_match
+            if not any(_chordal(pt.coords, target) < TOL_MATCH
                        for pt in census.points if pt.stratum == "L0"):
                 residuals.append(f"sparse anchor {p} matches no endpoint")
         anchors = _stratum_anchor_vectors(sample_r[0])
         if anchors is not None:
             for anchor in anchors:
                 target = [_mp_scalar(c) for c in anchor]
-                if not any(_mp_chordal(pt.coords, target) < cfg.tol_match
+                if not any(_chordal(pt.coords, target) < TOL_MATCH
                            for pt in census.points if pt.stratum == "L1"):
                     residuals.append(
                         "single-pair-stratum anchor "
@@ -901,7 +886,7 @@ def check_stratum_counts(seed: int = 42,
             for signs in h_orbit_signs():
                 image = [_mp_scalar(s) * c for s, c in zip(signs, base)]
                 hits = [i for i, p in enumerate(orbit_pts)
-                        if _mp_chordal(p.coords, image) < cfg.tol_match]
+                        if _chordal(p.coords, image) < TOL_MATCH]
                 if len(hits) == 1:
                     matched.add(hits[0])
                 else:
@@ -913,7 +898,7 @@ def check_stratum_counts(seed: int = 42,
                     "the four open-stratum points are not a single "
                     "diagonal-subgroup orbit")
 
-    origin = count_stratum_points((0, 0, 0), seed, cfg)
+    origin = numeric.census((0, 0, 0), seed)
     open_total = origin.partition["Lopen_X1"] + origin.partition["Lopen_X2"]
     if open_total != 16:
         residuals.append(
@@ -935,7 +920,7 @@ def check_stratum_counts(seed: int = 42,
         "failed_paths": census.failed,
         "rescued": census.rescue_added,
         "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup,
-                       "match": cfg.tol_match,
+                       "match": TOL_MATCH,
                        "cluster_radius": cfg.cluster_radius},
         "seed": seed,
     }
@@ -943,7 +928,7 @@ def check_stratum_counts(seed: int = 42,
 
 
 def check_fiber_geometry(seed: int = 42,
-                         cfg: TrackConfig | None = None) -> CheckResult:
+                         numeric: NumericRun | None = None) -> CheckResult:
     """Numeric geometry of the parameter-origin fiber and the projection.
 
     The fiber sliced by a random codimension-3 space has degree four;
@@ -955,12 +940,13 @@ def check_fiber_geometry(seed: int = 42,
     differential has rank three; and each of ten random targets has
     exactly one regular preimage on the fiber.
     """
-    cfg = cfg or TrackConfig(seed=seed)
+    numeric = numeric or NumericRun()
+    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
     origin = (_F(0), _F(0), _F(0))
 
-    probe = fiber_probe(origin, seed, cfg, slice_count=5)
+    probe = numeric.probe(origin, seed, 5)
     if probe["slice_counts"][0] != 4:
         residuals.append(
             f"first slice endpoint count {probe['slice_counts'][0]} != 4")
@@ -973,10 +959,10 @@ def check_fiber_geometry(seed: int = 42,
             f"fiber Jacobian rank {probe['fiber_jacobian_rank']} != 5")
 
     # The common chart image of the open-stratum non-multiple-root points.
-    census = count_stratum_points(origin, seed, cfg)
+    census = numeric.census(origin, seed)
     images, spread, count = u_dprime_image(census)
     points = construction.special_points()
-    with mp.workdps(cfg.working_dps):
+    with mp.workdps(WORKING_DPS):
         exact_image = [_mp_scalar(c) for c in points["u_dprime_0"].coords]
         if count != 4:
             residuals.append(f"open-stratum non-multiple-root count {count} "
@@ -989,21 +975,21 @@ def check_fiber_geometry(seed: int = 42,
                     residuals.append("chart image has a nonzero trailing "
                                      "coordinate")
                     break
-        if images and _mp_chordal(images[0], exact_image) > 1e-6:
+        if images and _chordal(images[0], exact_image) > 1e-6:
             residuals.append(
                 "chart image of the non-multiple-root orbit misses the "
                 "stored fiber point")
 
     # Small-parameter continuity of the common image.
     small = tuple(v * _F(1, 100000) for v in (_F(10), _F(1, 2), _F(1, 3)))
-    census_small = count_stratum_points(small, seed, cfg)
+    census_small = numeric.census(small, seed)
     images_small, spread_small, count_small = u_dprime_image(census_small)
-    with mp.workdps(cfg.working_dps):
+    with mp.workdps(WORKING_DPS):
         if count_small != 4 or spread_small > 1e-4:
             residuals.append(
                 f"small-parameter image: count {count_small}, spread "
                 f"{spread_small:.2e}")
-        elif _mp_chordal(images_small[0], exact_image) > 1e-2:
+        elif _chordal(images_small[0], exact_image) > 1e-2:
             residuals.append("small-parameter image is not close to the "
                              "parameter-origin image")
 
@@ -1064,7 +1050,7 @@ def check_fiber_geometry(seed: int = 42,
             align.append(_linear_row_terms(list(row)))
         run = solve_projective(base_rows, Y_NAMES, seed,
                                f"preimage:{trial}", cfg, extra_rows=align)
-        regular = [e for e in run["distinct"] if e.sv_min > cfg.sv_regular]
+        regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
         preimage_counts.append(len(regular))
     if any(c != 1 for c in preimage_counts):
         residuals.append(
@@ -1088,18 +1074,18 @@ def check_fiber_geometry(seed: int = 42,
 
 def check_seed_stability(seed: int = 42,
                          sample_r: tuple = (_F(10), _F(1, 2), _F(1, 3)),
-                         cfg: TrackConfig | None = None) -> CheckResult:
+                         numeric: NumericRun | None = None) -> CheckResult:
     """The census partition and the fiber slice degree match across seeds."""
-    cfg = cfg or TrackConfig()
+    numeric = numeric or NumericRun()
+    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
     partitions = []
     slice_counts = []
     seeds = (seed, seed + 1, seed + 2)
     for s in seeds:
-        census = count_stratum_points(sample_r, s, cfg)
-        partitions.append(census.partition)
-        probe = fiber_probe((_F(0), _F(0), _F(0)), s, cfg, slice_count=1)
+        partitions.append(numeric.census(sample_r, s).partition)
+        probe = numeric.probe((_F(0), _F(0), _F(0)), s, 1)
         slice_counts.append(probe["slice_counts"][0])
     for seed, part in zip(seeds[1:], partitions[1:]):
         if part != partitions[0]:
@@ -1115,7 +1101,3 @@ def check_seed_stability(seed: int = 42,
         "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup},
     }
     return _finish("numeric/seed_stability", started, residuals, details)
-
-
-NUMERIC_CHECKS = (check_stratum_counts, check_fiber_geometry,
-                  check_seed_stability)

@@ -8,7 +8,7 @@ heuristic to keep intermediate entries small.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .mpoly import MPoly
 from .scalar import (CycScalar, as_cyc, scalar_complexity, scalar_inverse,

@@ -3,9 +3,10 @@
 Selects registered checks by id glob, runs the exact suites before the
 continuation suites, and renders a report in text or JSON with a stable
 schema.  Every knob is available as a flag and as an environment
-variable with the ``COVFORGE_`` prefix; flags win.  The corrected-typo
-ledger ships with the package at a fixed path, named at the end of
-every text report.
+variable with the ``COVFORGE_`` prefix; flags win.  The numeric checks
+of one run share their census and probe results through one
+``NumericRun``.  The corrected-typo ledger ships as a package resource,
+named at the end of every text report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -24,10 +24,10 @@ from importlib import resources
 from . import checks as _checks
 from . import continuation as _cont
 from .checks import CheckResult
-from .continuation import TrackConfig
+from .continuation import NumericRun, TrackConfig
 
 ENV_PREFIX = "COVFORGE_"
-ERRATA_PATH = "src/covforge/errata.json"
+ERRATA_RESOURCE = "covforge/errata.json"
 
 DEFAULT_SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
@@ -45,7 +45,6 @@ class RunConfig:
     tol_cluster: float = 1e-4
     sample_r: tuple = DEFAULT_SAMPLE_R
     format: str = "text"
-    jobs: int = 1
 
     def validate(self) -> None:
         for name in ("tol_track", "tol_dedup", "tol_rank", "tol_cluster"):
@@ -53,26 +52,25 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if len(self.sample_r) != 3:
             raise ValueError("sample_r needs exactly three entries")
 
     def track_config(self) -> TrackConfig:
-        return TrackConfig(seed=self.seed, tol_track=self.tol_track,
-                           tol_dedup=self.tol_dedup, tol_rank=self.tol_rank,
+        return TrackConfig(tol_track=self.tol_track, tol_dedup=self.tol_dedup,
+                           tol_rank=self.tol_rank,
                            cluster_radius=self.tol_cluster)
 
 
 # The registry: check id, report anchor (interface data), phase, runner.
+# A runner takes the run config and the run's shared NumericRun.
 def _registry() -> tuple:
     def sym(fn):
-        return lambda cfg: fn()
+        return lambda cfg, numeric: fn()
 
     def prop(fn):
-        return lambda cfg: fn(seed=cfg.seed)
+        return lambda cfg, numeric: fn(seed=cfg.seed)
 
     return (
         ("symbolic/expansion_1_2", "(1.2)", "exact",
@@ -100,14 +98,14 @@ def _registry() -> tuple:
         ("property/scaling_1_1", "(1.1)", "exact",
          prop(_checks.check_scaling_1_1)),
         ("numeric/lemma6_2", "Lemma 6.2", "numeric",
-         lambda cfg: _cont.check_stratum_counts(
-             seed=cfg.seed, sample_r=cfg.sample_r, cfg=cfg.track_config())),
+         lambda cfg, numeric: _cont.check_stratum_counts(
+             seed=cfg.seed, sample_r=cfg.sample_r, numeric=numeric)),
         ("numeric/fiber_5", "Lemmas 5.1–5.5", "numeric",
-         lambda cfg: _cont.check_fiber_geometry(
-             seed=cfg.seed, cfg=cfg.track_config())),
+         lambda cfg, numeric: _cont.check_fiber_geometry(
+             seed=cfg.seed, numeric=numeric)),
         ("numeric/seed_stability", "Lemma 6.2 (stability)", "numeric",
-         lambda cfg: _cont.check_seed_stability(
-             seed=cfg.seed, sample_r=cfg.sample_r, cfg=cfg.track_config())),
+         lambda cfg, numeric: _cont.check_seed_stability(
+             seed=cfg.seed, sample_r=cfg.sample_r, numeric=numeric)),
     )
 
 
@@ -138,11 +136,13 @@ class Report:
 def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
-    Exact checks run before numeric ones; the report is ordered by
-    check id.  Raises ValueError for a malformed config and LookupError
-    when the filter selects nothing.
+    Exact checks run before numeric ones, in registry order; the report
+    is ordered by check id.  The numeric checks share one NumericRun
+    with the config's tolerances.  Raises ValueError for a malformed
+    config and LookupError when the filter selects nothing.
     """
     config.validate()
+    numeric = NumericRun(config.track_config())
     selected = [entry for entry in _registry()
                 if fnmatch.fnmatch(entry[0], config.filter)]
     if not selected:
@@ -150,18 +150,9 @@ def run(config: RunConfig) -> Report:
             f"filter {config.filter!r} matches no check id; known ids: "
             + ", ".join(check_ids()))
     anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
-    results: list[CheckResult] = []
-    for phase in ("exact", "numeric"):
-        batch = [entry for entry in selected if entry[2] == phase]
-        if not batch:
-            continue
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [pool.submit(fn, config)
-                           for _cid, _a, _k, fn in batch]
-                results.extend(f.result() for f in futures)
-        else:
-            results.extend(fn(config) for _cid, _a, _k, fn in batch)
+    results = [fn(config, numeric)
+               for phase in ("exact", "numeric")
+               for _cid, _a, kind, fn in selected if kind == phase]
     return Report(config=config, results=results, anchors=anchors)
 
 
@@ -225,7 +216,7 @@ def render_text(report: Report) -> str:
     failed = len(report.results) - passed
     lines.append(f"{len(report.results)} checks: {passed} pass, "
                  f"{failed} fail")
-    lines.append(f"erratum ledger: {ERRATA_PATH}")
+    lines.append(f"erratum ledger: {ERRATA_RESOURCE}")
     return "\n".join(lines)
 
 
@@ -257,8 +248,6 @@ def build_config(argv=None) -> RunConfig:
                         help="base random seed (default 42)")
     parser.add_argument("--format", choices=("text", "json"),
                         help="report format (default text)")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="concurrent checks per phase (default 1)")
     parser.add_argument("--tol-track", type=float, metavar="X",
                         help="path acceptance residual (default 1e-10)")
     parser.add_argument("--tol-dedup", type=float, metavar="X",
@@ -272,7 +261,6 @@ def build_config(argv=None) -> RunConfig:
     seed = args.seed if args.seed is not None else _env("SEED", int, 42)
     fmt = args.format if args.format is not None \
         else _env("FORMAT", str, "text")
-    jobs = args.jobs if args.jobs is not None else _env("JOBS", int, 1)
     tol_track = args.tol_track if args.tol_track is not None \
         else _env("TOL_TRACK", float, 1e-10)
     tol_dedup = args.tol_dedup if args.tol_dedup is not None \
@@ -287,7 +275,7 @@ def build_config(argv=None) -> RunConfig:
     return RunConfig(filter=filter_, seed=seed, tol_track=tol_track,
                      tol_dedup=tol_dedup, tol_rank=tol_rank,
                      tol_cluster=tol_cluster, sample_r=sample_r,
-                     format=fmt, jobs=jobs)
+                     format=fmt)
 
 
 def main(argv=None) -> int:

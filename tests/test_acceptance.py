@@ -160,12 +160,12 @@ def test_exact_stratum_points_families_and_bookkeeping():
         assert 8 * 7 * 6 // 24 == 14 and 18 + 14 == 32 == 2 ** 5
 
 
-def test_numeric_census_partition_regularity_and_orbit():
+def test_numeric_census_partition_regularity_and_orbit(numeric_run):
     with criterion("numeric census: 32/32 paths, partition 4+12+16, "
                    "regular endpoints, one orbit of special points, "
                    "under 60 s"):
         started = time.perf_counter()
-        result = check_stratum_counts(seed=42)
+        result = check_stratum_counts(seed=42, numeric=numeric_run)
         elapsed = time.perf_counter() - started
         assert result.ok, result.residuals
         assert result.details["partition"] == EXPECTED_PARTITION
@@ -180,11 +180,11 @@ def test_numeric_census_partition_regularity_and_orbit():
         assert elapsed < 60.0
 
 
-def test_numeric_fiber_degree_rank_image_and_preimages():
+def test_numeric_fiber_degree_rank_image_and_preimages(numeric_run):
     with criterion("numeric fiber: slice degree 4, Jacobian rank 5, exact "
                    "image within 1e-6, disjoint center, one preimage "
                    "per target"):
-        result = check_fiber_geometry(seed=42)
+        result = check_fiber_geometry(seed=42, numeric=numeric_run)
         assert result.ok, result.residuals
         assert result.details["slice_counts"] == [4, 4, 4, 4, 4]
         assert result.details["fiber_jacobian_rank"] == 5
@@ -198,7 +198,7 @@ def test_numeric_fiber_degree_rank_image_and_preimages():
             "track": 1e-10, "dedup": 1e-6, "rank": 1e-8}
 
 
-def test_property_suites_and_cross_seed_stability():
+def test_property_suites_and_cross_seed_stability(numeric_run):
     with criterion("properties: 1000 field triples, 100 transvectant "
                    "instances, symbolic scaling, three stable seeds"):
         field = checks.check_field_axioms(seed=42)
@@ -207,7 +207,7 @@ def test_property_suites_and_cross_seed_stability():
         assert trans.ok and trans.details["trials"] >= 100
         scaling = checks.check_scaling_1_1(seed=42)
         assert scaling.ok
-        stability = check_seed_stability(seed=42)
+        stability = check_seed_stability(seed=42, numeric=numeric_run)
         assert stability.ok, stability.residuals
         assert stability.details["seeds"] == [42, 43, 44]
         assert stability.details["partition"] == EXPECTED_PARTITION

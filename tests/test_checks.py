@@ -2,7 +2,7 @@
 
 import pytest
 
-from covforge import checks
+from covforge import checks, harness
 
 EXPECTED_SYMBOLIC_IDS = [
     "symbolic/expansion_1_2",
@@ -25,12 +25,12 @@ EXPECTED_PROPERTY_IDS = [
 
 @pytest.fixture(scope="module")
 def symbolic_results():
-    return checks.run_symbolic_checks()
+    return harness.run(harness.RunConfig(filter="symbolic/*")).results
 
 
 @pytest.fixture(scope="module")
 def property_results():
-    return checks.run_property_checks(seed=42)
+    return harness.run(harness.RunConfig(filter="property/*")).results
 
 
 def test_every_symbolic_check_passes(symbolic_results):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from covforge import construction as con
-from covforge.continuation import (CHART_VARS, CompiledSystem, TrackConfig,
-                                   _chordal, _poly_terms, _rng,
+from covforge.continuation import (CHART_VARS, CompiledSystem, NumericRun,
+                                   TrackConfig, _chordal, _poly_terms, _rng,
                                    count_stratum_points,
                                    literal_pure_quadrics,
                                    octic_root_clusters, projection_data,
@@ -63,16 +63,26 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
         assert best < 1e-6  # the endpoint-identification tolerance
 
 
-def test_census_at_the_sample_parameters_is_complete_and_cached():
-    census = count_stratum_points(SAMPLE_R, 42)
+def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
+    census = numeric_run.census(SAMPLE_R, 42)
     assert census.path_count == 32
     assert census.accepted_count == 32
     assert census.distinct_count == 32
     assert census.failed == []
     assert census.min_sv > 1e-6
     assert sum(census.partition.values()) == 32
-    # memoized: the identical query returns the same object
-    assert count_stratum_points(SAMPLE_R, 42) is census
+    # shared within a run: the identical query returns the same object,
+    # also when the triple is given as ints
+    assert numeric_run.census(SAMPLE_R, 42) is census
+    assert numeric_run.census((10, SAMPLE_R[1], SAMPLE_R[2]), 42) is census
+
+
+def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run):
+    first = numeric_run.probe((0, 0, 0), 42, 1)
+    assert numeric_run.probe((0, 0, 0), 42, 1) is first
+    fresh = NumericRun().probe((0, 0, 0), 42, 1)
+    assert fresh is not first
+    assert fresh["slice_counts"] == first["slice_counts"] == [4]
 
 
 def test_census_rejects_degenerate_parameter_triples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from covforge import harness
+from covforge.continuation import check_seed_stability
 
 JSON_KEY_ORDER = ["check_id", "paper_anchor", "status", "residual_count",
                   "details", "millis"]
@@ -24,7 +25,6 @@ def test_default_configuration_values():
     assert cfg.filter == "*"
     assert cfg.seed == 42
     assert cfg.format == "text"
-    assert cfg.jobs == 1
     assert cfg.tol_track == 1e-10
     assert cfg.tol_dedup == 1e-6
     assert cfg.sample_r == (Fraction(10), Fraction(1, 2), Fraction(1, 3))
@@ -51,6 +51,11 @@ def test_environment_supplies_defaults_but_flags_win(monkeypatch):
 def test_unknown_format_is_rejected_by_the_parser():
     with pytest.raises(SystemExit):
         harness.build_config(["--format", "yaml"])
+
+
+def test_the_removed_jobs_flag_is_rejected_by_the_parser():
+    with pytest.raises(SystemExit):
+        harness.build_config(["--jobs", "2"])
 
 
 def test_negative_tolerance_exits_with_configuration_error(capsys):
@@ -126,11 +131,15 @@ def test_errata_ledger_entries_are_validated_by_known_checks():
     assert "(1.2)" in locations and "(4.5)" in locations
 
 
-def test_text_report_shows_tolerances_for_numeric_rows():
-    # run the cheapest numeric check through the harness front end
+def test_text_report_shows_tolerances_for_numeric_rows(numeric_run):
+    # render the cheapest numeric check, on the session's shared results
     cfg = harness.build_config(["--filter", "numeric/seed_stability"])
-    report = harness.run(cfg)
+    report = harness.Report(
+        config=cfg,
+        results=[check_seed_stability(seed=cfg.seed, sample_r=cfg.sample_r,
+                                      numeric=numeric_run)],
+        anchors={"numeric/seed_stability": "Lemma 6.2 (stability)"})
     text = harness.render_text(report)
     assert "PASS" in text and "numeric/seed_stability" in text
     assert "tolerances:" in text
-    assert "erratum ledger: src/covforge/errata.json" in text
+    assert text.splitlines()[-1] == "erratum ledger: covforge/errata.json"
