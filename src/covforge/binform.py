@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .mpoly import MPoly
-from .scalar import CycScalar, Scalar, as_cyc, embed_complex, scalar_inverse, scalar_is_zero
+from .scalar import CycScalar, as_cyc, scalar_inverse, scalar_is_zero
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
 
@@ -153,15 +153,6 @@ class BinaryForm:
         if total is None:
             return Fraction(0)
         return total
-
-    def embed(self) -> list[complex]:
-        """Complex coefficient list (requires scalar coefficients)."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, MPoly):
-                raise TypeError("cannot embed a symbolic form")
-            out.append(embed_complex(c))
-        return out
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -566,11 +557,9 @@ def calibrate_conventions() -> Calibration:
 
 # ---------------------------------------------------------------------------
 # Exact root structure of forms with scalar coefficients
-
-
-def _univar_coeffs(f: BinaryForm) -> list:
-    """Coefficients of f(1, w) as a dense list, constant term first."""
-    return list(f.coeffs)
+#
+# A form's coefficient list, read as f(1, w), is a dense univariate
+# polynomial with its constant term first.
 
 
 def _poly_degree(coeffs: list) -> int:
@@ -598,14 +587,6 @@ def _poly_mod(num: list, den: list) -> list:
             num[k + shift] = num[k + shift] - factor * den[k]
         num[nd] = Fraction(0)  # clear any residue exactly
     return num
-
-
-def _poly_gcd_degree(p: list, q: list) -> int:
-    """Degree of gcd(p, q) over the coefficient field."""
-    a, b = list(p), list(q)
-    while _poly_degree(b) >= 0:
-        a, b = b, _poly_mod(a, b)
-    return _poly_degree(a)
 
 
 def _poly_diff(p: list) -> list:
@@ -686,7 +667,7 @@ def max_root_multiplicity_exact(f: BinaryForm) -> int:
     if f.is_zero():
         raise ValueError("zero form has no root multiplicities")
     at_infinity = root_multiplicity(f, (Fraction(0), Fraction(1)))
-    return max(at_infinity, _max_mult_univar(_univar_coeffs(f)))
+    return max(at_infinity, _max_mult_univar(list(f.coeffs)))
 
 
 def _gcd_poly(p: list, q: list) -> list:
@@ -706,5 +687,5 @@ def has_distinct_roots(f: BinaryForm) -> bool:
         return False
     if root_multiplicity(f, (Fraction(0), Fraction(1))) > 1:
         return False
-    p = _univar_coeffs(f)
-    return _poly_gcd_degree(p, _poly_diff(p)) <= 0
+    p = list(f.coeffs)
+    return _poly_degree(_gcd_poly(p, _poly_diff(p))) <= 0

@@ -76,15 +76,6 @@ def _finish(check_id: str, started: float, residuals: list[str],
     )
 
 
-def _sstr(value) -> str:
-    """Short exact-scalar rendering for witnesses and details."""
-    if isinstance(value, MPoly):
-        return str(value)
-    if isinstance(value, CycScalar):
-        return str(value)
-    return str(value)
-
-
 def _var(name: str) -> MPoly:
     return MPoly.var(name, DEFAULT_TABLE)
 
@@ -106,8 +97,7 @@ def _require_zero_poly(residuals: list[str], poly: MPoly, label: str) -> bool:
     if poly.is_zero():
         return True
     terms = poly.sorted_terms()[:3]
-    shown = ", ".join(
-        f"{_sstr(c)}*{_mono_str(poly, m)}" for m, c in terms)
+    shown = ", ".join(f"{c}*{_mono_str(poly, m)}" for m, c in terms)
     residuals.append(f"{label}: nonzero ({len(poly.terms)} terms; {shown})")
     return False
 
@@ -126,8 +116,7 @@ def _linear_bindings(mat, names) -> dict[str, MPoly]:
     for i, name in enumerate(names):
         acc = _ZERO
         for j, entry in enumerate(mat[i]):
-            if scalar_is_zero(as_cyc(entry) if not isinstance(entry, int)
-                              else _F(entry)):
+            if scalar_is_zero(entry):
                 continue
             acc = acc + entry * cols[j]
         out[name] = acc
@@ -258,8 +247,8 @@ def check_action_table_3_1() -> CheckResult:
                 if as_cyc(induced[i][j]) != as_cyc(stcols[i][j]):
                     residuals.append(
                         f"{name}: entry ({VEC15_NAMES[i]}, {VEC15_NAMES[j]}) "
-                        f"stored {_sstr(stcols[i][j])} vs. recomputed "
-                        f"{_sstr(induced[i][j])}")
+                        f"stored {stcols[i][j]} vs. recomputed "
+                        f"{induced[i][j]}")
 
     _require(residuals, cal.matched_conventions == ("substitute_inverse",),
              f"matching conventions: {cal.matched_conventions}")
@@ -678,8 +667,7 @@ def check_lemma_4_2() -> CheckResult:
         acc = _ZERO
         for a, vec in zip(alphas, basis):
             entry = vec[i]
-            if scalar_is_zero(as_cyc(entry) if not isinstance(entry, int)
-                              else _F(entry)):
+            if scalar_is_zero(entry):
                 continue
             acc = acc + entry * a
         bindings[xname] = acc
@@ -708,7 +696,7 @@ def check_lemma_4_2() -> CheckResult:
 
     points = construction.special_points()
     r, y = construction.pi_chart(points["crossing_point"])
-    _require(residuals, all(scalar_is_zero(as_cyc(c)) for c in r),
+    _require(residuals, all(scalar_is_zero(c) for c in r),
              f"crossing point does not sit over the slice origin: {r}")
     _require(residuals, y == points["u_dprime_0"],
              "chart image of the crossing point is not the stored fiber point")
@@ -818,7 +806,7 @@ def check_derivation_4_5() -> CheckResult:
     for name in ("omega", "rho", "tau", "sigma"):
         mat = table[name]
         leak = [(i, j) for i in range(12) for j in (12, 13, 14)
-                if not scalar_is_zero(as_cyc(mat[i][j]))]
+                if not scalar_is_zero(mat[i][j])]
         if not _require(residuals, not leak,
                         f"{name}: chart rows leak into the cut directions"):
             continue
@@ -827,8 +815,7 @@ def check_derivation_4_5() -> CheckResult:
         for n in chart_vars:
             acc = _ZERO
             for j, entry in enumerate(rows[n][:12]):
-                if scalar_is_zero(as_cyc(entry) if not isinstance(entry, int)
-                                  else _F(entry)):
+                if scalar_is_zero(entry):
                     continue
                 acc = acc + entry * _var(chart_vars[j])
             bind[n] = acc
@@ -838,9 +825,7 @@ def check_derivation_4_5() -> CheckResult:
         for i in range(3):
             row = pmat[i]
             nz = [(j, row[j]) for j in range(3)
-                  if not scalar_is_zero(as_cyc(_F(row[j]))
-                                        if isinstance(row[j], int)
-                                        else as_cyc(row[j]))]
+                  if not scalar_is_zero(row[j])]
             if len(nz) != 1:
                 residuals.append(f"{name}: parameter action row {i + 1} is "
                                  "not a monomial row")
@@ -960,8 +945,7 @@ def check_strata_6() -> CheckResult:
             if isinstance(comp, MPoly) and comp.is_zero():
                 continue
             for d, c in enumerate(form.coeffs):
-                if scalar_is_zero(as_cyc(c) if not isinstance(c, int)
-                                  else _F(c)):
+                if scalar_is_zero(c):
                     continue
                 coeffs[d] = coeffs[d] + comp * c
         return coeffs

@@ -21,7 +21,7 @@ from typing import Sequence
 from .binform import BinaryForm, GroupElt, group_act
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly, VarTable, default_table
-from .scalar import CycScalar, Scalar, as_cyc, embed_complex, scalar_inverse, scalar_is_zero
+from .scalar import CycScalar, as_cyc, scalar_inverse, scalar_is_zero
 
 DEFAULT_TABLE = default_table()
 
@@ -83,9 +83,6 @@ class ProjPoint:
 
     def __hash__(self) -> int:
         return hash(tuple(as_cyc(c) for c in self.canonical()))
-
-    def embed(self) -> list[complex]:
-        return [embed_complex(c) for c in self.coords]
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"

@@ -1,14 +1,19 @@
-"""Double-precision homotopy continuation for the small polynomial systems.
+"""Homotopy continuation for the small polynomial systems.
 
-Total-degree start systems with a random path-perturbation constant, an
-Euler predictor with a short Newton corrector and adaptive step halving,
-endpoint polishing, chart-rescaling deduplication, and a second-chart
-rescue pass for paths that head toward the chart's hyperplane at
-infinity.  Endpoints of the stratum systems are re-polished in
-high-precision arithmetic (the coefficients are exact, so the refinement
-is limited only by working precision); this is what lets the
+Every system is compiled once into a `CompiledSystem`: a value table and
+a derivative table of its terms, built from exact coefficients.  The
+tracker reads them as complex doubles: total-degree start systems with
+a random path-perturbation constant, an Euler predictor with a short
+Newton corrector and adaptive step halving, endpoint polishing,
+chart-rescaling deduplication, and a second-chart rescue pass for paths
+that head toward the chart's hyperplane at infinity.  Endpoints of the
+stratum systems are then re-polished by `mp_polish` from the same
+tables embedded at `WORKING_DPS` (the coefficients are exact, so the
+refinement is limited only by working precision); this is what lets the
 multiple-root classifier separate a genuine sixfold root cluster from
-simple roots at the configured cluster radius.
+simple roots at the configured cluster radius.  `embed_mp` is the one
+exact-to-mpmath embedding, for the tables and for every exact point the
+numeric checks compare against.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -66,21 +71,33 @@ class TrackConfig:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: exact polynomials -> term lists -> double / high precision
+# Compilation: exact polynomials -> one term table per system, embedded
+# as complex doubles for the tracker and at WORKING_DPS for the polish
 
 
-def _mp_scalar(value):
-    """Exact coefficient to an mpmath complex at the current precision."""
+def _zeta_powers() -> tuple:
+    with mp.workdps(WORKING_DPS):
+        zeta = mp.exp(mp.mpc(0, 1) * mp.pi / 4)
+        return tuple(zeta ** k for k in range(4))
+
+
+_ZETA_POWERS = _zeta_powers()       # 1, z, z^2, z^3 for z = exp(i pi/4)
+
+
+def embed_mp(value):
+    """An exact scalar, or a complex double, as an mpmath complex at the
+    current precision (zeta_8 enters at WORKING_DPS)."""
     if isinstance(value, int):
         return mp.mpc(value)
     if isinstance(value, Fraction):
         return mp.mpc(mp.mpf(value.numerator) / mp.mpf(value.denominator))
     if isinstance(value, CycScalar):
-        zeta = mp.exp(mp.mpc(0, 1) * mp.pi / 4)
         acc = mp.mpc(0)
-        for k, c in enumerate(value.coords):
-            acc += (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * zeta ** k
+        for c, zp in zip(value.coords, _ZETA_POWERS):
+            acc += (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * zp
         return acc
+    if isinstance(value, (complex, float)):
+        return mp.mpc(complex(value))
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -109,51 +126,46 @@ def _linear_row_terms(coeffs, constant=0) -> list[tuple]:
 
 
 class CompiledSystem:
-    """Square or rectangular polynomial system over complex doubles.
+    """A polynomial system as two term tables, used at both precisions.
 
-    Built from exact term lists; evaluation and Jacobians run over a
-    single stacked term array, and the same exact terms can be
-    re-embedded at high precision for endpoint refinement.
+    Built from term lists (coefficient, exponent tuple) whose
+    coefficients are exact scalars or complex doubles.  The value table
+    has one (row, coefficient, exponents) entry per term; the derivative
+    table has one (row * nvars + j, coefficient * e_j, exponents with
+    e_j lowered) entry per term and variable j the term contains.  Both
+    are embedded as complex doubles here, for the tracker, and once at
+    WORKING_DPS on the first `mp_polish`; evaluating F or J at either
+    precision is one pass over a table.
     """
 
     def __init__(self, term_lists: list[list[tuple]], nvars: int) -> None:
         self.nvars = nvars
-        self.exact_terms = term_lists
+        self.size = len(term_lists)
         self.degrees = [max(sum(e) for _c, e in terms)
                         for terms in term_lists]
-        coeffs, exps, rows = [], [], []
-        dcoeffs, dexps, dslots = [], [], []
-        for k, terms in enumerate(term_lists):
-            for c, e in terms:
-                cc = complex(self._embed(c))
-                coeffs.append(cc)
-                exps.append(e)
-                rows.append(k)
+        terms, dterms = [], []      # (row, c, e) and (slot, term, e_j, d)
+        for k, row in enumerate(term_lists):
+            for c, e in row:
                 for j in range(nvars):
                     if e[j]:
                         d = list(e)
                         d[j] -= 1
-                        dcoeffs.append(cc * e[j])
-                        dexps.append(d)
-                        dslots.append(k * nvars + j)
+                        dterms.append((k * nvars + j, len(terms), e[j],
+                                       tuple(d)))
+                terms.append((k, c, e))
+        self._terms, self._dterms = terms, dterms
+        self._mp_tables = None
+        coeffs = [embed_complex(c) for _k, c, _e in terms]
         self._coeffs = np.array(coeffs, dtype=complex)
-        self._exps = np.array(exps, dtype=np.int64).reshape(len(coeffs),
-                                                            nvars)
-        self._rows = np.array(rows, dtype=np.int64)
-        self._dcoeffs = np.array(dcoeffs, dtype=complex)
-        self._dexps = np.array(dexps, dtype=np.int64).reshape(len(dcoeffs),
-                                                              nvars)
-        self._dslots = np.array(dslots, dtype=np.int64)
-
-    @staticmethod
-    def _embed(c):
-        if isinstance(c, (complex, float)):
-            return complex(c)
-        return embed_complex(c)
-
-    @property
-    def size(self) -> int:
-        return len(self.exact_terms)
+        self._exps = np.array([e for _k, _c, e in terms],
+                              dtype=np.int64).reshape(len(terms), nvars)
+        self._rows = np.array([k for k, _c, _e in terms], dtype=np.int64)
+        self._dcoeffs = np.array([coeffs[t] * m for _s, t, m, _d in dterms],
+                                 dtype=complex)
+        self._dexps = np.array([d for _s, _t, _m, d in dterms],
+                               dtype=np.int64).reshape(len(dterms), nvars)
+        self._dslots = np.array([s for s, _t, _m, _d in dterms],
+                                dtype=np.int64)
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         mono = np.prod(x[None, :] ** self._exps, axis=1)
@@ -167,53 +179,42 @@ class CompiledSystem:
         np.add.at(flat, self._dslots, self._dcoeffs * mono)
         return flat.reshape(self.size, self.nvars)
 
-    # -- high-precision re-embedding -------------------------------------
+    def mp_tables(self) -> tuple[list, list]:
+        """The value and derivative tables as (slot, mp coefficient,
+        exponents), embedded at WORKING_DPS on the first call."""
+        if self._mp_tables is None:
+            with mp.workdps(WORKING_DPS):
+                coeffs = [embed_mp(c) for _k, c, _e in self._terms]
+                values = [(k, coeffs[t], e)
+                          for t, (k, _c, e) in enumerate(self._terms)]
+                derivs = [(s, coeffs[t] * m, d)
+                          for s, t, m, d in self._dterms]
+                self._mp_tables = (values, derivs)
+        return self._mp_tables
 
-    def mp_terms(self) -> list[list[tuple]]:
-        out = []
-        for terms in self.exact_terms:
-            out.append([(mp.mpc(complex(c)) if isinstance(c, (complex, float))
-                         else _mp_scalar(c), e) for c, e in terms])
-        return out
 
-
-def _mp_eval(terms, x):
-    acc = mp.mpc(0)
-    for c, e in terms:
+def _mp_sum(table: list, slots: int, x: list) -> list:
+    """Each table entry's term at x, summed into its slot."""
+    out = [mp.mpc(0)] * slots
+    for slot, c, e in table:
         prod = c
         for xx, ee in zip(x, e):
             if ee:
                 prod *= xx ** ee
-        acc += prod
-    return acc
-
-
-def _mp_jac_entry(terms, x, j):
-    acc = mp.mpc(0)
-    for c, e in terms:
-        if e[j] == 0:
-            continue
-        prod = c * e[j]
-        for k, (xx, ee) in enumerate(zip(x, e)):
-            p = ee - 1 if k == j else ee
-            if p:
-                prod *= xx ** p
-        acc += prod
-    return acc
+        out[slot] += prod
+    return out
 
 
 def mp_polish(system: CompiledSystem, x0: np.ndarray):
     """High-precision Newton refinement of a double-precision endpoint."""
+    values, derivs = system.mp_tables()
+    m, n = system.size, system.nvars
     with mp.workdps(WORKING_DPS):
-        terms = system.mp_terms()
-        n = system.nvars
         x = [mp.mpc(v) for v in x0]
         for _ in range(MP_POLISH_ITERS):
-            fx = mp.matrix([_mp_eval(t, x) for t in terms])
-            jac = mp.matrix(n, n)
-            for i, t in enumerate(terms):
-                for j in range(n):
-                    jac[i, j] = _mp_jac_entry(t, x, j)
+            fx = mp.matrix(_mp_sum(values, m, x))
+            flat = _mp_sum(derivs, m * n, x)
+            jac = mp.matrix([flat[i * n:(i + 1) * n] for i in range(m)])
             try:
                 dx = mp.lu_solve(jac, fx)
             except Exception:
@@ -233,22 +234,13 @@ class PathResult:
     index: int
     status: str                     # accepted | stalled | diverged | polish
     x: np.ndarray | None = None
-    residual: float = math.inf
     steps: int = 0
 
 
 @dataclass
 class Endpoint:
     x: np.ndarray                   # chart-affine coordinates
-    residual: float
     sv_min: float
-    path_index: int
-    chart_id: int = 0
-    mp_x: list | None = None
-
-    @property
-    def unit(self) -> np.ndarray:
-        return self.x / np.linalg.norm(self.x)
 
 
 def _rng(seed, *tags) -> random.Random:
@@ -383,8 +375,8 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
     dmax = max(target.degrees)
     scale = (1.0 + float(np.linalg.norm(x))) ** dmax
     if not converged or not np.isfinite(res) or res >= cfg.tol_track * scale:
-        return PathResult(index, "polish", x=x, residual=res, steps=steps)
-    return PathResult(index, "accepted", x=x, residual=res, steps=steps)
+        return PathResult(index, "polish", x=x, steps=steps)
+    return PathResult(index, "accepted", x=x, steps=steps)
 
 
 def _chordal(a, b) -> float:
@@ -438,13 +430,10 @@ def solve_projective(polys_exact: list[MPoly] | list[list[tuple]],
             res_norm = _residual_normalized(system, r.x, system.size - 1)
             if res_norm >= cfg.tol_track:
                 r.status = "polish"
-                r.residual = res_norm
                 continue
             jac = system.jacobian(r.x / np.linalg.norm(r.x))
             sv = np.linalg.svd(jac, compute_uv=False)
-            accepted.append(Endpoint(x=r.x, residual=res_norm,
-                                     sv_min=float(sv[-1]), path_index=r.index,
-                                     chart_id=chart_id))
+            accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
         return system, results, accepted, count
 
     system, results, accepted, path_count = run_chart(0)
@@ -461,7 +450,6 @@ def solve_projective(polys_exact: list[MPoly] | list[list[tuple]],
     distinct = _dedup(accepted, cfg.tol_dedup)
     return {
         "system": system,
-        "results": results,
         "accepted": accepted,
         "distinct": distinct,
         "path_count": path_count,
@@ -510,7 +498,7 @@ def octic_root_clusters(vec9, cluster_radius: float):
                 if base == 0:
                     continue
                 acc += (v if isinstance(v, mp.mpc) else mp.mpc(v)) \
-                    * _mp_scalar(base)
+                    * embed_mp(base)
             coeffs.append(acc)
         # Degree-ordered: coeffs[d] multiplies z1^(8-d) z2^d.  As a
         # univariate polynomial in z1 (z2 = 1) the list is already
@@ -559,17 +547,13 @@ def octic_root_clusters(vec9, cluster_radius: float):
 
 @dataclass
 class StratumPoint:
-    endpoint: Endpoint
     coords: list                    # polished high-precision 6-vector
     stratum: str                    # "L0" | "L1" | "L2" | "L3" | "Lopen" | "?"
     multiple_root: bool
-    cluster_sizes: list[int]
 
 
 @dataclass
 class StratumCensus:
-    r: tuple
-    seed: int
     partition: dict
     points: list[StratumPoint]
     path_count: int
@@ -581,7 +565,7 @@ class StratumCensus:
     notes: list[str] = field(default_factory=list)
 
 
-def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool, list]:
+def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool]:
     """Stratum label and multiple-root flag for a polished chart point."""
     norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
     unit = [c / norm for c in point_mp]
@@ -595,11 +579,9 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool, list]:
         stratum = "Lopen"
     else:
         stratum = "?"
-    r_mp = [_mp_scalar(as_exact(v)) for v in r]
-    x1, x2, x3, x7, x8, x9 = unit
-    vec9 = [x1, x2, x3, r_mp[0] * x1, r_mp[1] * x2, r_mp[2] * x3, x7, x8, x9]
+    vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r], unit)
     sizes = octic_root_clusters(vec9, cfg.cluster_radius)
-    return stratum, (sizes[0] >= 6), [int(s) for s in sizes]
+    return stratum, sizes[0] >= 6
 
 
 def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
@@ -626,11 +608,10 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
     min_sv = math.inf
     with mp.workdps(WORKING_DPS):
         for e in run["distinct"]:
-            e.mp_x = mp_polish(sys6, e.x)
-            stratum, multiple, sizes = _classify_point(e.mp_x, r, cfg)
-            points.append(StratumPoint(endpoint=e, coords=e.mp_x,
-                                       stratum=stratum, multiple_root=multiple,
-                                       cluster_sizes=sizes))
+            coords = mp_polish(sys6, e.x)
+            stratum, multiple = _classify_point(coords, r, cfg)
+            points.append(StratumPoint(coords=coords, stratum=stratum,
+                                       multiple_root=multiple))
             min_sv = min(min_sv, e.sv_min)
     partition = {"L0": 0}
     for j in (1, 2, 3):
@@ -649,7 +630,7 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
         else:
             notes.append("endpoint with exactly one vanishing leading "
                          "coordinate (unclassifiable)")
-    return StratumCensus(r=r, seed=seed, partition=partition, points=points,
+    return StratumCensus(partition=partition, points=points,
                          path_count=run["path_count"],
                          accepted_count=len(run["accepted"]),
                          distinct_count=len(run["distinct"]),
@@ -713,14 +694,14 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
     eqs = _fiber_equations_exact(r)
     base_rows = [_poly_terms(e, Y_NAMES) for e in eqs]
     fiber_sys = CompiledSystem(base_rows, 9)
-    slice_results = []
-    sampled_points = []
+    slice_counts, path_counts, sampled_points = [], [], []
     for s in range(slice_count):
         rng = _rng(seed, "fiber-slice", r, s)
         extra = [_linear_row_terms(list(_unit_row(rng, 9))) for _ in range(3)]
         run = solve_projective(base_rows, Y_NAMES, seed,
                                f"fiber:{r}:{s}", cfg, extra_rows=extra)
-        slice_results.append(run)
+        slice_counts.append(len(run["distinct"]))
+        path_counts.append(run["path_count"])
         sampled_points.extend(e.x for e in run["distinct"])
     if not sampled_points:
         raise RuntimeError("no fiber slice produced an accepted endpoint")
@@ -729,12 +710,10 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
     sv = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(sv > cfg.tol_rank * sv[0]))
     return {
-        "slice_runs": slice_results,
-        "slice_counts": [len(run["distinct"]) for run in slice_results],
-        "path_counts": [run["path_count"] for run in slice_results],
+        "slice_counts": slice_counts,
+        "path_counts": path_counts,
         "sampled_points": sampled_points,
         "fiber_jacobian_rank": rank,
-        "fiber_jacobian_sv": [float(v) for v in sv],
         "fiber_system": fiber_sys,
     }
 
@@ -860,14 +839,14 @@ def check_stratum_counts(seed: int = 42,
         sparse = construction.special_points()["sparse_solutions"]
         for p in sparse:
             anchor = [_F(0), _F(0), _F(0)] + [_F(v) for v in p]
-            target = [_mp_scalar(c) for c in anchor]
+            target = [embed_mp(c) for c in anchor]
             if not any(_chordal(pt.coords, target) < TOL_MATCH
                        for pt in census.points if pt.stratum == "L0"):
                 residuals.append(f"sparse anchor {p} matches no endpoint")
         anchors = _stratum_anchor_vectors(sample_r[0])
         if anchors is not None:
             for anchor in anchors:
-                target = [_mp_scalar(c) for c in anchor]
+                target = [embed_mp(c) for c in anchor]
                 if not any(_chordal(pt.coords, target) < TOL_MATCH
                            for pt in census.points if pt.stratum == "L1"):
                     residuals.append(
@@ -884,7 +863,7 @@ def check_stratum_counts(seed: int = 42,
             base = orbit_pts[0].coords
             matched = set()
             for signs in h_orbit_signs():
-                image = [_mp_scalar(s) * c for s, c in zip(signs, base)]
+                image = [embed_mp(s) * c for s, c in zip(signs, base)]
                 hits = [i for i, p in enumerate(orbit_pts)
                         if _chordal(p.coords, image) < TOL_MATCH]
                 if len(hits) == 1:
@@ -963,7 +942,7 @@ def check_fiber_geometry(seed: int = 42,
     images, spread, count = u_dprime_image(census)
     points = construction.special_points()
     with mp.workdps(WORKING_DPS):
-        exact_image = [_mp_scalar(c) for c in points["u_dprime_0"].coords]
+        exact_image = [embed_mp(c) for c in points["u_dprime_0"].coords]
         if count != 4:
             residuals.append(f"open-stratum non-multiple-root count {count} "
                              "!= 4 at the parameter origin")
@@ -1006,7 +985,7 @@ def check_fiber_geometry(seed: int = 42,
     if proj["matrix"].rank() != 9:
         residuals.append("center plus target do not span the chart space")
 
-    extract = np.array([[complex(embed_complex(v)) for v in row]
+    extract = np.array([[embed_complex(v) for v in row]
                         for row in proj["extract_rows"]])
     samples = probe["sampled_points"]
     if len(samples) < 20:

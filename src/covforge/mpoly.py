@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalar import CycScalar, scalar_is_zero, embed_complex
+from .scalar import CycScalar, scalar_is_zero
 
 Coeff = Union[Fraction, CycScalar]
 CoeffLike = Union[int, Fraction, CycScalar]
@@ -310,18 +310,6 @@ class MPoly:
         """Exact evaluation; every variable that occurs must be assigned."""
         out = self.substitute({n: assignment[n] for n in self.variables()})
         return out.constant_value()
-
-    def embed(self, assignment: Mapping[str, complex]) -> complex:
-        """Floating evaluation through the complex embedding."""
-        total = 0j
-        names = self.table.names
-        for mono, c in self.terms.items():
-            v = embed_complex(c)
-            for k, e in enumerate(mono):
-                if e:
-                    v *= assignment[names[k]] ** e
-            total += v
-        return total
 
     # -- rendering --------------------------------------------------------
 

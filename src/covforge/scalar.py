@@ -285,13 +285,14 @@ def scalar_conj(value: Scalar):
 
 
 def embed_complex(value) -> complex:
-    """Complex image of an exact scalar (ring homomorphism)."""
+    """Complex image of an exact scalar (ring homomorphism); floats and
+    complex doubles pass through as complex doubles."""
     if isinstance(value, CycScalar):
         return value.embed()
     if isinstance(value, (int, Fraction)):
         return complex(float(value))
-    if isinstance(value, complex):
-        return value
+    if isinstance(value, (complex, float)):
+        return complex(value)
     raise TypeError(f"cannot embed {value!r}")
 
 

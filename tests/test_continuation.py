@@ -2,17 +2,19 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from covforge import construction as con
-from covforge.continuation import (CHART_VARS, CompiledSystem, NumericRun,
-                                   TrackConfig, _chordal, _poly_terms, _rng,
-                                   count_stratum_points,
-                                   literal_pure_quadrics,
+from covforge.continuation import (CHART_VARS, WORKING_DPS, CompiledSystem,
+                                   NumericRun, TrackConfig, _chordal,
+                                   _poly_terms, _rng, count_stratum_points,
+                                   embed_mp, literal_pure_quadrics, mp_polish,
                                    octic_root_clusters, projection_data,
                                    solve_projective, track)
 from covforge.mpoly import MPoly
+from covforge.scalar import CycScalar
 
 SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
@@ -41,12 +43,16 @@ def test_tracking_a_univariate_quadratic_finds_both_roots():
     assert abs(values[0] + 1) < 1e-8 and abs(values[1] - 1) < 1e-8
 
 
-def test_projective_solver_recovers_the_four_sparse_solutions():
+def _sparse_rows():
     # restrict the literal quadrics to the locus where the six leading
     # coordinates vanish; two survive as nonzero forms in (x7, x8, x9)
     zeros = {f"x{i}": 0 for i in range(1, 7)}
     rows = [q.substitute(zeros) for q in literal_pure_quadrics()]
-    rows = [q for q in rows if not q.is_zero()]
+    return [q for q in rows if not q.is_zero()]
+
+
+def test_projective_solver_recovers_the_four_sparse_solutions():
+    rows = _sparse_rows()
     assert len(rows) == 2
 
     run = solve_projective(rows, ("x7", "x8", "x9"), 42, "sparse-test",
@@ -61,6 +67,24 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
     for t in targets:
         best = min(_chordal(t, e.x) for e in run["distinct"])
         assert best < 1e-6  # the endpoint-identification tolerance
+
+
+def test_mp_embedding_and_polish_reach_the_working_precision():
+    with mp.workdps(WORKING_DPS):
+        # zeta_8, i and sqrt(2) of the exact field
+        assert abs(embed_mp(CycScalar.zeta())
+                   - mp.exp(mp.mpc(0, 1) * mp.pi / 4)) < 1e-38
+        assert abs(embed_mp(CycScalar.i()) - 1j) < 1e-38
+        assert abs(embed_mp(CycScalar.sqrt2()) - mp.sqrt(2)) < 1e-38
+
+        # each double endpoint of the sparse system polishes onto its
+        # exact sparse anchor
+        run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
+                               "sparse-test", TrackConfig())
+        polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
+        for p in con.special_points()["sparse_solutions"]:
+            anchor = [embed_mp(Fraction(v)) for v in p]
+            assert min(_chordal(x, anchor) for x in polished) < 1e-30
 
 
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
