@@ -11,7 +11,13 @@ stratum systems are then re-polished by `mp_polish` from the same
 tables embedded at `WORKING_DPS` (the coefficients are exact, so the
 refinement is limited only by working precision); this is what lets the
 multiple-root classifier separate a genuine sixfold root cluster from
-simple roots at the configured cluster radius.  `embed_mp` is the one
+simple roots at the configured cluster radius.  The classifier takes
+the endpoint octic's roots from `mp.polyroots` at `WORKING_DPS`, started
+from seeds that already resolve each root cluster: double-precision
+roots, with every coarse group of them replaced by the roots of the
+octic's local Taylor polynomial at the group centroid, so the 40-digit
+iteration needs only a few quadratically convergent steps where a cold
+start would creep toward a sixfold root.  `embed_mp` is the one
 exact-to-mpmath embedding, for the tables and for every exact point the
 numeric checks compare against.
 
@@ -58,6 +64,8 @@ CORRECTOR_ITERS = 3
 POLISH_ITERS = 20           # double-precision endpoint Newton steps
 MP_POLISH_ITERS = 12        # high-precision endpoint Newton steps
 WORKING_DPS = 40            # decimal digits of the high-precision work
+SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
+SEED_EXTRAPREC = 160        # extra bits of a cluster's local Taylor expansion
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,7 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray):
             jac = mp.matrix([flat[i * n:(i + 1) * n] for i in range(m)])
             try:
                 dx = mp.lu_solve(jac, fx)
-            except Exception:
+            except ZeroDivisionError:       # a singular Jacobian
                 break
             x = [xv - dv for xv, dv in zip(x, dx)]
             if max(abs(d) for d in dx) < mp.mpf(10) ** (-WORKING_DPS + 4):
@@ -483,10 +491,11 @@ def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
 def octic_root_clusters(vec9, cluster_radius: float):
     """Root clusters of the octic with the given basis coordinates.
 
-    Roots are computed at high precision and clustered by spherical
-    (chordal) distance with a union-find at the given radius; vanishing
-    leading coefficients count as roots at infinity.  Returns the sorted
-    cluster sizes.
+    The roots are those of `_octic_roots`: 40-digit `polyroots` roots
+    started from cluster-resolved double-precision seeds, with vanishing
+    leading coefficients counted as roots at infinity.  They are
+    clustered by spherical (chordal) distance with a union-find at the
+    given radius.  Returns the sorted cluster sizes.
     """
     with mp.workdps(WORKING_DPS):
         basis = construction.octic_basis()
@@ -500,12 +509,43 @@ def octic_root_clusters(vec9, cluster_radius: float):
                 acc += (v if isinstance(v, mp.mpc) else mp.mpc(v)) \
                     * embed_mp(base)
             coeffs.append(acc)
-        # Degree-ordered: coeffs[d] multiplies z1^(8-d) z2^d.  As a
-        # univariate polynomial in z1 (z2 = 1) the list is already
-        # highest-first.
-        scale = max(abs(c) for c in coeffs)
-        if scale == 0:
+        if all(c == 0 for c in coeffs):
             return [9]
+        groups = _chordal_groups(_octic_roots(coeffs), cluster_radius)
+        return sorted((len(g) for g in groups), reverse=True)
+
+
+def _chordal_groups(points: list, radius: float) -> list[list[int]]:
+    """Indices of the projective points, grouped by chains of chordal
+    distance below the radius (a union-find)."""
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if _chordal(points[i], points[j]) < radius:
+            parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _octic_roots(coeffs: list) -> list[tuple]:
+    """The roots of a nonzero binary octic, as projective points (z, 1),
+    or (1, 0) at infinity, at WORKING_DPS.
+
+    `coeffs[d]` multiplies z1^(8-d) z2^d, so in z = z1/z2 the list is
+    highest-first.  After normalization, leading coefficients below 1e-30
+    are roots at infinity; `mp.polyroots` finds the others from the
+    start points of `_seed_roots`, widening its budget if it must.
+    """
+    with mp.workdps(WORKING_DPS):
+        scale = max(abs(c) for c in coeffs)
         normalized = [c / scale for c in coeffs]
         at_infinity = 0
         while normalized and abs(normalized[0]) < mp.mpf("1e-30"):
@@ -513,36 +553,79 @@ def octic_root_clusters(vec9, cluster_radius: float):
             at_infinity += 1
         finite = []
         if len(normalized) > 1:
-            # Exactly multiple roots slow the iteration down; widen the
-            # budget before giving up.
+            seeds = _seed_roots(normalized)
+            # A cold start crawls toward a multiple root; the seeds make
+            # the first rung enough, the wider ones are the fallback.
             ladder = ((300, 120), (1000, 240), (3000, 480))
             for attempt, (maxsteps, extraprec) in enumerate(ladder):
                 try:
                     finite = mp.polyroots(normalized, maxsteps=maxsteps,
-                                          extraprec=extraprec, error=False)
+                                          extraprec=extraprec, error=False,
+                                          roots_init=seeds)
                     break
                 except mp.libmp.NoConvergence:
                     if attempt == len(ladder) - 1:
                         raise
         one, zero = mp.mpc(1), mp.mpc(0)
-        points = [(z, one) for z in finite] + [(one, zero)] * at_infinity
-        parent = list(range(len(points)))
+        return [(z, one) for z in finite] + [(one, zero)] * at_infinity
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if _chordal(points[i], points[j]) < cluster_radius:
-                    parent[find(i)] = find(j)
-        sizes: dict[int, int] = {}
-        for i in range(len(points)):
-            root = find(i)
-            sizes[root] = sizes.get(root, 0) + 1
-        return sorted(sizes.values(), reverse=True)
+def _seed_roots(coeffs: list) -> list:
+    """Start points for `mp.polyroots` on a highest-first polynomial.
+
+    The centroid of a k-root cluster is well conditioned (Zeng, Math.
+    Comp. 2005), so the double-precision roots already place every
+    cluster.  They are grouped at chordal radius SEED_GROUP_RADIUS, and
+    each group of k >= 2 is replaced by the roots of the polynomial's
+    local degree-k polynomial at the group centroid, in u = 1/z on the
+    reversed coefficients when the group's mean modulus is above 1.
+    """
+    doubles = np.roots([complex(c) for c in coeffs])
+    seeds = [mp.mpc(z) for z in doubles]
+    for group in _chordal_groups([(z, 1.0) for z in doubles],
+                                 SEED_GROUP_RADIUS):
+        if len(group) < 2:
+            continue
+        far = float(np.mean(np.abs(doubles[group]))) > 1.0
+        chart = 1.0 / doubles[group] if far else doubles[group]
+        local = _local_roots(coeffs[::-1] if far else coeffs,
+                             complex(np.mean(chart)), len(group))
+        if local is not None:
+            for i, u in zip(group, local):
+                seeds[i] = 1 / u if far else u
+    return seeds
+
+
+def _local_roots(coeffs: list, center: complex, k: int) -> list | None:
+    """The roots of the degree-k truncation of a highest-first
+    polynomial's Taylor expansion at the center, or None if the
+    truncation is degenerate.
+
+    The Taylor coefficients b_j come from k + 1 synthetic divisions by
+    (z - center) at SEED_EXTRAPREC extra bits; w = s v with
+    s = max_{j<k} |b_j / b_k|^(1/(k-j)) scales them to modulus at most 1
+    for `np.roots`.
+    """
+    with mp.extraprec(SEED_EXTRAPREC):
+        c = mp.mpc(center)
+        taylor, rest = [], list(coeffs)
+        for _ in range(k + 1):
+            acc, quotient = mp.mpc(0), []
+            for a in rest:
+                acc = acc * c + a
+                quotient.append(acc)
+            taylor.append(quotient.pop())
+            rest = quotient
+        lead = taylor[k]
+        if lead == 0:
+            return None
+        s = max(abs(taylor[j] / lead) ** (mp.mpf(1) / (k - j))
+                for j in range(k))
+        if s == 0:
+            return None
+        scaled = [complex(taylor[j] * s ** (j - k) / lead)
+                  for j in range(k, -1, -1)]
+    return [c + s * mp.mpc(v) for v in np.roots(scaled)]
 
 
 @dataclass
@@ -723,9 +806,10 @@ class NumericRun:
     numeric checks.
 
     Each distinct request is computed once, with this run's tolerances,
-    by whichever check asks for it first.  The work goes through the
-    module's `count_stratum_points` and `fiber_probe`, so a tracer that
-    wraps those attributes sees every computation.
+    by whichever check asks for it first; a probe with fewer slices than
+    one already computed is read off that one's first slices.  The work
+    goes through the module's `count_stratum_points` and `fiber_probe`,
+    so a tracer that wraps those attributes sees every computation.
     """
 
     def __init__(self, cfg: TrackConfig | None = None) -> None:
@@ -743,8 +827,28 @@ class NumericRun:
         r = tuple(map(as_exact, r))
         key = ("probe", r, seed, slice_count)
         if key not in self._results:
-            self._results[key] = fiber_probe(r, seed, self.cfg, slice_count)
+            self._results[key] = (
+                self._probe_prefix(r, seed, slice_count)
+                or fiber_probe(r, seed, self.cfg, slice_count))
         return self._results[key]
+
+    def _probe_prefix(self, r: tuple, seed: int, k: int) -> dict | None:
+        """The first k slices of a computed probe with more slices.
+
+        `fiber_probe` solves slice s from its own seeded stream whatever
+        the slice count, so these equal a k-slice probe, provided they
+        hold the sample point its Jacobian rank is read at.
+        """
+        for key, wider in self._results.items():
+            if key[:3] != ("probe", r, seed) or key[3] <= k:
+                continue
+            kept = sum(wider["slice_counts"][:k])
+            if kept:
+                return {**wider,
+                        "slice_counts": wider["slice_counts"][:k],
+                        "path_counts": wider["path_counts"][:k],
+                        "sampled_points": wider["sampled_points"][:kept]}
+        return None
 
 
 def projection_data():

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from covforge import construction as con
+from covforge import continuation
 from covforge.continuation import (CHART_VARS, WORKING_DPS, CompiledSystem,
                                    NumericRun, TrackConfig, _chordal,
+                                   _chordal_groups, _octic_roots,
                                    _poly_terms, _rng, count_stratum_points,
-                                   embed_mp, literal_pure_quadrics, mp_polish,
+                                   embed_mp, fiber_probe,
+                                   literal_pure_quadrics, mp_polish,
                                    octic_root_clusters, projection_data,
                                    solve_projective, track)
 from covforge.mpoly import MPoly
@@ -101,12 +104,34 @@ def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
     assert numeric_run.census((10, SAMPLE_R[1], SAMPLE_R[2]), 42) is census
 
 
-def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run):
+def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run,
+                                                             monkeypatch):
     first = numeric_run.probe((0, 0, 0), 42, 1)
     assert numeric_run.probe((0, 0, 0), 42, 1) is first
     fresh = NumericRun().probe((0, 0, 0), 42, 1)
     assert fresh is not first
     assert fresh["slice_counts"] == first["slice_counts"] == [4]
+
+    # every slice is solved on its own, so a one-slice probe is the
+    # first slice of a five-slice one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fiber_probe(*args)
+
+    monkeypatch.setattr(continuation, "fiber_probe", counted)
+    run = NumericRun()
+    run.probe((0, 0, 0), 42, 5)
+    prefix = run.probe((0, 0, 0), 42, 1)
+    assert len(calls) == 1
+    assert prefix.keys() == fresh.keys()
+    for key in ("slice_counts", "path_counts", "fiber_jacobian_rank"):
+        assert prefix[key] == fresh[key]
+    assert len(prefix["sampled_points"]) == len(fresh["sampled_points"])
+    for a, b in zip(prefix["sampled_points"], fresh["sampled_points"]):
+        assert np.array_equal(a, b)
+    assert prefix["fiber_system"]._terms == fresh["fiber_system"]._terms
 
 
 def test_census_rejects_degenerate_parameter_triples():
@@ -125,6 +150,82 @@ def test_root_clusters_separate_sixfold_from_simple_roots():
     invariant = [0] * 6 + [5, 0, 1]
     sizes = octic_root_clusters(invariant, cluster_radius=1e-4)
     assert sizes == [1] * 8
+
+
+def _octic(roots, infinite=0, perturb=0):
+    """Highest-first coefficients of prod (z - root), times z2^infinite,
+    at the working precision, with `perturb` added to the constant term."""
+    with mp.workdps(WORKING_DPS):
+        coeffs = [mp.mpc(1)]
+        for root in roots:
+            coeffs = [a - root * b
+                      for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] += perturb
+        return [mp.mpc(0)] * infinite + coeffs
+
+
+def _cold_roots(coeffs):
+    """The cold-start reference: plain polyroots on the same normalized
+    polynomial, with the same roots at infinity."""
+    with mp.workdps(WORKING_DPS):
+        scale = max(abs(c) for c in coeffs)
+        normalized = [c / scale for c in coeffs]
+        infinite = 0
+        while abs(normalized[0]) < mp.mpf("1e-30"):
+            normalized.pop(0)
+            infinite += 1
+        finite = mp.polyroots(normalized, maxsteps=300, extraprec=120)
+        one, zero = mp.mpc(1), mp.mpc(0)
+        return [(z, one) for z in finite] + [(one, zero)] * infinite
+
+
+def _sizes(points, radius=1e-4):
+    return sorted(map(len, _chordal_groups(points, radius)), reverse=True)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # a sixfold root perturbed at 1e-36, beside two simple roots
+    (_octic([0.3 + 0.2j] * 6 + [-1.5, 2j], perturb=1e-36), [6, 1, 1]),
+    (_octic([0.3 + 0.2j] * 6 + [-1.5] * 2), [6, 2]),
+    (_octic([0] * 8), [8]),
+    (_octic([mp.exp(2j * mp.pi * (k + 0.1) / 8) * (1 + k / 10)
+             for k in range(8)]), [1] * 8),
+    # a simple pair 2e-3 apart, one coarse group for the seeds
+    (_octic([0.3 + 0.2j] * 6 + [-1.5, -1.502]), [6, 1, 1]),
+    # a far pair: in z its centroid is 0, far from both roots, so it is
+    # expanded in 1/z; beside a cluster near 0 an expansion at 0 fails
+    (_octic([529j, -529j], infinite=6), [6, 1, 1]),
+    (_octic([529j, -529j] + [0.3 + 0.2j] * 6), [6, 1, 1]),
+])
+def test_seeded_octic_roots_match_the_cold_start(coeffs, expected,
+                                                 monkeypatch):
+    calls = []
+    polyroots = mp.polyroots
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["roots_init"])
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    seeded = _octic_roots(coeffs)
+    assert len(calls) == 1              # the first rung of the ladder
+    monkeypatch.undo()
+    if expected == [8]:
+        # cold polyroots needs ~600 steps for z^8; its roots are exact
+        reference = [(mp.mpc(0), mp.mpc(1))] * 8
+    else:
+        reference = _cold_roots(coeffs)
+    assert _sizes(seeded) == _sizes(reference) == expected
+    with mp.workdps(WORKING_DPS):
+        for z, w in seeded:
+            assert min(abs(z - z2) + abs(w - w2)
+                       for z2, w2 in reference) < 1e-35
+        # the seeds resolve every cluster, up to the truncation error of
+        # its local polynomial; double roots of a sixfold root are ~1e-3 off
+        one = mp.mpc(1)
+        for z in calls[0]:
+            assert min(_chordal((z, one), (z2, w2))
+                       for z2, w2 in reference if w2) < 1e-5
 
 
 def test_projection_data_is_exact_and_invertible():
