@@ -1,25 +1,26 @@
 """Homotopy continuation for the small polynomial systems.
 
-Every system is compiled once into a `CompiledSystem`: a value table and
-a derivative table of its terms, built from exact coefficients.  The
-tracker reads them as complex doubles: total-degree start systems with
-a random path-perturbation constant, an Euler predictor with a short
-Newton corrector and adaptive step halving, endpoint polishing,
-chart-rescaling deduplication, and a second-chart rescue pass for paths
-that head toward the chart's hyperplane at infinity.  Endpoints of the
-stratum systems are then re-polished by `mp_polish` from the same
-tables embedded at `WORKING_DPS` (the coefficients are exact, so the
-refinement is limited only by working precision); this is what lets the
-multiple-root classifier separate a genuine sixfold root cluster from
-simple roots at the configured cluster radius.  The classifier takes
-the endpoint octic's roots from `mp.polyroots` at `WORKING_DPS`, started
-from seeds that already resolve each root cluster: double-precision
-roots, with every coarse group of them replaced by the roots of the
-octic's local Taylor polynomial at the group centroid, so the 40-digit
-iteration needs only a few quadratically convergent steps where a cold
-start would creep toward a sixfold root.  `embed_mp` is the one
-exact-to-mpmath embedding, for the tables and for every exact point the
-numeric checks compare against.
+Every system is compiled once into a `CompiledSystem`: one term table
+of exact coefficients, whose value and derivative entries give F and
+its Jacobian in one pass.  The tracker reads it as complex doubles and
+follows H = gamma (1 - t) G + t F from the total-degree start system
+G = x^d - b, taken in closed form; one helper gives H and its Jacobian
+to the Euler predictor, the short Newton corrector with adaptive step
+halving, and the endpoint polish.  Endpoints are deduplicated under
+chart rescaling, and failed paths get a second-chart rescue pass.
+Endpoints of the stratum systems are then re-polished by `mp_polish`
+from the same table embedded at `WORKING_DPS` (the coefficients are
+exact, so the refinement is limited only by working precision); this
+is what lets the multiple-root classifier separate a genuine sixfold
+root cluster from simple roots at the configured cluster radius.  The
+classifier takes the endpoint octic's roots from `mp.polyroots` at
+`WORKING_DPS`, started from seeds that already resolve each root
+cluster: double-precision roots, with every coarse group of them
+replaced by the roots of the octic's local Taylor polynomial at the
+group centroid, so the 40-digit iteration needs only a few
+quadratically convergent steps where a cold start would creep toward a
+sixfold root.  `embed_mp` is the one exact-to-mpmath embedding, for the
+table and for every exact point the numeric checks compare against.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -134,16 +135,17 @@ def _linear_row_terms(coeffs, constant=0) -> list[tuple]:
 
 
 class CompiledSystem:
-    """A polynomial system as two term tables, used at both precisions.
+    """A polynomial system as one term table, used at both precisions.
 
     Built from term lists (coefficient, exponent tuple) whose
-    coefficients are exact scalars or complex doubles.  The value table
-    has one (row, coefficient, exponents) entry per term; the derivative
-    table has one (row * nvars + j, coefficient * e_j, exponents with
-    e_j lowered) entry per term and variable j the term contains.  Both
-    are embedded as complex doubles here, for the tracker, and once at
-    WORKING_DPS on the first `mp_polish`; evaluating F or J at either
-    precision is one pass over a table.
+    coefficients are exact scalars or complex doubles.  The table has a
+    (row, coefficient, exponents) entry per term, then a (size + row *
+    nvars + j, coefficient * e_j, exponents with e_j lowered) entry per
+    term and variable j the term contains, so one pass gives F in the
+    first `size` slots and the Jacobian in the rest.  It is embedded as
+    complex doubles here, for the tracker, and at WORKING_DPS on the
+    first `mp_polish`; at both precisions a derivative coefficient is
+    the embedded coefficient times e_j.
     """
 
     def __init__(self, term_lists: list[list[tuple]], nvars: int) -> None:
@@ -151,54 +153,44 @@ class CompiledSystem:
         self.size = len(term_lists)
         self.degrees = [max(sum(e) for _c, e in terms)
                         for terms in term_lists]
-        terms, dterms = [], []      # (row, c, e) and (slot, term, e_j, d)
-        for k, row in enumerate(term_lists):
-            for c, e in row:
-                for j in range(nvars):
-                    if e[j]:
-                        d = list(e)
-                        d[j] -= 1
-                        dterms.append((k * nvars + j, len(terms), e[j],
-                                       tuple(d)))
-                terms.append((k, c, e))
-        self._terms, self._dterms = terms, dterms
-        self._mp_tables = None
-        coeffs = [embed_complex(c) for _k, c, _e in terms]
-        self._coeffs = np.array(coeffs, dtype=complex)
-        self._exps = np.array([e for _k, _c, e in terms],
-                              dtype=np.int64).reshape(len(terms), nvars)
-        self._rows = np.array([k for k, _c, _e in terms], dtype=np.int64)
-        self._dcoeffs = np.array([coeffs[t] * m for _s, t, m, _d in dterms],
-                                 dtype=complex)
-        self._dexps = np.array([d for _s, _t, _m, d in dterms],
-                               dtype=np.int64).reshape(len(dterms), nvars)
-        self._dslots = np.array([s for s, _t, _m, _d in dterms],
-                                dtype=np.int64)
+        self._terms = [(k, c, e) for k, row in enumerate(term_lists)
+                       for c, e in row]
+        self._mp_table = None
+        table = self._table(embed_complex)
+        self._slots = np.array([s for s, _c, _e in table], dtype=np.int64)
+        self._coeffs = np.array([c for _s, c, _e in table], dtype=complex)
+        self._exps = np.array([e for _s, _c, e in table],
+                              dtype=np.int64).reshape(len(table), nvars)
 
-    def eval_all(self, x: np.ndarray) -> np.ndarray:
+    def _table(self, embed) -> list[tuple]:
+        """The (slot, coefficient, exponents) entries, with every
+        coefficient embedded by `embed`."""
+        m, n = self.size, self.nvars
+        coeffs = [embed(c) for _k, c, _e in self._terms]
+        table = [(k, c, e) for c, (k, _c, e) in zip(coeffs, self._terms)]
+        for c, (k, _c, e) in zip(coeffs, self._terms):
+            for j in range(n):
+                if e[j]:
+                    d = list(e)
+                    d[j] -= 1
+                    table.append((m + k * n + j, c * e[j], tuple(d)))
+        return table
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) and the Jacobian J(x), from one pass over the table."""
+        m = self.size
         mono = np.prod(x[None, :] ** self._exps, axis=1)
-        out = np.zeros(self.size, dtype=complex)
-        np.add.at(out, self._rows, self._coeffs * mono)
-        return out
+        out = np.zeros(m * (1 + self.nvars), dtype=complex)
+        np.add.at(out, self._slots, self._coeffs * mono)
+        return out[:m], out[m:].reshape(m, self.nvars)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        mono = np.prod(x[None, :] ** self._dexps, axis=1)
-        flat = np.zeros(self.size * self.nvars, dtype=complex)
-        np.add.at(flat, self._dslots, self._dcoeffs * mono)
-        return flat.reshape(self.size, self.nvars)
-
-    def mp_tables(self) -> tuple[list, list]:
-        """The value and derivative tables as (slot, mp coefficient,
-        exponents), embedded at WORKING_DPS on the first call."""
-        if self._mp_tables is None:
+    def mp_table(self) -> list[tuple]:
+        """The table with coefficients embedded at WORKING_DPS, built on
+        the first call."""
+        if self._mp_table is None:
             with mp.workdps(WORKING_DPS):
-                coeffs = [embed_mp(c) for _k, c, _e in self._terms]
-                values = [(k, coeffs[t], e)
-                          for t, (k, _c, e) in enumerate(self._terms)]
-                derivs = [(s, coeffs[t] * m, d)
-                          for s, t, m, d in self._dterms]
-                self._mp_tables = (values, derivs)
-        return self._mp_tables
+                self._mp_table = self._table(embed_mp)
+        return self._mp_table
 
 
 def _mp_sum(table: list, slots: int, x: list) -> list:
@@ -215,14 +207,15 @@ def _mp_sum(table: list, slots: int, x: list) -> list:
 
 def mp_polish(system: CompiledSystem, x0: np.ndarray):
     """High-precision Newton refinement of a double-precision endpoint."""
-    values, derivs = system.mp_tables()
+    table = system.mp_table()
     m, n = system.size, system.nvars
     with mp.workdps(WORKING_DPS):
         x = [mp.mpc(v) for v in x0]
         for _ in range(MP_POLISH_ITERS):
-            fx = mp.matrix(_mp_sum(values, m, x))
-            flat = _mp_sum(derivs, m * n, x)
-            jac = mp.matrix([flat[i * n:(i + 1) * n] for i in range(m)])
+            out = _mp_sum(table, m * (1 + n), x)
+            fx = mp.matrix(out[:m])
+            jac = mp.matrix([out[m + i * n:m + (i + 1) * n]
+                             for i in range(m)])
             try:
                 dx = mp.lu_solve(jac, fx)
             except ZeroDivisionError:       # a singular Jacobian
@@ -277,8 +270,7 @@ def _residual_normalized(system: CompiledSystem, x: np.ndarray,
                          homogeneous_rows: int) -> float:
     """Largest equation value at the unit-norm representative, over the
     homogeneous rows (the chart row is pinned to 1 by construction)."""
-    xhat = x / np.linalg.norm(x)
-    vals = system.eval_all(xhat)
+    vals, _jac = system.evaluate(x / np.linalg.norm(x))
     return float(max(abs(v) for v in vals[:homogeneous_rows])) \
         if homogeneous_rows else 0.0
 
@@ -299,12 +291,7 @@ def track(system: CompiledSystem, seed, cfg: TrackConfig | None = None,
     degrees = system.degrees
     consts, roots = _start_data(degrees, rng)
     gamma = cmath.exp(2j * math.pi * rng.random())
-    start_terms = []
-    for i, (d, b) in enumerate(zip(degrees, consts)):
-        e_hi = tuple(d if j == i else 0 for j in range(n))
-        start_terms.append([(complex(1.0), e_hi), (complex(-b), (0,) * n)])
-    start = CompiledSystem(start_terms, n)
-
+    start = np.array(degrees), np.array(consts)
     results = []
     for idx, choice in enumerate(itertools.product(*[range(d)
                                                      for d in degrees])):
@@ -314,9 +301,28 @@ def track(system: CompiledSystem, seed, cfg: TrackConfig | None = None,
     return results, len(results)
 
 
-def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
+def _start_system(x: np.ndarray, start: tuple
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """G = x^d - b and its diagonal Jacobian, in closed form, for the
+    start pair (d, b)."""
+    degrees, consts = start
+    return x ** degrees - consts, np.diag(degrees * x ** (degrees - 1))
+
+
+def _track_one(index: int, x0: np.ndarray, start: tuple,
                target: CompiledSystem, gamma: complex,
                cfg: TrackConfig) -> PathResult:
+    """One path of H = gamma (1 - t) G + t F, from the root x0 of the start
+    system G = x^d - b at t = 0 to the target F at t = 1; `start` is the
+    pair (d, b) of arrays."""
+
+    def homotopy(x, t):
+        """H and its x-Jacobian at (x, t), and dH/dt."""
+        g, jg = _start_system(x, start)
+        f, jf = target.evaluate(x)
+        s = gamma * (1.0 - t)
+        return s * g + t * f, s * jg + t * jf, -gamma * g + f
+
     x = x0.copy()
     t = 0.0
     h = FIRST_STEP
@@ -325,10 +331,7 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
         if steps > 20000:
             return PathResult(index, "stalled", steps=steps)
         h = min(h, 1.0 - t)
-        gs, fs = start.eval_all(x), target.eval_all(x)
-        jg, jf = start.jacobian(x), target.jacobian(x)
-        jh = gamma * (1.0 - t) * jg + t * jf
-        ht = -gamma * gs + fs
+        _hv, jh, ht = homotopy(x, t)
         try:
             dx = np.linalg.solve(jh, -ht * h)
         except np.linalg.LinAlgError:
@@ -340,10 +343,7 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
         tn = t + h
         ok = False
         for _ in range(CORRECTOR_ITERS):
-            hv = gamma * (1.0 - tn) * start.eval_all(xn) \
-                + tn * target.eval_all(xn)
-            jn = gamma * (1.0 - tn) * start.jacobian(xn) \
-                + tn * target.jacobian(xn)
+            hv, jn, _ht = homotopy(xn, tn)
             try:
                 delta = np.linalg.solve(jn, hv)
             except np.linalg.LinAlgError:
@@ -362,12 +362,12 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
             h *= 0.5
             if h < MIN_STEP:
                 return PathResult(index, "stalled", steps=steps)
-    # Endpoint polish on the target system.
+    # Endpoint polish on the target system, H at t = 1.
     converged = False
     for _ in range(POLISH_ITERS):
-        fv = target.eval_all(x)
+        fv, jf, _ht = homotopy(x, 1.0)
         try:
-            delta = np.linalg.solve(target.jacobian(x), fv)
+            delta = np.linalg.solve(jf, fv)
         except np.linalg.LinAlgError:
             return PathResult(index, "polish", steps=steps)
         x = x - delta
@@ -375,7 +375,7 @@ def _track_one(index: int, x0: np.ndarray, start: CompiledSystem,
         if np.linalg.norm(delta) < 1e-13 * (1.0 + np.linalg.norm(x)):
             converged = True
             break
-    res = float(np.max(np.abs(target.eval_all(x))))
+    res = float(np.max(np.abs(target.evaluate(x)[0])))
     # The affine residual scales with the coordinate size, so the strict
     # projective tolerance is enforced on the unit-norm representative by
     # the caller; here the gate is Newton convergence plus a degree-scaled
@@ -439,7 +439,7 @@ def solve_projective(polys_exact: list[MPoly] | list[list[tuple]],
             if res_norm >= cfg.tol_track:
                 r.status = "polish"
                 continue
-            jac = system.jacobian(r.x / np.linalg.norm(r.x))
+            _vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
             sv = np.linalg.svd(jac, compute_uv=False)
             accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
         return system, results, accepted, count
@@ -788,8 +788,8 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
         sampled_points.extend(e.x for e in run["distinct"])
     if not sampled_points:
         raise RuntimeError("no fiber slice produced an accepted endpoint")
-    jac = fiber_sys.jacobian(sampled_points[0] /
-                             np.linalg.norm(sampled_points[0]))
+    _vals, jac = fiber_sys.evaluate(sampled_points[0] /
+                                    np.linalg.norm(sampled_points[0]))
     sv = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(sv > cfg.tol_rank * sv[0]))
     return {
@@ -1105,7 +1105,7 @@ def check_fiber_geometry(seed: int = 42,
     # Projection differential rank at a sample point.
     sample = samples[0] / np.linalg.norm(samples[0])
     fiber_sys: CompiledSystem = probe["fiber_system"]
-    jac = fiber_sys.jacobian(sample)
+    _vals, jac = fiber_sys.evaluate(sample)
     _u, _s, vh = np.linalg.svd(jac)
     tangent = vh.conj().T[:, 5:]           # 4-dim kernel, includes the scale
     pushed = extract @ tangent             # 4 x 4

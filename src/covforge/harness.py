@@ -279,18 +279,12 @@ def build_config(argv=None) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Exit 0 when every check passes, 1 when one fails, and 2 for a
+    malformed configuration or a filter that selects nothing."""
     try:
         config = build_config(argv)
-        config.validate()
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(config)
-    except LookupError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (LookupError, ValueError, ZeroDivisionError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     out = render_json(report) if config.format == "json" \

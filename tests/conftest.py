@@ -2,6 +2,7 @@
 
 import pytest
 
+from covforge import harness
 from covforge.continuation import NumericRun
 
 
@@ -10,3 +11,15 @@ def numeric_run():
     """One census/probe store for the whole session, so the numeric tests
     compute each census and probe once, as one `verify` run does."""
     return NumericRun()
+
+
+@pytest.fixture(scope="session")
+def symbolic_report():
+    """The harness report of the `symbolic/*` checks, run once per session."""
+    return harness.run(harness.RunConfig(filter="symbolic/*"))
+
+
+@pytest.fixture(scope="session")
+def property_report():
+    """The harness report of the `property/*` checks, run once per session."""
+    return harness.run(harness.RunConfig(filter="property/*"))

@@ -198,14 +198,18 @@ def test_numeric_fiber_degree_rank_image_and_preimages(numeric_run):
             "track": 1e-10, "dedup": 1e-6, "rank": 1e-8}
 
 
-def test_property_suites_and_cross_seed_stability(numeric_run):
+def test_property_suites_and_cross_seed_stability(numeric_run,
+                                                  property_report):
     with criterion("properties: 1000 field triples, 100 transvectant "
                    "instances, symbolic scaling, three stable seeds"):
-        field = checks.check_field_axioms(seed=42)
+        # the harness runs each property suite with the run seed, 42
+        assert property_report.config.seed == 42
+        by_id = {r.check_id: r for r in property_report.results}
+        field = by_id["property/field_axioms"]
         assert field.ok and field.details["trials"] >= 1000
-        trans = checks.check_transvectant_properties(seed=42)
+        trans = by_id["property/transvectants"]
         assert trans.ok and trans.details["trials"] >= 100
-        scaling = checks.check_scaling_1_1(seed=42)
+        scaling = by_id["property/scaling_1_1"]
         assert scaling.ok
         stability = check_seed_stability(seed=42, numeric=numeric_run)
         assert stability.ok, stability.residuals

@@ -24,13 +24,13 @@ EXPECTED_PROPERTY_IDS = [
 
 
 @pytest.fixture(scope="module")
-def symbolic_results():
-    return harness.run(harness.RunConfig(filter="symbolic/*")).results
+def symbolic_results(symbolic_report):
+    return symbolic_report.results
 
 
 @pytest.fixture(scope="module")
-def property_results():
-    return harness.run(harness.RunConfig(filter="property/*")).results
+def property_results(property_report):
+    return property_report.results
 
 
 def test_every_symbolic_check_passes(symbolic_results):

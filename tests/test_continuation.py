@@ -10,14 +10,16 @@ from covforge import construction as con
 from covforge import continuation
 from covforge.continuation import (CHART_VARS, WORKING_DPS, CompiledSystem,
                                    NumericRun, TrackConfig, _chordal,
-                                   _chordal_groups, _octic_roots,
-                                   _poly_terms, _rng, count_stratum_points,
+                                   _chordal_groups, _linear_row_terms,
+                                   _octic_roots, _poly_terms, _rng,
+                                   _start_system, count_stratum_points,
                                    embed_mp, fiber_probe,
-                                   literal_pure_quadrics, mp_polish,
+                                   literal_pure_quadrics,
+                                   literal_restricted_quadrics, mp_polish,
                                    octic_root_clusters, projection_data,
                                    solve_projective, track)
 from covforge.mpoly import MPoly
-from covforge.scalar import CycScalar
+from covforge.scalar import CycScalar, embed_complex
 
 SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
@@ -34,6 +36,52 @@ def test_chordal_distance_ignores_scale_and_phase():
     e1 = np.array([1.0 + 0j, 0.0])
     e2 = np.array([0.0j, 1.0])
     assert abs(_chordal(e1, e2) - 1.0) < 1e-12
+
+
+def _gaussian(re, im):
+    return CycScalar.from_rat(Fraction(re)) + CycScalar.i() * Fraction(im)
+
+
+def test_one_pass_gives_the_exact_values_and_jacobian():
+    quadrics = list(literal_restricted_quadrics(SAMPLE_R))
+    # the derivative of a squared coordinate carries the exponent factor 2
+    assert any(2 in e for p in quadrics for e in p.terms)
+    chart = [Fraction(1), Fraction(-2, 3), CycScalar.i(), Fraction(0),
+             CycScalar.zeta() * 3, Fraction(5, 7)]
+    constant = Fraction(-1)
+    chart_poly = MPoly.const(constant)
+    for c, name in zip(chart, CHART_VARS):
+        chart_poly = chart_poly + MPoly.var(name) * c
+    system = CompiledSystem(
+        [_poly_terms(p, CHART_VARS) for p in quadrics]
+        + [_linear_row_terms(chart, constant=constant)], 6)
+    # dyadic Gaussian rationals, so the double point is the exact point
+    point = [_gaussian("3/4", "-1/8"), _gaussian("-5/2", "1/2"),
+             _gaussian("1/16", "7/4"), _gaussian("2", "0"),
+             _gaussian("-3/8", "-9/8"), _gaussian("1/2", "5/4")]
+    values, jac = system.evaluate(np.array([embed_complex(v)
+                                            for v in point]))
+    assert values.shape == (6,) and jac.shape == (6, 6)
+    env = dict(zip(CHART_VARS, point))
+    for i, p in enumerate(quadrics + [chart_poly]):
+        exact = embed_complex(p.evaluate(env))
+        assert abs(values[i] - exact) < 1e-12 * max(1.0, abs(exact))
+        for j, name in enumerate(CHART_VARS):
+            exact = embed_complex(p.diff(name).evaluate(env))
+            assert abs(jac[i, j] - exact) < 1e-12 * max(1.0, abs(exact))
+
+
+def test_the_closed_form_start_system_and_its_jacobian():
+    degrees = np.array([2, 1, 3])
+    consts = np.array([1j, complex(0.6, -0.8), -1.0 + 0j])
+    x = np.array([0.5 - 1.25j, -2.0 + 0.75j, 1.5 + 0.5j])
+    values, jac = _start_system(x, (degrees, consts))
+    with mp.workdps(WORKING_DPS):
+        for i, (d, b, xi) in enumerate(zip([2, 1, 3], consts, x)):
+            xm = mp.mpc(xi)
+            assert abs(values[i] - (xm ** d - mp.mpc(b))) < 1e-12
+            assert abs(jac[i, i] - d * xm ** (d - 1)) < 1e-12
+    assert np.count_nonzero(jac - np.diag(np.diag(jac))) == 0
 
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():

@@ -80,10 +80,8 @@ def test_single_check_run_exits_cleanly(capsys):
     assert "1 checks: 1 pass, 0 fail" in out
 
 
-def test_json_report_schema_and_key_order():
-    cfg = harness.build_config(["--filter", "symbolic/*", "--format", "json"])
-    report = harness.run(cfg)
-    rows = json.loads(harness.render_json(report))
+def test_json_report_schema_and_key_order(symbolic_report):
+    rows = json.loads(harness.render_json(symbolic_report))
     assert [r["check_id"] for r in rows] == sorted(r["check_id"] for r in rows)
     assert len(rows) == 8
     for row in rows:
@@ -106,13 +104,12 @@ def test_reports_are_identical_across_runs_up_to_timing():
     assert strip(harness.run(cfg)) == strip(harness.run(cfg))
 
 
-def test_filter_selects_only_the_matching_phase():
-    cfg = harness.build_config(["--filter", "property/*"])
-    report = harness.run(cfg)
-    ids = [r.check_id for r in report.sorted_results()]
+def test_filter_selects_only_the_matching_phase(property_report):
+    assert property_report.config.filter == "property/*"
+    ids = [r.check_id for r in property_report.sorted_results()]
     assert ids == sorted(i for i in harness.check_ids()
                          if i.startswith("property/"))
-    assert report.ok
+    assert property_report.ok
 
 
 def test_errata_ledger_entries_are_validated_by_known_checks():
