@@ -109,41 +109,21 @@ def _mono_str(poly: MPoly, mono: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _linear_bindings(mat, names) -> dict[str, MPoly]:
-    """Substitution dict sending names[i] to the row-i linear combination."""
-    cols = [_var(n) for n in names]
-    out: dict[str, MPoly] = {}
-    for i, name in enumerate(names):
-        acc = _ZERO
-        for j, entry in enumerate(mat[i]):
-            if scalar_is_zero(entry):
-                continue
-            acc = acc + entry * cols[j]
-        out[name] = acc
-    return out
-
-
-def _apply_mat(mat, vec) -> list:
-    """Exact matrix times value vector (entries scalars or polynomials)."""
+def _apply_mat(mat, polys) -> list[MPoly]:
+    """Exact matrix times a vector of polynomials, skipping zero entries."""
     out = []
     for row in mat:
-        acc = None
-        for entry, v in zip(row, vec):
-            term = entry * v
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _combine(mat5, polys) -> list[MPoly]:
-    """Row combinations of five polynomials by an exact 5x5 matrix."""
-    out = []
-    for row in mat5:
         acc = _ZERO
         for entry, p in zip(row, polys):
-            acc = acc + entry * p
+            if not scalar_is_zero(entry):
+                acc = acc + entry * p
         out.append(acc)
     return out
+
+
+def _linear_bindings(mat, names) -> dict[str, MPoly]:
+    """Substitution dict sending names[i] to the row-i linear combination."""
+    return dict(zip(names, _apply_mat(mat, [_var(n) for n in names])))
 
 
 def _zeros15() -> dict[str, Fraction]:
@@ -453,32 +433,31 @@ def check_equivariance_and_invariant_spaces() -> CheckResult:
     expanded = expanded_coordinate_system()
     stored = construction.delta_coordinate_system()
 
-    bindings = {}
-    blocks = {}
-    for name, mat in table.items():
-        bindings[name] = _linear_bindings(mat, VEC15_NAMES)
-        blocks[name] = construction.quartic_block(mat)
+    bindings = {name: _linear_bindings(mat, VEC15_NAMES)
+                for name, mat in table.items()}
+    blocks = {name: construction.quartic_block(mat)
+              for name, mat in table.items()}
+
+    def defects(name: str, system) -> list[MPoly]:
+        """Each row of the system at the moved point minus the moved
+        combination of the rows."""
+        rhs = _apply_mat(blocks[name], system)
+        return [p.substitute(bindings[name]) - q
+                for p, q in zip(system, rhs)]
 
     for name in ("omega", "rho", "tau", "sigma"):
-        rhs = _combine(blocks[name], expanded)
-        for k, poly in enumerate(expanded):
-            lhs = poly.substitute(bindings[name])
-            _require_zero_poly(residuals, lhs - rhs[k],
-                               f"literal map, generator {name}, row {k + 1}")
+        for k, defect in enumerate(defects(name, expanded), start=1):
+            _require_zero_poly(residuals, defect,
+                               f"literal map, generator {name}, row {k}")
 
     for name in ("omega", "rho", "tau"):
-        rhs = _combine(blocks[name], stored)
-        for k, poly in enumerate(stored):
-            lhs = poly.substitute(bindings[name])
-            _require_zero_poly(residuals, lhs - rhs[k],
-                               f"stored table, generator {name}, row {k + 1}")
+        for k, defect in enumerate(defects(name, stored), start=1):
+            _require_zero_poly(residuals, defect,
+                               f"stored table, generator {name}, row {k}")
 
     # The pair-listed tables must NOT commute with the order-3 generator;
     # a vanishing defect would contradict the recovered listing convention.
-    sigma_rhs = _combine(blocks["sigma"], stored)
-    defect_rows = sum(
-        1 for k, poly in enumerate(stored)
-        if not (poly.substitute(bindings["sigma"]) - sigma_rhs[k]).is_zero())
+    defect_rows = sum(1 for d in defects("sigma", stored) if not d.is_zero())
     _require(residuals, defect_rows > 0,
              "stored tables unexpectedly commute with the order-3 generator "
              "(inconsistent with their unordered-pair listing)")
@@ -663,14 +642,7 @@ def check_lemma_4_2() -> CheckResult:
     alphas = [_var("alpha1"), _var("alpha2"), _var("alpha3")]
     basis = construction.rotation_invariant_octics()
     bindings = {n: _ZERO for n in VEC15_NAMES}
-    for i, xname in enumerate(X_NAMES):
-        acc = _ZERO
-        for a, vec in zip(alphas, basis):
-            entry = vec[i]
-            if scalar_is_zero(entry):
-                continue
-            acc = acc + entry * a
-        bindings[xname] = acc
+    bindings.update(zip(X_NAMES, _apply_mat(list(zip(*basis)), alphas)))
 
     q = construction.expected_orbit_quadratic()
     w = construction.rotation_invariant_quartic()
@@ -799,10 +771,6 @@ def check_derivation_4_5() -> CheckResult:
     chart_vars = X_NAMES + ("s0", "s1", "s2")
     param = construction.parameter_action()
     chart_act = construction.chart_space_action()
-    identity3 = [[_F(1) if i == j else _F(0) for j in range(3)]
-                 for i in range(3)]
-    identity9 = [[_F(1) if i == j else _F(0) for j in range(9)]
-                 for i in range(9)]
     for name in ("omega", "rho", "tau", "sigma"):
         mat = table[name]
         leak = [(i, j) for i in range(12) for j in (12, 13, 14)
@@ -810,17 +778,10 @@ def check_derivation_4_5() -> CheckResult:
         if not _require(residuals, not leak,
                         f"{name}: chart rows leak into the cut directions"):
             continue
-        rows = {n: mat[VEC15_NAMES.index(n)] for n in chart_vars}
-        bind = {}
-        for n in chart_vars:
-            acc = _ZERO
-            for j, entry in enumerate(rows[n][:12]):
-                if scalar_is_zero(entry):
-                    continue
-                acc = acc + entry * _var(chart_vars[j])
-            bind[n] = acc
+        # chart_vars are the first twelve coordinates
+        bind = _linear_bindings([row[:12] for row in mat[:12]], chart_vars)
 
-        pmat = param.get(name, identity3)
+        pmat = param.get(name) or ExactMatrix.identity(3).rows
         xs = [x1, x2, x3]
         for i in range(3):
             row = pmat[i]
@@ -837,9 +798,9 @@ def check_derivation_4_5() -> CheckResult:
                                f"{name}: slice ratio {i + 1} does not follow "
                                "the stored parameter action")
 
-        cmat = chart_act.get(name, identity9)
+        cmat = chart_act.get(name) or ExactMatrix.identity(9).rows
         moved = [n.substitute(bind) for n in numerators]
-        pushed = _combine(cmat, list(numerators))
+        pushed = _apply_mat(cmat, numerators)
         for i in range(9):
             for j in range(i + 1, 9):
                 _require_zero_poly(
@@ -937,25 +898,12 @@ def check_strata_6() -> CheckResult:
     # coefficient support {56 z1^2 z2^6, 2 r1 z2^8} (up to overall sign),
     # i.e. a root of multiplicity exactly 6 at the second coordinate
     # axis; the mirrored pair has the mirrored pattern.
-    octics = construction.octic_basis()
-
-    def octic_coeff_vector(vec9) -> list[MPoly]:
-        coeffs = [_ZERO] * 9
-        for comp, form in zip(vec9, octics):
-            if isinstance(comp, MPoly) and comp.is_zero():
-                continue
-            for d, c in enumerate(form.coeffs):
-                if scalar_is_zero(c):
-                    continue
-                coeffs[d] = coeffs[d] + comp * c
-        return coeffs
-
     pats = {
         1: {2: _const(56), 0: 2 * _var("r1")},
         2: {6: _const(56), 8: 2 * _var("r1")},
     }
     for fidx, fam in enumerate(fams[:2], start=1):
-        coeffs = octic_coeff_vector(fam)
+        coeffs = construction.octic_form(fam).coeffs
         pattern = pats[fidx]
         for d in range(9):
             want_c = pattern.get(d, _ZERO)
@@ -972,9 +920,7 @@ def check_strata_6() -> CheckResult:
     instance_vecs = set()
     for fam in fams:
         for env in inst_env:
-            vec = tuple(comp.evaluate({n: env[n] for n in comp.variables()
-                                       if n in env}) if comp.variables()
-                        else comp.constant_value() for comp in fam)
+            vec = tuple(comp.evaluate(env) for comp in fam)
             instance_vecs.add(vec)
     expected_instances = set()
     for sgn in (1, -1):
@@ -1004,13 +950,12 @@ def check_strata_6() -> CheckResult:
     free = [_var(n) for n in ("x1", "x2", "x3", "x7", "x8", "x9")]
     rvars = [_var(n) for n in R_NAMES]
     lift = construction.octic_vector_on_slice(tuple(rvars), free)
-    identity3 = [[_F(1) if i == j else _F(0) for j in range(3)]
-                 for i in range(3)]
     perm_found: dict[str, dict[int, int]] = {}
     for name in ("omega", "rho", "tau", "sigma"):
         block = construction.octic_block(table[name])
         moved = _apply_mat(block, lift)
-        rimage = _apply_mat(param.get(name, identity3), rvars)
+        rimage = _apply_mat(param.get(name) or ExactMatrix.identity(3).rows,
+                            rvars)
         for i in range(3):
             _require_zero_poly(residuals, moved[3 + i] - rimage[i] * moved[i],
                                f"{name}: image of the slice leaves the "
@@ -1062,7 +1007,7 @@ def _random_cyc(rng: random.Random) -> CycScalar:
     return CycScalar(*(_random_rational(rng) for _ in range(4)))
 
 
-def check_field_axioms(seed: int = 42, trials: int = 1000) -> CheckResult:
+def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
     """Randomized field-axiom suite for the cyclotomic scalar arithmetic."""
     started = time.perf_counter()
     residuals: list[str] = []
@@ -1120,7 +1065,7 @@ def _random_poly(rng: random.Random, names: tuple[str, ...],
     return acc
 
 
-def check_mpoly_ring(seed: int = 42, trials: int = 120) -> CheckResult:
+def check_mpoly_ring(seed: int, trials: int = 120) -> CheckResult:
     """Randomized ring, calculus, and substitution laws for the polynomials."""
     started = time.perf_counter()
     residuals: list[str] = []
@@ -1167,7 +1112,7 @@ def _random_form(rng: random.Random, degree: int) -> BinaryForm:
     return BinaryForm(degree, coeffs)
 
 
-def check_transvectant_properties(seed: int = 42, trials: int = 100) -> CheckResult:
+def check_transvectant_properties(seed: int, trials: int = 100) -> CheckResult:
     """Randomized covariance laws for the bilinear bracket, plus frozen
     hand-computed bracket values."""
     started = time.perf_counter()
@@ -1234,7 +1179,7 @@ def check_transvectant_properties(seed: int = 42, trials: int = 100) -> CheckRes
 # property/scaling_1_1
 
 
-def check_scaling_1_1(seed: int = 42, trials: int = 30) -> CheckResult:
+def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
     """Rescaling the three inputs acts on the weight vector quadratically.
 
     Verified two ways: symbolically, the literal coordinate polynomials

@@ -123,13 +123,22 @@ def quartic_basis() -> tuple[BinaryForm, ...]:
     return tuple(BinaryForm(4, cs) for cs in _QUARTIC_BASIS_COEFFS)
 
 
+def octic_form(vec9: Sequence) -> BinaryForm:
+    """The degree-8 form with the given basis coordinates, which may be
+    exact scalars or polynomials."""
+    coeffs: list = [_F(0)] * 9
+    for comp, form in zip(vec9, octic_basis()):
+        for d, c in enumerate(form.coeffs):
+            if c != 0:
+                coeffs[d] = coeffs[d] + comp * c
+    return BinaryForm(8, coeffs)
+
+
 def assemble(coords15: Sequence) -> tuple[BinaryForm, object, BinaryForm]:
     """Coordinate vector -> (degree-8 form, constant, degree-4 form)."""
     if len(coords15) != 15:
         raise ValueError("expected 15 coordinates")
-    f8 = BinaryForm.zero(8)
-    for c, e in zip(coords15[:9], octic_basis()):
-        f8 = f8 + e.scale(c)
+    f8 = octic_form(coords15[:9])
     f0 = coords15[9]
     f4 = BinaryForm.zero(4)
     for c, a in zip(coords15[10:], quartic_basis()):
@@ -626,19 +635,6 @@ def domain_inequations() -> tuple[MPoly, ...]:
         _poly([(3, {"r1": 1, "r3": 1}), (21, {"r1": 1}), (42, {"r3": 1}), (78, {})]),
         _poly([(-3, {"r1": 1, "r2": 1}), (-21, {"r1": 1}), (42, {"r2": 1}), (78, {})]),
     )
-
-
-def restricted_octic_quadrics(r: tuple) -> tuple[MPoly, ...]:
-    """The five quadrics on the parameterized linear space, in the six free
-    coordinates x1, x2, x3, x7, x8, x9."""
-    r1, r2, r3 = map(as_exact, r)
-    t = DEFAULT_TABLE
-    bindings = {
-        "x4": r1 * MPoly.var("x1", t),
-        "x5": r2 * MPoly.var("x2", t),
-        "x6": r3 * MPoly.var("x3", t),
-    }
-    return tuple(q.substitute(bindings) for q in pure_quadric_parts())
 
 
 def octic_vector_on_slice(r: tuple, free: Sequence) -> list:

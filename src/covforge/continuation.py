@@ -1,13 +1,19 @@
 """Homotopy continuation for the small polynomial systems.
 
-Every system is compiled once into a `CompiledSystem`: one term table
-of exact coefficients, whose value and derivative entries give F and
-its Jacobian in one pass.  The tracker reads it as complex doubles and
-follows H = gamma (1 - t) G + t F from the total-degree start system
-G = x^d - b, taken in closed form; one helper gives H and its Jacobian
-to the Euler predictor, the short Newton corrector with adaptive step
-halving, and the endpoint polish.  Endpoints are deduplicated under
-chart rescaling, and failed paths get a second-chart rescue pass.
+A projective solve takes its homogeneous equations as term rows, lists
+of (coefficient, exponent tuple) over a fixed variable order:
+`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
+random slice or alignment form with complex double coefficients.  The
+caller concatenates the rows of one system.  Every system is compiled
+once into a `CompiledSystem`: one term table, whose value and
+derivative entries give F and its Jacobian in one pass.  The tracker
+reads it as complex doubles and follows H = gamma (1 - t) G + t F from
+the total-degree start system G = x^d - b, taken in closed form, with
+its start constants and gamma drawn from the caller's seeded stream;
+one helper gives H and its Jacobian to the Euler predictor, the short
+Newton corrector with adaptive step halving, and the endpoint polish.
+Endpoints are deduplicated under chart rescaling, and failed paths get
+a second-chart rescue pass.
 Endpoints of the stratum systems are then re-polished by `mp_polish`
 from the same table embedded at `WORKING_DPS` (the coefficients are
 exact, so the refinement is limited only by working precision); this
@@ -53,6 +59,7 @@ from .scalar import CycScalar, embed_complex
 _F = Fraction
 
 CHART_VARS = ("x1", "x2", "x3", "x7", "x8", "x9")
+SAMPLE_R = (_F(10), _F(1, 2), _F(1, 3))     # the generic census triple
 
 
 # Fixed limits of the tracker and the classifiers.
@@ -266,25 +273,14 @@ def _start_data(degrees: list[int], rng: random.Random):
     return consts, roots
 
 
-def _residual_normalized(system: CompiledSystem, x: np.ndarray,
-                         homogeneous_rows: int) -> float:
-    """Largest equation value at the unit-norm representative, over the
-    homogeneous rows (the chart row is pinned to 1 by construction)."""
-    vals, _jac = system.evaluate(x / np.linalg.norm(x))
-    return float(max(abs(v) for v in vals[:homogeneous_rows])) \
-        if homogeneous_rows else 0.0
-
-
-def track(system: CompiledSystem, seed, cfg: TrackConfig | None = None,
-          rng: random.Random | None = None) -> tuple[list[PathResult], int]:
-    """Track every total-degree path of a square system.
+def track(system: CompiledSystem, rng: random.Random,
+          cfg: TrackConfig) -> tuple[list[PathResult], int]:
+    """Track every total-degree path of a square system, with the start
+    constants and gamma drawn from `rng`.
 
     Returns the per-path results and the Bézout path count.  One
     endpoint attempt per path; failures carry their terminal status.
     """
-    cfg = cfg or TrackConfig()
-    if rng is None:
-        rng = _rng(seed, "track")
     n = system.nvars
     if system.size != n:
         raise ValueError("tracker needs a square system")
@@ -405,41 +401,37 @@ def _dedup(endpoints: list[Endpoint], tol: float) -> list[Endpoint]:
     return reps
 
 
-def solve_projective(polys_exact: list[MPoly] | list[list[tuple]],
-                     var_order: tuple[str, ...], seed, tag: str,
-                     cfg: TrackConfig, extra_rows: list[list[tuple]] = (),
-                     ) -> dict:
+def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
+                     seed, tag: str, cfg: TrackConfig) -> dict:
     """Chart-fix, track, polish, rescue, and deduplicate a projective system.
 
-    `polys_exact` are homogeneous polynomials (exact or precompiled term
-    lists); `extra_rows` are additional homogeneous precompiled rows
-    (slices, alignment conditions).  A random unit-norm chart form set
-    to 1 makes the system square.  Paths whose endpoints fail are
-    retried in a second random chart and merged projectively.
+    `rows` are the homogeneous equations as term rows over `var_order`
+    (`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
+    slice or alignment form).  A random unit-norm chart form set to 1
+    makes the system square.  An accepted endpoint is kept if, at its
+    unit-norm representative, every homogeneous row is below tol_track;
+    the Jacobian there gives its smallest singular value.  Paths whose
+    endpoints fail are retried in a second random chart and merged
+    projectively.
     """
     n = len(var_order)
-    base_terms = []
-    for p in polys_exact:
-        base_terms.append(_poly_terms(p, var_order) if isinstance(p, MPoly)
-                          else p)
-    base_terms = base_terms + list(extra_rows)
     rng = _rng(seed, tag)
 
     def run_chart(chart_id: int):
         chart = _unit_row(rng, n)
-        rows = base_terms + [_linear_row_terms(list(chart), constant=-1.0)]
-        system = CompiledSystem(rows, n)
+        system = CompiledSystem(
+            rows + [_linear_row_terms(list(chart), constant=-1.0)], n)
         path_rng = _rng(seed, tag, "paths", chart_id)
-        results, count = track(system, seed, cfg, rng=path_rng)
+        results, count = track(system, path_rng, cfg)
         accepted = []
         for r in results:
             if r.status != "accepted":
                 continue
-            res_norm = _residual_normalized(system, r.x, system.size - 1)
-            if res_norm >= cfg.tol_track:
+            # the chart row, last, is pinned to 1 by construction
+            vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
+            if np.max(np.abs(vals[:-1]), initial=0.0) >= cfg.tol_track:
                 r.status = "polish"
                 continue
-            _vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
             sv = np.linalg.svd(jac, compute_uv=False)
             accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
         return system, results, accepted, count
@@ -499,15 +491,14 @@ def octic_root_clusters(vec9, cluster_radius: float):
     """
     with mp.workdps(WORKING_DPS):
         basis = construction.octic_basis()
+        vec = [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9]
         coeffs = []
         for d in range(9):
             acc = mp.mpc(0)
-            for v, form in zip(vec9, basis):
-                base = form.coeffs[d]
-                if base == 0:
-                    continue
-                acc += (v if isinstance(v, mp.mpc) else mp.mpc(v)) \
-                    * embed_mp(base)
+            for v, form in zip(vec, basis):
+                base = form.coeffs[d]      # an integer
+                if base:
+                    acc += v * int(base)
             coeffs.append(acc)
         if all(c == 0 for c in coeffs):
             return [9]
@@ -667,8 +658,7 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool]:
     return stratum, sizes[0] >= 6
 
 
-def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
-                         ) -> StratumCensus:
+def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
     The partition counts endpoints by coordinate-vanishing stratum and,
@@ -676,15 +666,14 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
     larger root cluster) versus its complement.  Runs are deterministic
     in (r, seed, configuration).
     """
-    cfg = cfg or TrackConfig()
     r = tuple(map(as_exact, r))
     for ineq in construction.domain_inequations():
         val = ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]})
         if val == 0:
             raise ValueError("parameter triple violates the leading-"
                              "coefficient inequations")
-    polys = literal_restricted_quadrics(r)
-    run = solve_projective(list(polys), CHART_VARS, seed,
+    rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
+    run = solve_projective(rows, CHART_VARS, seed,
                            f"stratum:{r[0]},{r[1]},{r[2]}", cfg)
     sys6: CompiledSystem = run["system"]
     points = []
@@ -696,20 +685,17 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig | None = None
             points.append(StratumPoint(coords=coords, stratum=stratum,
                                        multiple_root=multiple))
             min_sv = min(min_sv, e.sv_min)
-    partition = {"L0": 0}
-    for j in (1, 2, 3):
-        partition[f"L{j}_X1"] = 0
-        partition[f"L{j}_X2"] = 0
-    partition["Lopen_X1"] = 0
-    partition["Lopen_X2"] = 0
+    # report order: L0, then each other stratum split by the multiple-root
+    # classifier (X1) or not (X2)
+    partition = dict.fromkeys(
+        ["L0"] + [f"{s}_X{k}" for s in ("L1", "L2", "L3", "Lopen")
+                  for k in (1, 2)], 0)
     notes = []
     for p in points:
-        if p.stratum == "L0":
-            partition["L0"] += 1
-        elif p.stratum in ("L1", "L2", "L3"):
-            partition[f"{p.stratum}_X{1 if p.multiple_root else 2}"] += 1
-        elif p.stratum == "Lopen":
-            partition[f"Lopen_X{1 if p.multiple_root else 2}"] += 1
+        key = p.stratum if p.stratum == "L0" \
+            else f"{p.stratum}_X{1 if p.multiple_root else 2}"
+        if key in partition:
+            partition[key] += 1
         else:
             notes.append("endpoint with exactly one vanishing leading "
                          "coordinate (unclassifiable)")
@@ -757,13 +743,20 @@ def u_dprime_image(census: StratumCensus):
 # The fiber probe
 
 
-def _fiber_equations_exact(r: tuple) -> list[MPoly]:
+def _fiber_rows(r: tuple) -> list[list[tuple]]:
+    """The chart-space fiber equations over r, as term rows in Y_NAMES."""
     env = {"r1": r[0], "r2": r[1], "r3": r[2], "eps": _F(1)}
-    return [e.substitute(env) for e in construction.y_equations_4_5()]
+    return [_poly_terms(e.substitute(env), Y_NAMES)
+            for e in construction.y_equations_4_5()]
 
 
-def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
-                slice_count: int = 1) -> dict:
+def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
+    """The number of singular values above tol_rank times the largest."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv > tol_rank * sv[0]))
+
+
+def fiber_probe(r: tuple, seed, cfg: TrackConfig, slice_count: int) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
 
     Each random codimension-3 slice cuts the two quadrics and three
@@ -772,17 +765,15 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
     at a sample endpoint, and the sampled points themselves.  Runs are
     deterministic in the arguments.
     """
-    cfg = cfg or TrackConfig()
     r = tuple(map(as_exact, r))
-    eqs = _fiber_equations_exact(r)
-    base_rows = [_poly_terms(e, Y_NAMES) for e in eqs]
+    base_rows = _fiber_rows(r)
     fiber_sys = CompiledSystem(base_rows, 9)
     slice_counts, path_counts, sampled_points = [], [], []
     for s in range(slice_count):
         rng = _rng(seed, "fiber-slice", r, s)
         extra = [_linear_row_terms(list(_unit_row(rng, 9))) for _ in range(3)]
-        run = solve_projective(base_rows, Y_NAMES, seed,
-                               f"fiber:{r}:{s}", cfg, extra_rows=extra)
+        run = solve_projective(base_rows + extra, Y_NAMES, seed,
+                               f"fiber:{r}:{s}", cfg)
         slice_counts.append(len(run["distinct"]))
         path_counts.append(run["path_count"])
         sampled_points.extend(e.x for e in run["distinct"])
@@ -790,13 +781,11 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig | None = None,
         raise RuntimeError("no fiber slice produced an accepted endpoint")
     _vals, jac = fiber_sys.evaluate(sampled_points[0] /
                                     np.linalg.norm(sampled_points[0]))
-    sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(sv > cfg.tol_rank * sv[0]))
     return {
         "slice_counts": slice_counts,
         "path_counts": path_counts,
         "sampled_points": sampled_points,
-        "fiber_jacobian_rank": rank,
+        "fiber_jacobian_rank": _numeric_rank(jac, cfg.tol_rank),
         "fiber_system": fiber_sys,
     }
 
@@ -812,8 +801,8 @@ class NumericRun:
     so a tracer that wraps those attributes sees every computation.
     """
 
-    def __init__(self, cfg: TrackConfig | None = None) -> None:
-        self.cfg = cfg or TrackConfig()
+    def __init__(self, cfg: TrackConfig = TrackConfig()) -> None:
+        self.cfg = cfg
         self._results: dict = {}
 
     def census(self, r: tuple, seed: int) -> StratumCensus:
@@ -888,22 +877,28 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def _stratum_anchor_vectors(r1: Fraction) -> list[list] | None:
-    """Exact single-pair-stratum chart vectors at a slice value whose
-    square-root relation has a rational root."""
+def _stratum_anchor_vectors(r1: Fraction) -> list[list]:
+    """Exact single-pair-stratum chart vectors: the stored square-root
+    families at r1 and a rational root a of their relation, if it has
+    one (else none)."""
     a = _rational_sqrt(25 * r1 * r1 - 900)
     if a is None:
-        return None
-    out = []
-    for sgn in (1, -1):
-        out.append([_F(sgn), _F(0), _F(0), r1, _F(1), _F(0)])
-        out.append([sgn * a, _F(0), _F(0), 90 - 5 * r1 * r1, -5 * r1, _F(6)])
-    return out
+        return []
+    fams, _relation = construction.stratum1_solution_families()
+    chart = [construction.X_NAMES.index(n) for n in CHART_VARS]
+    return [[fam[i].evaluate({"r1": r1, "a": a}) for i in chart]
+            for fam in fams]
 
 
-def check_stratum_counts(seed: int = 42,
-                         sample_r: tuple = (_F(10), _F(1, 2), _F(1, 3)),
-                         numeric: NumericRun | None = None) -> CheckResult:
+def _matching(points: list, target) -> list[int]:
+    """Indices of the points within chordal distance TOL_MATCH of the
+    target."""
+    return [i for i, p in enumerate(points)
+            if _chordal(p, target) < TOL_MATCH]
+
+
+def check_stratum_counts(seed: int, sample_r: tuple,
+                         numeric: NumericRun) -> CheckResult:
     """Numeric census of the restricted system over two parameter values.
 
     At the generic sample the thirty-two paths must produce thirty-two
@@ -913,7 +908,6 @@ def check_stratum_counts(seed: int = 42,
     single orbit of the diagonal subgroup.  At the parameter origin the
     open stratum must carry sixteen points.
     """
-    numeric = numeric or NumericRun()
     cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
@@ -940,22 +934,19 @@ def check_stratum_counts(seed: int = 42,
     # Exact anchors: the four sparse solutions, always; the single-pair
     # instances whenever the square-root relation has a rational root.
     with mp.workdps(WORKING_DPS):
+        by_stratum = {s: [pt.coords for pt in census.points
+                          if pt.stratum == s]
+                      for s in ("L0", "L1")}
         sparse = construction.special_points()["sparse_solutions"]
         for p in sparse:
             anchor = [_F(0), _F(0), _F(0)] + [_F(v) for v in p]
-            target = [embed_mp(c) for c in anchor]
-            if not any(_chordal(pt.coords, target) < TOL_MATCH
-                       for pt in census.points if pt.stratum == "L0"):
+            if not _matching(by_stratum["L0"], [embed_mp(c) for c in anchor]):
                 residuals.append(f"sparse anchor {p} matches no endpoint")
-        anchors = _stratum_anchor_vectors(sample_r[0])
-        if anchors is not None:
-            for anchor in anchors:
-                target = [embed_mp(c) for c in anchor]
-                if not any(_chordal(pt.coords, target) < TOL_MATCH
-                           for pt in census.points if pt.stratum == "L1"):
-                    residuals.append(
-                        "single-pair-stratum anchor "
-                        f"{[str(c) for c in anchor]} matches no endpoint")
+        for anchor in _stratum_anchor_vectors(sample_r[0]):
+            if not _matching(by_stratum["L1"], [embed_mp(c) for c in anchor]):
+                residuals.append(
+                    "single-pair-stratum anchor "
+                    f"{[str(c) for c in anchor]} matches no endpoint")
 
         # Orbit structure of the four non-multiple-root open-stratum points.
         orbit_pts = [p for p in census.points
@@ -968,8 +959,7 @@ def check_stratum_counts(seed: int = 42,
             matched = set()
             for signs in h_orbit_signs():
                 image = [embed_mp(s) * c for s, c in zip(signs, base)]
-                hits = [i for i, p in enumerate(orbit_pts)
-                        if _chordal(p.coords, image) < TOL_MATCH]
+                hits = _matching([p.coords for p in orbit_pts], image)
                 if len(hits) == 1:
                     matched.add(hits[0])
                 else:
@@ -1010,8 +1000,7 @@ def check_stratum_counts(seed: int = 42,
     return _finish("numeric/lemma6_2", started, residuals, details)
 
 
-def check_fiber_geometry(seed: int = 42,
-                         numeric: NumericRun | None = None) -> CheckResult:
+def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     """Numeric geometry of the parameter-origin fiber and the projection.
 
     The fiber sliced by a random codimension-3 space has degree four;
@@ -1023,7 +1012,6 @@ def check_fiber_geometry(seed: int = 42,
     differential has rank three; and each of ten random targets has
     exactly one regular preimage on the fiber.
     """
-    numeric = numeric or NumericRun()
     cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
@@ -1064,7 +1052,7 @@ def check_fiber_geometry(seed: int = 42,
                 "stored fiber point")
 
     # Small-parameter continuity of the common image.
-    small = tuple(v * _F(1, 100000) for v in (_F(10), _F(1, 2), _F(1, 3)))
+    small = tuple(v * _F(1, 100000) for v in SAMPLE_R)
     census_small = numeric.census(small, seed)
     images_small, spread_small, count_small = u_dprime_image(census_small)
     with mp.workdps(WORKING_DPS):
@@ -1097,8 +1085,7 @@ def check_fiber_geometry(seed: int = 42,
                          "expected at least 20")
     images_mat = np.array([extract @ (p / np.linalg.norm(p))
                            for p in samples])
-    sv_img = np.linalg.svd(images_mat, compute_uv=False)
-    img_rank = int(np.sum(sv_img > cfg.tol_rank * sv_img[0]))
+    img_rank = _numeric_rank(images_mat, cfg.tol_rank)
     if img_rank != 4:
         residuals.append(f"projected fiber samples span rank {img_rank} != 4")
 
@@ -1109,16 +1096,14 @@ def check_fiber_geometry(seed: int = 42,
     _u, _s, vh = np.linalg.svd(jac)
     tangent = vh.conj().T[:, 5:]           # 4-dim kernel, includes the scale
     pushed = extract @ tangent             # 4 x 4
-    sv_push = np.linalg.svd(pushed, compute_uv=False)
-    push_rank = int(np.sum(sv_push > cfg.tol_rank * sv_push[0]))
+    push_rank = _numeric_rank(pushed, cfg.tol_rank)
     if push_rank != 4:
         residuals.append(
             f"projection differential spans rank {push_rank} != 4 "
             "(projective rank 3 expected)")
 
     # Preimage counts of random targets.
-    eqs = _fiber_equations_exact(origin)
-    base_rows = [_poly_terms(e, Y_NAMES) for e in eqs]
+    base_rows = _fiber_rows(origin)
     preimage_counts = []
     for trial in range(10):
         rng = _rng(seed, "preimage", trial)
@@ -1131,8 +1116,8 @@ def check_fiber_geometry(seed: int = 42,
                 continue
             row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
             align.append(_linear_row_terms(list(row)))
-        run = solve_projective(base_rows, Y_NAMES, seed,
-                               f"preimage:{trial}", cfg, extra_rows=align)
+        run = solve_projective(base_rows + align, Y_NAMES, seed,
+                               f"preimage:{trial}", cfg)
         regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
         preimage_counts.append(len(regular))
     if any(c != 1 for c in preimage_counts):
@@ -1155,11 +1140,9 @@ def check_fiber_geometry(seed: int = 42,
     return _finish("numeric/fiber_5", started, residuals, details)
 
 
-def check_seed_stability(seed: int = 42,
-                         sample_r: tuple = (_F(10), _F(1, 2), _F(1, 3)),
-                         numeric: NumericRun | None = None) -> CheckResult:
+def check_seed_stability(seed: int, sample_r: tuple,
+                         numeric: NumericRun) -> CheckResult:
     """The census partition and the fiber slice degree match across seeds."""
-    numeric = numeric or NumericRun()
     cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []

@@ -24,26 +24,25 @@ from importlib import resources
 from . import checks as _checks
 from . import continuation as _cont
 from .checks import CheckResult
-from .continuation import NumericRun, TrackConfig
+from .continuation import SAMPLE_R, NumericRun, TrackConfig
 
 ENV_PREFIX = "COVFORGE_"
 ERRATA_RESOURCE = "covforge/errata.json"
-
-DEFAULT_SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One fully-specified battery run; equal configs give equal reports
-    (timings aside)."""
+    (timings aside).  The defaults here are the only ones: the
+    tolerances are `TrackConfig`'s, the triple is the census's."""
 
     filter: str = "*"
     seed: int = 42
-    tol_track: float = 1e-10
-    tol_dedup: float = 1e-6
-    tol_rank: float = 1e-8
-    tol_cluster: float = 1e-4
-    sample_r: tuple = DEFAULT_SAMPLE_R
+    tol_track: float = TrackConfig.tol_track
+    tol_dedup: float = TrackConfig.tol_dedup
+    tol_rank: float = TrackConfig.tol_rank
+    tol_cluster: float = TrackConfig.cluster_radius
+    sample_r: tuple = SAMPLE_R
     format: str = "text"
 
     def validate(self) -> None:
@@ -224,58 +223,63 @@ def render_text(report: Report) -> str:
 # CLI
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
-
-
 def _parse_sample_r(parts) -> tuple:
-    vals = tuple(Fraction(p) for p in parts)
+    try:
+        vals = tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"sample-r {' '.join(parts)!r} has a zero "
+                         "denominator") from None
     if len(vals) != 3:
         raise ValueError("sample-r needs three values")
     return vals
 
 
+# How each RunConfig field is read from its COVFORGE_ variable (the
+# field name in upper case); an empty COVFORGE_SAMPLE_R counts as unset.
+_ENV_READERS = {
+    "filter": str, "seed": int, "format": str, "tol_track": float,
+    "tol_dedup": float, "tol_rank": float, "tol_cluster": float,
+    "sample_r": lambda raw: _parse_sample_r(raw.split()) if raw else None,
+}
+
+
 def build_config(argv=None) -> RunConfig:
+    """The run config of the flags in argv and the COVFORGE_ variables.
+
+    Only the fields a flag or a variable sets are passed on, so every
+    default is RunConfig's; a flag wins over its variable.
+    """
+    default = RunConfig()
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run the exact and numeric verification battery.")
     parser.add_argument("--filter", metavar="GLOB",
                         help="glob over check ids (default: all)")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="base random seed (default 42)")
+                        help=f"base random seed (default {default.seed})")
     parser.add_argument("--format", choices=("text", "json"),
-                        help="report format (default text)")
+                        help=f"report format (default {default.format})")
     parser.add_argument("--tol-track", type=float, metavar="X",
-                        help="path acceptance residual (default 1e-10)")
+                        help="path acceptance residual "
+                        f"(default {default.tol_track:g})")
     parser.add_argument("--tol-dedup", type=float, metavar="X",
-                        help="projective endpoint identification (default 1e-6)")
+                        help="projective endpoint identification "
+                        f"(default {default.tol_dedup:g})")
     parser.add_argument("--sample-r", nargs=3, metavar=("a", "b", "c"),
                         help="census parameter triple, fractions allowed")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    if flags["sample_r"] is not None:
+        flags["sample_r"] = _parse_sample_r(flags["sample_r"])
 
-    filter_ = args.filter if args.filter is not None \
-        else _env("FILTER", str, "*")
-    seed = args.seed if args.seed is not None else _env("SEED", int, 42)
-    fmt = args.format if args.format is not None \
-        else _env("FORMAT", str, "text")
-    tol_track = args.tol_track if args.tol_track is not None \
-        else _env("TOL_TRACK", float, 1e-10)
-    tol_dedup = args.tol_dedup if args.tol_dedup is not None \
-        else _env("TOL_DEDUP", float, 1e-6)
-    tol_rank = _env("TOL_RANK", float, 1e-8)
-    tol_cluster = _env("TOL_CLUSTER", float, 1e-4)
-    if args.sample_r is not None:
-        sample_r = _parse_sample_r(args.sample_r)
-    else:
-        raw = os.environ.get(ENV_PREFIX + "SAMPLE_R")
-        sample_r = _parse_sample_r(raw.split()) if raw else DEFAULT_SAMPLE_R
-    return RunConfig(filter=filter_, seed=seed, tol_track=tol_track,
-                     tol_dedup=tol_dedup, tol_rank=tol_rank,
-                     tol_cluster=tol_cluster, sample_r=sample_r,
-                     format=fmt)
+    values = {}
+    for name, read in _ENV_READERS.items():
+        value = flags.get(name)
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        if value is None and raw is not None:
+            value = read(raw)
+        if value is not None:
+            values[name] = value
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -284,7 +288,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(argv)
         report = run(config)
-    except (LookupError, ValueError, ZeroDivisionError) as exc:
+    except (LookupError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     out = render_json(report) if config.format == "json" \

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from covforge import checks, construction, harness
 from covforge.binform import calibrate_conventions
-from covforge.continuation import (check_fiber_geometry, check_seed_stability,
-                                   check_stratum_counts)
+from covforge.continuation import (SAMPLE_R, check_fiber_geometry,
+                                   check_seed_stability, check_stratum_counts)
 from covforge.scalar import CycScalar, scalar_is_zero
 
 EXPECTED_PARTITION = {
@@ -165,7 +165,8 @@ def test_numeric_census_partition_regularity_and_orbit(numeric_run):
                    "regular endpoints, one orbit of special points, "
                    "under 60 s"):
         started = time.perf_counter()
-        result = check_stratum_counts(seed=42, numeric=numeric_run)
+        result = check_stratum_counts(seed=42, sample_r=SAMPLE_R,
+                                      numeric=numeric_run)
         elapsed = time.perf_counter() - started
         assert result.ok, result.residuals
         assert result.details["partition"] == EXPECTED_PARTITION
@@ -211,7 +212,8 @@ def test_property_suites_and_cross_seed_stability(numeric_run,
         assert trans.ok and trans.details["trials"] >= 100
         scaling = by_id["property/scaling_1_1"]
         assert scaling.ok
-        stability = check_seed_stability(seed=42, numeric=numeric_run)
+        stability = check_seed_stability(seed=42, sample_r=SAMPLE_R,
+                                         numeric=numeric_run)
         assert stability.ok, stability.residuals
         assert stability.details["seeds"] == [42, 43, 44]
         assert stability.details["partition"] == EXPECTED_PARTITION

@@ -6,7 +6,8 @@ import pytest
 
 from covforge import construction as con
 from covforge.binform import max_root_multiplicity_exact
-from covforge.continuation import literal_pure_quadrics
+from covforge.continuation import (literal_pure_quadrics,
+                                   literal_restricted_quadrics)
 from covforge.exlinalg import ExactMatrix
 from covforge.mpoly import MPoly
 
@@ -124,5 +125,5 @@ def test_slice_lift_inverts_the_free_coordinates():
 def test_restricted_quadrics_use_only_the_free_coordinates():
     r = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
     free_names = {"x1", "x2", "x3", "x7", "x8", "x9"}
-    for q in con.restricted_octic_quadrics(r):
+    for q in literal_restricted_quadrics(r):
         assert q.variables() <= free_names

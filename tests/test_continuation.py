@@ -1,5 +1,6 @@
 """Homotopy tracking, the stratum census, and the projection data."""
 
+import ast
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,7 +13,8 @@ from covforge.continuation import (CHART_VARS, WORKING_DPS, CompiledSystem,
                                    NumericRun, TrackConfig, _chordal,
                                    _chordal_groups, _linear_row_terms,
                                    _octic_roots, _poly_terms, _rng,
-                                   _start_system, count_stratum_points,
+                                   _start_system, _stratum_anchor_vectors,
+                                   count_stratum_points,
                                    embed_mp, fiber_probe,
                                    literal_pure_quadrics,
                                    literal_restricted_quadrics, mp_polish,
@@ -87,7 +89,7 @@ def test_the_closed_form_start_system_and_its_jacobian():
 def test_tracking_a_univariate_quadratic_finds_both_roots():
     p = MPoly.var("x1") ** 2 - 1
     system = CompiledSystem([_poly_terms(p, ("x1",))], 1)
-    results, path_count = track(system, seed=42)
+    results, path_count = track(system, _rng(42, "track"), TrackConfig())
     assert path_count == 2
     assert all(r.status == "accepted" for r in results)
     values = sorted(complex(r.x[0]).real for r in results)
@@ -99,7 +101,8 @@ def _sparse_rows():
     # coordinates vanish; two survive as nonzero forms in (x7, x8, x9)
     zeros = {f"x{i}": 0 for i in range(1, 7)}
     rows = [q.substitute(zeros) for q in literal_pure_quadrics()]
-    return [q for q in rows if not q.is_zero()]
+    return [_poly_terms(q, ("x7", "x8", "x9")) for q in rows
+            if not q.is_zero()]
 
 
 def test_projective_solver_recovers_the_four_sparse_solutions():
@@ -182,11 +185,28 @@ def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run,
     assert prefix["fiber_system"]._terms == fresh["fiber_system"]._terms
 
 
+def test_single_pair_anchors_are_the_instances_of_the_stored_families(
+        symbolic_report):
+    # at r1 = 10 the relation a^2 = 25 r1^2 - 900 has the root 40: the
+    # anchors are the chart coordinates of the four pinned instances
+    strata = next(r for r in symbolic_report.results
+                  if r.check_id == "symbolic/strata_6")
+    chart = [con.X_NAMES.index(n) for n in CHART_VARS]
+    pinned = {tuple(Fraction(vec[i]) for i in chart)
+              for vec in map(ast.literal_eval,
+                             strata.details["instances_at_10"])}
+    anchors = _stratum_anchor_vectors(Fraction(10))
+    assert len(anchors) == len(pinned) == 4
+    assert {tuple(a) for a in anchors} == pinned
+    # at r1 = 1/2 the relation has no real root, so there is no anchor
+    assert _stratum_anchor_vectors(Fraction(1, 2)) == []
+
+
 def test_census_rejects_degenerate_parameter_triples():
     # r2 = 0, r3 = 13/7 zeroes the first leading-coefficient inequation
     bad = (Fraction(10), Fraction(0), Fraction(13, 7))
     with pytest.raises(ValueError):
-        count_stratum_points(bad, 42)
+        count_stratum_points(bad, 42, TrackConfig())
 
 
 def test_root_clusters_separate_sixfold_from_simple_roots():

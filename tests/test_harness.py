@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from covforge import harness
-from covforge.continuation import check_seed_stability
+from covforge import checks, continuation, harness
+from covforge.continuation import TrackConfig, check_seed_stability
 
 JSON_KEY_ORDER = ["check_id", "paper_anchor", "status", "residual_count",
                   "details", "millis"]
@@ -28,6 +28,14 @@ def test_default_configuration_values():
     assert cfg.tol_track == 1e-10
     assert cfg.tol_dedup == 1e-6
     assert cfg.sample_r == (Fraction(10), Fraction(1, 2), Fraction(1, 3))
+
+
+def test_every_default_is_written_once(monkeypatch):
+    for name in ("FILTER", "SEED", "FORMAT", "TOL_TRACK", "TOL_DEDUP",
+                 "TOL_RANK", "TOL_CLUSTER", "SAMPLE_R"):
+        monkeypatch.delenv(harness.ENV_PREFIX + name, raising=False)
+    assert harness.build_config([]) == harness.RunConfig()
+    assert harness.RunConfig().track_config() == TrackConfig()
 
 
 def test_sample_r_accepts_fraction_strings():
@@ -63,6 +71,30 @@ def test_negative_tolerance_exits_with_configuration_error(capsys):
                          "--filter", "property/field_axioms"])
     assert code == 2
     assert "verify:" in capsys.readouterr().err
+
+
+def test_zero_denominator_triple_exits_with_configuration_error(capsys):
+    assert harness.main(["--sample-r", "1/0", "1", "1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_excluded_triple_is_rejected_before_any_path_is_tracked(monkeypatch):
+    # r2 = 0, r3 = 13/7 zeroes the first leading-coefficient inequation
+    tracked = []
+    monkeypatch.setattr(continuation, "track",
+                        lambda *args: tracked.append(args))
+    assert harness.main(["--filter", "numeric/lemma6_2",
+                         "--sample-r", "10", "0", "13/7"]) == 2
+    assert tracked == []
+
+
+def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
+    def broken(seed):
+        raise ZeroDivisionError("inside a check")
+
+    monkeypatch.setattr(checks, "check_field_axioms", broken)
+    with pytest.raises(ZeroDivisionError, match="inside a check"):
+        harness.main(["--filter", "property/field_axioms"])
 
 
 def test_unknown_filter_lists_the_known_ids(capsys):
