@@ -23,17 +23,14 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .mpoly import MPoly
-from .scalar import CycScalar, as_cyc, scalar_inverse, scalar_is_zero
+from .scalar import (CycScalar, as_cyc, as_exact, scalar_inverse,
+                     scalar_is_zero)
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
 
 
 def _norm(c) -> FormCoeff:
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, CycScalar, MPoly)):
-        return c
-    raise TypeError(f"bad form coefficient: {c!r}")
+    return c if isinstance(c, MPoly) else as_exact(c)
 
 
 def _is_zero_coeff(c: FormCoeff) -> bool:
@@ -137,22 +134,6 @@ class BinaryForm:
         for _ in range(n2):
             out = out.diff_z2()
         return out
-
-    def evaluate(self, z1, z2):
-        total = None
-        d = self.degree
-        for k, c in enumerate(self.coeffs):
-            if _is_zero_coeff(c):
-                continue
-            term = c
-            for _ in range(d - k):
-                term = term * z1
-            for _ in range(k):
-                term = term * z2
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -348,20 +329,11 @@ class Lambda:
         """The normalised weight vector (1, 6*eps, 1, 6)."""
         return cls(Fraction(1), 6 * eps, Fraction(1), Fraction(6))
 
-    def as_tuple(self):
-        return (self.l0, self.l2, self.l4, self.l6)
 
-
-def delta_forms(lam: Lambda, f8: BinaryForm, f0, f4: BinaryForm,
-                scalars: tuple[Fraction, Fraction, Fraction] | None = None) -> BinaryForm:
-    """The degree-4 image of (f8, f0, f4); f0 is a plain scalar.
-
-    `scalars` are the calibrated transvectant rescalings (s2, s4, s6);
-    by default the cached calibration result is used.
-    """
-    if scalars is None:
-        scalars = calibrate_conventions().scalars
-    s2, s4, s6 = scalars
+def delta_forms(lam: Lambda, f8: BinaryForm, f0, f4: BinaryForm) -> BinaryForm:
+    """The degree-4 image of (f8, f0, f4); f0 is a plain scalar.  The
+    brackets carry the calibrated rescalings (s2, s4, s6)."""
+    s2, s4, s6 = calibrate_conventions().scalars
     out = transvectant(f8, f8, 6).scale(s6).scale(lam.l6)
     out = out + transvectant(f8, f4, 4).scale(s4).scale(lam.l4)
     out = out + transvectant(f4, f4, 2).scale(s2).scale(lam.l2)
@@ -369,13 +341,12 @@ def delta_forms(lam: Lambda, f8: BinaryForm, f0, f4: BinaryForm,
     return out
 
 
-def delta(lam: Lambda, v: Sequence,
-          scalars: tuple[Fraction, Fraction, Fraction] | None = None) -> BinaryForm:
+def delta(lam: Lambda, v: Sequence) -> BinaryForm:
     """The quadratic map on a 15-component coordinate vector."""
     from . import construction
 
     f8, f0, f4 = construction.assemble(v)
-    return delta_forms(lam, f8, f0, f4, scalars)
+    return delta_forms(lam, f8, f0, f4)
 
 
 @dataclass(frozen=True)
@@ -426,7 +397,45 @@ def bracket_tables() -> tuple[dict, dict, dict]:
     return p6, p4, p2
 
 
-def expanded_coordinate_system(scalars=None) -> tuple[MPoly, ...]:
+def _pair_series(scalars: tuple, cross: int) -> tuple[MPoly, ...]:
+    """The quadratic map's five coordinate polynomials, assembled pairwise
+    from the bracket tables with the rescalings (s2, s4, s6).
+
+    A product of two distinct same-degree basis vectors is weighted by
+    `cross`: 1 lists each unordered pair once, as the stored tables do,
+    and 2 counts both orderings, as the literal map does.  The mixed
+    bracket has arguments of different degrees, so its pairs are always
+    distinct and listed once.
+    """
+    from . import construction
+
+    s2, s4, s6 = scalars
+    table = construction.DEFAULT_TABLE
+    xs = [MPoly.var(f"x{i}", table) for i in range(1, 10)]
+    ss = [MPoly.var(f"s{i}", table) for i in range(6)]
+    eps = MPoly.var("eps", table)
+    p6, p4, p2 = bracket_tables()
+
+    # The order of the additions fixes the order of each row's `terms`,
+    # which the tracker's compiled sums follow.
+    out = [MPoly.const(Fraction(0), table) for _ in range(5)]
+    for (i, j), vals in p6.items():
+        mono = xs[i] * xs[j]
+        w = (6 * s6) if i == j else (6 * cross * s6)
+        out = [acc + (w * c) * mono for acc, c in zip(out, vals)]
+    for (i, j), vals in p4.items():
+        mono = xs[i] * ss[j + 1]
+        out = [acc + (s4 * c) * mono for acc, c in zip(out, vals)]
+    for (i, j), vals in p2.items():
+        mono = eps * ss[i + 1] * ss[j + 1]
+        w = (6 * s2) if i == j else (6 * cross * s2)
+        out = [acc + (w * c) * mono for acc, c in zip(out, vals)]
+    for k in range(5):
+        out[k] = out[k] + ss[0] * ss[k + 1]
+    return tuple(out)
+
+
+def expanded_coordinate_system() -> tuple[MPoly, ...]:
     """The quadratic map's five coordinate polynomials, crosses doubled.
 
     Unlike the stored tables (which list each unordered basis pair once),
@@ -435,32 +444,7 @@ def expanded_coordinate_system(scalars=None) -> tuple[MPoly, ...]:
     orderings.  This is the version that is equivariant under the full
     generator set and whose zero set contains the multiple-root locus.
     """
-    from . import construction
-
-    if scalars is None:
-        scalars = calibrate_conventions().scalars
-    s2, s4, s6 = scalars
-    table = construction.DEFAULT_TABLE
-    xs = [MPoly.var(f"x{i}", table) for i in range(1, 10)]
-    ss = [MPoly.var(f"s{i}", table) for i in range(6)]
-    eps = MPoly.var("eps", table)
-    p6, p4, p2 = bracket_tables()
-
-    out = [MPoly.const(Fraction(0), table) for _ in range(5)]
-    for (i, j), vals in p6.items():
-        mono = xs[i] * xs[j]
-        w = (6 * s6) if i == j else (12 * s6)
-        out = [acc + (w * c) * mono for acc, c in zip(out, vals)]
-    for (i, j), vals in p4.items():
-        mono = xs[i] * ss[j + 1]
-        out = [acc + (s4 * c) * mono for acc, c in zip(out, vals)]
-    for (i, j), vals in p2.items():
-        mono = eps * ss[i + 1] * ss[j + 1]
-        w = (6 * s2) if i == j else (12 * s2)
-        out = [acc + (w * c) * mono for acc, c in zip(out, vals)]
-    for k in range(5):
-        out[k] = out[k] + ss[0] * ss[k + 1]
-    return tuple(out)
+    return _pair_series(calibrate_conventions().scalars, cross=2)
 
 
 @lru_cache(maxsize=1)
@@ -483,35 +467,13 @@ def calibrate_conventions() -> Calibration:
     """
     from . import construction
 
-    table = construction.DEFAULT_TABLE
-    xs = [MPoly.var(f"x{i}", table) for i in range(1, 10)]
-    ss = [MPoly.var(f"s{i}", table) for i in range(6)]
-    eps = MPoly.var("eps", table)
-    f0 = ss[0]
-    p6, p4, p2 = bracket_tables()
-
-    zero5 = [MPoly.const(Fraction(0), table) for _ in range(5)]
-    t6 = list(zero5)
-    for (i, j), vals in p6.items():
-        mono = xs[i] * xs[j]
-        t6 = [acc + c * mono for acc, c in zip(t6, vals)]
-    t2 = list(zero5)
-    for (i, j), vals in p2.items():
-        mono = ss[i + 1] * ss[j + 1]
-        t2 = [acc + c * mono for acc, c in zip(t2, vals)]
-    # The mixed bracket has arguments of different degrees, so every
-    # basis pair is distinct and the plain double sum already lists each
-    # product once.
-    t4 = list(zero5)
-    for (i, j), vals in p4.items():
-        mono = xs[i] * ss[j + 1]
-        t4 = [acc + c * mono for acc, c in zip(t4, vals)]
-
     # Probe coefficients: x7*x8 in slot 1 must land on 6, x7*s1 in slot 1
-    # on 1, and eps*s1^2 in slot 2 on 2 (weights 6, 1 and 6*eps).
-    c6 = t6[0].coeff({"x7": 1, "x8": 1})
-    c4 = t4[0].coeff({"x7": 1, "s1": 1})
-    c2 = t2[1].coeff({"s1": 2})
+    # on 1, and eps*s1^2 in slot 2 on 2 (weights 6, 1 and 6*eps); each
+    # is one bracket-table entry.
+    p6, p4, p2 = bracket_tables()
+    c6 = p6[(6, 7)][0]
+    c4 = p4[(6, 0)][0]
+    c2 = p2[(0, 0)][1]
     if c6 == 0 or c4 == 0 or c2 == 0:
         raise RuntimeError("degenerate probe coefficient during calibration")
     s6 = Fraction(6) / (6 * c6)
@@ -519,13 +481,12 @@ def calibrate_conventions() -> Calibration:
     s2 = Fraction(2) / (6 * c2)
 
     stored = construction.delta_coordinate_system()
+    computed = _pair_series((s2, s4, s6), cross=1)
+    names = construction.DEFAULT_TABLE.names
     residuals: list[str] = []
     for slot in range(5):
-        computed = (6 * s6) * t6[slot] + s4 * t4[slot] \
-            + (6 * s2) * (eps * t2[slot]) + f0 * ss[slot + 1]
-        diff = computed - stored[slot]
+        diff = computed[slot] - stored[slot]
         for mono, c in diff.sorted_terms():
-            names = table.names
             mstr = "*".join(f"{names[k]}^{e}" if e > 1 else names[k]
                             for k, e in enumerate(mono) if e)
             residuals.append(f"slot {slot + 1}: {mstr}: off by {c}")
@@ -540,7 +501,7 @@ def calibrate_conventions() -> Calibration:
             stored_mat = construction.action_table()[name]
             for row_i, row_s in zip(induced, stored_mat):
                 for a, b in zip(row_i, row_s):
-                    if as_cyc(a) != as_cyc(b):
+                    if a != b:
                         bad += 1
         mismatch_counts[cand] = bad
         if bad == 0:
@@ -593,61 +554,6 @@ def _poly_diff(p: list) -> list:
     return [k * p[k] for k in range(1, len(p))] or [Fraction(0)]
 
 
-def root_multiplicity(f: BinaryForm, point: tuple) -> int:
-    """Multiplicity of the projective root (a : b) in an exact form.
-
-    For the coordinate points (1:0) and (0:1) this is a coefficient-count
-    and works for symbolic coefficients too; elsewhere the form must have
-    field coefficients.
-    """
-    a, b = point
-    if _is_zero_coeff(b if isinstance(b, MPoly) else _norm(b)):
-        # (1:0): count vanishing low z2-powers.
-        m = 0
-        for c in f.coeffs:
-            if _is_zero_coeff(c):
-                m += 1
-            else:
-                break
-        return m
-    if _is_zero_coeff(a if isinstance(a, MPoly) else _norm(a)):
-        # (0:1): count vanishing high z2-powers.
-        m = 0
-        for c in reversed(f.coeffs):
-            if _is_zero_coeff(c):
-                m += 1
-            else:
-                break
-        return m
-    # General point: repeated exact division by (b*z1 - a*z2).
-    mult = 0
-    coeffs = list(f.coeffs)
-    a, b = _norm(a), _norm(b)
-    binv = scalar_inverse(b)
-    while True:
-        d = len(coeffs) - 1
-        # Value f(a, b).
-        val = Fraction(0)
-        for k, c in enumerate(coeffs):
-            term = c
-            for _ in range(d - k):
-                term = term * a
-            for _ in range(k):
-                term = term * b
-            val = val + term
-        if not _is_zero_coeff(val):
-            return mult
-        mult += 1
-        if d == 0:
-            return mult
-        # Synthetic division: f = (b z1 - a z2) * g with deg g = d - 1.
-        g: list = [Fraction(0)] * d
-        g[0] = coeffs[0] * binv
-        for k in range(1, d):
-            g[k] = (coeffs[k] + a * g[k - 1]) * binv
-        coeffs = g
-
-
 def _max_mult_univar(p: list) -> int:
     """Largest root multiplicity of a nonzero dense univariate polynomial.
 
@@ -666,8 +572,9 @@ def max_root_multiplicity_exact(f: BinaryForm) -> int:
     """Largest projective root multiplicity of a form with field coefficients."""
     if f.is_zero():
         raise ValueError("zero form has no root multiplicities")
-    at_infinity = root_multiplicity(f, (Fraction(0), Fraction(1)))
-    return max(at_infinity, _max_mult_univar(list(f.coeffs)))
+    p = list(f.coeffs)
+    # The root (0:1) has the multiplicity of the vanishing top z2-powers.
+    return max(f.degree - _poly_degree(p), _max_mult_univar(p))
 
 
 def _gcd_poly(p: list, q: list) -> list:
@@ -679,13 +586,3 @@ def _gcd_poly(p: list, q: list) -> list:
         return [Fraction(1)]
     lead_inv = scalar_inverse(a[d])
     return [c * lead_inv for c in a[:d + 1]]
-
-
-def has_distinct_roots(f: BinaryForm) -> bool:
-    """True iff the exact form is squarefree, i.e. all projective roots simple."""
-    if f.is_zero():
-        return False
-    if root_multiplicity(f, (Fraction(0), Fraction(1))) > 1:
-        return False
-    p = list(f.coeffs)
-    return _poly_degree(_gcd_poly(p, _poly_diff(p))) <= 0

@@ -21,7 +21,7 @@ from typing import Sequence
 from .binform import BinaryForm, GroupElt, group_act
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly, VarTable, default_table
-from .scalar import CycScalar, as_cyc, scalar_inverse, scalar_is_zero
+from .scalar import CycScalar, as_exact, scalar_inverse, scalar_is_zero
 
 DEFAULT_TABLE = default_table()
 
@@ -33,11 +33,6 @@ R_NAMES = ("r1", "r2", "r3")
 
 _F = Fraction
 _I = CycScalar.i()
-
-
-def as_exact(value):
-    """Exact scalar with ints promoted to Fractions; others pass through."""
-    return _F(value) if isinstance(value, int) else value
 
 
 def _poly(terms, table: VarTable = DEFAULT_TABLE) -> MPoly:
@@ -78,11 +73,10 @@ class ProjPoint:
             return NotImplemented
         if len(self.coords) != len(other.coords):
             return False
-        return all(as_cyc(a) == as_cyc(b)
-                   for a, b in zip(self.canonical(), other.canonical()))
+        return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
-        return hash(tuple(as_cyc(c) for c in self.canonical()))
+        return hash(self.canonical())
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -175,20 +169,6 @@ def quartic_coordinates(f: BinaryForm) -> list:
         eighth * (c1 - c3),
         eighth * (c1 + c3),
     ]
-
-
-def vec15_coordinates(f8: BinaryForm, f0, f4: BinaryForm) -> list:
-    return octic_coordinates(f8) + [f0] + quartic_coordinates(f4)
-
-
-def basis_vectors():
-    """All 15 basis forms plus the coordinate round-trip map."""
-    forms = octic_basis() + (_F(1),) + quartic_basis()
-
-    def coords(f8: BinaryForm, f0, f4: BinaryForm) -> list:
-        return vec15_coordinates(f8, f0, f4)
-
-    return forms, coords
 
 
 def unit15(index: int) -> list:

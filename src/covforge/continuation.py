@@ -51,10 +51,10 @@ import numpy as np
 from . import construction
 from .binform import expanded_coordinate_system
 from .checks import CheckResult, _finish
-from .construction import Y_NAMES, as_exact
+from .construction import Y_NAMES
 from .exlinalg import ExactMatrix, Subspace
 from .mpoly import MPoly
-from .scalar import CycScalar, embed_complex
+from .scalar import CycScalar, as_exact, embed_complex
 
 _F = Fraction
 
@@ -658,6 +658,17 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool]:
     return stratum, sizes[0] >= 6
 
 
+def admissible_triple(r: tuple) -> tuple:
+    """The parameter triple as exact scalars; raises ValueError when it
+    zeroes a leading-coefficient inequation (the excluded locus)."""
+    r = tuple(map(as_exact, r))
+    for ineq in construction.domain_inequations():
+        if ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]}) == 0:
+            raise ValueError("parameter triple violates the leading-"
+                             "coefficient inequations")
+    return r
+
+
 def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
@@ -666,12 +677,7 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     larger root cluster) versus its complement.  Runs are deterministic
     in (r, seed, configuration).
     """
-    r = tuple(map(as_exact, r))
-    for ineq in construction.domain_inequations():
-        val = ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]})
-        if val == 0:
-            raise ValueError("parameter triple violates the leading-"
-                             "coefficient inequations")
+    r = admissible_triple(r)
     rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
     run = solve_projective(rows, CHART_VARS, seed,
                            f"stratum:{r[0]},{r[1]},{r[2]}", cfg)

@@ -11,19 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .scalar import (CycScalar, as_cyc, scalar_complexity, scalar_inverse,
-                     scalar_is_zero)
-
-Entry = object  # Fraction | CycScalar (ints are normalised away)
-
-
-def _norm_entry(v) -> Entry:
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (Fraction, CycScalar)):
-        return v
-    raise TypeError(f"bad matrix entry: {v!r}")
-
+from .scalar import as_exact, scalar_complexity, scalar_inverse, scalar_is_zero
 
 class ExactMatrix:
     """Immutable-ish dense matrix with exact entries."""
@@ -31,7 +19,7 @@ class ExactMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
-        self.rows = [[_norm_entry(v) for v in row] for row in rows]
+        self.rows = [[as_exact(v) for v in row] for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -42,10 +30,6 @@ class ExactMatrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> ExactMatrix:
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> ExactMatrix:
         if not cols:
             return cls([])
@@ -54,10 +38,6 @@ class ExactMatrix:
 
     def column(self, j: int) -> list:
         return [self.rows[i][j] for i in range(self.nrows)]
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)])
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -101,7 +81,7 @@ class ExactMatrix:
                             for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, s) -> ExactMatrix:
-        s = _norm_entry(s)
+        s = as_exact(s)
         return ExactMatrix([[s * v for v in row] for row in self.rows])
 
     def __eq__(self, other) -> bool:
@@ -109,7 +89,7 @@ class ExactMatrix:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return all(as_cyc(a) == as_cyc(b)
+        return all(a == b
                    for r1, r2 in zip(self.rows, other.rows)
                    for a, b in zip(r1, r2))
 
@@ -171,20 +151,6 @@ class ExactMatrix:
             basis.append(vec)
         return basis
 
-    def solve(self, rhs: Sequence) -> list:
-        """One exact solution of A x = rhs; raises if inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ValueError("shape mismatch")
-        aug = ExactMatrix([list(row) + [_norm_entry(v)]
-                           for row, v in zip(self.rows, rhs)])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            raise ValueError("inconsistent linear system")
-        x: list = [Fraction(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        return x
-
     def inverse(self) -> ExactMatrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
@@ -195,32 +161,6 @@ class ExactMatrix:
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
         return ExactMatrix([row[n:] for row in red.rows])
-
-    def determinant(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = Fraction(1)
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if not scalar_is_zero(rows[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = scalar_inverse(rows[c][c])
-            for i in range(c + 1, n):
-                f = rows[i][c] * inv
-                if scalar_is_zero(f):
-                    continue
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
 
 
 # ---------------------------------------------------------------------------
@@ -286,36 +226,24 @@ class Subspace:
                 vectors.append(red.rows[r][n:])
         return Subspace(n, vectors)
 
-    def coordinates(self, vec: Sequence) -> list:
-        """Coefficients of vec in the stored basis; raises if outside."""
-        mat = ExactMatrix.from_columns(self.basis)
-        return mat.solve(list(vec))
-
 
 def eigenspace(mat: ExactMatrix, eigenvalue) -> Subspace:
     shifted = mat - ExactMatrix.identity(mat.nrows).scale(eigenvalue)
     return Subspace(mat.nrows, shifted.kernel_basis())
 
 
-def joint_fixed_space(mats: Sequence[ExactMatrix],
-                      eigenvalues: Sequence | None = None) -> Subspace:
-    """Intersection of eigenspaces, one eigenvalue per matrix (default all 1)."""
+def joint_fixed_space(mats: Sequence[ExactMatrix]) -> Subspace:
+    """Common fixed space: the intersection of the eigenvalue-1 spaces."""
     if not mats:
         raise ValueError("need at least one matrix")
-    if eigenvalues is None:
-        eigenvalues = [Fraction(1)] * len(mats)
-    space = eigenspace(mats[0], eigenvalues[0])
-    for m, lam in zip(mats[1:], list(eigenvalues)[1:]):
-        space = space.intersection(eigenspace(m, lam))
+    space = eigenspace(mats[0], Fraction(1))
+    for m in mats[1:]:
+        space = space.intersection(eigenspace(m, Fraction(1)))
     return space
 
 
 # ---------------------------------------------------------------------------
 # Jacobians of polynomial maps
-
-
-def jacobian(polys: Sequence[MPoly], var_names: Sequence[str]) -> list[list[MPoly]]:
-    return [[p.diff(v) for v in var_names] for p in polys]
 
 
 def jacobian_at(polys: Sequence[MPoly], var_names: Sequence[str],

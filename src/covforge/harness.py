@@ -55,6 +55,7 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if len(self.sample_r) != 3:
             raise ValueError("sample_r needs exactly three entries")
+        _cont.admissible_triple(self.sample_r)
 
     def track_config(self) -> TrackConfig:
         return TrackConfig(tol_track=self.tol_track, tol_dedup=self.tol_dedup,
@@ -132,22 +133,30 @@ class Report:
         return sorted(self.results, key=lambda r: r.check_id)
 
 
-def run(config: RunConfig) -> Report:
-    """Run every check whose id matches the config filter.
-
-    Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  The numeric checks share one NumericRun
-    with the config's tolerances.  Raises ValueError for a malformed
-    config and LookupError when the filter selects nothing.
-    """
+def select(config: RunConfig) -> list:
+    """The registry entries the config's filter selects.  Raises
+    ValueError for a malformed config and LookupError when the filter
+    selects nothing; nothing has run yet when either is raised."""
     config.validate()
-    numeric = NumericRun(config.track_config())
     selected = [entry for entry in _registry()
                 if fnmatch.fnmatch(entry[0], config.filter)]
     if not selected:
         raise LookupError(
             f"filter {config.filter!r} matches no check id; known ids: "
             + ", ".join(check_ids()))
+    return selected
+
+
+def run(config: RunConfig) -> Report:
+    """Run every check whose id matches the config filter.
+
+    Exact checks run before numeric ones, in registry order; the report
+    is ordered by check id.  The numeric checks share one NumericRun
+    with the config's tolerances.  Raises as `select` does for a
+    malformed config or an empty selection.
+    """
+    selected = select(config)
+    numeric = NumericRun(config.track_config())
     anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
     results = [fn(config, numeric)
                for phase in ("exact", "numeric")
@@ -284,13 +293,16 @@ def build_config(argv=None) -> RunConfig:
 
 def main(argv=None) -> int:
     """Exit 0 when every check passes, 1 when one fails, and 2 for a
-    malformed configuration or a filter that selects nothing."""
+    malformed configuration or a filter that selects nothing.  Only
+    building and selecting are guarded: an error inside a check is not
+    a configuration error and propagates."""
     try:
         config = build_config(argv)
-        report = run(config)
+        select(config)
     except (LookupError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
+    report = run(config)
     out = render_json(report) if config.format == "json" \
         else render_text(report)
     print(out)

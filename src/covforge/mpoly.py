@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalar import CycScalar, scalar_is_zero
+from .scalar import CycScalar, as_exact, scalar_is_zero
 
 Coeff = Union[Fraction, CycScalar]
 CoeffLike = Union[int, Fraction, CycScalar]
@@ -63,14 +63,6 @@ def default_table() -> VarTable:
     return _DEFAULT_TABLE
 
 
-def _norm_coeff(c: CoeffLike) -> Coeff:
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, CycScalar)):
-        return c
-    raise TypeError(f"not an exact coefficient: {c!r}")
-
-
 class MPoly:
     """Sparse multivariate polynomial with exact coefficients."""
 
@@ -82,7 +74,7 @@ class MPoly:
         clean: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for mono, c in terms.items():
-                c = _norm_coeff(c)
+                c = as_exact(c)
                 if not scalar_is_zero(c):
                     clean[tuple(mono)] = c
         self.terms = clean
@@ -119,17 +111,6 @@ class MPoly:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.table.index(name)
-        if not self.terms:
-            return 0
-        return max(m[idx] for m in self.terms)
 
     def variables(self) -> set[str]:
         used: set[str] = set()

@@ -79,12 +79,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return self._c[1] == 0 and self._c[2] == 0 and self._c[3] == 0
 
-    def rat(self) -> Fraction:
-        """The value as a rational; raises if the element is irrational."""
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self._c[0]
-
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other) -> CycScalar | None:
@@ -145,40 +139,19 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> CycScalar:
-        """Multiplicative inverse, found by solving a 4x4 rational system.
+        """Multiplicative inverse in closed form.
 
-        The system expresses self * x = 1 on the power basis; the
-        coefficient matrix is the multiplication-by-self operator.
+        With s the image of x under z -> -z, the product x*s is fixed by
+        that automorphism, so it is b0 + b2*i in Q(i); then
+        x^-1 = s * (b0 - b2*i) / (b0^2 + b2^2).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
-        cols = [(self * _BASIS[j])._c for j in range(4)]
-        # Augmented system M x = e0 with M[i][j] = cols[j][i].
-        aug = [[cols[j][i] for j in range(4)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(4)]
-        n = 4
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv_p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return CycScalar(aug[0][4], aug[1][4], aug[2][4], aug[3][4])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        a = self._c
+        s = CycScalar(a[0], -a[1], a[2], -a[3])
+        b0, _, b2, _ = (self * s)._c
+        norm = b0 * b0 + b2 * b2
+        return s * CycScalar(b0 / norm, 0, -b2 / norm)
 
     def __pow__(self, exponent: int) -> CycScalar:
         if exponent < 0:
@@ -250,9 +223,18 @@ _ONE = CycScalar(1)
 _GEN = CycScalar(0, 1)
 _I = CycScalar(0, 0, 1)
 _SQRT2 = CycScalar(0, 1, 0, -1)
-_BASIS = (_ONE, _GEN, _I, CycScalar(0, 0, 0, 1))
 
 Scalar = Union[int, Fraction, CycScalar]
+
+
+def as_exact(value) -> Scalar:
+    """An exact scalar with ints promoted to Fractions; Fractions and
+    CycScalars pass through and anything else raises TypeError."""
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, (Fraction, CycScalar)):
+        return value
+    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def as_cyc(value: Scalar) -> CycScalar:
@@ -276,12 +258,6 @@ def scalar_inverse(value: Scalar):
     if v == 0:
         raise ZeroDivisionError("inverse of zero")
     return Fraction(1) / v
-
-
-def scalar_conj(value: Scalar):
-    if isinstance(value, CycScalar):
-        return value.conj()
-    return _as_rat(value)
 
 
 def embed_complex(value) -> complex:

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 from covforge.binform import (BinaryForm, GroupElt, Lambda,
-                              calibrate_conventions, delta, group_act,
-                              has_distinct_roots, max_root_multiplicity_exact,
-                              mul_closure, root_multiplicity, transvectant)
-from covforge.construction import octic_basis, quartic_basis, special_points
+                              calibrate_conventions, delta,
+                              expanded_coordinate_system, group_act,
+                              max_root_multiplicity_exact, mul_closure,
+                              transvectant)
+from covforge.construction import (delta_coordinate_system, octic_basis,
+                                   quartic_basis, special_points)
+from covforge.mpoly import MPoly, default_table
 from covforge.scalar import CycScalar
 
 
@@ -121,10 +124,37 @@ def test_calibration_is_unique_and_residual_free():
     assert cal.expansion_listing == "unordered-pairs"
 
 
+def test_the_literal_map_counts_each_mixed_pair_twice():
+    # The stored tables list a product of two distinct same-degree basis
+    # vectors once; the literal map has both orderings, so the two differ
+    # by exactly the stored rows' mixed terms x_i*x_j (i != j) and
+    # eps*s_i*s_j (1 <= i < j).
+    table = default_table()
+    x_slots = [table.index(f"x{i}") for i in range(1, 10)]
+    s_slots = [table.index(f"s{i}") for i in range(1, 6)]
+    eps = table.index("eps")
+
+    def mixed(mono):
+        xs = [mono[i] for i in x_slots if mono[i]]
+        ss = [mono[i] for i in s_slots if mono[i]]
+        return ((xs == [1, 1] and sum(mono) == 2)
+                or (mono[eps] == 1 and ss == [1, 1] and sum(mono) == 3))
+
+    counts = []
+    for literal, stored in zip(expanded_coordinate_system(),
+                               delta_coordinate_system()):
+        crosses = MPoly(table, {m: c for m, c in stored.terms.items()
+                                if mixed(m)})
+        assert literal - stored == crosses
+        counts.append(len(crosses.terms))
+    assert counts == [6, 2, 9, 13, 13]
+
+
 def test_lambda_standard_weights():
     eps = CycScalar.i()
     lam = Lambda.standard(eps)
-    assert lam.as_tuple() == (CycScalar.one(), 6 * eps, CycScalar.one(), 6)
+    assert (lam.l0, lam.l2, lam.l4, lam.l6) == (CycScalar.one(), 6 * eps,
+                                                CycScalar.one(), 6)
 
 
 def test_delta_vanishes_exactly_on_stored_zeros():
@@ -143,15 +173,14 @@ def test_delta_vanishes_exactly_on_stored_zeros():
 def test_root_multiplicity_counts_linear_factors():
     cubic = form(1, -3, 3, -1)  # (z1 - z2)^3
     f = cubic * form(1, 0)      # one extra simple root at z1 = 0
-    assert root_multiplicity(f, (1, 1)) == 3
-    assert root_multiplicity(f, (0, 1)) == 1
-    assert root_multiplicity(f, (1, 2)) == 0
     assert max_root_multiplicity_exact(f) == 3
-    assert not has_distinct_roots(f)
-    assert has_distinct_roots(form(1, 0, -1))
+    # z1^2 (z1 - z2): a double root at (0:1)
+    assert max_root_multiplicity_exact(form(1, 0) * form(1, 0)
+                                       * form(1, -1)) == 2
+    assert max_root_multiplicity_exact(form(1, 0, -1)) == 1
 
 
 def test_multiplicity_at_a_vanishing_leading_coefficient():
     # z1 z2^2 + z2^3 = z2^2 (z1 + z2): double root at (1, 0)
     f = form(0, 0, 1, 1)
-    assert root_multiplicity(f, (1, 0)) == 2
+    assert max_root_multiplicity_exact(f) == 2

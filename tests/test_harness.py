@@ -86,15 +86,22 @@ def test_excluded_triple_is_rejected_before_any_path_is_tracked(monkeypatch):
     assert harness.main(["--filter", "numeric/lemma6_2",
                          "--sample-r", "10", "0", "13/7"]) == 2
     assert tracked == []
+    # unfiltered, the triple is rejected before the first exact check
+    called = []
+    monkeypatch.setattr(checks, "check_expansion_1_2",
+                        lambda: called.append(1))
+    assert harness.main(["--sample-r", "10", "0", "13/7"]) == 2
+    assert called == [] and tracked == []
 
 
 def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
-    def broken(seed):
-        raise ZeroDivisionError("inside a check")
+    for error in (ZeroDivisionError, ValueError):
+        def broken(seed):
+            raise error("inside a check")
 
-    monkeypatch.setattr(checks, "check_field_axioms", broken)
-    with pytest.raises(ZeroDivisionError, match="inside a check"):
-        harness.main(["--filter", "property/field_axioms"])
+        monkeypatch.setattr(checks, "check_field_axioms", broken)
+        with pytest.raises(error, match="inside a check"):
+            harness.main(["--filter", "property/field_axioms"])
 
 
 def test_unknown_filter_lists_the_known_ids(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from covforge.scalar import (CycScalar, as_cyc, embed_complex, scalar_conj,
+from covforge.scalar import (CycScalar, as_cyc, as_exact, embed_complex,
                              scalar_inverse, scalar_is_zero)
 
 ZETA = CycScalar.zeta()
@@ -38,13 +38,19 @@ def test_coords_round_trip():
 
 def test_rational_detection():
     assert CycScalar.from_rat(Fraction(22, 7)).is_rational()
-    assert CycScalar.from_rat(Fraction(22, 7)).rat() == Fraction(22, 7)
+    assert CycScalar.from_rat(Fraction(22, 7)).coords[0] == Fraction(22, 7)
     assert not I.is_rational()
 
 
 def test_inverse_of_a_mixed_element():
     v = CycScalar(Fraction(2), Fraction(1), Fraction(0), Fraction(-3))
     assert v * v.inverse() == ONE
+    assert ZETA.inverse() == -ZETA ** 3
+    assert I.inverse() == -I
+    assert SQRT2.inverse() == SQRT2 * Fraction(1, 2)
+    assert (ONE + I).inverse() == (ONE - I) * Fraction(1, 2)
+    assert (ONE + ZETA) * (ONE + ZETA).inverse() == ONE
+    assert CycScalar.from_rat(3).inverse() == CycScalar.from_rat(Fraction(1, 3))
     with pytest.raises(ZeroDivisionError):
         CycScalar.zero().inverse()
 
@@ -71,6 +77,9 @@ def test_helper_wrappers_accept_plain_rationals():
     assert scalar_is_zero(Fraction(0))
     assert not scalar_is_zero(Fraction(1, 3))
     assert scalar_inverse(Fraction(2)) == Fraction(1, 2)
-    assert scalar_conj(Fraction(5)) == Fraction(5)
     assert as_cyc(Fraction(4)) == CycScalar.from_rat(4)
+    assert as_exact(4) == Fraction(4) and isinstance(as_exact(4), Fraction)
+    assert as_exact(I) is I
+    with pytest.raises(TypeError):
+        as_exact(0.5)
     assert embed_complex(Fraction(1, 4)) == 0.25
