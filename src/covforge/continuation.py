@@ -28,6 +28,15 @@ quadratically convergent steps where a cold start would creep toward a
 sixfold root.  `embed_mp` is the one exact-to-mpmath embedding, for the
 table and for every exact point the numeric checks compare against.
 
+Preimages under the linear projection of the distinguished fiber are
+not tracked but solved exactly over Q(zeta_8) by `exact_preimage`: the
+linear fiber rows cut the span of the projection center and a target
+lift to a plane, on which each quadric is lambda times a line, lambda
+vanishing on the center line l that lies in both the center and the
+fiber; the one preimage is the meet of the two lines.  One target is
+still tracked as a cross-check, and its failed paths are explained by
+their distance to l.
+
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
 zero set contains the multiple-root locus, so the component split the
@@ -365,7 +374,7 @@ def _track_one(index: int, x0: np.ndarray, start: tuple,
         try:
             delta = np.linalg.solve(jf, fv)
         except np.linalg.LinAlgError:
-            return PathResult(index, "polish", steps=steps)
+            return PathResult(index, "polish", x=x, steps=steps)
         x = x - delta
         steps += 1
         if np.linalg.norm(delta) < 1e-13 * (1.0 + np.linalg.norm(x)):
@@ -412,7 +421,9 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     unit-norm representative, every homogeneous row is below tol_track;
     the Jacobian there gives its smallest singular value.  Paths whose
     endpoints fail are retried in a second random chart and merged
-    projectively.
+    projectively.  `failed` lists the first chart's failed paths as
+    (index, status); `failures` holds the failed `PathResult`s of each
+    chart that ran, with the last iterate of every `polish` path.
     """
     n = len(var_order)
     rng = _rng(seed, tag)
@@ -437,10 +448,11 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
         return system, results, accepted, count
 
     system, results, accepted, path_count = run_chart(0)
-    failed = [r for r in results if r.status != "accepted"]
+    failures = [[r for r in results if r.status != "accepted"]]
     rescue_added = 0
-    if failed:
+    if failures[0]:
         _sys2, results2, accepted2, _c2 = run_chart(1)
+        failures.append([r for r in results2 if r.status != "accepted"])
         known = [e.x for e in accepted]
         for e in accepted2:
             if all(_chordal(e.x, k) > cfg.tol_dedup for k in known):
@@ -453,7 +465,8 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
         "accepted": accepted,
         "distinct": distinct,
         "path_count": path_count,
-        "failed": [(r.index, r.status) for r in failed],
+        "failed": [(r.index, r.status) for r in failures[0]],
+        "failures": failures,
         "rescue_added": rescue_added,
     }
 
@@ -749,11 +762,16 @@ def u_dprime_image(census: StratumCensus):
 # The fiber probe
 
 
+def _fiber_equations(r: tuple) -> list[MPoly]:
+    """The chart-space fiber equations over r: two quadrics, then three
+    linear forms, in Y_NAMES."""
+    env = {"r1": r[0], "r2": r[1], "r3": r[2], "eps": _F(1)}
+    return [e.substitute(env) for e in construction.y_equations_4_5()]
+
+
 def _fiber_rows(r: tuple) -> list[list[tuple]]:
     """The chart-space fiber equations over r, as term rows in Y_NAMES."""
-    env = {"r1": r[0], "r2": r[1], "r3": r[2], "eps": _F(1)}
-    return [_poly_terms(e.substitute(env), Y_NAMES)
-            for e in construction.y_equations_4_5()]
+    return [_poly_terms(e, Y_NAMES) for e in _fiber_equations(r)]
 
 
 def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
@@ -867,6 +885,79 @@ def projection_data():
         "matrix": m,
         "extract_rows": extract,
     }
+
+
+PLANE_VARS = ("z1", "z2", "t")      # plane coordinates; t is lambda
+
+
+def _combination(coeffs, vectors) -> list:
+    """The exact 9-vector sum of coeffs[k] * vectors[k]."""
+    out = [_F(0)] * 9
+    for c, v in zip(coeffs, vectors):
+        out = [o + c * x for o, x in zip(out, v)]
+    return out
+
+
+def exact_preimage(n) -> dict:
+    """The preimage on the parameter-origin fiber of the target point with
+    exact target-basis coordinates n, as the meet of two lines.
+
+    A point over [n] is c + lambda p, with c in the projection center and
+    p = sum n_j t_j over the target basis.  The three linear fiber rows
+    cut span(center, p) to a plane: the kernel of the rows on these six
+    generators, whose two lambda = 0 vectors span the center line l and
+    whose third has lambda = 1.  In plane coordinates (z1, z2, t = lambda)
+    each quadric restricts to Q_i, and polarisation at (0, 0, 1) reads off
+    L_i = dQ_i/dt - Q_i(0, 0, 1) t; the identity Q_i = t L_i, which holds
+    exactly when Q_i vanishes on l, is checked, not assumed.  The
+    preimages are the points of L_1 = L_2 = 0 off l: one when [L_1; L_2]
+    has rank 2 and lambda is nonzero at the meet (a transversal meet),
+    else none.
+
+    Returns the basis `line` of l; the plane's `lift` of n, its point
+    with lambda = 1; `vanish`, whether both quadrics vanish on l;
+    `factored`, whether both identities held; the `lines` as
+    coefficient rows over PLANE_VARS and their `rank`; the `point`, or
+    None; its `count`; and the `reason` when the count is 0.
+    """
+    equations = _fiber_equations((_F(0), _F(0), _F(0)))
+    quadrics, linear = equations[:2], equations[2:]
+    gens = [*construction.center_space_vectors(),
+            _combination(n, construction.target_space_basis())]
+    kernel = ExactMatrix([[e.evaluate(dict(zip(Y_NAMES, g))) for g in gens]
+                          for e in linear]).kernel_basis()
+    line = [_combination(k, gens) for k in kernel if k[-1] == 0]
+    out = {"line": line, "lift": None, "vanish": False, "factored": False,
+           "lines": [], "rank": 0, "point": None, "count": 0, "reason": None}
+    if len(kernel) != 3 or len(line) != 2:
+        return {**out, "reason": f"the linear rows cut span(center, p) to "
+                f"dimension {len(kernel)}, with a {len(line)}-dimensional "
+                "lambda = 0 part"}
+    # the free generator p gives the one kernel vector with lambda = 1
+    lift = next(_combination(k, gens) for k in kernel if k[-1] != 0)
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    on_plane = {name: z1 * a + z2 * b + t * c
+                for name, a, b, c in zip(Y_NAMES, *line, lift)}
+    vanish = factored = True
+    lines = []
+    for q in quadrics:
+        restricted = q.substitute(on_plane)
+        polar = restricted.diff("t") - t * restricted.coeff({"t": 2})
+        vanish &= restricted.substitute({"t": 0}).is_zero()
+        factored &= restricted == t * polar
+        lines.append([polar.coeff({v: 1}) for v in PLANE_VARS])
+    meet = ExactMatrix(lines).kernel_basis()
+    out.update(lift=lift, vanish=vanish, factored=factored, lines=lines,
+               rank=3 - len(meet))
+    if not factored:
+        return {**out, "reason": "a quadric does not factor as "
+                "lambda times a line on the plane"}
+    if len(meet) != 1:
+        return {**out, "reason": f"the lines L_1, L_2 have rank {out['rank']}"}
+    if meet[0][2] == 0:
+        return {**out, "reason": "the lines L_1, L_2 meet on the center line"}
+    return {**out, "point": _combination(meet[0], [*line, lift]),
+            "count": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1108,19 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     points project onto a spanning set of the target; the projection
     differential has rank three; and each of ten random targets has
     exactly one regular preimage on the fiber.
+
+    The preimages are proved over Q(zeta_8) by `exact_preimage` on the
+    very same seeded Gaussian targets, whose double coordinates are
+    exact rationals: a preimage counts as regular when its two lines
+    meet transversally (rank 2, lambda nonzero), the exact analogue of
+    a smallest singular value above SV_REGULAR.  `center_line` records
+    the identity behind the count: the center line l has dimension 2,
+    both quadrics vanish on it, and each factored as lambda * L_i on
+    every trial's plane.  Trial 0 is also tracked by homotopy:
+    `preimage_cross_check` gives the chordal distance of its one regular
+    endpoint from the exact point (below TOL_MATCH), its failed paths
+    per chart as [index, status], and how many `polish` endpoints lie
+    within tol_dedup of l (a `polish` endpoint off l is a residual).
     """
     cfg = numeric.cfg
     started = time.perf_counter()
@@ -1108,27 +1212,31 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
             f"projection differential spans rank {push_rank} != 4 "
             "(projective rank 3 expected)")
 
-    # Preimage counts of random targets.
-    base_rows = _fiber_rows(origin)
-    preimage_counts = []
+    # Preimage counts of random targets, from the exact plane meet; a
+    # failure of the center-line identity is a trial's reason.  Trial 0
+    # is also solved by homotopy as a cross-check.
+    targets = []
     for trial in range(10):
         rng = _rng(seed, "preimage", trial)
-        n_coords = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                             for _ in range(4)])
-        pivot = int(np.argmax(np.abs(n_coords)))
-        align = []
-        for j in range(4):
-            if j == pivot:
-                continue
-            row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
-            align.append(_linear_row_terms(list(row)))
-        run = solve_projective(base_rows + align, Y_NAMES, seed,
-                               f"preimage:{trial}", cfg)
-        regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
-        preimage_counts.append(len(regular))
+        targets.append(np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                 for _ in range(4)]))
+    exact = [exact_preimage([CycScalar(_F(z.real), 0, _F(z.imag), 0)
+                             for z in n_coords]) for n_coords in targets]
+    preimage_counts = [sol["count"] for sol in exact]
+    for trial, sol in enumerate(exact):
+        if sol["reason"]:
+            residuals.append(f"preimage trial {trial}: {sol['reason']}")
     if any(c != 1 for c in preimage_counts):
         residuals.append(
             f"regular preimage counts {preimage_counts} are not all 1")
+    center_line = {
+        "basis": [[str(v) for v in b] for b in exact[0]["line"]],
+        "dim": len(exact[0]["line"]),
+        "quadrics_vanish": all(sol["vanish"] for sol in exact),
+        "factored_trials": sum(sol["factored"] for sol in exact),
+    }
+    cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
+                                        exact[0], cfg, residuals)
 
     details = {
         "slice_counts": probe["slice_counts"],
@@ -1139,11 +1247,72 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "image_span_rank": img_rank,
         "differential_span_rank": push_rank,
         "preimage_counts": preimage_counts,
+        "center_line": center_line,
+        "preimage_cross_check": cross_check,
         "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup,
                        "rank": cfg.tol_rank},
         "seed": seed,
     }
     return _finish("numeric/fiber_5", started, residuals, details)
+
+
+def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
+                          extract: np.ndarray, sol: dict, cfg: TrackConfig,
+                          residuals: list[str]) -> dict:
+    """Solve one preimage target by homotopy and compare it with the exact
+    meet `sol`.
+
+    The fiber rows plus three alignment rows, the minors of the projected
+    point against n, make a square system; its one regular endpoint must
+    lie within TOL_MATCH of the exact preimage.  Every failed path that
+    ends `polish` must end within tol_dedup of the center line l, the
+    excess component every alignment row vanishes on; `stalled` and
+    `diverged` paths carry no endpoint and are reported by status.
+    """
+    pivot = int(np.argmax(np.abs(n_coords)))
+    align = []
+    for j in range(4):
+        if j == pivot:
+            continue
+        row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
+        align.append(_linear_row_terms(list(row)))
+    run = solve_projective(_fiber_rows((_F(0), _F(0), _F(0))) + align,
+                           Y_NAMES, seed, f"preimage:{trial}", cfg)
+    regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
+    chordal = None
+    if len(regular) != 1 or sol["point"] is None:
+        residuals.append(
+            f"preimage cross-check: {len(regular)} regular homotopy "
+            f"endpoints against {sol['count']} exact preimages")
+    else:
+        chordal = _chordal(regular[0].x,
+                           [embed_complex(v) for v in sol["point"]])
+        if chordal >= TOL_MATCH:
+            residuals.append(
+                f"preimage cross-check: the homotopy endpoint is "
+                f"{chordal:.2e} from the exact preimage")
+    basis, _r = np.linalg.qr(np.array(
+        [[embed_complex(v) for v in b] for b in sol["line"]]).T)
+    on_line = 0
+    for chart, paths in enumerate(run["failures"]):
+        for r in paths:
+            if r.status != "polish":
+                continue
+            off = float(np.linalg.norm(r.x - basis @ (basis.conj().T @ r.x))
+                        / np.linalg.norm(r.x))
+            if off <= cfg.tol_dedup:
+                on_line += 1
+            else:
+                residuals.append(
+                    f"preimage cross-check: chart {chart} path {r.index} "
+                    f"ends polish {off:.2e} off the center line")
+    return {
+        "trial": trial,
+        "chordal": chordal,
+        "failed_paths": [[[r.index, r.status] for r in paths]
+                         for paths in run["failures"]],
+        "on_center_line": on_line,
+    }
 
 
 def check_seed_stability(seed: int, sample_r: tuple,
@@ -1159,10 +1328,10 @@ def check_seed_stability(seed: int, sample_r: tuple,
         partitions.append(numeric.census(sample_r, s).partition)
         probe = numeric.probe((_F(0), _F(0), _F(0)), s, 1)
         slice_counts.append(probe["slice_counts"][0])
-    for seed, part in zip(seeds[1:], partitions[1:]):
+    for other, part in zip(seeds[1:], partitions[1:]):
         if part != partitions[0]:
             residuals.append(
-                f"seed {seed}: partition {part} differs from seed "
+                f"seed {other}: partition {part} differs from seed "
                 f"{seeds[0]}: {partitions[0]}")
     if len(set(slice_counts)) != 1:
         residuals.append(f"fiber slice counts {slice_counts} differ by seed")

@@ -2,7 +2,7 @@
 single PASS/FAIL line.  Tolerances are pinned literally where they apply:
 path residual 1e-10, endpoint identification 1e-6, rank threshold 1e-8,
 root-cluster radius 1e-4, regularity floor on singular values 1e-6,
-orbit matching 1e-8, image recovery 1e-6.
+orbit and preimage matching 1e-8, image recovery 1e-6.
 """
 
 import itertools
@@ -197,6 +197,14 @@ def test_numeric_fiber_degree_rank_image_and_preimages(numeric_run):
         assert result.details["preimage_counts"] == [1] * 10
         assert result.details["tolerances"] == {
             "track": 1e-10, "dedup": 1e-6, "rank": 1e-8}
+        line = result.details["center_line"]
+        assert line["dim"] == 2 and line["quadrics_vanish"]
+        assert line["factored_trials"] == 10
+        cross = result.details["preimage_cross_check"]
+        assert cross["chordal"] < 1e-8
+        polish = [p for chart in cross["failed_paths"] for p in chart
+                  if p[1] == "polish"]
+        assert cross["on_center_line"] == len(polish)
 
 
 def test_property_suites_and_cross_seed_stability(numeric_run,

@@ -9,17 +9,19 @@ import pytest
 
 from covforge import construction as con
 from covforge import continuation
-from covforge.continuation import (CHART_VARS, WORKING_DPS, CompiledSystem,
-                                   NumericRun, TrackConfig, _chordal,
-                                   _chordal_groups, _linear_row_terms,
+from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
+                                   CompiledSystem, NumericRun, TrackConfig,
+                                   _chordal, _chordal_groups,
+                                   _fiber_equations, _linear_row_terms,
                                    _octic_roots, _poly_terms, _rng,
                                    _start_system, _stratum_anchor_vectors,
                                    count_stratum_points,
-                                   embed_mp, fiber_probe,
+                                   embed_mp, exact_preimage, fiber_probe,
                                    literal_pure_quadrics,
                                    literal_restricted_quadrics, mp_polish,
                                    octic_root_clusters, projection_data,
                                    solve_projective, track)
+from covforge.exlinalg import Subspace
 from covforge.mpoly import MPoly
 from covforge.scalar import CycScalar, embed_complex
 
@@ -113,6 +115,7 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
                            TrackConfig())
     assert run["path_count"] == 4
     assert run["failed"] == []
+    assert run["failures"] == [[]]      # no rescue chart ran
     assert len(run["distinct"]) == 4
 
     targets = [np.array([complex(t) for t in
@@ -320,3 +323,58 @@ def test_projection_data_is_exact_and_invertible():
 
 def test_chart_variables_match_the_slice_coordinates():
     assert CHART_VARS == ("x1", "x2", "x3", "x7", "x8", "x9")
+
+
+def _seeded_target(seed, trial):
+    """The exact Gaussian target of a `numeric/fiber_5` preimage trial."""
+    rng = _rng(seed, "preimage", trial)
+    return [CycScalar(Fraction(z.real), 0, Fraction(z.imag), 0)
+            for z in (complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                      for _ in range(4))]
+
+
+def _on(poly, vectors, names):
+    """The polynomial on the span of the 9-vectors, in the named
+    coordinates."""
+    coords = [MPoly.var(n) for n in names]
+    return poly.substitute({
+        y: sum((c * v[i] for c, v in zip(coords, vectors)), MPoly.zero())
+        for i, y in enumerate(con.Y_NAMES)})
+
+
+def test_the_center_line_lies_in_the_fiber_and_factors_each_quadric():
+    n = _seeded_target(42, 0)
+    sol = exact_preimage(n)
+    line, lift = sol["line"], sol["lift"]
+    center = Subspace(9, [list(v) for v in con.center_space_vectors()])
+    assert len(line) == 2 and all(center.contains(v) for v in line)
+    origin = (Fraction(0),) * 3
+    equations = _fiber_equations(origin)
+    # all five fiber equations vanish identically on the center line
+    assert all(_on(e, line, ("z1", "z2")).is_zero() for e in equations)
+    # the lift lies on the linear rows and maps to n itself (lambda = 1)
+    env = dict(zip(con.Y_NAMES, lift))
+    assert all(e.evaluate(env) == 0 for e in equations[2:])
+    assert projection_data()["matrix"].inverse().apply(lift)[5:] == n
+    # on the plane each quadric is t times its line L_i
+    assert sol["vanish"] and sol["factored"]
+    t = MPoly.var("t")
+    for q, coeffs in zip(equations[:2], sol["lines"]):
+        line_poly = sum((c * MPoly.var(v) for c, v in
+                         zip(coeffs, PLANE_VARS)), MPoly.zero())
+        assert _on(q, line + [lift], PLANE_VARS) == t * line_poly
+
+
+def test_the_exact_preimage_is_a_transversal_fiber_point_over_the_target():
+    n = _seeded_target(42, 3)
+    sol = exact_preimage(n)
+    assert sol["count"] == 1 and sol["reason"] is None and sol["rank"] == 2
+    y = sol["point"]
+    env = dict(zip(con.Y_NAMES, y))
+    assert all(e.evaluate(env) == 0
+               for e in _fiber_equations((Fraction(0),) * 3))
+    image = [sum((a * b for a, b in zip(row, y)), Fraction(0))
+             for row in projection_data()["extract_rows"]]
+    lam = image[0] * n[0].inverse()
+    assert lam != 0
+    assert image == [lam * v for v in n]
