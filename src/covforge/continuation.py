@@ -9,8 +9,10 @@ once into a `CompiledSystem`: one term table, whose value and
 derivative entries give F and its Jacobian in one pass.  The tracker
 reads it as complex doubles and follows H = gamma (1 - t) G + t F from
 the total-degree start system G = x^d - b, taken in closed form, with
-its start constants and gamma drawn from the caller's seeded stream;
-one helper gives H and its Jacobian to the Euler predictor, the short
+its start constants and gamma drawn from the caller's seeded stream.
+All paths of a system advance together as one (paths, n) stack, each
+with its own step control, through stacked evaluations and solves; one
+helper gives H and its Jacobian to the Euler predictor, the short
 Newton corrector with adaptive step halving, and the endpoint polish.
 Endpoints are deduplicated under chart rescaling, and failed paths get
 a second-chart rescue pass.
@@ -76,6 +78,7 @@ TOL_MATCH = 1e-8            # chordal distance that matches an exact anchor
 SV_REGULAR = 1e-6           # smallest singular value of a regular endpoint
 MIN_STEP = 1e-14
 MAX_STEP = 0.1
+MAX_PATH_ITERS = 20000      # corrector iterations before a path is stalled
 FIRST_STEP = 0.05
 CORRECTOR_ITERS = 3
 POLISH_ITERS = 20           # double-precision endpoint Newton steps
@@ -150,6 +153,17 @@ def _linear_row_terms(coeffs, constant=0) -> list[tuple]:
     return terms
 
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, with each of the four real products rounded on
+    its own, as a sequential complex product rounds them; numpy's
+    elementwise complex multiply may fuse a product into the sum (FMA),
+    which moves the last bits."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class CompiledSystem:
     """A polynomial system as one term table, used at both precisions.
 
@@ -173,10 +187,30 @@ class CompiledSystem:
                        for c, e in row]
         self._mp_table = None
         table = self._table(embed_complex)
-        self._slots = np.array([s for s, _c, _e in table], dtype=np.int64)
-        self._coeffs = np.array([c for _s, c, _e in table], dtype=complex)
-        self._exps = np.array([e for _s, _c, e in table],
-                              dtype=np.int64).reshape(len(table), nvars)
+        # the table's terms, then the term 0, which pads the slot sums
+        zero = len(table)
+        self._coeffs = np.array([c for _s, c, _e in table] + [0],
+                                dtype=complex)
+        # x_j^e is entry e * nvars + j of the power table; a term is the
+        # product of its x_j^e_j with e_j > 0, in variable order, padded
+        # with x_0^0 = 1 (a factor 1 leaves a finite product as it is);
+        # one row per factor
+        self._powers = np.arange(max(max(e) for _s, _c, e in table) + 1)
+        factors = [[e[j] * nvars + j for j in range(nvars) if e[j]]
+                   for _s, _c, e in table] + [[]]
+        top = max(1, max(map(len, factors)))
+        self._factors = np.array(
+            [f + [0] * (top - len(f)) for f in factors]).T
+        # slot s sums its terms in table order after a leading 0, as a
+        # sequential sum from 0 does; column k of the (width, slots)
+        # gather holds every slot's k-th summand
+        members = [[] for _ in range(self.size * (1 + nvars))]
+        for i, (slot, _c, _e) in enumerate(table):
+            members[slot].append(i)
+        width = 1 + max(map(len, members))
+        self._gather = np.array(
+            [[zero] + m + [zero] * (width - 1 - len(m))
+             for m in members]).T.ravel()
 
     def _table(self, embed) -> list[tuple]:
         """The (slot, coefficient, exponents) entries, with every
@@ -193,12 +227,27 @@ class CompiledSystem:
         return table
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F(x) and the Jacobian J(x), from one pass over the table."""
-        m = self.size
-        mono = np.prod(x[None, :] ** self._exps, axis=1)
-        out = np.zeros(m * (1 + self.nvars), dtype=complex)
-        np.add.at(out, self._slots, self._coeffs * mono)
-        return out[:m], out[m:].reshape(m, self.nvars)
+        """F and the Jacobian J, from one pass over the table, at a point
+        of shape (nvars,) or at each row of a stack of shape (P, nvars).
+
+        Every value is bitwise what a sequential sum of the terms gives
+        at that one point, whatever the stack around it.
+        """
+        points = x.reshape(-1, self.nvars)
+        count = len(points)
+        powers = (points[:, None, :] ** self._powers[:, None]).reshape(
+            count, len(self._powers) * self.nvars)
+        factors = powers[:, self._factors]
+        mono = factors[:, 0]
+        for k in range(1, len(self._factors)):
+            mono = _cmul(mono, factors[:, k])
+        terms = self._coeffs * mono
+        slots = self.size * (1 + self.nvars)
+        out = terms[:, self._gather].reshape(
+            count, len(self._gather) // slots, slots).sum(axis=1)
+        m, shape = self.size, x.shape[:-1]
+        return (out[:, :m].reshape(shape + (m,)),
+                out[:, m:].reshape(shape + (m, self.nvars)))
 
     def mp_table(self) -> list[tuple]:
         """The table with coefficients embedded at WORKING_DPS, built on
@@ -248,9 +297,14 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray):
 
 @dataclass
 class PathResult:
+    """One tracked path: its terminal status; its last iterate x, the
+    last polish iterate of an `accepted` or `polish` path and the last
+    point a `stalled` or `diverged` path accepted; and its corrector
+    plus polish iterations."""
+
     index: int
     status: str                     # accepted | stalled | diverged | polish
-    x: np.ndarray | None = None
+    x: np.ndarray
     steps: int = 0
 
 
@@ -282,13 +336,66 @@ def _start_data(degrees: list[int], rng: random.Random):
     return consts, roots
 
 
+def _start_system(x: np.ndarray, start: tuple
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """G = x^d - b and its diagonal Jacobian, in closed form, for the
+    start pair (d, b), at a point x or at each row of a stack."""
+    degrees, consts = start
+    n = x.shape[-1]
+    jac = np.zeros(x.shape + (n,), dtype=complex)
+    jac[..., range(n), range(n)] = degrees * x ** (degrees - 1)
+    return x ** degrees - consts, jac
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a stack, bitwise `np.linalg.norm` of
+    that row: both take the dot products of the real and imaginary
+    parts as BLAS computes them."""
+    re, im = x.real[:, None, :], x.imag[:, None, :]
+    squares = re @ x.real[:, :, None] + im @ x.imag[:, :, None]
+    return np.sqrt(squares[:, 0, 0])
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions of a[k] y = b[k], and which members were solvable.
+
+    One singular member makes the stacked solve raise, so then each
+    member is solved alone and only the singular ones are flagged.
+    """
+    try:
+        return (np.linalg.solve(a, b[..., None])[..., 0],
+                np.ones(len(a), dtype=bool))
+    except np.linalg.LinAlgError:
+        y = np.zeros_like(b)
+        ok = np.ones(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                y[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return y, ok
+
+
 def track(system: CompiledSystem, rng: random.Random,
           cfg: TrackConfig) -> tuple[list[PathResult], int]:
     """Track every total-degree path of a square system, with the start
     constants and gamma drawn from `rng`.
 
+    The paths of H = gamma (1 - t) G + t F run from the roots of the
+    start system G = x^d - b at t = 0 to the target F at t = 1.  They
+    advance together, as one stack, but each with its own t, step size
+    and iteration count: a round takes one Euler predictor step for
+    every path still moving, then up to CORRECTOR_ITERS Newton corrector
+    steps for the paths still correcting, and then each path accepts
+    (and grows its step) or halves its step by itself.  Paths that reach
+    t = 1 get the endpoint Newton polish on F, stacked the same way.  So
+    each path takes exactly the steps, and ends at exactly the point, it
+    would reach tracked alone.
+
     Returns the per-path results and the Bézout path count.  One
-    endpoint attempt per path; failures carry their terminal status.
+    endpoint attempt per path; failures carry their terminal status and
+    their last iterate.
     """
     n = system.nvars
     if system.size != n:
@@ -297,99 +404,91 @@ def track(system: CompiledSystem, rng: random.Random,
     consts, roots = _start_data(degrees, rng)
     gamma = cmath.exp(2j * math.pi * rng.random())
     start = np.array(degrees), np.array(consts)
-    results = []
-    for idx, choice in enumerate(itertools.product(*[range(d)
-                                                     for d in degrees])):
-        x0 = np.array([roots[i][k] for i, k in enumerate(choice)],
-                      dtype=complex)
-        results.append(_track_one(idx, x0, start, system, gamma, cfg))
-    return results, len(results)
-
-
-def _start_system(x: np.ndarray, start: tuple
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """G = x^d - b and its diagonal Jacobian, in closed form, for the
-    start pair (d, b)."""
-    degrees, consts = start
-    return x ** degrees - consts, np.diag(degrees * x ** (degrees - 1))
-
-
-def _track_one(index: int, x0: np.ndarray, start: tuple,
-               target: CompiledSystem, gamma: complex,
-               cfg: TrackConfig) -> PathResult:
-    """One path of H = gamma (1 - t) G + t F, from the root x0 of the start
-    system G = x^d - b at t = 0 to the target F at t = 1; `start` is the
-    pair (d, b) of arrays."""
 
     def homotopy(x, t):
-        """H and its x-Jacobian at (x, t), and dH/dt."""
+        """H and its x-Jacobian at the rows of x and the entries of t,
+        and dH/dt."""
         g, jg = _start_system(x, start)
-        f, jf = target.evaluate(x)
+        f, jf = system.evaluate(x)
         s = gamma * (1.0 - t)
-        return s * g + t * f, s * jg + t * jf, -gamma * g + f
+        return (s[:, None] * g + t[:, None] * f,
+                s[:, None, None] * jg + t[:, None, None] * jf,
+                -gamma * g + f)
 
-    x = x0.copy()
-    t = 0.0
-    h = FIRST_STEP
-    steps = 0
-    while t < 1.0:
-        if steps > 20000:
-            return PathResult(index, "stalled", steps=steps)
-        h = min(h, 1.0 - t)
-        _hv, jh, ht = homotopy(x, t)
-        try:
-            dx = np.linalg.solve(jh, -ht * h)
-        except np.linalg.LinAlgError:
-            h *= 0.5
-            if h < MIN_STEP:
-                return PathResult(index, "stalled", steps=steps)
-            continue
-        xn = x + dx
-        tn = t + h
-        ok = False
-        for _ in range(CORRECTOR_ITERS):
-            hv, jn, _ht = homotopy(xn, tn)
-            try:
-                delta = np.linalg.solve(jn, hv)
-            except np.linalg.LinAlgError:
+    def newton(x, t, paths, iters, tol):
+        """Up to `iters` Newton steps on H(., t) from the rows of x, one
+        row per path in `paths`, counted in its steps.  A row stops once
+        its step is below tol times (1 + |x|), converged, or at a singular
+        Jacobian.  Returns the last iterates and the converged rows."""
+        converged = np.zeros(len(paths), dtype=bool)
+        act = np.arange(len(paths))
+        for _ in range(iters):
+            if not act.size:
                 break
-            xn = xn - delta
-            steps += 1
-            if np.linalg.norm(delta) < 1e-9 * (1.0 + np.linalg.norm(xn)):
-                ok = True
-                break
-        if ok:
-            x, t = xn, tn
-            h = min(h * 1.5, MAX_STEP)
-            if np.linalg.norm(x) > 1e10:
-                return PathResult(index, "diverged", steps=steps)
-        else:
-            h *= 0.5
-            if h < MIN_STEP:
-                return PathResult(index, "stalled", steps=steps)
-    # Endpoint polish on the target system, H at t = 1.
-    converged = False
-    for _ in range(POLISH_ITERS):
-        fv, jf, _ht = homotopy(x, 1.0)
-        try:
-            delta = np.linalg.solve(jf, fv)
-        except np.linalg.LinAlgError:
-            return PathResult(index, "polish", x=x, steps=steps)
-        x = x - delta
-        steps += 1
-        if np.linalg.norm(delta) < 1e-13 * (1.0 + np.linalg.norm(x)):
-            converged = True
-            break
-    res = float(np.max(np.abs(target.evaluate(x)[0])))
-    # The affine residual scales with the coordinate size, so the strict
-    # projective tolerance is enforced on the unit-norm representative by
-    # the caller; here the gate is Newton convergence plus a degree-scaled
+            hv, jac, _ht = homotopy(x[act], t[act])
+            delta, ok = _solve_stack(jac, hv)
+            act, delta = act[ok], delta[ok]
+            xa = x[act] - delta
+            x[act] = xa
+            steps[paths[act]] += 1
+            small = _norms(delta) < tol * (1.0 + _norms(xa))
+            converged[act[small]] = True
+            act = act[~small]
+        return x, converged
+
+    x = np.array([[roots[i][k] for i, k in enumerate(choice)]
+                  for choice in itertools.product(*map(range, degrees))],
+                 dtype=complex)
+    count = len(x)
+    t = np.zeros(count)
+    h = np.full(count, FIRST_STEP)
+    steps = np.zeros(count, dtype=np.int64)
+    status = ["polish"] * count         # until its endpoint passes
+    running = np.ones(count, dtype=bool)
+
+    def finish(paths, why):
+        running[paths] = False
+        for i in paths:
+            status[i] = why
+
+    live = np.arange(count)
+    while live.size:
+        h[live] = np.minimum(h[live], 1.0 - t[live])
+        _hv, jac, ht = homotopy(x[live], t[live])
+        dx, ok = _solve_stack(jac, -ht * h[live, None])
+        moving = live[ok]
+        tn = t[moving] + h[moving]
+        xn, converged = newton(x[moving] + dx[ok], tn, moving,
+                               CORRECTOR_ITERS, 1e-9)
+        done = moving[converged]
+        x[done] = xn[converged]
+        t[done] = tn[converged]
+        h[done] = np.minimum(h[done] * 1.5, MAX_STEP)
+        finish(done[_norms(x[done]) > 1e10], "diverged")
+        failed = np.concatenate([live[~ok], moving[~converged]])
+        h[failed] *= 0.5
+        finish(failed[h[failed] < MIN_STEP], "stalled")
+        live = live[running[live] & (t[live] < 1.0)]
+        capped = steps[live] > MAX_PATH_ITERS
+        finish(live[capped], "stalled")
+        live = live[~capped]
+
+    # Endpoint polish on the target system, H at t = 1.  The affine
+    # residual scales with the coordinate size, so the strict projective
+    # tolerance is enforced on the unit-norm representative by the
+    # caller; here the gate is Newton convergence plus a degree-scaled
     # residual bound.
-    dmax = max(target.degrees)
-    scale = (1.0 + float(np.linalg.norm(x))) ** dmax
-    if not converged or not np.isfinite(res) or res >= cfg.tol_track * scale:
-        return PathResult(index, "polish", x=x, steps=steps)
-    return PathResult(index, "accepted", x=x, steps=steps)
+    polished = np.flatnonzero(running)
+    x[polished], converged = newton(x[polished], np.ones(len(polished)),
+                                    polished, POLISH_ITERS, 1e-13)
+    dmax = max(degrees)
+    for i in polished[converged]:
+        res = float(np.max(np.abs(system.evaluate(x[i])[0])))
+        scale = (1.0 + float(np.linalg.norm(x[i]))) ** dmax
+        if np.isfinite(res) and res < cfg.tol_track * scale:
+            status[i] = "accepted"
+    return [PathResult(i, status[i], x=x[i].copy(), steps=int(steps[i]))
+            for i in range(count)], count
 
 
 def _chordal(a, b) -> float:
@@ -423,7 +522,7 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     endpoints fail are retried in a second random chart and merged
     projectively.  `failed` lists the first chart's failed paths as
     (index, status); `failures` holds the failed `PathResult`s of each
-    chart that ran, with the last iterate of every `polish` path.
+    chart that ran, each with its last iterate.
     """
     n = len(var_order)
     rng = _rng(seed, tag)
@@ -1266,8 +1365,9 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
     point against n, make a square system; its one regular endpoint must
     lie within TOL_MATCH of the exact preimage.  Every failed path that
     ends `polish` must end within tol_dedup of the center line l, the
-    excess component every alignment row vanishes on; `stalled` and
-    `diverged` paths carry no endpoint and are reported by status.
+    excess component every alignment row vanishes on.  `stalled` and
+    `diverged` paths are reported by status only: their last iterate is
+    the last point they accepted on the path, not an endpoint of F.
     """
     pivot = int(np.argmax(np.abs(n_coords)))
     align = []

@@ -14,7 +14,8 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
                                    _chordal, _chordal_groups,
                                    _fiber_equations, _linear_row_terms,
                                    _octic_roots, _poly_terms, _rng,
-                                   _start_system, _stratum_anchor_vectors,
+                                   _solve_stack, _start_system,
+                                   _stratum_anchor_vectors,
                                    count_stratum_points,
                                    embed_mp, exact_preimage, fiber_probe,
                                    literal_pure_quadrics,
@@ -86,6 +87,68 @@ def test_the_closed_form_start_system_and_its_jacobian():
             assert abs(values[i] - (xm ** d - mp.mpc(b))) < 1e-12
             assert abs(jac[i, i] - d * xm ** (d - 1)) < 1e-12
     assert np.count_nonzero(jac - np.diag(np.diag(jac))) == 0
+
+
+def test_a_stack_evaluates_bitwise_as_its_rows():
+    rng = np.random.default_rng(7)
+    chart = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    system = CompiledSystem(
+        [_poly_terms(p, CHART_VARS)
+         for p in literal_restricted_quadrics(SAMPLE_R)]
+        + [_linear_row_terms(chart, constant=-1.0)], 6)
+    stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    stack[2, 1] = 0.0
+    values, jac = system.evaluate(stack)
+    assert values.shape == (5, 6) and jac.shape == (5, 6, 6)
+    for row, v, j in zip(stack, values, jac):
+        v1, j1 = system.evaluate(row)
+        assert np.array_equal(v, v1) and np.array_equal(j, j1)
+
+
+def test_a_singular_member_fails_alone_in_a_stacked_solve():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    a[1, 2] = 0.0                       # a zero row: singular
+    b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    y, ok = _solve_stack(a, b)
+    assert ok.tolist() == [True, False, True]
+    for k in (0, 2):
+        assert np.array_equal(y[k], np.linalg.solve(a[k], b[k]))
+
+
+def test_a_path_that_runs_to_infinity_keeps_its_last_point():
+    x1, x2 = MPoly.var("x1"), MPoly.var("x2")
+    names = ("x1", "x2")
+    # two parallel lines: the one path has no finite endpoint
+    system = CompiledSystem([_poly_terms(x1 + x2 - 1, names),
+                             _poly_terms(x1 + x2 - 2, names)], 2)
+    (path,), _count = track(system, _rng(42, "track"), TrackConfig())
+    assert path.status == "diverged"
+    assert np.all(np.isfinite(path.x)) and np.linalg.norm(path.x) > 1e10
+
+
+# (status, steps) of the 32 paths of the sample census's first chart at
+# seed 42, as tracked one path at a time before the paths were stacked
+SAMPLE_CHART_STEPS = [
+    778, 664, 529, 721, 564, 1054, 685, 1345, 727, 715, 526, 517, 595, 604,
+    574, 391, 595, 607, 385, 775, 514, 892, 580, 535, 466, 787, 361, 727,
+    832, 814, 505, 490]
+
+
+class _FirstChart(Exception):
+    pass
+
+
+def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
+    def first_chart(*args):
+        results, _count = track(*args)
+        raise _FirstChart([(r.status, r.steps) for r in results])
+
+    monkeypatch.setattr(continuation, "track", first_chart)
+    with pytest.raises(_FirstChart) as chart:
+        count_stratum_points(SAMPLE_R, 42, TrackConfig())
+    assert chart.value.args[0] == [("accepted", s)
+                                   for s in SAMPLE_CHART_STEPS]
 
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
