@@ -23,20 +23,13 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .mpoly import MPoly
-from .scalar import (CycScalar, as_cyc, as_exact, scalar_inverse,
-                     scalar_is_zero)
+from .scalar import CycScalar, as_cyc, as_exact
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
 
 
 def _norm(c) -> FormCoeff:
     return c if isinstance(c, MPoly) else as_exact(c)
-
-
-def _is_zero_coeff(c: FormCoeff) -> bool:
-    if isinstance(c, MPoly):
-        return c.is_zero()
-    return scalar_is_zero(c)
 
 
 class BinaryForm:
@@ -63,7 +56,7 @@ class BinaryForm:
         return cls(degree, cs)
 
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -86,7 +79,7 @@ class BinaryForm:
         return BinaryForm(self.degree, [-c for c in self.coeffs])
 
     def scale(self, scalar) -> BinaryForm:
-        s = scalar if isinstance(scalar, MPoly) else _norm(scalar)
+        s = _norm(scalar)
         return BinaryForm(self.degree, [s * c for c in self.coeffs])
 
     def __mul__(self, other):
@@ -94,10 +87,10 @@ class BinaryForm:
             d = self.degree + other.degree
             acc: list = [Fraction(0)] * (d + 1)
             for i, a in enumerate(self.coeffs):
-                if _is_zero_coeff(a):
+                if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
-                    if _is_zero_coeff(b):
+                    if not b:
                         continue
                     acc[i + j] = acc[i + j] + a * b
             return BinaryForm(d, acc)
@@ -141,7 +134,7 @@ class BinaryForm:
         d = self.degree
         chunks = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero_coeff(c):
+            if not c:
                 continue
             mono = []
             if d - k:
@@ -182,7 +175,7 @@ class GroupElt:
 
     def __init__(self, a, b, c, d) -> None:
         self.m = (as_cyc(a), as_cyc(b), as_cyc(c), as_cyc(d))
-        if self.det().is_zero():
+        if not self.det():
             raise ValueError("singular matrix")
 
     @classmethod
@@ -212,8 +205,8 @@ class GroupElt:
 
     def canonical(self) -> tuple[CycScalar, CycScalar, CycScalar, CycScalar]:
         """Representative scaled so the first nonzero entry equals 1."""
-        lead = next(e for e in self.m if not e.is_zero())
-        inv = lead.inverse()
+        lead = next(e for e in self.m if e)
+        inv = lead ** -1
         return tuple(inv * e for e in self.m)  # type: ignore[return-value]
 
     def __eq__(self, other) -> bool:
@@ -280,7 +273,7 @@ def _compose(f: BinaryForm, g: GroupElt) -> BinaryForm:
         pow2.append(pow2[-1] * row2)
     total = BinaryForm.zero(d_deg)
     for k, coeff in enumerate(f.coeffs):
-        if _is_zero_coeff(coeff):
+        if not coeff:
             continue
         total = total + (pow1[d_deg - k] * pow2[k]).scale(coeff)
     return total
@@ -307,7 +300,7 @@ def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> Bina
         if sub.det() != CycScalar.one():
             raise ValueError("odd-degree action needs a determinant-1 representative")
         return out
-    norm = scalar_inverse(sub.det() ** (f.degree // 2))
+    norm = sub.det() ** -(f.degree // 2)
     return out.scale(norm)
 
 
@@ -526,7 +519,7 @@ def calibrate_conventions() -> Calibration:
 def _poly_degree(coeffs: list) -> int:
     d = -1
     for k, c in enumerate(coeffs):
-        if not _is_zero_coeff(c):
+        if c:
             d = k
     return d
 
@@ -537,7 +530,7 @@ def _poly_mod(num: list, den: list) -> list:
     dd = _poly_degree(den)
     if dd < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = scalar_inverse(den[dd])
+    lead_inv = den[dd] ** -1
     while True:
         nd = _poly_degree(num)
         if nd < dd:
@@ -584,5 +577,5 @@ def _gcd_poly(p: list, q: list) -> list:
     d = _poly_degree(a)
     if d < 0:
         return [Fraction(1)]
-    lead_inv = scalar_inverse(a[d])
+    lead_inv = a[d] ** -1
     return [c * lead_inv for c in a[:d + 1]]

@@ -21,7 +21,7 @@ from typing import Sequence
 from .binform import BinaryForm, GroupElt, group_act
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly, VarTable, default_table
-from .scalar import CycScalar, as_exact, scalar_inverse, scalar_is_zero
+from .scalar import CycScalar, as_exact
 
 DEFAULT_TABLE = default_table()
 
@@ -57,15 +57,15 @@ class ProjPoint:
 
     def __init__(self, coords: Sequence, space: str | None = None) -> None:
         cs = [as_exact(c) for c in coords]
-        if all(scalar_is_zero(c) for c in cs):
+        if not any(cs):
             raise ValueError("all homogeneous coordinates vanish")
         self.coords = tuple(cs)
         self.space = space or f"P{len(cs) - 1}"
 
     def canonical(self) -> tuple:
         """Scale so the first nonzero coordinate is 1."""
-        lead = next(c for c in self.coords if not scalar_is_zero(c))
-        inv = scalar_inverse(lead)
+        lead = next(c for c in self.coords if c)
+        inv = lead ** -1
         return tuple(inv * c for c in self.coords)
 
     def __eq__(self, other) -> bool:
@@ -345,7 +345,7 @@ def y_equations_4_5() -> tuple[MPoly, ...]:
 @lru_cache(maxsize=1)
 def generators() -> dict[str, GroupElt]:
     zeta = CycScalar.zeta()
-    inv_sqrt2 = scalar_inverse(CycScalar.sqrt2())
+    inv_sqrt2 = CycScalar.sqrt2() ** -1
     return {
         "omega": GroupElt(0, 1, -1, 0),
         "rho": GroupElt(-_I, 0, 0, _I),
@@ -507,14 +507,13 @@ def pi_chart(coords15: Sequence) -> tuple[tuple, ProjPoint]:
     v = list(coords15)
     if len(v) != 15:
         raise ValueError("expected 15 coordinates")
-    if not all(scalar_is_zero(as_exact(v[i])) for i in (12, 13, 14)):
+    if any(as_exact(v[i]) for i in (12, 13, 14)):
         raise ValueError("point outside the chart domain: trailing quartic "
                          "coordinates must vanish")
     x1, x2, x3 = v[0], v[1], v[2]
-    for val in (x1, x2, x3):
-        if scalar_is_zero(as_exact(val)):
-            raise ValueError("point outside the chart domain: x1*x2*x3 = 0")
-    i1, i2, i3 = (scalar_inverse(as_exact(t)) for t in (x1, x2, x3))
+    if not all(as_exact(t) for t in (x1, x2, x3)):
+        raise ValueError("point outside the chart domain: x1*x2*x3 = 0")
+    i1, i2, i3 = (as_exact(t) ** -1 for t in (x1, x2, x3))
     r = (v[3] * i1, v[4] * i2, v[5] * i3)
     y = ProjPoint([x2 * x3 * i1, x3 * x1 * i2, x1 * x2 * i3,
                    v[6], v[7], v[8], v[9], v[10], v[11]], space="P8")

@@ -28,7 +28,9 @@ replaced by the roots of the octic's local Taylor polynomial at the
 group centroid, so the 40-digit iteration needs only a few
 quadratically convergent steps where a cold start would creep toward a
 sixfold root.  `embed_mp` is the one exact-to-mpmath embedding, for the
-table and for every exact point the numeric checks compare against.
+table and for every exact point the numeric checks compare against; it
+reads an exact value through `as_cyc(v).coords`, one mpf quotient per
+nonzero coordinate.
 
 Preimages under the linear projection of the distinguished fiber are
 not tracked but solved exactly over Q(zeta_8) by `exact_preimage`: the
@@ -65,7 +67,7 @@ from .checks import CheckResult, _finish
 from .construction import Y_NAMES
 from .exlinalg import ExactMatrix, Subspace
 from .mpoly import MPoly
-from .scalar import CycScalar, as_exact, embed_complex
+from .scalar import CycScalar, as_cyc, as_exact
 
 _F = Fraction
 
@@ -115,18 +117,13 @@ _ZETA_POWERS = _zeta_powers()       # 1, z, z^2, z^3 for z = exp(i pi/4)
 def embed_mp(value):
     """An exact scalar, or a complex double, as an mpmath complex at the
     current precision (zeta_8 enters at WORKING_DPS)."""
-    if isinstance(value, int):
-        return mp.mpc(value)
-    if isinstance(value, Fraction):
-        return mp.mpc(mp.mpf(value.numerator) / mp.mpf(value.denominator))
-    if isinstance(value, CycScalar):
-        acc = mp.mpc(0)
-        for c, zp in zip(value.coords, _ZETA_POWERS):
-            acc += (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * zp
-        return acc
     if isinstance(value, (complex, float)):
         return mp.mpc(complex(value))
-    raise TypeError(f"not an exact scalar: {value!r}")
+    acc = mp.mpc(0)
+    for c, zp in zip(as_cyc(value).coords, _ZETA_POWERS):
+        if c:
+            acc += (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * zp
+    return acc
 
 
 def _poly_terms(poly: MPoly, var_order: tuple[str, ...]) -> list[tuple]:
@@ -186,7 +183,7 @@ class CompiledSystem:
         self._terms = [(k, c, e) for k, row in enumerate(term_lists)
                        for c, e in row]
         self._mp_table = None
-        table = self._table(embed_complex)
+        table = self._table(complex)
         # the table's terms, then the term 0, which pads the slot sums
         zero = len(table)
         self._coeffs = np.array([c for _s, c, _e in table] + [0],
@@ -1286,7 +1283,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     if proj["matrix"].rank() != 9:
         residuals.append("center plus target do not span the chart space")
 
-    extract = np.array([[embed_complex(v) for v in row]
+    extract = np.array([[complex(v) for v in row]
                         for row in proj["extract_rows"]])
     samples = probe["sampled_points"]
     if len(samples) < 20:
@@ -1386,13 +1383,13 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
             f"endpoints against {sol['count']} exact preimages")
     else:
         chordal = _chordal(regular[0].x,
-                           [embed_complex(v) for v in sol["point"]])
+                           [complex(v) for v in sol["point"]])
         if chordal >= TOL_MATCH:
             residuals.append(
                 f"preimage cross-check: the homotopy endpoint is "
                 f"{chordal:.2e} from the exact preimage")
     basis, _r = np.linalg.qr(np.array(
-        [[embed_complex(v) for v in b] for b in sol["line"]]).T)
+        [[complex(v) for v in b] for b in sol["line"]]).T)
     on_line = 0
     for chart, paths in enumerate(run["failures"]):
         for r in paths:

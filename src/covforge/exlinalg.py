@@ -1,7 +1,7 @@
 """Exact dense linear algebra over Q and Q(zeta_8).
 
 Everything here is fraction-free in spirit but implemented with exact
-field division (Fraction / CycScalar inverses), which is fast enough at
+field division (the scalars' own `x ** -1`), which is fast enough at
 the 15x15 scale this package needs.  Pivots are chosen by a cheapness
 heuristic to keep intermediate entries small.
 """
@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .scalar import as_exact, scalar_complexity, scalar_inverse, scalar_is_zero
+from .scalar import as_exact, scalar_complexity
 
 class ExactMatrix:
     """Immutable-ish dense matrix with exact entries."""
@@ -50,7 +50,7 @@ class ExactMatrix:
                     acc = Fraction(0)
                     for k in range(self.ncols):
                         a = self.rows[i][k]
-                        if scalar_is_zero(a):
+                        if not a:
                             continue
                         acc = acc + a * other.rows[k][j]
                     row.append(acc)
@@ -66,7 +66,7 @@ class ExactMatrix:
             acc = Fraction(0)
             for k in range(self.ncols):
                 a = self.rows[i][k]
-                if scalar_is_zero(a):
+                if not a:
                     continue
                 acc = acc + a * vec[k]
             out.append(acc)
@@ -114,7 +114,7 @@ class ExactMatrix:
             best_cost = None
             for i in range(r, self.nrows):
                 v = rows[i][c]
-                if scalar_is_zero(v):
+                if not v:
                     continue
                 cost = scalar_complexity(v)
                 if best_cost is None or cost < best_cost:
@@ -122,13 +122,13 @@ class ExactMatrix:
             if best is None:
                 continue
             rows[r], rows[best] = rows[best], rows[r]
-            inv = scalar_inverse(rows[r][c])
+            inv = rows[r][c] ** -1
             rows[r] = [inv * v for v in rows[r]]
             for i in range(self.nrows):
                 if i == r:
                     continue
                 f = rows[i][c]
-                if scalar_is_zero(f):
+                if not f:
                     continue
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
             pivots.append(c)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import numbers
 import os
 import sys
@@ -47,8 +48,10 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("tol_track", "tol_dedup", "tol_rank", "tol_cluster"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"not {value}")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.seed < 0:

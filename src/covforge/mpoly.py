@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalar import CycScalar, as_exact, scalar_is_zero
+from .scalar import CycScalar, as_exact
 
 Coeff = Union[Fraction, CycScalar]
 CoeffLike = Union[int, Fraction, CycScalar]
@@ -75,7 +75,7 @@ class MPoly:
         if terms:
             for mono, c in terms.items():
                 c = as_exact(c)
-                if not scalar_is_zero(c):
+                if c:
                     clean[tuple(mono)] = c
         self.terms = clean
 
@@ -98,6 +98,9 @@ class MPoly:
         return cls(table, {tuple(mono): 1})
 
     # -- basic queries ----------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,9 +140,10 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check_table(other)
             return other
-        if isinstance(other, (int, Fraction, CycScalar)):
+        try:
             return MPoly.const(other, self.table)
-        return None
+        except TypeError:  # not an exact scalar
+            return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -149,7 +153,7 @@ class MPoly:
         for mono, c in o.terms.items():
             cur = acc.get(mono)
             nc = c if cur is None else cur + c
-            if scalar_is_zero(nc):
+            if not nc:
                 acc.pop(mono, None)
             else:
                 acc[mono] = nc
@@ -188,7 +192,7 @@ class MPoly:
                 c = c1 * c2
                 cur = acc.get(mono)
                 nc = c if cur is None else cur + c
-                if scalar_is_zero(nc):
+                if not nc:
                     acc.pop(mono, None)
                 else:
                     acc[mono] = nc
@@ -308,11 +312,8 @@ class MPoly:
             vars_part = "*".join(
                 f"{names[k]}^{e}" if e > 1 else names[k]
                 for k, e in enumerate(mono) if e)
-            if isinstance(c, CycScalar):
-                cs = str(c)
-                coeff_part = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
-            else:
-                coeff_part = str(c)
+            cs = str(c)
+            coeff_part = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
             if not vars_part:
                 chunks.append(coeff_part)
             elif coeff_part == "1":

@@ -5,6 +5,12 @@ domains: `Rat` (arbitrary-precision reduced rationals, provided by the
 standard library) or `CycScalar`, an element of Q(zeta_8) stored on the
 power basis {1, z, z^2, z^3} with z^4 = -1.  The square root of 2 and the
 imaginary unit both live in this field: i = z^2 and sqrt(2) = z - z^3.
+
+Both domains answer the three questions the other layers ask of a
+scalar through Python's own protocols: `not x` tests for zero, `x ** -1`
+inverts (raising ZeroDivisionError at zero), and `complex(x)` is the
+complex embedding sending z to exp(i*pi/4).  This module alone decides
+what counts as an exact scalar, through `as_exact` and `as_cyc`.
 """
 from __future__ import annotations
 
@@ -73,11 +79,11 @@ class CycScalar:
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self._c
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._c)
+    def __bool__(self) -> bool:
+        return any(self._c)
 
     def is_rational(self) -> bool:
-        return self._c[1] == 0 and self._c[2] == 0 and self._c[3] == 0
+        return not any(self._c[1:])
 
     # -- ring operations --------------------------------------------------
 
@@ -123,11 +129,11 @@ class CycScalar:
         acc = [Fraction(0)] * 4
         for ia in range(4):
             ca = a[ia]
-            if ca == 0:
+            if not ca:
                 continue
             for ib in range(4):
                 cb = b[ib]
-                if cb == 0:
+                if not cb:
                     continue
                 k = ia + ib
                 if k < 4:
@@ -145,7 +151,7 @@ class CycScalar:
         that automorphism, so it is b0 + b2*i in Q(i); then
         x^-1 = s * (b0 - b2*i) / (b0^2 + b2^2).
         """
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
         a = self._c
         s = CycScalar(a[0], -a[1], a[2], -a[3])
@@ -154,16 +160,15 @@ class CycScalar:
         return s * CycScalar(b0 / norm, 0, -b2 / norm)
 
     def __pow__(self, exponent: int) -> CycScalar:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out, base = _ONE, self
-        e = exponent
+        base = self if exponent >= 0 else self.inverse()
+        out, e = None, abs(exponent)
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return _ONE if out is None else out
 
     def conj(self) -> CycScalar:
         """Complex conjugation, the field automorphism z -> -z^3."""
@@ -185,11 +190,11 @@ class CycScalar:
 
     # -- embedding and display -------------------------------------------
 
-    def embed(self) -> complex:
+    def __complex__(self) -> complex:
         """Image under the embedding sending z to exp(i*pi/4)."""
         out = 0j
         for c, zp in zip(self._c, _ZETA_POWERS):
-            if c != 0:
+            if c:
                 out += float(c) * zp
         return out
 
@@ -197,12 +202,12 @@ class CycScalar:
         return f"CycScalar({self._c[0]}, {self._c[1]}, {self._c[2]}, {self._c[3]})"
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         names = ("", "w", "i", "w^3")  # w = primitive 8th root, i = w^2
         parts: list[str] = []
         for c, name in zip(self._c, names):
-            if c == 0:
+            if not c:
                 continue
             if not name:
                 parts.append(str(c))
@@ -242,34 +247,6 @@ def as_cyc(value: Scalar) -> CycScalar:
     if isinstance(value, CycScalar):
         return value
     return CycScalar(_as_rat(value))
-
-
-def scalar_is_zero(value) -> bool:
-    if isinstance(value, CycScalar):
-        return value.is_zero()
-    return value == 0
-
-
-def scalar_inverse(value: Scalar):
-    """Exact inverse within the scalar's own domain."""
-    if isinstance(value, CycScalar):
-        return value.inverse()
-    v = _as_rat(value)
-    if v == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return Fraction(1) / v
-
-
-def embed_complex(value) -> complex:
-    """Complex image of an exact scalar (ring homomorphism); floats and
-    complex doubles pass through as complex doubles."""
-    if isinstance(value, CycScalar):
-        return value.embed()
-    if isinstance(value, (int, Fraction)):
-        return complex(float(value))
-    if isinstance(value, (complex, float)):
-        return complex(value)
-    raise TypeError(f"cannot embed {value!r}")
 
 
 def scalar_complexity(value: Scalar) -> int:

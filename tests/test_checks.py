@@ -1,5 +1,8 @@
 """The exact verification blocks: every symbolic and property check passes."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from covforge import checks, harness
@@ -129,3 +132,20 @@ def test_property_trial_counts_are_recorded(property_results):
     assert _by_id(property_results, "property/field_axioms").details["trials"] >= 1000
     assert _by_id(property_results,
                   "property/transvectants").details["trials"] >= 100
+
+
+def test_exact_reports_match_the_golden_rows(symbolic_report,
+                                             property_report):
+    """The JSON rows of both exact phases at seed 42, timings aside,
+    equal the recorded ones, so every `details` value of the exact
+    layers is pinned.  The numeric rows are not recorded, since their
+    floats depend on the BLAS."""
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "exact_report_seed42.json").read_text("utf-8"))
+    for filt, report in (("symbolic/*", symbolic_report),
+                         ("property/*", property_report)):
+        assert report.config.filter == filt and report.config.seed == 42
+        rows = json.loads(harness.render_json(report))
+        for row in rows:
+            del row["millis"]
+        assert rows == golden[filt]

@@ -24,7 +24,7 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
                                    solve_projective, track)
 from covforge.exlinalg import Subspace
 from covforge.mpoly import MPoly
-from covforge.scalar import CycScalar, embed_complex
+from covforge.scalar import CycScalar
 
 SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
@@ -64,15 +64,14 @@ def test_one_pass_gives_the_exact_values_and_jacobian():
     point = [_gaussian("3/4", "-1/8"), _gaussian("-5/2", "1/2"),
              _gaussian("1/16", "7/4"), _gaussian("2", "0"),
              _gaussian("-3/8", "-9/8"), _gaussian("1/2", "5/4")]
-    values, jac = system.evaluate(np.array([embed_complex(v)
-                                            for v in point]))
+    values, jac = system.evaluate(np.array([complex(v) for v in point]))
     assert values.shape == (6,) and jac.shape == (6, 6)
     env = dict(zip(CHART_VARS, point))
     for i, p in enumerate(quadrics + [chart_poly]):
-        exact = embed_complex(p.evaluate(env))
+        exact = complex(p.evaluate(env))
         assert abs(values[i] - exact) < 1e-12 * max(1.0, abs(exact))
         for j, name in enumerate(CHART_VARS):
-            exact = embed_complex(p.diff(name).evaluate(env))
+            exact = complex(p.diff(name).evaluate(env))
             assert abs(jac[i, j] - exact) < 1e-12 * max(1.0, abs(exact))
 
 

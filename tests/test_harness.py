@@ -66,11 +66,24 @@ def test_the_removed_jobs_flag_is_rejected_by_the_parser():
         harness.build_config(["--jobs", "2"])
 
 
-def test_negative_tolerance_exits_with_configuration_error(capsys):
-    code = harness.main(["--tol-track=-1e-10",
-                         "--filter", "property/field_axioms"])
-    assert code == 2
-    assert "verify:" in capsys.readouterr().err
+def test_negative_tolerance_exits_with_configuration_error(capsys,
+                                                          monkeypatch):
+    called = []
+    monkeypatch.setattr(checks, "check_field_axioms",
+                        lambda seed: called.append(seed))
+    # a negative, a nan and an infinite tolerance, by flag and by variable
+    for flags, env in ((["--tol-track=-1e-10"], {}),
+                       (["--tol-track", "nan"], {}),
+                       (["--tol-dedup", "inf"], {}),
+                       ([], {"COVFORGE_TOL_RANK": "nan"}),
+                       ([], {"COVFORGE_TOL_CLUSTER": "inf"})):
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            code = harness.main(flags + ["--filter", "property/field_axioms"])
+        assert code == 2, (flags, env)
+        assert "verify:" in capsys.readouterr().err
+    assert called == []
 
 
 def test_zero_denominator_triple_exits_with_configuration_error(capsys):

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from covforge.scalar import (CycScalar, as_cyc, as_exact, embed_complex,
-                             scalar_inverse, scalar_is_zero)
+from covforge.continuation import WORKING_DPS, embed_mp
+from covforge.scalar import CycScalar, as_cyc, as_exact
 
 ZETA = CycScalar.zeta()
 I = CycScalar.i()
@@ -66,20 +67,68 @@ def test_conjugation_is_multiplicative_and_fixes_rationals():
 def test_embedding_matches_algebra():
     a = CycScalar(Fraction(1), Fraction(2), Fraction(-1), Fraction(0))
     b = CycScalar(Fraction(0), Fraction(-1), Fraction(3), Fraction(5))
-    lhs = (a * b).embed()
-    rhs = a.embed() * b.embed()
+    lhs = complex(a * b)
+    rhs = complex(a) * complex(b)
     assert abs(lhs - rhs) < 1e-12
-    assert abs(I.embed() - 1j) < 1e-15
-    assert abs(SQRT2.embed() - 2 ** 0.5) < 1e-15
+    assert abs(complex(I) - 1j) < 1e-15
+    assert abs(complex(SQRT2) - 2 ** 0.5) < 1e-15
 
 
 def test_helper_wrappers_accept_plain_rationals():
-    assert scalar_is_zero(Fraction(0))
-    assert not scalar_is_zero(Fraction(1, 3))
-    assert scalar_inverse(Fraction(2)) == Fraction(1, 2)
+    assert not Fraction(0)
+    assert Fraction(1, 3)
+    assert Fraction(2) ** -1 == Fraction(1, 2)
     assert as_cyc(Fraction(4)) == CycScalar.from_rat(4)
     assert as_exact(4) == Fraction(4) and isinstance(as_exact(4), Fraction)
     assert as_exact(I) is I
     with pytest.raises(TypeError):
         as_exact(0.5)
-    assert embed_complex(Fraction(1, 4)) == 0.25
+    assert complex(Fraction(1, 4)) == 0.25
+
+
+# Each case: the scalar, the float.hex parts of its complex embedding,
+# and its WORKING_DPS embedding as signed (mantissa, exponent) pairs.
+_PROTOCOL_CASES = {
+    "0": (Fraction(0), "0x0.0p+0", "0x0.0p+0", (0, 0), (0, 0)),
+    "1/3": (Fraction(1, 3), "0x1.5555555555555p-2", "0x0.0p+0",
+            (58074857287840164431082599668355108088491, -137), (0, 0)),
+    "-5/4": (Fraction(-5, 4), "-0x1.4000000000000p+0", "0x0.0p+0",
+             (-5, -2), (0, 0)),
+    "cyc 0": (CycScalar.zero(), "0x0.0p+0", "0x0.0p+0", (0, 0), (0, 0)),
+    "cyc 7/2": (CycScalar.from_rat(Fraction(7, 2)), "0x1.c000000000000p+1",
+                "0x0.0p+0", (7, -1), (0, 0)),
+    "zeta": (ZETA, "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bccp-1",
+             (61597688107009154955528645754272014573341, -136),
+             (61597688107009154955528645754272014573341, -136)),
+    "i": (I, "0x0.0p+0", "0x1.0000000000000p+0", (0, 0),
+          (87112285931760246646623899502532662132735, -136)),
+    "sqrt2": (SQRT2, "0x1.6a09e667f3bccp+0", "-0x1.0000000000000p-53",
+              (15399422026752288738882161438568003643335, -133), (1, -136)),
+    "1+i": (ONE + I, "0x1.0000000000000p+0", "0x1.0000000000000p+0", (1, 0),
+            (87112285931760246646623899502532662132735, -136)),
+    "3-zeta^3": (3 - ZETA ** 3, "0x1.da827999fcef3p+1",
+                 "-0x1.6a09e667f3bcdp-1",
+                 (80733636475572473723850086065467500242887, -134),
+                 (-15399422026752288738882161438568003643335, -134)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROTOCOL_CASES))
+def test_exact_scalars_answer_zero_inverse_and_embedding_by_protocol(case):
+    x, re_hex, im_hex, mp_re, mp_im = _PROTOCOL_CASES[case]
+    # zero test: `not x`
+    assert bool(x) == (x != 0)
+    # inverse: `x ** -1`, in the scalar's own domain
+    if x:
+        inv = x ** -1
+        assert type(inv) is type(x)
+        assert x * inv == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x ** -1
+    # complex value: `complex(x)`, pinned bit for bit
+    z = complex(x)
+    assert (z.real.hex(), z.imag.hex()) == (re_hex, im_hex)
+    # the WORKING_DPS embedding, pinned exactly
+    with mp.workdps(WORKING_DPS):
+        assert embed_mp(x) == mp.mpc(mp.mpf(mp_re), mp.mpf(mp_im))
