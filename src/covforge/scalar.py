@@ -6,6 +6,12 @@ standard library) or `CycScalar`, an element of Q(zeta_8) stored on the
 power basis {1, z, z^2, z^3} with z^4 = -1.  The square root of 2 and the
 imaginary unit both live in this field: i = z^2 and sqrt(2) = z - z^3.
 
+A `CycScalar` holds four int numerators over one positive int common
+denominator, (n0 + n1 z + n2 z^2 + n3 z^3) / d, in canonical form:
+gcd(n0, n1, n2, n3, d) == 1, and zero is (0, 0, 0, 0) / 1.  Every
+operation reduces its result once, so `==` compares the ints directly.
+`coords` gives the four coordinates as reduced Fractions, built on demand.
+
 Both domains answer the three questions the other layers ask of a
 scalar through Python's own protocols: `not x` tests for zero, `x ** -1`
 inverts (raising ZeroDivisionError at zero), and `complex(x)` is the
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 # Arbitrary-precision rational scalars.  Always reduced, denominator > 0.
@@ -28,28 +35,45 @@ _ZETA_C = cmath.exp(1j * cmath.pi / 4)
 _ZETA_POWERS = (1.0 + 0j, _ZETA_C, 1j, _ZETA_C * 1j)
 
 
-def _as_rat(value: RatLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _rat_parts(value: RatLike) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or a reduced Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class CycScalar:
-    """Element of Q(zeta_8) on the power basis {1, z, z^2, z^3}, z^4 = -1."""
+_new = object.__new__
 
-    __slots__ = ("_c",)
+
+class CycScalar:
+    """Element of Q(zeta_8) on the power basis {1, z, z^2, z^3}, z^4 = -1.
+
+    Stored as four int numerators over one positive int denominator,
+    (n0 + n1 z + n2 z^2 + n3 z^3) / d, in canonical form:
+    gcd(n0, n1, n2, n3, d) == 1, and zero is (0, 0, 0, 0) / 1.  So two
+    elements are equal exactly when their fields are.  `coords` gives the
+    four coordinates as reduced Fractions.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c0: RatLike = 0, c1: RatLike = 0, c2: RatLike = 0,
                  c3: RatLike = 0) -> None:
-        self._c = (_as_rat(c0), _as_rat(c1), _as_rat(c2), _as_rat(c3))
+        (p0, q0), (p1, q1), (p2, q2), (p3, q3) = map(_rat_parts,
+                                                     (c0, c1, c2, c3))
+        # Reduced coordinates over their least common denominator are
+        # already canonical: a prime power dividing d exactly divides some
+        # q_k, whose numerator p_k the prime does not divide.
+        d = lcm(q0, q1, q2, q3)
+        self._n = (p0 * (d // q0), p1 * (d // q1), p2 * (d // q2),
+                   p3 * (d // q3))
+        self._d = d
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rat(cls, value: RatLike) -> CycScalar:
-        return cls(_as_rat(value))
+        return cls(value)
 
     @classmethod
     def zero(cls) -> CycScalar:
@@ -77,70 +101,64 @@ class CycScalar:
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self._c
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
 
     def __bool__(self) -> bool:
-        return any(self._c)
+        return any(self._n)
 
     def is_rational(self) -> bool:
-        return not any(self._c[1:])
+        _, n1, n2, n3 = self._n
+        return not (n1 or n2 or n3)
 
     # -- ring operations --------------------------------------------------
 
-    def _coerce(self, other) -> CycScalar | None:
-        if isinstance(other, CycScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycScalar(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
-        return CycScalar(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        (a0, a1, a2, a3), da = self._n, self._d
+        (b0, b1, b2, b3), db = o._n, o._d
+        if da == db:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
-        return CycScalar(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+        (a0, a1, a2, a3), da = self._n, self._d
+        (b0, b1, b2, b3), db = o._n, o._d
+        if da == db:
+            return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, da)
+        return _make(a0 * db - b0 * da, a1 * db - b1 * da,
+                     a2 * db - b2 * da, a3 * db - b3 * da, da * db)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __neg__(self) -> CycScalar:
-        a = self._c
-        return CycScalar(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3 = self._n
+        return _raw((-a0, -a1, -a2, -a3), self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = o._n
         # Convolution with the reduction z^(k+4) = -z^k.
-        acc = [Fraction(0)] * 4
-        for ia in range(4):
-            ca = a[ia]
-            if not ca:
-                continue
-            for ib in range(4):
-                cb = b[ib]
-                if not cb:
-                    continue
-                k = ia + ib
-                if k < 4:
-                    acc[k] += ca * cb
-                else:
-                    acc[k - 4] -= ca * cb
-        return CycScalar(*acc)
+        return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                     self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -148,16 +166,17 @@ class CycScalar:
         """Multiplicative inverse in closed form.
 
         With s the image of x under z -> -z, the product x*s is fixed by
-        that automorphism, so it is b0 + b2*i in Q(i); then
-        x^-1 = s * (b0 - b2*i) / (b0^2 + b2^2).
+        that automorphism, so it is (b0 + b2*i) / e in Q(i); then
+        x^-1 = s * (b0 - b2*i) * e / (b0^2 + b2^2).
         """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
-        a = self._c
-        s = CycScalar(a[0], -a[1], a[2], -a[3])
-        b0, _, b2, _ = (self * s)._c
-        norm = b0 * b0 + b2 * b2
-        return s * CycScalar(b0 / norm, 0, -b2 / norm)
+        a0, a1, a2, a3 = self._n
+        s = _raw((a0, -a1, a2, -a3), self._d)
+        xs = self * s
+        b0, _, b2, _ = xs._n
+        e = xs._d
+        return s * _make(b0 * e, 0, -b2 * e, 0, b0 * b0 + b2 * b2)
 
     def __pow__(self, exponent: int) -> CycScalar:
         base = self if exponent >= 0 else self.inverse()
@@ -172,41 +191,46 @@ class CycScalar:
 
     def conj(self) -> CycScalar:
         """Complex conjugation, the field automorphism z -> -z^3."""
-        a = self._c
-        return CycScalar(a[0], -a[3], -a[2], -a[1])
+        a0, a1, a2, a3 = self._n
+        return _raw((a0, -a3, -a2, -a1), self._d)
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self._c[0])
-        return hash(self._c)
+            return hash(Fraction(self._n[0], self._d))
+        return hash(self.coords)
 
     # -- embedding and display -------------------------------------------
 
     def __complex__(self) -> complex:
-        """Image under the embedding sending z to exp(i*pi/4)."""
+        """Image under the embedding sending z to exp(i*pi/4).
+
+        Each n/d is the correctly rounded float of its reduced coordinate,
+        so this is float(c) summed over `coords`."""
         out = 0j
-        for c, zp in zip(self._c, _ZETA_POWERS):
-            if c:
-                out += float(c) * zp
+        d = self._d
+        for n, zp in zip(self._n, _ZETA_POWERS):
+            if n:
+                out += n / d * zp
         return out
 
     def __repr__(self) -> str:
-        return f"CycScalar({self._c[0]}, {self._c[1]}, {self._c[2]}, {self._c[3]})"
+        c = self.coords
+        return f"CycScalar({c[0]}, {c[1]}, {c[2]}, {c[3]})"
 
     def __str__(self) -> str:
         if not self:
             return "0"
         names = ("", "w", "i", "w^3")  # w = primitive 8th root, i = w^2
         parts: list[str] = []
-        for c, name in zip(self._c, names):
+        for c, name in zip(self.coords, names):
             if not c:
                 continue
             if not name:
@@ -221,6 +245,34 @@ class CycScalar:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def _raw(n: tuple[int, int, int, int], d: int) -> CycScalar:
+    """A CycScalar from numerators and a denominator already canonical."""
+    x = _new(CycScalar)
+    x._n = n
+    x._d = d
+    return x
+
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> CycScalar:
+    """The canonical form of (n0 + n1 z + n2 z^2 + n3 z^3) / d, for d > 0."""
+    g = gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    x = _new(CycScalar)
+    x._n = (n0, n1, n2, n3)
+    x._d = d
+    return x
+
+
+def _coerce(value) -> CycScalar | None:
+    """A CycScalar, an int or a Fraction as a CycScalar; else None."""
+    if isinstance(value, CycScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _raw((value.numerator, 0, 0, 0), value.denominator)
+    return None
 
 
 _ZERO = CycScalar(0)
@@ -246,13 +298,17 @@ def as_cyc(value: Scalar) -> CycScalar:
     """Promote an exact scalar into Q(zeta_8)."""
     if isinstance(value, CycScalar):
         return value
-    return CycScalar(_as_rat(value))
+    return CycScalar(value)
 
 
 def scalar_complexity(value: Scalar) -> int:
-    """Bit-size proxy used to pick the least messy pivot in elimination."""
+    """Bit-size proxy used to pick the least messy pivot in elimination.
+
+    It sums the numerator and denominator bit lengths of each reduced
+    coordinate, not the size of the common-denominator form: pivot
+    choices, and so the witnesses of elimination, depend on it."""
     if isinstance(value, CycScalar):
         return sum(c.numerator.bit_length() + c.denominator.bit_length()
                    for c in value.coords)
-    v = _as_rat(value)
-    return v.numerator.bit_length() + v.denominator.bit_length()
+    num, den = _rat_parts(value)
+    return num.bit_length() + den.bit_length()

@@ -1,12 +1,14 @@
 """Arithmetic of the degree-four cyclotomic scalar field."""
 
+import cmath
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from covforge.continuation import WORKING_DPS, embed_mp
-from covforge.scalar import CycScalar, as_cyc, as_exact
+from covforge.scalar import CycScalar, as_cyc, as_exact, scalar_complexity
 
 ZETA = CycScalar.zeta()
 I = CycScalar.i()
@@ -132,3 +134,152 @@ def test_exact_scalars_answer_zero_inverse_and_embedding_by_protocol(case):
     # the WORKING_DPS embedding, pinned exactly
     with mp.workdps(WORKING_DPS):
         assert embed_mp(x) == mp.mpc(mp.mpf(mp_re), mp.mpf(mp_im))
+
+
+# -- the integer form against a four-Fraction reference model -------------
+
+def _ref_mul(a, b):
+    """Product of coordinate tuples by the plain convolution, z^4 = -1."""
+    acc = [Fraction(0)] * 4
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if i + j < 4:
+                acc[i + j] += ca * cb
+            else:
+                acc[i + j - 4] -= ca * cb
+    return tuple(acc)
+
+
+def _ref_inverse(a):
+    s = (a[0], -a[1], a[2], -a[3])
+    b0, _, b2, _ = _ref_mul(a, s)
+    norm = b0 * b0 + b2 * b2
+    return _ref_mul(s, (b0 / norm, 0, -b2 / norm, 0))
+
+
+def _ref_str(c):
+    out = ""
+    for v, name in zip(c, ("", "w", "i", "w^3")):
+        if not v:
+            continue
+        body = (str(abs(v)) if not name else
+                name if abs(v) == 1 else f"{abs(v)}*{name}")
+        if not out:
+            out = "-" + body if v < 0 else body
+        else:
+            out += (" - " if v < 0 else " + ") + body
+    return out or "0"
+
+
+def _check_against_reference(x, c):
+    """x is a CycScalar whose exact value has coordinates c."""
+    c = tuple(map(Fraction, c))
+    coords = x.coords
+    assert coords == c and all(type(v) is Fraction for v in coords)
+    assert x == CycScalar(*c)
+    assert bool(x) == any(c)
+    assert hash(x) == (hash(c[0]) if not any(c[1:]) else hash(c))
+    assert str(x) == _ref_str(c)
+    assert repr(x) == f"CycScalar({c[0]}, {c[1]}, {c[2]}, {c[3]})"
+    z = complex(x)
+    ref = 0j
+    zeta = cmath.exp(1j * cmath.pi / 4)
+    for v, zp in zip(c, (1.0 + 0j, zeta, 1j, zeta * 1j)):
+        if v:
+            ref += float(v) * zp
+    assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+# Denominators are drawn from products of small primes, so that two of them
+# usually share a factor, and now and then times 3^45 > 2^64.
+def _random_coords(rng):
+    out = []
+    for _ in range(4):
+        kind = rng.random()
+        if kind < 0.25:
+            out.append(Fraction(0))
+            continue
+        span = 2 ** 70 if kind > 0.85 else 20
+        den = (2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 2)
+               * rng.choice((1, 1, 5, 7, 3 ** 45)))
+        out.append(Fraction(rng.randint(-span, span), den))
+    return tuple(out)
+
+
+def test_integer_form_matches_the_fraction_reference_model():
+    rng = random.Random(2024)
+    coords = [_random_coords(rng) for _ in range(2000)]
+    assert any(abs(v.numerator) > 2 ** 64 for c in coords for v in c)
+    elems = [CycScalar(*c) for c in coords]
+    for i in range(0, len(elems), 2):
+        x, y, cx, cy = elems[i], elems[i + 1], coords[i], coords[i + 1]
+        _check_against_reference(x, cx)
+        _check_against_reference(x + y, tuple(a + b for a, b in zip(cx, cy)))
+        _check_against_reference(x - y, tuple(a - b for a, b in zip(cx, cy)))
+        _check_against_reference(-x, tuple(-a for a in cx))
+        _check_against_reference(x * y, _ref_mul(cx, cy))
+        _check_against_reference(x.conj(), (cx[0], -cx[3], -cx[2], -cx[1]))
+        assert (x == y) == (cx == cy)
+        square = _ref_mul(cx, cx)
+        _check_against_reference(x ** 0, (1, 0, 0, 0))
+        _check_against_reference(x ** 2, square)
+        _check_against_reference(x ** 3, _ref_mul(square, cx))
+        if x:
+            inverse = _ref_inverse(cx)
+            _check_against_reference(x ** -1, inverse)
+            _check_against_reference(x.inverse(), inverse)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x ** -1
+        # one value reached two ways is one canonical form
+        assert x + y - y == x and hash(x + y - y) == hash(x)
+        if y:
+            assert (x * y) * y ** -1 == x
+            assert hash((x * y) * y ** -1) == hash(x)
+        if i % 20:
+            continue
+        # int and Fraction operands on either side
+        for q in (0, 3, -2, Fraction(-7, 12), Fraction(2 ** 65, 9)):
+            cq = (Fraction(q), 0, 0, 0)
+            _check_against_reference(x + q, tuple(a + b for a, b in zip(cx, cq)))
+            _check_against_reference(q + x, tuple(a + b for a, b in zip(cq, cx)))
+            _check_against_reference(x - q, tuple(a - b for a, b in zip(cx, cq)))
+            _check_against_reference(q - x, tuple(a - b for a, b in zip(cq, cx)))
+            _check_against_reference(x * q, _ref_mul(cx, cq))
+            _check_against_reference(q * x, _ref_mul(cq, cx))
+            assert (x == q) == (q == x) == (cx == cq)
+
+
+def test_rational_elements_hash_and_compare_as_their_fractions():
+    for q in (Fraction(3, 4), Fraction(-5, 6), Fraction(0), Fraction(2 ** 70, 3)):
+        x = CycScalar(q)
+        assert x == q and q == x and hash(x) == hash(q)
+        assert x.is_rational()
+    assert hash(CycScalar(7)) == hash(7) and CycScalar(7) == 7
+    assert CycScalar(Fraction(1, 2)) + Fraction(1, 2) == 1
+    assert hash(CycScalar(Fraction(1, 2)) + Fraction(1, 2)) == hash(1)
+
+
+def test_constructor_rejects_inexact_coordinates():
+    with pytest.raises(TypeError):
+        CycScalar(0.5)
+    with pytest.raises(TypeError):
+        CycScalar(1, 2, 3, 1j)
+    with pytest.raises(TypeError):
+        as_cyc(0.25)
+
+
+@pytest.mark.parametrize("value, bits", [
+    # 3/4, 0/1, -5/6 and 1/1: 5 + 1 + 6 + 2 bits; the common-denominator
+    # form (9, 0, -10, 12) / 12 would be larger
+    (CycScalar(Fraction(3, 4), 0, Fraction(-5, 6), 1), 14),
+    (CycScalar.zero(), 4),
+    (ZETA, 5),
+    (CycScalar(Fraction(1, 6), Fraction(1, 10)), 4 + 5 + 1 + 1),
+    (Fraction(3, 4), 5),
+    (Fraction(-5, 6), 6),
+    (0, 1),
+    (12, 5),
+])
+def test_scalar_complexity_counts_reduced_coordinates(value, bits):
+    assert scalar_complexity(value) == bits
