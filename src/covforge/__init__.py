@@ -9,7 +9,7 @@ numeric in nature.  The `verify` console script runs the whole battery.
 """
 
 from .scalar import CycScalar, Rat
-from .mpoly import MPoly, VarTable, default_table
+from .mpoly import MPoly
 from .binform import BinaryForm, GroupElt, Lambda, calibrate_conventions, delta, transvectant
 from .exlinalg import ExactMatrix, Subspace
 
@@ -24,9 +24,7 @@ __all__ = [
     "MPoly",
     "Rat",
     "Subspace",
-    "VarTable",
     "calibrate_conventions",
-    "default_table",
     "delta",
     "transvectant",
     "__version__",

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence, Union
 
-from .mpoly import MPoly
+from .mpoly import MPoly, monomial_str
 from .scalar import CycScalar, as_cyc, as_exact
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
@@ -400,18 +400,15 @@ def _pair_series(scalars: tuple, cross: int) -> tuple[MPoly, ...]:
     bracket has arguments of different degrees, so its pairs are always
     distinct and listed once.
     """
-    from . import construction
-
     s2, s4, s6 = scalars
-    table = construction.DEFAULT_TABLE
-    xs = [MPoly.var(f"x{i}", table) for i in range(1, 10)]
-    ss = [MPoly.var(f"s{i}", table) for i in range(6)]
-    eps = MPoly.var("eps", table)
+    xs = [MPoly.var(f"x{i}") for i in range(1, 10)]
+    ss = [MPoly.var(f"s{i}") for i in range(6)]
+    eps = MPoly.var("eps")
     p6, p4, p2 = bracket_tables()
 
     # The order of the additions fixes the order of each row's `terms`,
     # which the tracker's compiled sums follow.
-    out = [MPoly.const(Fraction(0), table) for _ in range(5)]
+    out = [MPoly.zero() for _ in range(5)]
     for (i, j), vals in p6.items():
         mono = xs[i] * xs[j]
         w = (6 * s6) if i == j else (6 * cross * s6)
@@ -475,14 +472,12 @@ def calibrate_conventions() -> Calibration:
 
     stored = construction.delta_coordinate_system()
     computed = _pair_series((s2, s4, s6), cross=1)
-    names = construction.DEFAULT_TABLE.names
     residuals: list[str] = []
     for slot in range(5):
         diff = computed[slot] - stored[slot]
         for mono, c in diff.sorted_terms():
-            mstr = "*".join(f"{names[k]}^{e}" if e > 1 else names[k]
-                            for k, e in enumerate(mono) if e)
-            residuals.append(f"slot {slot + 1}: {mstr}: off by {c}")
+            residuals.append(
+                f"slot {slot + 1}: {monomial_str(mono)}: off by {c}")
 
     # Action convention: compare induced generator matrices to the table.
     mismatch_counts: dict[str, int] = {}

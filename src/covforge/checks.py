@@ -27,11 +27,11 @@ from . import binform, construction
 from .binform import (BinaryForm, GroupElt, Lambda, calibrate_conventions,
                       delta, delta_forms, expanded_coordinate_system,
                       max_root_multiplicity_exact, mul_closure, transvectant)
-from .construction import (DEFAULT_TABLE, R_NAMES, VEC15_NAMES, X_NAMES,
-                           Y_NAMES, ProjPoint)
+from .construction import (R_NAMES, VEC15_NAMES, X_NAMES, Y_NAMES,
+                           ProjPoint)
 from .exlinalg import (ExactMatrix, Subspace, eigenspace, jacobian_at,
                        joint_fixed_space)
-from .mpoly import MPoly
+from .mpoly import VAR_NAMES, MPoly, monomial_str, var_slot
 from .scalar import CycScalar
 
 _F = Fraction
@@ -76,15 +76,7 @@ def _finish(check_id: str, started: float, residuals: list[str],
     )
 
 
-def _var(name: str) -> MPoly:
-    return MPoly.var(name, DEFAULT_TABLE)
-
-
-def _const(value) -> MPoly:
-    return MPoly.const(value, DEFAULT_TABLE)
-
-
-_ZERO = MPoly.zero(DEFAULT_TABLE)
+_ZERO = MPoly.zero()
 
 
 def _require(residuals: list[str], ok: bool, message: str) -> bool:
@@ -97,16 +89,9 @@ def _require_zero_poly(residuals: list[str], poly: MPoly, label: str) -> bool:
     if poly.is_zero():
         return True
     terms = poly.sorted_terms()[:3]
-    shown = ", ".join(f"{c}*{_mono_str(poly, m)}" for m, c in terms)
+    shown = ", ".join(f"{c}*{monomial_str(m)}" for m, c in terms)
     residuals.append(f"{label}: nonzero ({len(poly.terms)} terms; {shown})")
     return False
-
-
-def _mono_str(poly: MPoly, mono: tuple[int, ...]) -> str:
-    names = poly.table.names
-    parts = [f"{names[i]}^{e}" if e > 1 else names[i]
-             for i, e in enumerate(mono) if e]
-    return "*".join(parts) if parts else "1"
 
 
 def _apply_mat(mat, polys) -> list[MPoly]:
@@ -123,7 +108,7 @@ def _apply_mat(mat, polys) -> list[MPoly]:
 
 def _linear_bindings(mat, names) -> dict[str, MPoly]:
     """Substitution dict sending names[i] to the row-i linear combination."""
-    return dict(zip(names, _apply_mat(mat, [_var(n) for n in names])))
+    return dict(zip(names, _apply_mat(mat, [MPoly.var(n) for n in names])))
 
 
 def _zeros15() -> dict[str, Fraction]:
@@ -505,7 +490,7 @@ def check_equivariance_and_invariant_spaces() -> CheckResult:
     # The plane spanned by the two full-group-invariant vectors consists
     # of zeros of the map: symbolic in the two plane coordinates and in
     # eps through the stored route, sampled through the bracket route.
-    a1, a2 = _var("alpha1"), _var("alpha2")
+    a1, a2 = MPoly.var("alpha1"), MPoly.var("alpha2")
     plane = {n: _ZERO for n in VEC15_NAMES}
     plane["x7"] = 5 * a2
     plane["x9"] = a2
@@ -637,7 +622,7 @@ def check_lemma_4_2() -> CheckResult:
     _require(residuals, target_fixed.dim == 1 and target_fixed == target_want,
              "order-3 fixed space on the target block is not the stored line")
 
-    alphas = [_var("alpha1"), _var("alpha2"), _var("alpha3")]
+    alphas = [MPoly.var("alpha1"), MPoly.var("alpha2"), MPoly.var("alpha3")]
     basis = construction.rotation_invariant_octics()
     bindings = {n: _ZERO for n in VEC15_NAMES}
     bindings.update(zip(X_NAMES, _apply_mat(list(zip(*basis)), alphas)))
@@ -684,22 +669,6 @@ def check_lemma_4_2() -> CheckResult:
 # symbolic/derivation_4_5
 
 
-def _linear_coeff_poly(poly: MPoly, name: str) -> MPoly:
-    """Coefficient of a variable occurring at most linearly, as a polynomial
-    in the remaining variables."""
-    idx = poly.table.index(name)
-    acc: dict = {}
-    for mono, c in poly.terms.items():
-        if mono[idx] == 0:
-            continue
-        if mono[idx] > 1:
-            raise ValueError(f"{name} occurs nonlinearly")
-        m = list(mono)
-        m[idx] = 0
-        acc[tuple(m)] = c
-    return MPoly(poly.table, acc)
-
-
 def check_derivation_4_5() -> CheckResult:
     """The chart-space equations are the cleared form of the sliced system.
 
@@ -719,8 +688,8 @@ def check_derivation_4_5() -> CheckResult:
     numerators = construction.chart_numerators_symbolic()
     yhat = dict(zip(Y_NAMES, numerators))
 
-    x1, x2, x3 = _var("x1"), _var("x2"), _var("x3")
-    r1, r2, r3 = _var("r1"), _var("r2"), _var("r3")
+    x1, x2, x3 = MPoly.var("x1"), MPoly.var("x2"), MPoly.var("x3")
+    r1, r2, r3 = MPoly.var("r1"), MPoly.var("r2"), MPoly.var("r3")
     p = x1 * x2 * x3
     slice_cut = {"x4": r1 * x1, "x5": r2 * x2, "x6": r3 * x3}
     sliced = [base.substitute(slice_cut)
@@ -738,19 +707,19 @@ def check_derivation_4_5() -> CheckResult:
     ineqs = construction.domain_inequations()
     for k, (eq, yname, ineq) in enumerate(
             zip(eqs[2:], ("y1", "y2", "y3"), ineqs), start=3):
-        got = _linear_coeff_poly(eq, yname)
+        got = eq.diff(yname)
         _require_zero_poly(residuals, got - ineq,
                            f"chart equation {k}: coefficient of {yname} vs. "
                            "stored leading-coefficient inequation")
 
-    section = {n: (_const(1) if n == "y10" else _ZERO) for n in Y_NAMES}
+    section = {n: (MPoly.const(1) if n == "y10" else _ZERO) for n in Y_NAMES}
     for k, eq in enumerate(eqs, start=1):
         _require_zero_poly(residuals, eq.substitute(section),
                            f"constant section violates chart equation {k}")
 
     points = construction.special_points()
     u2 = points["u_dprime_0"].coords
-    t = _var("t")
+    t = MPoly.var("t")
     line = {n: u2[i] + (t if n == "y10" else _ZERO)
             for i, n in enumerate(Y_NAMES)}
     origin = {"r1": _F(0), "r2": _F(0), "r3": _F(0)}
@@ -790,7 +759,7 @@ def check_derivation_4_5() -> CheckResult:
                 continue
             j, entry = nz[0]
             lhs = bind[X_NAMES[3 + i]] * xs[j]
-            rhs = entry * _var(X_NAMES[3 + j]) * bind[X_NAMES[i]]
+            rhs = entry * MPoly.var(X_NAMES[3 + j]) * bind[X_NAMES[i]]
             _require_zero_poly(residuals, lhs - rhs,
                                f"{name}: slice ratio {i + 1} does not follow "
                                "the stored parameter action")
@@ -837,7 +806,7 @@ def check_strata_6() -> CheckResult:
     started = time.perf_counter()
     residuals: list[str] = []
     quads = construction.pure_quadric_parts()
-    x7, x8, x9 = _var("x7"), _var("x8"), _var("x9")
+    x7, x8, x9 = MPoly.var("x7"), MPoly.var("x8"), MPoly.var("x9")
 
     # (a) The fully degenerate stratum: exact branch decomposition.
     cut0 = {n: _F(0) for n in X_NAMES[:6]}
@@ -878,8 +847,8 @@ def check_strata_6() -> CheckResult:
     for fidx, fam in enumerate(fams, start=1):
         env = dict(zip(X_NAMES, fam))
         for k, q in enumerate(quads, start=1):
-            value = q.substitute(env).reduce_quadratic("a", 25 * _var("r1") ** 2
-                                                       - 900)
+            value = q.substitute(env).reduce_quadratic(
+                "a", 25 * MPoly.var("r1") ** 2 - 900)
             _require_zero_poly(residuals, value,
                                f"family {fidx} fails quadric {k} modulo the "
                                "square-root relation")
@@ -887,7 +856,7 @@ def check_strata_6() -> CheckResult:
             _require(residuals, fam[i].is_zero(),
                      f"family {fidx} leaves the first single-pair stratum")
     _require_zero_poly(residuals,
-                       relation - (25 * _var("r1") ** 2 - 900),
+                       relation - (25 * MPoly.var("r1") ** 2 - 900),
                        "stored square-root relation")
 
     # (c) Root multiplicity exactly 6, symbolically in the slice parameter.
@@ -896,8 +865,8 @@ def check_strata_6() -> CheckResult:
     # i.e. a root of multiplicity exactly 6 at the second coordinate
     # axis; the mirrored pair has the mirrored pattern.
     pats = {
-        1: {2: _const(56), 0: 2 * _var("r1")},
-        2: {6: _const(56), 8: 2 * _var("r1")},
+        1: {2: MPoly.const(56), 0: 2 * MPoly.var("r1")},
+        2: {6: MPoly.const(56), 8: 2 * MPoly.var("r1")},
     }
     for fidx, fam in enumerate(fams[:2], start=1):
         coeffs = construction.octic_form(fam).coeffs
@@ -944,8 +913,8 @@ def check_strata_6() -> CheckResult:
     table = construction.action_table()
     param = construction.parameter_action()
     stored_perm = construction.block_permutation()
-    free = [_var(n) for n in ("x1", "x2", "x3", "x7", "x8", "x9")]
-    rvars = [_var(n) for n in R_NAMES]
+    free = [MPoly.var(n) for n in ("x1", "x2", "x3", "x7", "x8", "x9")]
+    rvars = [MPoly.var(n) for n in R_NAMES]
     lift = construction.octic_vector_on_slice(tuple(rvars), free)
     perm_found: dict[str, dict[int, int]] = {}
     for name in ("omega", "rho", "tau", "sigma"):
@@ -966,7 +935,7 @@ def check_strata_6() -> CheckResult:
                 continue
             mono, _c = terms[0]
             support = [poly_i for poly_i, e in enumerate(mono) if e]
-            src = DEFAULT_TABLE.names[support[0]]
+            src = VAR_NAMES[support[0]]
             mapping[int(src[1:])] = i + 1
         if name in stored_perm:
             _require(residuals, mapping == stored_perm[name],
@@ -1049,13 +1018,13 @@ def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
 
 def _random_poly(rng: random.Random, names: tuple[str, ...],
                  max_terms: int = 5, max_exp: int = 3) -> MPoly:
-    acc = MPoly.zero(DEFAULT_TABLE)
+    acc = MPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        mono = _const(_random_rational(rng))
+        mono = MPoly.const(_random_rational(rng))
         for n in names:
             e = rng.randint(0, max_exp)
             if e:
-                mono = mono * _var(n) ** e
+                mono = mono * MPoly.var(n) ** e
         acc = acc + mono
     return acc
 
@@ -1186,20 +1155,20 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
     started = time.perf_counter()
     residuals: list[str] = []
     rng = random.Random(seed)
-    mu0, mu4, mu8 = _var("mu0"), _var("mu4"), _var("mu8")
+    mu0, mu4, mu8 = MPoly.var("mu0"), MPoly.var("mu4"), MPoly.var("mu8")
     expanded = expanded_coordinate_system()
 
     scale_bind: dict[str, MPoly] = {}
     for n in X_NAMES:
-        scale_bind[n] = mu8 * _var(n)
-    scale_bind["s0"] = mu0 * _var("s0")
+        scale_bind[n] = mu8 * MPoly.var(n)
+    scale_bind["s0"] = mu0 * MPoly.var("s0")
     for n in ("s1", "s2", "s3", "s4", "s5"):
-        scale_bind[n] = mu4 * _var(n)
+        scale_bind[n] = mu4 * MPoly.var(n)
 
-    x_idx = [DEFAULT_TABLE.index(n) for n in X_NAMES]
-    s0_idx = DEFAULT_TABLE.index("s0")
-    s_idx = [DEFAULT_TABLE.index(n) for n in ("s1", "s2", "s3", "s4", "s5")]
-    eps_idx = DEFAULT_TABLE.index("eps")
+    x_idx = [var_slot(n) for n in X_NAMES]
+    s0_idx = var_slot("s0")
+    s_idx = [var_slot(n) for n in ("s1", "s2", "s3", "s4", "s5")]
+    eps_idx = var_slot("eps")
 
     for k, poly in enumerate(expanded, start=1):
         sectors = {"66": _ZERO, "44": _ZERO, "22": _ZERO, "00": _ZERO}
@@ -1209,7 +1178,7 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
             s0deg = mono[s0_idx]
             sdeg = sum(mono[i] for i in s_idx)
             epsdeg = mono[eps_idx]
-            term = MPoly(DEFAULT_TABLE, {mono: c})
+            term = MPoly({mono: c})
             if (xdeg, s0deg, sdeg, epsdeg) == (2, 0, 0, 0):
                 sectors["66"] = sectors["66"] + term
             elif (xdeg, s0deg, sdeg, epsdeg) == (1, 0, 1, 0):

@@ -20,10 +20,8 @@ from typing import Sequence
 
 from .binform import BinaryForm, GroupElt, group_act
 from .exlinalg import ExactMatrix
-from .mpoly import MPoly, VarTable, default_table
+from .mpoly import MPoly
 from .scalar import CycScalar, as_exact
-
-DEFAULT_TABLE = default_table()
 
 X_NAMES = tuple(f"x{i}" for i in range(1, 10))
 S_NAMES = tuple(f"s{i}" for i in range(6))
@@ -35,13 +33,13 @@ _F = Fraction
 _I = CycScalar.i()
 
 
-def _poly(terms, table: VarTable = DEFAULT_TABLE) -> MPoly:
+def _poly(terms) -> MPoly:
     """Build an MPoly from (coefficient, {var: exponent}) pairs."""
-    acc = MPoly.zero(table)
+    acc = MPoly.zero()
     for coeff, monomial in terms:
-        t = MPoly.const(coeff, table)
+        t = MPoly.const(coeff)
         for name, e in monomial.items():
-            t = t * MPoly.var(name, table) ** e
+            t = t * MPoly.var(name) ** e
         acc = acc + t
     return acc
 
@@ -53,14 +51,13 @@ def _poly(terms, table: VarTable = DEFAULT_TABLE) -> MPoly:
 class ProjPoint:
     """Point of a projective space over an exact scalar field."""
 
-    __slots__ = ("coords", "space")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords: Sequence, space: str | None = None) -> None:
+    def __init__(self, coords: Sequence) -> None:
         cs = [as_exact(c) for c in coords]
         if not any(cs):
             raise ValueError("all homogeneous coordinates vanish")
         self.coords = tuple(cs)
-        self.space = space or f"P{len(cs) - 1}"
 
     def canonical(self) -> tuple:
         """Scale so the first nonzero coordinate is 1."""
@@ -486,8 +483,8 @@ def block_permutation() -> dict[str, dict[int, int]]:
 @lru_cache(maxsize=1)
 def chart_numerators_symbolic() -> tuple[MPoly, ...]:
     """The chart image with denominators cleared by x1*x2*x3."""
-    x = {n: MPoly.var(n, DEFAULT_TABLE) for n in ("x1", "x2", "x3", "x7", "x8", "x9",
-                                                  "s0", "s1", "s2")}
+    x = {n: MPoly.var(n) for n in ("x1", "x2", "x3", "x7", "x8", "x9",
+                                   "s0", "s1", "s2")}
     prod = x["x1"] * x["x2"] * x["x3"]
     return (
         x["x2"] ** 2 * x["x3"] ** 2,
@@ -516,7 +513,7 @@ def pi_chart(coords15: Sequence) -> tuple[tuple, ProjPoint]:
     i1, i2, i3 = (as_exact(t) ** -1 for t in (x1, x2, x3))
     r = (v[3] * i1, v[4] * i2, v[5] * i3)
     y = ProjPoint([x2 * x3 * i1, x3 * x1 * i2, x1 * x2 * i3,
-                   v[6], v[7], v[8], v[9], v[10], v[11]], space="P8")
+                   v[6], v[7], v[8], v[9], v[10], v[11]])
     return r, y
 
 
@@ -539,8 +536,8 @@ def special_points() -> dict:
     crossing[6] = _F(65) * _I
     crossing[8] = _F(13) * _I
 
-    u_prime = ProjPoint([0, 0, 0, 0, 0, 0, 1, 0, 0], space="P8")
-    u_dprime_0 = ProjPoint([_F(-5, 4), 20, -20, 65, 0, 13, 0, 0, 0], space="P8")
+    u_prime = ProjPoint([0, 0, 0, 0, 0, 0, 1, 0, 0])
+    u_dprime_0 = ProjPoint([_F(-5, 4), 20, -20, 65, 0, 13, 0, 0, 0])
 
     # Isolated octic solutions with all six leading coordinates zero,
     # written as (x7, x8, x9).
@@ -576,27 +573,26 @@ def square_root_relation() -> MPoly:
 
 def stratum1_solution_families() -> tuple[tuple[list, ...], MPoly]:
     """Octic 9-vectors (entries MPoly in r1, a) and the defining relation."""
-    t = DEFAULT_TABLE
-    r1 = MPoly.var("r1", t)
-    a = MPoly.var("a", t)
-    one = MPoly.const(1, t)
-    zero = MPoly.zero(t)
+    r1 = MPoly.var("r1")
+    a = MPoly.var("a")
+    one = MPoly.const(1)
+    zero = MPoly.zero()
 
     fams = []
     for sign in (1, -1):
         v = [zero] * 9
-        v[0] = MPoly.const(sign, t)
-        v[3] = MPoly.const(sign, t) * r1
+        v[0] = MPoly.const(sign)
+        v[3] = MPoly.const(sign) * r1
         v[6] = r1
         v[7] = one
         fams.append(v)
     for sign in (1, -1):
         v = [zero] * 9
-        v[0] = MPoly.const(sign, t) * a
-        v[3] = MPoly.const(sign, t) * r1 * a
-        v[6] = MPoly.const(90, t) - 5 * r1 ** 2
+        v[0] = MPoly.const(sign) * a
+        v[3] = MPoly.const(sign) * r1 * a
+        v[6] = MPoly.const(90) - 5 * r1 ** 2
         v[7] = -5 * r1
-        v[8] = MPoly.const(6, t)
+        v[8] = MPoly.const(6)
         fams.append(v)
     return tuple(fams), square_root_relation()
 

@@ -66,7 +66,7 @@ from .binform import expanded_coordinate_system
 from .checks import CheckResult, _finish
 from .construction import Y_NAMES
 from .exlinalg import ExactMatrix, Subspace
-from .mpoly import MPoly
+from .mpoly import VAR_NAMES, MPoly, var_slot
 from .scalar import CycScalar, as_cyc, as_exact
 
 _F = Fraction
@@ -128,14 +128,14 @@ def embed_mp(value):
 
 def _poly_terms(poly: MPoly, var_order: tuple[str, ...]) -> list[tuple]:
     """Exact term list (coeff, exponent tuple) over the given variables."""
-    idx = [poly.table.index(n) for n in var_order]
+    idx = [var_slot(n) for n in var_order]
     idx_set = set(idx)
     out = []
     for mono, c in poly.terms.items():
         for pos, e in enumerate(mono):
             if e and pos not in idx_set:
                 raise ValueError(
-                    f"stray variable {poly.table.names[pos]} in compiled "
+                    f"stray variable {VAR_NAMES[pos]} in compiled "
                     "polynomial")
         out.append((c, tuple(mono[i] for i in idx)))
     return out
@@ -580,11 +580,10 @@ def literal_pure_quadrics() -> tuple[MPoly, ...]:
 def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
     """The literal quadrics on the parameterized slice, in six coordinates."""
     r1, r2, r3 = map(as_exact, r)
-    table = construction.DEFAULT_TABLE
     bindings = {
-        "x4": r1 * MPoly.var("x1", table),
-        "x5": r2 * MPoly.var("x2", table),
-        "x6": r3 * MPoly.var("x3", table),
+        "x4": r1 * MPoly.var("x1"),
+        "x5": r2 * MPoly.var("x2"),
+        "x6": r3 * MPoly.var("x3"),
     }
     return tuple(q.substitute(bindings) for q in literal_pure_quadrics())
 

@@ -179,7 +179,8 @@ def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, numbers.Real):
-        return float(value)
+        value = float(value)
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set)):
@@ -203,7 +204,7 @@ def render_json(report: Report) -> str:
             "details": details,
             "millis": round(r.millis, 1),
         })
-    return json.dumps(rows, ensure_ascii=False, indent=2)
+    return json.dumps(rows, ensure_ascii=False, indent=2, allow_nan=False)
 
 
 def render_text(report: Report) -> str:

@@ -1,22 +1,24 @@
 """Sparse multivariate polynomials over the exact scalar domains.
 
-Terms are stored as a dict from dense exponent tuples (one slot per
-variable of the shared `VarTable`) to nonzero exact coefficients.  The
-variable order is global and fixed so that printed polynomials are
-canonical (graded-lex, then reverse-lex inside a degree block).
+Terms are stored as a dict from dense exponent tuples to nonzero exact
+coefficients, over one fixed variable order, `VAR_NAMES`: slot k of every
+exponent tuple is the exponent of `VAR_NAMES[k]`.  The order is fixed so
+that printed polynomials are canonical (graded-lex, then reverse-lex
+inside a degree block).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Mapping, Union
 
 from .scalar import CycScalar, as_exact
 
 Coeff = Union[Fraction, CycScalar]
 CoeffLike = Union[int, Fraction, CycScalar]
 
-# Global variable order shared by every polynomial in the package.
-DEFAULT_VAR_NAMES: tuple[str, ...] = (
+# The variable order every polynomial in the package is written in.
+VAR_NAMES: tuple[str, ...] = (
     "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9",
     "s0", "s1", "s2", "s3", "s4", "s5",
     "eps",
@@ -28,49 +30,32 @@ DEFAULT_VAR_NAMES: tuple[str, ...] = (
     "z1", "z2",
 )
 
-
-class VarTable:
-    """Immutable ordered list of variable names with index lookup."""
-
-    __slots__ = ("names", "_index")
-
-    def __init__(self, names: Iterable[str]) -> None:
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
-        self._index = {n: k for k, n in enumerate(self.names)}
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __repr__(self) -> str:
-        return f"VarTable({len(self.names)} vars)"
+_SLOTS = {n: k for k, n in enumerate(VAR_NAMES)}
+_CONST_MONO = (0,) * len(VAR_NAMES)
 
 
-_DEFAULT_TABLE = VarTable(DEFAULT_VAR_NAMES)
+def var_slot(name: str) -> int:
+    """Position of a variable in every exponent tuple."""
+    try:
+        return _SLOTS[name]
+    except KeyError:
+        raise KeyError(f"unknown variable {name!r}") from None
 
 
-def default_table() -> VarTable:
-    return _DEFAULT_TABLE
+def monomial_str(mono: tuple[int, ...]) -> str:
+    """An exponent tuple as `x1^2*s0`; the constant monomial is `1`."""
+    parts = [f"{VAR_NAMES[k]}^{e}" if e > 1 else VAR_NAMES[k]
+             for k, e in enumerate(mono) if e]
+    return "*".join(parts) if parts else "1"
 
 
 class MPoly:
     """Sparse multivariate polynomial with exact coefficients."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, table: VarTable,
+    def __init__(self,
                  terms: Mapping[tuple[int, ...], CoeffLike] | None = None) -> None:
-        self.table = table
         clean: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for mono, c in terms.items():
@@ -79,23 +64,28 @@ class MPoly:
                     clean[tuple(mono)] = c
         self.terms = clean
 
+    @staticmethod
+    def _of(terms: dict[tuple[int, ...], Coeff]) -> MPoly:
+        """Wrap an already clean terms dict."""
+        out = MPoly.__new__(MPoly)
+        out.terms = terms
+        return out
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, table: VarTable | None = None) -> MPoly:
-        return cls(table or _DEFAULT_TABLE)
+    def zero(cls) -> MPoly:
+        return cls()
 
     @classmethod
-    def const(cls, value: CoeffLike, table: VarTable | None = None) -> MPoly:
-        table = table or _DEFAULT_TABLE
-        return cls(table, {(0,) * len(table): value})
+    def const(cls, value: CoeffLike) -> MPoly:
+        return cls({_CONST_MONO: value})
 
     @classmethod
-    def var(cls, name: str, table: VarTable | None = None) -> MPoly:
-        table = table or _DEFAULT_TABLE
-        mono = [0] * len(table)
-        mono[table.index(name)] = 1
-        return cls(table, {tuple(mono): 1})
+    def var(cls, name: str) -> MPoly:
+        mono = [0] * len(VAR_NAMES)
+        mono[var_slot(name)] = 1
+        return cls({tuple(mono): 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -120,28 +110,24 @@ class MPoly:
         for mono in self.terms:
             for k, e in enumerate(mono):
                 if e:
-                    used.add(self.table.names[k])
+                    used.add(VAR_NAMES[k])
         return used
 
     def coeff(self, monomial: Mapping[str, int]) -> Coeff:
         """Coefficient of the monomial given as {var name: exponent}."""
-        mono = [0] * len(self.table)
+        mono = [0] * len(VAR_NAMES)
         for name, e in monomial.items():
-            mono[self.table.index(name)] = e
+            mono[var_slot(name)] = e
         return self.terms.get(tuple(mono), Fraction(0))
 
     # -- ring operations --------------------------------------------------
 
-    def _check_table(self, other: MPoly) -> None:
-        if self.table is not other.table and self.table.names != other.table.names:
-            raise ValueError("variable table mismatch")
-
-    def _coerce(self, other) -> MPoly | None:
+    @staticmethod
+    def _coerce(other) -> MPoly | None:
         if isinstance(other, MPoly):
-            self._check_table(other)
             return other
         try:
-            return MPoly.const(other, self.table)
+            return MPoly.const(other)
         except TypeError:  # not an exact scalar
             return None
 
@@ -157,17 +143,12 @@ class MPoly:
                 acc.pop(mono, None)
             else:
                 acc[mono] = nc
-        out = MPoly.__new__(MPoly)
-        out.table, out.terms = self.table, acc
-        return out
+        return MPoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        out = MPoly.__new__(MPoly)
-        out.table = self.table
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return MPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -188,7 +169,7 @@ class MPoly:
         acc: dict[tuple[int, ...], Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 c = c1 * c2
                 cur = acc.get(mono)
                 nc = c if cur is None else cur + c
@@ -196,16 +177,14 @@ class MPoly:
                     acc.pop(mono, None)
                 else:
                     acc[mono] = nc
-        out = MPoly.__new__(MPoly)
-        out.table, out.terms = self.table, acc
-        return out
+        return MPoly._of(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MPoly:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        out = MPoly.const(1, self.table)
+        out = MPoly.const(1)
         base, e = self, exponent
         while e:
             if e & 1:
@@ -225,7 +204,7 @@ class MPoly:
     # -- calculus and substitution ---------------------------------------
 
     def diff(self, name: str) -> MPoly:
-        idx = self.table.index(name)
+        idx = var_slot(name)
         acc: dict[tuple[int, ...], Coeff] = {}
         for mono, c in self.terms.items():
             e = mono[idx]
@@ -234,9 +213,7 @@ class MPoly:
             m = list(mono)
             m[idx] = e - 1
             acc[tuple(m)] = c * e
-        out = MPoly.__new__(MPoly)
-        out.table, out.terms = self.table, acc
-        return out
+        return MPoly._of(acc)
 
     def substitute(self, bindings: Mapping[str, MPoly | CoeffLike]) -> MPoly:
         """Ring-homomorphic substitution; unbound variables stay in place."""
@@ -244,9 +221,8 @@ class MPoly:
             return self
         polys: dict[int, MPoly] = {}
         for name, value in bindings.items():
-            idx = self.table.index(name)
-            polys[idx] = value if isinstance(value, MPoly) \
-                else MPoly.const(value, self.table)
+            polys[var_slot(name)] = value if isinstance(value, MPoly) \
+                else MPoly.const(value)
         power_memo: dict[tuple[int, int], MPoly] = {}
 
         def power(idx: int, e: int) -> MPoly:
@@ -257,7 +233,7 @@ class MPoly:
                 power_memo[key] = got
             return got
 
-        total = MPoly.zero(self.table)
+        total = MPoly.zero()
         for mono, c in self.terms.items():
             rest = list(mono)
             piece = None
@@ -267,7 +243,7 @@ class MPoly:
                     rest[idx] = 0
                     p = power(idx, e)
                     piece = p if piece is None else piece * p
-            term = MPoly(self.table, {tuple(rest): c})
+            term = MPoly({tuple(rest): c})
             total = total + (term if piece is None else term * piece)
         return total
 
@@ -275,17 +251,17 @@ class MPoly:
         """Rewrite name^2 -> replacement until the variable appears at most
         linearly.  The replacement must not contain the variable."""
         repl = replacement if isinstance(replacement, MPoly) \
-            else MPoly.const(replacement, self.table)
+            else MPoly.const(replacement)
         if name in repl.variables():
             raise ValueError("replacement contains the reduced variable")
-        idx = self.table.index(name)
-        total = MPoly.zero(self.table)
+        idx = var_slot(name)
+        total = MPoly.zero()
         for mono, c in self.terms.items():
             e = mono[idx]
             q, rem = divmod(e, 2)
             m = list(mono)
             m[idx] = rem
-            term = MPoly(self.table, {tuple(m): c})
+            term = MPoly({tuple(m): c})
             if q:
                 term = term * repl ** q
             total = total + term
@@ -306,17 +282,15 @@ class MPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = self.table.names
         chunks: list[str] = []
         for mono, c in self.sorted_terms():
-            vars_part = "*".join(
-                f"{names[k]}^{e}" if e > 1 else names[k]
-                for k, e in enumerate(mono) if e)
             cs = str(c)
             coeff_part = cs if ("+" not in cs and " - " not in cs) else f"({cs})"
-            if not vars_part:
+            if not any(mono):
                 chunks.append(coeff_part)
-            elif coeff_part == "1":
+                continue
+            vars_part = monomial_str(mono)
+            if coeff_part == "1":
                 chunks.append(vars_part)
             elif coeff_part == "-1":
                 chunks.append(f"-{vars_part}")
@@ -331,6 +305,6 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def poly_vars(*names: str, table: VarTable | None = None) -> list[MPoly]:
+def poly_vars(*names: str) -> list[MPoly]:
     """Convenience constructor for a batch of variables."""
-    return [MPoly.var(n, table) for n in names]
+    return [MPoly.var(n) for n in names]

@@ -9,7 +9,7 @@ from covforge.binform import (BinaryForm, GroupElt, Lambda,
                               transvectant)
 from covforge.construction import (delta_coordinate_system, octic_basis,
                                    quartic_basis, special_points)
-from covforge.mpoly import MPoly, default_table
+from covforge.mpoly import MPoly, var_slot
 from covforge.scalar import CycScalar
 
 
@@ -129,10 +129,9 @@ def test_the_literal_map_counts_each_mixed_pair_twice():
     # vectors once; the literal map has both orderings, so the two differ
     # by exactly the stored rows' mixed terms x_i*x_j (i != j) and
     # eps*s_i*s_j (1 <= i < j).
-    table = default_table()
-    x_slots = [table.index(f"x{i}") for i in range(1, 10)]
-    s_slots = [table.index(f"s{i}") for i in range(1, 6)]
-    eps = table.index("eps")
+    x_slots = [var_slot(f"x{i}") for i in range(1, 10)]
+    s_slots = [var_slot(f"s{i}") for i in range(1, 6)]
+    eps = var_slot("eps")
 
     def mixed(mono):
         xs = [mono[i] for i in x_slots if mono[i]]
@@ -143,8 +142,7 @@ def test_the_literal_map_counts_each_mixed_pair_twice():
     counts = []
     for literal, stored in zip(expanded_coordinate_system(),
                                delta_coordinate_system()):
-        crosses = MPoly(table, {m: c for m, c in stored.terms.items()
-                                if mixed(m)})
+        crosses = MPoly({m: c for m, c in stored.terms.items() if mixed(m)})
         assert literal - stored == crosses
         counts.append(len(crosses.terms))
     assert counts == [6, 2, 9, 13, 13]

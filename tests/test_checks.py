@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from covforge import checks, harness
+from covforge.mpoly import MPoly
 
 EXPECTED_SYMBOLIC_IDS = [
     "symbolic/expansion_1_2",
@@ -119,6 +120,16 @@ def test_strata_check_counts_and_note(symbolic_results):
     assert r.details["family_count"] == 4
     assert r.details["count_bookkeeping"] == "18 + 14 = 32 = 2^5"
     assert len(r.erratum_notes) == 1
+
+
+def test_a_nonzero_residual_names_its_leading_terms():
+    x1, s0 = MPoly.var("x1"), MPoly.var("s0")
+    residuals = []
+    assert checks._require_zero_poly(residuals, x1 * x1 * s0 * 3 - 2,
+                                     "row 1") is False
+    assert residuals == ["row 1: nonzero (2 terms; 3*x1^2*s0, -2*1)"]
+    assert checks._require_zero_poly(residuals, x1 - x1, "row 2") is True
+    assert len(residuals) == 1
 
 
 def test_property_checks_are_reproducible_across_calls():

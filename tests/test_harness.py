@@ -1,6 +1,7 @@
 """Command-line harness: configuration, report formats, and exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,20 @@ def test_json_report_schema_and_key_order(symbolic_report):
         assert row["residual_count"] == 0
         assert isinstance(row["paper_anchor"], str) and row["paper_anchor"]
         assert isinstance(row["millis"], (int, float))
+
+
+def test_json_report_writes_non_finite_floats_as_null():
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    result = checks.CheckResult(
+        check_id="numeric/lemma6_2", status="fail",
+        residuals=("no endpoint accepted",),
+        details={"values": [math.inf, math.nan, 1.5]})
+    report = harness.Report(config=harness.RunConfig(), results=[result],
+                            anchors={"numeric/lemma6_2": "Lemma 6.2"})
+    rows = json.loads(harness.render_json(report), parse_constant=reject)
+    assert rows[0]["details"]["values"] == [None, None, 1.5]
 
 
 def test_reports_are_identical_across_runs_up_to_timing():

@@ -4,26 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from covforge.mpoly import MPoly, VarTable, default_table, poly_vars
+from covforge.mpoly import VAR_NAMES, MPoly, poly_vars, var_slot
 from covforge.scalar import CycScalar
 
 
-def test_variable_table_lookup():
-    table = VarTable(["u", "v", "w"])
-    assert table.names == ("u", "v", "w")
-    assert table.index("v") == 1
-    assert "w" in table and "z" not in table
-    with pytest.raises(KeyError):
-        table.index("z")
-    with pytest.raises(ValueError):
-        VarTable(["u", "u"])
-
-
-def test_default_table_contains_all_working_variables():
-    table = default_table()
+def test_one_fixed_variable_order_with_slot_lookup():
     for name in ("x1", "x9", "s0", "s5", "eps", "r1", "y12",
                  "alpha3", "mu8", "a", "t", "z1", "z2"):
-        assert name in table
+        assert VAR_NAMES.count(name) == 1
+    assert len(set(VAR_NAMES)) == len(VAR_NAMES)
+    for k, name in enumerate(VAR_NAMES):
+        assert var_slot(name) == k
+        assert MPoly.var(name).coeff({name: 1}) == 1
+    with pytest.raises(KeyError, match="unknown variable 'u'"):
+        MPoly.var("u")
 
 
 def test_ring_operations_satisfy_distributivity():
@@ -101,9 +95,3 @@ def test_sorted_terms_are_canonical_and_stable():
     # graded order: the quadratic term precedes the linear ones
     assert sum(terms[0][0]) == 2
 
-
-def test_mixed_tables_are_rejected():
-    x = MPoly.var("x1")
-    other = MPoly.var("u", VarTable(["u"]))
-    with pytest.raises(ValueError):
-        _ = x + other
