@@ -20,7 +20,9 @@ Endpoints of the stratum systems are then re-polished by `mp_polish`
 from the same table embedded at `WORKING_DPS` (the coefficients are
 exact, so the refinement is limited only by working precision); this
 is what lets the multiple-root classifier separate a genuine sixfold
-root cluster from simple roots at the configured cluster radius.  The
+root cluster from simple roots at the configured cluster radius.  Each
+full Newton step solves J dx = F by `_mp_solve`, Gaussian elimination
+with partial pivoting over lists of mpmath complexes.  The
 classifier takes the endpoint octic's roots from `mp.polyroots` at
 `WORKING_DPS`, started from seeds that already resolve each root
 cluster: double-precision roots, with every coarse group of them
@@ -267,6 +269,50 @@ def _mp_sum(table: list, slots: int, x: list) -> list:
     return out
 
 
+def _mp_solve(rows: list, rhs: list) -> list:
+    """x with A x = b, for a square A given as rows of mpmath numbers.
+
+    Gaussian elimination with partial pivoting on |re| + |im|, with 10
+    guard bits, as mpmath's LU solver adds.  It raises ZeroDivisionError
+    where mpmath's LU factorisation does: on a pivot whose magnitude is
+    at most eps times the 1-norm of A (its largest column sum of
+    magnitudes).  That norm costs a square root per entry, so it is
+    taken only for a pivot with |re| + |im| at most 2n eps 2**top, where
+    2**top bounds every |a_ij|; a larger pivot passes the test anyway.
+    """
+    n = len(rows)
+    with mp.extraprec(10):
+        top = max(mp.mag(v) for row in rows for v in row)
+        clear = 2 * n * mp.eps * mp.mpf(2) ** top
+        tol = None
+        a = [row + [b] for row, b in zip(rows, rhs)]
+        inverse = []
+        for j in range(n):
+            keys = [abs(row[j].real) + abs(row[j].imag) for row in a[j:]]
+            big = max(keys)
+            p = j + keys.index(big)
+            a[j], a[p] = a[p], a[j]
+            pivot = a[j]
+            if big <= clear:
+                if tol is None:
+                    tol = mp.eps * max(
+                        mp.fsum((row[k] for row in rows), absolute=True)
+                        for k in range(n))
+                if abs(pivot[j]) <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+            inverse.append(1 / pivot[j])
+            for row in a[j + 1:]:
+                f = row[j] * inverse[j]
+                row[j + 1:] = [v - f * w
+                               for v, w in zip(row[j + 1:], pivot[j + 1:])]
+        x = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            x[i] = (row[n] - mp.fsum(row[k] * x[k] for k in range(i + 1, n))
+                    ) * inverse[i]
+        return x
+
+
 def mp_polish(system: CompiledSystem, x0: np.ndarray):
     """High-precision Newton refinement of a double-precision endpoint."""
     table = system.mp_table()
@@ -275,11 +321,9 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray):
         x = [mp.mpc(v) for v in x0]
         for _ in range(MP_POLISH_ITERS):
             out = _mp_sum(table, m * (1 + n), x)
-            fx = mp.matrix(out[:m])
-            jac = mp.matrix([out[m + i * n:m + (i + 1) * n]
-                             for i in range(m)])
+            jac = [out[m + i * n:m + (i + 1) * n] for i in range(m)]
             try:
-                dx = mp.lu_solve(jac, fx)
+                dx = _mp_solve(jac, out[:m])
             except ZeroDivisionError:       # a singular Jacobian
                 break
             x = [xv - dv for xv, dv in zip(x, dx)]

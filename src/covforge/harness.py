@@ -2,8 +2,9 @@
 
 Selects registered checks by id glob, runs the exact suites before the
 continuation suites, and renders a report in text or JSON with a stable
-schema.  Every knob is available as a flag and as an environment
-variable with the ``COVFORGE_`` prefix; flags win.  The numeric checks
+schema.  Every knob is an environment variable with the ``COVFORGE_``
+prefix, and every knob but ``tol_rank`` and ``tol_cluster`` is also a
+flag; a flag wins over its variable.  The numeric checks
 of one run share their census and probe results through one
 ``NumericRun``.  The corrected-typo ledger ships as a package resource,
 named at the end of every text report.

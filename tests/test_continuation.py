@@ -1,7 +1,10 @@
 """Homotopy tracking, the stratum census, and the projection data."""
 
 import ast
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +16,7 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
                                    CompiledSystem, NumericRun, TrackConfig,
                                    _chordal, _chordal_groups,
                                    _fiber_equations, _linear_row_terms,
-                                   _octic_roots, _poly_terms, _rng,
+                                   _mp_solve, _octic_roots, _poly_terms, _rng,
                                    _solve_stack, _start_system,
                                    _stratum_anchor_vectors,
                                    count_stratum_points,
@@ -204,6 +207,64 @@ def test_mp_embedding_and_polish_reach_the_working_precision():
         for p in con.special_points()["sparse_solutions"]:
             anchor = [embed_mp(Fraction(v)) for v in p]
             assert min(_chordal(x, anchor) for x in polished) < 1e-30
+
+
+def _random_system(rng: random.Random, n: int = 6) -> tuple[list, list]:
+    """A seeded complex n x n matrix, as rows of mpc, and a right side."""
+    draws = [mp.mpc(rng.gauss(0, 1), rng.gauss(0, 1))
+             for _ in range(n * n + n)]
+    return [draws[i * n:(i + 1) * n] for i in range(n)], draws[n * n:]
+
+
+def test_the_polish_elimination_agrees_with_mpmath_lu_solve():
+    rng = random.Random(20260418)
+    with mp.workdps(WORKING_DPS):
+        for _ in range(20):
+            rows, rhs = _random_system(rng)
+            want = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+            got = _mp_solve(rows, rhs)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-35 * (1 + abs(w))
+
+
+def test_the_polish_elimination_fails_where_mpmath_lu_solve_does():
+    rng = random.Random(7)
+    with mp.workdps(WORKING_DPS):
+        rows, rhs = _random_system(rng)
+        # exactly singular: a zero column (the last one, since mpmath's
+        # pivot search needs a nonzero entry in each earlier column)
+        zero_column = [row[:-1] + [mp.mpc(0)] for row in rows]
+        # numerically singular: rank 5, then one entry moved by 1e-60
+        left, _ = _random_system(rng)
+        right, _ = _random_system(rng)
+        rank5 = [[mp.fsum(left[i][k] * right[k][j] for k in range(5))
+                  for j in range(6)] for i in range(6)]
+        rank5[2][3] += mp.mpf("1e-60")
+        for singular in (zero_column, rank5):
+            with pytest.raises(ZeroDivisionError):
+                mp.lu_solve(mp.matrix(singular), mp.matrix(rhs))
+            with pytest.raises(ZeroDivisionError):
+                _mp_solve(singular, rhs)
+
+
+def test_polished_census_points_match_the_golden_file(numeric_run):
+    """The sample census at seed 42, polished at WORKING_DPS, against its
+    points stored as 45-digit strings with their labels.  The polish
+    converges to the same 40-digit point from any nearby double, so the
+    file does not depend on the last bits of the double tracker."""
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "census_polish_seed42.json").read_text("utf-8"))
+    census = numeric_run.census(SAMPLE_R, 42)
+    assert [Fraction(v) for v in golden["r"]] == list(SAMPLE_R)
+    assert len(census.points) == len(golden["points"])
+    with mp.workdps(45):
+        for point, want in zip(census.points, golden["points"]):
+            assert point.stratum == want["stratum"]
+            assert point.multiple_root == want["multiple_root"]
+            for x, (re, im) in zip(point.coords, want["coords"],
+                                   strict=True):
+                w = mp.mpc(re, im)
+                assert abs(x - w) <= 1e-36 * (1 + abs(w))
 
 
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
