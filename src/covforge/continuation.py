@@ -22,7 +22,13 @@ exact, so the refinement is limited only by working precision); this
 is what lets the multiple-root classifier separate a genuine sixfold
 root cluster from simple roots at the configured cluster radius.  Each
 full Newton step solves J dx = F by `_mp_solve`, Gaussian elimination
-with partial pivoting over lists of mpmath complexes.  The
+with partial pivoting over lists of mpmath complexes, and the polish
+stops on a step small relative to the point.  A census polishes and
+classifies only one representative endpoint per orbit of the diagonal
+subgroup H: the sign flips of H, rescaled onto the census chart, carry
+the representative's polished point and labels to every endpoint they
+match within TOL_MATCH, and an endpoint no image matches is polished
+and classified on its own.  The
 classifier takes the endpoint octic's roots from `mp.polyroots` at
 `WORKING_DPS`, started from seeds that already resolve each root
 cluster: double-precision roots, with every coarse group of them
@@ -314,10 +320,15 @@ def _mp_solve(rows: list, rhs: list) -> list:
 
 
 def mp_polish(system: CompiledSystem, x0: np.ndarray):
-    """High-precision Newton refinement of a double-precision endpoint."""
+    """High-precision Newton refinement of a double-precision endpoint.
+
+    It stops once every step is below 10^(4 - WORKING_DPS) relative to
+    its coordinate, |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), since the
+    rounding noise of a step grows with the size of the point."""
     table = system.mp_table()
     m, n = system.size, system.nvars
     with mp.workdps(WORKING_DPS):
+        tol = mp.mpf(10) ** (-WORKING_DPS + 4)
         x = [mp.mpc(v) for v in x0]
         for _ in range(MP_POLISH_ITERS):
             out = _mp_sum(table, m * (1 + n), x)
@@ -327,7 +338,7 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray):
             except ZeroDivisionError:       # a singular Jacobian
                 break
             x = [xv - dv for xv, dv in zip(x, dx)]
-            if max(abs(d) for d in dx) < mp.mpf(10) ** (-WORKING_DPS + 4):
+            if all(abs(d) < tol * (1 + abs(v)) for d, v in zip(dx, x)):
                 break
         return x
 
@@ -542,6 +553,15 @@ def _chordal(a, b) -> float:
     return math.sqrt(float(cross / norms))
 
 
+def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`_chordal` of the complex double point a to each row of a stack,
+    from the same 2x2 minors (each taken twice, as (i, j) and (j, i))."""
+    minors = a[:, None] * points[:, None, :] - a[None, :] * points[:, :, None]
+    cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(1, 2))
+    norms = np.sum(np.abs(a) ** 2) * np.sum(np.abs(points) ** 2, axis=1)
+    return np.sqrt(cross / norms)
+
+
 def _dedup(endpoints: list[Endpoint], tol: float) -> list[Endpoint]:
     reps: list[Endpoint] = []
     for e in endpoints:
@@ -660,8 +680,14 @@ def octic_root_clusters(vec9, cluster_radius: float):
 
 def _chordal_groups(points: list, radius: float) -> list[list[int]]:
     """Indices of the projective points, grouped by chains of chordal
-    distance below the radius (a union-find)."""
+    distance below the radius (a union-find).
+
+    Each pair is decided on the distance of the points rounded to
+    complex doubles, which is within about 1e-15 of the exact one; only
+    a distance within 1e-12 of the radius is taken again from the points
+    themselves."""
     parent = list(range(len(points)))
+    doubles = [[complex(v) for v in p] for p in points]
 
     def find(i):
         while parent[i] != i:
@@ -670,7 +696,10 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
         return i
 
     for i, j in itertools.combinations(range(len(points)), 2):
-        if _chordal(points[i], points[j]) < radius:
+        d = _chordal(doubles[i], doubles[j])
+        if abs(d - radius) <= 1e-12:
+            d = _chordal(points[i], points[j])
+        if d < radius:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(len(points)):
@@ -821,6 +850,17 @@ def admissible_triple(r: tuple) -> tuple:
     return r
 
 
+def _chart_form(system: CompiledSystem) -> list:
+    """The coefficients c of the chart row c . x - 1, the last row of a
+    projective solve's system, at WORKING_DPS."""
+    last = system.size - 1
+    coeffs = [mp.mpc(0)] * system.nvars
+    for slot, c, e in system.mp_table():
+        if slot == last and any(e):
+            coeffs[e.index(1)] = c
+    return coeffs
+
+
 def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
@@ -828,21 +868,48 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     within each stratum, by the multiple-root classifier (a sixfold or
     larger root cluster) versus its complement.  Runs are deterministic
     in (r, seed, configuration).
+
+    The diagonal subgroup H (`h_orbit_signs`) maps the system's zero set
+    to itself and keeps both labels, so only one endpoint per H-orbit is
+    polished and classified.  The distinct endpoints are walked in order;
+    the first one not yet covered is a representative.  Each H-image of
+    its polished point, its coordinates' signs flipped and rescaled onto
+    the census chart, is matched against the double endpoints at chordal
+    distance TOL_MATCH; distinct endpoints are tol_dedup apart, so an
+    image meets at most one.  A matched endpoint takes the image as its
+    coordinates and the representative's labels.  An endpoint no image
+    matches becomes a representative in its turn, so the symmetry saves
+    work but never decides a label.
     """
     r = admissible_triple(r)
     rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
     run = solve_projective(rows, CHART_VARS, seed,
                            f"stratum:{r[0]},{r[1]},{r[2]}", cfg)
     sys6: CompiledSystem = run["system"]
-    points = []
-    min_sv = math.inf
+    distinct = run["distinct"]
+    ends = np.array([e.x for e in distinct])
+    points: list = [None] * len(distinct)
+    min_sv = min((e.sv_min for e in distinct), default=math.inf)
     with mp.workdps(WORKING_DPS):
-        for e in run["distinct"]:
+        chart = _chart_form(sys6)
+        flips = [[embed_mp(s) for s in signs] for signs in h_orbit_signs()]
+        for i, e in enumerate(distinct):
+            if points[i] is not None:
+                continue
             coords = mp_polish(sys6, e.x)
             stratum, multiple = _classify_point(coords, r, cfg)
-            points.append(StratumPoint(coords=coords, stratum=stratum,
-                                       multiple_root=multiple))
-            min_sv = min(min_sv, e.sv_min)
+            points[i] = StratumPoint(coords=coords, stratum=stratum,
+                                     multiple_root=multiple)
+            for flip in flips:
+                image = [s * c for s, c in zip(flip, coords)]
+                scale = mp.fsum(a * b for a, b in zip(chart, image))
+                image = [c / scale for c in image]
+                near = _chordal_each(np.array([complex(c) for c in image]),
+                                     ends)
+                for k in np.flatnonzero(near < TOL_MATCH):
+                    if points[k] is None:
+                        points[k] = StratumPoint(coords=image, stratum=stratum,
+                                                 multiple_root=multiple)
     # report order: L0, then each other stratum split by the multiple-root
     # classifier (X1) or not (X2)
     partition = dict.fromkeys(

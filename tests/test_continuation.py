@@ -267,6 +267,97 @@ def test_polished_census_points_match_the_golden_file(numeric_run):
                 assert abs(x - w) <= 1e-36 * (1 + abs(w))
 
 
+def _counting(calls, name):
+    """The module function `name`, counting its calls in calls[name]."""
+    real = getattr(continuation, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    return counted
+
+
+@pytest.fixture(scope="module")
+def orbit_censuses():
+    """Fresh sample censuses at seed 42, with the diagonal subgroup H as
+    it is ("orbits") and cut to its identity ("own", where every endpoint
+    is polished and classified on its own), each with its counts of
+    `mp_polish` and `octic_root_clusters` calls."""
+    out = {}
+    for name, signs in (("orbits", continuation.h_orbit_signs()),
+                        ("own", continuation.h_orbit_signs()[:1])):
+        calls = dict.fromkeys(("mp_polish", "octic_root_clusters"), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            for fn in calls:
+                patch.setattr(continuation, fn, _counting(calls, fn))
+            patch.setattr(continuation, "h_orbit_signs", lambda: signs)
+            out[name] = count_stratum_points(SAMPLE_R, 42, TrackConfig()), calls
+    return out
+
+
+def test_the_census_polishes_and_classifies_one_point_per_h_orbit(
+        orbit_censuses):
+    census, calls = orbit_censuses["orbits"]
+    assert census.distinct_count == 32
+    assert calls == {"mp_polish": 14, "octic_root_clusters": 14}
+
+
+def test_an_inherited_point_is_its_own_polish_with_its_own_labels(
+        orbit_censuses):
+    census, _calls = orbit_censuses["orbits"]
+    own, _own_calls = orbit_censuses["own"]
+    with mp.workdps(WORKING_DPS):
+        for point, alone in zip(census.points, own.points, strict=True):
+            assert point.stratum == alone.stratum
+            assert point.multiple_root == alone.multiple_root
+            for x, w in zip(point.coords, alone.coords, strict=True):
+                assert abs(x - w) <= 1e-36 * (1 + abs(w))
+
+
+def test_without_the_symmetry_every_endpoint_is_polished_on_its_own(
+        orbit_censuses):
+    census, _calls = orbit_censuses["orbits"]
+    own, calls = orbit_censuses["own"]
+    assert calls == {"mp_polish": 32, "octic_root_clusters": 32}
+    assert own.partition == census.partition
+
+
+class _Tracked(Exception):
+    pass
+
+
+def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
+        monkeypatch):
+    # the sample census at seed 1 rescues four endpoints in a second
+    # chart; polished on the census chart three have a coordinate near
+    # 80, where an absolute 1e-36 stop is below the rounding noise of a
+    # step
+    runs = []
+
+    def tracked(*args):
+        runs.append(solve_projective(*args))
+        raise _Tracked
+
+    monkeypatch.setattr(continuation, "solve_projective", tracked)
+    with pytest.raises(_Tracked):
+        count_stratum_points(SAMPLE_R, 1, TrackConfig())
+    monkeypatch.undo()
+    calls = {"_mp_solve": 0}
+    monkeypatch.setattr(continuation, "_mp_solve",
+                        _counting(calls, "_mp_solve"))
+    run = runs[0]
+    steps, sizes = [], []
+    for e in run["distinct"]:
+        calls["_mp_solve"] = 0
+        x = mp_polish(run["system"], e.x)
+        steps.append(calls["_mp_solve"])
+        sizes.append(max(abs(v) for v in x))
+    assert run["rescue_added"] == 4
+    assert sum(size > 50 for size in sizes) == 3
+    assert max(steps) <= 5
+
+
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
     census = numeric_run.census(SAMPLE_R, 42)
     assert census.path_count == 32
@@ -375,6 +466,25 @@ def _cold_roots(coeffs):
 
 def _sizes(points, radius=1e-4):
     return sorted(map(len, _chordal_groups(points, radius)), reverse=True)
+
+
+def test_a_pair_near_the_radius_is_decided_at_working_precision():
+    # two real points at chordal distance radius * (1 + offset), where
+    # rounding them to complex doubles moves the distance across the
+    # radius
+    radius = 1e-4
+    with mp.workdps(WORKING_DPS):
+        one = mp.mpc(1)
+        for z, offset, grouped in (("1", "1e-14", False),
+                                   ("3.0000000000000001", "-1e-14", True)):
+            z = mp.mpf(z)
+            k = (radius * (1 + mp.mpf(offset))) ** 2 * (1 + z * z)
+            w = (z + mp.sqrt(z * z - (1 - k) * (z * z - k))) / (1 - k)
+            points = [(mp.mpc(z), one), (mp.mpc(w), one)]
+            rounded = [[complex(v) for v in p] for p in points]
+            assert (_chordal(*points) < radius) == grouped
+            assert (_chordal(*rounded) < radius) != grouped
+            assert _sizes(points, radius) == ([2] if grouped else [1, 1])
 
 
 @pytest.mark.parametrize("coeffs, expected", [
