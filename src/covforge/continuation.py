@@ -20,7 +20,7 @@ Endpoints of the stratum systems are then re-polished by `mp_polish`
 from the same table embedded at `WORKING_DPS` (the coefficients are
 exact, so the refinement is limited only by working precision); this
 is what lets the multiple-root classifier separate a genuine sixfold
-root cluster from simple roots at the configured cluster radius.  Each
+root cluster from simple roots at CLUSTER_RADIUS.  Each
 full Newton step solves J dx = F by `_mp_solve`, Gaussian elimination
 with partial pivoting over lists of mpmath complexes, and the polish
 stops on a step small relative to the point.  A census polishes and
@@ -84,6 +84,10 @@ SAMPLE_R = (_F(10), _F(1, 2), _F(1, 3))     # the generic census triple
 
 
 # Fixed limits of the tracker and the classifiers.
+TOL_TRACK = 1e-10           # residual that accepts a path endpoint
+TOL_DEDUP = 1e-6            # chordal distance that identifies two endpoints
+TOL_RANK = 1e-8             # relative singular value counted in a rank
+CLUSTER_RADIUS = 1e-4       # chordal radius that clusters an octic's roots
 TOL_MATCH = 1e-8            # chordal distance that matches an exact anchor
 SV_REGULAR = 1e-6           # smallest singular value of a regular endpoint
 MIN_STEP = 1e-14
@@ -96,16 +100,6 @@ MP_POLISH_ITERS = 12        # high-precision endpoint Newton steps
 WORKING_DPS = 40            # decimal digits of the high-precision work
 SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
 SEED_EXTRAPREC = 160        # extra bits of a cluster's local Taylor expansion
-
-
-@dataclass(frozen=True)
-class TrackConfig:
-    """The tolerances a run can set for the tracker and the classifiers."""
-
-    tol_track: float = 1e-10
-    tol_dedup: float = 1e-6
-    tol_rank: float = 1e-8
-    cluster_radius: float = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ class PathResult:
 
 @dataclass
 class Endpoint:
-    x: np.ndarray                   # chart-affine coordinates
+    x: np.ndarray                   # affine coordinates on the solve's chart
     sv_min: float
 
 
@@ -429,8 +423,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray
         return y, ok
 
 
-def track(system: CompiledSystem, rng: random.Random,
-          cfg: TrackConfig) -> tuple[list[PathResult], int]:
+def track(system: CompiledSystem, rng: random.Random
+          ) -> tuple[list[PathResult], int]:
     """Track every total-degree path of a square system, with the start
     constants and gamma drawn from `rng`.
 
@@ -537,7 +531,7 @@ def track(system: CompiledSystem, rng: random.Random,
     for i in polished[converged]:
         res = float(np.max(np.abs(system.evaluate(x[i])[0])))
         scale = (1.0 + float(np.linalg.norm(x[i]))) ** dmax
-        if np.isfinite(res) and res < cfg.tol_track * scale:
+        if np.isfinite(res) and res < TOL_TRACK * scale:
             status[i] = "accepted"
     return [PathResult(i, status[i], x=x[i].copy(), steps=int(steps[i]))
             for i in range(count)], count
@@ -562,26 +556,29 @@ def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(cross / norms)
 
 
-def _dedup(endpoints: list[Endpoint], tol: float) -> list[Endpoint]:
+def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
     reps: list[Endpoint] = []
     for e in endpoints:
-        if all(_chordal(e.x, r.x) > tol for r in reps):
+        if all(_chordal(e.x, r.x) > TOL_DEDUP for r in reps):
             reps.append(e)
     return reps
 
 
 def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
-                     seed, tag: str, cfg: TrackConfig) -> dict:
+                     seed, tag: str) -> dict:
     """Chart-fix, track, polish, rescue, and deduplicate a projective system.
 
     `rows` are the homogeneous equations as term rows over `var_order`
     (`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
     slice or alignment form).  A random unit-norm chart form set to 1
     makes the system square.  An accepted endpoint is kept if, at its
-    unit-norm representative, every homogeneous row is below tol_track;
+    unit-norm representative, every homogeneous row is below TOL_TRACK;
     the Jacobian there gives its smallest singular value.  Paths whose
-    endpoints fail are retried in a second random chart and merged
-    projectively.  `failed` lists the first chart's failed paths as
+    endpoints fail are retried in a second random chart, and each
+    endpoint found there is rescaled onto the first, x / (c . x), before
+    it is merged projectively: every endpoint in `accepted` and
+    `distinct` lies on `chart`, the first chart's c, and solves
+    `system`.  `failed` lists the first chart's failed paths as
     (index, status); `failures` holds the failed `PathResult`s of each
     chart that ran, each with its last iterate.
     """
@@ -593,35 +590,37 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
         system = CompiledSystem(
             rows + [_linear_row_terms(list(chart), constant=-1.0)], n)
         path_rng = _rng(seed, tag, "paths", chart_id)
-        results, count = track(system, path_rng, cfg)
+        results, count = track(system, path_rng)
         accepted = []
         for r in results:
             if r.status != "accepted":
                 continue
             # the chart row, last, is pinned to 1 by construction
             vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
-            if np.max(np.abs(vals[:-1]), initial=0.0) >= cfg.tol_track:
+            if np.max(np.abs(vals[:-1]), initial=0.0) >= TOL_TRACK:
                 r.status = "polish"
                 continue
             sv = np.linalg.svd(jac, compute_uv=False)
             accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
-        return system, results, accepted, count
+        return chart, system, results, accepted, count
 
-    system, results, accepted, path_count = run_chart(0)
+    chart, system, results, accepted, path_count = run_chart(0)
     failures = [[r for r in results if r.status != "accepted"]]
     rescue_added = 0
     if failures[0]:
-        _sys2, results2, accepted2, _c2 = run_chart(1)
+        _chart2, _sys2, results2, accepted2, _c2 = run_chart(1)
         failures.append([r for r in results2 if r.status != "accepted"])
         known = [e.x for e in accepted]
         for e in accepted2:
-            if all(_chordal(e.x, k) > cfg.tol_dedup for k in known):
-                accepted.append(e)
-                known.append(e.x)
+            x = e.x / (chart @ e.x)
+            if all(_chordal(x, k) > TOL_DEDUP for k in known):
+                accepted.append(Endpoint(x=x, sv_min=e.sv_min))
+                known.append(x)
                 rescue_added += 1
-    distinct = _dedup(accepted, cfg.tol_dedup)
+    distinct = _dedup(accepted)
     return {
         "system": system,
+        "chart": chart,
         "accepted": accepted,
         "distinct": distinct,
         "path_count": path_count,
@@ -652,7 +651,7 @@ def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
     return tuple(q.substitute(bindings) for q in literal_pure_quadrics())
 
 
-def octic_root_clusters(vec9, cluster_radius: float):
+def octic_root_clusters(vec9):
     """Root clusters of the octic with the given basis coordinates.
 
     The roots are those of `_octic_roots`: 40-digit `polyroots` roots
@@ -674,7 +673,7 @@ def octic_root_clusters(vec9, cluster_radius: float):
             coeffs.append(acc)
         if all(c == 0 for c in coeffs):
             return [9]
-        groups = _chordal_groups(_octic_roots(coeffs), cluster_radius)
+        groups = _chordal_groups(_octic_roots(coeffs), CLUSTER_RADIUS)
         return sorted((len(g) for g in groups), reverse=True)
 
 
@@ -820,7 +819,7 @@ class StratumCensus:
     notes: list[str] = field(default_factory=list)
 
 
-def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool]:
+def _classify_point(point_mp, r) -> tuple[str, bool]:
     """Stratum label and multiple-root flag for a polished chart point."""
     norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
     unit = [c / norm for c in point_mp]
@@ -835,7 +834,7 @@ def _classify_point(point_mp, r, cfg: TrackConfig) -> tuple[str, bool]:
     else:
         stratum = "?"
     vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r], unit)
-    sizes = octic_root_clusters(vec9, cfg.cluster_radius)
+    sizes = octic_root_clusters(vec9)
     return stratum, sizes[0] >= 6
 
 
@@ -850,24 +849,13 @@ def admissible_triple(r: tuple) -> tuple:
     return r
 
 
-def _chart_form(system: CompiledSystem) -> list:
-    """The coefficients c of the chart row c . x - 1, the last row of a
-    projective solve's system, at WORKING_DPS."""
-    last = system.size - 1
-    coeffs = [mp.mpc(0)] * system.nvars
-    for slot, c, e in system.mp_table():
-        if slot == last and any(e):
-            coeffs[e.index(1)] = c
-    return coeffs
-
-
-def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
+def count_stratum_points(r: tuple, seed) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
     The partition counts endpoints by coordinate-vanishing stratum and,
     within each stratum, by the multiple-root classifier (a sixfold or
     larger root cluster) versus its complement.  Runs are deterministic
-    in (r, seed, configuration).
+    in (r, seed).
 
     The diagonal subgroup H (`h_orbit_signs`) maps the system's zero set
     to itself and keeps both labels, so only one endpoint per H-orbit is
@@ -875,7 +863,7 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     the first one not yet covered is a representative.  Each H-image of
     its polished point, its coordinates' signs flipped and rescaled onto
     the census chart, is matched against the double endpoints at chordal
-    distance TOL_MATCH; distinct endpoints are tol_dedup apart, so an
+    distance TOL_MATCH; distinct endpoints are TOL_DEDUP apart, so an
     image meets at most one.  A matched endpoint takes the image as its
     coordinates and the representative's labels.  An endpoint no image
     matches becomes a representative in its turn, so the symmetry saves
@@ -884,20 +872,20 @@ def count_stratum_points(r: tuple, seed, cfg: TrackConfig) -> StratumCensus:
     r = admissible_triple(r)
     rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
     run = solve_projective(rows, CHART_VARS, seed,
-                           f"stratum:{r[0]},{r[1]},{r[2]}", cfg)
+                           f"stratum:{r[0]},{r[1]},{r[2]}")
     sys6: CompiledSystem = run["system"]
     distinct = run["distinct"]
     ends = np.array([e.x for e in distinct])
     points: list = [None] * len(distinct)
     min_sv = min((e.sv_min for e in distinct), default=math.inf)
     with mp.workdps(WORKING_DPS):
-        chart = _chart_form(sys6)
+        chart = [mp.mpc(c) for c in run["chart"]]
         flips = [[embed_mp(s) for s in signs] for signs in h_orbit_signs()]
         for i, e in enumerate(distinct):
             if points[i] is not None:
                 continue
             coords = mp_polish(sys6, e.x)
-            stratum, multiple = _classify_point(coords, r, cfg)
+            stratum, multiple = _classify_point(coords, r)
             points[i] = StratumPoint(coords=coords, stratum=stratum,
                                      multiple_root=multiple)
             for flip in flips:
@@ -945,9 +933,10 @@ def h_orbit_signs() -> list[tuple]:
 
 
 def u_dprime_image(census: StratumCensus):
-    """Common chart image of the non-multiple-root open-stratum points.
+    """Chart images of the non-multiple-root open-stratum points.
 
-    Returns (image as a 9-vector of mp complex, pairwise spread, count).
+    Returns (the list of images, each a 9-vector of mp complex, their
+    largest pairwise chordal distance, the point count).
     """
     pts = [p for p in census.points
            if p.stratum == "Lopen" and not p.multiple_root]
@@ -980,13 +969,13 @@ def _fiber_rows(r: tuple) -> list[list[tuple]]:
     return [_poly_terms(e, Y_NAMES) for e in _fiber_equations(r)]
 
 
-def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
-    """The number of singular values above tol_rank times the largest."""
+def _numeric_rank(mat: np.ndarray) -> int:
+    """The number of singular values above TOL_RANK times the largest."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > tol_rank * sv[0]))
+    return int(np.sum(sv > TOL_RANK * sv[0]))
 
 
-def fiber_probe(r: tuple, seed, cfg: TrackConfig, slice_count: int) -> dict:
+def fiber_probe(r: tuple, seed, slice_count: int) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
 
     Each random codimension-3 slice cuts the two quadrics and three
@@ -1003,7 +992,7 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig, slice_count: int) -> dict:
         rng = _rng(seed, "fiber-slice", r, s)
         extra = [_linear_row_terms(list(_unit_row(rng, 9))) for _ in range(3)]
         run = solve_projective(base_rows + extra, Y_NAMES, seed,
-                               f"fiber:{r}:{s}", cfg)
+                               f"fiber:{r}:{s}")
         slice_counts.append(len(run["distinct"]))
         path_counts.append(run["path_count"])
         sampled_points.extend(e.x for e in run["distinct"])
@@ -1015,7 +1004,7 @@ def fiber_probe(r: tuple, seed, cfg: TrackConfig, slice_count: int) -> dict:
         "slice_counts": slice_counts,
         "path_counts": path_counts,
         "sampled_points": sampled_points,
-        "fiber_jacobian_rank": _numeric_rank(jac, cfg.tol_rank),
+        "fiber_jacobian_rank": _numeric_rank(jac),
         "fiber_system": fiber_sys,
     }
 
@@ -1024,22 +1013,21 @@ class NumericRun:
     """The census and probe results of one battery run, shared by its
     numeric checks.
 
-    Each distinct request is computed once, with this run's tolerances,
-    by whichever check asks for it first; a probe with fewer slices than
-    one already computed is read off that one's first slices.  The work
+    Each distinct request is computed once, by whichever check asks for
+    it first; a probe with fewer slices than one already computed is
+    read off that one's first slices.  The work
     goes through the module's `count_stratum_points` and `fiber_probe`,
     so a tracer that wraps those attributes sees every computation.
     """
 
-    def __init__(self, cfg: TrackConfig = TrackConfig()) -> None:
-        self.cfg = cfg
+    def __init__(self) -> None:
         self._results: dict = {}
 
     def census(self, r: tuple, seed: int) -> StratumCensus:
         r = tuple(map(as_exact, r))
         key = ("census", r, seed)
         if key not in self._results:
-            self._results[key] = count_stratum_points(r, seed, self.cfg)
+            self._results[key] = count_stratum_points(r, seed)
         return self._results[key]
 
     def probe(self, r: tuple, seed: int, slice_count: int) -> dict:
@@ -1048,7 +1036,7 @@ class NumericRun:
         if key not in self._results:
             self._results[key] = (
                 self._probe_prefix(r, seed, slice_count)
-                or fiber_probe(r, seed, self.cfg, slice_count))
+                or fiber_probe(r, seed, slice_count=slice_count))
         return self._results[key]
 
     def _probe_prefix(self, r: tuple, seed: int, k: int) -> dict | None:
@@ -1211,7 +1199,6 @@ def check_stratum_counts(seed: int, sample_r: tuple,
     single orbit of the diagonal subgroup.  At the parameter origin the
     open stratum must carry sixteen points.
     """
-    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
     sample_r = tuple(map(as_exact, sample_r))
@@ -1295,9 +1282,8 @@ def check_stratum_counts(seed: int, sample_r: tuple,
         "min_singular_value": census.min_sv,
         "failed_paths": census.failed,
         "rescued": census.rescue_added,
-        "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup,
-                       "match": TOL_MATCH,
-                       "cluster_radius": cfg.cluster_radius},
+        "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP,
+                       "match": TOL_MATCH, "cluster_radius": CLUSTER_RADIUS},
         "seed": seed,
     }
     return _finish("numeric/lemma6_2", started, residuals, details)
@@ -1326,9 +1312,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     `preimage_cross_check` gives the chordal distance of its one regular
     endpoint from the exact point (below TOL_MATCH), its failed paths
     per chart as [index, status], and how many `polish` endpoints lie
-    within tol_dedup of l (a `polish` endpoint off l is a residual).
+    within TOL_DEDUP of l (a `polish` endpoint off l is a residual).
     """
-    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
     origin = (_F(0), _F(0), _F(0))
@@ -1401,7 +1386,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
                          "expected at least 20")
     images_mat = np.array([extract @ (p / np.linalg.norm(p))
                            for p in samples])
-    img_rank = _numeric_rank(images_mat, cfg.tol_rank)
+    img_rank = _numeric_rank(images_mat)
     if img_rank != 4:
         residuals.append(f"projected fiber samples span rank {img_rank} != 4")
 
@@ -1412,7 +1397,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     _u, _s, vh = np.linalg.svd(jac)
     tangent = vh.conj().T[:, 5:]           # 4-dim kernel, includes the scale
     pushed = extract @ tangent             # 4 x 4
-    push_rank = _numeric_rank(pushed, cfg.tol_rank)
+    push_rank = _numeric_rank(pushed)
     if push_rank != 4:
         residuals.append(
             f"projection differential spans rank {push_rank} != 4 "
@@ -1442,7 +1427,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "factored_trials": sum(sol["factored"] for sol in exact),
     }
     cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
-                                        exact[0], cfg, residuals)
+                                        exact[0], residuals)
 
     details = {
         "slice_counts": probe["slice_counts"],
@@ -1455,15 +1440,15 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "preimage_counts": preimage_counts,
         "center_line": center_line,
         "preimage_cross_check": cross_check,
-        "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup,
-                       "rank": cfg.tol_rank},
+        "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP,
+                       "rank": TOL_RANK},
         "seed": seed,
     }
     return _finish("numeric/fiber_5", started, residuals, details)
 
 
 def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
-                          extract: np.ndarray, sol: dict, cfg: TrackConfig,
+                          extract: np.ndarray, sol: dict,
                           residuals: list[str]) -> dict:
     """Solve one preimage target by homotopy and compare it with the exact
     meet `sol`.
@@ -1471,7 +1456,7 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
     The fiber rows plus three alignment rows, the minors of the projected
     point against n, make a square system; its one regular endpoint must
     lie within TOL_MATCH of the exact preimage.  Every failed path that
-    ends `polish` must end within tol_dedup of the center line l, the
+    ends `polish` must end within TOL_DEDUP of the center line l, the
     excess component every alignment row vanishes on.  `stalled` and
     `diverged` paths are reported by status only: their last iterate is
     the last point they accepted on the path, not an endpoint of F.
@@ -1484,7 +1469,7 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
         row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
         align.append(_linear_row_terms(list(row)))
     run = solve_projective(_fiber_rows((_F(0), _F(0), _F(0))) + align,
-                           Y_NAMES, seed, f"preimage:{trial}", cfg)
+                           Y_NAMES, seed, f"preimage:{trial}")
     regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
     chordal = None
     if len(regular) != 1 or sol["point"] is None:
@@ -1507,7 +1492,7 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
                 continue
             off = float(np.linalg.norm(r.x - basis @ (basis.conj().T @ r.x))
                         / np.linalg.norm(r.x))
-            if off <= cfg.tol_dedup:
+            if off <= TOL_DEDUP:
                 on_line += 1
             else:
                 residuals.append(
@@ -1525,7 +1510,6 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
 def check_seed_stability(seed: int, sample_r: tuple,
                          numeric: NumericRun) -> CheckResult:
     """The census partition and the fiber slice degree match across seeds."""
-    cfg = numeric.cfg
     started = time.perf_counter()
     residuals: list[str] = []
     partitions = []
@@ -1546,6 +1530,6 @@ def check_seed_stability(seed: int, sample_r: tuple,
         "seeds": list(seeds),
         "partition": partitions[0],
         "slice_counts": slice_counts,
-        "tolerances": {"track": cfg.tol_track, "dedup": cfg.tol_dedup},
+        "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP},
     }
     return _finish("numeric/seed_stability", started, residuals, details)

@@ -2,12 +2,13 @@
 
 Selects registered checks by id glob, runs the exact suites before the
 continuation suites, and renders a report in text or JSON with a stable
-schema.  Every knob is an environment variable with the ``COVFORGE_``
-prefix, and every knob but ``tol_rank`` and ``tol_cluster`` is also a
-flag; a flag wins over its variable.  The numeric checks
-of one run share their census and probe results through one
-``NumericRun``.  The corrected-typo ledger ships as a package resource,
-named at the end of every text report.
+schema.  Every knob is both a flag and an environment variable with the
+``COVFORGE_`` prefix; a flag wins over its variable, and a set
+``COVFORGE_`` variable that names no knob is a configuration error.
+The tolerances are not knobs but constants of ``continuation``.  The
+numeric checks of one run share their census and probe results through
+one ``NumericRun``.  The corrected-typo ledger ships as a package
+resource, named at the end of every text report.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from importlib import resources
 from . import checks as _checks
 from . import continuation as _cont
 from .checks import CheckResult
-from .continuation import SAMPLE_R, NumericRun, TrackConfig
+from .continuation import SAMPLE_R, NumericRun
 
 ENV_PREFIX = "COVFORGE_"
 ERRATA_RESOURCE = "covforge/errata.json"
@@ -35,24 +36,16 @@ ERRATA_RESOURCE = "covforge/errata.json"
 @dataclass(frozen=True)
 class RunConfig:
     """One fully-specified battery run; equal configs give equal reports
-    (timings aside).  The defaults here are the only ones: the
-    tolerances are `TrackConfig`'s, the triple is the census's."""
+    (timings aside).  Its fields are the only knobs, each default is
+    written only here (the triple is the census's `SAMPLE_R`), and the
+    tolerances are constants of `continuation`."""
 
     filter: str = "*"
     seed: int = 42
-    tol_track: float = TrackConfig.tol_track
-    tol_dedup: float = TrackConfig.tol_dedup
-    tol_rank: float = TrackConfig.tol_rank
-    tol_cluster: float = TrackConfig.cluster_radius
     sample_r: tuple = SAMPLE_R
     format: str = "text"
 
     def validate(self) -> None:
-        for name in ("tol_track", "tol_dedup", "tol_rank", "tol_cluster"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"not {value}")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.seed < 0:
@@ -60,11 +53,6 @@ class RunConfig:
         if len(self.sample_r) != 3:
             raise ValueError("sample_r needs exactly three entries")
         _cont.admissible_triple(self.sample_r)
-
-    def track_config(self) -> TrackConfig:
-        return TrackConfig(tol_track=self.tol_track, tol_dedup=self.tol_dedup,
-                           tol_rank=self.tol_rank,
-                           cluster_radius=self.tol_cluster)
 
 
 # The registry: check id, report anchor (interface data), phase, runner.
@@ -155,12 +143,11 @@ def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
     Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  The numeric checks share one NumericRun
-    with the config's tolerances.  Raises as `select` does for a
-    malformed config or an empty selection.
+    is ordered by check id.  The numeric checks share one NumericRun.
+    Raises as `select` does for a malformed config or an empty selection.
     """
     selected = select(config)
-    numeric = NumericRun(config.track_config())
+    numeric = NumericRun()
     anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
     results = [fn(config, numeric)
                for phase in ("exact", "numeric")
@@ -251,8 +238,7 @@ def _parse_sample_r(parts) -> tuple:
 # How each RunConfig field is read from its COVFORGE_ variable (the
 # field name in upper case); an empty COVFORGE_SAMPLE_R counts as unset.
 _ENV_READERS = {
-    "filter": str, "seed": int, "format": str, "tol_track": float,
-    "tol_dedup": float, "tol_rank": float, "tol_cluster": float,
+    "filter": str, "seed": int, "format": str,
     "sample_r": lambda raw: _parse_sample_r(raw.split()) if raw else None,
 }
 
@@ -261,7 +247,8 @@ def build_config(argv=None) -> RunConfig:
     """The run config of the flags in argv and the COVFORGE_ variables.
 
     Only the fields a flag or a variable sets are passed on, so every
-    default is RunConfig's; a flag wins over its variable.
+    default is RunConfig's; a flag wins over its variable.  Raises
+    ValueError for a set COVFORGE_ variable that names no field.
     """
     default = RunConfig()
     parser = argparse.ArgumentParser(
@@ -273,18 +260,18 @@ def build_config(argv=None) -> RunConfig:
                         help=f"base random seed (default {default.seed})")
     parser.add_argument("--format", choices=("text", "json"),
                         help=f"report format (default {default.format})")
-    parser.add_argument("--tol-track", type=float, metavar="X",
-                        help="path acceptance residual "
-                        f"(default {default.tol_track:g})")
-    parser.add_argument("--tol-dedup", type=float, metavar="X",
-                        help="projective endpoint identification "
-                        f"(default {default.tol_dedup:g})")
     parser.add_argument("--sample-r", nargs=3, metavar=("a", "b", "c"),
                         help="census parameter triple, fractions allowed")
     flags = vars(parser.parse_args(argv))
     if flags["sample_r"] is not None:
         flags["sample_r"] = _parse_sample_r(flags["sample_r"])
 
+    known = [ENV_PREFIX + name.upper() for name in _ENV_READERS]
+    unknown = sorted(name for name in os.environ
+                     if name.startswith(ENV_PREFIX) and name not in known)
+    if unknown:
+        raise ValueError(f"unknown variable {', '.join(unknown)}; known "
+                         f"variables: {', '.join(known)}")
     values = {}
     for name, read in _ENV_READERS.items():
         value = flags.get(name)

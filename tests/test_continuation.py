@@ -13,7 +13,7 @@ import pytest
 from covforge import construction as con
 from covforge import continuation
 from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
-                                   CompiledSystem, NumericRun, TrackConfig,
+                                   CompiledSystem, NumericRun,
                                    _chordal, _chordal_groups,
                                    _fiber_equations, _linear_row_terms,
                                    _mp_solve, _octic_roots, _poly_terms, _rng,
@@ -124,7 +124,7 @@ def test_a_path_that_runs_to_infinity_keeps_its_last_point():
     # two parallel lines: the one path has no finite endpoint
     system = CompiledSystem([_poly_terms(x1 + x2 - 1, names),
                              _poly_terms(x1 + x2 - 2, names)], 2)
-    (path,), _count = track(system, _rng(42, "track"), TrackConfig())
+    (path,), _count = track(system, _rng(42, "track"))
     assert path.status == "diverged"
     assert np.all(np.isfinite(path.x)) and np.linalg.norm(path.x) > 1e10
 
@@ -148,7 +148,7 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
 
     monkeypatch.setattr(continuation, "track", first_chart)
     with pytest.raises(_FirstChart) as chart:
-        count_stratum_points(SAMPLE_R, 42, TrackConfig())
+        count_stratum_points(SAMPLE_R, 42)
     assert chart.value.args[0] == [("accepted", s)
                                    for s in SAMPLE_CHART_STEPS]
 
@@ -156,7 +156,7 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
 def test_tracking_a_univariate_quadratic_finds_both_roots():
     p = MPoly.var("x1") ** 2 - 1
     system = CompiledSystem([_poly_terms(p, ("x1",))], 1)
-    results, path_count = track(system, _rng(42, "track"), TrackConfig())
+    results, path_count = track(system, _rng(42, "track"))
     assert path_count == 2
     assert all(r.status == "accepted" for r in results)
     values = sorted(complex(r.x[0]).real for r in results)
@@ -176,8 +176,7 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
     rows = _sparse_rows()
     assert len(rows) == 2
 
-    run = solve_projective(rows, ("x7", "x8", "x9"), 42, "sparse-test",
-                           TrackConfig())
+    run = solve_projective(rows, ("x7", "x8", "x9"), 42, "sparse-test")
     assert run["path_count"] == 4
     assert run["failed"] == []
     assert run["failures"] == [[]]      # no rescue chart ran
@@ -202,7 +201,7 @@ def test_mp_embedding_and_polish_reach_the_working_precision():
         # each double endpoint of the sparse system polishes onto its
         # exact sparse anchor
         run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
-                               "sparse-test", TrackConfig())
+                               "sparse-test")
         polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
         for p in con.special_points()["sparse_solutions"]:
             anchor = [embed_mp(Fraction(v)) for v in p]
@@ -292,7 +291,7 @@ def orbit_censuses():
             for fn in calls:
                 patch.setattr(continuation, fn, _counting(calls, fn))
             patch.setattr(continuation, "h_orbit_signs", lambda: signs)
-            out[name] = count_stratum_points(SAMPLE_R, 42, TrackConfig()), calls
+            out[name] = count_stratum_points(SAMPLE_R, 42), calls
     return out
 
 
@@ -341,7 +340,7 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
 
     monkeypatch.setattr(continuation, "solve_projective", tracked)
     with pytest.raises(_Tracked):
-        count_stratum_points(SAMPLE_R, 1, TrackConfig())
+        count_stratum_points(SAMPLE_R, 1)
     monkeypatch.undo()
     calls = {"_mp_solve": 0}
     monkeypatch.setattr(continuation, "_mp_solve",
@@ -354,6 +353,9 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         steps.append(calls["_mp_solve"])
         sizes.append(max(abs(v) for v in x))
     assert run["rescue_added"] == 4
+    # every endpoint, rescued ones too, lies on the census chart
+    for e in run["distinct"]:
+        assert abs(run["chart"] @ e.x - 1) < 1e-8
     assert sum(size > 50 for size in sizes) == 3
     assert max(steps) <= 5
 
@@ -384,9 +386,9 @@ def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run,
     # first slice of a five-slice one
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fiber_probe(*args)
+        return fiber_probe(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "fiber_probe", counted)
     run = NumericRun()
@@ -423,17 +425,17 @@ def test_census_rejects_degenerate_parameter_triples():
     # r2 = 0, r3 = 13/7 zeroes the first leading-coefficient inequation
     bad = (Fraction(10), Fraction(0), Fraction(13, 7))
     with pytest.raises(ValueError):
-        count_stratum_points(bad, 42, TrackConfig())
+        count_stratum_points(bad, 42)
 
 
 def test_root_clusters_separate_sixfold_from_simple_roots():
     # a solution-family instance carries a sixfold root cluster
     family_instance = [1, 0, 0, 10, 0, 0, 10, 1, 0]
-    sizes = octic_root_clusters(family_instance, cluster_radius=1e-4)
+    sizes = octic_root_clusters(family_instance)
     assert sizes == [6, 1, 1]
     # the distinguished invariant octic has eight simple roots
     invariant = [0] * 6 + [5, 0, 1]
-    sizes = octic_root_clusters(invariant, cluster_radius=1e-4)
+    sizes = octic_root_clusters(invariant)
     assert sizes == [1] * 8
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from covforge import checks, continuation, harness
-from covforge.continuation import TrackConfig, check_seed_stability
+from covforge.continuation import check_seed_stability
 
 JSON_KEY_ORDER = ["check_id", "paper_anchor", "status", "residual_count",
                   "details", "millis"]
@@ -26,17 +26,13 @@ def test_default_configuration_values():
     assert cfg.filter == "*"
     assert cfg.seed == 42
     assert cfg.format == "text"
-    assert cfg.tol_track == 1e-10
-    assert cfg.tol_dedup == 1e-6
     assert cfg.sample_r == (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
 
 def test_every_default_is_written_once(monkeypatch):
-    for name in ("FILTER", "SEED", "FORMAT", "TOL_TRACK", "TOL_DEDUP",
-                 "TOL_RANK", "TOL_CLUSTER", "SAMPLE_R"):
+    for name in ("FILTER", "SEED", "FORMAT", "SAMPLE_R"):
         monkeypatch.delenv(harness.ENV_PREFIX + name, raising=False)
     assert harness.build_config([]) == harness.RunConfig()
-    assert harness.RunConfig().track_config() == TrackConfig()
 
 
 def test_sample_r_accepts_fraction_strings():
@@ -67,24 +63,24 @@ def test_the_removed_jobs_flag_is_rejected_by_the_parser():
         harness.build_config(["--jobs", "2"])
 
 
-def test_negative_tolerance_exits_with_configuration_error(capsys,
-                                                          monkeypatch):
+def test_the_removed_tolerance_knobs_are_configuration_errors(capsys,
+                                                              monkeypatch):
+    # the tolerances are constants: a variable that names one is an
+    # unknown variable, and its flag is an unknown flag
     called = []
-    monkeypatch.setattr(checks, "check_field_axioms",
-                        lambda seed: called.append(seed))
-    # a negative, a nan and an infinite tolerance, by flag and by variable
-    for flags, env in ((["--tol-track=-1e-10"], {}),
-                       (["--tol-track", "nan"], {}),
-                       (["--tol-dedup", "inf"], {}),
-                       ([], {"COVFORGE_TOL_RANK": "nan"}),
-                       ([], {"COVFORGE_TOL_CLUSTER": "inf"})):
+    monkeypatch.setattr(checks, "check_expansion_1_2",
+                        lambda: called.append(1))
+    for name in ("TRACK", "DEDUP", "RANK", "CLUSTER"):
         with monkeypatch.context() as m:
-            for name, value in env.items():
-                m.setenv(name, value)
-            code = harness.main(flags + ["--filter", "property/field_axioms"])
-        assert code == 2, (flags, env)
-        assert "verify:" in capsys.readouterr().err
+            m.setenv(f"COVFORGE_TOL_{name}", "1e-9")
+            assert harness.main([]) == 2, name
+        err = capsys.readouterr().err
+        assert f"COVFORGE_TOL_{name}" in err
+        assert "COVFORGE_SAMPLE_R" in err
     assert called == []
+    for flag in ("--tol-track", "--tol-dedup"):
+        with pytest.raises(SystemExit):
+            harness.build_config([flag, "1e-9"])
 
 
 def test_zero_denominator_triple_exits_with_configuration_error(capsys):
