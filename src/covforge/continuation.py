@@ -47,7 +47,11 @@ lift to a plane, on which each quadric is lambda times a line, lambda
 vanishing on the center line l that lies in both the center and the
 fiber; the one preimage is the meet of the two lines.  One target is
 still tracked as a cross-check, and its failed paths are explained by
-their distance to l.
+their distance to l.  Fiber slices are not tracked either: the linear
+fiber rows and three seeded slice rows cut a plane over Q(i), on which
+the two quadrics are two conics, and `conic_pair` proves their four
+transversal points from the discriminant of the eliminant; slice 0 is
+still tracked as a cross-check.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -975,34 +979,184 @@ def _numeric_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > TOL_RANK * sv[0]))
 
 
+def _gaussian(z: complex) -> CycScalar:
+    """A complex double as the exact Gaussian rational it is."""
+    return CycScalar(_F(z.real), 0, _F(z.imag), 0)
+
+
+# Centers of the projection (z1 : z2) of a plane, as coefficients over
+# its basis (a, b, c); the third entry is nonzero, so the center can
+# take the place of c.
+PROJECTIONS = ((0, 0, 1), (1, 2, 3), (2, -3, 1))
+
+
+def _form_mul(f: list, g: list) -> list:
+    """The product of two binary forms, each its coefficient list from
+    z1^n down to z2^n."""
+    out = [_F(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _form_value(f: list, z1: complex, z2: complex) -> complex:
+    n = len(f) - 1
+    return sum(complex(c) * z1 ** (n - k) * z2 ** k for k, c in enumerate(f))
+
+
+def _conic_newton(w: np.ndarray, gram: list) -> np.ndarray:
+    """Two Newton steps on the conics w^T G w = 0, for G in `gram`, from
+    the plane point w, on the affine chart through w normal to it.  The
+    roots of the eliminant R can lose digits that the conic pair itself
+    keeps; these steps win them back."""
+    chart = w.conj() / np.vdot(w, w)
+    for _ in range(2):
+        jac = np.array([2 * g @ w for g in gram] + [chart])
+        w = w - np.linalg.solve(jac, [w @ g @ w for g in gram] + [0])
+    return w
+
+
+def _on_basis(q: MPoly, basis: list, names: tuple) -> dict:
+    """The quadric q on span(basis), as the coefficient of w_j w_k, j <= k,
+    in the coordinates w of sum w_k basis[k]: Q(v_k) on the diagonal and
+    the polarisation Q(v_j + v_k) - Q(v_j) - Q(v_k) off it."""
+    def value(vec):
+        return q.evaluate(dict(zip(names, vec)))
+
+    out = {(k, k): value(v) for k, v in enumerate(basis)}
+    for j, k in itertools.combinations(range(len(basis)), 2):
+        out[j, k] = (value([x + y for x, y in zip(basis[j], basis[k])])
+                     - out[j, j] - out[k, k])
+    return out
+
+
+def conic_pair(plane: list, quadrics: tuple, names: tuple) -> dict:
+    """Count the common points of two quadrics on a plane, exactly.
+
+    `plane` is three exact vectors over the coordinates `names`.  In
+    plane coordinates (z1, z2, t) each quadric is a conic
+    C_i = a_i t^2 + b_i t + c_i, with b_i linear and c_i quadratic in
+    (z1, z2).  Eliminating t gives the Sylvester resultant
+    R = K^2 - L M, a binary quartic, with K = a_2 c_1 - a_1 c_2,
+    L = a_2 b_1 - a_1 b_2 and M = b_2 c_1 - b_1 c_2.  When
+    (a_1, a_2) != 0 (the center (0 : 0 : 1) of the projection to
+    (z1 : z2) is off one conic), R != 0 (no common component) and the
+    discriminant 4 I^3 - J^2 of R is nonzero (R has four distinct
+    roots), each root is the projection of at least one common point,
+    so Bezout's 2 * 2 = 4 leaves exactly four, each transversal.  The
+    tests are tried for each center of PROJECTIONS in turn: a zero
+    discriminant may only mean that two common points lie on one line
+    through the center.
+
+    Returns the `count`, 4 when a projection proves the four points
+    and else 0; the `reason` when none does, naming the test that
+    failed for each center; the `projection` that proved them; and
+    the `points` as complex double vectors over `names`: each root of
+    R from `np.roots`, t from the linear K + L t, two Newton steps on
+    the conic pair, mapped through the basis.
+    """
+    out = {"count": 0, "reason": None, "projection": None, "eliminant": None,
+           "points": []}
+    if len(plane) != 3:
+        return {**out, "reason": f"the rows cut a {len(plane)}-dimensional "
+                "space, not a plane"}
+    a, b, _c = plane
+    failures = []
+    for center in PROJECTIONS:
+        third = _combination(center, plane)
+        conics = [_on_basis(q, [a, b, third], names) for q in quadrics]
+        (a1, b1, c1), (a2, b2, c2) = (
+            (co[2, 2], [co[0, 2], co[1, 2]], [co[0, 0], co[0, 1], co[1, 1]])
+            for co in conics)
+        if not a1 and not a2:
+            failures.append(f"from {center}: the center lies on both "
+                            "conics")
+            continue
+        k = [a2 * x - a1 * y for x, y in zip(c1, c2)]
+        l = [a2 * x - a1 * y for x, y in zip(b1, b2)]
+        m = [x - y for x, y in zip(_form_mul(b2, c1), _form_mul(b1, c2))]
+        res = [x - y for x, y in zip(_form_mul(k, k), _form_mul(l, m))]
+        if not any(res):
+            failures.append(f"from {center}: the eliminant R vanishes "
+                            "identically")
+            continue
+        qa, qb, qc, qd, qe = res
+        inv_i = 12 * qa * qe - 3 * qb * qd + qc * qc
+        inv_j = (72 * qa * qc * qe + 9 * qb * qc * qd - 27 * qa * qd * qd
+                 - 27 * qb * qb * qe - 2 * qc * qc * qc)
+        if not 4 * inv_i * inv_i * inv_i - inv_j * inv_j:
+            failures.append(f"from {center}: the discriminant "
+                            "4 I^3 - J^2 of R is zero")
+            continue
+        roots = [(complex(u), 1.0) for u in
+                 np.roots([complex(v) for v in res])]
+        if not qa:
+            roots.append((1.0, 0.0))        # the root z2 = 0
+        gram = [np.array([[complex(co[min(i, j), max(i, j)])
+                           * (1.0 if i == j else 0.5) for j in range(3)]
+                          for i in range(3)]) for co in conics]
+        basis = np.array([[complex(v) for v in vec]
+                          for vec in (a, b, third)])
+        points = [_conic_newton(np.array(
+            [z1, z2, -_form_value(k, z1, z2) / _form_value(l, z1, z2)]),
+            gram) @ basis for z1, z2 in roots]
+        return {**out, "count": 4, "projection": center, "eliminant": res,
+                "points": points}
+    return {**out, "reason": "; ".join(failures)}
+
+
+def _slice_rows(r: tuple, seed, s: int) -> list[np.ndarray]:
+    """The three seeded unit rows of fiber slice s over r."""
+    rng = _rng(seed, "fiber-slice", r, s)
+    return [_unit_row(rng, 9) for _ in range(3)]
+
+
+def exact_slice(r: tuple, seed, s: int) -> dict:
+    """`conic_pair` of fiber slice s over r: the three linear fiber rows
+    and the slice's three seeded rows, whose double entries are exact
+    Gaussian rationals, cut a plane over Q(i), and the two quadrics are
+    two conics on it."""
+    r = tuple(map(as_exact, r))
+    equations = _fiber_equations(r)
+    rows = [[e.coeff({y: 1}) for y in Y_NAMES] for e in equations[2:]]
+    rows += [[_gaussian(z) for z in row] for row in _slice_rows(r, seed, s)]
+    return conic_pair(ExactMatrix(rows).kernel_basis(), equations[:2],
+                      Y_NAMES)
+
+
 def fiber_probe(r: tuple, seed, slice_count: int) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
 
-    Each random codimension-3 slice cuts the two quadrics and three
-    linear equations down to a square chart system; the probe records
-    the endpoint count per slice, a numeric rank of the fiber Jacobian
-    at a sample endpoint, and the sampled points themselves.  Runs are
+    Each seeded codimension-3 slice cuts the fiber to two conics on a
+    plane, counted exactly by `exact_slice`.  Slice 0 is also tracked
+    by homotopy as a cross-check: `cross_check` holds its path count
+    and, per distinct endpoint, the chordal distance to the nearest
+    exact-plane point.  The sampled points are slice 0's tracked
+    endpoints, then the exact-plane points of the other slices; the
+    numeric rank of the fiber Jacobian is read at the first.  Runs are
     deterministic in the arguments.
     """
     r = tuple(map(as_exact, r))
     base_rows = _fiber_rows(r)
     fiber_sys = CompiledSystem(base_rows, 9)
-    slice_counts, path_counts, sampled_points = [], [], []
-    for s in range(slice_count):
-        rng = _rng(seed, "fiber-slice", r, s)
-        extra = [_linear_row_terms(list(_unit_row(rng, 9))) for _ in range(3)]
-        run = solve_projective(base_rows + extra, Y_NAMES, seed,
-                               f"fiber:{r}:{s}")
-        slice_counts.append(len(run["distinct"]))
-        path_counts.append(run["path_count"])
-        sampled_points.extend(e.x for e in run["distinct"])
+    slices = [exact_slice(r, seed, s) for s in range(slice_count)]
+    extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
+    run = solve_projective(base_rows + extra, Y_NAMES, seed, f"fiber:{r}:0")
+    tracked = [e.x for e in run["distinct"]]
+    exact0 = np.array(slices[0]["points"])
+    chordal = [float(np.min(_chordal_each(x, exact0))) if len(exact0)
+               else math.inf for x in tracked]
+    sampled_points = tracked + [p for sl in slices[1:] for p in sl["points"]]
     if not sampled_points:
-        raise RuntimeError("no fiber slice produced an accepted endpoint")
+        raise RuntimeError("no fiber slice produced a point")
     _vals, jac = fiber_sys.evaluate(sampled_points[0] /
                                     np.linalg.norm(sampled_points[0]))
     return {
-        "slice_counts": slice_counts,
-        "path_counts": path_counts,
+        "slice_counts": [sl["count"] for sl in slices],
+        "slice_reasons": [sl["reason"] for sl in slices],
+        "projections": [sl["projection"] for sl in slices],
+        "cross_check": {"path_count": run["path_count"], "chordal": chordal},
         "sampled_points": sampled_points,
         "fiber_jacobian_rank": _numeric_rank(jac),
         "fiber_system": fiber_sys,
@@ -1010,14 +1164,13 @@ def fiber_probe(r: tuple, seed, slice_count: int) -> dict:
 
 
 class NumericRun:
-    """The census and probe results of one battery run, shared by its
-    numeric checks.
+    """The census results of one battery run, shared by its numeric
+    checks.
 
-    Each distinct request is computed once, by whichever check asks for
-    it first; a probe with fewer slices than one already computed is
-    read off that one's first slices.  The work
-    goes through the module's `count_stratum_points` and `fiber_probe`,
-    so a tracer that wraps those attributes sees every computation.
+    Each distinct census is computed once, by whichever check asks for
+    it first, through the module's `count_stratum_points`, so a tracer
+    that wraps that attribute sees every computation.  The fiber probe
+    is not stored: `numeric/fiber_5` alone asks for it.
     """
 
     def __init__(self) -> None:
@@ -1025,37 +1178,10 @@ class NumericRun:
 
     def census(self, r: tuple, seed: int) -> StratumCensus:
         r = tuple(map(as_exact, r))
-        key = ("census", r, seed)
+        key = (r, seed)
         if key not in self._results:
             self._results[key] = count_stratum_points(r, seed)
         return self._results[key]
-
-    def probe(self, r: tuple, seed: int, slice_count: int) -> dict:
-        r = tuple(map(as_exact, r))
-        key = ("probe", r, seed, slice_count)
-        if key not in self._results:
-            self._results[key] = (
-                self._probe_prefix(r, seed, slice_count)
-                or fiber_probe(r, seed, slice_count=slice_count))
-        return self._results[key]
-
-    def _probe_prefix(self, r: tuple, seed: int, k: int) -> dict | None:
-        """The first k slices of a computed probe with more slices.
-
-        `fiber_probe` solves slice s from its own seeded stream whatever
-        the slice count, so these equal a k-slice probe, provided they
-        hold the sample point its Jacobian rank is read at.
-        """
-        for key, wider in self._results.items():
-            if key[:3] != ("probe", r, seed) or key[3] <= k:
-                continue
-            kept = sum(wider["slice_counts"][:k])
-            if kept:
-                return {**wider,
-                        "slice_counts": wider["slice_counts"][:k],
-                        "path_counts": wider["path_counts"][:k],
-                        "sampled_points": wider["sampled_points"][:kept]}
-        return None
 
 
 def projection_data():
@@ -1085,8 +1211,8 @@ PLANE_VARS = ("z1", "z2", "t")      # plane coordinates; t is lambda
 
 
 def _combination(coeffs, vectors) -> list:
-    """The exact 9-vector sum of coeffs[k] * vectors[k]."""
-    out = [_F(0)] * 9
+    """The exact vector sum of coeffs[k] * vectors[k]."""
+    out = [_F(0)] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         out = [o + c * x for o, x in zip(out, v)]
     return out
@@ -1313,19 +1439,35 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     endpoint from the exact point (below TOL_MATCH), its failed paths
     per chart as [index, status], and how many `polish` endpoints lie
     within TOL_DEDUP of l (a `polish` endpoint off l is a residual).
+
+    The slice degree is proved the same way: each of the five seeded
+    slices cuts the fiber to two conics on a plane over Q(i), and
+    `exact_slice` counts their four transversal points, by the first
+    center of PROJECTIONS that separates them (`slice_projections`).
+    Slice 0 is also tracked by homotopy: `slice_cross_check` gives the
+    largest chordal distance of its four endpoints from the exact-plane
+    points (each below TOL_MATCH).
     """
     started = time.perf_counter()
     residuals: list[str] = []
     origin = (_F(0), _F(0), _F(0))
 
-    probe = numeric.probe(origin, seed, 5)
-    if probe["slice_counts"][0] != 4:
-        residuals.append(
-            f"first slice endpoint count {probe['slice_counts'][0]} != 4")
+    probe = fiber_probe(origin, seed, slice_count=5)
+    for s, reason in enumerate(probe["slice_reasons"]):
+        if reason:
+            residuals.append(f"slice {s}: {reason}")
     if any(c != 4 for c in probe["slice_counts"]):
         residuals.append(f"slice counts {probe['slice_counts']} are not all 4")
-    if any(c != 4 for c in probe["path_counts"]):
-        residuals.append(f"path counts {probe['path_counts']} are not all 4")
+    tracked = probe["cross_check"]
+    if tracked["path_count"] != 4 or len(tracked["chordal"]) != 4:
+        residuals.append(
+            f"slice 0 cross-check: {len(tracked['chordal'])} distinct "
+            f"endpoints of {tracked['path_count']} paths, expected 4 of 4")
+    for k, d in enumerate(tracked["chordal"]):
+        if d >= TOL_MATCH:
+            residuals.append(
+                f"slice 0 cross-check: endpoint {k} is {d:.2e} from every "
+                "exact-plane point")
     if probe["fiber_jacobian_rank"] != 5:
         residuals.append(
             f"fiber Jacobian rank {probe['fiber_jacobian_rank']} != 5")
@@ -1411,8 +1553,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         rng = _rng(seed, "preimage", trial)
         targets.append(np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                  for _ in range(4)]))
-    exact = [exact_preimage([CycScalar(_F(z.real), 0, _F(z.imag), 0)
-                             for z in n_coords]) for n_coords in targets]
+    exact = [exact_preimage([_gaussian(z) for z in n_coords])
+             for n_coords in targets]
     preimage_counts = [sol["count"] for sol in exact]
     for trial, sol in enumerate(exact):
         if sol["reason"]:
@@ -1431,6 +1573,10 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
 
     details = {
         "slice_counts": probe["slice_counts"],
+        "slice_projections": probe["projections"],
+        "slice_cross_check": {
+            "slice": 0,
+            "chordal": max(tracked["chordal"], default=None)},
         "fiber_jacobian_rank": probe["fiber_jacobian_rank"],
         "center_rank": proj["center_rank"],
         "target_rank": proj["target_rank"],
@@ -1509,7 +1655,11 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
 
 def check_seed_stability(seed: int, sample_r: tuple,
                          numeric: NumericRun) -> CheckResult:
-    """The census partition and the fiber slice degree match across seeds."""
+    """The census partition and the fiber slice degree match across seeds.
+
+    The degree is the exact count of fiber slice 0 at each seed, by
+    `exact_slice`; nothing is tracked for it.
+    """
     started = time.perf_counter()
     residuals: list[str] = []
     partitions = []
@@ -1517,8 +1667,10 @@ def check_seed_stability(seed: int, sample_r: tuple,
     seeds = (seed, seed + 1, seed + 2)
     for s in seeds:
         partitions.append(numeric.census(sample_r, s).partition)
-        probe = numeric.probe((_F(0), _F(0), _F(0)), s, 1)
-        slice_counts.append(probe["slice_counts"][0])
+        exact = exact_slice((_F(0), _F(0), _F(0)), s, 0)
+        if exact["reason"]:
+            residuals.append(f"seed {s}: fiber slice 0: {exact['reason']}")
+        slice_counts.append(exact["count"])
     for other, part in zip(seeds[1:], partitions[1:]):
         if part != partitions[0]:
             residuals.append(

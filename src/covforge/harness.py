@@ -3,11 +3,11 @@
 Selects registered checks by id glob, runs the exact suites before the
 continuation suites, and renders a report in text or JSON with a stable
 schema.  Every knob is both a flag and an environment variable with the
-``COVFORGE_`` prefix; a flag wins over its variable, and a set
-``COVFORGE_`` variable that names no knob is a configuration error.
-The tolerances are not knobs but constants of ``continuation``.  The
-numeric checks of one run share their census and probe results through
-one ``NumericRun``.  The corrected-typo ledger ships as a package
+``COVFORGE_`` prefix; a flag wins over its variable, an empty variable
+counts as unset, and a set ``COVFORGE_`` variable that names no knob or
+does not parse is a configuration error that names it.  The tolerances
+are not knobs but constants of ``continuation``.  The numeric checks of
+one run share their censuses through one ``NumericRun``.  The corrected-typo ledger ships as a package
 resource, named at the end of every text report.
 """
 
@@ -236,10 +236,10 @@ def _parse_sample_r(parts) -> tuple:
 
 
 # How each RunConfig field is read from its COVFORGE_ variable (the
-# field name in upper case); an empty COVFORGE_SAMPLE_R counts as unset.
+# field name in upper case).
 _ENV_READERS = {
     "filter": str, "seed": int, "format": str,
-    "sample_r": lambda raw: _parse_sample_r(raw.split()) if raw else None,
+    "sample_r": lambda raw: _parse_sample_r(raw.split()),
 }
 
 
@@ -247,8 +247,10 @@ def build_config(argv=None) -> RunConfig:
     """The run config of the flags in argv and the COVFORGE_ variables.
 
     Only the fields a flag or a variable sets are passed on, so every
-    default is RunConfig's; a flag wins over its variable.  Raises
-    ValueError for a set COVFORGE_ variable that names no field.
+    default is RunConfig's; a flag wins over its variable, and an empty
+    variable counts as unset.  Raises ValueError, naming the variable,
+    for a set COVFORGE_ variable that names no field or whose value
+    does not parse.
     """
     default = RunConfig()
     parser = argparse.ArgumentParser(
@@ -267,17 +269,23 @@ def build_config(argv=None) -> RunConfig:
         flags["sample_r"] = _parse_sample_r(flags["sample_r"])
 
     known = [ENV_PREFIX + name.upper() for name in _ENV_READERS]
-    unknown = sorted(name for name in os.environ
-                     if name.startswith(ENV_PREFIX) and name not in known)
+    unknown = sorted(name for name, raw in os.environ.items()
+                     if name.startswith(ENV_PREFIX) and raw
+                     and name not in known)
     if unknown:
         raise ValueError(f"unknown variable {', '.join(unknown)}; known "
                          f"variables: {', '.join(known)}")
     values = {}
     for name, read in _ENV_READERS.items():
         value = flags.get(name)
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if value is None and raw is not None:
-            value = read(raw)
+        variable = ENV_PREFIX + name.upper()
+        raw = os.environ.get(variable)
+        if value is None and raw:
+            try:
+                value = read(raw)
+            except ValueError as exc:
+                raise ValueError(f"{variable}={raw!r} is not a valid "
+                                 f"{name}: {exc}") from None
         if value is not None:
             values[name] = value
     return RunConfig(**values)

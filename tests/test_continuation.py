@@ -12,15 +12,17 @@ import pytest
 
 from covforge import construction as con
 from covforge import continuation
-from covforge.continuation import (CHART_VARS, PLANE_VARS, WORKING_DPS,
-                                   CompiledSystem, NumericRun,
-                                   _chordal, _chordal_groups,
-                                   _fiber_equations, _linear_row_terms,
+from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
+                                   WORKING_DPS, CompiledSystem,
+                                   _chordal, _chordal_each, _chordal_groups,
+                                   _fiber_equations, _fiber_rows,
+                                   _linear_row_terms,
                                    _mp_solve, _octic_roots, _poly_terms, _rng,
-                                   _solve_stack, _start_system,
-                                   _stratum_anchor_vectors,
+                                   _slice_rows, _solve_stack, _start_system,
+                                   _stratum_anchor_vectors, conic_pair,
                                    count_stratum_points,
-                                   embed_mp, exact_preimage, fiber_probe,
+                                   embed_mp, exact_preimage, exact_slice,
+                                   fiber_probe,
                                    literal_pure_quadrics,
                                    literal_restricted_quadrics, mp_polish,
                                    octic_root_clusters, projection_data,
@@ -374,34 +376,94 @@ def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
     assert numeric_run.census((10, SAMPLE_R[1], SAMPLE_R[2]), 42) is census
 
 
-def test_a_numeric_run_shares_probes_and_a_new_run_recomputes(numeric_run,
-                                                             monkeypatch):
-    first = numeric_run.probe((0, 0, 0), 42, 1)
-    assert numeric_run.probe((0, 0, 0), 42, 1) is first
-    fresh = NumericRun().probe((0, 0, 0), 42, 1)
-    assert fresh is not first
-    assert fresh["slice_counts"] == first["slice_counts"] == [4]
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_tracked_fiber_slices_match_the_exact_plane_points(seed):
+    # the oracle for the exact slice count: each slice that
+    # `fiber_probe` counts exactly, tracked on its seeded rows, ends at
+    # four endpoints, one on each exact-plane point
+    origin = (Fraction(0),) * 3
+    base = _fiber_rows(origin)
+    for s in range(5):
+        exact = exact_slice(origin, seed, s)
+        assert exact["count"] == 4 and exact["reason"] is None
+        rows = [_linear_row_terms(list(row))
+                for row in _slice_rows(origin, seed, s)]
+        run = solve_projective(base + rows, con.Y_NAMES, seed,
+                               f"fiber:{origin}:{s}")
+        assert len(run["distinct"]) == 4
+        points = np.array(exact["points"])
+        nearest = []
+        for e in run["distinct"]:
+            dist = _chordal_each(e.x, points)
+            assert dist.min() < TOL_MATCH, (s, dist.min())
+            nearest.append(int(dist.argmin()))
+        assert sorted(nearest) == [0, 1, 2, 3]
 
-    # every slice is solved on its own, so a one-slice probe is the
-    # first slice of a five-slice one
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fiber_probe(*args, **kwargs)
+def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
+    tags = []
 
-    monkeypatch.setattr(continuation, "fiber_probe", counted)
-    run = NumericRun()
-    run.probe((0, 0, 0), 42, 5)
-    prefix = run.probe((0, 0, 0), 42, 1)
-    assert len(calls) == 1
-    assert prefix.keys() == fresh.keys()
-    for key in ("slice_counts", "path_counts", "fiber_jacobian_rank"):
-        assert prefix[key] == fresh[key]
-    assert len(prefix["sampled_points"]) == len(fresh["sampled_points"])
-    for a, b in zip(prefix["sampled_points"], fresh["sampled_points"]):
-        assert np.array_equal(a, b)
-    assert prefix["fiber_system"]._terms == fresh["fiber_system"]._terms
+    def logged(rows, var_order, seed, tag):
+        tags.append(tag)
+        return solve_projective(rows, var_order, seed, tag)
+
+    monkeypatch.setattr(continuation, "solve_projective", logged)
+    probe = fiber_probe((0, 0, 0), 1, slice_count=5)
+    assert tags == [f"fiber:{(Fraction(0),) * 3}:0"]
+    assert probe["slice_counts"] == [4] * 5
+    assert probe["slice_reasons"] == [None] * 5
+    assert probe["cross_check"]["path_count"] == 4
+    assert max(probe["cross_check"]["chordal"]) < TOL_MATCH
+    # slice 0's four tracked endpoints, then four exact points per slice
+    assert len(probe["sampled_points"]) == 20
+    assert probe["fiber_jacobian_rank"] == 5
+
+
+def _are_the_points(out, expected) -> bool:
+    """Whether the kernel's points are the expected ones, one each."""
+    nearest = [min(range(len(expected)),
+                   key=lambda k: _chordal(p, expected[k]))
+               for p in out["points"]]
+    return (sorted(nearest) == list(range(len(expected)))
+            and all(_chordal(p, expected[k]) < 1e-12
+                    for p, k in zip(out["points"], nearest)))
+
+
+PLANE = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_the_eliminant_vanishes_where_the_conics_meet():
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    out = conic_pair(PLANE, (z1 * z1 - t * t,
+                             (t - z1 - z2) * (t - 2 * z1 + z2)), PLANE_VARS)
+    assert out["count"] == 4 and out["reason"] is None
+    assert out["projection"] == (0, 0, 1)
+    meets = [(1, 0, 1), (1, 1, 1), (1, -2, -1), (1, 3, -1)]
+    for u1, u2, _t in meets:
+        assert sum(c * u1 ** (4 - k) * u2 ** k
+                   for k, c in enumerate(out["eliminant"])) == 0
+    assert _are_the_points(out, meets)
+
+
+def test_a_projection_that_merges_points_gives_way_to_the_next():
+    # from the center (0 : 0 : 1) the four meets (+-1 : +-1 : 1) project
+    # in pairs onto (1 : 1) and (1 : -1): the eliminant is a square
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    out = conic_pair(PLANE, (z1 * z1 - t * t, z2 * z2 - t * t), PLANE_VARS)
+    assert out["count"] == 4 and out["reason"] is None
+    assert out["projection"] == continuation.PROJECTIONS[1]
+    meets = [(a, b, 1) for a in (1, -1) for b in (1, -1)]
+    assert _are_the_points(out, meets)
+
+
+def test_a_tangent_pair_is_not_counted_and_the_failed_test_is_named():
+    # the line z1 = t touches the circle z1^2 + z2^2 = t^2 at (1 : 0 : 1)
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    out = conic_pair(PLANE, (z1 * z1 + z2 * z2 - t * t,
+                             (z1 - t) * (2 * z1 + t)), PLANE_VARS)
+    assert out["count"] < 4 and out["points"] == []
+    for center in continuation.PROJECTIONS:
+        assert f"from {center}: the discriminant 4 I^3 - J^2" in out["reason"]
 
 
 def test_single_pair_anchors_are_the_instances_of_the_stored_families(

@@ -53,6 +53,16 @@ def test_environment_supplies_defaults_but_flags_win(monkeypatch):
     assert cfg.format == "text"
 
 
+def test_a_bad_variable_is_named_and_an_empty_one_is_unset(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("COVFORGE_SEED", "abc")
+    assert harness.main(["--filter", "symbolic/strata_6"]) == 2
+    assert "COVFORGE_SEED='abc'" in capsys.readouterr().err
+    for name in ("FILTER", "SEED", "FORMAT", "SAMPLE_R", "TOL_RANK"):
+        monkeypatch.setenv(harness.ENV_PREFIX + name, "")
+    assert harness.build_config([]) == harness.RunConfig()
+
+
 def test_unknown_format_is_rejected_by_the_parser():
     with pytest.raises(SystemExit):
         harness.build_config(["--format", "yaml"])
