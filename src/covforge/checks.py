@@ -94,21 +94,10 @@ def _require_zero_poly(residuals: list[str], poly: MPoly, label: str) -> bool:
     return False
 
 
-def _apply_mat(mat, polys) -> list[MPoly]:
-    """Exact matrix times a vector of polynomials, skipping zero entries."""
-    out = []
-    for row in mat:
-        acc = _ZERO
-        for entry, p in zip(row, polys):
-            if entry:
-                acc = acc + entry * p
-        out.append(acc)
-    return out
-
-
 def _linear_bindings(mat, names) -> dict[str, MPoly]:
     """Substitution dict sending names[i] to the row-i linear combination."""
-    return dict(zip(names, _apply_mat(mat, [MPoly.var(n) for n in names])))
+    return dict(zip(names, ExactMatrix(mat).apply(
+        [MPoly.var(n) for n in names])))
 
 
 def _zeros15() -> dict[str, Fraction]:
@@ -424,7 +413,7 @@ def check_equivariance_and_invariant_spaces() -> CheckResult:
     def defects(name: str, system) -> list[MPoly]:
         """Each row of the system at the moved point minus the moved
         combination of the rows."""
-        rhs = _apply_mat(blocks[name], system)
+        rhs = ExactMatrix(blocks[name]).apply(system)
         return [p.substitute(bindings[name]) - q
                 for p, q in zip(system, rhs)]
 
@@ -625,7 +614,8 @@ def check_lemma_4_2() -> CheckResult:
     alphas = [MPoly.var("alpha1"), MPoly.var("alpha2"), MPoly.var("alpha3")]
     basis = construction.rotation_invariant_octics()
     bindings = {n: _ZERO for n in VEC15_NAMES}
-    bindings.update(zip(X_NAMES, _apply_mat(list(zip(*basis)), alphas)))
+    bindings.update(zip(X_NAMES,
+                        ExactMatrix.from_columns(basis).apply(alphas)))
 
     q = construction.expected_orbit_quadratic()
     w = construction.rotation_invariant_quartic()
@@ -766,7 +756,7 @@ def check_derivation_4_5() -> CheckResult:
 
         cmat = chart_act.get(name) or ExactMatrix.identity(9).rows
         moved = [n.substitute(bind) for n in numerators]
-        pushed = _apply_mat(cmat, numerators)
+        pushed = ExactMatrix(cmat).apply(numerators)
         for i in range(9):
             for j in range(i + 1, 9):
                 _require_zero_poly(
@@ -919,9 +909,9 @@ def check_strata_6() -> CheckResult:
     perm_found: dict[str, dict[int, int]] = {}
     for name in ("omega", "rho", "tau", "sigma"):
         block = construction.octic_block(table[name])
-        moved = _apply_mat(block, lift)
-        rimage = _apply_mat(param.get(name) or ExactMatrix.identity(3).rows,
-                            rvars)
+        moved = ExactMatrix(block).apply(lift)
+        rimage = ExactMatrix(param.get(name)
+                             or ExactMatrix.identity(3).rows).apply(rvars)
         for i in range(3):
             _require_zero_poly(residuals, moved[3 + i] - rimage[i] * moved[i],
                                f"{name}: image of the slice leaves the "

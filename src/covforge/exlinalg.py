@@ -3,7 +3,11 @@
 Everything here is fraction-free in spirit but implemented with exact
 field division (the scalars' own `x ** -1`), which is fast enough at
 the 15x15 scale this package needs.  Pivots are chosen by a cheapness
-heuristic to keep intermediate entries small.
+heuristic to keep intermediate entries small.  `ExactMatrix.apply` is
+the package's one exact linear combination: the matrix product is
+built from it, and so is every sum of coefficients times vectors
+(`from_columns(vectors).apply(coeffs)`) or of exact rows times
+polynomials.
 """
 from __future__ import annotations
 
@@ -43,22 +47,13 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = Fraction(0)
-                    for k in range(self.ncols):
-                        a = self.rows[i][k]
-                        if not a:
-                            continue
-                        acc = acc + a * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return ExactMatrix(out)
+            return ExactMatrix.from_columns(
+                [self.apply(other.column(j)) for j in range(other.ncols)])
         return NotImplemented
 
     def apply(self, vec: Sequence) -> list:
+        """The sum of vec[k] times column k, skipping zero matrix entries;
+        vec may hold exact scalars or `MPoly`s."""
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         out = []

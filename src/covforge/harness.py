@@ -7,8 +7,9 @@ schema.  Every knob is both a flag and an environment variable with the
 counts as unset, and a set ``COVFORGE_`` variable that names no knob or
 does not parse is a configuration error that names it.  The tolerances
 are not knobs but constants of ``continuation``.  The numeric checks of
-one run share their censuses through one ``NumericRun``.  The corrected-typo ledger ships as a package
-resource, named at the end of every text report.
+one run share their censuses through one ``NumericRun``.  The
+corrected-typo ledger ships as a package resource, named at the end of
+every text report.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ def render_text(report: Report) -> str:
         tol = r.details.get("tolerances") if isinstance(r.details, dict) \
             else None
         if tol:
-            knobs = " ".join(f"{k}={v:g}" for k, v in tol.items())
-            lines.append(f"      tolerances: {knobs}")
+            pinned = " ".join(f"{k}={v:g}" for k, v in tol.items())
+            lines.append(f"      tolerances: {pinned}")
         if isinstance(r.details, dict) and "partition_display" in r.details:
             lines.append(f"      partition: {r.details['partition_display']}")
         for note in r.erratum_notes:
@@ -225,13 +226,16 @@ def render_text(report: Report) -> str:
 
 
 def _parse_sample_r(parts) -> tuple:
+    """Three fraction strings as a triple; each ValueError names it."""
+    triple = f"sample-r {' '.join(parts)!r}"
     try:
         vals = tuple(Fraction(p) for p in parts)
     except ZeroDivisionError:
-        raise ValueError(f"sample-r {' '.join(parts)!r} has a zero "
-                         "denominator") from None
+        raise ValueError(f"{triple} has a zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{triple} is not three fractions: {exc}") from None
     if len(vals) != 3:
-        raise ValueError("sample-r needs three values")
+        raise ValueError(f"{triple} needs three values")
     return vals
 
 

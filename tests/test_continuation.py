@@ -1,6 +1,7 @@
 """Homotopy tracking, the stratum census, and the projection data."""
 
 import ast
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -464,6 +465,80 @@ def test_a_tangent_pair_is_not_counted_and_the_failed_test_is_named():
     assert out["count"] < 4 and out["points"] == []
     for center in continuation.PROJECTIONS:
         assert f"from {center}: the discriminant 4 I^3 - J^2" in out["reason"]
+
+
+def test_a_center_on_both_conics_gives_way_to_the_next(monkeypatch):
+    # both line pairs pass through (0 : 0 : 1), so from there neither
+    # conic has a t^2 term
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    quadrics = (z1 * (z1 - z2 + t), z2 * (z1 - z2 - t))
+    out = conic_pair(PLANE, quadrics, PLANE_VARS)
+    assert out["count"] == 4 and out["reason"] is None
+    assert out["projection"] == continuation.PROJECTIONS[1]
+    assert _are_the_points(out, [(0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 0)])
+    monkeypatch.setattr(continuation, "PROJECTIONS", ((0, 0, 1),))
+    out = conic_pair(PLANE, quadrics, PLANE_VARS)
+    assert out["count"] == 0 and out["points"] == []
+    assert out["reason"] == "from (0, 0, 1): the center lies on both conics"
+
+
+def test_conics_with_a_common_line_are_not_counted_from_any_center():
+    # the common line z1 - z2 + t = 0 misses every center, so each
+    # center reaches the eliminant, and R vanishes identically at each
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    common = z1 - z2 + t
+    out = conic_pair(PLANE, (common * (z1 + 2 * t), common * (z2 - t)),
+                     PLANE_VARS)
+    assert out["count"] == 0 and out["points"] == []
+    assert out["projection"] is None
+    assert out["reason"] == "; ".join(
+        f"from {center}: the eliminant R vanishes identically"
+        for center in continuation.PROJECTIONS)
+
+
+def _polarised(q, basis, names):
+    """The quadric q on span(basis) by polarisation, an oracle for
+    `_on_basis`: Q(v_k) on the diagonal and
+    Q(v_j + v_k) - Q(v_j) - Q(v_k) off it."""
+    def value(vec):
+        return q.evaluate(dict(zip(names, vec)))
+
+    out = {(k, k): value(v) for k, v in enumerate(basis)}
+    for j, k in itertools.combinations(range(len(basis)), 2):
+        out[j, k] = (value([x + y for x, y in zip(basis[j], basis[k])])
+                     - out[j, j] - out[k, k])
+    return out
+
+
+def _checked_on_basis(monkeypatch) -> list:
+    """Compare every `_on_basis` call with the polarisation oracle; the
+    returned list gets one verdict per call."""
+    on_basis = continuation._on_basis
+    verdicts = []
+
+    def checked(q, basis, names):
+        co = on_basis(q, basis, names)
+        verdicts.append(co == _polarised(q, basis, names))
+        return co
+
+    monkeypatch.setattr(continuation, "_on_basis", checked)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_the_slice_planes_restrict_each_quadric_by_polarisation(
+        seed, monkeypatch):
+    verdicts = _checked_on_basis(monkeypatch)
+    for s in range(5):
+        assert exact_slice((Fraction(0),) * 3, seed, s)["count"] == 4
+    assert len(verdicts) >= 10 and all(verdicts)
+
+
+def test_the_preimage_plane_restricts_each_quadric_by_polarisation(
+        monkeypatch):
+    verdicts = _checked_on_basis(monkeypatch)
+    assert exact_preimage(_seeded_target(42, 0))["count"] == 1
+    assert verdicts == [True, True]
 
 
 def test_single_pair_anchors_are_the_instances_of_the_stored_families(

@@ -48,6 +48,16 @@ def test_column_assembly_round_trips():
     assert m.column(1) == [3, 1, 1]
 
 
+def test_a_rectangular_product_takes_its_shape_from_both_factors():
+    a = ExactMatrix([[1, 2, 0], [0, -1, 3]])
+    b = ExactMatrix([[1, 0], [2, 1], [-1, Fraction(1, 2)]])
+    assert a * b == ExactMatrix([[5, 2], [-5, Fraction(1, 2)]])
+    assert b * a == ExactMatrix([[1, 2, 0], [2, 3, 3],
+                                 [-1, Fraction(-5, 2), Fraction(3, 2)]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a * a
+
+
 def test_matrix_arithmetic_over_cyclotomic_entries():
     i = CycScalar.i()
     m = ExactMatrix([[i, 0], [0, i]])

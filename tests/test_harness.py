@@ -98,6 +98,20 @@ def test_zero_denominator_triple_exits_with_configuration_error(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_a_malformed_triple_is_named_by_flag_and_by_variable(capsys,
+                                                            monkeypatch):
+    assert harness.main(["--sample-r", "abc", "1", "2"]) == 2
+    named = "sample-r 'abc 1 2' is not three fractions"
+    assert named in capsys.readouterr().err
+    monkeypatch.setenv("COVFORGE_SAMPLE_R", "abc 1 2")
+    assert harness.main([]) == 2
+    err = capsys.readouterr().err
+    assert "COVFORGE_SAMPLE_R='abc 1 2'" in err and named in err
+    monkeypatch.setenv("COVFORGE_SAMPLE_R", "1 2")
+    assert harness.main([]) == 2
+    assert "sample-r '1 2' needs three values" in capsys.readouterr().err
+
+
 def test_excluded_triple_is_rejected_before_any_path_is_tracked(monkeypatch):
     # r2 = 0, r3 = 13/7 zeroes the first leading-coefficient inequation
     tracked = []
