@@ -8,10 +8,11 @@ residual it accumulates is identically zero and every asserted count,
 rank, or dimension matches.  Failures never raise; they are reported as
 residual strings so a single run surfaces everything at once.
 
-The ``property_*`` blocks at the bottom are randomized algebraic
-property suites (field axioms, ring axioms, bracket covariance, the
-rescaling law).  They draw every instance from an explicitly seeded
-generator, so a given seed reproduces the identical run.
+The ``property/*`` checks, ``check_field_axioms`` through
+``check_scaling_1_1`` at the bottom, are randomized algebraic property
+suites (field axioms, ring axioms, bracket covariance, the rescaling
+law).  They draw every instance from an explicitly seeded generator, so
+a given seed reproduces the identical run.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ All paths of a system advance together as one (paths, n) stack, each
 with its own step control, through stacked evaluations and solves; one
 helper gives H and its Jacobian to the Euler predictor, the short
 Newton corrector with adaptive step halving, and the endpoint polish.
-Endpoints are deduplicated under chart rescaling, and failed paths get
-a second-chart rescue pass.
+Whether an endpoint solves the system is decided once, by
+`solve_projective`'s projective residual test; whether two points are
+one, by `_matching` on the chordal distance `_chordal_each` in complex
+doubles, for the endpoint merge, the census's H-images and the checks'
+anchors alike.
 Endpoints of the stratum systems are then re-polished by `mp_polish`
 from the same table embedded at `WORKING_DPS` (the coefficients are
 exact, so the refinement is limited only by working precision); this
@@ -36,9 +39,9 @@ replaced by the roots of the octic's local Taylor polynomial at the
 group centroid, so the 40-digit iteration needs only a few
 quadratically convergent steps where a cold start would creep toward a
 sixfold root.  `embed_mp` is the one exact-to-mpmath embedding, for the
-table and for every exact point the numeric checks compare against; it
-reads an exact value through `as_cyc(v).coords`, one mpf quotient per
-nonzero coordinate.
+table, the parameter triple and the sign flips of H; it reads an exact
+value through `as_cyc(v).coords`, one mpf quotient per nonzero
+coordinate.
 
 Preimages under the linear projection of the distinguished fiber are
 not tracked but solved exactly over Q(zeta_8) by `exact_preimage`: the
@@ -446,7 +449,8 @@ def track(system: CompiledSystem, rng: random.Random
     would reach tracked alone.
 
     Returns the per-path results and the Bézout path count.  One
-    endpoint attempt per path; failures carry their terminal status and
+    endpoint attempt per path, `accepted` when its polish converges (the
+    caller gates the residual); failures carry their terminal status and
     their last iterate.
     """
     n = system.nvars
@@ -525,47 +529,45 @@ def track(system: CompiledSystem, rng: random.Random
         finish(live[capped], "stalled")
         live = live[~capped]
 
-    # Endpoint polish on the target system, H at t = 1.  The affine
-    # residual scales with the coordinate size, so the strict projective
-    # tolerance is enforced on the unit-norm representative by the
-    # caller; here the gate is Newton convergence plus a degree-scaled
-    # residual bound.
+    # Endpoint polish on the target system, H at t = 1.
     polished = np.flatnonzero(running)
     x[polished], converged = newton(x[polished], np.ones(len(polished)),
                                     polished, POLISH_ITERS, 1e-13)
-    dmax = max(degrees)
     for i in polished[converged]:
-        res = float(np.max(np.abs(system.evaluate(x[i])[0])))
-        scale = (1.0 + float(np.linalg.norm(x[i]))) ** dmax
-        if np.isfinite(res) and res < TOL_TRACK * scale:
-            status[i] = "accepted"
+        status[i] = "accepted"
     return [PathResult(i, status[i], x=x[i].copy(), steps=int(steps[i]))
             for i in range(count)], count
 
 
-def _chordal(a, b) -> float:
-    """Chordal distance of two projective points, the sine of the angle
-    between their representatives (complex doubles or mp values).  It is
-    taken from the 2x2 minors, so nearby points keep their digits."""
-    cross = sum(abs(a[i] * b[j] - a[j] * b[i]) ** 2
-                for i, j in itertools.combinations(range(len(a)), 2))
-    norms = sum(abs(v) ** 2 for v in a) * sum(abs(v) ** 2 for v in b)
-    return math.sqrt(float(cross / norms))
-
-
 def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """`_chordal` of the complex double point a to each row of a stack,
-    from the same 2x2 minors (each taken twice, as (i, j) and (j, i))."""
-    minors = a[:, None] * points[:, None, :] - a[None, :] * points[:, :, None]
-    cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(1, 2))
-    norms = np.sum(np.abs(a) ** 2) * np.sum(np.abs(points) ** 2, axis=1)
-    return np.sqrt(cross / norms)
+    """Chordal distance of the projective point a to each row of a stack
+    (or of each row of a stack a to the same row of `points`), the sine
+    of the angle between representatives, from the 2x2 minors (each
+    taken twice, as (i, j) and (j, i)), so nearby points keep their
+    digits.  Entries are complex doubles, or mpmath values in object
+    arrays, then taken at the current precision; the result is doubles."""
+    minors = (a[..., :, None] * points[..., None, :]
+              - a[..., None, :] * points[..., :, None])
+    cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
+    norms = (np.sum(np.abs(a) ** 2, axis=-1)
+             * np.sum(np.abs(points) ** 2, axis=-1))
+    return np.sqrt(np.asarray(cross / norms, dtype=float))
+
+
+def _matching(points, target, tol: float) -> list[int]:
+    """Indices of the points, complex double vectors, within chordal
+    distance tol of the target."""
+    stack = np.asarray(points, dtype=complex).reshape(-1, len(target))
+    near = _chordal_each(np.asarray(target, dtype=complex), stack)
+    return np.flatnonzero(near < tol).tolist()
 
 
 def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
+    """The endpoints in order, less each one within TOL_DEDUP of an
+    endpoint kept before it."""
     reps: list[Endpoint] = []
     for e in endpoints:
-        if all(_chordal(e.x, r.x) > TOL_DEDUP for r in reps):
+        if not _matching([r.x for r in reps], e.x, TOL_DEDUP):
             reps.append(e)
     return reps
 
@@ -577,16 +579,19 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     `rows` are the homogeneous equations as term rows over `var_order`
     (`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
     slice or alignment form).  A random unit-norm chart form set to 1
-    makes the system square.  An accepted endpoint is kept if, at its
-    unit-norm representative, every homogeneous row is below TOL_TRACK;
-    the Jacobian there gives its smallest singular value.  Paths whose
-    endpoints fail are retried in a second random chart, and each
-    endpoint found there is rescaled onto the first, x / (c . x), before
-    it is merged projectively: every endpoint in `accepted` and
-    `distinct` lies on `chart`, the first chart's c, and solves
-    `system`.  `failed` lists the first chart's failed paths as
-    (index, status); `failures` holds the failed `PathResult`s of each
-    chart that ran, each with its last iterate.
+    makes the system square.  The one residual gate: an endpoint `track`
+    accepts is kept only if every homogeneous row is below TOL_TRACK at
+    its unit-norm representative (NaN fails), else its path turns
+    `polish`; the Jacobian there gives its smallest singular value.  If
+    any path fails, every path is tracked again on a fresh second random
+    chart, and each endpoint found there is rescaled onto the first,
+    x / (c . x); `_dedup` merges them after the first chart's into
+    `distinct`, all on `chart`, the first chart's c, and solving
+    `system`.  `rescue_added` counts the rescued ones in `distinct`, and
+    `accepted_count` adds them to the first chart's accepted paths.
+    `failed` lists the first chart's failed paths as (index, status);
+    `failures` holds the failed `PathResult`s of each chart that ran,
+    each with its last iterate.
     """
     n = len(var_order)
     rng = _rng(seed, tag)
@@ -603,7 +608,7 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
                 continue
             # the chart row, last, is pinned to 1 by construction
             vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
-            if np.max(np.abs(vals[:-1]), initial=0.0) >= TOL_TRACK:
+            if not np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
                 r.status = "polish"
                 continue
             sv = np.linalg.svd(jac, compute_uv=False)
@@ -612,22 +617,19 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
 
     chart, system, results, accepted, path_count = run_chart(0)
     failures = [[r for r in results if r.status != "accepted"]]
-    rescue_added = 0
+    distinct = _dedup(accepted)
+    first = len(distinct)
     if failures[0]:
         _chart2, _sys2, results2, accepted2, _c2 = run_chart(1)
         failures.append([r for r in results2 if r.status != "accepted"])
-        known = [e.x for e in accepted]
-        for e in accepted2:
-            x = e.x / (chart @ e.x)
-            if all(_chordal(x, k) > TOL_DEDUP for k in known):
-                accepted.append(Endpoint(x=x, sv_min=e.sv_min))
-                known.append(x)
-                rescue_added += 1
-    distinct = _dedup(accepted)
+        distinct = _dedup(distinct + [Endpoint(x=e.x / (chart @ e.x),
+                                               sv_min=e.sv_min)
+                                      for e in accepted2])
+    rescue_added = len(distinct) - first
     return {
         "system": system,
         "chart": chart,
-        "accepted": accepted,
+        "accepted_count": len(accepted) + rescue_added,
         "distinct": distinct,
         "path_count": path_count,
         "failed": [(r.index, r.status) for r in failures[0]],
@@ -692,7 +694,7 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
     a distance within 1e-12 of the radius is taken again from the points
     themselves."""
     parent = list(range(len(points)))
-    doubles = [[complex(v) for v in p] for p in points]
+    doubles = np.array([[complex(v) for v in p] for p in points])
 
     def find(i):
         while parent[i] != i:
@@ -700,10 +702,12 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(range(len(points)), 2):
-        d = _chordal(doubles[i], doubles[j])
+    first, second = np.triu_indices(len(points), 1)  # combinations order
+    for i, j, d in zip(first.tolist(), second.tolist(),
+                       _chordal_each(doubles[first], doubles[second])):
         if abs(d - radius) <= 1e-12:
-            d = _chordal(points[i], points[j])
+            d = _chordal_each(np.array(points[i], dtype=object),
+                              np.array(points[j], dtype=object))
         if d < radius:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
@@ -898,9 +902,8 @@ def count_stratum_points(r: tuple, seed) -> StratumCensus:
                 image = [s * c for s, c in zip(flip, coords)]
                 scale = mp.fsum(a * b for a, b in zip(chart, image))
                 image = [c / scale for c in image]
-                near = _chordal_each(np.array([complex(c) for c in image]),
-                                     ends)
-                for k in np.flatnonzero(near < TOL_MATCH):
+                for k in _matching(ends, [complex(c) for c in image],
+                                   TOL_MATCH):
                     if points[k] is None:
                         points[k] = StratumPoint(coords=image, stratum=stratum,
                                                  multiple_root=multiple)
@@ -920,7 +923,7 @@ def count_stratum_points(r: tuple, seed) -> StratumCensus:
                          "coordinate (unclassifiable)")
     return StratumCensus(partition=partition, points=points,
                          path_count=run["path_count"],
-                         accepted_count=len(run["accepted"]),
+                         accepted_count=run["accepted_count"],
                          distinct_count=len(run["distinct"]),
                          failed=run["failed"],
                          rescue_added=run["rescue_added"],
@@ -941,21 +944,17 @@ def h_orbit_signs() -> list[tuple]:
 def u_dprime_image(census: StratumCensus):
     """Chart images of the non-multiple-root open-stratum points.
 
-    Returns (the list of images, each a 9-vector of mp complex, their
+    Returns (the images, a (k, 9) array of complex doubles, their
     largest pairwise chordal distance).
     """
-    pts = [p for p in census.points
-           if p.stratum == "Lopen" and not p.multiple_root]
-    images = []
-    with mp.workdps(WORKING_DPS):
-        for p in pts:
-            x1, x2, x3, x7, x8, x9 = p.coords
-            y = [x2 * x3 / x1, x3 * x1 / x2, x1 * x2 / x3,
-                 x7, x8, x9, mp.mpc(0), mp.mpc(0), mp.mpc(0)]
-            images.append(y)
-        spread = 0.0
-        for a, b in itertools.combinations(images, 2):
-            spread = max(spread, _chordal(a, b))
+    coords = [[complex(c) for c in p.coords] for p in census.points
+              if p.stratum == "Lopen" and not p.multiple_root]
+    images = np.array([[x2 * x3 / x1, x3 * x1 / x2, x1 * x2 / x3,
+                        x7, x8, x9, 0, 0, 0]
+                       for x1, x2, x3, x7, x8, x9 in coords],
+                      dtype=complex).reshape(-1, 9)
+    spread = max((float(np.max(_chordal_each(y, images))) for y in images),
+                 default=0.0)
     return images, spread
 
 
@@ -1281,13 +1280,6 @@ def _stratum_anchor_vectors(r1: Fraction) -> list[list]:
             for fam in fams]
 
 
-def _matching(points: list, target) -> list[int]:
-    """Indices of the points within chordal distance TOL_MATCH of the
-    target."""
-    return [i for i, p in enumerate(points)
-            if _chordal(p, target) < TOL_MATCH]
-
-
 def check_stratum_counts(seed: int, sample_r: tuple,
                          numeric: NumericRun) -> CheckResult:
     """Numeric census of the restricted system over two parameter values.
@@ -1323,43 +1315,42 @@ def check_stratum_counts(seed: int, sample_r: tuple,
 
     # Exact anchors: the four sparse solutions, always; the single-pair
     # instances whenever the square-root relation has a rational root.
-    with mp.workdps(WORKING_DPS):
-        by_stratum = {s: [pt.coords for pt in census.points
-                          if pt.stratum == s]
-                      for s in ("L0", "L1")}
-        sparse = construction.special_points()["sparse_solutions"]
-        for p in sparse:
-            anchor = [_F(0), _F(0), _F(0)] + [_F(v) for v in p]
-            if not _matching(by_stratum["L0"], [embed_mp(c) for c in anchor]):
-                residuals.append(f"sparse anchor {p} matches no endpoint")
-        for anchor in _stratum_anchor_vectors(sample_r[0]):
-            if not _matching(by_stratum["L1"], [embed_mp(c) for c in anchor]):
-                residuals.append(
-                    "single-pair-stratum anchor "
-                    f"{[str(c) for c in anchor]} matches no endpoint")
-
-        # Orbit structure of the four non-multiple-root open-stratum points.
-        orbit_pts = [p for p in census.points
-                     if p.stratum == "Lopen" and not p.multiple_root]
-        if len(orbit_pts) != 4:
+    by_stratum = {s: [[complex(c) for c in pt.coords]
+                      for pt in census.points if pt.stratum == s]
+                  for s in ("L0", "L1")}
+    sparse = construction.special_points()["sparse_solutions"]
+    for p in sparse:
+        anchor = [0, 0, 0] + [complex(_F(v)) for v in p]
+        if not _matching(by_stratum["L0"], anchor, TOL_MATCH):
+            residuals.append(f"sparse anchor {p} matches no endpoint")
+    for anchor in _stratum_anchor_vectors(sample_r[0]):
+        if not _matching(by_stratum["L1"], [complex(c) for c in anchor],
+                         TOL_MATCH):
             residuals.append(
-                f"open-stratum non-multiple-root count {len(orbit_pts)} != 4")
-        else:
-            base = orbit_pts[0].coords
-            matched = set()
-            for signs in h_orbit_signs():
-                image = [embed_mp(s) * c for s, c in zip(signs, base)]
-                hits = _matching([p.coords for p in orbit_pts], image)
-                if len(hits) == 1:
-                    matched.add(hits[0])
-                else:
-                    residuals.append(
-                        "diagonal-subgroup image of an open-stratum point "
-                        f"matched {len(hits)} endpoints")
-            if matched != {0, 1, 2, 3}:
+                "single-pair-stratum anchor "
+                f"{[str(c) for c in anchor]} matches no endpoint")
+
+    # Orbit structure of the four non-multiple-root open-stratum points.
+    orbit_pts = [[complex(c) for c in p.coords] for p in census.points
+                 if p.stratum == "Lopen" and not p.multiple_root]
+    if len(orbit_pts) != 4:
+        residuals.append(
+            f"open-stratum non-multiple-root count {len(orbit_pts)} != 4")
+    else:
+        matched = set()
+        for signs in h_orbit_signs():
+            image = [complex(s) * c for s, c in zip(signs, orbit_pts[0])]
+            hits = _matching(orbit_pts, image, TOL_MATCH)
+            if len(hits) == 1:
+                matched.add(hits[0])
+            else:
                 residuals.append(
-                    "the four open-stratum points are not a single "
-                    "diagonal-subgroup orbit")
+                    "diagonal-subgroup image of an open-stratum point "
+                    f"matched {len(hits)} endpoints")
+        if matched != {0, 1, 2, 3}:
+            residuals.append(
+                "the four open-stratum points are not a single "
+                "diagonal-subgroup orbit")
 
     origin = numeric.census((0, 0, 0), seed)
     open_total = origin.partition["Lopen_X1"] + origin.partition["Lopen_X2"]
@@ -1450,37 +1441,33 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     # The common chart image of the open-stratum non-multiple-root points.
     census = numeric.census(origin, seed)
     images, spread = u_dprime_image(census)
-    points = construction.special_points()
-    with mp.workdps(WORKING_DPS):
-        exact_image = [embed_mp(c) for c in points["u_dprime_0"].coords]
-        if len(images) != 4:
-            residuals.append(f"open-stratum non-multiple-root count "
-                             f"{len(images)} != 4 at the parameter origin")
-        if spread > 1e-6:
-            residuals.append(f"chart images disagree (spread {spread:.2e})")
-        for y in images:
-            for k in (6, 7, 8):
-                if abs(y[k]) > 1e-8:
-                    residuals.append("chart image has a nonzero trailing "
-                                     "coordinate")
-                    break
-        if images and _chordal(images[0], exact_image) > 1e-6:
-            residuals.append(
-                "chart image of the non-multiple-root orbit misses the "
-                "stored fiber point")
+    exact_image = np.array([complex(c) for c in construction.special_points()
+                            ["u_dprime_0"].coords])
+    if len(images) != 4:
+        residuals.append(f"open-stratum non-multiple-root count "
+                         f"{len(images)} != 4 at the parameter origin")
+    if spread > 1e-6:
+        residuals.append(f"chart images disagree (spread {spread:.2e})")
+    for y in images:
+        if np.max(np.abs(y[6:])) > 1e-8:
+            residuals.append("chart image has a nonzero trailing "
+                             "coordinate")
+    if len(images) and _chordal_each(exact_image, images[:1])[0] > 1e-6:
+        residuals.append(
+            "chart image of the non-multiple-root orbit misses the "
+            "stored fiber point")
 
     # Small-parameter continuity of the common image.
     small = tuple(v * _F(1, 100000) for v in SAMPLE_R)
     census_small = numeric.census(small, seed)
     images_small, spread_small = u_dprime_image(census_small)
-    with mp.workdps(WORKING_DPS):
-        if len(images_small) != 4 or spread_small > 1e-4:
-            residuals.append(
-                f"small-parameter image: count {len(images_small)}, spread "
-                f"{spread_small:.2e}")
-        elif _chordal(images_small[0], exact_image) > 1e-2:
-            residuals.append("small-parameter image is not close to the "
-                             "parameter-origin image")
+    if len(images_small) != 4 or spread_small > 1e-4:
+        residuals.append(
+            f"small-parameter image: count {len(images_small)}, spread "
+            f"{spread_small:.2e}")
+    elif _chordal_each(exact_image, images_small[:1])[0] > 1e-2:
+        residuals.append("small-parameter image is not close to the "
+                         "parameter-origin image")
 
     # Exact projection data.
     proj = projection_data()
@@ -1595,8 +1582,8 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
             f"preimage cross-check: {len(regular)} regular homotopy "
             f"endpoints against {sol['count']} exact preimages")
     else:
-        chordal = _chordal(regular[0].x,
-                           [complex(v) for v in sol["point"]])
+        chordal = float(_chordal_each(
+            regular[0].x, np.array([[complex(v) for v in sol["point"]]]))[0])
         if chordal >= TOL_MATCH:
             residuals.append(
                 f"preimage cross-check: the homotopy endpoint is "

@@ -253,8 +253,8 @@ def build_config(argv=None) -> RunConfig:
     Only the fields a flag or a variable sets are passed on, so every
     default is RunConfig's; a flag wins over its variable, and an empty
     variable counts as unset.  Raises ValueError, naming the variable,
-    for a set COVFORGE_ variable that names no field or whose value
-    does not parse.
+    for a set COVFORGE_ variable that names no field, whose value does
+    not parse, or whose value `RunConfig.validate` rejects.
     """
     default = RunConfig()
     parser = argparse.ArgumentParser(
@@ -287,6 +287,7 @@ def build_config(argv=None) -> RunConfig:
         if value is None and raw:
             try:
                 value = read(raw)
+                RunConfig(**{name: value}).validate()
             except ValueError as exc:
                 raise ValueError(f"{variable}={raw!r} is not a valid "
                                  f"{name}: {exc}") from None

@@ -15,7 +15,7 @@ from covforge import construction as con
 from covforge import continuation
 from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
                                    WORKING_DPS, CompiledSystem,
-                                   _chordal, _chordal_each, _chordal_groups,
+                                   _chordal_each, _chordal_groups,
                                    _fiber_equations, _fiber_rows,
                                    _linear_row_terms,
                                    _mp_solve, _octic_roots, _poly_terms, _rng,
@@ -26,7 +26,8 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
                                    fiber_probe,
                                    literal_pure_quadrics,
                                    literal_restricted_quadrics, mp_polish,
-                                   octic_root_clusters, projection_data,
+                                   octic_root_clusters, PathResult,
+                                   projection_data,
                                    solve_projective, track)
 from covforge.exlinalg import Subspace
 from covforge.mpoly import MPoly
@@ -43,10 +44,10 @@ def test_seeded_streams_are_reproducible_and_independent():
 
 def test_chordal_distance_ignores_scale_and_phase():
     v = np.array([1.0 + 0j, 2.0, -1.0])
-    assert _chordal(v, 3.7j * v) < 1e-12
+    assert _chordal_each(v, np.array([3.7j * v]))[0] < 1e-12
     e1 = np.array([1.0 + 0j, 0.0])
     e2 = np.array([0.0j, 1.0])
-    assert abs(_chordal(e1, e2) - 1.0) < 1e-12
+    assert abs(_chordal_each(e1, np.array([e2]))[0] - 1.0) < 1e-12
 
 
 def _gaussian(re, im):
@@ -189,8 +190,24 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
                          (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))])
                for p in con.special_points()["sparse_solutions"]]
     for t in targets:
-        best = min(_chordal(t, e.x) for e in run["distinct"])
+        best = _chordal_each(t, np.array([e.x for e in run["distinct"]])).min()
         assert best < 1e-6  # the endpoint-identification tolerance
+
+
+def test_a_nan_endpoint_is_never_accepted(monkeypatch):
+    # the projective gate is `not (residual < TOL_TRACK)`, so a NaN
+    # residual fails it and never reaches the singular values
+    def nan_track(system, rng):
+        x = np.array([1.0, np.nan, 1.0], dtype=complex)
+        return [PathResult(0, "accepted", x=x)], 1
+
+    monkeypatch.setattr(continuation, "track", nan_track)
+    with np.errstate(invalid="ignore"):
+        run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42, "nan")
+    assert run["distinct"] == []
+    assert run["accepted_count"] == 0
+    assert [(r.index, r.status) for r in run["failures"][0]] == [(0, "polish")]
+    assert run["failed"] == [(0, "polish")]
 
 
 def test_mp_embedding_and_polish_reach_the_working_precision():
@@ -208,7 +225,9 @@ def test_mp_embedding_and_polish_reach_the_working_precision():
         polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
         for p in con.special_points()["sparse_solutions"]:
             anchor = [embed_mp(Fraction(v)) for v in p]
-            assert min(_chordal(x, anchor) for x in polished) < 1e-30
+            assert _chordal_each(np.array(anchor, dtype=object),
+                                 np.array(polished, dtype=object)
+                                 ).min() < 1e-30
 
 
 def _random_system(rng: random.Random, n: int = 6) -> tuple[list, list]:
@@ -335,13 +354,20 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
     # chart; polished on the census chart three have a coordinate near
     # 80, where an absolute 1e-36 stop is below the rounding noise of a
     # step
-    runs = []
+    runs, charts = [], []
+    track_paths = continuation.track
 
     def tracked(*args):
         runs.append(solve_projective(*args))
         raise _Tracked
 
+    def recorded(*args):
+        out = track_paths(*args)
+        charts.append(out[0])
+        return out
+
     monkeypatch.setattr(continuation, "solve_projective", tracked)
+    monkeypatch.setattr(continuation, "track", recorded)
     with pytest.raises(_Tracked):
         count_stratum_points(SAMPLE_R, 1)
     monkeypatch.undo()
@@ -356,6 +382,14 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         steps.append(calls["_mp_solve"])
         sizes.append(max(abs(v) for v in x))
     assert run["rescue_added"] == 4
+    assert run["accepted_count"] == 32
+    # one merge: the first chart's 28 endpoints, in path order, then the
+    # four rescued ones
+    assert len(charts) == 2
+    first = [r.x for r in charts[0] if r.status == "accepted"]
+    assert len(first) == 28
+    assert [id(e.x) for e in run["distinct"][:28]] == list(map(id, first))
+    assert not any(e.x is x for e in run["distinct"][28:] for x in first)
     # every endpoint, rescued ones too, lies on the census chart
     for e in run["distinct"]:
         assert abs(run["chart"] @ e.x - 1) < 1e-8
@@ -422,12 +456,11 @@ def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
 
 def _are_the_points(out, expected) -> bool:
     """Whether the kernel's points are the expected ones, one each."""
-    nearest = [min(range(len(expected)),
-                   key=lambda k: _chordal(p, expected[k]))
-               for p in out["points"]]
+    dist = [_chordal_each(p, np.array(expected, dtype=complex))
+            for p in out["points"]]
+    nearest = [int(d.argmin()) for d in dist]
     return (sorted(nearest) == list(range(len(expected)))
-            and all(_chordal(p, expected[k]) < 1e-12
-                    for p, k in zip(out["points"], nearest)))
+            and all(d[k] < 1e-12 for d, k in zip(dist, nearest)))
 
 
 PLANE = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -621,8 +654,12 @@ def test_a_pair_near_the_radius_is_decided_at_working_precision():
             w = (z + mp.sqrt(z * z - (1 - k) * (z * z - k))) / (1 - k)
             points = [(mp.mpc(z), one), (mp.mpc(w), one)]
             rounded = [[complex(v) for v in p] for p in points]
-            assert (_chordal(*points) < radius) == grouped
-            assert (_chordal(*rounded) < radius) != grouped
+            exact = _chordal_each(np.array(points[0], dtype=object),
+                                  np.array(points[1:], dtype=object))[0]
+            double = _chordal_each(np.array(rounded[0]),
+                                   np.array(rounded[1:]))[0]
+            assert (exact < radius) == grouped
+            assert (double < radius) != grouped
             assert _sizes(points, radius) == ([2] if grouped else [1, 1])
 
 
@@ -667,8 +704,9 @@ def test_seeded_octic_roots_match_the_cold_start(coeffs, expected,
         # its local polynomial; double roots of a sixfold root are ~1e-3 off
         one = mp.mpc(1)
         for z in calls[0]:
-            assert min(_chordal((z, one), (z2, w2))
-                       for z2, w2 in reference if w2) < 1e-5
+            finite = np.array([p for p in reference if p[1]], dtype=object)
+            assert _chordal_each(np.array((z, one), dtype=object),
+                                 finite).min() < 1e-5
 
 
 def test_projection_data_is_exact_and_invertible():

@@ -55,9 +55,13 @@ def test_environment_supplies_defaults_but_flags_win(monkeypatch):
 
 def test_a_bad_variable_is_named_and_an_empty_one_is_unset(capsys,
                                                            monkeypatch):
-    monkeypatch.setenv("COVFORGE_SEED", "abc")
-    assert harness.main(["--filter", "symbolic/strata_6"]) == 2
-    assert "COVFORGE_SEED='abc'" in capsys.readouterr().err
+    # a value that does not parse, and values that parse but fail
+    # RunConfig.validate
+    for name, raw in (("SEED", "abc"), ("SEED", "-1"), ("FORMAT", "xml")):
+        with monkeypatch.context() as m:
+            m.setenv(harness.ENV_PREFIX + name, raw)
+            assert harness.main(["--filter", "symbolic/strata_6"]) == 2
+        assert f"COVFORGE_{name}={raw!r}" in capsys.readouterr().err
     for name in ("FILTER", "SEED", "FORMAT", "SAMPLE_R", "TOL_RANK"):
         monkeypatch.setenv(harness.ENV_PREFIX + name, "")
     assert harness.build_config([]) == harness.RunConfig()
