@@ -9,27 +9,46 @@ The bilinear bracket implemented here is the classical transvectant
     psi_i(f, g) = (m-i)! (n-i)! / (m! n!) *
         sum_k (-1)^k C(i,k) d^i f/dz1^(i-k) dz2^k * d^i g/dz1^k dz2^(i-k)
 
-for f of degree m and g of degree n.  The reference tables this package
-verifies were produced with a possibly different transvectant scaling and
-an unstated matrix-action convention; `calibrate_conventions` recovers
-both mechanically and caches the result.
+for f of degree m and g of degree n.  It is evaluated in closed form, as
+a fixed integer bilinear map on the coefficient vectors a and b:
+
+    psi_i(f, g)[p + q - i] = pref * sum W[p][q] * a_p * b_q,
+    W[p][q] = sum_k (-1)^k C(i,k) (m-p)_(i-k) p_(k) (n-q)_(k) q_(i-k),
+
+with x_(j) the falling factorial and pref the factorial quotient above.
+The weights are built once per (m, n, i), on first use; the derivative
+definition itself is kept as the test oracle.  The matrix action is one
+(d+1)x(d+1) substitution matrix per group element and degree, applied
+to the coefficient vector.
+
+The reference tables this package verifies were produced with a possibly
+different transvectant scaling and an unstated matrix-action convention;
+`calibrate_conventions` recovers both mechanically and caches the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence, Union
 
+from .exlinalg import ExactMatrix
 from .mpoly import MPoly, monomial_str
-from .scalar import CycScalar, as_cyc, as_exact
+from .scalar import CycScalar, as_cyc, as_exact, over_common_denominator
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
 
 
 def _norm(c) -> FormCoeff:
     return c if isinstance(c, MPoly) else as_exact(c)
+
+
+def _zero_filled(acc: list) -> list:
+    """An accumulator list whose slots start at their first term, not at
+    Fraction(0) (same value and type, one mixed-type addition fewer), with
+    its untouched (None) slots set to 0."""
+    return [Fraction(0) if c is None else c for c in acc]
 
 
 class BinaryForm:
@@ -45,15 +64,23 @@ class BinaryForm:
         self.degree = degree
         self.coeffs = tuple(_norm(c) for c in coeffs)
 
+    @staticmethod
+    def _of(degree: int, coeffs) -> BinaryForm:
+        """Wrap d+1 coefficients that are already exact scalars or MPolys."""
+        out = BinaryForm.__new__(BinaryForm)
+        out.degree = degree
+        out.coeffs = tuple(coeffs)
+        return out
+
     @classmethod
     def zero(cls, degree: int) -> BinaryForm:
-        return cls(degree, [Fraction(0)] * (degree + 1))
+        return cls._of(degree, [Fraction(0)] * (degree + 1))
 
     @classmethod
     def monomial(cls, degree: int, z2_power: int, coeff=1) -> BinaryForm:
         cs: list = [Fraction(0)] * (degree + 1)
         cs[z2_power] = _norm(coeff)
-        return cls(degree, cs)
+        return cls._of(degree, cs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -69,31 +96,32 @@ class BinaryForm:
             if other.is_zero():
                 return self
             raise ValueError("degree mismatch in form addition")
-        return BinaryForm(self.degree,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._of(self.degree,
+                              [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: BinaryForm) -> BinaryForm:
         return self.__add__(-other)
 
     def __neg__(self) -> BinaryForm:
-        return BinaryForm(self.degree, [-c for c in self.coeffs])
+        return BinaryForm._of(self.degree, [-c for c in self.coeffs])
 
     def scale(self, scalar) -> BinaryForm:
         s = _norm(scalar)
-        return BinaryForm(self.degree, [s * c for c in self.coeffs])
+        return BinaryForm._of(self.degree, [s * c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
             d = self.degree + other.degree
-            acc: list = [Fraction(0)] * (d + 1)
+            acc: list = [None] * (d + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     if not b:
                         continue
-                    acc[i + j] = acc[i + j] + a * b
-            return BinaryForm(d, acc)
+                    cur = acc[i + j]
+                    acc[i + j] = a * b if cur is None else cur + a * b
+            return BinaryForm._of(d, _zero_filled(acc))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -102,31 +130,10 @@ class BinaryForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return self.degree == other.degree and (self - other).is_zero()
+        return self.degree == other.degree and all(
+            a == b for a, b in zip(self.coeffs, other.coeffs))
 
     __hash__ = None  # type: ignore[assignment]
-
-    # -- calculus ---------------------------------------------------------
-
-    def diff_z1(self) -> BinaryForm:
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, [(d - k) * self.coeffs[k] for k in range(d)])
-
-    def diff_z2(self) -> BinaryForm:
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, [(k + 1) * self.coeffs[k + 1] for k in range(d)])
-
-    def diff(self, n1: int, n2: int) -> BinaryForm:
-        out = self
-        for _ in range(n1):
-            out = out.diff_z1()
-        for _ in range(n2):
-            out = out.diff_z2()
-        return out
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -149,19 +156,47 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}, {self})"
 
 
+@lru_cache(maxsize=None)
+def _transvectant_weights(m: int, n: int, i: int) -> tuple[Fraction, tuple]:
+    """pref and the integer weights W of psi_i on degrees (m, n): W[p] is
+    the tuple of (q, W[p][q]) with W[p][q] nonzero (module docstring)."""
+    pref = Fraction(factorial(m - i) * factorial(n - i),
+                    factorial(m) * factorial(n))
+    rows = []
+    for p in range(m + 1):
+        row = []
+        for q in range(n + 1):
+            w = sum((-1) ** k * comb(i, k) * perm(m - p, i - k) * perm(p, k)
+                    * perm(n - q, k) * perm(q, i - k) for k in range(i + 1))
+            if w:
+                row.append((q, w))
+        rows.append(tuple(row))
+    return pref, tuple(rows)
+
+
 def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
-    """Classical i-th transvectant of f and g (see module docstring)."""
+    """Classical i-th transvectant of f and g, by its closed-form integer
+    weights (see module docstring)."""
     m, n = f.degree, g.degree
     if i < 0 or i > min(m, n):
         raise ValueError(f"transvectant index {i} out of range for degrees {m},{n}")
-    pref = Fraction(factorial(m - i) * factorial(n - i),
-                    factorial(m) * factorial(n))
-    total = BinaryForm.zero(m + n - 2 * i)
-    for k in range(i + 1):
-        piece = f.diff(i - k, k) * g.diff(k, i - k)
-        sign = -1 if k % 2 else 1
-        total = total + piece.scale(Fraction(sign * comb(i, k)))
-    return total.scale(pref)
+    pref, weights = _transvectant_weights(m, n, i)
+    # A rational coefficient vector runs on int numerators; `scale`
+    # divides by the denominators once.
+    a, a_den = over_common_denominator(f.coeffs)
+    b, b_den = over_common_denominator(g.coeffs)
+    acc: list = [None] * (m + n - 2 * i + 1)
+    for p, x in enumerate(a):
+        if not x:
+            continue
+        for q, w in weights[p]:
+            y = b[q]
+            if y:
+                r = p + q - i
+                cur = acc[r]
+                acc[r] = w * (x * y) if cur is None else cur + w * (x * y)
+    scale = pref / (a_den * b_den)
+    return BinaryForm._of(m + n - 2 * i, [scale * c for c in _zero_filled(acc)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +295,15 @@ def mul_closure(generators: Sequence[GroupElt], cap: int = 512) -> list[GroupElt
 ACTION_CONVENTIONS = ("substitute_inverse", "substitute_direct", "substitute_transpose")
 
 
-def _compose(f: BinaryForm, g: GroupElt) -> BinaryForm:
-    """f(a z1 + b z2, c z1 + d z2) for g = [[a, b], [c, d]]."""
-    a, b, c, d = g.m
-    d_deg = f.degree
-    row1 = BinaryForm(1, [a, b])
-    row2 = BinaryForm(1, [c, d])
-    pow1: list[BinaryForm] = [BinaryForm(0, [Fraction(1)])]
-    pow2: list[BinaryForm] = [BinaryForm(0, [Fraction(1)])]
-    for _ in range(d_deg):
-        pow1.append(pow1[-1] * row1)
-        pow2.append(pow2[-1] * row2)
-    total = BinaryForm.zero(d_deg)
-    for k, coeff in enumerate(f.coeffs):
-        if not coeff:
-            continue
-        total = total + (pow1[d_deg - k] * pow2[k]).scale(coeff)
-    return total
+def action_matrix(g: GroupElt, degree: int,
+                  convention: str | None) -> ExactMatrix:
+    """The substitution matrix of g's action on forms of one degree.
 
-
-def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
-    """Action of a projective matrix on a form.
-
-    The substitution matrix depends on the convention; the result is
-    normalised by det^(degree/2) so it only depends on g modulo scalars.
+    With [[a, b], [c, d]] the matrix that the convention (the calibrated
+    one when None) substitutes, column k holds the coefficients of
+    (a z1 + b z2)^(degree-k) (c z1 + d z2)^k times det^-(degree // 2),
+    so that the action only depends on g modulo scalars; an odd degree
+    needs det 1.
     """
     if convention is None:
         convention = calibrate_conventions().convention
@@ -295,13 +315,25 @@ def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> Bina
         sub = g.transpose()
     else:
         raise ValueError(f"unknown action convention {convention!r}")
-    out = _compose(f, sub)
-    if f.degree % 2:
-        if sub.det() != CycScalar.one():
-            raise ValueError("odd-degree action needs a determinant-1 representative")
-        return out
-    norm = sub.det() ** -(f.degree // 2)
-    return out.scale(norm)
+    if degree % 2 and sub.det() != CycScalar.one():
+        raise ValueError("odd-degree action needs a determinant-1 representative")
+    a, b, c, d = sub.m
+    pow1 = [BinaryForm.monomial(0, 0, sub.det() ** -(degree // 2))]
+    pow2 = [BinaryForm.monomial(0, 0)]
+    for _ in range(degree):
+        pow1.append(pow1[-1] * BinaryForm._of(1, (a, b)))
+        pow2.append(pow2[-1] * BinaryForm._of(1, (c, d)))
+    return ExactMatrix.from_columns(
+        [(pow1[degree - k] * pow2[k]).coeffs for k in range(degree + 1)])
+
+
+def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
+    """Action of a projective matrix on a form: g's substitution matrix at
+    f's degree, `action_matrix(g, f.degree, convention)`, applied to f's
+    coefficient vector.  A caller acting on many forms of one degree
+    builds that matrix once and applies it to each."""
+    return BinaryForm._of(
+        f.degree, action_matrix(g, f.degree, convention).apply(f.coeffs))
 
 
 # ---------------------------------------------------------------------------

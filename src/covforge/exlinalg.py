@@ -57,14 +57,15 @@ class ExactMatrix:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         out = []
-        for i in range(self.nrows):
-            acc = Fraction(0)
-            for k in range(self.ncols):
-                a = self.rows[i][k]
+        for row in self.rows:
+            # Starting at the first term rather than at Fraction(0)
+            # spares a mixed-type addition and gives the same value and type.
+            acc = None
+            for a, v in zip(row, vec):
                 if not a:
                     continue
-                acc = acc + a * vec[k]
-            out.append(acc)
+                acc = a * v if acc is None else acc + a * v
+            out.append(Fraction(0) if acc is None else acc)
         return out
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Sequence, Union
 
 # Arbitrary-precision rational scalars.  Always reduced, denominator > 0.
 Rat = Fraction
@@ -299,6 +299,17 @@ def as_cyc(value: Scalar) -> CycScalar:
     if isinstance(value, CycScalar):
         return value
     return CycScalar(value)
+
+
+def over_common_denominator(values: Sequence) -> tuple[Sequence, int]:
+    """Rationals as int numerators over their least common denominator,
+    so that an integer-weighted bilinear map of them runs on ints and
+    divides once; values that are not all rational come back as they
+    are, over 1."""
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
+    return values, 1
 
 
 def scalar_complexity(value: Scalar) -> int:

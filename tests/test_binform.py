@@ -1,20 +1,176 @@
 """Binary forms, transvectants, the 24-element matrix group, and calibration."""
 
+import random
 from fractions import Fraction
+from math import comb, factorial
 
-from covforge.binform import (BinaryForm, GroupElt, Lambda,
-                              calibrate_conventions, delta,
+import pytest
+
+from covforge.binform import (ACTION_CONVENTIONS, BinaryForm, GroupElt,
+                              Lambda, calibrate_conventions, delta,
                               expanded_coordinate_system, group_act,
                               max_root_multiplicity_exact, mul_closure,
                               transvectant)
-from covforge.construction import (delta_coordinate_system, octic_basis,
-                                   quartic_basis, special_points)
+from covforge.construction import (assemble, delta_coordinate_system,
+                                   generators, induced_vec15_matrix,
+                                   octic_basis, octic_coordinates,
+                                   quartic_basis, quartic_coordinates,
+                                   special_points, unit15)
 from covforge.mpoly import MPoly, var_slot
 from covforge.scalar import CycScalar
 
 
 def form(*coeffs):
     return BinaryForm(len(coeffs) - 1, list(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the defining formulas, evaluated the slow way.
+
+def diff_z1(f):
+    d = f.degree
+    return BinaryForm(d - 1, [(d - k) * f.coeffs[k] for k in range(d)])
+
+
+def diff_z2(f):
+    d = f.degree
+    return BinaryForm(d - 1, [(k + 1) * f.coeffs[k + 1] for k in range(d)])
+
+
+def diff(f, n1, n2):
+    for _ in range(n1):
+        f = diff_z1(f)
+    for _ in range(n2):
+        f = diff_z2(f)
+    return f
+
+
+def transvectant_oracle(f, g, i):
+    """psi_i by its derivative definition (binform's module docstring)."""
+    m, n = f.degree, g.degree
+    pref = Fraction(factorial(m - i) * factorial(n - i),
+                    factorial(m) * factorial(n))
+    total = BinaryForm.zero(m + n - 2 * i)
+    for k in range(i + 1):
+        piece = diff(f, i - k, k) * diff(g, k, i - k)
+        total = total + piece.scale((-1) ** k * comb(i, k))
+    return total.scale(pref)
+
+
+def compose_oracle(f, g):
+    """f(a z1 + b z2, c z1 + d z2) for g = [[a, b], [c, d]], as a sum of
+    products of powers of the two linear forms."""
+    a, b, c, d = g.m
+    pow1, pow2 = [form(1)], [form(1)]
+    for _ in range(f.degree):
+        pow1.append(pow1[-1] * form(a, b))
+        pow2.append(pow2[-1] * form(c, d))
+    total = BinaryForm.zero(f.degree)
+    for k, coeff in enumerate(f.coeffs):
+        total = total + (pow1[f.degree - k] * pow2[k]).scale(coeff)
+    return total
+
+
+def group_act_oracle(g, f, convention):
+    sub = {"substitute_inverse": g.inverse(), "substitute_direct": g,
+           "substitute_transpose": g.transpose()}[convention]
+    out = compose_oracle(f, sub)
+    if f.degree % 2:
+        assert sub.det() == CycScalar.one()
+        return out
+    return out.scale(sub.det() ** -(f.degree // 2))
+
+
+def induced_oracle(g, convention):
+    """The 15x15 induced matrix, every basis form acted on by the oracle."""
+    columns = []
+    for j in range(15):
+        f8, _f0, f4 = assemble(unit15(j))
+        if j < 9:
+            col = octic_coordinates(group_act_oracle(g, f8, convention))
+            columns.append(col + [0] * 6)
+        elif j == 9:
+            columns.append(unit15(9))
+        else:
+            col = quartic_coordinates(group_act_oracle(g, f4, convention))
+            columns.append([0] * 10 + col)
+    return [[columns[j][i] for j in range(15)] for i in range(15)]
+
+
+def random_coeff(rng, kind):
+    if rng.random() < 0.3:
+        return 0
+    r = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if kind == "rational":
+        return r
+    if kind == "cyclotomic":
+        return r * rng.choice([CycScalar.zeta(), CycScalar.i(),
+                               CycScalar.sqrt2(), CycScalar.one(),
+                               CycScalar.zeta() + CycScalar.i()])
+    return r * rng.choice([MPoly.var("x1"), MPoly.var("s2") + 1,
+                           MPoly.var("x1") * CycScalar.i(), MPoly.const(3)])
+
+
+def random_form(rng, degree, kind):
+    return BinaryForm(degree, [random_coeff(rng, kind)
+                               for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("kind", ["rational", "cyclotomic", "polynomial"])
+def test_transvectant_matches_its_derivative_definition(kind):
+    rng = random.Random(f"transvectant-{kind}")
+    degrees = (0, 1, 2, 4, 5, 8)
+    cases = 0
+    for m in degrees:
+        for n in degrees:
+            f = random_form(rng, m, kind)
+            g = random_form(rng, n, kind)
+            for i in range(min(m, n) + 1):
+                assert transvectant(f, g, i) == transvectant_oracle(f, g, i), \
+                    (m, n, i)
+                cases += 1
+    assert cases == 102
+
+
+def unimodular_products(rng, count):
+    """Seeded products of elementary moves, all of determinant 1."""
+    out = []
+    for _ in range(count):
+        b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        out.append(GroupElt(1, b, 0, 1) * GroupElt(1, 0, c, 1)
+                   * GroupElt(1, CycScalar.i() * c, 0, 1))
+    return out
+
+
+@pytest.mark.parametrize("convention", ACTION_CONVENTIONS)
+def test_group_act_matches_the_power_product_composition(convention):
+    rng = random.Random(f"action-{convention}")
+    elements = mul_closure(list(generators().values()))
+    assert len(elements) == 24
+    elements += unimodular_products(rng, 6)
+    for g in elements:
+        # every element here has a determinant-1 representative, so the
+        # odd degrees are covered too
+        for degree in range(9):
+            f = random_form(rng, degree, "cyclotomic")
+            assert group_act(g, f, convention) == \
+                group_act_oracle(g, f, convention), (g, degree)
+
+
+def test_odd_degree_action_needs_a_determinant_one_representative():
+    g = GroupElt(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="determinant-1"):
+        group_act(g, form(1, 2, 3, 4), "substitute_direct")
+    assert group_act(g, form(1, 2, 3), "substitute_direct") == \
+        group_act_oracle(g, form(1, 2, 3), "substitute_direct")
+
+
+@pytest.mark.parametrize("convention", ACTION_CONVENTIONS)
+def test_induced_matrices_match_the_oracle(convention):
+    for g in generators().values():
+        assert induced_vec15_matrix(g, convention) == \
+            induced_oracle(g, convention)
 
 
 # ---------------------------------------------------------------------------
