@@ -18,8 +18,9 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
                                    _chordal_each, _chordal_groups,
                                    _fiber_equations, _fiber_rows,
                                    _linear_row_terms,
-                                   _mp_solve, _octic_roots, _poly_terms, _rng,
-                                   _slice_rows, _solve_stack, _start_system,
+                                   _mp_solve, _octic_roots, _poly_terms,
+                                   _predict, _rng, _slice_rows, _solve_stack,
+                                   _start_system,
                                    _stratum_anchor_vectors, conic_pair,
                                    count_stratum_points,
                                    embed_mp, exact_preimage, exact_slice,
@@ -133,12 +134,36 @@ def test_a_path_that_runs_to_infinity_keeps_its_last_point():
     assert np.all(np.isfinite(path.x)) and np.linalg.norm(path.x) > 1e10
 
 
+def test_the_predictor_is_fourth_order():
+    # H = (1 + t^2) x - 1, linear in x, has the path x(t) = 1 / (1 + t^2);
+    # one predictor step of length h from the path errs by O(h^5), so
+    # halving h cuts the error by about 32 (an Euler step: by about 4).
+    # A homotopy linear in t as well has a Moebius path, which this
+    # predictor follows to rounding, so it could not show the order.
+    def path(t):
+        return 1.0 / (1.0 + t * t)
+
+    def homotopy(x, t):
+        tt = t[:, None]
+        return ((1.0 + tt * tt) * x - 1.0, (1.0 + tt * tt)[:, :, None],
+                2.0 * tt * x)
+
+    t0 = np.array([0.3])
+    x0 = np.array([[path(0.3) + 0j]])
+    errors = []
+    for h in (0.1, 0.05):
+        x1, ok = _predict(homotopy, x0, t0, np.array([h]))
+        assert ok.tolist() == [True]
+        errors.append(abs(x1[0, 0] - path(0.3 + h)))
+    assert errors[0] / errors[1] >= 20
+
+
 # (status, steps) of the 32 paths of the sample census's first chart at
-# seed 42, as tracked one path at a time before the paths were stacked
+# seed 42, as tracked one path at a time
 SAMPLE_CHART_STEPS = [
-    778, 664, 529, 721, 564, 1054, 685, 1345, 727, 715, 526, 517, 595, 604,
-    574, 391, 595, 607, 385, 775, 514, 892, 580, 535, 466, 787, 361, 727,
-    832, 814, 505, 490]
+    167, 139, 102, 138, 119, 238, 125, 242, 120, 134, 116, 83, 136, 131,
+    126, 84, 134, 119, 85, 129, 109, 156, 125, 78, 84, 157, 81, 173, 147,
+    175, 113, 94]
 
 
 class _FirstChart(Exception):
@@ -350,10 +375,10 @@ class _Tracked(Exception):
 
 def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         monkeypatch):
-    # the sample census at seed 1 rescues four endpoints in a second
-    # chart; polished on the census chart three have a coordinate near
-    # 80, where an absolute 1e-36 stop is below the rounding noise of a
-    # step
+    # the sample census at seed 1 rescues three endpoints in a second
+    # chart; polished on the census chart all three have a coordinate
+    # near 80, where an absolute 1e-36 stop is below the rounding noise
+    # of a step
     runs, charts = [], []
     track_paths = continuation.track
 
@@ -381,15 +406,15 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         x = mp_polish(run["system"], e.x)
         steps.append(calls["_mp_solve"])
         sizes.append(max(abs(v) for v in x))
-    assert run["rescue_added"] == 4
+    assert run["rescue_added"] == 3
     assert run["accepted_count"] == 32
-    # one merge: the first chart's 28 endpoints, in path order, then the
-    # four rescued ones
+    # one merge: the first chart's 29 endpoints, in path order, then the
+    # three rescued ones
     assert len(charts) == 2
     first = [r.x for r in charts[0] if r.status == "accepted"]
-    assert len(first) == 28
-    assert [id(e.x) for e in run["distinct"][:28]] == list(map(id, first))
-    assert not any(e.x is x for e in run["distinct"][28:] for x in first)
+    assert len(first) == 29
+    assert [id(e.x) for e in run["distinct"][:29]] == list(map(id, first))
+    assert not any(e.x is x for e in run["distinct"][29:] for x in first)
     # every endpoint, rescued ones too, lies on the census chart
     for e in run["distinct"]:
         assert abs(run["chart"] @ e.x - 1) < 1e-8
