@@ -91,10 +91,6 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return NotImplemented
         if self.degree != other.degree:
-            if self.is_zero() and not other.is_zero():
-                return other
-            if other.is_zero():
-                return self
             raise ValueError("degree mismatch in form addition")
         return BinaryForm._of(self.degree,
                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -130,8 +126,7 @@ class BinaryForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return self.degree == other.degree and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 

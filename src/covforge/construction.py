@@ -68,8 +68,6 @@ class ProjPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if len(self.coords) != len(other.coords):
-            return False
         return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:

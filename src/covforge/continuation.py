@@ -1198,8 +1198,9 @@ class NumericRun:
 
 
 def projection_data():
-    """Exact data of the linear projection: center, target, and the
-    coordinate extraction of the target part."""
+    """Exact data of the linear projection: the ranks of the center and
+    the target space and the dimension of their intersection, the matrix
+    of both bases, and the coordinate extraction of the target part."""
     centers = [list(v) for v in construction.center_space_vectors()]
     targets = [list(v) for v in construction.target_space_basis()]
     center_space = Subspace(9, centers)
@@ -1210,8 +1211,6 @@ def projection_data():
     # Rows 5..8 of the inverse read off the target-basis coordinates.
     extract = [inv.rows[i] for i in range(5, 9)]
     return {
-        "center_space": center_space,
-        "target_space": target_space,
         "center_rank": center_space.dim,
         "target_rank": target_space.dim,
         "intersection_dim": center_space.intersection(target_space).dim,
@@ -1237,8 +1236,8 @@ def exact_preimage(n) -> dict:
     lambda is nonzero at the meet (a transversal meet), else none.
 
     Returns the basis `line` of l; the plane's `lift` of n, its point
-    with lambda = 1; `vanish` = `factored`, whether both quadrics vanish
-    on l, so that both identities hold; the `lines` as coefficient rows
+    with lambda = 1; `factored`, whether both quadrics vanish on l, so
+    that both identities hold; the `lines` as coefficient rows
     over PLANE_VARS and their `rank`; the `point`, or None; its `count`;
     and the `reason` when the count is 0.
     """
@@ -1250,8 +1249,8 @@ def exact_preimage(n) -> dict:
                           for e in linear]).kernel_basis()
     span = ExactMatrix.from_columns(gens)
     line = [span.apply(k) for k in kernel if k[-1] == 0]
-    out = {"line": line, "lift": None, "vanish": False, "factored": False,
-           "lines": [], "rank": 0, "point": None, "count": 0, "reason": None}
+    out = {"line": line, "lift": None, "factored": False, "lines": [],
+           "rank": 0, "point": None, "count": 0, "reason": None}
     if len(kernel) != 3 or len(line) != 2:
         return {**out, "reason": f"the linear rows cut span(center, p) to "
                 f"dimension {len(kernel)}, with a {len(line)}-dimensional "
@@ -1262,7 +1261,7 @@ def exact_preimage(n) -> dict:
     factored = not any(co[0, 0] or co[0, 1] or co[1, 1] for co in conics)
     lines = [[co[0, 2], co[1, 2], co[2, 2]] for co in conics]
     meet = ExactMatrix(lines).kernel_basis()
-    out.update(lift=lift, vanish=factored, factored=factored, lines=lines,
+    out.update(lift=lift, factored=factored, lines=lines,
                rank=3 - len(meet))
     if not factored:
         return {**out, "reason": "a quadric does not factor as "
@@ -1542,7 +1541,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     center_line = {
         "basis": [[str(v) for v in b] for b in exact[0]["line"]],
         "dim": len(exact[0]["line"]),
-        "quadrics_vanish": all(sol["vanish"] for sol in exact),
+        "quadrics_vanish": all(sol["factored"] for sol in exact),
         "factored_trials": sum(sol["factored"] for sol in exact),
     }
     cross_check = _preimage_cross_check(seed, 0, targets[0], extract,

@@ -2,8 +2,11 @@
 
 Everything here is fraction-free in spirit but implemented with exact
 field division (the scalars' own `x ** -1`), which is fast enough at
-the 15x15 scale this package needs.  Pivots are chosen by a cheapness
-heuristic to keep intermediate entries small.  `ExactMatrix.apply` is
+the 15x15 scale this package needs.  The reduced row echelon form of a
+matrix over a field is unique, so `rref` takes the first nonzero entry
+of each column as its pivot: another choice would change the cost, not
+the result.  Equality compares canonical data directly: a matrix its
+rows, a `Subspace` its RREF basis.  `ExactMatrix.apply` is
 the package's one exact linear combination: the matrix product is
 built from it, and so is every sum of coefficients times vectors
 (`from_columns(vectors).apply(coeffs)`) or of exact rows times
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .scalar import as_exact, scalar_complexity
+from .scalar import as_exact
 
 class ExactMatrix:
     """Immutable-ish dense matrix with exact entries."""
@@ -83,11 +86,7 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(a == b
-                   for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        return self.rows == other.rows
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -105,19 +104,10 @@ class ExactMatrix:
         for c in range(self.ncols):
             if r >= self.nrows:
                 break
-            # Cheapest nonzero pivot in column c at or below row r.
-            best = None
-            best_cost = None
-            for i in range(r, self.nrows):
-                v = rows[i][c]
-                if not v:
-                    continue
-                cost = scalar_complexity(v)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = i, cost
-            if best is None:
+            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
+            if pivot is None:
                 continue
-            rows[r], rows[best] = rows[best], rows[r]
+            rows[r], rows[pivot] = rows[pivot], rows[r]
             inv = rows[r][c] ** -1
             rows[r] = [inv * v for v in rows[r]]
             for i in range(self.nrows):
@@ -187,14 +177,11 @@ class Subspace:
         probe = Subspace(self.ambient_dim, self.basis + [list(vec)])
         return probe.dim == self.dim
 
-    def contains_space(self, other: Subspace) -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
-                and self.dim == other.dim and self.contains_space(other))
+                and self.basis == other.basis)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -197,7 +197,7 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return self.terms == o.terms
 
     __hash__ = None  # type: ignore[assignment]
 

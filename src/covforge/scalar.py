@@ -311,15 +311,3 @@ def over_common_denominator(values: Sequence) -> tuple[Sequence, int]:
         return [v.numerator * (d // v.denominator) for v in values], d
     return values, 1
 
-
-def scalar_complexity(value: Scalar) -> int:
-    """Bit-size proxy used to pick the least messy pivot in elimination.
-
-    It sums the numerator and denominator bit lengths of each reduced
-    coordinate, not the size of the common-denominator form: pivot
-    choices, and so the witnesses of elimination, depend on it."""
-    if isinstance(value, CycScalar):
-        return sum(c.numerator.bit_length() + c.denominator.bit_length()
-                   for c in value.coords)
-    num, den = _rat_parts(value)
-    return num.bit_length() + den.bit_length()

@@ -230,6 +230,14 @@ def test_transvectant_symmetry_sign():
         assert lhs == (rhs if i % 2 == 0 else -rhs)
 
 
+def test_forms_of_two_degrees_do_not_add():
+    f8 = octic_basis()[0]
+    with pytest.raises(ValueError, match="degree mismatch"):
+        BinaryForm.zero(4) + f8
+    with pytest.raises(ValueError, match="degree mismatch"):
+        f8 + BinaryForm.zero(4)
+
+
 # ---------------------------------------------------------------------------
 # Group elements and the action on forms.
 

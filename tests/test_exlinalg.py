@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from covforge.binform import BinaryForm
 from covforge.exlinalg import (ExactMatrix, Subspace, eigenspace,
                                jacobian_at, joint_fixed_space)
 from covforge.mpoly import poly_vars
@@ -106,3 +107,65 @@ def test_jacobian_evaluation_at_a_point():
     polys = [x ** 2 + y, x * y]
     mat = jacobian_at(polys, ["x1", "x2"], {"x1": Fraction(3), "x2": Fraction(2)})
     assert mat == ExactMatrix([[6, 1], [2, 3]])
+
+
+def _cyc(rows):
+    """The same rows with every entry a rational CycScalar."""
+    return [[CycScalar(v) for v in row] for row in rows]
+
+
+def test_a_subspace_compares_equal_whatever_spans_it():
+    a = Subspace(3, [[1, 2, 0], [0, 1, 1]])
+    # (1, 3, 1) = a0 + a1 and (2, 3, -1) = 2 a0 - a1, plus a redundant row
+    b = Subspace(3, [[CycScalar(1), CycScalar(3), CycScalar(1)],
+                     [Fraction(2), Fraction(3), Fraction(-1)],
+                     [CycScalar(3), Fraction(6), 0]])
+    assert a == b and b == a
+    i = CycScalar.i()
+    assert Subspace(2, [[i, 1]]) == Subspace(2, [[1, -i]])
+
+
+def test_subspaces_of_one_dimension_or_another_ambient_differ():
+    a = Subspace(3, [[1, 2, 0], [0, 1, 1]])
+    assert a != Subspace(3, [[1, 0, 0], [0, 1, 0]])
+    assert a != Subspace(4, [[1, 2, 0, 0], [0, 1, 1, 0]])
+    assert Subspace(3, []) != Subspace(4, [])
+
+
+def test_rational_and_cyclotomic_copies_reduce_alike():
+    rows = [[0, 3, Fraction(3, 4), 1],
+            [2, Fraction(-5, 6), 0, 7],
+            [4, Fraction(1, 3), Fraction(3, 2), 15]]
+    red, pivots = ExactMatrix(rows).rref()
+    red_cyc, pivots_cyc = ExactMatrix(_cyc(rows)).rref()
+    assert pivots == pivots_cyc == [0, 1, 2]
+    assert red.rows == red_cyc.rows
+
+
+def _copies(kind):
+    """A value built from Fractions, the same value built from rational
+    CycScalars, and a different value."""
+    if kind == "mpoly":
+        x, y = poly_vars("x1", "x2")
+        return (Fraction(1, 2) * x ** 2 + 3 * x * y - y,
+                CycScalar(Fraction(1, 2)) * x ** 2 + CycScalar(3) * x * y
+                - CycScalar(1) * y,
+                Fraction(1, 2) * x ** 2 + 3 * x * y + y)
+    if kind == "binform":
+        coeffs = [Fraction(1, 2), 0, -3]
+        return (BinaryForm(2, coeffs), BinaryForm(2, _cyc([coeffs])[0]),
+                BinaryForm(2, [Fraction(1, 2), 0, 3]))
+    rows = [[1, Fraction(-2, 3)], [0, 5]]
+    return (ExactMatrix(rows), ExactMatrix(_cyc(rows)),
+            ExactMatrix([[1, Fraction(-2, 3)], [5, 0]]))
+
+
+@pytest.mark.parametrize("kind", ["mpoly", "binform", "exact_matrix"])
+def test_rational_and_cyclotomic_copies_compare_equal(kind):
+    frac, cyc, other = _copies(kind)
+    assert frac == cyc and cyc == frac
+    assert frac != other and cyc != other
+
+
+def test_matrices_of_another_shape_differ():
+    assert ExactMatrix([[1, 2]]) != ExactMatrix([[1], [2]])

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from covforge.continuation import WORKING_DPS, embed_mp
-from covforge.scalar import CycScalar, as_cyc, as_exact, scalar_complexity
+from covforge.scalar import CycScalar, as_cyc, as_exact
 
 ZETA = CycScalar.zeta()
 I = CycScalar.i()
@@ -267,19 +267,3 @@ def test_constructor_rejects_inexact_coordinates():
         CycScalar(1, 2, 3, 1j)
     with pytest.raises(TypeError):
         as_cyc(0.25)
-
-
-@pytest.mark.parametrize("value, bits", [
-    # 3/4, 0/1, -5/6 and 1/1: 5 + 1 + 6 + 2 bits; the common-denominator
-    # form (9, 0, -10, 12) / 12 would be larger
-    (CycScalar(Fraction(3, 4), 0, Fraction(-5, 6), 1), 14),
-    (CycScalar.zero(), 4),
-    (ZETA, 5),
-    (CycScalar(Fraction(1, 6), Fraction(1, 10)), 4 + 5 + 1 + 1),
-    (Fraction(3, 4), 5),
-    (Fraction(-5, 6), 6),
-    (0, 1),
-    (12, 5),
-])
-def test_scalar_complexity_counts_reduced_coordinates(value, bits):
-    assert scalar_complexity(value) == bits
