@@ -538,8 +538,9 @@ def check_jacobians() -> CheckResult:
         _require(residuals, jac == expected_full,
                  f"full-system Jacobian at the base point (eps={ev}) is not "
                  "[0 | I5]")
-        _require(residuals, jac.rank() == 5,
-                 f"full-system Jacobian rank {jac.rank()} != 5 (eps={ev})")
+        rank = jac.rank()
+        _require(residuals, rank == 5,
+                 f"full-system Jacobian rank {rank} != 5 (eps={ev})")
         kernel = Subspace(15, jac.kernel_basis())
         _require(residuals, kernel.dim == 10 and kernel == kernel_want,
                  f"full-system kernel (eps={ev}) is not the 10-dimensional "
@@ -567,8 +568,9 @@ def check_jacobians() -> CheckResult:
         _require(residuals, jac == expected_restricted,
                  f"restricted Jacobian at the invariant octic (eps={ev}) "
                  "differs from the frozen row pattern")
-        _require(residuals, jac.rank() == 5,
-                 f"restricted Jacobian rank {jac.rank()} != 5 (eps={ev})")
+        rank = jac.rank()
+        _require(residuals, rank == 5,
+                 f"restricted Jacobian rank {rank} != 5 (eps={ev})")
         tangent = Subspace(12, jac.kernel_basis())
         _require(residuals, tangent.dim == 7,
                  f"restricted tangent dimension {tangent.dim} != 7 (eps={ev})")

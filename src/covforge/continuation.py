@@ -32,7 +32,9 @@ classifies only one representative endpoint per orbit of the diagonal
 subgroup H: the sign flips of H, rescaled onto the census chart, carry
 the representative's polished point and labels to every endpoint they
 match within TOL_MATCH, and an endpoint no image matches is polished
-and classified on its own.  The
+and classified on its own.  The same placement carries a reference
+census's points and labels, census S's for the censuses at seeds S+1
+and S+2, to the endpoints they match.  The
 classifier takes the endpoint octic's roots from `mp.polyroots` at
 `WORKING_DPS`, started from seeds that already resolve each root
 cluster: double-precision roots, with every coarse group of them
@@ -849,6 +851,7 @@ class StratumCensus:
     rescue_added: int
     min_sv: float
     notes: list[str] = field(default_factory=list)
+    unmatched: list[int] = field(default_factory=list)   # off the reference
 
 
 def _classify_point(point_mp, r) -> tuple[str, bool]:
@@ -881,25 +884,37 @@ def admissible_triple(r: tuple) -> tuple:
     return r
 
 
-def count_stratum_points(r: tuple, seed) -> StratumCensus:
+def count_stratum_points(r: tuple, seed,
+                         reference: StratumCensus | None = None
+                         ) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
     The partition counts endpoints by coordinate-vanishing stratum and,
     within each stratum, by the multiple-root classifier (a sixfold or
     larger root cluster) versus its complement.  Runs are deterministic
-    in (r, seed).
+    in (r, seed, reference).
+
+    A labelled 40-digit point is placed on this census by rescaling it
+    onto the census chart, x / (c . x), and matching it against the
+    double endpoints at chordal distance TOL_MATCH; distinct endpoints
+    are TOL_DEDUP apart, so it meets at most one.  A matched endpoint
+    not yet labelled takes the rescaled point as its coordinates and the
+    point's labels.
+
+    A reference census, census S of the same triple at another seed, is
+    placed first, point by point: a matched endpoint is the same point
+    as one of census S, so it needs no polish or classification of its
+    own.  `unmatched` lists the endpoints no reference point matched, in
+    order; they go on to the walk below like any other.
 
     The diagonal subgroup H (`h_orbit_signs`) maps the system's zero set
     to itself and keeps both labels, so only one endpoint per H-orbit is
-    polished and classified.  The distinct endpoints are walked in order;
-    the first one not yet covered is a representative.  Each H-image of
-    its polished point, its coordinates' signs flipped and rescaled onto
-    the census chart, is matched against the double endpoints at chordal
-    distance TOL_MATCH; distinct endpoints are TOL_DEDUP apart, so an
-    image meets at most one.  A matched endpoint takes the image as its
-    coordinates and the representative's labels.  An endpoint no image
-    matches becomes a representative in its turn, so the symmetry saves
-    work but never decides a label.
+    polished and classified.  The endpoints still unlabelled are walked
+    in order; the first one not yet covered is a representative, and
+    each H-image of its polished point, its coordinates' signs flipped,
+    is placed.  An endpoint no image matches becomes a representative in
+    its turn, so the reference and the symmetry save work but never
+    decide a label.
     """
     r = admissible_triple(r)
     rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
@@ -912,6 +927,20 @@ def count_stratum_points(r: tuple, seed) -> StratumCensus:
     min_sv = min((e.sv_min for e in distinct), default=math.inf)
     with mp.workdps(WORKING_DPS):
         chart = [mp.mpc(c) for c in run["chart"]]
+
+        def place(coords: list, stratum: str, multiple: bool) -> None:
+            scale = mp.fsum(a * b for a, b in zip(chart, coords))
+            image = [c / scale for c in coords]
+            for k in _matching(ends, [complex(c) for c in image], TOL_MATCH):
+                if points[k] is None:
+                    points[k] = StratumPoint(coords=image, stratum=stratum,
+                                             multiple_root=multiple)
+
+        unmatched = []
+        if reference is not None:
+            for p in reference.points:
+                place(p.coords, p.stratum, p.multiple_root)
+            unmatched = [i for i, p in enumerate(points) if p is None]
         flips = [[embed_mp(s) for s in signs] for signs in h_orbit_signs()]
         for i, e in enumerate(distinct):
             if points[i] is not None:
@@ -921,14 +950,8 @@ def count_stratum_points(r: tuple, seed) -> StratumCensus:
             points[i] = StratumPoint(coords=coords, stratum=stratum,
                                      multiple_root=multiple)
             for flip in flips:
-                image = [s * c for s, c in zip(flip, coords)]
-                scale = mp.fsum(a * b for a, b in zip(chart, image))
-                image = [c / scale for c in image]
-                for k in _matching(ends, [complex(c) for c in image],
-                                   TOL_MATCH):
-                    if points[k] is None:
-                        points[k] = StratumPoint(coords=image, stratum=stratum,
-                                                 multiple_root=multiple)
+                place([s * c for s, c in zip(flip, coords)], stratum,
+                      multiple)
     # report order: L0, then each other stratum split by the multiple-root
     # classifier (X1) or not (X2)
     partition = dict.fromkeys(
@@ -949,7 +972,7 @@ def count_stratum_points(r: tuple, seed) -> StratumCensus:
                          distinct_count=len(run["distinct"]),
                          failed=run["failed"],
                          rescue_added=run["rescue_added"],
-                         min_sv=min_sv, notes=notes)
+                         min_sv=min_sv, notes=notes, unmatched=unmatched)
 
 
 def h_orbit_signs() -> list[tuple]:
@@ -1182,18 +1205,21 @@ class NumericRun:
 
     Each distinct census is computed once, by whichever check asks for
     it first, through the module's `count_stratum_points`, so a tracer
-    that wraps that attribute sees every computation.  The fiber probe
-    is not stored: `numeric/fiber_5` alone asks for it.
+    that wraps that attribute sees every computation.  A census asked
+    for with a reference census takes its matched endpoints' labels from
+    it; it is still the census of (r, seed), and is stored as such.  The
+    fiber probe is not stored: `numeric/fiber_5` alone asks for it.
     """
 
     def __init__(self) -> None:
         self._results: dict = {}
 
-    def census(self, r: tuple, seed: int) -> StratumCensus:
+    def census(self, r: tuple, seed: int,
+               reference: StratumCensus | None = None) -> StratumCensus:
         r = tuple(map(as_exact, r))
         key = (r, seed)
         if key not in self._results:
-            self._results[key] = count_stratum_points(r, seed)
+            self._results[key] = count_stratum_points(r, seed, reference)
         return self._results[key]
 
 
@@ -1633,16 +1659,25 @@ def check_seed_stability(seed: int, sample_r: tuple,
                          numeric: NumericRun) -> CheckResult:
     """The census partition and the fiber slice degree match across seeds.
 
-    The degree is the exact count of fiber slice 0 at each seed, by
-    `exact_slice`; nothing is tracked for it.
+    The censuses at seeds S+1 and S+2 take census S as their reference:
+    an endpoint that matches a point of census S one to one inherits its
+    labels, so only an endpoint that matches none is polished and
+    classified, and each such endpoint is named.  The degree is the
+    exact count of fiber slice 0 at each seed, by `exact_slice`; nothing
+    is tracked for it.
     """
     started = time.perf_counter()
     residuals: list[str] = []
     partitions = []
     slice_counts = []
     seeds = (seed, seed + 1, seed + 2)
+    reference = numeric.census(sample_r, seed)
     for s in seeds:
-        partitions.append(numeric.census(sample_r, s).partition)
+        census = (reference if s == seed
+                  else numeric.census(sample_r, s, reference))
+        partitions.append(census.partition)
+        residuals.extend(f"seed {s}: endpoint {i} matches no point of seed "
+                         f"{seed}" for i in census.unmatched)
         exact = exact_slice((_F(0), _F(0), _F(0)), s, 0)
         if exact["reason"]:
             residuals.append(f"seed {s}: fiber slice 0: {exact['reason']}")

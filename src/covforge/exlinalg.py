@@ -174,8 +174,18 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence) -> bool:
-        probe = Subspace(self.ambient_dim, self.basis + [list(vec)])
-        return probe.dim == self.dim
+        """Whether vec lies in the span: the basis is in RREF, so
+        subtracting vec's entry at each row's pivot times that row leaves
+        zero exactly when it does."""
+        rest = [as_exact(v) for v in vec]
+        if len(rest) != self.ambient_dim:
+            raise ValueError("vector length differs from ambient dimension")
+        for row in self.basis:
+            p = next(j for j, v in enumerate(row) if v)
+            f = rest[p]
+            if f:
+                rest = [a - f * b for a, b in zip(rest, row)]
+        return not any(rest)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -1,6 +1,7 @@
 """Homotopy tracking, the stratum census, and the projection data."""
 
 import ast
+import dataclasses
 import itertools
 import json
 import random
@@ -14,14 +15,15 @@ import pytest
 from covforge import construction as con
 from covforge import continuation
 from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
-                                   WORKING_DPS, CompiledSystem,
+                                   WORKING_DPS, CompiledSystem, NumericRun,
                                    _chordal_each, _chordal_groups,
                                    _fiber_equations, _fiber_rows,
-                                   _linear_row_terms,
+                                   _linear_row_terms, _matching,
                                    _mp_solve, _octic_roots, _poly_terms,
                                    _predict, _rng, _slice_rows, _solve_stack,
                                    _start_system,
-                                   _stratum_anchor_vectors, conic_pair,
+                                   _stratum_anchor_vectors,
+                                   check_seed_stability, conic_pair,
                                    count_stratum_points,
                                    embed_mp, exact_preimage, exact_slice,
                                    fiber_probe,
@@ -367,6 +369,80 @@ def test_without_the_symmetry_every_endpoint_is_polished_on_its_own(
     own, calls = orbit_censuses["own"]
     assert calls == {"mp_polish": 32, "octic_root_clusters": 32}
     assert own.partition == census.partition
+
+
+SAMPLE_PARTITION = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2,
+                    "L2_X2": 2, "L3_X1": 2, "L3_X2": 2, "Lopen_X1": 12,
+                    "Lopen_X2": 4}
+
+
+def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
+    calls = {"mp_polish": 0}
+    monkeypatch.setattr(continuation, "mp_polish",
+                        _counting(calls, "mp_polish"))
+    result = check_seed_stability(42, SAMPLE_R, NumericRun())
+    assert result.ok, result.residuals
+    assert result.details["partition"] == SAMPLE_PARTITION
+    # census 42 polishes one endpoint per H-orbit; every endpoint of
+    # censuses 43 and 44 matches one of its points
+    assert calls["mp_polish"] == 14
+
+
+def _moved(coords: list, distance: float) -> list:
+    """The projective point moved by the given chordal distance."""
+    x = np.array([complex(c) for c in coords])
+    w = np.zeros_like(x)
+    w[np.argmin(np.abs(x))] = 1
+    u = w - (np.vdot(x, w) / np.vdot(x, x)) * x
+    y = x + distance * np.linalg.norm(x) * u / np.linalg.norm(u)
+    with mp.workdps(WORKING_DPS):
+        return [mp.mpc(v) for v in y]
+
+
+def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
+        monkeypatch, numeric_run):
+    reference = numeric_run.census(SAMPLE_R, 42)
+    j = next(i for i, p in enumerate(reference.points)
+             if p.stratum == "Lopen" and p.multiple_root)
+    target = reference.points[j]
+    points = list(reference.points)
+    points[j] = dataclasses.replace(target,
+                                    coords=_moved(target.coords, 1e-6))
+    moved = dataclasses.replace(reference, points=points)
+    assert TOL_MATCH < _chordal_each(
+        np.array([complex(c) for c in points[j].coords]),
+        np.array([[complex(c) for c in target.coords]]))[0] < 1.1e-6
+
+    real = continuation.count_stratum_points
+    censuses = {}
+
+    def census(r, seed, ref=None):
+        if seed == 42:
+            return moved
+        censuses[seed] = real(r, seed, ref)
+        return censuses[seed]
+
+    calls = {"mp_polish": 0}
+    monkeypatch.setattr(continuation, "count_stratum_points", census)
+    monkeypatch.setattr(continuation, "mp_polish",
+                        _counting(calls, "mp_polish"))
+    result = check_seed_stability(42, SAMPLE_R, NumericRun())
+    named = []
+    for seed in (43, 44):
+        got = censuses[seed]
+        # the endpoint at the unmoved point is polished there on its own
+        # and takes its own labels, the ones census 42 gave that point
+        hits = [k for k, p in enumerate(got.points)
+                if _matching([[complex(c) for c in p.coords]],
+                             [complex(c) for c in target.coords], TOL_MATCH)]
+        assert len(hits) == 1 and got.unmatched == hits
+        alone = got.points[hits[0]]
+        assert (alone.stratum, alone.multiple_root) == ("Lopen", True)
+        assert got.partition == SAMPLE_PARTITION
+        named.append(f"seed {seed}: endpoint {hits[0]} matches no point of "
+                     "seed 42")
+    assert list(result.residuals) == named
+    assert calls["mp_polish"] == 2
 
 
 class _Tracked(Exception):

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rational and cyclotomic scalars."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,35 @@ def test_subspace_dimension_and_membership():
     assert s.dim == 2
     assert s.contains([5, -3, 0])
     assert not s.contains([0, 0, 1])
+
+
+def _seeded_scalar(rng: random.Random, cyclotomic: bool):
+    if not cyclotomic:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return CycScalar(*(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(4)))
+
+
+@pytest.mark.parametrize("cyclotomic", [False, True])
+def test_membership_agrees_with_the_rank_of_the_extended_basis(cyclotomic):
+    rng = random.Random(f"contains:{cyclotomic}")
+    n = 6
+    verdicts = set()
+    for _trial in range(12):
+        gens = [[_seeded_scalar(rng, cyclotomic) for _ in range(n)]
+                for _ in range(rng.randint(1, 4))]
+        # a zero entry gives bases whose pivots skip a column
+        gens[0][rng.randrange(n)] = Fraction(0)
+        space = Subspace(n, gens)
+        inside = ExactMatrix.from_columns(gens).apply(
+            [_seeded_scalar(rng, cyclotomic) for _ in gens])
+        outside = [_seeded_scalar(rng, cyclotomic) for _ in range(n)]
+        for vec in (inside, outside):
+            oracle = Subspace(n, space.basis + [vec]).dim == space.dim
+            assert space.contains(vec) == oracle
+            verdicts.add(oracle)
+        assert space.contains(inside)
+    assert verdicts == {True, False}
 
 
 def test_subspace_sum_and_intersection_dimensions():
