@@ -377,7 +377,9 @@ class Calibration:
     scalars: tuple[Fraction, Fraction, Fraction]  # (s2, s4, s6)
     matched_conventions: tuple[str, ...]
     expansion_residuals: tuple[str, ...]
-    table_mismatch_counts: dict
+    # convention -> [(generator, row, column, induced entry)] for every
+    # entry of its induced matrices that differs from the stored table
+    table_mismatches: dict
     # How the stored coordinate tables list the two same-argument bracket
     # expansions: each unordered pair of basis indices appears once, so an
     # off-diagonal table entry is the bilinear value on (e_i, e_j) rather
@@ -507,19 +509,18 @@ def calibrate_conventions() -> Calibration:
                 f"slot {slot + 1}: {monomial_str(mono)}: off by {c}")
 
     # Action convention: compare induced generator matrices to the table.
-    mismatch_counts: dict[str, int] = {}
+    mismatches: dict[str, list] = {}
     matched: list[str] = []
     for cand in ACTION_CONVENTIONS:
-        bad = 0
+        bad = mismatches[cand] = []
         for name, g in construction.generators().items():
             induced = construction.induced_vec15_matrix(g, convention=cand)
             stored_mat = construction.action_table()[name]
-            for row_i, row_s in zip(induced, stored_mat):
-                for a, b in zip(row_i, row_s):
+            for i, (row_i, row_s) in enumerate(zip(induced, stored_mat)):
+                for j, (a, b) in enumerate(zip(row_i, row_s)):
                     if a != b:
-                        bad += 1
-        mismatch_counts[cand] = bad
-        if bad == 0:
+                        bad.append((name, i, j, a))
+        if not bad:
             matched.append(cand)
 
     return Calibration(
@@ -527,7 +528,7 @@ def calibrate_conventions() -> Calibration:
         scalars=(s2, s4, s6),
         matched_conventions=tuple(matched),
         expansion_residuals=tuple(residuals),
-        table_mismatch_counts=mismatch_counts,
+        table_mismatches=mismatches,
     )
 
 

@@ -112,15 +112,20 @@ def quartic_basis() -> tuple[BinaryForm, ...]:
     return tuple(BinaryForm(4, cs) for cs in _QUARTIC_BASIS_COEFFS)
 
 
-def octic_form(vec9: Sequence) -> BinaryForm:
-    """The degree-8 form with the given basis coordinates, which may be
-    exact scalars or polynomials."""
+def octic_coefficients(vec9: Sequence) -> list:
+    """The degree-8 form's coefficients from basis coordinates, which may
+    be exact scalars, polynomials or mpmath complexes."""
     coeffs: list = [_F(0)] * 9
     for comp, form in zip(vec9, octic_basis()):
         for d, c in enumerate(form.coeffs):
             if c != 0:
                 coeffs[d] = coeffs[d] + comp * c
-    return BinaryForm(8, coeffs)
+    return coeffs
+
+
+def octic_form(vec9: Sequence) -> BinaryForm:
+    """The degree-8 form with exact or polynomial basis coordinates."""
+    return BinaryForm(8, octic_coefficients(vec9))
 
 
 def assemble(coords15: Sequence) -> tuple[BinaryForm, object, BinaryForm]:

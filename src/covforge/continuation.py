@@ -85,7 +85,7 @@ from . import construction
 from .binform import BinaryForm, expanded_coordinate_system
 from .checks import CheckResult, _finish
 from .construction import Y_NAMES
-from .exlinalg import ExactMatrix, Subspace
+from .exlinalg import ExactMatrix
 from .mpoly import VAR_NAMES, MPoly, var_slot
 from .scalar import CycScalar, as_cyc, as_exact
 
@@ -693,16 +693,8 @@ def octic_root_clusters(vec9):
     given radius.  Returns the sorted cluster sizes.
     """
     with mp.workdps(WORKING_DPS):
-        basis = construction.octic_basis()
-        vec = [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9]
-        coeffs = []
-        for d in range(9):
-            acc = mp.mpc(0)
-            for v, form in zip(vec, basis):
-                base = form.coeffs[d]      # an integer
-                if base:
-                    acc += v * int(base)
-            coeffs.append(acc)
+        coeffs = construction.octic_coefficients(
+            [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9])
         if all(c == 0 for c in coeffs):
             return [9]
         groups = _chordal_groups(_octic_roots(coeffs), CLUSTER_RADIUS)
@@ -1161,7 +1153,8 @@ def exact_slice(r: tuple, seed, s: int) -> dict:
                       Y_NAMES)
 
 
-def fiber_probe(r: tuple, seed, slice_count: int) -> dict:
+def fiber_probe(r: tuple, seed, slice_count: int,
+                numeric: NumericRun | None = None) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
 
     Each seeded codimension-3 slice cuts the fiber to two conics on a
@@ -1172,11 +1165,13 @@ def fiber_probe(r: tuple, seed, slice_count: int) -> dict:
     endpoints, then the exact-plane points of the other slices; the
     fiber Jacobian, `fiber_jacobian`, and its numeric rank are read at
     the first, scaled to unit norm.  Runs are deterministic in the
-    arguments.
+    arguments.  The exact slices come from `numeric`, a fresh
+    `NumericRun` when none is given.
     """
     r = tuple(map(as_exact, r))
     base_rows = _fiber_rows(r)
-    slices = [exact_slice(r, seed, s) for s in range(slice_count)]
+    numeric = numeric or NumericRun()
+    slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
     extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
     run = solve_projective(base_rows + extra, Y_NAMES, seed, f"fiber:{r}:0")
     tracked = [e.x for e in run["distinct"]]
@@ -1208,11 +1203,15 @@ class NumericRun:
     that wraps that attribute sees every computation.  A census asked
     for with a reference census takes its matched endpoints' labels from
     it; it is still the census of (r, seed), and is stored as such.  The
-    fiber probe is not stored: `numeric/fiber_5` alone asks for it.
+    exact fiber slices are kept the same way, so slice 0 at seed S, which
+    `numeric/fiber_5` and `numeric/seed_stability` both count, is counted
+    once.  The fiber probe is not stored: `numeric/fiber_5` alone asks
+    for it.
     """
 
     def __init__(self) -> None:
         self._results: dict = {}
+        self._slices: dict = {}
 
     def census(self, r: tuple, seed: int,
                reference: StratumCensus | None = None) -> StratumCensus:
@@ -1222,26 +1221,31 @@ class NumericRun:
             self._results[key] = count_stratum_points(r, seed, reference)
         return self._results[key]
 
+    def exact_slice(self, r: tuple, seed, s: int) -> dict:
+        key = (tuple(map(as_exact, r)), seed, s)
+        if key not in self._slices:
+            self._slices[key] = exact_slice(r, seed, s)
+        return self._slices[key]
+
 
 def projection_data():
-    """Exact data of the linear projection: the ranks of the center and
-    the target space and the dimension of their intersection, the matrix
-    of both bases, and the coordinate extraction of the target part."""
+    """Exact data of the linear projection: the ranks of the center C and
+    the target space T, the matrix [C | T], the dimension of their
+    intersection, dim C + dim T - rank [C | T], and the target-coordinate
+    extraction, rows 5..8 of the inverse, only when [C | T] inverts."""
     centers = [list(v) for v in construction.center_space_vectors()]
     targets = [list(v) for v in construction.target_space_basis()]
-    center_space = Subspace(9, centers)
-    target_space = Subspace(9, targets)
-    columns = [list(c) for c in centers] + [list(t) for t in targets]
-    m = ExactMatrix.from_columns(columns)
-    inv = m.inverse()
-    # Rows 5..8 of the inverse read off the target-basis coordinates.
-    extract = [inv.rows[i] for i in range(5, 9)]
+    center_rank = ExactMatrix(centers).rank()
+    target_rank = ExactMatrix(targets).rank()
+    m = ExactMatrix.from_columns(centers + targets)
+    rank = m.rank()
     return {
-        "center_rank": center_space.dim,
-        "target_rank": target_space.dim,
-        "intersection_dim": center_space.intersection(target_space).dim,
+        "center_rank": center_rank,
+        "target_rank": target_rank,
+        "intersection_dim": center_rank + target_rank - rank,
         "matrix": m,
-        "extract_rows": extract,
+        "extract_rows": (m.inverse().rows[5:9] if rank == m.ncols == 9
+                         else None),
     }
 
 
@@ -1434,11 +1438,12 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     its Jacobian has numeric rank five at a sample point (dimension
     three); the common chart image of the non-multiple-root open-stratum
     points recovers the stored fiber point; the exact projection data
-    (center and target ranks, empty intersection) holds; sampled fiber
-    points project onto a spanning set of the target; the projection
-    differential has rank three, read from the probe's own Jacobian at
-    its first sample point; and each of ten random targets has exactly
-    one regular preimage on the fiber.
+    (center and target ranks, empty intersection) holds, and the checks
+    that read its extraction rows are skipped if it does not span;
+    sampled fiber points project onto a spanning set of the target; the
+    projection differential has rank three, read from the probe's own
+    Jacobian at its first sample point; and each of ten random targets
+    has exactly one regular preimage on the fiber.
 
     The preimages are proved over Q(zeta_8) by `exact_preimage` on the
     very same seeded Gaussian targets, whose double coordinates are
@@ -1465,7 +1470,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     residuals: list[str] = []
     origin = (_F(0), _F(0), _F(0))
 
-    probe = fiber_probe(origin, seed, slice_count=5)
+    probe = fiber_probe(origin, seed, slice_count=5, numeric=numeric)
     for s, reason in enumerate(probe["slice_reasons"]):
         if reason:
             residuals.append(f"slice {s}: {reason}")
@@ -1522,30 +1527,32 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         residuals.append(
             f"center/target intersection dimension "
             f"{proj['intersection_dim']} != 0")
-    if proj["matrix"].rank() != 9:
+    rows = proj["extract_rows"]
+    if rows is None:
         residuals.append("center plus target do not span the chart space")
-
-    extract = np.array([[complex(v) for v in row]
-                        for row in proj["extract_rows"]])
     samples = probe["sampled_points"]
     if len(samples) < 20:
         residuals.append(f"only {len(samples)} sampled fiber points, "
                          "expected at least 20")
-    images_mat = np.array([extract @ (p / np.linalg.norm(p))
-                           for p in samples])
-    img_rank = _numeric_rank(images_mat)
-    if img_rank != 4:
-        residuals.append(f"projected fiber samples span rank {img_rank} != 4")
+    img_rank = push_rank = cross_check = extract = None
+    if rows is not None:
+        extract = np.array([[complex(v) for v in row] for row in rows])
+        images_mat = np.array([extract @ (p / np.linalg.norm(p))
+                               for p in samples])
+        img_rank = _numeric_rank(images_mat)
+        if img_rank != 4:
+            residuals.append(
+                f"projected fiber samples span rank {img_rank} != 4")
 
-    # Projection differential rank at the probe's sample point.
-    _u, _s, vh = np.linalg.svd(probe["fiber_jacobian"])
-    tangent = vh.conj().T[:, 5:]           # 4-dim kernel, includes the scale
-    pushed = extract @ tangent             # 4 x 4
-    push_rank = _numeric_rank(pushed)
-    if push_rank != 4:
-        residuals.append(
-            f"projection differential spans rank {push_rank} != 4 "
-            "(projective rank 3 expected)")
+        # Projection differential rank at the probe's sample point.
+        _u, _s, vh = np.linalg.svd(probe["fiber_jacobian"])
+        tangent = vh.conj().T[:, 5:]       # 4-dim kernel, includes the scale
+        pushed = extract @ tangent         # 4 x 4
+        push_rank = _numeric_rank(pushed)
+        if push_rank != 4:
+            residuals.append(
+                f"projection differential spans rank {push_rank} != 4 "
+                "(projective rank 3 expected)")
 
     # Preimage counts of random targets, from the exact plane meet; a
     # failure of the center-line identity is a trial's reason.  Trial 0
@@ -1570,8 +1577,9 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "quadrics_vanish": all(sol["factored"] for sol in exact),
         "factored_trials": sum(sol["factored"] for sol in exact),
     }
-    cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
-                                        exact[0], residuals)
+    if extract is not None:
+        cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
+                                            exact[0], residuals)
 
     details = {
         "slice_counts": probe["slice_counts"],
@@ -1663,8 +1671,9 @@ def check_seed_stability(seed: int, sample_r: tuple,
     an endpoint that matches a point of census S one to one inherits its
     labels, so only an endpoint that matches none is polished and
     classified, and each such endpoint is named.  The degree is the
-    exact count of fiber slice 0 at each seed, by `exact_slice`; nothing
-    is tracked for it.
+    exact count of fiber slice 0 at each seed, by `exact_slice` through
+    the run's `NumericRun`, which shares slice 0 at seed S with
+    `numeric/fiber_5`; nothing is tracked for it.
     """
     started = time.perf_counter()
     residuals: list[str] = []
@@ -1678,7 +1687,7 @@ def check_seed_stability(seed: int, sample_r: tuple,
         partitions.append(census.partition)
         residuals.extend(f"seed {s}: endpoint {i} matches no point of seed "
                          f"{seed}" for i in census.unmatched)
-        exact = exact_slice((_F(0), _F(0), _F(0)), s, 0)
+        exact = numeric.exact_slice((_F(0), _F(0), _F(0)), s, 0)
         if exact["reason"]:
             residuals.append(f"seed {s}: fiber slice 0: {exact['reason']}")
         slice_counts.append(exact["count"])

@@ -6,11 +6,14 @@ the 15x15 scale this package needs.  The reduced row echelon form of a
 matrix over a field is unique, so `rref` takes the first nonzero entry
 of each column as its pivot: another choice would change the cost, not
 the result.  Equality compares canonical data directly: a matrix its
-rows, a `Subspace` its RREF basis.  `ExactMatrix.apply` is
-the package's one exact linear combination: the matrix product is
-built from it, and so is every sum of coefficients times vectors
-(`from_columns(vectors).apply(coeffs)`) or of exact rows times
-polynomials.
+rows, a `Subspace` its RREF basis.  A common fixed space takes one
+elimination: it is the kernel of the blocks M - I of every matrix,
+stacked.  No subspaces are intersected here; a caller that needs the
+dimension of U meet W reads it off one rank, dim U + dim W - rank [U | W].
+`ExactMatrix.apply` is the package's one exact linear combination: the
+matrix product is built from it, and so is every sum of coefficients
+times vectors (`from_columns(vectors).apply(coeffs)`) or of exact rows
+times polynomials.
 """
 from __future__ import annotations
 
@@ -78,10 +81,6 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         return ExactMatrix([[a - b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, s) -> ExactMatrix:
-        s = as_exact(s)
-        return ExactMatrix([[s * v for v in row] for row in self.rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -200,39 +199,14 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return Subspace(self.ambient_dim, self.basis + other.basis)
 
-    def intersection(self, other: Subspace) -> Subspace:
-        """Zassenhaus block elimination."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
-        block: list[list] = []
-        for v in self.basis:
-            block.append(list(v) + list(v))
-        for w in other.basis:
-            block.append(list(w) + [Fraction(0)] * n)
-        if not block:
-            return Subspace(n, [])
-        red, pivots = ExactMatrix(block).rref()
-        vectors = []
-        for r in range(len(pivots)):
-            if pivots[r] >= n:
-                vectors.append(red.rows[r][n:])
-        return Subspace(n, vectors)
-
-
-def eigenspace(mat: ExactMatrix, eigenvalue) -> Subspace:
-    shifted = mat - ExactMatrix.identity(mat.nrows).scale(eigenvalue)
-    return Subspace(mat.nrows, shifted.kernel_basis())
-
 
 def joint_fixed_space(mats: Sequence[ExactMatrix]) -> Subspace:
-    """Common fixed space: the intersection of the eigenvalue-1 spaces."""
+    """Common fixed space: the kernel of the blocks M - I stacked."""
     if not mats:
         raise ValueError("need at least one matrix")
-    space = eigenspace(mats[0], Fraction(1))
-    for m in mats[1:]:
-        space = space.intersection(eigenspace(m, Fraction(1)))
-    return space
+    ident = ExactMatrix.identity(mats[0].nrows)
+    stacked = ExactMatrix([row for m in mats for row in (m - ident).rows])
+    return Subspace(stacked.ncols, stacked.kernel_basis())
 
 
 # ---------------------------------------------------------------------------

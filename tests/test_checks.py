@@ -1,11 +1,13 @@
 """The exact verification blocks: every symbolic and property check passes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from covforge import checks, harness
+from covforge import checks, construction, harness
+from covforge.construction import VEC15_NAMES
 from covforge.mpoly import MPoly
 
 EXPECTED_SYMBOLIC_IDS = [
@@ -70,6 +72,33 @@ def test_action_table_check_singles_out_one_convention(symbolic_results):
     assert counts["substitute_inverse"] == 0
     assert counts["substitute_direct"] > 0
     assert counts["substitute_transpose"] > 0
+
+
+def test_action_table_check_lists_the_calibration_mismatches(monkeypatch):
+    # With the direct convention's mismatches in place of the matched
+    # convention's, the check names each entry the direct induced
+    # matrices get wrong, as a recomputation of those matrices finds.
+    cal = checks.calibrate_conventions()
+    mismatches = dict(cal.table_mismatches)
+    mismatches["substitute_inverse"] = mismatches["substitute_direct"]
+    patched = dataclasses.replace(cal, table_mismatches=mismatches)
+    monkeypatch.setattr(checks, "calibrate_conventions", lambda: patched)
+    monkeypatch.setattr(checks, "MAX_WITNESSES", 100)
+    want = []
+    table = construction.action_table()
+    for name, g in construction.generators().items():
+        induced = construction.induced_vec15_matrix(
+            g, convention="substitute_direct")
+        for i in range(15):
+            for j in range(15):
+                if induced[i][j] != table[name][i][j]:
+                    want.append(
+                        f"{name}: entry ({VEC15_NAMES[i]}, {VEC15_NAMES[j]}) "
+                        f"stored {table[name][i][j]} vs. recomputed "
+                        f"{induced[i][j]}")
+    result = checks.check_action_table_3_1()
+    assert not result.ok and len(want) == 30
+    assert result.residuals == tuple(want)
 
 
 def test_group_check_details(symbolic_results):

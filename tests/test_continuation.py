@@ -23,6 +23,7 @@ from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
                                    _predict, _rng, _slice_rows, _solve_stack,
                                    _start_system,
                                    _stratum_anchor_vectors,
+                                   check_fiber_geometry,
                                    check_seed_stability, conic_pair,
                                    count_stratum_points,
                                    embed_mp, exact_preimage, exact_slice,
@@ -830,6 +831,40 @@ def test_projection_data_is_exact_and_invertible():
                   for row in data["extract_rows"]]
         expected = [Fraction(1) if k == jt else Fraction(0) for k in range(4)]
         assert picked == expected
+
+
+def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch,
+                                                         numeric_run):
+    centers = con.center_space_vectors()
+    targets = [centers[0], *con.target_space_basis()[1:]]
+    monkeypatch.setattr(con, "target_space_basis", lambda: targets)
+    data = projection_data()
+    assert (data["center_rank"], data["target_rank"]) == (5, 4)
+    assert data["matrix"].rank() == 8
+    assert data["intersection_dim"] == 1 and data["extract_rows"] is None
+    result = check_fiber_geometry(42, numeric_run)
+    assert not result.ok
+    assert "center/target intersection dimension 1 != 0" in result.residuals
+    assert "center plus target do not span the chart space" in result.residuals
+    assert result.details["intersection_dim"] == 1
+    assert result.details["image_span_rank"] is None
+    assert result.details["preimage_cross_check"] is None
+
+
+def test_a_run_counts_each_fiber_slice_once(monkeypatch):
+    calls = []
+    real = continuation.exact_slice
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(continuation, "exact_slice", counted)
+    run = NumericRun()
+    probe = fiber_probe((0, 0, 0), 1, slice_count=2, numeric=run)
+    again = run.exact_slice((Fraction(0),) * 3, 1, 0)
+    assert again["count"] == probe["slice_counts"][0] == 4
+    assert [args[2] for args in calls] == [0, 1]
 
 
 def test_chart_variables_match_the_slice_coordinates():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from covforge.binform import BinaryForm
-from covforge.exlinalg import (ExactMatrix, Subspace, eigenspace,
-                               jacobian_at, joint_fixed_space)
+from covforge.exlinalg import (ExactMatrix, Subspace, jacobian_at,
+                               joint_fixed_space)
 from covforge.mpoly import poly_vars
 from covforge.scalar import CycScalar
 
@@ -63,8 +63,8 @@ def test_a_rectangular_product_takes_its_shape_from_both_factors():
 def test_matrix_arithmetic_over_cyclotomic_entries():
     i = CycScalar.i()
     m = ExactMatrix([[i, 0], [0, i]])
-    assert m * m == ExactMatrix.identity(2).scale(-1)
-    assert m.inverse() == m.scale(-1)
+    assert m * m == ExactMatrix([[-1, 0], [0, -1]])
+    assert m.inverse() == ExactMatrix([[-i, 0], [0, -i]])
 
 
 def test_subspace_dimension_and_membership():
@@ -103,25 +103,87 @@ def test_membership_agrees_with_the_rank_of_the_extended_basis(cyclotomic):
     assert verdicts == {True, False}
 
 
-def test_subspace_sum_and_intersection_dimensions():
+def _eigenspace(mat: ExactMatrix, value) -> Subspace:
+    """Oracle: the kernel of mat - value * I."""
+    n = mat.nrows
+    shift = ExactMatrix([[value if i == j else 0 for j in range(n)]
+                         for i in range(n)])
+    return Subspace(n, (mat - shift).kernel_basis())
+
+
+def _zassenhaus(a: Subspace, b: Subspace) -> Subspace:
+    """Oracle: the meet of two subspaces by Zassenhaus block elimination.
+    Reduce the rows [u | u] over a's basis and [w | 0] over b's; the
+    right halves of the rows that pivot in the right half span the
+    meet."""
+    n = a.ambient_dim
+    block = ([list(u) + list(u) for u in a.basis]
+             + [list(w) + [0] * n for w in b.basis])
+    if not block:
+        return Subspace(n, [])
+    red, pivots = ExactMatrix(block).rref()
+    return Subspace(n, [red.rows[r][n:] for r, p in enumerate(pivots)
+                        if p >= n])
+
+
+def _fixed_space_oracle(mats: list) -> Subspace:
+    """The common fixed space as the meet of the eigenvalue-1 spaces."""
+    space = _eigenspace(mats[0], 1)
+    for m in mats[1:]:
+        space = _zassenhaus(space, _eigenspace(m, 1))
+    return space
+
+
+def test_subspace_sum_and_intersection_dimension_from_one_rank():
     a = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace(3, [[0, 1, 0], [0, 0, 1]])
     total = a.sum(b)
-    meet = a.intersection(b)
     assert total.dim == 3
-    assert meet.dim == 1
+    # dim (a meet b) = dim a + dim b - rank [a | b], the modular identity
+    rank = ExactMatrix.from_columns(a.basis + b.basis).rank()
+    meet = _zassenhaus(a, b)
+    assert rank == total.dim
+    assert a.dim + b.dim - rank == meet.dim == 1
     assert meet.contains([0, 7, 0])
-    # modular dimension identity
-    assert a.dim + b.dim == total.dim + meet.dim
 
 
-def test_eigenspace_extraction():
-    m = ExactMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
-    e2 = eigenspace(m, 2)
-    e5 = eigenspace(m, 5)
-    assert e2.dim == 2 and e5.dim == 1
-    assert e5.contains([0, 0, 3])
-    assert eigenspace(m, 7).dim == 0
+def test_fixed_space_of_one_matrix():
+    m = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+    fixed = joint_fixed_space([m])
+    assert fixed.dim == 2 and fixed == _eigenspace(m, 1)
+    assert fixed.contains([3, -1, 0]) and not fixed.contains([0, 0, 1])
+    assert joint_fixed_space([ExactMatrix([[2, 0], [0, 5]])]).dim == 0
+    with pytest.raises(ValueError):
+        joint_fixed_space([])
+
+
+@pytest.mark.parametrize("cyclotomic", [False, True])
+def test_fixed_space_is_the_meet_of_the_eigenvalue_1_spaces(cyclotomic):
+    rng = random.Random(f"fixed:{cyclotomic}")
+    n = 5
+    dims = set()
+    for _trial in range(8):
+        change = ExactMatrix([[_seeded_scalar(rng, cyclotomic)
+                               for _ in range(n)] for _ in range(n)])
+        if change.rank() != n:
+            continue
+        back = change.inverse()
+        # columns 0..d-1 of the change of basis are fixed by every
+        # matrix of the family, column d + j by matrix j alone
+        d = rng.randint(0, 2)
+        mats = []
+        for j in range(rng.randint(1, 3)):
+            fixed_cols = set(range(d)) | {d + j}
+            block = ExactMatrix([
+                [int(r == c) if c in fixed_cols
+                 else _seeded_scalar(rng, cyclotomic) for c in range(n)]
+                for r in range(n)])
+            mats.append(change * block * back)
+        fixed = joint_fixed_space(mats)
+        assert fixed == _fixed_space_oracle(mats)
+        assert all(fixed.contains(change.column(c)) for c in range(d))
+        dims.add(fixed.dim)
+    assert len(dims) >= 2
 
 
 def test_joint_fixed_space_of_a_sign_pair():
