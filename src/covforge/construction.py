@@ -11,14 +11,23 @@ subspaces used by the projection argument.
 Transcriptions follow the reference tables verbatim except where the
 erratum ledger (errata.json) records a corrected reading; each correction
 is validated by the check suite.
+
+It also holds the exact geometry of the numeric checks, none of which
+needs numpy or mpmath: the census triple, system and symmetry; the
+fiber's slices, two conics on a plane (`conic_pair`); and the preimages,
+two lines on a plane (`exact_preimage`).
 """
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .binform import BinaryForm, GroupElt, action_matrix
+from .binform import (BinaryForm, GroupElt, action_matrix,
+                      expanded_coordinate_system)
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly
 from .scalar import CycScalar, as_exact
@@ -599,7 +608,10 @@ def stratum1_solution_families() -> tuple[tuple[list, ...], MPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Stratum bookkeeping
+# Stratum bookkeeping and the stratum census
+
+CHART_VARS = ("x1", "x2", "x3", "x7", "x8", "x9")
+SAMPLE_R = (_F(10), _F(1, 2), _F(1, 3))     # the generic census triple
 
 
 @lru_cache(maxsize=1)
@@ -620,8 +632,71 @@ def octic_vector_on_slice(r: tuple, free: Sequence) -> list:
     return [x1, x2, x3, r1 * x1, r2 * x2, r3 * x3, x7, x8, x9]
 
 
+def admissible_triple(r: tuple) -> tuple:
+    """The parameter triple as exact scalars; raises ValueError when it
+    zeroes a leading-coefficient inequation (the excluded locus)."""
+    r = tuple(map(as_exact, r))
+    for ineq in domain_inequations():
+        if ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]}) == 0:
+            raise ValueError("parameter triple violates the leading-"
+                             "coefficient inequations")
+    return r
+
+
+def literal_pure_quadrics() -> tuple[MPoly, ...]:
+    """The five literal quadric coordinates restricted to the octic block."""
+    cut = {n: _F(0) for n in ("s0", "s1", "s2", "s3", "s4", "s5", "eps")}
+    return tuple(p.substitute(cut) for p in expanded_coordinate_system())
+
+
+def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
+    """The literal quadrics on the parameterized slice, in six coordinates."""
+    r1, r2, r3 = map(as_exact, r)
+    bindings = {
+        "x4": r1 * MPoly.var("x1"),
+        "x5": r2 * MPoly.var("x2"),
+        "x6": r3 * MPoly.var("x3"),
+    }
+    return tuple(q.substitute(bindings) for q in literal_pure_quadrics())
+
+
+def h_orbit_signs() -> list[tuple]:
+    """Sign vectors of the diagonal subgroup on the six chart coordinates,
+    read off the stored generator matrices."""
+    table = action_table()
+    idx = [0, 1, 2, 6, 7, 8]
+    om = ExactMatrix(octic_block(table["omega"]))
+    rh = ExactMatrix(octic_block(table["rho"]))
+    return [tuple(mat.rows[i][i] for i in idx)
+            for mat in (ExactMatrix.identity(9), om, rh, om * rh)]
+
+
+def _rational_sqrt(value: Fraction) -> Fraction | None:
+    if value < 0:
+        return None
+    num = math.isqrt(value.numerator)
+    den = math.isqrt(value.denominator)
+    if num * num == value.numerator and den * den == value.denominator:
+        return _F(num, den)
+    return None
+
+
+def stratum_anchor_vectors(r1: Fraction) -> list[list]:
+    """Exact single-pair-stratum chart vectors: the stored square-root
+    families at r1 and a rational root a of their relation, if it has
+    one (else none)."""
+    a = _rational_sqrt(25 * r1 * r1 - 900)
+    if a is None:
+        return []
+    fams, _relation = stratum1_solution_families()
+    chart = [X_NAMES.index(n) for n in CHART_VARS]
+    return [[fam[i].evaluate({"r1": r1, "a": a}) for i in chart]
+            for fam in fams]
+
+
 # ---------------------------------------------------------------------------
-# The two linear subspaces of the projection argument
+# The projection argument: its two linear subspaces, the fiber's slices
+# and the preimages of a target point
 
 
 @lru_cache(maxsize=1)
@@ -654,6 +729,179 @@ def center_space_vectors() -> tuple[tuple, ...]:
         return tuple(v)
 
     return (u_prime, u_dprime, unit("y1"), unit("y2"), unit("y3"))
+
+
+def fiber_equations(r: tuple) -> list[MPoly]:
+    """The chart-space fiber equations over r: two quadrics, then three
+    linear forms, in Y_NAMES."""
+    env = {"r1": r[0], "r2": r[1], "r3": r[2], "eps": _F(1)}
+    return [e.substitute(env) for e in y_equations_4_5()]
+
+
+def gaussian(z: complex) -> CycScalar:
+    """A complex double as the exact Gaussian rational it is."""
+    return CycScalar(_F(z.real), 0, _F(z.imag), 0)
+
+
+# Centers of the projection (z1 : z2) of a plane, as coefficients over
+# its basis (a, b, c); the third entry is nonzero, so the center can
+# take the place of c.
+PROJECTIONS = ((0, 0, 1), (1, 2, 3), (2, -3, 1))
+PLANE_VARS = ("z1", "z2", "t")      # plane coordinates; t is lambda
+
+
+def _on_basis(q: MPoly, basis: list, names: tuple) -> dict:
+    """The quadric q on span(basis), as the coefficient co[j, k] of
+    w_j w_k, j <= k, in the plane coordinates w = PLANE_VARS of
+    sum_k w_k basis[k]: one substitution, read back monomial by
+    monomial."""
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    restricted = q.substitute({name: z1 * a + z2 * b + t * c
+                               for name, a, b, c in zip(names, *basis)})
+    return {(j, k): restricted.coeff(Counter((PLANE_VARS[j], PLANE_VARS[k])))
+            for j, k in itertools.combinations_with_replacement(range(3), 2)}
+
+
+def conic_pair(plane: list, quadrics: tuple, names: tuple) -> dict:
+    """Count the common points of two quadrics on a plane, exactly.
+
+    `plane` is three exact vectors over the coordinates `names`.  In
+    plane coordinates (z1, z2, t) each quadric is, by `_on_basis`, a conic
+    C_i = a_i t^2 + b_i t + c_i, with b_i linear and c_i quadratic in
+    (z1, z2).  Eliminating t gives the Sylvester resultant
+    R = K^2 - L M, a binary quartic, with K = a_2 c_1 - a_1 c_2,
+    L = a_2 b_1 - a_1 b_2 and M = b_2 c_1 - b_1 c_2, as `BinaryForm`s.
+    When (a_1, a_2) != 0 (the center (0 : 0 : 1) of the projection to
+    (z1 : z2) is off one conic), R != 0 (no common component) and the
+    discriminant 4 I^3 - J^2 of R is nonzero (R has four distinct
+    roots), each root is the projection of at least one common point,
+    so Bezout's 2 * 2 = 4 leaves exactly four, each transversal.  The
+    tests are tried for each center of PROJECTIONS in turn: a zero
+    discriminant may only mean that two common points lie on one line
+    through the center.
+
+    Returns the `count`, 4 when a projection proves the four points
+    and else 0; the `reason` when none does, naming the test that
+    failed for each center; the `projection` that proved them; the
+    `eliminant` R as its coefficient list from z1^4 down to z2^4; and,
+    when it is 4, what recovers the points: the plane `basis`, the center
+    third, its two `conics`, and the `t_forms` (K, L), t = -K / L at a root.
+    """
+    out = {"count": 0, "reason": None, "projection": None, "eliminant": None}
+    if len(plane) != 3:
+        return {**out, "reason": f"the rows cut a {len(plane)}-dimensional "
+                "space, not a plane"}
+    a, b, _c = plane
+    failures = []
+    for center in PROJECTIONS:
+        basis = [a, b, ExactMatrix.from_columns(plane).apply(center)]
+        conics = [_on_basis(q, basis, names) for q in quadrics]
+        (a1, b1, c1), (a2, b2, c2) = (
+            (co[2, 2], BinaryForm(1, [co[0, 2], co[1, 2]]),
+             BinaryForm(2, [co[0, 0], co[0, 1], co[1, 1]])) for co in conics)
+        if not a1 and not a2:
+            failures.append(f"from {center}: the center lies on both "
+                            "conics")
+            continue
+        k = a2 * c1 - a1 * c2
+        l = a2 * b1 - a1 * b2
+        m = b2 * c1 - b1 * c2
+        res = k * k - l * m
+        if res.is_zero():
+            failures.append(f"from {center}: the eliminant R vanishes "
+                            "identically")
+            continue
+        qa, qb, qc, qd, qe = res.coeffs
+        inv_i = 12 * qa * qe - 3 * qb * qd + qc * qc
+        inv_j = (72 * qa * qc * qe + 9 * qb * qc * qd - 27 * qa * qd * qd
+                 - 27 * qb * qb * qe - 2 * qc * qc * qc)
+        if not 4 * inv_i * inv_i * inv_i - inv_j * inv_j:
+            failures.append(f"from {center}: the discriminant "
+                            "4 I^3 - J^2 of R is zero")
+            continue
+        return {**out, "count": 4, "projection": center,
+                "eliminant": list(res.coeffs), "basis": basis,
+                "conics": conics, "t_forms": (k, l)}
+    return {**out, "reason": "; ".join(failures)}
+
+
+def projection_data():
+    """Exact data of the linear projection: the ranks of the center C and
+    the target space T, the matrix [C | T], the dimension of their
+    intersection, dim C + dim T - rank [C | T], and the target-coordinate
+    extraction, rows 5..8 of the inverse, only when [C | T] inverts (so
+    has rank 9; a singular one is reduced again, for its rank)."""
+    centers = [list(v) for v in center_space_vectors()]
+    targets = [list(v) for v in target_space_basis()]
+    center_rank = ExactMatrix(centers).rank()
+    target_rank = ExactMatrix(targets).rank()
+    m = ExactMatrix.from_columns(centers + targets)
+    try:
+        extract_rows, rank = m.inverse().rows[5:9], m.ncols
+    except ValueError:
+        extract_rows, rank = None, m.rank()
+    return {
+        "center_rank": center_rank,
+        "target_rank": target_rank,
+        "intersection_dim": center_rank + target_rank - rank,
+        "matrix": m,
+        "extract_rows": extract_rows,
+    }
+
+
+def exact_preimage(n) -> dict:
+    """The preimage on the parameter-origin fiber of the target point with
+    exact target-basis coordinates n, as the meet of two lines.
+
+    A point over [n] is c + lambda p, with c in the projection center and
+    p = sum n_j t_j over the target basis.  The three linear fiber rows
+    cut span(center, p) to a plane: the kernel of the rows on these six
+    generators, whose two lambda = 0 vectors span the center line l and
+    whose third has lambda = 1.  In plane coordinates (z1, z2, t = lambda)
+    `_on_basis` restricts each quadric to Q_i = A_i + t B_i + c_i t^2,
+    A_i quadratic and B_i linear in (z1, z2); with L_i = B_i + c_i t the
+    identity Q_i = t L_i holds exactly when A_i = 0, that is when Q_i
+    vanishes on l, and is checked, not assumed.  The preimages are the
+    points of L_1 = L_2 = 0 off l: one when [L_1; L_2] has rank 2 and
+    lambda is nonzero at the meet (a transversal meet), else none.
+
+    Returns the basis `line` of l; the plane's `lift` of n, its point
+    with lambda = 1; `factored`, whether both quadrics vanish on l, so
+    that both identities hold; the `lines` as coefficient rows
+    over PLANE_VARS and their `rank`; the `point`, or None; its `count`;
+    and the `reason` when the count is 0.
+    """
+    equations = fiber_equations((_F(0), _F(0), _F(0)))
+    quadrics, linear = equations[:2], equations[2:]
+    targets = ExactMatrix.from_columns(target_space_basis())
+    gens = [*center_space_vectors(), targets.apply(n)]
+    kernel = ExactMatrix([[e.evaluate(dict(zip(Y_NAMES, g))) for g in gens]
+                          for e in linear]).kernel_basis()
+    span = ExactMatrix.from_columns(gens)
+    line = [span.apply(k) for k in kernel if k[-1] == 0]
+    out = {"line": line, "lift": None, "factored": False, "lines": [],
+           "rank": 0, "point": None, "count": 0, "reason": None}
+    if len(kernel) != 3 or len(line) != 2:
+        return {**out, "reason": f"the linear rows cut span(center, p) to "
+                f"dimension {len(kernel)}, with a {len(line)}-dimensional "
+                "lambda = 0 part"}
+    # the free generator p gives the one kernel vector with lambda = 1
+    lift = next(span.apply(k) for k in kernel if k[-1] != 0)
+    conics = [_on_basis(q, [*line, lift], Y_NAMES) for q in quadrics]
+    factored = not any(co[0, 0] or co[0, 1] or co[1, 1] for co in conics)
+    lines = [[co[0, 2], co[1, 2], co[2, 2]] for co in conics]
+    meet = ExactMatrix(lines).kernel_basis()
+    out.update(lift=lift, factored=factored, lines=lines,
+               rank=3 - len(meet))
+    if not factored:
+        return {**out, "reason": "a quadric does not factor as "
+                "lambda times a line on the plane"}
+    if len(meet) != 1:
+        return {**out, "reason": f"the lines L_1, L_2 have rank {out['rank']}"}
+    if meet[0][2] == 0:
+        return {**out, "reason": "the lines L_1, L_2 meet on the center line"}
+    return {**out, "count": 1,
+            "point": ExactMatrix.from_columns([*line, lift]).apply(meet[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -46,19 +46,9 @@ table, the parameter triple and the sign flips of H; it reads an exact
 value through `as_cyc(v).coords`, one mpf quotient per nonzero
 coordinate.
 
-Preimages under the linear projection of the distinguished fiber are
-not tracked but solved exactly over Q(zeta_8) by `exact_preimage`: the
-linear fiber rows cut the span of the projection center and a target
-lift to a plane, on which each quadric is lambda times a line, lambda
-vanishing on the center line l that lies in both the center and the
-fiber; the one preimage is the meet of the two lines.  One target is
-still tracked as a cross-check, and its failed paths are explained by
-their distance to l.  Fiber slices are not tracked either: the linear
-fiber rows and three seeded slice rows cut a plane over Q(i), on which
-the two quadrics are two conics, and `conic_pair` proves their four
-transversal points from the discriminant of the eliminant; slice 0 is
-still tracked as a cross-check.  Both kernels restrict a quadric to
-their plane by one substitution, `_on_basis`.
+Fiber slices and preimages are counted exactly by `construction`; slice
+0 and one preimage target are still tracked here, as cross-checks.  This
+is the one module that imports numpy or mpmath.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -74,7 +64,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,18 +71,14 @@ import mpmath as mp
 import numpy as np
 
 from . import construction
-from .binform import BinaryForm, expanded_coordinate_system
+from .binform import BinaryForm
 from .checks import CheckResult, _finish
-from .construction import Y_NAMES
+from .construction import CHART_VARS, Y_NAMES
 from .exlinalg import ExactMatrix
 from .mpoly import VAR_NAMES, MPoly, var_slot
-from .scalar import CycScalar, as_cyc, as_exact
+from .scalar import as_cyc, as_exact
 
 _F = Fraction
-
-CHART_VARS = ("x1", "x2", "x3", "x7", "x8", "x9")
-SAMPLE_R = (_F(10), _F(1, 2), _F(1, 3))     # the generic census triple
-
 
 # Fixed limits of the tracker and the classifiers.
 TOL_TRACK = 1e-10           # residual that accepts a path endpoint
@@ -666,23 +651,6 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
 # The stratum census
 
 
-def literal_pure_quadrics() -> tuple[MPoly, ...]:
-    """The five literal quadric coordinates restricted to the octic block."""
-    cut = {n: _F(0) for n in ("s0", "s1", "s2", "s3", "s4", "s5", "eps")}
-    return tuple(p.substitute(cut) for p in expanded_coordinate_system())
-
-
-def literal_restricted_quadrics(r: tuple) -> tuple[MPoly, ...]:
-    """The literal quadrics on the parameterized slice, in six coordinates."""
-    r1, r2, r3 = map(as_exact, r)
-    bindings = {
-        "x4": r1 * MPoly.var("x1"),
-        "x5": r2 * MPoly.var("x2"),
-        "x6": r3 * MPoly.var("x3"),
-    }
-    return tuple(q.substitute(bindings) for q in literal_pure_quadrics())
-
-
 def octic_root_clusters(vec9):
     """Root clusters of the octic with the given basis coordinates.
 
@@ -865,17 +833,6 @@ def _classify_point(point_mp, r) -> tuple[str, bool]:
     return stratum, sizes[0] >= 6
 
 
-def admissible_triple(r: tuple) -> tuple:
-    """The parameter triple as exact scalars; raises ValueError when it
-    zeroes a leading-coefficient inequation (the excluded locus)."""
-    r = tuple(map(as_exact, r))
-    for ineq in construction.domain_inequations():
-        if ineq.evaluate({"r1": r[0], "r2": r[1], "r3": r[2]}) == 0:
-            raise ValueError("parameter triple violates the leading-"
-                             "coefficient inequations")
-    return r
-
-
 def count_stratum_points(r: tuple, seed,
                          reference: StratumCensus | None = None
                          ) -> StratumCensus:
@@ -899,17 +856,18 @@ def count_stratum_points(r: tuple, seed,
     own.  `unmatched` lists the endpoints no reference point matched, in
     order; they go on to the walk below like any other.
 
-    The diagonal subgroup H (`h_orbit_signs`) maps the system's zero set
-    to itself and keeps both labels, so only one endpoint per H-orbit is
-    polished and classified.  The endpoints still unlabelled are walked
-    in order; the first one not yet covered is a representative, and
-    each H-image of its polished point, its coordinates' signs flipped,
-    is placed.  An endpoint no image matches becomes a representative in
-    its turn, so the reference and the symmetry save work but never
-    decide a label.
+    The diagonal subgroup H (`construction.h_orbit_signs`) maps the
+    system's zero set to itself and keeps both labels, so only one
+    endpoint per H-orbit is polished and classified.  The endpoints
+    still unlabelled are walked in order; the first one not yet covered
+    is a representative, and each H-image of its polished point, its
+    coordinates' signs flipped, is placed.  An endpoint no image matches
+    becomes a representative in its turn, so the reference and the
+    symmetry save work but never decide a label.
     """
-    r = admissible_triple(r)
-    rows = [_poly_terms(q, CHART_VARS) for q in literal_restricted_quadrics(r)]
+    r = construction.admissible_triple(r)
+    rows = [_poly_terms(q, CHART_VARS)
+            for q in construction.literal_restricted_quadrics(r)]
     run = solve_projective(rows, CHART_VARS, seed,
                            f"stratum:{r[0]},{r[1]},{r[2]}")
     sys6: CompiledSystem = run["system"]
@@ -933,7 +891,8 @@ def count_stratum_points(r: tuple, seed,
             for p in reference.points:
                 place(p.coords, p.stratum, p.multiple_root)
             unmatched = [i for i, p in enumerate(points) if p is None]
-        flips = [[embed_mp(s) for s in signs] for signs in h_orbit_signs()]
+        flips = [[embed_mp(s) for s in signs]
+                 for signs in construction.h_orbit_signs()]
         for i, e in enumerate(distinct):
             if points[i] is not None:
                 continue
@@ -967,17 +926,6 @@ def count_stratum_points(r: tuple, seed,
                          min_sv=min_sv, notes=notes, unmatched=unmatched)
 
 
-def h_orbit_signs() -> list[tuple]:
-    """Sign vectors of the diagonal subgroup on the six chart coordinates,
-    read off the stored generator matrices."""
-    table = construction.action_table()
-    idx = [0, 1, 2, 6, 7, 8]
-    om = ExactMatrix(construction.octic_block(table["omega"]))
-    rh = ExactMatrix(construction.octic_block(table["rho"]))
-    return [tuple(mat.rows[i][i] for i in idx)
-            for mat in (ExactMatrix.identity(9), om, rh, om * rh)]
-
-
 def u_dprime_image(census: StratumCensus):
     """Chart images of the non-multiple-root open-stratum points.
 
@@ -999,34 +947,15 @@ def u_dprime_image(census: StratumCensus):
 # The fiber probe
 
 
-def _fiber_equations(r: tuple) -> list[MPoly]:
-    """The chart-space fiber equations over r: two quadrics, then three
-    linear forms, in Y_NAMES."""
-    env = {"r1": r[0], "r2": r[1], "r3": r[2], "eps": _F(1)}
-    return [e.substitute(env) for e in construction.y_equations_4_5()]
-
-
 def _fiber_rows(r: tuple) -> list[list[tuple]]:
     """The chart-space fiber equations over r, as term rows in Y_NAMES."""
-    return [_poly_terms(e, Y_NAMES) for e in _fiber_equations(r)]
+    return [_poly_terms(e, Y_NAMES) for e in construction.fiber_equations(r)]
 
 
 def _numeric_rank(mat: np.ndarray) -> int:
     """The number of singular values above TOL_RANK times the largest."""
     sv = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sv > TOL_RANK * sv[0]))
-
-
-def _gaussian(z: complex) -> CycScalar:
-    """A complex double as the exact Gaussian rational it is."""
-    return CycScalar(_F(z.real), 0, _F(z.imag), 0)
-
-
-# Centers of the projection (z1 : z2) of a plane, as coefficients over
-# its basis (a, b, c); the third entry is nonzero, so the center can
-# take the place of c.
-PROJECTIONS = ((0, 0, 1), (1, 2, 3), (2, -3, 1))
-PLANE_VARS = ("z1", "z2", "t")      # plane coordinates; t is lambda
 
 
 def _form_value(f: BinaryForm, z1: complex, z2: complex) -> complex:
@@ -1047,91 +976,25 @@ def _conic_newton(w: np.ndarray, gram: list) -> np.ndarray:
     return w
 
 
-def _on_basis(q: MPoly, basis: list, names: tuple) -> dict:
-    """The quadric q on span(basis), as the coefficient co[j, k] of
-    w_j w_k, j <= k, in the plane coordinates w = PLANE_VARS of
-    sum_k w_k basis[k]: one substitution, read back monomial by
-    monomial."""
-    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
-    restricted = q.substitute({name: z1 * a + z2 * b + t * c
-                               for name, a, b, c in zip(names, *basis)})
-    return {(j, k): restricted.coeff(Counter((PLANE_VARS[j], PLANE_VARS[k])))
-            for j, k in itertools.combinations_with_replacement(range(3), 2)}
-
-
-def conic_pair(plane: list, quadrics: tuple, names: tuple) -> dict:
-    """Count the common points of two quadrics on a plane, exactly.
-
-    `plane` is three exact vectors over the coordinates `names`.  In
-    plane coordinates (z1, z2, t) each quadric is, by `_on_basis`, a conic
-    C_i = a_i t^2 + b_i t + c_i, with b_i linear and c_i quadratic in
-    (z1, z2).  Eliminating t gives the Sylvester resultant
-    R = K^2 - L M, a binary quartic, with K = a_2 c_1 - a_1 c_2,
-    L = a_2 b_1 - a_1 b_2 and M = b_2 c_1 - b_1 c_2, as `BinaryForm`s.
-    When (a_1, a_2) != 0 (the center (0 : 0 : 1) of the projection to
-    (z1 : z2) is off one conic), R != 0 (no common component) and the
-    discriminant 4 I^3 - J^2 of R is nonzero (R has four distinct
-    roots), each root is the projection of at least one common point,
-    so Bezout's 2 * 2 = 4 leaves exactly four, each transversal.  The
-    tests are tried for each center of PROJECTIONS in turn: a zero
-    discriminant may only mean that two common points lie on one line
-    through the center.
-
-    Returns the `count`, 4 when a projection proves the four points
-    and else 0; the `reason` when none does, naming the test that
-    failed for each center; the `projection` that proved them; the
-    `eliminant` R as its coefficient list from z1^4 down to z2^4; and
-    the `points` as complex double vectors over `names`: each root of
-    R from `np.roots`, t from the linear K + L t, two Newton steps on
-    the conic pair, mapped through the basis.
-    """
-    out = {"count": 0, "reason": None, "projection": None, "eliminant": None,
-           "points": []}
-    if len(plane) != 3:
-        return {**out, "reason": f"the rows cut a {len(plane)}-dimensional "
-                "space, not a plane"}
-    a, b, _c = plane
-    failures = []
-    for center in PROJECTIONS:
-        basis = [a, b, ExactMatrix.from_columns(plane).apply(center)]
-        conics = [_on_basis(q, basis, names) for q in quadrics]
-        (a1, b1, c1), (a2, b2, c2) = (
-            (co[2, 2], BinaryForm(1, [co[0, 2], co[1, 2]]),
-             BinaryForm(2, [co[0, 0], co[0, 1], co[1, 1]])) for co in conics)
-        if not a1 and not a2:
-            failures.append(f"from {center}: the center lies on both "
-                            "conics")
-            continue
-        k = a2 * c1 - a1 * c2
-        l = a2 * b1 - a1 * b2
-        m = b2 * c1 - b1 * c2
-        res = k * k - l * m
-        if res.is_zero():
-            failures.append(f"from {center}: the eliminant R vanishes "
-                            "identically")
-            continue
-        qa, qb, qc, qd, qe = res.coeffs
-        inv_i = 12 * qa * qe - 3 * qb * qd + qc * qc
-        inv_j = (72 * qa * qc * qe + 9 * qb * qc * qd - 27 * qa * qd * qd
-                 - 27 * qb * qb * qe - 2 * qc * qc * qc)
-        if not 4 * inv_i * inv_i * inv_i - inv_j * inv_j:
-            failures.append(f"from {center}: the discriminant "
-                            "4 I^3 - J^2 of R is zero")
-            continue
-        roots = [(complex(u), 1.0) for u in
-                 np.roots([complex(v) for v in res.coeffs])]
-        if not qa:
-            roots.append((1.0, 0.0))        # the root z2 = 0
-        gram = [np.array([[complex(co[min(i, j), max(i, j)])
-                           * (1.0 if i == j else 0.5) for j in range(3)]
-                          for i in range(3)]) for co in conics]
-        frame = np.array([[complex(v) for v in vec] for vec in basis])
-        points = [_conic_newton(np.array(
-            [z1, z2, -_form_value(k, z1, z2) / _form_value(l, z1, z2)]),
-            gram) @ frame for z1, z2 in roots]
-        return {**out, "count": 4, "projection": center,
-                "eliminant": list(res.coeffs), "points": points}
-    return {**out, "reason": "; ".join(failures)}
+def conic_points(pair: dict) -> list[np.ndarray]:
+    """The points `construction.conic_pair` proves, as complex double
+    vectors over its coordinates, and none when it proves none: each
+    root of the eliminant R from `np.roots`, t = -K / L there, two
+    Newton steps on the conic pair, mapped through the plane basis."""
+    if not pair["count"]:
+        return []
+    coeffs, (k, l) = pair["eliminant"], pair["t_forms"]
+    roots = [(complex(u), 1.0) for u in
+             np.roots([complex(v) for v in coeffs])]
+    if not coeffs[0]:
+        roots.append((1.0, 0.0))        # the root z2 = 0
+    gram = [np.array([[complex(co[min(i, j), max(i, j)])
+                       * (1.0 if i == j else 0.5) for j in range(3)]
+                      for i in range(3)]) for co in pair["conics"]]
+    frame = np.array([[complex(v) for v in vec] for vec in pair["basis"]])
+    return [_conic_newton(np.array(
+        [z1, z2, -_form_value(k, z1, z2) / _form_value(l, z1, z2)]),
+        gram) @ frame for z1, z2 in roots]
 
 
 def _slice_rows(r: tuple, seed, s: int) -> list[np.ndarray]:
@@ -1141,20 +1004,24 @@ def _slice_rows(r: tuple, seed, s: int) -> list[np.ndarray]:
 
 
 def exact_slice(r: tuple, seed, s: int) -> dict:
-    """`conic_pair` of fiber slice s over r: the three linear fiber rows
-    and the slice's three seeded rows, whose double entries are exact
-    Gaussian rationals, cut a plane over Q(i), and the two quadrics are
-    two conics on it."""
+    """The count of fiber slice s over r, by `construction.conic_pair`,
+    and its `points`, by `conic_points`: the three linear fiber rows and
+    the slice's three seeded rows, whose double entries are exact
+    Gaussian rationals, cut a plane over Q(i), on which the two quadrics
+    are two conics.  A run keeps its slices, but not their plane data."""
     r = tuple(map(as_exact, r))
-    equations = _fiber_equations(r)
+    equations = construction.fiber_equations(r)
     rows = [[e.coeff({y: 1}) for y in Y_NAMES] for e in equations[2:]]
-    rows += [[_gaussian(z) for z in row] for row in _slice_rows(r, seed, s)]
-    return conic_pair(ExactMatrix(rows).kernel_basis(), equations[:2],
-                      Y_NAMES)
+    rows += [[construction.gaussian(z) for z in row]
+             for row in _slice_rows(r, seed, s)]
+    pair = construction.conic_pair(ExactMatrix(rows).kernel_basis(),
+                                   equations[:2], Y_NAMES)
+    kept = ("count", "reason", "projection", "eliminant")
+    return {**{k: pair[k] for k in kept}, "points": conic_points(pair)}
 
 
 def fiber_probe(r: tuple, seed, slice_count: int,
-                numeric: NumericRun | None = None) -> dict:
+                numeric: NumericRun) -> dict:
     """Slice the chart-space fiber over r and collect geometry evidence.
 
     Each seeded codimension-3 slice cuts the fiber to two conics on a
@@ -1165,12 +1032,10 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     endpoints, then the exact-plane points of the other slices; the
     fiber Jacobian, `fiber_jacobian`, and its numeric rank are read at
     the first, scaled to unit norm.  Runs are deterministic in the
-    arguments.  The exact slices come from `numeric`, a fresh
-    `NumericRun` when none is given.
+    arguments.  The exact slices come from the run `numeric`.
     """
     r = tuple(map(as_exact, r))
     base_rows = _fiber_rows(r)
-    numeric = numeric or NumericRun()
     slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
     extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
     run = solve_projective(base_rows + extra, Y_NAMES, seed, f"fiber:{r}:0")
@@ -1228,107 +1093,8 @@ class NumericRun:
         return self._slices[key]
 
 
-def projection_data():
-    """Exact data of the linear projection: the ranks of the center C and
-    the target space T, the matrix [C | T], the dimension of their
-    intersection, dim C + dim T - rank [C | T], and the target-coordinate
-    extraction, rows 5..8 of the inverse, only when [C | T] inverts."""
-    centers = [list(v) for v in construction.center_space_vectors()]
-    targets = [list(v) for v in construction.target_space_basis()]
-    center_rank = ExactMatrix(centers).rank()
-    target_rank = ExactMatrix(targets).rank()
-    m = ExactMatrix.from_columns(centers + targets)
-    rank = m.rank()
-    return {
-        "center_rank": center_rank,
-        "target_rank": target_rank,
-        "intersection_dim": center_rank + target_rank - rank,
-        "matrix": m,
-        "extract_rows": (m.inverse().rows[5:9] if rank == m.ncols == 9
-                         else None),
-    }
-
-
-def exact_preimage(n) -> dict:
-    """The preimage on the parameter-origin fiber of the target point with
-    exact target-basis coordinates n, as the meet of two lines.
-
-    A point over [n] is c + lambda p, with c in the projection center and
-    p = sum n_j t_j over the target basis.  The three linear fiber rows
-    cut span(center, p) to a plane: the kernel of the rows on these six
-    generators, whose two lambda = 0 vectors span the center line l and
-    whose third has lambda = 1.  In plane coordinates (z1, z2, t = lambda)
-    `_on_basis` restricts each quadric to Q_i = A_i + t B_i + c_i t^2,
-    A_i quadratic and B_i linear in (z1, z2); with L_i = B_i + c_i t the
-    identity Q_i = t L_i holds exactly when A_i = 0, that is when Q_i
-    vanishes on l, and is checked, not assumed.  The preimages are the
-    points of L_1 = L_2 = 0 off l: one when [L_1; L_2] has rank 2 and
-    lambda is nonzero at the meet (a transversal meet), else none.
-
-    Returns the basis `line` of l; the plane's `lift` of n, its point
-    with lambda = 1; `factored`, whether both quadrics vanish on l, so
-    that both identities hold; the `lines` as coefficient rows
-    over PLANE_VARS and their `rank`; the `point`, or None; its `count`;
-    and the `reason` when the count is 0.
-    """
-    equations = _fiber_equations((_F(0), _F(0), _F(0)))
-    quadrics, linear = equations[:2], equations[2:]
-    targets = ExactMatrix.from_columns(construction.target_space_basis())
-    gens = [*construction.center_space_vectors(), targets.apply(n)]
-    kernel = ExactMatrix([[e.evaluate(dict(zip(Y_NAMES, g))) for g in gens]
-                          for e in linear]).kernel_basis()
-    span = ExactMatrix.from_columns(gens)
-    line = [span.apply(k) for k in kernel if k[-1] == 0]
-    out = {"line": line, "lift": None, "factored": False, "lines": [],
-           "rank": 0, "point": None, "count": 0, "reason": None}
-    if len(kernel) != 3 or len(line) != 2:
-        return {**out, "reason": f"the linear rows cut span(center, p) to "
-                f"dimension {len(kernel)}, with a {len(line)}-dimensional "
-                "lambda = 0 part"}
-    # the free generator p gives the one kernel vector with lambda = 1
-    lift = next(span.apply(k) for k in kernel if k[-1] != 0)
-    conics = [_on_basis(q, [*line, lift], Y_NAMES) for q in quadrics]
-    factored = not any(co[0, 0] or co[0, 1] or co[1, 1] for co in conics)
-    lines = [[co[0, 2], co[1, 2], co[2, 2]] for co in conics]
-    meet = ExactMatrix(lines).kernel_basis()
-    out.update(lift=lift, factored=factored, lines=lines,
-               rank=3 - len(meet))
-    if not factored:
-        return {**out, "reason": "a quadric does not factor as "
-                "lambda times a line on the plane"}
-    if len(meet) != 1:
-        return {**out, "reason": f"the lines L_1, L_2 have rank {out['rank']}"}
-    if meet[0][2] == 0:
-        return {**out, "reason": "the lines L_1, L_2 meet on the center line"}
-    return {**out, "count": 1,
-            "point": ExactMatrix.from_columns([*line, lift]).apply(meet[0])}
-
-
 # ---------------------------------------------------------------------------
 # CheckResult wrappers
-
-
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return _F(num, den)
-    return None
-
-
-def _stratum_anchor_vectors(r1: Fraction) -> list[list]:
-    """Exact single-pair-stratum chart vectors: the stored square-root
-    families at r1 and a rational root a of their relation, if it has
-    one (else none)."""
-    a = _rational_sqrt(25 * r1 * r1 - 900)
-    if a is None:
-        return []
-    fams, _relation = construction.stratum1_solution_families()
-    chart = [construction.X_NAMES.index(n) for n in CHART_VARS]
-    return [[fam[i].evaluate({"r1": r1, "a": a}) for i in chart]
-            for fam in fams]
 
 
 def check_stratum_counts(seed: int, sample_r: tuple,
@@ -1374,7 +1140,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
         anchor = [0, 0, 0] + [complex(_F(v)) for v in p]
         if not _matching(by_stratum["L0"], anchor, TOL_MATCH):
             residuals.append(f"sparse anchor {p} matches no endpoint")
-    for anchor in _stratum_anchor_vectors(sample_r[0]):
+    for anchor in construction.stratum_anchor_vectors(sample_r[0]):
         if not _matching(by_stratum["L1"], [complex(c) for c in anchor],
                          TOL_MATCH):
             residuals.append(
@@ -1389,7 +1155,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
             f"open-stratum non-multiple-root count {len(orbit_pts)} != 4")
     else:
         matched = set()
-        for signs in h_orbit_signs():
+        for signs in construction.h_orbit_signs():
             image = [complex(s) * c for s, c in zip(signs, orbit_pts[0])]
             hits = _matching(orbit_pts, image, TOL_MATCH)
             if len(hits) == 1:
@@ -1445,11 +1211,12 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     Jacobian at its first sample point; and each of ten random targets
     has exactly one regular preimage on the fiber.
 
-    The preimages are proved over Q(zeta_8) by `exact_preimage` on the
-    very same seeded Gaussian targets, whose double coordinates are
-    exact rationals: a preimage counts as regular when its two lines
-    meet transversally (rank 2, lambda nonzero), the exact analogue of
-    a smallest singular value above SV_REGULAR.  `center_line` records
+    The preimages are proved over Q(zeta_8) by
+    `construction.exact_preimage` on the very same seeded Gaussian
+    targets, whose double coordinates are exact rationals: a preimage
+    counts as regular when its two lines meet transversally (rank 2,
+    lambda nonzero), the exact analogue of a smallest singular value
+    above SV_REGULAR.  `center_line` records
     the identity behind the count: the center line l has dimension 2,
     both quadrics vanish on it, and each factored as lambda * L_i on
     every trial's plane.  Trial 0 is also tracked by homotopy:
@@ -1461,7 +1228,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     The slice degree is proved the same way: each of the five seeded
     slices cuts the fiber to two conics on a plane over Q(i), and
     `exact_slice` counts their four transversal points, by the first
-    center of PROJECTIONS that separates them (`slice_projections`).
+    center of `construction.PROJECTIONS` that separates them
+    (`slice_projections`).
     Slice 0 is also tracked by homotopy: `slice_cross_check` gives the
     largest chordal distance of its four endpoints from the exact-plane
     points (each below TOL_MATCH).
@@ -1506,7 +1274,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
             "stored fiber point")
 
     # Small-parameter continuity of the common image.
-    small = tuple(v * _F(1, 100000) for v in SAMPLE_R)
+    small = tuple(v * _F(1, 100000) for v in construction.SAMPLE_R)
     census_small = numeric.census(small, seed)
     images_small, spread_small = u_dprime_image(census_small)
     if len(images_small) != 4 or spread_small > 1e-4:
@@ -1518,7 +1286,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
                          "parameter-origin image")
 
     # Exact projection data.
-    proj = projection_data()
+    proj = construction.projection_data()
     if proj["center_rank"] != 5:
         residuals.append(f"center rank {proj['center_rank']} != 5")
     if proj["target_rank"] != 4:
@@ -1562,7 +1330,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         rng = _rng(seed, "preimage", trial)
         targets.append(np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                  for _ in range(4)]))
-    exact = [exact_preimage([_gaussian(z) for z in n_coords])
+    exact = [construction.exact_preimage([construction.gaussian(z)
+                                          for z in n_coords])
              for n_coords in targets]
     preimage_counts = [sol["count"] for sol in exact]
     for trial, sol in enumerate(exact):

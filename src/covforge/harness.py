@@ -6,10 +6,10 @@ schema.  Every knob is both a flag and an environment variable with the
 ``COVFORGE_`` prefix; a flag wins over its variable, an empty variable
 counts as unset, and a set ``COVFORGE_`` variable that names no knob or
 does not parse is a configuration error that names it.  The tolerances
-are not knobs but constants of ``continuation``.  The numeric checks of
-one run share their censuses through one ``NumericRun``.  The
-corrected-typo ledger ships as a package resource, named at the end of
-every text report.
+are not knobs but constants of ``continuation``, which only a run with a
+numeric check imports; the numeric checks of one run share their
+censuses through one ``NumericRun``.  The corrected-typo ledger ships
+as a package resource, named at the end of every text report.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import checks as _checks
-from . import continuation as _cont
 from .checks import CheckResult
-from .continuation import SAMPLE_R, NumericRun
+from .construction import SAMPLE_R, admissible_triple
 
 ENV_PREFIX = "COVFORGE_"
 ERRATA_RESOURCE = "covforge/errata.json"
@@ -53,11 +52,16 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if len(self.sample_r) != 3:
             raise ValueError("sample_r needs exactly three entries")
-        _cont.admissible_triple(self.sample_r)
+        admissible_triple(self.sample_r)
+
+
+def _numeric():
+    from . import continuation      # the numeric layer, loaded on first use
+    return continuation
 
 
 # The registry: check id, report anchor (interface data), phase, runner.
-# A runner takes the run config and the run's shared NumericRun.
+# A runner takes the run config and the run's shared NumericRun, or None.
 def _registry() -> tuple:
     def sym(fn):
         return lambda cfg, numeric: fn()
@@ -91,13 +95,13 @@ def _registry() -> tuple:
         ("property/scaling_1_1", "(1.1)", "exact",
          prop(_checks.check_scaling_1_1)),
         ("numeric/lemma6_2", "Lemma 6.2", "numeric",
-         lambda cfg, numeric: _cont.check_stratum_counts(
+         lambda cfg, numeric: _numeric().check_stratum_counts(
              seed=cfg.seed, sample_r=cfg.sample_r, numeric=numeric)),
         ("numeric/fiber_5", "Lemmas 5.1–5.5", "numeric",
-         lambda cfg, numeric: _cont.check_fiber_geometry(
+         lambda cfg, numeric: _numeric().check_fiber_geometry(
              seed=cfg.seed, numeric=numeric)),
         ("numeric/seed_stability", "Lemma 6.2 (stability)", "numeric",
-         lambda cfg, numeric: _cont.check_seed_stability(
+         lambda cfg, numeric: _numeric().check_seed_stability(
              seed=cfg.seed, sample_r=cfg.sample_r, numeric=numeric)),
     )
 
@@ -144,11 +148,12 @@ def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
     Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  The numeric checks share one NumericRun.
+    is ordered by check id.  Selected numeric checks share one NumericRun.
     Raises as `select` does for a malformed config or an empty selection.
     """
     selected = select(config)
-    numeric = NumericRun()
+    numeric = (_numeric().NumericRun() if any(
+        kind == "numeric" for _c, _a, kind, _f in selected) else None)
     anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
     results = [fn(config, numeric)
                for phase in ("exact", "numeric")

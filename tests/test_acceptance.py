@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from covforge import checks, construction, harness
 from covforge.binform import calibrate_conventions
-from covforge.continuation import (SAMPLE_R, check_fiber_geometry,
-                                   check_seed_stability, check_stratum_counts)
+from covforge.construction import SAMPLE_R
+from covforge.continuation import (check_fiber_geometry, check_seed_stability,
+                                   check_stratum_counts)
 from covforge.scalar import CycScalar
 
 EXPECTED_PARTITION = {

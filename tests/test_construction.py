@@ -6,7 +6,7 @@ import pytest
 
 from covforge import construction as con
 from covforge.binform import max_root_multiplicity_exact
-from covforge.continuation import (literal_pure_quadrics,
+from covforge.construction import (literal_pure_quadrics,
                                    literal_restricted_quadrics)
 from covforge.exlinalg import ExactMatrix
 from covforge.mpoly import MPoly

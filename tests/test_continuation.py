@@ -14,30 +14,28 @@ import pytest
 
 from covforge import construction as con
 from covforge import continuation
-from covforge.continuation import (CHART_VARS, PLANE_VARS, TOL_MATCH,
-                                   WORKING_DPS, CompiledSystem, NumericRun,
-                                   _chordal_each, _chordal_groups,
-                                   _fiber_equations, _fiber_rows,
+from covforge.construction import (CHART_VARS, PLANE_VARS, SAMPLE_R,
+                                   conic_pair, exact_preimage,
+                                   fiber_equations, literal_pure_quadrics,
+                                   literal_restricted_quadrics,
+                                   projection_data, stratum_anchor_vectors)
+from covforge.continuation import (TOL_MATCH, WORKING_DPS, CompiledSystem,
+                                   NumericRun, _chordal_each,
+                                   _chordal_groups, _fiber_rows,
                                    _linear_row_terms, _matching,
                                    _mp_solve, _octic_roots, _poly_terms,
                                    _predict, _rng, _slice_rows, _solve_stack,
                                    _start_system,
-                                   _stratum_anchor_vectors,
                                    check_fiber_geometry,
-                                   check_seed_stability, conic_pair,
+                                   check_seed_stability, conic_points,
                                    count_stratum_points,
-                                   embed_mp, exact_preimage, exact_slice,
-                                   fiber_probe,
-                                   literal_pure_quadrics,
-                                   literal_restricted_quadrics, mp_polish,
+                                   embed_mp, exact_slice,
+                                   fiber_probe, mp_polish,
                                    octic_root_clusters, PathResult,
-                                   projection_data,
                                    solve_projective, track)
-from covforge.exlinalg import Subspace
+from covforge.exlinalg import ExactMatrix, Subspace
 from covforge.mpoly import MPoly
 from covforge.scalar import CycScalar
-
-SAMPLE_R = (Fraction(10), Fraction(1, 2), Fraction(1, 3))
 
 
 def test_seeded_streams_are_reproducible_and_independent():
@@ -334,13 +332,13 @@ def orbit_censuses():
     is polished and classified on its own), each with its counts of
     `mp_polish` and `octic_root_clusters` calls."""
     out = {}
-    for name, signs in (("orbits", continuation.h_orbit_signs()),
-                        ("own", continuation.h_orbit_signs()[:1])):
+    for name, signs in (("orbits", con.h_orbit_signs()),
+                        ("own", con.h_orbit_signs()[:1])):
         calls = dict.fromkeys(("mp_polish", "octic_root_clusters"), 0)
         with pytest.MonkeyPatch.context() as patch:
             for fn in calls:
                 patch.setattr(continuation, fn, _counting(calls, fn))
-            patch.setattr(continuation, "h_orbit_signs", lambda: signs)
+            patch.setattr(con, "h_orbit_signs", lambda: signs)
             out[name] = count_stratum_points(SAMPLE_R, 42), calls
     return out
 
@@ -545,7 +543,7 @@ def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
         return solve_projective(rows, var_order, seed, tag)
 
     monkeypatch.setattr(continuation, "solve_projective", logged)
-    probe = fiber_probe((0, 0, 0), 1, slice_count=5)
+    probe = fiber_probe((0, 0, 0), 1, slice_count=5, numeric=NumericRun())
     assert tags == [f"fiber:{(Fraction(0),) * 3}:0"]
     assert probe["slice_counts"] == [4] * 5
     assert probe["slice_reasons"] == [None] * 5
@@ -559,7 +557,7 @@ def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
 def _are_the_points(out, expected) -> bool:
     """Whether the kernel's points are the expected ones, one each."""
     dist = [_chordal_each(p, np.array(expected, dtype=complex))
-            for p in out["points"]]
+            for p in conic_points(out)]
     nearest = [int(d.argmin()) for d in dist]
     return (sorted(nearest) == list(range(len(expected)))
             and all(d[k] < 1e-12 for d, k in zip(dist, nearest)))
@@ -587,7 +585,7 @@ def test_a_projection_that_merges_points_gives_way_to_the_next():
     z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
     out = conic_pair(PLANE, (z1 * z1 - t * t, z2 * z2 - t * t), PLANE_VARS)
     assert out["count"] == 4 and out["reason"] is None
-    assert out["projection"] == continuation.PROJECTIONS[1]
+    assert out["projection"] == con.PROJECTIONS[1]
     meets = [(a, b, 1) for a in (1, -1) for b in (1, -1)]
     assert _are_the_points(out, meets)
 
@@ -597,8 +595,8 @@ def test_a_tangent_pair_is_not_counted_and_the_failed_test_is_named():
     z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
     out = conic_pair(PLANE, (z1 * z1 + z2 * z2 - t * t,
                              (z1 - t) * (2 * z1 + t)), PLANE_VARS)
-    assert out["count"] < 4 and out["points"] == []
-    for center in continuation.PROJECTIONS:
+    assert out["count"] < 4 and conic_points(out) == []
+    for center in con.PROJECTIONS:
         assert f"from {center}: the discriminant 4 I^3 - J^2" in out["reason"]
 
 
@@ -609,11 +607,11 @@ def test_a_center_on_both_conics_gives_way_to_the_next(monkeypatch):
     quadrics = (z1 * (z1 - z2 + t), z2 * (z1 - z2 - t))
     out = conic_pair(PLANE, quadrics, PLANE_VARS)
     assert out["count"] == 4 and out["reason"] is None
-    assert out["projection"] == continuation.PROJECTIONS[1]
+    assert out["projection"] == con.PROJECTIONS[1]
     assert _are_the_points(out, [(0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 0)])
-    monkeypatch.setattr(continuation, "PROJECTIONS", ((0, 0, 1),))
+    monkeypatch.setattr(con, "PROJECTIONS", ((0, 0, 1),))
     out = conic_pair(PLANE, quadrics, PLANE_VARS)
-    assert out["count"] == 0 and out["points"] == []
+    assert out["count"] == 0 and conic_points(out) == []
     assert out["reason"] == "from (0, 0, 1): the center lies on both conics"
 
 
@@ -624,11 +622,11 @@ def test_conics_with_a_common_line_are_not_counted_from_any_center():
     common = z1 - z2 + t
     out = conic_pair(PLANE, (common * (z1 + 2 * t), common * (z2 - t)),
                      PLANE_VARS)
-    assert out["count"] == 0 and out["points"] == []
+    assert out["count"] == 0 and conic_points(out) == []
     assert out["projection"] is None
     assert out["reason"] == "; ".join(
         f"from {center}: the eliminant R vanishes identically"
-        for center in continuation.PROJECTIONS)
+        for center in con.PROJECTIONS)
 
 
 def _polarised(q, basis, names):
@@ -648,7 +646,7 @@ def _polarised(q, basis, names):
 def _checked_on_basis(monkeypatch) -> list:
     """Compare every `_on_basis` call with the polarisation oracle; the
     returned list gets one verdict per call."""
-    on_basis = continuation._on_basis
+    on_basis = con._on_basis
     verdicts = []
 
     def checked(q, basis, names):
@@ -656,7 +654,7 @@ def _checked_on_basis(monkeypatch) -> list:
         verdicts.append(co == _polarised(q, basis, names))
         return co
 
-    monkeypatch.setattr(continuation, "_on_basis", checked)
+    monkeypatch.setattr(con, "_on_basis", checked)
     return verdicts
 
 
@@ -686,11 +684,11 @@ def test_single_pair_anchors_are_the_instances_of_the_stored_families(
     pinned = {tuple(Fraction(vec[i]) for i in chart)
               for vec in map(ast.literal_eval,
                              strata.details["instances_at_10"])}
-    anchors = _stratum_anchor_vectors(Fraction(10))
+    anchors = stratum_anchor_vectors(Fraction(10))
     assert len(anchors) == len(pinned) == 4
     assert {tuple(a) for a in anchors} == pinned
     # at r1 = 1/2 the relation has no real root, so there is no anchor
-    assert _stratum_anchor_vectors(Fraction(1, 2)) == []
+    assert stratum_anchor_vectors(Fraction(1, 2)) == []
 
 
 def test_census_rejects_degenerate_parameter_triples():
@@ -811,8 +809,20 @@ def test_seeded_octic_roots_match_the_cold_start(coeffs, expected,
                                  finite).min() < 1e-5
 
 
-def test_projection_data_is_exact_and_invertible():
+def test_projection_data_is_exact_and_invertible(monkeypatch):
+    rref = ExactMatrix.rref
+    calls = []
+
+    def counted(self):
+        calls.append((self.nrows, self.ncols))
+        return rref(self)
+
+    monkeypatch.setattr(ExactMatrix, "rref", counted)
     data = projection_data()
+    # the center rank, the target rank, and one elimination of [C | T | I]
+    # that both inverts [C | T] and shows its rank
+    assert calls == [(5, 9), (4, 9), (9, 18)]
+    monkeypatch.undo()
     assert data["center_rank"] == 5
     assert data["target_rank"] == 4
     assert data["intersection_dim"] == 0
@@ -895,7 +905,7 @@ def test_the_center_line_lies_in_the_fiber_and_factors_each_quadric():
     center = Subspace(9, [list(v) for v in con.center_space_vectors()])
     assert len(line) == 2 and all(center.contains(v) for v in line)
     origin = (Fraction(0),) * 3
-    equations = _fiber_equations(origin)
+    equations = fiber_equations(origin)
     # all five fiber equations vanish identically on the center line
     assert all(_on(e, line, ("z1", "z2")).is_zero() for e in equations)
     # the lift lies on the linear rows and maps to n itself (lambda = 1)
@@ -918,7 +928,7 @@ def test_the_exact_preimage_is_a_transversal_fiber_point_over_the_target():
     y = sol["point"]
     env = dict(zip(con.Y_NAMES, y))
     assert all(e.evaluate(env) == 0
-               for e in _fiber_equations((Fraction(0),) * 3))
+               for e in fiber_equations((Fraction(0),) * 3))
     image = [sum((a * b for a, b in zip(row, y)), Fraction(0))
              for row in projection_data()["extract_rows"]]
     lam = image[0] * n[0].inverse()

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +135,33 @@ def test_excluded_triple_is_rejected_before_any_path_is_tracked(monkeypatch):
                         lambda: called.append(1))
     assert harness.main(["--sample-r", "10", "0", "13/7"]) == 2
     assert called == [] and tracked == []
+
+
+def test_exact_work_loads_no_numeric_library():
+    # a fresh interpreter, since this one already holds numpy; the
+    # configuration error runs first, so the exact check cannot hide a
+    # numeric import it makes
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from covforge import harness
+        seen = []
+        for argv in (["--sample-r", "10", "0", "13/7"],
+                     ["--filter", "symbolic/strata_6"]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = harness.main(argv)
+            seen.append([code, [m for m in ("numpy", "mpmath")
+                                if m in sys.modules]])
+        print(json.dumps(seen))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(harness.ENV_PREFIX)}
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[2, []], [0, []]]
 
 
 def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
