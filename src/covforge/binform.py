@@ -17,9 +17,9 @@ a fixed integer bilinear map on the coefficient vectors a and b:
 
 with x_(j) the falling factorial and pref the factorial quotient above.
 The weights are built once per (m, n, i), on first use; the derivative
-definition itself is kept as the test oracle.  The matrix action is one
-(d+1)x(d+1) substitution matrix per group element and degree, applied
-to the coefficient vector.
+definition itself is kept as the test oracle.  A group element acts on
+a form through elementary moves: two Taylor shifts of the coefficient
+vector and one diagonal scaling, O(d^2) scalar operations at degree d.
 
 The reference tables this package verifies were produced with a possibly
 different transvectant scaling and an unstated matrix-action convention;
@@ -33,7 +33,6 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence, Union
 
-from .exlinalg import ExactMatrix
 from .mpoly import MPoly, monomial_str
 from .scalar import CycScalar, as_cyc, as_exact, over_common_denominator
 
@@ -290,15 +289,28 @@ def mul_closure(generators: Sequence[GroupElt], cap: int = 512) -> list[GroupElt
 ACTION_CONVENTIONS = ("substitute_inverse", "substitute_direct", "substitute_transpose")
 
 
-def action_matrix(g: GroupElt, degree: int,
-                  convention: str | None) -> ExactMatrix:
-    """The substitution matrix of g's action on forms of one degree.
+def _taylor_shift(coeffs: list, t) -> None:
+    """p(w) -> p(w + t) in place, for coeffs[k] the coefficient of w^k."""
+    n = len(coeffs) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            x = coeffs[j + 1]
+            if x:
+                coeffs[j] = coeffs[j] + t * x
 
-    With [[a, b], [c, d]] the matrix that the convention (the calibrated
-    one when None) substitutes, column k holds the coefficients of
-    (a z1 + b z2)^(degree-k) (c z1 + d z2)^k times det^-(degree // 2),
-    so that the action only depends on g modulo scalars; an odd degree
-    needs det 1.
+
+def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
+    """Action of a projective matrix on a form.
+
+    With M = [[a, b], [c, d]] the matrix that the convention (the
+    calibrated one when None) substitutes, the image is
+    f(a z1 + b z2, c z1 + d z2) times det^-(degree // 2), so that the
+    action only depends on g modulo scalars; an odd degree needs det 1.
+    It is computed by elementary moves, M = [[1, 0], [c/a, 1]] *
+    diag(a, det/a) * [[1, b/a], [0, 1]]: each unipotent factor is a
+    Taylor shift of the coefficient vector and the diagonal a scaling.
+    When a = 0, z1 and z2 are swapped first (the vector reversed), which
+    swaps M's rows.
     """
     if convention is None:
         convention = calibrate_conventions().convention
@@ -310,25 +322,32 @@ def action_matrix(g: GroupElt, degree: int,
         sub = g.transpose()
     else:
         raise ValueError(f"unknown action convention {convention!r}")
-    if degree % 2 and sub.det() != CycScalar.one():
+    degree, det = f.degree, sub.det()
+    if degree % 2 and det != CycScalar.one():
         raise ValueError("odd-degree action needs a determinant-1 representative")
     a, b, c, d = sub.m
-    pow1 = [BinaryForm.monomial(0, 0, sub.det() ** -(degree // 2))]
-    pow2 = [BinaryForm.monomial(0, 0)]
-    for _ in range(degree):
-        pow1.append(pow1[-1] * BinaryForm._of(1, (a, b)))
-        pow2.append(pow2[-1] * BinaryForm._of(1, (c, d)))
-    return ExactMatrix.from_columns(
-        [(pow1[degree - k] * pow2[k]).coeffs for k in range(degree + 1)])
-
-
-def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
-    """Action of a projective matrix on a form: g's substitution matrix at
-    f's degree, `action_matrix(g, f.degree, convention)`, applied to f's
-    coefficient vector.  A caller acting on many forms of one degree
-    builds that matrix once and applies it to each."""
-    return BinaryForm._of(
-        f.degree, action_matrix(g, f.degree, convention).apply(f.coeffs))
+    coeffs = list(f.coeffs)
+    if not a:
+        coeffs.reverse()
+        a, b, c, d = c, d, a, b
+    inv = a ** -1
+    # f(z1, (c/a) z1 + z2): a shift in z2/z1
+    if c:
+        _taylor_shift(coeffs, c * inv)
+    # diag(a, e) scales coefficient k by a^(degree-k) e^k, with e the
+    # determinant of the (possibly swapped) matrix over a
+    ratio = (a * d - b * c) * inv * inv
+    factor = a ** degree * det ** -(degree // 2)
+    for k, x in enumerate(coeffs):
+        if x:
+            coeffs[k] = factor * x
+        factor = factor * ratio
+    # f(z1 + (b/a) z2, z2): a shift in z1/z2
+    if b:
+        coeffs.reverse()
+        _taylor_shift(coeffs, b * inv)
+        coeffs.reverse()
+    return BinaryForm._of(degree, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .binform import (BinaryForm, GroupElt, Lambda, calibrate_conventions,
 from .construction import (R_NAMES, VEC15_NAMES, X_NAMES, Y_NAMES,
                            ProjPoint)
 from .exlinalg import ExactMatrix, Subspace, jacobian_at, joint_fixed_space
-from .mpoly import VAR_NAMES, MPoly, monomial_str, var_slot
+from .mpoly import VAR_NAMES, MPoly, exponents, monomial_str, var_slot
 from .scalar import CycScalar
 
 _F = Fraction
@@ -1163,12 +1163,13 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
     for k, poly in enumerate(expanded, start=1):
         sectors = {"66": _ZERO, "44": _ZERO, "22": _ZERO, "00": _ZERO}
         bogus = 0
-        for mono, c in poly.terms.items():
+        for packed, c in poly.terms.items():
+            mono = exponents(packed)
             xdeg = sum(mono[i] for i in x_idx)
             s0deg = mono[s0_idx]
             sdeg = sum(mono[i] for i in s_idx)
             epsdeg = mono[eps_idx]
-            term = MPoly({mono: c})
+            term = MPoly({packed: c})
             if (xdeg, s0deg, sdeg, epsdeg) == (2, 0, 0, 0):
                 sectors["66"] = sectors["66"] + term
             elif (xdeg, s0deg, sdeg, epsdeg) == (1, 0, 1, 0):

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .binform import (BinaryForm, GroupElt, action_matrix,
-                      expanded_coordinate_system)
+from .binform import (BinaryForm, GroupElt, expanded_coordinate_system,
+                      group_act)
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly
 from .scalar import CycScalar, as_exact
@@ -425,16 +425,14 @@ def action_table() -> dict[str, list[list]]:
 
 def induced_vec15_matrix(g: GroupElt, convention: str | None = None) -> list[list]:
     """15x15 coordinate matrix induced by the matrix action on the basis:
-    one substitution matrix per degree, applied to every basis form."""
-    act8 = action_matrix(g, 8, convention)
-    act4 = action_matrix(g, 4, convention)
+    `group_act` on every basis form."""
     columns: list[list] = []
     for f8 in octic_basis():
-        image = BinaryForm(8, act8.apply(f8.coeffs))
+        image = group_act(g, f8, convention)
         columns.append(octic_coordinates(image) + [_F(0)] * 6)
     columns.append(unit15(9))
     for f4 in quartic_basis():
-        image = BinaryForm(4, act4.apply(f4.coeffs))
+        image = group_act(g, f4, convention)
         columns.append([_F(0)] * 10 + quartic_coordinates(image))
     return [[columns[j][i] for j in range(15)] for i in range(15)]
 

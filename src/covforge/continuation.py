@@ -75,7 +75,7 @@ from .binform import BinaryForm
 from .checks import CheckResult, _finish
 from .construction import CHART_VARS, Y_NAMES
 from .exlinalg import ExactMatrix
-from .mpoly import VAR_NAMES, MPoly, var_slot
+from .mpoly import VAR_NAMES, MPoly, exponents, var_slot
 from .scalar import as_cyc, as_exact
 
 _F = Fraction
@@ -130,7 +130,8 @@ def _poly_terms(poly: MPoly, var_order: tuple[str, ...]) -> list[tuple]:
     idx = [var_slot(n) for n in var_order]
     idx_set = set(idx)
     out = []
-    for mono, c in poly.terms.items():
+    for packed, c in poly.terms.items():
+        mono = exponents(packed)
         for pos, e in enumerate(mono):
             if e and pos not in idx_set:
                 raise ValueError(

@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials over the exact scalar domains.
 
-Terms are stored as a dict from dense exponent tuples to nonzero exact
-coefficients, over one fixed variable order, `VAR_NAMES`: slot k of every
-exponent tuple is the exponent of `VAR_NAMES[k]`.  The order is fixed so
-that printed polynomials are canonical (graded-lex, then reverse-lex
-inside a degree block).
+Terms are stored as a dict from packed monomials to nonzero exact
+coefficients, over one fixed variable order, `VAR_NAMES`.  A packed
+monomial is one int with an 8-bit field per variable, the exponent of
+`VAR_NAMES[k]` in bits 8k to 8k + 7, so the product of two monomials is
+one integer addition.  The top bit of each field is a guard: an exponent
+is at most `MAX_EXPONENT` (127), and a product that would pass it raises
+instead of carrying into the next variable.  `pack_exponents` and
+`exponents` convert to and from exponent tuples, whose slot k is the
+exponent of `VAR_NAMES[k]`.  The order is fixed so that printed
+polynomials are canonical (graded-lex, then reverse-lex inside a degree
+block).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .scalar import CycScalar, as_exact
 
@@ -31,7 +36,13 @@ VAR_NAMES: tuple[str, ...] = (
 )
 
 _SLOTS = {n: k for k, n in enumerate(VAR_NAMES)}
-_CONST_MONO = (0,) * len(VAR_NAMES)
+_CONST_MONO = 0
+
+# Bits per exponent field; the top bit of each field is the guard.
+_BITS = 8
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+_GUARDS = sum((MAX_EXPONENT + 1) << (k * _BITS) for k in range(len(VAR_NAMES)))
 
 
 def var_slot(name: str) -> int:
@@ -40,6 +51,26 @@ def var_slot(name: str) -> int:
         return _SLOTS[name]
     except KeyError:
         raise KeyError(f"unknown variable {name!r}") from None
+
+
+def _overflow(slot: int) -> OverflowError:
+    return OverflowError(f"exponent of {VAR_NAMES[slot]} outside "
+                         f"0..{MAX_EXPONENT}")
+
+
+def pack_exponents(exps: Sequence[int]) -> int:
+    """The packed monomial of an exponent tuple (slot k: `VAR_NAMES[k]`)."""
+    mono = 0
+    for k, e in enumerate(exps):
+        if not 0 <= e <= MAX_EXPONENT:
+            raise _overflow(k)
+        mono |= e << (k * _BITS)
+    return mono
+
+
+def exponents(mono: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial (slot k: `VAR_NAMES[k]`)."""
+    return tuple((mono >> (k * _BITS)) & _FIELD for k in range(len(VAR_NAMES)))
 
 
 def monomial_str(mono: tuple[int, ...]) -> str:
@@ -54,18 +85,17 @@ class MPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self,
-                 terms: Mapping[tuple[int, ...], CoeffLike] | None = None) -> None:
-        clean: dict[tuple[int, ...], Coeff] = {}
+    def __init__(self, terms: Mapping[int, CoeffLike] | None = None) -> None:
+        clean: dict[int, Coeff] = {}
         if terms:
             for mono, c in terms.items():
                 c = as_exact(c)
                 if c:
-                    clean[tuple(mono)] = c
+                    clean[mono] = c
         self.terms = clean
 
     @staticmethod
-    def _of(terms: dict[tuple[int, ...], Coeff]) -> MPoly:
+    def _of(terms: dict[int, Coeff]) -> MPoly:
         """Wrap an already clean terms dict."""
         out = MPoly.__new__(MPoly)
         out.terms = terms
@@ -83,9 +113,7 @@ class MPoly:
 
     @classmethod
     def var(cls, name: str) -> MPoly:
-        mono = [0] * len(VAR_NAMES)
-        mono[var_slot(name)] = 1
-        return cls({tuple(mono): 1})
+        return cls({1 << (var_slot(name) * _BITS): 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -96,7 +124,7 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(m == _CONST_MONO for m in self.terms)
 
     def constant_value(self) -> Coeff:
         if self.is_zero():
@@ -105,20 +133,22 @@ class MPoly:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def variables(self) -> set[str]:
-        used: set[str] = set()
+    def _slots(self) -> list[int]:
+        """The slots of the variables that occur, in `VAR_NAMES` order."""
+        used = 0
         for mono in self.terms:
-            for k, e in enumerate(mono):
-                if e:
-                    used.add(VAR_NAMES[k])
-        return used
+            used |= mono
+        return [k for k, e in enumerate(exponents(used)) if e]
+
+    def variables(self) -> set[str]:
+        return {VAR_NAMES[k] for k in self._slots()}
 
     def coeff(self, monomial: Mapping[str, int]) -> Coeff:
         """Coefficient of the monomial given as {var name: exponent}."""
-        mono = [0] * len(VAR_NAMES)
+        exps = [0] * len(VAR_NAMES)
         for name, e in monomial.items():
-            mono[var_slot(name)] = e
-        return self.terms.get(tuple(mono), Fraction(0))
+            exps[var_slot(name)] = e
+        return self.terms.get(pack_exponents(exps), Fraction(0))
 
     # -- ring operations --------------------------------------------------
 
@@ -166,15 +196,21 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Coeff] = {}
+        acc: dict[int, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                mono = tuple(map(add, m1, m2))
+                mono = m1 + m2
                 c = c1 * c2
                 cur = acc.get(mono)
-                nc = c if cur is None else cur + c
+                if cur is None:
+                    if mono & _GUARDS:
+                        raise _overflow(exponents(mono & _GUARDS)
+                                        .index(MAX_EXPONENT + 1))
+                    acc[mono] = c
+                    continue
+                nc = cur + c
                 if not nc:
-                    acc.pop(mono, None)
+                    del acc[mono]
                 else:
                     acc[mono] = nc
         return MPoly._of(acc)
@@ -204,15 +240,13 @@ class MPoly:
     # -- calculus and substitution ---------------------------------------
 
     def diff(self, name: str) -> MPoly:
-        idx = var_slot(name)
-        acc: dict[tuple[int, ...], Coeff] = {}
+        shift = var_slot(name) * _BITS
+        one = 1 << shift
+        acc: dict[int, Coeff] = {}
         for mono, c in self.terms.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[idx] = e - 1
-            acc[tuple(m)] = c * e
+            e = (mono >> shift) & _FIELD
+            if e:
+                acc[mono - one] = c * e
         return MPoly._of(acc)
 
     def substitute(self, bindings: Mapping[str, MPoly | CoeffLike]) -> MPoly:
@@ -221,29 +255,29 @@ class MPoly:
             return self
         polys: dict[int, MPoly] = {}
         for name, value in bindings.items():
-            polys[var_slot(name)] = value if isinstance(value, MPoly) \
+            polys[var_slot(name) * _BITS] = value if isinstance(value, MPoly) \
                 else MPoly.const(value)
         power_memo: dict[tuple[int, int], MPoly] = {}
 
-        def power(idx: int, e: int) -> MPoly:
-            key = (idx, e)
+        def power(shift: int, e: int) -> MPoly:
+            key = (shift, e)
             got = power_memo.get(key)
             if got is None:
-                got = polys[idx] ** e
+                got = polys[shift] ** e
                 power_memo[key] = got
             return got
 
         total = MPoly.zero()
         for mono, c in self.terms.items():
-            rest = list(mono)
+            rest = mono
             piece = None
-            for idx in polys:
-                e = mono[idx]
+            for shift in polys:
+                e = (mono >> shift) & _FIELD
                 if e:
-                    rest[idx] = 0
-                    p = power(idx, e)
+                    rest -= e << shift
+                    p = power(shift, e)
                     piece = p if piece is None else piece * p
-            term = MPoly({tuple(rest): c})
+            term = MPoly._of({rest: c})
             total = total + (term if piece is None else term * piece)
         return total
 
@@ -254,29 +288,36 @@ class MPoly:
             else MPoly.const(replacement)
         if name in repl.variables():
             raise ValueError("replacement contains the reduced variable")
-        idx = var_slot(name)
+        shift = var_slot(name) * _BITS
         total = MPoly.zero()
         for mono, c in self.terms.items():
-            e = mono[idx]
-            q, rem = divmod(e, 2)
-            m = list(mono)
-            m[idx] = rem
-            term = MPoly({tuple(m): c})
+            q, rem = divmod((mono >> shift) & _FIELD, 2)
+            term = MPoly._of({mono - ((2 * q) << shift): c})
             if q:
                 term = term * repl ** q
             total = total + term
         return total
 
     def evaluate(self, assignment: Mapping[str, CoeffLike]) -> Coeff:
-        """Exact evaluation; every variable that occurs must be assigned."""
-        out = self.substitute({n: assignment[n] for n in self.variables()})
-        return out.constant_value()
+        """Exact evaluation, the sum of c * prod(v^e) over the terms; every
+        variable that occurs must be assigned."""
+        values = [(k * _BITS, as_exact(assignment[VAR_NAMES[k]]))
+                  for k in self._slots()]
+        total = None
+        for mono, term in self.terms.items():
+            for shift, v in values:
+                e = (mono >> shift) & _FIELD
+                if e:
+                    term = term * (v if e == 1 else v ** e)
+            total = term if total is None else total + term
+        return total if total else Fraction(0)
 
     # -- rendering --------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
-        """Graded-lex order, highest degree first."""
-        return sorted(self.terms.items(),
+        """(exponent tuple, coefficient) pairs in graded-lex order, highest
+        degree first."""
+        return sorted(((exponents(m), c) for m, c in self.terms.items()),
                       key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
 
     def __str__(self) -> str:

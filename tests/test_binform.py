@@ -16,7 +16,7 @@ from covforge.construction import (assemble, delta_coordinate_system,
                                    octic_basis, octic_coordinates,
                                    quartic_basis, quartic_coordinates,
                                    special_points, unit15)
-from covforge.mpoly import MPoly, var_slot
+from covforge.mpoly import MPoly, exponents, var_slot
 from covforge.scalar import CycScalar
 
 
@@ -156,6 +156,44 @@ def test_group_act_matches_the_power_product_composition(convention):
             f = random_form(rng, degree, "cyclotomic")
             assert group_act(g, f, convention) == \
                 group_act_oracle(g, f, convention), (g, degree)
+
+
+def substituting(m, convention):
+    """The element whose matrix substituted under the convention is m."""
+    return {"substitute_inverse": m.inverse(), "substitute_direct": m,
+            "substitute_transpose": m.transpose()}[convention]
+
+
+def random_unit_entry(rng):
+    r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    return r * rng.choice([CycScalar.one(), CycScalar.i(), CycScalar.zeta(),
+                           CycScalar.sqrt2()])
+
+
+@pytest.mark.parametrize("convention", ACTION_CONVENTIONS)
+def test_group_act_matches_the_oracle_with_a_swap_and_any_determinant(
+        convention):
+    # Degrees 9 to 8 + 8 - 2 = 14, past the power-product test and up to
+    # the largest that property/transvectants acts on.  A substituted
+    # matrix with top-left entry 0 needs z1 and z2 swapped, and one of
+    # determinant other than 1 the factor det^-(degree // 2), which only
+    # even degrees allow.
+    rng = random.Random(f"action-moves-{convention}")
+    cases = 0
+    for _ in range(2):
+        b, c, d = (random_unit_entry(rng) for _ in range(3))
+        unimodular = [GroupElt(0, b, -b ** -1, d), GroupElt(1, b, c, 1 + b * c),
+                      GroupElt(d, b, c, (1 + b * c) * d ** -1)]
+        general = [GroupElt(0, b, -3 * b ** -1, d), GroupElt(1, b, c, b * c + 2)]
+        assert [m.det() for m in general] == [3, 2]
+        for m in unimodular + general:
+            g = substituting(m, convention)
+            for degree in range(9, 15) if m.det() == 1 else range(0, 15, 2):
+                f = random_form(rng, degree, "cyclotomic")
+                assert group_act(g, f, convention) == \
+                    group_act_oracle(g, f, convention), (m, degree)
+                cases += 1
+    assert cases == 2 * (3 * 6 + 2 * 8)
 
 
 def test_odd_degree_action_needs_a_determinant_one_representative():
@@ -306,7 +344,8 @@ def test_the_literal_map_counts_each_mixed_pair_twice():
     counts = []
     for literal, stored in zip(expanded_coordinate_system(),
                                delta_coordinate_system()):
-        crosses = MPoly({m: c for m, c in stored.terms.items() if mixed(m)})
+        crosses = MPoly({m: c for m, c in stored.terms.items()
+                         if mixed(exponents(m))})
         assert literal - stored == crosses
         counts.append(len(crosses.terms))
     assert counts == [6, 2, 9, 13, 13]

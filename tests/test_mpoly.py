@@ -1,10 +1,13 @@
 """Sparse exact multivariate polynomial arithmetic."""
 
+import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from covforge.mpoly import VAR_NAMES, MPoly, poly_vars, var_slot
+from covforge.mpoly import (MAX_EXPONENT, VAR_NAMES, MPoly, exponents,
+                            pack_exponents, poly_vars, var_slot)
 from covforge.scalar import CycScalar
 
 
@@ -95,3 +98,156 @@ def test_sorted_terms_are_canonical_and_stable():
     # graded order: the quadratic term precedes the linear ones
     assert sum(terms[0][0]) == 2
 
+
+
+# ---------------------------------------------------------------------------
+# Oracles: exponent-tuple monomials, multiplied slot by slot, and
+# evaluation as a substitution of every variable.
+
+def tuple_terms(p):
+    """p's terms in their order, each monomial as an exponent tuple."""
+    return {exponents(m): c for m, c in p.terms.items()}
+
+
+def add_oracle(a, b):
+    acc = dict(a)
+    for mono, c in b.items():
+        cur = acc.get(mono)
+        nc = c if cur is None else cur + c
+        if not nc:
+            acc.pop(mono, None)
+        else:
+            acc[mono] = nc
+    return acc
+
+
+def mul_oracle(a, b):
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(map(add, m1, m2))
+            c = c1 * c2
+            cur = acc.get(mono)
+            nc = c if cur is None else cur + c
+            if not nc:
+                acc.pop(mono, None)
+            else:
+                acc[mono] = nc
+    return acc
+
+
+def pow_oracle(a, exponent):
+    out, base, e = {(0,) * len(VAR_NAMES): Fraction(1)}, a, exponent
+    while e:
+        if e & 1:
+            out = mul_oracle(out, base)
+        base = mul_oracle(base, base) if e > 1 else base
+        e >>= 1
+    return out
+
+
+def diff_oracle(a, name):
+    idx = var_slot(name)
+    acc = {}
+    for mono, c in a.items():
+        if mono[idx]:
+            m = list(mono)
+            m[idx] -= 1
+            acc[tuple(m)] = c * mono[idx]
+    return acc
+
+
+def substitute_oracle(a, bindings):
+    polys = {var_slot(n): tuple_terms(p) for n, p in bindings.items()}
+    total = {}
+    for mono, c in a.items():
+        rest = list(mono)
+        piece = None
+        for idx, poly in polys.items():
+            if mono[idx]:
+                rest[idx] = 0
+                p = pow_oracle(poly, mono[idx])
+                piece = p if piece is None else mul_oracle(piece, p)
+        term = {tuple(rest): c}
+        total = add_oracle(total,
+                           term if piece is None else mul_oracle(term, piece))
+    return total
+
+
+def evaluate_oracle(p, assignment):
+    return p.substitute({n: assignment[n]
+                         for n in p.variables()}).constant_value()
+
+
+NAMES = ("x1", "x2", "s0", "eps", "alpha2", "z2")
+
+
+def random_scalar(rng):
+    r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return r * rng.choice([1, CycScalar.i(), CycScalar.zeta()])
+
+
+def random_poly(rng, names=NAMES, max_terms=5):
+    p = MPoly.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        term = MPoly.const(random_scalar(rng))
+        for name in rng.sample(names, rng.randint(0, 3)):
+            term = term * MPoly.var(name) ** rng.randint(1, 3)
+        p = p + term
+    return p
+
+
+def test_packed_monomials_match_the_tuple_oracle_in_value_and_order():
+    rng = random.Random("packed-monomials")
+    for _ in range(150):
+        f, g = random_poly(rng), random_poly(rng)
+        tf, tg = tuple_terms(f), tuple_terms(g)
+        assert list(tuple_terms(f * g).items()) == \
+            list(mul_oracle(tf, tg).items())
+        assert list(tuple_terms(f + g).items()) == \
+            list(add_oracle(tf, tg).items())
+        name = rng.choice(NAMES)
+        assert list(tuple_terms(f.diff(name)).items()) == \
+            list(diff_oracle(tf, name).items())
+        bindings = {n: random_poly(rng, max_terms=2)
+                    for n in rng.sample(NAMES, 2)}
+        assert list(tuple_terms(f.substitute(bindings)).items()) == \
+            list(substitute_oracle(tf, bindings).items())
+        assert f.sorted_terms() == sorted(
+            tf.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+        assert all(pack_exponents(exponents(m)) == m for m in f.terms)
+
+
+def test_evaluation_matches_the_substitution_oracle():
+    rng = random.Random("evaluation")
+    for _ in range(150):
+        p = random_poly(rng)
+        point = {n: random_scalar(rng) for n in NAMES}
+        got = p.evaluate(point)
+        want = evaluate_oracle(p, point)
+        assert got == want
+        if not want:
+            assert type(got) is Fraction
+    x1, x2 = poly_vars("x1", "x2")
+    i = CycScalar.i()
+    zero = (x1 - i * x2).evaluate({"x1": i, "x2": 1})
+    assert zero == evaluate_oracle(x1 - i * x2, {"x1": i, "x2": 1})
+    assert type(zero) is Fraction and zero == 0
+    assert MPoly.zero().evaluate({}) == Fraction(0)
+    with pytest.raises(KeyError):
+        (x1 + x2).evaluate({"x1": 1})
+
+
+def test_an_exponent_past_the_slot_width_raises():
+    x1, x2 = poly_vars("x1", "x2")
+    top = x1 ** MAX_EXPONENT
+    assert top.coeff({"x1": MAX_EXPONENT}) == 1
+    assert (top * x2).coeff({"x1": MAX_EXPONENT, "x2": 1}) == 1
+    with pytest.raises(OverflowError, match="x1"):
+        top * x1
+    with pytest.raises(OverflowError, match="x2"):
+        x2 ** (MAX_EXPONENT + 1)
+    exps = [0] * len(VAR_NAMES)
+    exps[var_slot("z2")] = MAX_EXPONENT + 1
+    with pytest.raises(OverflowError, match="z2"):
+        pack_exponents(exps)
