@@ -20,35 +20,38 @@ Whether an endpoint solves the system is decided once, by
 one, by `_matching` on the chordal distance `_chordal_each` in complex
 doubles, for the endpoint merge, the census's H-images and the checks'
 anchors alike.
-Endpoints of the stratum systems are then re-polished by `mp_polish`
-from the same table embedded at `WORKING_DPS` (the coefficients are
-exact, so the refinement is limited only by working precision); this
-is what lets the multiple-root classifier separate a genuine sixfold
-root cluster from simple roots at CLUSTER_RADIUS.  Each
-full Newton step solves J dx = F by `_mp_solve`, Gaussian elimination
-with partial pivoting over lists of mpmath complexes, and the polish
-stops on a step small relative to the point.  A census polishes and
-classifies only one representative endpoint per orbit of the diagonal
-subgroup H: the sign flips of H, rescaled onto the census chart, carry
-the representative's polished point and labels to every endpoint they
-match within TOL_MATCH, and an endpoint no image matches is polished
-and classified on its own.  The same placement carries a reference
-census's points and labels, census S's for the censuses at seeds S+1
-and S+2, to the endpoints they match.  The
-classifier takes the endpoint octic's roots from `mp.polyroots` at
-`WORKING_DPS`, started from seeds that already resolve each root
-cluster: double-precision roots, with every coarse group of them
-replaced by the roots of the octic's local Taylor polynomial at the
-group centroid, so the 40-digit iteration needs only a few
-quadratically convergent steps where a cold start would creep toward a
-sixfold root.  `embed_mp` is the one exact-to-mpmath embedding, for the
-table, the parameter triple and the sign flips of H; it reads an exact
-value through `as_cyc(v).coords`, one mpf quotient per nonzero
-coordinate.
+Endpoints of the stratum systems are then refined by `mp_polish`, on
+the table's value entries embedded at `WORKING_DPS` (the coefficients
+are exact, so the refinement is limited only by working precision);
+this is what lets the multiple-root classifier separate a genuine
+sixfold root cluster from simple roots at CLUSTER_RADIUS.  Each step
+takes the 40-digit residual F and solves J0 dx = F with the endpoint's
+double Jacobian J0 (iterative refinement), and the polish stops on a
+step small relative to the point.  A census polishes and classifies
+only what it does not already know.  The four L0 points are the same
+rational points at every triple, placed exactly and labelled by their
+exact octics.  Of the other endpoints, only one representative per
+orbit of the diagonal subgroup H is polished: the sign flips of H,
+rescaled onto the census chart, carry the representative's polished
+point and labels to every endpoint they match within TOL_MATCH, and an
+endpoint no image matches is polished and classified on its own.  The
+same placement carries a reference census's points and labels, census
+S's for the censuses at seeds S+1 and S+2, to the endpoints they
+match.  The classifier takes the endpoint octic's roots from
+`mp.polyroots` at `WORKING_DPS`, started from seeds that already
+resolve each root cluster: double-precision roots, with every coarse
+group of them replaced by the roots of the octic's local Taylor
+polynomial at the group centroid, so the 40-digit iteration needs only
+a few quadratically convergent steps where a cold start would creep
+toward a sixfold root.  `embed_mp` is the one exact-to-mpmath
+embedding, for the table, the parameter triple, the L0 points and the
+sign flips of H; it reads an exact value through `as_cyc(v).coords`,
+one mpf quotient per nonzero coordinate.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
-0 and one preimage target are still tracked here, as cross-checks.  This
-is the one module that imports numpy or mpmath.
+0 and one preimage target are still tracked here, as cross-checks, the
+preimage on one chart unless that chart misses the one regular endpoint
+the lemma claims.  This is the one module that imports numpy or mpmath.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -71,7 +74,7 @@ import mpmath as mp
 import numpy as np
 
 from . import construction
-from .binform import BinaryForm
+from .binform import BinaryForm, max_root_multiplicity_exact
 from .checks import CheckResult, _finish
 from .construction import CHART_VARS, Y_NAMES
 from .exlinalg import ExactMatrix
@@ -162,17 +165,17 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CompiledSystem:
-    """A polynomial system as one term table, used at both precisions.
+    """A polynomial system as one term table of complex doubles, with its
+    value entries also at WORKING_DPS.
 
     Built from term lists (coefficient, exponent tuple) whose
     coefficients are exact scalars or complex doubles.  The table has a
     (row, coefficient, exponents) entry per term, then a (size + row *
     nvars + j, coefficient * e_j, exponents with e_j lowered) entry per
     term and variable j the term contains, so one pass gives F in the
-    first `size` slots and the Jacobian in the rest.  It is embedded as
-    complex doubles here, for the tracker, and at WORKING_DPS on the
-    first `mp_polish`; at both precisions a derivative coefficient is
-    the embedded coefficient times e_j.
+    first `size` slots and the Jacobian in the rest.  The tracker reads
+    it as complex doubles; `mp_polish` reads only F, from the value
+    entries embedded at WORKING_DPS on its first call (`mp_table`).
     """
 
     def __init__(self, term_lists: list[list[tuple]], nvars: int) -> None:
@@ -183,7 +186,7 @@ class CompiledSystem:
         self._terms = [(k, c, e) for k, row in enumerate(term_lists)
                        for c, e in row]
         self._mp_table = None
-        table = self._table(complex)
+        table = self._table()
         # the table's terms, then the term 0, which pads the slot sums
         zero = len(table)
         self._coeffs = np.array([c for _s, c, _e in table] + [0],
@@ -209,13 +212,13 @@ class CompiledSystem:
             [[zero] + m + [zero] * (width - 1 - len(m))
              for m in members]).T.ravel()
 
-    def _table(self, embed) -> list[tuple]:
-        """The (slot, coefficient, exponents) entries, with every
-        coefficient embedded by `embed`."""
+    def _table(self) -> list[tuple]:
+        """The (slot, coefficient, exponents) entries in complex doubles;
+        a derivative coefficient is the term's coefficient times e_j."""
         m, n = self.size, self.nvars
-        coeffs = [embed(c) for _k, c, _e in self._terms]
-        table = [(k, c, e) for c, (k, _c, e) in zip(coeffs, self._terms)]
-        for c, (k, _c, e) in zip(coeffs, self._terms):
+        values = [(k, complex(c), e) for k, c, e in self._terms]
+        table = list(values)
+        for k, c, e in values:
             for j in range(n):
                 if e[j]:
                     d = list(e)
@@ -247,11 +250,12 @@ class CompiledSystem:
                 out[:, m:].reshape(shape + (m, self.nvars)))
 
     def mp_table(self) -> list[tuple]:
-        """The table with coefficients embedded at WORKING_DPS, built on
-        the first call."""
+        """The value entries (row, coefficient, exponents), with the
+        coefficients embedded at WORKING_DPS, built on the first call."""
         if self._mp_table is None:
             with mp.workdps(WORKING_DPS):
-                self._mp_table = self._table(embed_mp)
+                self._mp_table = [(k, embed_mp(c), e)
+                                  for k, c, e in self._terms]
         return self._mp_table
 
 
@@ -267,68 +271,30 @@ def _mp_sum(table: list, slots: int, x: list) -> list:
     return out
 
 
-def _mp_solve(rows: list, rhs: list) -> list:
-    """x with A x = b, for a square A given as rows of mpmath numbers.
-
-    Gaussian elimination with partial pivoting on |re| + |im|, with 10
-    guard bits, as mpmath's LU solver adds.  It raises ZeroDivisionError
-    where mpmath's LU factorisation does: on a pivot whose magnitude is
-    at most eps times the 1-norm of A (its largest column sum of
-    magnitudes).  That norm costs a square root per entry, so it is
-    taken only for a pivot with |re| + |im| at most 2n eps 2**top, where
-    2**top bounds every |a_ij|; a larger pivot passes the test anyway.
-    """
-    n = len(rows)
-    with mp.extraprec(10):
-        top = max(mp.mag(v) for row in rows for v in row)
-        clear = 2 * n * mp.eps * mp.mpf(2) ** top
-        tol = None
-        a = [row + [b] for row, b in zip(rows, rhs)]
-        inverse = []
-        for j in range(n):
-            keys = [abs(row[j].real) + abs(row[j].imag) for row in a[j:]]
-            big = max(keys)
-            p = j + keys.index(big)
-            a[j], a[p] = a[p], a[j]
-            pivot = a[j]
-            if big <= clear:
-                if tol is None:
-                    tol = mp.eps * max(
-                        mp.fsum((row[k] for row in rows), absolute=True)
-                        for k in range(n))
-                if abs(pivot[j]) <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-            inverse.append(1 / pivot[j])
-            for row in a[j + 1:]:
-                f = row[j] * inverse[j]
-                row[j + 1:] = [v - f * w
-                               for v, w in zip(row[j + 1:], pivot[j + 1:])]
-        x = [None] * n
-        for i in range(n - 1, -1, -1):
-            row = a[i]
-            x[i] = (row[n] - mp.fsum(row[k] * x[k] for k in range(i + 1, n))
-                    ) * inverse[i]
-        return x
-
-
 def mp_polish(system: CompiledSystem, x0: np.ndarray):
-    """High-precision Newton refinement of a double-precision endpoint.
+    """High-precision refinement of a double-precision endpoint.
 
-    It stops once every step is below 10^(4 - WORKING_DPS) relative to
-    its coordinate, |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), since the
-    rounding noise of a step grows with the size of the point."""
+    Each step takes the residual F at WORKING_DPS, from the value
+    entries of `mp_table`, and solves J0 dx = F in complex doubles, where
+    J0 is the Jacobian at x0 (iterative refinement: the 40-digit residual
+    alone sets the accuracy, and the double J0 only the rate, a factor of
+    about cond(J0) times the double error of x0 per step).  It stops once
+    every step is below 10^(4 - WORKING_DPS) relative to its coordinate,
+    |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), since the rounding noise
+    of a step grows with the size of the point, or after MP_POLISH_ITERS
+    steps.  A singular J0 returns the start point."""
     table = system.mp_table()
-    m, n = system.size, system.nvars
+    _values, jac = system.evaluate(x0)
     with mp.workdps(WORKING_DPS):
         tol = mp.mpf(10) ** (-WORKING_DPS + 4)
         x = [mp.mpc(v) for v in x0]
         for _ in range(MP_POLISH_ITERS):
-            out = _mp_sum(table, m * (1 + n), x)
-            jac = [out[m + i * n:m + (i + 1) * n] for i in range(m)]
+            residual = [complex(v) for v in _mp_sum(table, system.size, x)]
             try:
-                dx = _mp_solve(jac, out[:m])
-            except ZeroDivisionError:       # a singular Jacobian
+                step = np.linalg.solve(jac, residual)
+            except np.linalg.LinAlgError:   # singular J0: x is still x0
                 break
+            dx = [mp.mpc(d) for d in step.tolist()]
             x = [xv - dv for xv, dv in zip(x, dx)]
             if all(abs(d) < tol * (1 + abs(v)) for d, v in zip(dx, x)):
                 break
@@ -583,7 +549,7 @@ def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
 
 
 def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
-                     seed, tag: str) -> dict:
+                     seed, tag: str, want: int | None = None) -> dict:
     """Chart-fix, track, polish, rescue, and deduplicate a projective system.
 
     `rows` are the homogeneous equations as term rows over `var_order`
@@ -592,10 +558,13 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     makes the system square.  The one residual gate: an endpoint `track`
     accepts is kept only if every homogeneous row is below TOL_TRACK at
     its unit-norm representative (NaN fails), else its path turns
-    `polish`; the Jacobian there gives its smallest singular value.  If
-    any path fails, every path is tracked again on a fresh second random
-    chart, and each endpoint found there is rescaled onto the first,
-    x / (c . x); `_dedup` merges them after the first chart's into
+    `polish`; the Jacobian there gives its smallest singular value.
+    `want` is the number of regular endpoints the caller needs, by
+    default the path count.  If any path fails and the first chart has
+    fewer than `want` distinct endpoints with a smallest singular value
+    above SV_REGULAR, every path is tracked again on a fresh second
+    random chart, and each endpoint found there is rescaled onto the
+    first, x / (c . x); `_dedup` merges them after the first chart's into
     `distinct`, all on `chart`, the first chart's c, and solving
     `system`.  `rescue_added` counts the rescued ones in `distinct`, and
     `accepted_count` adds them to the first chart's accepted paths.
@@ -629,7 +598,8 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     failures = [[r for r in results if r.status != "accepted"]]
     distinct = _dedup(accepted)
     first = len(distinct)
-    if failures[0]:
+    regular = sum(e.sv_min > SV_REGULAR for e in distinct)
+    if failures[0] and regular < (path_count if want is None else want):
         _chart2, _sys2, results2, accepted2, _c2 = run_chart(1)
         failures.append([r for r in results2 if r.status != "accepted"])
         distinct = _dedup(distinct + [Endpoint(x=e.x / (chart @ e.x),
@@ -796,7 +766,7 @@ def _local_roots(coeffs: list, center: complex, k: int) -> list | None:
 
 @dataclass
 class StratumPoint:
-    coords: list                    # polished high-precision 6-vector
+    coords: list                    # 40-digit 6-vector, polished or exact
     stratum: str                    # "L0" | "L1" | "L2" | "L3" | "Lopen" | "?"
     multiple_root: bool
 
@@ -851,11 +821,19 @@ def count_stratum_points(r: tuple, seed,
     not yet labelled takes the rescaled point as its coordinates and the
     point's labels.
 
+    The four L0 points, `construction.special_points()`'s
+    `sparse_solutions` with x1 = x2 = x3 = 0, are the same rational
+    points at every triple, so they are placed first, exactly: each is
+    labelled L0, and multiple-root when its exact octic, which does not
+    depend on r, has a root of multiplicity 6 or more
+    (`max_root_multiplicity_exact`).
+
     A reference census, census S of the same triple at another seed, is
-    placed first, point by point: a matched endpoint is the same point
-    as one of census S, so it needs no polish or classification of its
-    own.  `unmatched` lists the endpoints no reference point matched, in
-    order; they go on to the walk below like any other.
+    placed next, point by point: a matched endpoint is the same point as
+    one of census S, so it needs no polish or classification of its
+    own.  `unmatched` lists the endpoints neither an L0 point nor a
+    reference point matched, in order; they go on to the walk below like
+    any other.
 
     The diagonal subgroup H (`construction.h_orbit_signs`) maps the
     system's zero set to itself and keeps both labels, so only one
@@ -863,8 +841,9 @@ def count_stratum_points(r: tuple, seed,
     still unlabelled are walked in order; the first one not yet covered
     is a representative, and each H-image of its polished point, its
     coordinates' signs flipped, is placed.  An endpoint no image matches
-    becomes a representative in its turn, so the reference and the
-    symmetry save work but never decide a label.
+    becomes a representative in its turn, so the L0 points, the
+    reference and the symmetry save work but never decide the label of
+    an endpoint they do not match.
     """
     r = construction.admissible_triple(r)
     rows = [_poly_terms(q, CHART_VARS)
@@ -887,6 +866,11 @@ def count_stratum_points(r: tuple, seed,
                     points[k] = StratumPoint(coords=image, stratum=stratum,
                                              multiple_root=multiple)
 
+        for p in construction.special_points()["sparse_solutions"]:
+            octic = construction.octic_form(
+                construction.sparse_solution_vec9(p))
+            place([embed_mp(v) for v in (_F(0), _F(0), _F(0), *p)], "L0",
+                  max_root_multiplicity_exact(octic) >= 6)
         unmatched = []
         if reference is not None:
             for p in reference.points:
@@ -1223,7 +1207,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     every trial's plane.  Trial 0 is also tracked by homotopy:
     `preimage_cross_check` gives the chordal distance of its one regular
     endpoint from the exact point (below TOL_MATCH), its failed paths
-    per chart as [index, status], and how many `polish` endpoints lie
+    per tracked chart as [index, status] (one chart, unless the first
+    misses the regular endpoint), and how many `polish` endpoints lie
     within TOL_DEDUP of l (a `polish` endpoint off l is a residual).
 
     The slice degree is proved the same way: each of the five seeded
@@ -1381,7 +1366,9 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
 
     The fiber rows plus three alignment rows, the minors of the projected
     point against n, make a square system; its one regular endpoint must
-    lie within TOL_MATCH of the exact preimage.  Every failed path that
+    lie within TOL_MATCH of the exact preimage.  The solve wants that one
+    regular endpoint (`want` 1), so a rescue chart is tracked only when
+    the first chart misses it.  Every failed path of a tracked chart that
     ends `polish` must end within TOL_DEDUP of the center line l, the
     excess component every alignment row vanishes on.  `stalled` and
     `diverged` paths are reported by status only: their last iterate is
@@ -1395,7 +1382,7 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
         row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
         align.append(_linear_row_terms(list(row)))
     run = solve_projective(_fiber_rows((_F(0), _F(0), _F(0))) + align,
-                           Y_NAMES, seed, f"preimage:{trial}")
+                           Y_NAMES, seed, f"preimage:{trial}", 1)
     regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
     chordal = None
     if len(regular) != 1 or sol["point"] is None:

@@ -23,7 +23,7 @@ from covforge.continuation import (TOL_MATCH, WORKING_DPS, CompiledSystem,
                                    NumericRun, _chordal_each,
                                    _chordal_groups, _fiber_rows,
                                    _linear_row_terms, _matching,
-                                   _mp_solve, _octic_roots, _poly_terms,
+                                   _octic_roots, _poly_terms,
                                    _predict, _rng, _slice_rows, _solve_stack,
                                    _start_system,
                                    check_fiber_geometry,
@@ -33,6 +33,7 @@ from covforge.continuation import (TOL_MATCH, WORKING_DPS, CompiledSystem,
                                    fiber_probe, mp_polish,
                                    octic_root_clusters, PathResult,
                                    solve_projective, track)
+from covforge.binform import max_root_multiplicity_exact
 from covforge.exlinalg import ExactMatrix, Subspace
 from covforge.mpoly import MPoly, exponents
 from covforge.scalar import CycScalar
@@ -256,44 +257,6 @@ def test_mp_embedding_and_polish_reach_the_working_precision():
                                  ).min() < 1e-30
 
 
-def _random_system(rng: random.Random, n: int = 6) -> tuple[list, list]:
-    """A seeded complex n x n matrix, as rows of mpc, and a right side."""
-    draws = [mp.mpc(rng.gauss(0, 1), rng.gauss(0, 1))
-             for _ in range(n * n + n)]
-    return [draws[i * n:(i + 1) * n] for i in range(n)], draws[n * n:]
-
-
-def test_the_polish_elimination_agrees_with_mpmath_lu_solve():
-    rng = random.Random(20260418)
-    with mp.workdps(WORKING_DPS):
-        for _ in range(20):
-            rows, rhs = _random_system(rng)
-            want = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-            got = _mp_solve(rows, rhs)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-35 * (1 + abs(w))
-
-
-def test_the_polish_elimination_fails_where_mpmath_lu_solve_does():
-    rng = random.Random(7)
-    with mp.workdps(WORKING_DPS):
-        rows, rhs = _random_system(rng)
-        # exactly singular: a zero column (the last one, since mpmath's
-        # pivot search needs a nonzero entry in each earlier column)
-        zero_column = [row[:-1] + [mp.mpc(0)] for row in rows]
-        # numerically singular: rank 5, then one entry moved by 1e-60
-        left, _ = _random_system(rng)
-        right, _ = _random_system(rng)
-        rank5 = [[mp.fsum(left[i][k] * right[k][j] for k in range(5))
-                  for j in range(6)] for i in range(6)]
-        rank5[2][3] += mp.mpf("1e-60")
-        for singular in (zero_column, rank5):
-            with pytest.raises(ZeroDivisionError):
-                mp.lu_solve(mp.matrix(singular), mp.matrix(rhs))
-            with pytest.raises(ZeroDivisionError):
-                _mp_solve(singular, rhs)
-
-
 def test_polished_census_points_match_the_golden_file(numeric_run):
     """The sample census at seed 42, polished at WORKING_DPS, against its
     points stored as 45-digit strings with their labels.  The polish
@@ -329,8 +292,9 @@ def _counting(calls, name):
 def orbit_censuses():
     """Fresh sample censuses at seed 42, with the diagonal subgroup H as
     it is ("orbits") and cut to its identity ("own", where every endpoint
-    is polished and classified on its own), each with its counts of
-    `mp_polish` and `octic_root_clusters` calls."""
+    but the four exact L0 points is polished and classified on its own),
+    each with its counts of `mp_polish` and `octic_root_clusters`
+    calls."""
     out = {}
     for name, signs in (("orbits", con.h_orbit_signs()),
                         ("own", con.h_orbit_signs()[:1])):
@@ -345,9 +309,10 @@ def orbit_censuses():
 
 def test_the_census_polishes_and_classifies_one_point_per_h_orbit(
         orbit_censuses):
+    # 10 H-orbits of 28 endpoints: the four L0 points are exact
     census, calls = orbit_censuses["orbits"]
     assert census.distinct_count == 32
-    assert calls == {"mp_polish": 14, "octic_root_clusters": 14}
+    assert calls == {"mp_polish": 10, "octic_root_clusters": 10}
 
 
 def test_an_inherited_point_is_its_own_polish_with_its_own_labels(
@@ -366,8 +331,64 @@ def test_without_the_symmetry_every_endpoint_is_polished_on_its_own(
         orbit_censuses):
     census, _calls = orbit_censuses["orbits"]
     own, calls = orbit_censuses["own"]
-    assert calls == {"mp_polish": 32, "octic_root_clusters": 32}
+    assert calls == {"mp_polish": 28, "octic_root_clusters": 28}
     assert own.partition == census.partition
+
+
+def _rational_triples(count: int) -> list[tuple]:
+    """Seeded admissible triples with small rational entries."""
+    rng = random.Random(20261019)
+    triples = []
+    while len(triples) < count:
+        r = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                  for _ in range(3))
+        try:
+            triples.append(con.admissible_triple(r))
+        except ValueError:
+            continue
+    return triples
+
+
+def test_the_l0_anchors_are_exact_census_points_without_a_sixfold_root():
+    small = tuple(v * Fraction(1, 100000) for v in SAMPLE_R)
+    triples = [SAMPLE_R, (Fraction(0),) * 3, small] + _rational_triples(4)
+    anchors = con.special_points()["sparse_solutions"]
+    assert len(anchors) == 4
+    for r in triples:
+        quadrics = literal_restricted_quadrics(r)
+        for p in anchors:
+            env = dict(zip(CHART_VARS, (0, 0, 0, *p)))
+            assert all(q.evaluate(env) == 0 for q in quadrics), (r, p)
+    for p in anchors:
+        octic = con.octic_form(con.sparse_solution_vec9(p))
+        assert max_root_multiplicity_exact(octic) < 6
+
+
+def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
+        monkeypatch, orbit_censuses):
+    census, _calls = orbit_censuses["orbits"]
+    real = con.special_points()
+    dropped, *kept = real["sparse_solutions"]
+    monkeypatch.setattr(con, "special_points",
+                        lambda: {**real, "sparse_solutions": tuple(kept)})
+    calls = dict.fromkeys(("mp_polish", "octic_root_clusters"), 0)
+    for fn in calls:
+        monkeypatch.setattr(continuation, fn, _counting(calls, fn))
+    alone = count_stratum_points(SAMPLE_R, 42)
+    assert calls == {"mp_polish": 11, "octic_root_clusters": 11}
+    assert alone.partition == census.partition == SAMPLE_PARTITION
+    # the polished endpoint is the dropped anchor, with the anchor's labels
+    with mp.workdps(WORKING_DPS):
+        exact = [mp.mpc(0)] * 3 + [embed_mp(v) for v in dropped]
+        hits = [k for k, pt in enumerate(alone.points)
+                if _chordal_each(np.array(pt.coords, dtype=object),
+                                 np.array(exact, dtype=object)) < 1e-30]
+        assert len(hits) == 1
+        point, anchored = alone.points[hits[0]], census.points[hits[0]]
+        assert (point.stratum, point.multiple_root) == ("L0", False)
+        assert (anchored.stratum, anchored.multiple_root) == ("L0", False)
+        for x, w in zip(point.coords, anchored.coords, strict=True):
+            assert abs(x - w) <= 1e-36 * (1 + abs(w))
 
 
 SAMPLE_PARTITION = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2,
@@ -382,9 +403,9 @@ def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
     result = check_seed_stability(42, SAMPLE_R, NumericRun())
     assert result.ok, result.residuals
     assert result.details["partition"] == SAMPLE_PARTITION
-    # census 42 polishes one endpoint per H-orbit; every endpoint of
-    # censuses 43 and 44 matches one of its points
-    assert calls["mp_polish"] == 14
+    # census 42 polishes one endpoint per H-orbit off L0; every endpoint
+    # of censuses 43 and 44 matches one of its points
+    assert calls["mp_polish"] == 10
 
 
 def _moved(coords: list, distance: float) -> list:
@@ -448,17 +469,15 @@ class _Tracked(Exception):
     pass
 
 
-def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
-        monkeypatch):
-    # the sample census at seed 1 rescues three endpoints in a second
-    # chart; polished on the census chart all three have a coordinate
-    # near 80, where an absolute 1e-36 stop is below the rounding noise
-    # of a step
-    runs, charts = [], []
+@pytest.fixture(scope="module")
+def sample_solve_seed1():
+    """The arguments and the result of the sample census's solve at seed
+    1, and the results of each chart it tracked."""
+    calls, charts = [], []
     track_paths = continuation.track
 
     def tracked(*args):
-        runs.append(solve_projective(*args))
+        calls.append((args, solve_projective(*args)))
         raise _Tracked
 
     def recorded(*args):
@@ -466,20 +485,40 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         charts.append(out[0])
         return out
 
-    monkeypatch.setattr(continuation, "solve_projective", tracked)
-    monkeypatch.setattr(continuation, "track", recorded)
-    with pytest.raises(_Tracked):
-        count_stratum_points(SAMPLE_R, 1)
-    monkeypatch.undo()
-    calls = {"_mp_solve": 0}
-    monkeypatch.setattr(continuation, "_mp_solve",
-                        _counting(calls, "_mp_solve"))
-    run = runs[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "solve_projective", tracked)
+        patch.setattr(continuation, "track", recorded)
+        with pytest.raises(_Tracked):
+            count_stratum_points(SAMPLE_R, 1)
+    (args, run), = calls
+    return args, run, charts
+
+
+def test_a_census_solve_wants_every_path_and_keeps_its_rescue_chart(
+        sample_solve_seed1):
+    # the census passes no `want`, so it wants all 32 paths regular; its
+    # first chart fails three, and the rescue chart finds them
+    args, run, charts = sample_solve_seed1
+    assert len(args) == 4
+    assert len(charts) == len(run["failures"]) == 2
+    assert run["rescue_added"] == 3
+
+
+def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
+        monkeypatch, sample_solve_seed1):
+    # the sample census at seed 1 rescues three endpoints in a second
+    # chart; polished on the census chart all three have a coordinate
+    # near 80, where an absolute 1e-36 stop is below the rounding noise
+    # of a step.  A refinement step is one 40-digit residual evaluation,
+    # so the steps are counted as `_mp_sum` calls
+    _args, run, charts = sample_solve_seed1
+    calls = {"_mp_sum": 0}
+    monkeypatch.setattr(continuation, "_mp_sum", _counting(calls, "_mp_sum"))
     steps, sizes = [], []
     for e in run["distinct"]:
-        calls["_mp_solve"] = 0
+        calls["_mp_sum"] = 0
         x = mp_polish(run["system"], e.x)
-        steps.append(calls["_mp_solve"])
+        steps.append(calls["_mp_sum"])
         sizes.append(max(abs(v) for v in x))
     assert run["rescue_added"] == 3
     assert run["accepted_count"] == 32
@@ -934,3 +973,34 @@ def test_the_exact_preimage_is_a_transversal_fiber_point_over_the_target():
     lam = image[0] * n[0].inverse()
     assert lam != 0
     assert image == [lam * v for v in n]
+
+
+def test_a_preimage_solve_tracks_its_rescue_chart_only_below_want(
+        monkeypatch):
+    # the cross-check wants the one regular preimage the lemma claims;
+    # its first chart finds it, so no rescue chart is tracked unless a
+    # solve is given a `want` it cannot meet
+    rng = _rng(42, "preimage", 0)
+    target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       for _ in range(4)])
+    sol = exact_preimage([con.gaussian(z) for z in target])
+    extract = np.array([[complex(v) for v in row]
+                        for row in projection_data()["extract_rows"]])
+    real = continuation.solve_projective
+    for want, charts in ((1, 1), (2, 2)):
+        runs = []
+
+        def solve(*args):
+            assert args[3:] == ("preimage:0", 1)
+            runs.append(real(*args[:4], want))
+            return runs[-1]
+
+        monkeypatch.setattr(continuation, "solve_projective", solve)
+        residuals = []
+        out = continuation._preimage_cross_check(42, 0, target, extract, sol,
+                                                 residuals)
+        (run,) = runs
+        assert residuals == []
+        assert out["chordal"] < TOL_MATCH
+        assert len(run["failures"]) == len(out["failed_paths"]) == charts
+        assert run["failed"] and run["rescue_added"] == 0
