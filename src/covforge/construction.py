@@ -641,6 +641,7 @@ def admissible_triple(r: tuple) -> tuple:
     return r
 
 
+@lru_cache(maxsize=1)
 def literal_pure_quadrics() -> tuple[MPoly, ...]:
     """The five literal quadric coordinates restricted to the octic block."""
     cut = {n: _F(0) for n in ("s0", "s1", "s2", "s3", "s4", "s5", "eps")}

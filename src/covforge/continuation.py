@@ -6,15 +6,18 @@ of (coefficient, exponent tuple) over a fixed variable order:
 random slice or alignment form with complex double coefficients.  The
 caller concatenates the rows of one system.  Every system is compiled
 once into a `CompiledSystem`: one term table, whose value and
-derivative entries give F and its Jacobian in one pass.  The tracker
-reads it as complex doubles and follows H = gamma (1 - t) G + t F from
-the total-degree start system G = x^d - b, taken in closed form, with
-its start constants and gamma drawn from the caller's seeded stream.
-All paths of a system advance together as one (paths, n) stack, each
-with its own step control, through stacked evaluations and solves; one
-helper gives H and its Jacobian to the fourth-order Runge-Kutta
-predictor, the short Newton corrector with adaptive step halving, and
-the endpoint polish.
+derivative entries give F and its Jacobian in one pass; several systems
+of one shape can share the table, each with its own coefficients.  The
+tracker reads it as complex doubles and follows H = gamma (1 - t) G + t F
+from the total-degree start system G = x^d - b, taken in closed form,
+with each system's start constants and gamma drawn from its own seeded
+stream.  All paths advance together as one (paths, n) stack, each with
+its own system and step control, through stacked evaluations and
+solves; one helper gives H and its Jacobian to the fourth-order
+Runge-Kutta predictor, the short Newton corrector with adaptive step
+halving, and the endpoint polish.  So the censuses of one run are
+tracked as one stack (`solve_stacked`), and each path still ends bit
+for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
 `solve_projective`'s projective residual test; whether two points are
 one, by `_matching` on the chordal distance `_chordal_each` in complex
@@ -37,16 +40,17 @@ point and labels to every endpoint they match within TOL_MATCH, and an
 endpoint no image matches is polished and classified on its own.  The
 same placement carries a reference census's points and labels, census
 S's for the censuses at seeds S+1 and S+2, to the endpoints they
-match.  The classifier takes the endpoint octic's roots from
-`mp.polyroots` at `WORKING_DPS`, started from seeds that already
-resolve each root cluster: double-precision roots, with every coarse
-group of them replaced by the roots of the octic's local Taylor
-polynomial at the group centroid, so the 40-digit iteration needs only
-a few quadratically convergent steps where a cold start would creep
-toward a sixfold root.  `embed_mp` is the one exact-to-mpmath
-embedding, for the table, the parameter triple, the L0 points and the
-sign flips of H; it reads an exact value through `as_cyc(v).coords`,
-one mpf quotient per nonzero coordinate.
+match.  The classifier counts the endpoint octic's root clusters
+instead of finding its roots: the double-precision roots are grouped,
+and Pellet's test on the octic's 40-digit Taylor coefficients at each
+group's centroid proves that a small disc there holds exactly the
+group's number of roots (`octic_root_clusters`); an octic the counts
+cannot decide is named in the check's residuals, not raised.  The
+centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
+2005), so the double roots already place every cluster.  `embed_mp` is
+the one exact-to-mpmath embedding, for the table, the parameter triple,
+the L0 points and the sign flips of H; it reads an exact value through
+`as_cyc(v).coords`, one mpf quotient per nonzero coordinate.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
 0 and one preimage target are still tracked here, as cross-checks, the
@@ -63,11 +67,12 @@ unordered-pair tables (see the calibration notes in the bracket module).
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -99,7 +104,6 @@ POLISH_ITERS = 20           # double-precision endpoint Newton steps
 MP_POLISH_ITERS = 12        # high-precision endpoint Newton steps
 WORKING_DPS = 40            # decimal digits of the high-precision work
 SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
-SEED_EXTRAPREC = 160        # extra bits of a cluster's local Taylor expansion
 
 
 # ---------------------------------------------------------------------------
@@ -165,58 +169,98 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CompiledSystem:
-    """A polynomial system as one term table of complex doubles, with its
-    value entries also at WORKING_DPS.
+    """One polynomial system, or a stack of several of the same
+    variables and row count, as one term table of complex doubles, with
+    the value entries also at WORKING_DPS.
 
     Built from term lists (coefficient, exponent tuple) whose
-    coefficients are exact scalars or complex doubles.  The table has a
-    (row, coefficient, exponents) entry per term, then a (size + row *
-    nvars + j, coefficient * e_j, exponents with e_j lowered) entry per
-    term and variable j the term contains, so one pass gives F in the
-    first `size` slots and the Jacobian in the rest.  The tracker reads
-    it as complex doubles; `mp_polish` reads only F, from the value
-    entries embedded at WORKING_DPS on its first call (`mp_table`).
+    coefficients are exact scalars or complex doubles.  A system's table
+    has a (row, coefficient, exponents) entry per term, then a (size +
+    row * nvars + j, coefficient * e_j, exponents with e_j lowered) entry
+    per term and variable j the term contains, so one pass gives F in
+    the first `size` slots and the Jacobian in the rest.  The systems of
+    a stack (`stacked`) share one table of (slot, exponents) entries,
+    and each has its own row of coefficients, 0 at an entry it lacks.
+    Each slot lists its entries in an order that keeps every system's own
+    table order, and a zero term leaves a sum started at +0 bitwise as it
+    was, so every system evaluates in the stack bitwise as it does alone.
+    The tracker reads the table as complex doubles; `mp_polish` reads
+    only F of one system (`member`), from its value entries embedded at
+    WORKING_DPS on its first call (`mp_table`).
     """
 
     def __init__(self, term_lists: list[list[tuple]], nvars: int) -> None:
+        self._build([term_lists], nvars)
+
+    @classmethod
+    def stacked(cls, systems: list[list[list[tuple]]], nvars: int
+                ) -> CompiledSystem:
+        """The systems, each a list of term rows, as one stack."""
+        out = cls.__new__(cls)
+        out._build(systems, nvars)
+        return out
+
+    def _build(self, systems: list, nvars: int) -> None:
         self.nvars = nvars
-        self.size = len(term_lists)
-        self.degrees = [max(sum(e) for _c, e in terms)
-                        for terms in term_lists]
-        self._terms = [(k, c, e) for k, row in enumerate(term_lists)
-                       for c, e in row]
+        self.size = len(systems[0])
+        if any(len(rows) != self.size for rows in systems):
+            raise ValueError("stacked systems need the same row count")
+        self.degrees = [[max(sum(e) for _c, e in terms) for terms in rows]
+                        for rows in systems]
+        self.path_counts = [math.prod(d) for d in self.degrees]
+        self._terms = [[(k, c, e) for k, row in enumerate(rows)
+                        for c, e in row] for rows in systems]
         self._mp_table = None
-        table = self._table()
+        # each slot's entries, as indices into `keys`, in an order that
+        # holds every system's table order: a system's entry takes the
+        # first equal key after its previous one, or a new key there
+        slots = [[] for _ in range(self.size * (1 + nvars))]
+        keys: list[tuple] = []
+        rows = []
+        for terms in self._terms:
+            coeffs, after = {}, [0] * len(slots)
+            for slot, c, e in self._table(terms):
+                seq = slots[slot]
+                at = next((i for i in range(after[slot], len(seq))
+                           if keys[seq[i]] == e), None)
+                if at is None:
+                    at = after[slot]
+                    seq.insert(at, len(keys))
+                    keys.append(e)
+                coeffs[seq[at]] = c
+                after[slot] = at + 1
+            rows.append(coeffs)
         # the table's terms, then the term 0, which pads the slot sums
-        zero = len(table)
-        self._coeffs = np.array([c for _s, c, _e in table] + [0],
-                                dtype=complex)
+        zero = len(keys)
+        self._coeffs = np.array([[row.get(i, 0) for i in range(zero)] + [0]
+                                 for row in rows], dtype=complex)
         # x_j^e is entry e * nvars + j of the power table; a term is the
-        # product of its x_j^e_j with e_j > 0, in variable order, padded
-        # with x_0^0 = 1 (a factor 1 leaves a finite product as it is);
-        # one row per factor
-        self._powers = np.arange(max(max(e) for _s, _c, e in table) + 1)
-        factors = [[e[j] * nvars + j for j in range(nvars) if e[j]]
-                   for _s, _c, e in table] + [[]]
-        top = max(1, max(map(len, factors)))
-        self._factors = np.array(
-            [f + [0] * (top - len(f)) for f in factors]).T
-        # slot s sums its terms in table order after a leading 0, as a
+        # product of its x_j^e_j with e_j > 0, in variable order, and a
+        # constant is x_0^0 = 1: `_first` holds each term's first factor,
+        # and `_more` each later one with the terms that have it
+        self._top = max(max(e) for e in keys)
+        factors = [[e[j] * nvars + j for j in range(nvars) if e[j]] or [0]
+                   for e in keys] + [[0]]
+        self._first = np.array([f[0] for f in factors])
+        self._more = []
+        for k in range(1, max(map(len, factors))):
+            terms = [i for i, f in enumerate(factors) if len(f) > k]
+            self._more.append((np.array(terms),
+                               np.array([factors[i][k] for i in terms])))
+        # slot s sums its terms in order after a leading 0, as a
         # sequential sum from 0 does; column k of the (width, slots)
         # gather holds every slot's k-th summand
-        members = [[] for _ in range(self.size * (1 + nvars))]
-        for i, (slot, _c, _e) in enumerate(table):
-            members[slot].append(i)
-        width = 1 + max(map(len, members))
+        width = 1 + max(map(len, slots))
         self._gather = np.array(
             [[zero] + m + [zero] * (width - 1 - len(m))
-             for m in members]).T.ravel()
+             for m in slots]).T.ravel()
 
-    def _table(self) -> list[tuple]:
-        """The (slot, coefficient, exponents) entries in complex doubles;
-        a derivative coefficient is the term's coefficient times e_j."""
+    def _table(self, terms: list[tuple]) -> list[tuple]:
+        """A system's (slot, coefficient, exponents) entries in complex
+        doubles; a derivative coefficient is the term's coefficient times
+        e_j."""
         m, n = self.size, self.nvars
-        values = [(k, complex(c), e) for k, c, e in self._terms]
+        values = [(k, complex(c), e) for k, c, e in terms]
         table = list(values)
         for k, c, e in values:
             for j in range(n):
@@ -226,22 +270,41 @@ class CompiledSystem:
                     table.append((m + k * n + j, c * e[j], tuple(d)))
         return table
 
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def members(self) -> int:
+        return len(self._terms)
+
+    def member(self, k: int) -> CompiledSystem:
+        """System k of the stack alone, on the shared table."""
+        out = copy.copy(self)
+        out.degrees = self.degrees[k:k + 1]
+        out.path_counts = self.path_counts[k:k + 1]
+        out._terms = self._terms[k:k + 1]
+        out._coeffs = self._coeffs[k:k + 1]
+        out._mp_table = None
+        return out
+
+    def evaluate(self, x: np.ndarray, which=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         """F and the Jacobian J, from one pass over the table, at a point
-        of shape (nvars,) or at each row of a stack of shape (P, nvars).
+        of shape (nvars,) or at each row of a stack of shape (P, nvars),
+        of system 0, or of system which[p] at row p.
 
         Every value is bitwise what a sequential sum of the terms gives
         at that one point, whatever the stack around it.
         """
         points = x.reshape(-1, self.nvars)
         count = len(points)
-        powers = (points[:, None, :] ** self._powers[:, None]).reshape(
-            count, len(self._powers) * self.nvars)
-        factors = powers[:, self._factors]
-        mono = factors[:, 0]
-        for k in range(1, len(self._factors)):
-            mono = _cmul(mono, factors[:, k])
-        terms = self._coeffs * mono
+        # x^0 and x^1 are exact, and np.power, not `**`, which squares
+        # by a fused multiply, gives the higher powers
+        powers = np.concatenate(
+            [np.ones_like(points), points]
+            + [np.power(points, e) for e in range(2, self._top + 1)], axis=1)
+        mono = powers[:, self._first]
+        for terms, factor in self._more:
+            mono[:, terms] = _cmul(mono[:, terms], powers[:, factor])
+        coeffs = self._coeffs[0] if which is None else self._coeffs[which]
+        terms = coeffs * mono
         slots = self.size * (1 + self.nvars)
         out = terms[:, self._gather].reshape(
             count, len(self._gather) // slots, slots).sum(axis=1)
@@ -250,12 +313,13 @@ class CompiledSystem:
                 out[:, m:].reshape(shape + (m, self.nvars)))
 
     def mp_table(self) -> list[tuple]:
-        """The value entries (row, coefficient, exponents), with the
-        coefficients embedded at WORKING_DPS, built on the first call."""
+        """System 0's value entries (row, coefficient, exponents), with
+        the coefficients embedded at WORKING_DPS, built on the first
+        call."""
         if self._mp_table is None:
             with mp.workdps(WORKING_DPS):
                 self._mp_table = [(k, embed_mp(c), e)
-                                  for k, c, e in self._terms]
+                                  for k, c, e in self._terms[0]]
         return self._mp_table
 
 
@@ -348,13 +412,11 @@ def _start_data(degrees: list[int], rng: random.Random):
 
 def _start_system(x: np.ndarray, start: tuple
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """G = x^d - b and its diagonal Jacobian, in closed form, for the
-    start pair (d, b), at a point x or at each row of a stack."""
+    """G = x^d - b and the diagonal d x^(d-1) of its Jacobian, in closed
+    form, for the start pair (d, b), at a point x or at each row of a
+    stack."""
     degrees, consts = start
-    n = x.shape[-1]
-    jac = np.zeros(x.shape + (n,), dtype=complex)
-    jac[..., range(n), range(n)] = degrees * x ** (degrees - 1)
-    return x ** degrees - consts, jac
+    return x ** degrees - consts, degrees * x ** (degrees - 1)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -406,25 +468,27 @@ def _predict(homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray
     return x + step, ok1 & ok2 & ok3 & ok4
 
 
-def track(system: CompiledSystem, rng: random.Random
-          ) -> tuple[list[PathResult], int]:
-    """Track every total-degree path of a square system, with the start
-    constants and gamma drawn from `rng`.
+def track(system: CompiledSystem, rng) -> tuple[list[PathResult], int]:
+    """Track every total-degree path of a square system, or of each
+    system of a stack, with the start constants and gamma drawn from
+    `rng`, or from one stream of the sequence `rng` per stacked system.
 
     The paths of H = gamma (1 - t) G + t F run from the roots of the
-    start system G = x^d - b at t = 0 to the target F at t = 1.  They
-    advance together, as one stack, but each with its own t, step size
-    and iteration count: a round takes one fourth-order Runge-Kutta
-    predictor step (`_predict`, four stacked stage solves) for every path
-    still moving, then up to CORRECTOR_ITERS Newton corrector steps for
-    the paths still correcting, and then each path accepts (and grows its
-    step by 1.5, up to MAX_STEP) or halves its step by itself; a path
-    with a singular predictor stage halves its step too.  Paths that
-    reach t = 1 get the endpoint Newton polish on F, stacked the same
-    way.  So each path takes exactly the steps, and ends at exactly the
-    point, it would reach tracked alone.
+    start system G = x^d - b at t = 0 to the target F at t = 1, each
+    with its own system's F, b and gamma.  All paths of the stack
+    advance together, but each with its own t, step size and iteration
+    count: a round takes one fourth-order Runge-Kutta predictor step
+    (`_predict`, four stacked stage solves) for every path still moving,
+    then up to CORRECTOR_ITERS Newton corrector steps for the paths still
+    correcting, and then each path accepts (and grows its step by 1.5,
+    up to MAX_STEP) or halves its step by itself; a path with a singular
+    predictor stage halves its step too.  Paths that reach t = 1 get the
+    endpoint Newton polish on F, stacked the same way.  So each path
+    takes exactly the steps, and ends at exactly the point, it would
+    reach tracked alone, in its system alone.
 
-    Returns the per-path results and the Bézout path count.  One
+    Returns the per-path results, system by system, each system's paths
+    indexed from 0 in Bézout order, and the number of paths.  One
     endpoint attempt per path, `accepted` when its polish converges (the
     caller gates the residual); failures carry their terminal status and
     their last iterate.  A path's `steps`, and the MAX_PATH_ITERS cap on
@@ -434,20 +498,37 @@ def track(system: CompiledSystem, rng: random.Random
     n = system.nvars
     if system.size != n:
         raise ValueError("tracker needs a square system")
-    degrees = system.degrees
-    consts, roots = _start_data(degrees, rng)
-    gamma = cmath.exp(2j * math.pi * rng.random())
-    start = np.array(degrees), np.array(consts)
+    rngs = [rng] if isinstance(rng, random.Random) else list(rng)
+    if len(rngs) != system.members:
+        raise ValueError("the tracker needs one stream per stacked system")
+    # per path: its system, its index there, its start point, and its
+    # system's degrees, start constants and gamma
+    member, index, start, degrees, consts, gammas = [], [], [], [], [], []
+    for k, (deg, stream) in enumerate(zip(system.degrees, rngs)):
+        b, roots = _start_data(deg, stream)
+        gamma = cmath.exp(2j * math.pi * stream.random())
+        for i, choice in enumerate(itertools.product(*map(range, deg))):
+            start.append([roots[j][c] for j, c in enumerate(choice)])
+            member.append(k)
+            index.append(i)
+            degrees.append(deg)
+            consts.append(b)
+            gammas.append(gamma)
+    member, degrees = np.array(member), np.array(degrees)
+    consts, gammas = np.array(consts), np.array(gammas)
+    diagonal = np.arange(n)
 
-    def homotopy(x, t):
+    def homotopy(x, t, paths):
         """H and its x-Jacobian at the rows of x and the entries of t,
-        and dH/dt."""
-        g, jg = _start_system(x, start)
-        f, jf = system.evaluate(x)
+        one row per path in `paths`, and dH/dt.  G's Jacobian is
+        diagonal, so H_x is t F_x with s G_x added on the diagonal."""
+        g, dg = _start_system(x, (degrees[paths], consts[paths]))
+        f, jf = system.evaluate(x, member[paths])
+        gamma = gammas[paths]
         s = gamma * (1.0 - t)
-        return (s[:, None] * g + t[:, None] * f,
-                s[:, None, None] * jg + t[:, None, None] * jf,
-                -gamma * g + f)
+        hx = t[:, None, None] * jf
+        hx[:, diagonal, diagonal] += s[:, None] * dg
+        return s[:, None] * g + t[:, None] * f, hx, -gamma[:, None] * g + f
 
     def newton(x, t, paths, iters, tol):
         """Up to `iters` Newton steps on H(., t) from the rows of x, one
@@ -459,7 +540,7 @@ def track(system: CompiledSystem, rng: random.Random
         for _ in range(iters):
             if not act.size:
                 break
-            hv, jac, _ht = homotopy(x[act], t[act])
+            hv, jac, _ht = homotopy(x[act], t[act], paths[act])
             delta, ok = _solve_stack(jac, hv)
             act, delta = act[ok], delta[ok]
             xa = x[act] - delta
@@ -470,9 +551,7 @@ def track(system: CompiledSystem, rng: random.Random
             act = act[~small]
         return x, converged
 
-    x = np.array([[roots[i][k] for i, k in enumerate(choice)]
-                  for choice in itertools.product(*map(range, degrees))],
-                 dtype=complex)
+    x = np.array(start, dtype=complex)
     count = len(x)
     t = np.zeros(count)
     h = np.full(count, FIRST_STEP)
@@ -488,7 +567,8 @@ def track(system: CompiledSystem, rng: random.Random
     live = np.arange(count)
     while live.size:
         h[live] = np.minimum(h[live], 1.0 - t[live])
-        xp, ok = _predict(homotopy, x[live], t[live], h[live])
+        xp, ok = _predict(lambda y, s, live=live: homotopy(y, s, live),
+                          x[live], t[live], h[live])
         moving = live[ok]
         tn = t[moving] + h[moving]
         xn, converged = newton(xp[ok], tn, moving, CORRECTOR_ITERS, 1e-9)
@@ -511,8 +591,8 @@ def track(system: CompiledSystem, rng: random.Random
                                     polished, POLISH_ITERS, 1e-13)
     for i in polished[converged]:
         status[i] = "accepted"
-    return [PathResult(i, status[i], x=x[i].copy(), steps=int(steps[i]))
-            for i in range(count)], count
+    return [PathResult(index[i], status[i], x=x[i].copy(),
+                       steps=int(steps[i])) for i in range(count)], count
 
 
 def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -570,84 +650,186 @@ def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
     `accepted_count` adds them to the first chart's accepted paths.
     `failed` lists the first chart's failed paths as (index, status);
     `failures` holds the failed `PathResult`s of each chart that ran,
-    each with its last iterate.
+    each with its last iterate.  This is `solve_stacked` of one system.
+    """
+    return solve_stacked([(rows, seed, tag, want)], var_order)[0]
+
+
+def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
+                  ) -> list[dict]:
+    """`solve_projective` of several systems of one shape, each given as
+    (rows, seed, tag, want), with their charts tracked as stacks.
+
+    Chart 0 of every system is tracked as one stack.  Each system then
+    gets its own endpoint gate and dedup, and the systems that need a
+    rescue chart track theirs as one more stack.  A system draws its
+    charts from its own (seed, tag) stream and its paths' start data
+    from its own streams, as it does alone, and `track` moves every path
+    of a stack as it moves alone, so each system's result is bitwise the
+    one `solve_projective` gives it alone.
     """
     n = len(var_order)
-    rng = _rng(seed, tag)
+    streams = [_rng(seed, tag) for _rows, seed, tag, _want in problems]
 
-    def run_chart(chart_id: int):
-        chart = _unit_row(rng, n)
-        system = CompiledSystem(
-            rows + [_linear_row_terms(list(chart), constant=-1.0)], n)
-        path_rng = _rng(seed, tag, "paths", chart_id)
-        results, count = track(system, path_rng)
-        accepted = []
-        for r in results:
-            if r.status != "accepted":
-                continue
-            # the chart row, last, is pinned to 1 by construction
-            vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
-            if not np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
-                r.status = "polish"
-                continue
-            sv = np.linalg.svd(jac, compute_uv=False)
-            accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
-        return chart, system, results, accepted, count
+    def run_charts(members: list[int], chart_id: int) -> list[tuple]:
+        """Chart `chart_id` of each member problem, tracked as one stack;
+        per member (chart, system, results, accepted endpoints)."""
+        charts = [_unit_row(streams[i], n) for i in members]
+        stack = CompiledSystem.stacked(
+            [problems[i][0] + [_linear_row_terms(list(c), constant=-1.0)]
+             for i, c in zip(members, charts)], n)
+        paths = [_rng(problems[i][1], problems[i][2], "paths", chart_id)
+                 for i in members]
+        results, _count = track(stack, paths[0] if len(paths) == 1
+                                else paths)
+        out, end = [], 0
+        for k, chart in enumerate(charts):
+            system = stack.member(k)
+            mine = results[end:end + stack.path_counts[k]]
+            end += stack.path_counts[k]
+            accepted = []
+            for r in mine:
+                if r.status != "accepted":
+                    continue
+                # the chart row, last, is pinned to 1 by construction
+                vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
+                if not np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
+                    r.status = "polish"
+                    continue
+                sv = np.linalg.svd(jac, compute_uv=False)
+                accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
+            out.append((chart, system, mine, accepted))
+        return out
 
-    chart, system, results, accepted, path_count = run_chart(0)
-    failures = [[r for r in results if r.status != "accepted"]]
-    distinct = _dedup(accepted)
-    first = len(distinct)
-    regular = sum(e.sv_min > SV_REGULAR for e in distinct)
-    if failures[0] and regular < (path_count if want is None else want):
-        _chart2, _sys2, results2, accepted2, _c2 = run_chart(1)
-        failures.append([r for r in results2 if r.status != "accepted"])
-        distinct = _dedup(distinct + [Endpoint(x=e.x / (chart @ e.x),
-                                               sv_min=e.sv_min)
-                                      for e in accepted2])
-    rescue_added = len(distinct) - first
-    return {
+    firsts = run_charts(list(range(len(problems))), 0)
+    distinct = [_dedup(accepted) for *_rest, accepted in firsts]
+    first_counts = list(map(len, distinct))
+    failures = [[[r for r in results if r.status != "accepted"]]
+                for _c, _s, results, _a in firsts]
+    rescue = [i for i, (*_given, want) in enumerate(problems)
+              if failures[i][0]
+              and sum(e.sv_min > SV_REGULAR for e in distinct[i])
+              < (firsts[i][1].path_counts[0] if want is None else want)]
+    for i, (*_rest, results, accepted) in zip(
+            rescue, run_charts(rescue, 1) if rescue else []):
+        chart = firsts[i][0]
+        failures[i].append([r for r in results if r.status != "accepted"])
+        distinct[i] = _dedup(distinct[i] + [
+            Endpoint(x=e.x / (chart @ e.x), sv_min=e.sv_min)
+            for e in accepted])
+    return [{
         "system": system,
         "chart": chart,
-        "accepted_count": len(accepted) + rescue_added,
-        "distinct": distinct,
-        "path_count": path_count,
-        "failed": [(r.index, r.status) for r in failures[0]],
-        "failures": failures,
-        "rescue_added": rescue_added,
-    }
+        "accepted_count": len(accepted) + len(distinct[i]) - first_counts[i],
+        "distinct": distinct[i],
+        "path_count": system.path_counts[0],
+        "failed": [(r.index, r.status) for r in failures[i][0]],
+        "failures": failures[i],
+        "rescue_added": len(distinct[i]) - first_counts[i],
+    } for i, (chart, system, _results, accepted) in enumerate(firsts)]
 
 
 # ---------------------------------------------------------------------------
 # The stratum census
 
 
-def octic_root_clusters(vec9):
-    """Root clusters of the octic with the given basis coordinates.
+class UndecidedOctic(ArithmeticError):
+    """Pellet counts do not decide an octic's root clusters."""
 
-    The roots are those of `_octic_roots`: 40-digit `polyroots` roots
-    started from cluster-resolved double-precision seeds, with vanishing
-    leading coefficients counted as roots at infinity.  They are
-    clustered by spherical (chordal) distance with a union-find at the
-    given radius.  Returns the sorted cluster sizes.
+
+def octic_root_clusters(vec9):
+    """Root clusters of the octic with the given basis coordinates: the
+    sorted cluster sizes, where a cluster is a chain of roots each below
+    CLUSTER_RADIUS from the next in chordal distance, as `_chordal_groups`
+    forms them.
+
+    The sizes are counted, not found.  After normalization, leading
+    coefficients below 1e-30 are set to 0: roots at infinity.  The
+    double-precision roots are grouped at SEED_GROUP_RADIUS, and
+    `_pellet_disc` proves that a disc about each group's centroid holds
+    exactly as many roots as the group; a group that fails is split at a
+    smaller radius and its parts tried again.  Every root then lies in
+    one of the disjoint discs, each of chordal radius at most
+    CLUSTER_RADIUS / 4.  So two roots of one disc are one cluster, and two
+    discs whose centres are d apart hold roots between d - s and d + s
+    apart, s the sum of their radii: they are joined when d + s is below
+    CLUSTER_RADIUS and apart when d - s is above it.
+
+    What the count bounds: it is exact for the octic whose coefficients
+    `octic_coefficients` gives at WORKING_DPS for the given (polished)
+    point, up to the rounding of its inequalities, which are evaluated
+    in WORKING_DPS floating point, not in intervals; it says nothing of
+    the distance from that point to the true census point.  Raises
+    UndecidedOctic, with the reason, when a coefficient is not finite,
+    when a single root or an unsplittable group fails the test, or when
+    two discs overlap or have centres within s of CLUSTER_RADIUS.
     """
     with mp.workdps(WORKING_DPS):
-        coeffs = construction.octic_coefficients(
-            [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9])
-        if all(c == 0 for c in coeffs):
-            return [9]
-        groups = _chordal_groups(_octic_roots(coeffs), CLUSTER_RADIUS)
-        return sorted((len(g) for g in groups), reverse=True)
+        return _counted_clusters(construction.octic_coefficients(
+            [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9]))
+
+
+def _counted_clusters(coeffs: list) -> list[int]:
+    """`octic_root_clusters` of the octic with these coefficients,
+    `coeffs[d]` multiplying z1^(8-d) z2^d, at the current precision."""
+    if not all(mp.isfinite(c) for c in coeffs):
+        raise UndecidedOctic("an octic coefficient is not finite")
+    if all(c == 0 for c in coeffs):
+        return [9]
+    scale = max(abs(c) for c in coeffs)
+    high = [c / scale for c in coeffs]      # highest-first in z = z1 / z2
+    infinite = 0
+    while abs(high[infinite]) < mp.mpf("1e-30"):
+        high[infinite] = mp.mpc(0)
+        infinite += 1
+    points = [(complex(z), 1.0) for z in
+              np.roots([complex(c) for c in high[infinite:]])]
+    points += [(1.0, 0.0)] * infinite
+    moduli = [abs(c) for c in high]
+    discs = []
+    pending = [(g, SEED_GROUP_RADIUS)
+               for g in _chordal_groups(points, SEED_GROUP_RADIUS)]
+    while pending:
+        group, radius = pending.pop()
+        disc = _pellet_disc(high, moduli, points, group)
+        if disc is not None:
+            discs.append(disc)
+            continue
+        if len(group) == 1:
+            z1, z2 = points[group[0]]
+            raise UndecidedOctic(f"the root ({z1:.6g} : {z2:.6g}) fails "
+                                 "Pellet's test")
+        parts = [group]
+        while len(parts) == 1 and radius > 1e-12:
+            radius /= 2
+            parts = [[group[j] for j in part] for part in _chordal_groups(
+                [points[i] for i in group], radius)]
+        if len(parts) == 1:
+            raise UndecidedOctic(f"a group of {len(group)} roots fails "
+                                 "Pellet's test at every radius")
+        pending += [(part, radius) for part in parts]
+    centres = np.array([c for c, _rho, _k in discs])
+    radii = np.array([rho for _c, rho, _k in discs])
+    first, second = np.triu_indices(len(discs), 1)
+    apart = _chordal_each(centres[first], centres[second])
+    margin = radii[first] + radii[second]
+    if np.any(apart <= margin):
+        raise UndecidedOctic("two Pellet discs overlap")
+    near = np.abs(apart - CLUSTER_RADIUS) <= margin
+    if np.any(near):
+        k = int(np.argmax(near))
+        raise UndecidedOctic(
+            f"two Pellet discs lie {apart[k]:.6e} apart, within their "
+            f"radii {margin[k]:.1e} of the cluster radius")
+    return sorted((sum(discs[i][2] for i in group) for group in
+                   _chordal_groups(list(centres), CLUSTER_RADIUS)),
+                  reverse=True)
 
 
 def _chordal_groups(points: list, radius: float) -> list[list[int]]:
-    """Indices of the projective points, grouped by chains of chordal
-    distance below the radius (a union-find).
-
-    Each pair is decided on the distance of the points rounded to
-    complex doubles, which is within about 1e-15 of the exact one; only
-    a distance within 1e-12 of the radius is taken again from the points
-    themselves."""
+    """Indices of the projective points, taken as complex doubles,
+    grouped by chains of chordal distance below the radius (a
+    union-find)."""
     parent = list(range(len(points)))
     doubles = np.array([[complex(v) for v in p] for p in points])
 
@@ -660,9 +842,6 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
     first, second = np.triu_indices(len(points), 1)  # combinations order
     for i, j, d in zip(first.tolist(), second.tolist(),
                        _chordal_each(doubles[first], doubles[second])):
-        if abs(d - radius) <= 1e-12:
-            d = _chordal_each(np.array(points[i], dtype=object),
-                              np.array(points[j], dtype=object))
         if d < radius:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
@@ -671,104 +850,75 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _octic_roots(coeffs: list) -> list[tuple]:
-    """The roots of a nonzero binary octic, as projective points (z, 1),
-    or (1, 0) at infinity, at WORKING_DPS.
+def _pellet_disc(high: list, moduli: list, points: list, group: list[int]):
+    """Pellet's test for a group of the octic's roots: (centre, radius,
+    k) when the disc of that radius about the group's centroid holds
+    exactly its k roots, else None.
 
-    `coeffs[d]` multiplies z1^(8-d) z2^d, so in z = z1/z2 the list is
-    highest-first.  After normalization, leading coefficients below 1e-30
-    are roots at infinity; `mp.polyroots` finds the others from the
-    start points of `_seed_roots`, widening its budget if it must.
+    `high` is the normalized octic, highest-first in z, `moduli` the
+    moduli of its coefficients, and `points` its double-precision roots
+    as projective points (z, 1), or (1, 0) at infinity.  A group at
+    infinity, or of mean modulus above 1, is taken in u = 1/z, on the
+    reversed coefficients.  The radius is
+    min(gap / 3, CLUSTER_RADIUS / 4), gap the distance from the centroid
+    to the nearest root outside the group, and the disc holds exactly k
+    roots when |b_k| r^k > sum_{j != k} |b_j| r^j for the octic's Taylor
+    coefficients b_j at the centroid (Pellet; Rouché's theorem on the
+    circle).  For a single root b_0 and b_1 come from one Horner pass,
+    and the tail sum_{j >= 2} |b_j| r^j is bounded by
+    A(m + r) - A(m) - r A'(m), A the polynomial of the coefficients'
+    moduli and m the centroid's modulus.  Runs at the current precision;
+    the centre is a projective point of complex doubles.
     """
-    with mp.workdps(WORKING_DPS):
-        scale = max(abs(c) for c in coeffs)
-        normalized = [c / scale for c in coeffs]
-        at_infinity = 0
-        while normalized and abs(normalized[0]) < mp.mpf("1e-30"):
-            normalized.pop(0)
-            at_infinity += 1
-        finite = []
-        if len(normalized) > 1:
-            seeds = _seed_roots(normalized)
-            # A cold start crawls toward a multiple root; the seeds make
-            # the first rung enough, the wider ones are the fallback.
-            ladder = ((300, 120), (1000, 240), (3000, 480))
-            for attempt, (maxsteps, extraprec) in enumerate(ladder):
-                try:
-                    finite = mp.polyroots(normalized, maxsteps=maxsteps,
-                                          extraprec=extraprec, error=False,
-                                          roots_init=seeds)
-                    break
-                except mp.libmp.NoConvergence:
-                    if attempt == len(ladder) - 1:
-                        raise
-        one, zero = mp.mpc(1), mp.mpc(0)
-        return [(z, one) for z in finite] + [(one, zero)] * at_infinity
+    k = len(group)
+    far = (any(points[i][1] == 0 for i in group)
+           or sum(abs(points[i][0]) for i in group) > k)
 
+    def chart(p):
+        num, den = (p[1], p[0]) if far else p
+        return num / den if den != 0 else None
 
-def _seed_roots(coeffs: list) -> list:
-    """Start points for `mp.polyroots` on a highest-first polynomial.
-
-    The centroid of a k-root cluster is well conditioned (Zeng, Math.
-    Comp. 2005), so the double-precision roots already place every
-    cluster.  They are grouped at chordal radius SEED_GROUP_RADIUS, and
-    each group of k >= 2 is replaced by the roots of the polynomial's
-    local degree-k polynomial at the group centroid, in u = 1/z on the
-    reversed coefficients when the group's mean modulus is above 1.
-    """
-    doubles = np.roots([complex(c) for c in coeffs])
-    seeds = [mp.mpc(z) for z in doubles]
-    for group in _chordal_groups([(z, 1.0) for z in doubles],
-                                 SEED_GROUP_RADIUS):
-        if len(group) < 2:
-            continue
-        far = float(np.mean(np.abs(doubles[group]))) > 1.0
-        chart = 1.0 / doubles[group] if far else doubles[group]
-        local = _local_roots(coeffs[::-1] if far else coeffs,
-                             complex(np.mean(chart)), len(group))
-        if local is not None:
-            for i, u in zip(group, local):
-                seeds[i] = 1 / u if far else u
-    return seeds
-
-
-def _local_roots(coeffs: list, center: complex, k: int) -> list | None:
-    """The roots of the degree-k truncation of a highest-first
-    polynomial's Taylor expansion at the center, or None if the
-    truncation is degenerate.
-
-    The Taylor coefficients b_j come from k + 1 synthetic divisions by
-    (z - center) at SEED_EXTRAPREC extra bits; w = s v with
-    s = max_{j<k} |b_j / b_k|^(1/(k-j)) scales them to modulus at most 1
-    for `np.roots`.
-    """
-    with mp.extraprec(SEED_EXTRAPREC):
-        c = mp.mpc(center)
-        taylor, rest = [], list(coeffs)
-        for _ in range(k + 1):
+    centre = sum(chart(points[i]) for i in group) / k
+    outside = [chart(p) for i, p in enumerate(points) if i not in group]
+    gap = min((abs(w - centre) for w in outside if w is not None),
+              default=math.inf)
+    radius = min(gap / 3, CLUSTER_RADIUS / 4)
+    poly, moduli = (high[::-1], moduli[::-1]) if far else (high, moduli)
+    c, r = mp.mpc(centre), mp.mpf(radius)
+    if k == 1:
+        value = slope = mp.mpc(0)
+        for a in poly:
+            slope = slope * c + value
+            value = value * c + a
+        m = abs(c)
+        at_m = d_at_m = at_mr = mp.mpf(0)
+        for a in moduli:
+            d_at_m = d_at_m * m + at_m
+            at_m = at_m * m + a
+            at_mr = at_mr * (m + r) + a
+        holds = abs(slope) * r > abs(value) + (at_mr - at_m - r * d_at_m)
+    else:
+        taylor, rest = [], list(poly)
+        while rest:
             acc, quotient = mp.mpc(0), []
             for a in rest:
                 acc = acc * c + a
                 quotient.append(acc)
             taylor.append(quotient.pop())
             rest = quotient
-        lead = taylor[k]
-        if lead == 0:
-            return None
-        s = max(abs(taylor[j] / lead) ** (mp.mpf(1) / (k - j))
-                for j in range(k))
-        if s == 0:
-            return None
-        scaled = [complex(taylor[j] * s ** (j - k) / lead)
-                  for j in range(k, -1, -1)]
-    return [c + s * mp.mpc(v) for v in np.roots(scaled)]
+        terms = [abs(b) * r ** j for j, b in enumerate(taylor)]
+        holds = terms[k] > mp.fsum(t for j, t in enumerate(terms) if j != k)
+    if not holds:
+        return None
+    return ((1.0, centre) if far else (centre, 1.0)), radius, k
 
 
 @dataclass
 class StratumPoint:
     coords: list                    # 40-digit 6-vector, polished or exact
     stratum: str                    # "L0" | "L1" | "L2" | "L3" | "Lopen" | "?"
-    multiple_root: bool
+    multiple_root: bool | None      # None when the clusters are undecided
+    undecided: str | None = None    # why they are
 
 
 @dataclass
@@ -785,8 +935,9 @@ class StratumCensus:
     unmatched: list[int] = field(default_factory=list)   # off the reference
 
 
-def _classify_point(point_mp, r) -> tuple[str, bool]:
-    """Stratum label and multiple-root flag for a polished chart point."""
+def _classify_point(point_mp, r) -> StratumPoint:
+    """The polished chart point with its stratum label and multiple-root
+    flag, or with the reason the flag is undecided."""
     norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
     unit = [c / norm for c in point_mp]
     zero = [abs(unit[i]) < TOL_MATCH for i in range(3)]
@@ -800,19 +951,32 @@ def _classify_point(point_mp, r) -> tuple[str, bool]:
     else:
         stratum = "?"
     vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r], unit)
-    sizes = octic_root_clusters(vec9)
-    return stratum, sizes[0] >= 6
+    try:
+        sizes = octic_root_clusters(vec9)
+    except UndecidedOctic as exc:
+        return StratumPoint(point_mp, stratum, None, str(exc))
+    return StratumPoint(point_mp, stratum, sizes[0] >= 6)
+
+
+def _census_problem(r: tuple, seed) -> tuple:
+    """The census system over an admissible triple, as a
+    `solve_stacked` problem (rows, seed, tag, want)."""
+    rows = [_poly_terms(q, CHART_VARS)
+            for q in construction.literal_restricted_quadrics(r)]
+    return rows, seed, f"stratum:{r[0]},{r[1]},{r[2]}", None
 
 
 def count_stratum_points(r: tuple, seed,
-                         reference: StratumCensus | None = None
-                         ) -> StratumCensus:
+                         reference: StratumCensus | None = None,
+                         solved: dict | None = None) -> StratumCensus:
     """Track the five restricted quadrics and classify every endpoint.
 
     The partition counts endpoints by coordinate-vanishing stratum and,
     within each stratum, by the multiple-root classifier (a sixfold or
     larger root cluster) versus its complement.  Runs are deterministic
-    in (r, seed, reference).
+    in (r, seed, reference).  `solved` is the census system's solve when
+    a stack of censuses already tracked it (`solve_stacked` of
+    `_census_problem`), and None to solve it here.
 
     A labelled 40-digit point is placed on this census by rescaling it
     onto the census chart, x / (c . x), and matching it against the
@@ -843,13 +1007,16 @@ def count_stratum_points(r: tuple, seed,
     coordinates' signs flipped, is placed.  An endpoint no image matches
     becomes a representative in its turn, so the L0 points, the
     reference and the symmetry save work but never decide the label of
-    an endpoint they do not match.
+    an endpoint they do not match.  A point whose root clusters Pellet
+    counts leave undecided carries None as its multiple-root flag and is
+    left out of the partition; `notes` names the census, each endpoint
+    with that label and the reason.
     """
     r = construction.admissible_triple(r)
-    rows = [_poly_terms(q, CHART_VARS)
-            for q in construction.literal_restricted_quadrics(r)]
-    run = solve_projective(rows, CHART_VARS, seed,
-                           f"stratum:{r[0]},{r[1]},{r[2]}")
+    run = solved
+    if run is None:
+        rows, _seed, tag, _want = _census_problem(r, seed)
+        run = solve_projective(rows, CHART_VARS, seed, tag)
     sys6: CompiledSystem = run["system"]
     distinct = run["distinct"]
     ends = np.array([e.x for e in distinct])
@@ -858,43 +1025,45 @@ def count_stratum_points(r: tuple, seed,
     with mp.workdps(WORKING_DPS):
         chart = [mp.mpc(c) for c in run["chart"]]
 
-        def place(coords: list, stratum: str, multiple: bool) -> None:
+        def place(coords: list, label: StratumPoint) -> None:
             scale = mp.fsum(a * b for a, b in zip(chart, coords))
             image = [c / scale for c in coords]
             for k in _matching(ends, [complex(c) for c in image], TOL_MATCH):
                 if points[k] is None:
-                    points[k] = StratumPoint(coords=image, stratum=stratum,
-                                             multiple_root=multiple)
+                    points[k] = replace(label, coords=image)
 
         for p in construction.special_points()["sparse_solutions"]:
             octic = construction.octic_form(
                 construction.sparse_solution_vec9(p))
-            place([embed_mp(v) for v in (_F(0), _F(0), _F(0), *p)], "L0",
-                  max_root_multiplicity_exact(octic) >= 6)
+            coords = [embed_mp(v) for v in (_F(0), _F(0), _F(0), *p)]
+            place(coords, StratumPoint(
+                coords, "L0", max_root_multiplicity_exact(octic) >= 6))
         unmatched = []
         if reference is not None:
             for p in reference.points:
-                place(p.coords, p.stratum, p.multiple_root)
+                place(p.coords, p)
             unmatched = [i for i, p in enumerate(points) if p is None]
         flips = [[embed_mp(s) for s in signs]
                  for signs in construction.h_orbit_signs()]
         for i, e in enumerate(distinct):
             if points[i] is not None:
                 continue
-            coords = mp_polish(sys6, e.x)
-            stratum, multiple = _classify_point(coords, r)
-            points[i] = StratumPoint(coords=coords, stratum=stratum,
-                                     multiple_root=multiple)
+            points[i] = _classify_point(mp_polish(sys6, e.x), r)
             for flip in flips:
-                place([s * c for s, c in zip(flip, coords)], stratum,
-                      multiple)
+                place([s * c for s, c in zip(flip, points[i].coords)],
+                      points[i])
     # report order: L0, then each other stratum split by the multiple-root
     # classifier (X1) or not (X2)
     partition = dict.fromkeys(
         ["L0"] + [f"{s}_X{k}" for s in ("L1", "L2", "L3", "Lopen")
                   for k in (1, 2)], 0)
     notes = []
-    for p in points:
+    for k, p in enumerate(points):
+        if p.multiple_root is None:
+            notes.append(f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}: "
+                         f"endpoint {k}: root clusters undecided: "
+                         f"{p.undecided}")
+            continue
         key = p.stratum if p.stratum == "L0" \
             else f"{p.stratum}_X{1 if p.multiple_root else 2}"
         if key in partition:
@@ -918,7 +1087,7 @@ def u_dprime_image(census: StratumCensus):
     largest pairwise chordal distance).
     """
     coords = [[complex(c) for c in p.coords] for p in census.points
-              if p.stratum == "Lopen" and not p.multiple_root]
+              if p.stratum == "Lopen" and p.multiple_root is False]
     images = np.array([[x2 * x3 / x1, x3 * x1 / x2, x1 * x2 / x3,
                         x7, x8, x9, 0, 0, 0]
                        for x1, x2, x3, x7, x8, x9 in coords],
@@ -1044,22 +1213,47 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     }
 
 
+# the small-parameter triple of `numeric/fiber_5`
+SMALL_R = tuple(v * _F(1, 100000) for v in construction.SAMPLE_R)
+
+
+def census_plan(check_ids, seed: int, sample_r: tuple) -> list[tuple]:
+    """The censuses (r, seed) that the numeric checks with these ids
+    ask their `NumericRun` for, check by check, in the order they ask."""
+    origin = (_F(0),) * 3
+    asks = {
+        "numeric/lemma6_2": [(sample_r, seed), (origin, seed)],
+        "numeric/fiber_5": [(origin, seed), (SMALL_R, seed)],
+        "numeric/seed_stability": [(sample_r, seed + k) for k in range(3)],
+    }
+    return [census for cid in check_ids for census in asks.get(cid, ())]
+
+
 class NumericRun:
     """The census results of one battery run, shared by its numeric
     checks.
 
-    Each distinct census is computed once, by whichever check asks for
+    `plan` lists the censuses (r, seed) the run's checks will ask for
+    (`census_plan`).  The first request for a planned census tracks all
+    of them, each once, as one stack (`solve_stacked`); each is labelled
+    when it is first asked for, so census S, asked for first, is
+    labelled before the censuses at S+1 and S+2 take its labels.  A
+    census not in the plan is solved alone, through the same code.
+    Each distinct census is labelled once, by whichever check asks for
     it first, through the module's `count_stratum_points`, so a tracer
-    that wraps that attribute sees every computation.  A census asked
-    for with a reference census takes its matched endpoints' labels from
-    it; it is still the census of (r, seed), and is stored as such.  The
+    that wraps that attribute sees every census.  A census asked for
+    with a reference census takes its matched endpoints' labels from it;
+    it is still the census of (r, seed), and is stored as such.  The
     exact fiber slices are kept the same way, so slice 0 at seed S, which
     `numeric/fiber_5` and `numeric/seed_stability` both count, is counted
     once.  The fiber probe is not stored: `numeric/fiber_5` alone asks
     for it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, plan=()) -> None:
+        self._plan = list(dict.fromkeys(
+            (tuple(map(as_exact, r)), seed) for r, seed in plan))
+        self._solved: dict | None = None
         self._results: dict = {}
         self._slices: dict = {}
 
@@ -1068,7 +1262,13 @@ class NumericRun:
         r = tuple(map(as_exact, r))
         key = (r, seed)
         if key not in self._results:
-            self._results[key] = count_stratum_points(r, seed, reference)
+            if key in self._plan and self._solved is None:
+                self._solved = dict(zip(self._plan, solve_stacked(
+                    [_census_problem(construction.admissible_triple(pr), ps)
+                     for pr, ps in self._plan], CHART_VARS)))
+            solved = (self._solved or {}).pop(key, None)
+            self._results[key] = count_stratum_points(r, seed, reference,
+                                                      solved)
         return self._results[key]
 
     def exact_slice(self, r: tuple, seed, s: int) -> dict:
@@ -1134,7 +1334,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
 
     # Orbit structure of the four non-multiple-root open-stratum points.
     orbit_pts = [[complex(c) for c in p.coords] for p in census.points
-                 if p.stratum == "Lopen" and not p.multiple_root]
+                 if p.stratum == "Lopen" and p.multiple_root is False]
     if len(orbit_pts) != 4:
         residuals.append(
             f"open-stratum non-multiple-root count {len(orbit_pts)} != 4")
@@ -1155,6 +1355,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
                 "diagonal-subgroup orbit")
 
     origin = numeric.census((0, 0, 0), seed)
+    residuals.extend(origin.notes)
     open_total = origin.partition["Lopen_X1"] + origin.partition["Lopen_X2"]
     if open_total != 16:
         residuals.append(
@@ -1246,6 +1447,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
 
     # The common chart image of the open-stratum non-multiple-root points.
     census = numeric.census(origin, seed)
+    residuals.extend(census.notes)
     images, spread = u_dprime_image(census)
     exact_image = np.array([complex(c) for c in construction.special_points()
                             ["u_dprime_0"].coords])
@@ -1260,8 +1462,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
             "stored fiber point")
 
     # Small-parameter continuity of the common image.
-    small = tuple(v * _F(1, 100000) for v in construction.SAMPLE_R)
-    census_small = numeric.census(small, seed)
+    census_small = numeric.census(SMALL_R, seed)
+    residuals.extend(census_small.notes)
     images_small, spread_small = u_dprime_image(census_small)
     if len(images_small) != 4 or spread_small > 1e-4:
         residuals.append(
@@ -1442,6 +1644,7 @@ def check_seed_stability(seed: int, sample_r: tuple,
         census = (reference if s == seed
                   else numeric.census(sample_r, s, reference))
         partitions.append(census.partition)
+        residuals.extend(census.notes)
         residuals.extend(f"seed {s}: endpoint {i} matches no point of seed "
                          f"{seed}" for i in census.unmatched)
         exact = numeric.exact_slice((_F(0), _F(0), _F(0)), s, 0)

@@ -148,12 +148,15 @@ def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
     Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  Selected numeric checks share one NumericRun.
-    Raises as `select` does for a malformed config or an empty selection.
+    is ordered by check id.  Selected numeric checks share one NumericRun,
+    which is told the censuses they will ask for, so that it can track
+    them together.  Raises as `select` does for a malformed config or an
+    empty selection.
     """
     selected = select(config)
-    numeric = (_numeric().NumericRun() if any(
-        kind == "numeric" for _c, _a, kind, _f in selected) else None)
+    numeric_ids = [cid for cid, _a, kind, _f in selected if kind == "numeric"]
+    numeric = (_numeric().NumericRun(_numeric().census_plan(
+        numeric_ids, config.seed, config.sample_r)) if numeric_ids else None)
     anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
     results = [fn(config, numeric)
                for phase in ("exact", "numeric")

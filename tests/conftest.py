@@ -3,14 +3,18 @@
 import pytest
 
 from covforge import harness
-from covforge.continuation import NumericRun
+from covforge.construction import SAMPLE_R
+from covforge.continuation import NumericRun, census_plan
 
 
 @pytest.fixture(scope="session")
 def numeric_run():
     """One census store for the whole session, so the numeric tests
-    compute each census once, as one `verify` run does."""
-    return NumericRun()
+    compute each census once, as one `verify` run at seed 42 does: the
+    censuses of every numeric check are planned and tracked as one
+    stack."""
+    numeric = [c for c in harness.check_ids() if c.startswith("numeric/")]
+    return NumericRun(census_plan(numeric, 42, SAMPLE_R))
 
 
 @pytest.fixture(scope="session")

@@ -19,20 +19,22 @@ from covforge.construction import (CHART_VARS, PLANE_VARS, SAMPLE_R,
                                    fiber_equations, literal_pure_quadrics,
                                    literal_restricted_quadrics,
                                    projection_data, stratum_anchor_vectors)
-from covforge.continuation import (TOL_MATCH, WORKING_DPS, CompiledSystem,
-                                   NumericRun, _chordal_each,
-                                   _chordal_groups, _fiber_rows,
-                                   _linear_row_terms, _matching,
-                                   _octic_roots, _poly_terms,
-                                   _predict, _rng, _slice_rows, _solve_stack,
-                                   _start_system,
+from covforge.continuation import (CLUSTER_RADIUS, TOL_MATCH, WORKING_DPS,
+                                   CompiledSystem, NumericRun,
+                                   UndecidedOctic, _census_problem,
+                                   _chordal_each, _chordal_groups,
+                                   _classify_point, _counted_clusters,
+                                   _fiber_rows, _linear_row_terms, _matching,
+                                   _poly_terms, _predict, _rng, _slice_rows,
+                                   _solve_stack, _start_system, census_plan,
                                    check_fiber_geometry,
-                                   check_seed_stability, conic_points,
+                                   check_seed_stability,
+                                   check_stratum_counts, conic_points,
                                    count_stratum_points,
                                    embed_mp, exact_slice,
                                    fiber_probe, mp_polish,
                                    octic_root_clusters, PathResult,
-                                   solve_projective, track)
+                                   solve_projective, solve_stacked, track)
 from covforge.binform import max_root_multiplicity_exact
 from covforge.exlinalg import ExactMatrix, Subspace
 from covforge.mpoly import MPoly, exponents
@@ -89,13 +91,13 @@ def test_the_closed_form_start_system_and_its_jacobian():
     degrees = np.array([2, 1, 3])
     consts = np.array([1j, complex(0.6, -0.8), -1.0 + 0j])
     x = np.array([0.5 - 1.25j, -2.0 + 0.75j, 1.5 + 0.5j])
-    values, jac = _start_system(x, (degrees, consts))
+    values, diagonal = _start_system(x, (degrees, consts))
+    assert values.shape == diagonal.shape == (3,)
     with mp.workdps(WORKING_DPS):
         for i, (d, b, xi) in enumerate(zip([2, 1, 3], consts, x)):
             xm = mp.mpc(xi)
             assert abs(values[i] - (xm ** d - mp.mpc(b))) < 1e-12
-            assert abs(jac[i, i] - d * xm ** (d - 1)) < 1e-12
-    assert np.count_nonzero(jac - np.diag(np.diag(jac))) == 0
+            assert abs(diagonal[i] - d * xm ** (d - 1)) < 1e-12
 
 
 def test_a_stack_evaluates_bitwise_as_its_rows():
@@ -182,6 +184,54 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
         count_stratum_points(SAMPLE_R, 42)
     assert chart.value.args[0] == [("accepted", s)
                                    for s in SAMPLE_CHART_STEPS]
+
+    # the first charts of the sample and origin censuses as one stack of
+    # two systems with different terms: each path as in its lone chart
+    charts = []
+
+    def recorded(*args):
+        out = track(*args)
+        charts.append([(r.index, r.status, r.steps, r.x.tobytes())
+                       for r in out[0]])
+        return out
+
+    monkeypatch.setattr(continuation, "track", recorded)
+    problems = [_census_problem(con.admissible_triple(r), 42)
+                for r in (SAMPLE_R, (0, 0, 0))]
+    solve_stacked(problems, CHART_VARS)
+    stacked = charts[0]
+    assert len(stacked) == 64
+    for k, (rows, seed, tag, _want) in enumerate(problems):
+        charts.clear()
+        solve_projective(rows, CHART_VARS, seed, tag)
+        assert stacked[32 * k:32 * (k + 1)] == charts[0]
+
+
+def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
+        monkeypatch, numeric_run):
+    asked = []
+    census = numeric_run.census
+
+    def recorded(r, seed, reference=None):
+        asked.append((tuple(map(Fraction, r)), seed))
+        return census(r, seed, reference)
+
+    monkeypatch.setattr(numeric_run, "census", recorded)
+    checks = {
+        "numeric/lemma6_2": lambda: check_stratum_counts(42, SAMPLE_R,
+                                                         numeric_run),
+        "numeric/fiber_5": lambda: check_fiber_geometry(42, numeric_run),
+        "numeric/seed_stability": lambda: check_seed_stability(
+            42, SAMPLE_R, numeric_run),
+    }
+    for cid, run_check in checks.items():
+        asked.clear()
+        assert run_check().ok
+        assert asked == [(tuple(map(Fraction, r)), seed) for r, seed
+                         in census_plan([cid], 42, SAMPLE_R)], cid
+    assert census_plan(list(checks), 42, SAMPLE_R) == [
+        census for cid in checks for census in census_plan([cid], 42,
+                                                           SAMPLE_R)]
 
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
@@ -436,10 +486,10 @@ def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
     real = continuation.count_stratum_points
     censuses = {}
 
-    def census(r, seed, ref=None):
+    def census(r, seed, ref=None, solved=None):
         if seed == 42:
             return moved
-        censuses[seed] = real(r, seed, ref)
+        censuses[seed] = real(r, seed, ref, solved)
         return censuses[seed]
 
     calls = {"mp_polish": 0}
@@ -779,29 +829,6 @@ def _sizes(points, radius=1e-4):
     return sorted(map(len, _chordal_groups(points, radius)), reverse=True)
 
 
-def test_a_pair_near_the_radius_is_decided_at_working_precision():
-    # two real points at chordal distance radius * (1 + offset), where
-    # rounding them to complex doubles moves the distance across the
-    # radius
-    radius = 1e-4
-    with mp.workdps(WORKING_DPS):
-        one = mp.mpc(1)
-        for z, offset, grouped in (("1", "1e-14", False),
-                                   ("3.0000000000000001", "-1e-14", True)):
-            z = mp.mpf(z)
-            k = (radius * (1 + mp.mpf(offset))) ** 2 * (1 + z * z)
-            w = (z + mp.sqrt(z * z - (1 - k) * (z * z - k))) / (1 - k)
-            points = [(mp.mpc(z), one), (mp.mpc(w), one)]
-            rounded = [[complex(v) for v in p] for p in points]
-            exact = _chordal_each(np.array(points[0], dtype=object),
-                                  np.array(points[1:], dtype=object))[0]
-            double = _chordal_each(np.array(rounded[0]),
-                                   np.array(rounded[1:]))[0]
-            assert (exact < radius) == grouped
-            assert (double < radius) != grouped
-            assert _sizes(points, radius) == ([2] if grouped else [1, 1])
-
-
 @pytest.mark.parametrize("coeffs, expected", [
     # a sixfold root perturbed at 1e-36, beside two simple roots
     (_octic([0.3 + 0.2j] * 6 + [-1.5, 2j], perturb=1e-36), [6, 1, 1]),
@@ -809,43 +836,125 @@ def test_a_pair_near_the_radius_is_decided_at_working_precision():
     (_octic([0] * 8), [8]),
     (_octic([mp.exp(2j * mp.pi * (k + 0.1) / 8) * (1 + k / 10)
              for k in range(8)]), [1] * 8),
-    # a simple pair 2e-3 apart, one coarse group for the seeds
+    # a simple pair 2e-3 apart, one coarse group that splits
     (_octic([0.3 + 0.2j] * 6 + [-1.5, -1.502]), [6, 1, 1]),
     # a far pair: in z its centroid is 0, far from both roots, so it is
-    # expanded in 1/z; beside a cluster near 0 an expansion at 0 fails
+    # counted in 1/z; beside a cluster near 0 a disc about 0 fails
     (_octic([529j, -529j], infinite=6), [6, 1, 1]),
     (_octic([529j, -529j] + [0.3 + 0.2j] * 6), [6, 1, 1]),
 ])
 def test_seeded_octic_roots_match_the_cold_start(coeffs, expected,
                                                  monkeypatch):
+    # the Pellet count of the cluster sizes, which finds no root at 40
+    # digits, against the clusters of cold-start polyroots roots
     calls = []
-    polyroots = mp.polyroots
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["roots_init"])
-        return polyroots(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "polyroots", counted)
-    seeded = _octic_roots(coeffs)
-    assert len(calls) == 1              # the first rung of the ladder
+    monkeypatch.setattr(mp, "polyroots", lambda *args, **kw: calls.append(1))
+    with mp.workdps(WORKING_DPS):
+        counted = _counted_clusters(coeffs)
+    assert calls == []
     monkeypatch.undo()
     if expected == [8]:
         # cold polyroots needs ~600 steps for z^8; its roots are exact
         reference = [(mp.mpc(0), mp.mpc(1))] * 8
     else:
         reference = _cold_roots(coeffs)
-    assert _sizes(seeded) == _sizes(reference) == expected
+    assert counted == _sizes(reference) == expected
+
+
+def test_a_pair_at_the_cluster_radius_is_undecided():
+    # two roots one cluster radius apart in chordal distance: each is
+    # proved alone in a disc of radius CLUSTER_RADIUS / 4, and then the
+    # discs cannot tell whether the pair is one cluster or two
     with mp.workdps(WORKING_DPS):
-        for z, w in seeded:
-            assert min(abs(z - z2) + abs(w - w2)
-                       for z2, w2 in reference) < 1e-35
-        # the seeds resolve every cluster, up to the truncation error of
-        # its local polynomial; double roots of a sixfold root are ~1e-3 off
-        one = mp.mpc(1)
-        for z in calls[0]:
-            finite = np.array([p for p in reference if p[1]], dtype=object)
-            assert _chordal_each(np.array((z, one), dtype=object),
-                                 finite).min() < 1e-5
+        d = mp.mpf(CLUSTER_RADIUS)
+        pair = [mp.mpc(0), mp.mpc(d / mp.sqrt(1 - d * d))]
+        coeffs = _octic(pair + [0.7, -0.9j, 1.5 + 1j, -2, 3j, -0.4 - 0.6j])
+        with pytest.raises(UndecidedOctic, match="within their radii"):
+            _counted_clusters(coeffs)
+        # the same pair twice as far apart is two clusters
+        coeffs = _octic([0, 2 * pair[1], 0.7, -0.9j, 1.5 + 1j, -2, 3j,
+                         -0.4 - 0.6j])
+        assert _counted_clusters(coeffs) == [1] * 8
+
+
+# The representative the polish gave on L2 of the origin census at seed
+# 45, at 45 digits: the exact point is (0, i/2, 0, 7, -1, -1) up to scale
+# (x1 and x3 are about 1e-81), and its octic has a sixfold root at -i and
+# a double root at i.  The 40-digit polyroots of the earlier classifier
+# did not converge on this octic from any start.
+SEED_45_L2_POINT = [
+    ("-1.22836110285671437867944897363899850827771618e-81",
+     "-1.58145838042431518437523958149483964338070942e-81"),
+    ("0.0896754448236539957298673598294263609489249425",
+     "0.0917441192347871381155491880518123501390163219"),
+    ("-2.25430850183765491433747736746975778768993223e-82",
+     "1.28204325340357875434114168062054563372114058e-80"),
+    ("1.28441766928701993361768863272537290194623712",
+     "-1.25545622753115594021814303761196905328494345"),
+    ("-0.183488238469574276231098376103624700278032644",
+     "0.179350889647307991459734719658852721897849885"),
+    ("-0.183488238469574276231098376103624700278032644",
+     "0.179350889647307991459734719658852721897849885"),
+]
+
+
+def test_the_seed_45_origin_point_is_l2_with_a_sixfold_root():
+    with mp.workdps(WORKING_DPS):
+        point = [mp.mpc(re, im) for re, im in SEED_45_L2_POINT]
+        label = _classify_point(point, (Fraction(0),) * 3)
+        assert (label.stratum, label.multiple_root) == ("L2", True)
+        assert label.undecided is None
+        vec9 = con.octic_vector_on_slice([mp.mpc(0)] * 3, point)
+        assert octic_root_clusters(vec9) == [6, 2]
+        # the exact point it approximates has the same octic clusters
+        exact = [mp.mpc(v) for v in (0, 0.5j, 0, 7, -1, -1)]
+        assert octic_root_clusters(con.octic_vector_on_slice(
+            [mp.mpc(0)] * 3, exact)) == [6, 2]
+
+
+def _nearest_root_pair(vec9) -> float:
+    """The least chordal distance between two double roots of the
+    octic."""
+    with mp.workdps(WORKING_DPS):
+        coeffs = [complex(c) for c in con.octic_coefficients(vec9)]
+    points = np.array([[z, 1] for z in np.roots(coeffs)])
+    first, second = np.triu_indices(len(points), 1)
+    return float(_chordal_each(points[first], points[second]).min())
+
+
+def test_an_undecided_octic_is_a_residual_that_names_its_endpoint(
+        monkeypatch):
+    # the first point of eight simple roots that the sample census
+    # classifies gets a cluster radius equal to the distance of its
+    # closest root pair, which Pellet counts cannot decide
+    real = continuation.octic_root_clusters
+    calls = []
+
+    def at_the_edge(vec9):
+        sizes = real(vec9)
+        if calls or sizes != [1] * 8:
+            return sizes
+        calls.append(vec9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(continuation, "CLUSTER_RADIUS",
+                          _nearest_root_pair(vec9))
+            return real(vec9)
+
+    monkeypatch.setattr(continuation, "octic_root_clusters", at_the_edge)
+    run = NumericRun(census_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    result = check_stratum_counts(42, SAMPLE_R, run)
+    census = run.census(SAMPLE_R, 42)
+    undecided = [k for k, p in enumerate(census.points)
+                 if p.multiple_root is None]
+    assert undecided and not result.ok
+    name = f"census (10, {SAMPLE_R[1]}, {SAMPLE_R[2]}) at seed 42"
+    for k in undecided:
+        assert census.points[k].undecided
+        note = (f"{name}: endpoint {k}: root clusters undecided: "
+                f"{census.points[k].undecided}")
+        assert note in result.residuals
+    # the rest of the census is labelled as before
+    assert sum(census.partition.values()) == 32 - len(undecided)
 
 
 def test_projection_data_is_exact_and_invertible(monkeypatch):
