@@ -82,7 +82,7 @@ from . import construction
 from .binform import BinaryForm, max_root_multiplicity_exact
 from .checks import CheckResult, _finish
 from .construction import CHART_VARS, Y_NAMES
-from .exlinalg import ExactMatrix
+from .exlinalg import ExactMatrix, jacobian_at
 from .mpoly import VAR_NAMES, MPoly, exponents, var_slot
 from .scalar import as_cyc, as_exact
 
@@ -91,7 +91,6 @@ _F = Fraction
 # Fixed limits of the tracker and the classifiers.
 TOL_TRACK = 1e-10           # residual that accepts a path endpoint
 TOL_DEDUP = 1e-6            # chordal distance that identifies two endpoints
-TOL_RANK = 1e-8             # relative singular value counted in a rank
 CLUSTER_RADIUS = 1e-4       # chordal radius that clusters an octic's roots
 TOL_MATCH = 1e-8            # chordal distance that matches an exact anchor
 SV_REGULAR = 1e-6           # smallest singular value of a regular endpoint
@@ -173,14 +172,15 @@ class CompiledSystem:
     variables and row count, as one term table of complex doubles, with
     the value entries also at WORKING_DPS.
 
-    Built from term lists (coefficient, exponent tuple) whose
-    coefficients are exact scalars or complex doubles.  A system's table
-    has a (row, coefficient, exponents) entry per term, then a (size +
-    row * nvars + j, coefficient * e_j, exponents with e_j lowered) entry
-    per term and variable j the term contains, so one pass gives F in
-    the first `size` slots and the Jacobian in the rest.  The systems of
-    a stack (`stacked`) share one table of (slot, exponents) entries,
-    and each has its own row of coefficients, 0 at an entry it lacks.
+    Built from a list of systems, each a list of term rows (coefficient,
+    exponent tuple) whose coefficients are exact scalars or complex
+    doubles.  A system's table has a (row, coefficient, exponents) entry
+    per term, then a (size + row * nvars + j, coefficient * e_j,
+    exponents with e_j lowered) entry per term and variable j the term
+    contains, so one pass gives F in the first `size` slots and the
+    Jacobian in the rest.  The systems of a stack share one table of
+    (slot, exponents) entries, and each has its own row of
+    coefficients, 0 at an entry it lacks.
     Each slot lists its entries in an order that keeps every system's own
     table order, and a zero term leaves a sum started at +0 bitwise as it
     was, so every system evaluates in the stack bitwise as it does alone.
@@ -189,18 +189,8 @@ class CompiledSystem:
     WORKING_DPS on its first call (`mp_table`).
     """
 
-    def __init__(self, term_lists: list[list[tuple]], nvars: int) -> None:
-        self._build([term_lists], nvars)
-
-    @classmethod
-    def stacked(cls, systems: list[list[list[tuple]]], nvars: int
-                ) -> CompiledSystem:
-        """The systems, each a list of term rows, as one stack."""
-        out = cls.__new__(cls)
-        out._build(systems, nvars)
-        return out
-
-    def _build(self, systems: list, nvars: int) -> None:
+    def __init__(self, systems: list[list[list[tuple]]], nvars: int
+                 ) -> None:
         self.nvars = nvars
         self.size = len(systems[0])
         if any(len(rows) != self.size for rows in systems):
@@ -675,7 +665,7 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
         """Chart `chart_id` of each member problem, tracked as one stack;
         per member (chart, system, results, accepted endpoints)."""
         charts = [_unit_row(streams[i], n) for i in members]
-        stack = CompiledSystem.stacked(
+        stack = CompiledSystem(
             [problems[i][0] + [_linear_row_terms(list(c), constant=-1.0)]
              for i, c in zip(members, charts)], n)
         paths = [_rng(problems[i][1], problems[i][2], "paths", chart_id)
@@ -1106,12 +1096,6 @@ def _fiber_rows(r: tuple) -> list[list[tuple]]:
     return [_poly_terms(e, Y_NAMES) for e in construction.fiber_equations(r)]
 
 
-def _numeric_rank(mat: np.ndarray) -> int:
-    """The number of singular values above TOL_RANK times the largest."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > TOL_RANK * sv[0]))
-
-
 def _form_value(f: BinaryForm, z1: complex, z2: complex) -> complex:
     n = f.degree
     return sum(complex(c) * z1 ** (n - k) * z2 ** k
@@ -1176,40 +1160,28 @@ def exact_slice(r: tuple, seed, s: int) -> dict:
 
 def fiber_probe(r: tuple, seed, slice_count: int,
                 numeric: NumericRun) -> dict:
-    """Slice the chart-space fiber over r and collect geometry evidence.
+    """Slice the chart-space fiber over r and count each slice.
 
     Each seeded codimension-3 slice cuts the fiber to two conics on a
     plane, counted exactly by `exact_slice`.  Slice 0 is also tracked
     by homotopy as a cross-check: `cross_check` holds its path count
     and, per distinct endpoint, the chordal distance to the nearest
-    exact-plane point.  The sampled points are slice 0's tracked
-    endpoints, then the exact-plane points of the other slices; the
-    fiber Jacobian, `fiber_jacobian`, and its numeric rank are read at
-    the first, scaled to unit norm.  Runs are deterministic in the
-    arguments.  The exact slices come from the run `numeric`.
+    exact-plane point.  Runs are deterministic in the arguments.  The
+    exact slices come from the run `numeric`.
     """
     r = tuple(map(as_exact, r))
-    base_rows = _fiber_rows(r)
     slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
     extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
-    run = solve_projective(base_rows + extra, Y_NAMES, seed, f"fiber:{r}:0")
-    tracked = [e.x for e in run["distinct"]]
+    run = solve_projective(_fiber_rows(r) + extra, Y_NAMES, seed,
+                           f"fiber:{r}:0")
     exact0 = np.array(slices[0]["points"])
-    chordal = [float(np.min(_chordal_each(x, exact0))) if len(exact0)
-               else math.inf for x in tracked]
-    sampled_points = tracked + [p for sl in slices[1:] for p in sl["points"]]
-    if not sampled_points:
-        raise RuntimeError("no fiber slice produced a point")
-    _vals, jac = CompiledSystem(base_rows, 9).evaluate(
-        sampled_points[0] / np.linalg.norm(sampled_points[0]))
+    chordal = [float(np.min(_chordal_each(e.x, exact0))) if len(exact0)
+               else math.inf for e in run["distinct"]]
     return {
         "slice_counts": [sl["count"] for sl in slices],
         "slice_reasons": [sl["reason"] for sl in slices],
         "projections": [sl["projection"] for sl in slices],
         "cross_check": {"path_count": run["path_count"], "chordal": chordal},
-        "sampled_points": sampled_points,
-        "fiber_jacobian": jac,
-        "fiber_jacobian_rank": _numeric_rank(jac),
     }
 
 
@@ -1387,30 +1359,33 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     """Numeric geometry of the parameter-origin fiber and the projection.
 
     The fiber sliced by a random codimension-3 space has degree four;
-    its Jacobian has numeric rank five at a sample point (dimension
-    three); the common chart image of the non-multiple-root open-stratum
-    points recovers the stored fiber point; the exact projection data
-    (center and target ranks, empty intersection) holds, and the checks
-    that read its extraction rows are skipped if it does not span;
-    sampled fiber points project onto a spanning set of the target; the
-    projection differential has rank three, read from the probe's own
-    Jacobian at its first sample point; and each of ten random targets
-    has exactly one regular preimage on the fiber.
+    the common chart image of the non-multiple-root open-stratum points
+    recovers the stored fiber point; the exact projection data (center
+    and target ranks, empty intersection) holds, and the checks that
+    read its extraction rows are skipped if it does not span; and each
+    of ten random targets has exactly one regular preimage on the fiber.
 
     The preimages are proved over Q(zeta_8) by
     `construction.exact_preimage` on the very same seeded Gaussian
     targets, whose double coordinates are exact rationals: a preimage
     counts as regular when its two lines meet transversally (rank 2,
     lambda nonzero), the exact analogue of a smallest singular value
-    above SV_REGULAR.  `center_line` records
-    the identity behind the count: the center line l has dimension 2,
-    both quadrics vanish on it, and each factored as lambda * L_i on
-    every trial's plane.  Trial 0 is also tracked by homotopy:
-    `preimage_cross_check` gives the chordal distance of its one regular
-    endpoint from the exact point (below TOL_MATCH), its failed paths
-    per tracked chart as [index, status] (one chart, unless the first
-    misses the regular endpoint), and how many `polish` endpoints lie
-    within TOL_DEDUP of l (a `polish` endpoint off l is a residual).
+    above SV_REGULAR.  The three ranks are read exactly from these
+    points.  At trial 0's preimage, which must solve the five fiber
+    equations exactly, the fiber Jacobian has rank five (dimension
+    three) and the projection differential, the extraction rows on the
+    Jacobian's kernel, rank four (projective rank three); a trial 0
+    without a point leaves both None.  The ten preimages, each lambda
+    times its target, project onto a span of rank four.  `center_line`
+    records the identity behind the count: the center line l has
+    dimension 2, both quadrics vanish on it, and each factored as
+    lambda * L_i on every trial's plane.  Trial 0 is also tracked by
+    homotopy: `preimage_cross_check` gives the chordal distance of its
+    one regular endpoint from the exact point (below TOL_MATCH), its
+    failed paths per tracked chart as [index, status] (one chart, unless
+    the first misses the regular endpoint), and how many `polish`
+    endpoints lie within TOL_DEDUP of l (a `polish` endpoint off l is a
+    residual).
 
     The slice degree is proved the same way: each of the five seeded
     slices cuts the fiber to two conics on a plane over Q(i), and
@@ -1441,9 +1416,6 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
             residuals.append(
                 f"slice 0 cross-check: endpoint {k} is {d:.2e} from every "
                 "exact-plane point")
-    if probe["fiber_jacobian_rank"] != 5:
-        residuals.append(
-            f"fiber Jacobian rank {probe['fiber_jacobian_rank']} != 5")
 
     # The common chart image of the open-stratum non-multiple-root points.
     census = numeric.census(origin, seed)
@@ -1486,29 +1458,6 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     rows = proj["extract_rows"]
     if rows is None:
         residuals.append("center plus target do not span the chart space")
-    samples = probe["sampled_points"]
-    if len(samples) < 20:
-        residuals.append(f"only {len(samples)} sampled fiber points, "
-                         "expected at least 20")
-    img_rank = push_rank = cross_check = extract = None
-    if rows is not None:
-        extract = np.array([[complex(v) for v in row] for row in rows])
-        images_mat = np.array([extract @ (p / np.linalg.norm(p))
-                               for p in samples])
-        img_rank = _numeric_rank(images_mat)
-        if img_rank != 4:
-            residuals.append(
-                f"projected fiber samples span rank {img_rank} != 4")
-
-        # Projection differential rank at the probe's sample point.
-        _u, _s, vh = np.linalg.svd(probe["fiber_jacobian"])
-        tangent = vh.conj().T[:, 5:]       # 4-dim kernel, includes the scale
-        pushed = extract @ tangent         # 4 x 4
-        push_rank = _numeric_rank(pushed)
-        if push_rank != 4:
-            residuals.append(
-                f"projection differential spans rank {push_rank} != 4 "
-                "(projective rank 3 expected)")
 
     # Preimage counts of random targets, from the exact plane meet; a
     # failure of the center-line identity is a trial's reason.  Trial 0
@@ -1534,7 +1483,29 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "quadrics_vanish": all(sol["factored"] for sol in exact),
         "factored_trials": sum(sol["factored"] for sol in exact),
     }
-    if extract is not None:
+
+    # The exact ranks, at trial 0's preimage and over all ten.
+    jac_rank = push_rank = img_rank = cross_check = None
+    if exact[0]["point"] is None:
+        residuals.append("preimage trial 0 has no point: the fiber Jacobian "
+                         "and projection differential ranks are not read")
+    else:
+        jac_rank, push_rank = _fiber_point_ranks(exact[0]["point"], rows,
+                                                 residuals)
+    if jac_rank not in (None, 5):
+        residuals.append(f"fiber Jacobian rank {jac_rank} != 5")
+    if push_rank not in (None, 4):
+        residuals.append(
+            f"projection differential spans rank {push_rank} != 4 "
+            "(projective rank 3 expected)")
+    if rows is not None:
+        project = ExactMatrix(rows).apply
+        img_rank = ExactMatrix([project(sol["point"]) for sol in exact
+                                if sol["point"] is not None]).rank()
+        if img_rank != 4:
+            residuals.append(
+                f"projected fiber preimages span rank {img_rank} != 4")
+        extract = np.array([[complex(v) for v in row] for row in rows])
         cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
                                             exact[0], residuals)
 
@@ -1544,7 +1515,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "slice_cross_check": {
             "slice": 0,
             "chordal": max(tracked["chordal"], default=None)},
-        "fiber_jacobian_rank": probe["fiber_jacobian_rank"],
+        "fiber_jacobian_rank": jac_rank,
         "center_rank": proj["center_rank"],
         "target_rank": proj["target_rank"],
         "intersection_dim": proj["intersection_dim"],
@@ -1553,11 +1524,32 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "preimage_counts": preimage_counts,
         "center_line": center_line,
         "preimage_cross_check": cross_check,
-        "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP,
-                       "rank": TOL_RANK},
+        "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP},
         "seed": seed,
     }
     return _finish("numeric/fiber_5", started, residuals, details)
+
+
+def _fiber_point_ranks(point: list, rows: list | None,
+                       residuals: list[str]) -> tuple[int, int | None]:
+    """The exact ranks at the parameter-origin fiber point `point`: of
+    the fiber Jacobian, and of the projection differential, `rows`
+    applied to the Jacobian's kernel (None without `rows`).  The kernel
+    holds the scale direction, so a fiber of dimension three, smooth at
+    `point`, on which the projection has differential rank three gives
+    (5, 4).  A fiber equation that does not vanish at `point` is a
+    residual."""
+    equations = construction.fiber_equations((_F(0), _F(0), _F(0)))
+    env = dict(zip(Y_NAMES, point))
+    off = [k for k, e in enumerate(equations) if e.evaluate(env) != 0]
+    if off:
+        residuals.append(f"the trial 0 preimage is not on the fiber: "
+                         f"equations {off} do not vanish there")
+    jac = jacobian_at(equations, Y_NAMES, env)
+    tangent = jac.kernel_basis()
+    push_rank = None if rows is None else (
+        ExactMatrix(rows) * ExactMatrix.from_columns(tangent)).rank()
+    return jac.ncols - len(tangent), push_rank
 
 
 def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,

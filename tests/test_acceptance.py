@@ -197,7 +197,7 @@ def test_numeric_fiber_degree_rank_image_and_preimages(numeric_run):
         assert result.details["differential_span_rank"] == 4
         assert result.details["preimage_counts"] == [1] * 10
         assert result.details["tolerances"] == {
-            "track": 1e-10, "dedup": 1e-6, "rank": 1e-8}
+            "track": 1e-10, "dedup": 1e-6}
         line = result.details["center_line"]
         assert line["dim"] == 2 and line["quadrics_vanish"]
         assert line["factored_trials"] == 10

@@ -24,7 +24,8 @@ from covforge.continuation import (CLUSTER_RADIUS, TOL_MATCH, WORKING_DPS,
                                    UndecidedOctic, _census_problem,
                                    _chordal_each, _chordal_groups,
                                    _classify_point, _counted_clusters,
-                                   _fiber_rows, _linear_row_terms, _matching,
+                                   _fiber_point_ranks, _fiber_rows,
+                                   _linear_row_terms, _matching,
                                    _poly_terms, _predict, _rng, _slice_rows,
                                    _solve_stack, _start_system, census_plan,
                                    check_fiber_geometry,
@@ -70,8 +71,8 @@ def test_one_pass_gives_the_exact_values_and_jacobian():
     for c, name in zip(chart, CHART_VARS):
         chart_poly = chart_poly + MPoly.var(name) * c
     system = CompiledSystem(
-        [_poly_terms(p, CHART_VARS) for p in quadrics]
-        + [_linear_row_terms(chart, constant=constant)], 6)
+        [[_poly_terms(p, CHART_VARS) for p in quadrics]
+         + [_linear_row_terms(chart, constant=constant)]], 6)
     # dyadic Gaussian rationals, so the double point is the exact point
     point = [_gaussian("3/4", "-1/8"), _gaussian("-5/2", "1/2"),
              _gaussian("1/16", "7/4"), _gaussian("2", "0"),
@@ -104,9 +105,9 @@ def test_a_stack_evaluates_bitwise_as_its_rows():
     rng = np.random.default_rng(7)
     chart = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     system = CompiledSystem(
-        [_poly_terms(p, CHART_VARS)
-         for p in literal_restricted_quadrics(SAMPLE_R)]
-        + [_linear_row_terms(chart, constant=-1.0)], 6)
+        [[_poly_terms(p, CHART_VARS)
+          for p in literal_restricted_quadrics(SAMPLE_R)]
+         + [_linear_row_terms(chart, constant=-1.0)]], 6)
     stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     stack[2, 1] = 0.0
     values, jac = system.evaluate(stack)
@@ -131,8 +132,8 @@ def test_a_path_that_runs_to_infinity_keeps_its_last_point():
     x1, x2 = MPoly.var("x1"), MPoly.var("x2")
     names = ("x1", "x2")
     # two parallel lines: the one path has no finite endpoint
-    system = CompiledSystem([_poly_terms(x1 + x2 - 1, names),
-                             _poly_terms(x1 + x2 - 2, names)], 2)
+    system = CompiledSystem([[_poly_terms(x1 + x2 - 1, names),
+                              _poly_terms(x1 + x2 - 2, names)]], 2)
     (path,), _count = track(system, _rng(42, "track"))
     assert path.status == "diverged"
     assert np.all(np.isfinite(path.x)) and np.linalg.norm(path.x) > 1e10
@@ -236,7 +237,7 @@ def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
     p = MPoly.var("x1") ** 2 - 1
-    system = CompiledSystem([_poly_terms(p, ("x1",))], 1)
+    system = CompiledSystem([[_poly_terms(p, ("x1",))]], 1)
     results, path_count = track(system, _rng(42, "track"))
     assert path_count == 2
     assert all(r.status == "accepted" for r in results)
@@ -638,9 +639,8 @@ def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
     assert probe["slice_reasons"] == [None] * 5
     assert probe["cross_check"]["path_count"] == 4
     assert max(probe["cross_check"]["chordal"]) < TOL_MATCH
-    # slice 0's four tracked endpoints, then four exact points per slice
-    assert len(probe["sampled_points"]) == 20
-    assert probe["fiber_jacobian_rank"] == 5
+    assert set(probe) == {"slice_counts", "slice_reasons", "projections",
+                          "cross_check"}
 
 
 def _are_the_points(out, expected) -> bool:
@@ -1007,6 +1007,56 @@ def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch,
     assert result.details["intersection_dim"] == 1
     assert result.details["image_span_rank"] is None
     assert result.details["preimage_cross_check"] is None
+
+
+def _off_the_fiber(sol):
+    return [sol["point"][0] + 1, *sol["point"][1:]]
+
+
+@pytest.mark.parametrize("moved, ranks, residual", [
+    # the center line lies in the fiber and is smooth there, but the
+    # projection collapses it: the differential has rank 2, not 4
+    (lambda sol: sol["line"][0], (5, 2), "projection differential spans "
+     "rank 2 != 4 (projective rank 3 expected)"),
+    (_off_the_fiber, (5, 4), "the trial 0 preimage is not on the fiber: "
+     "equations [0, 1, 2] do not vanish there"),
+    (lambda sol: None, (None, None), "preimage trial 0 has no point: the "
+     "fiber Jacobian and projection differential ranks are not read"),
+], ids=["center_line", "off_the_fiber", "no_point"])
+def test_a_wrong_trial_0_point_fails_the_exact_ranks(moved, ranks, residual,
+                                                     monkeypatch, numeric_run):
+    real = con.exact_preimage
+    calls = []
+
+    def patched(n):
+        calls.append(n)
+        sol = real(n)
+        return {**sol, "point": moved(sol)} if len(calls) == 1 else sol
+
+    monkeypatch.setattr(con, "exact_preimage", patched)
+    result = check_fiber_geometry(42, numeric_run)
+    assert not result.ok
+    assert (result.details["fiber_jacobian_rank"],
+            result.details["differential_span_rank"]) == ranks
+    assert residual in result.residuals, result.residuals
+    # the other nine preimages still span the target
+    assert result.details["image_span_rank"] == 4
+
+
+def test_the_exact_ranks_hold_at_trial_0_of_ten_seeds():
+    # the claims of `numeric/fiber_5` at trial 0's exact preimage, with
+    # nothing tracked: seeds whose ranks fall short would fail `verify`
+    rows = projection_data()["extract_rows"]
+    points = []
+    for seed in range(10):
+        points.append(exact_preimage(_seeded_target(seed, 0))["point"])
+        residuals = []
+        assert _fiber_point_ranks(points[-1], rows, residuals) == (5, 4)
+        assert residuals == []
+    # each preimage projects to lambda times its target: ten generic
+    # targets span the four target coordinates
+    project = ExactMatrix(rows).apply
+    assert ExactMatrix([project(p) for p in points]).rank() == 4
 
 
 def test_a_run_counts_each_fiber_slice_once(monkeypatch):
