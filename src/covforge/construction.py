@@ -13,9 +13,9 @@ erratum ledger (errata.json) records a corrected reading; each correction
 is validated by the check suite.
 
 It also holds the exact geometry of the numeric checks, none of which
-needs numpy or mpmath: the census triple, system and symmetry; the
-fiber's slices, two conics on a plane (`conic_pair`); and the preimages,
-two lines on a plane (`exact_preimage`).
+needs numpy or mpmath: the census triple, system, symmetry and stored
+points; the fiber's slices, two conics on a plane (`conic_pair`); and
+the preimages, two lines on a plane (`exact_preimage`).
 """
 from __future__ import annotations
 
@@ -670,27 +670,30 @@ def h_orbit_signs() -> list[tuple]:
             for mat in (ExactMatrix.identity(9), om, rh, om * rh)]
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
+def _gaussian_sqrt(value: Fraction):
+    """A square root of a rational in Q(i): q for q^2, q*i for -q^2, and
+    None for any other value."""
+    q = _F(math.isqrt(abs(value.numerator)), math.isqrt(value.denominator))
+    if q * q != abs(value):
         return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return _F(num, den)
-    return None
+    return q if value >= 0 else q * _I
 
 
-def stratum_anchor_vectors(r1: Fraction) -> list[list]:
-    """Exact single-pair-stratum chart vectors: the stored square-root
-    families at r1 and a rational root a of their relation, if it has
-    one (else none)."""
-    a = _rational_sqrt(25 * r1 * r1 - 900)
-    if a is None:
-        return []
-    fams, _relation = stratum1_solution_families()
-    chart = [X_NAMES.index(n) for n in CHART_VARS]
-    return [[fam[i].evaluate({"r1": r1, "a": a}) for i in chart]
-            for fam in fams]
+def census_anchors(r: tuple) -> list[list]:
+    """The census points the construction stores exactly, as chart
+    6-vectors over CHART_VARS: first the four sparse solutions
+    (0, 0, 0, p), at every triple; then the four instances of the
+    single-pair families at (r1, a), when their relation
+    a^2 = 25 r1^2 - 900 has a root a in Q(i)."""
+    points = [[_F(0)] * 3 + list(p)
+              for p in special_points()["sparse_solutions"]]
+    fams, relation = stratum1_solution_families()
+    a = _gaussian_sqrt(relation.evaluate({"r1": r[0]}))
+    if a is not None:
+        chart = [X_NAMES.index(n) for n in CHART_VARS]
+        points += [[fam[i].evaluate({"r1": r[0], "a": a}) for i in chart]
+                   for fam in fams]
+    return points
 
 
 # ---------------------------------------------------------------------------

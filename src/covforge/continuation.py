@@ -21,8 +21,8 @@ for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
 `solve_projective`'s projective residual test; whether two points are
 one, by `_matching` on the chordal distance `_chordal_each` in complex
-doubles, for the endpoint merge, the census's H-images and the checks'
-anchors alike.
+doubles, for the endpoint merge and for the census's stored points and
+H-images alike.
 Endpoints of the stratum systems are then refined by `mp_polish`, on
 the table's value entries embedded at `WORKING_DPS` (the coefficients
 are exact, so the refinement is limited only by working precision);
@@ -31,26 +31,27 @@ sixfold root cluster from simple roots at CLUSTER_RADIUS.  Each step
 takes the 40-digit residual F and solves J0 dx = F with the endpoint's
 double Jacobian J0 (iterative refinement), and the polish stops on a
 step small relative to the point.  A census polishes and classifies
-only what it does not already know.  The four L0 points are the same
-rational points at every triple, placed exactly and labelled by their
-exact octics.  Of the other endpoints, only one representative per
-orbit of the diagonal subgroup H is polished: the sign flips of H,
-rescaled onto the census chart, carry the representative's polished
-point and labels to every endpoint they match within TOL_MATCH, and an
-endpoint no image matches is polished and classified on its own.  The
-same placement carries a reference census's points and labels, census
-S's for the censuses at seeds S+1 and S+2, to the endpoints they
-match.  The classifier counts the endpoint octic's root clusters
-instead of finding its roots: the double-precision roots are grouped,
-and Pellet's test on the octic's 40-digit Taylor coefficients at each
-group's centroid proves that a small disc there holds exactly the
-group's number of roots (`octic_root_clusters`); an octic the counts
-cannot decide is named in the check's residuals, not raised.  The
-centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
-2005), so the double roots already place every cluster.  `embed_mp` is
-the one exact-to-mpmath embedding, for the table, the parameter triple,
-the L0 points and the sign flips of H; it reads an exact value through
-`as_cyc(v).coords`, one mpf quotient per nonzero coordinate.
+only what it does not already know.  The points the construction
+stores exactly, four L0 points and at some triples four L1 points, are
+placed first and labelled by their exact octics.  Of the other
+endpoints, only one representative per orbit of the diagonal subgroup
+H is polished: the sign flips of H, rescaled onto the census chart,
+carry the representative's polished point and labels to every endpoint
+they match within TOL_MATCH, and an endpoint no image matches is
+polished and classified on its own.  The same placement carries a
+reference census's points and labels, census S's for the censuses at
+seeds S+1 and S+2, to the endpoints they match.  The classifier
+counts the endpoint octic's root clusters instead of finding its
+roots: the double-precision roots are grouped, and Pellet's test on the
+octic's 40-digit Taylor coefficients at each group's centroid proves
+that a small disc there holds exactly the group's number of roots
+(`octic_root_clusters`); an octic the counts cannot decide is named in
+the check's residuals, not raised.  The centroid of a k-root cluster is
+well conditioned (Zeng, Math. Comp. 2005), so the double roots already
+place every cluster.  `embed_mp` is the one exact-to-mpmath embedding,
+for the table, the parameter triple, the stored points and the sign
+flips of H; it reads an exact value through `as_cyc(v).coords`, one mpf
+quotient per nonzero coordinate.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
 0 and one preimage target are still tracked here, as cross-checks, the
@@ -925,21 +926,23 @@ class StratumCensus:
     unmatched: list[int] = field(default_factory=list)   # off the reference
 
 
+def _stratum(nonzero: list) -> str:
+    """The stratum of a chart point whose x1, x2, x3 are nonzero as
+    flagged."""
+    nz = [i for i, flag in enumerate(nonzero) if flag]
+    if len(nz) == 0:
+        return "L0"
+    if len(nz) == 1:
+        return f"L{nz[0] + 1}"
+    return "Lopen" if len(nz) == 3 else "?"
+
+
 def _classify_point(point_mp, r) -> StratumPoint:
     """The polished chart point with its stratum label and multiple-root
     flag, or with the reason the flag is undecided."""
     norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
     unit = [c / norm for c in point_mp]
-    zero = [abs(unit[i]) < TOL_MATCH for i in range(3)]
-    nz = [i for i, z in enumerate(zero) if not z]
-    if len(nz) == 0:
-        stratum = "L0"
-    elif len(nz) == 1:
-        stratum = f"L{nz[0] + 1}"
-    elif len(nz) == 3:
-        stratum = "Lopen"
-    else:
-        stratum = "?"
+    stratum = _stratum([abs(c) >= TOL_MATCH for c in unit[:3]])
     vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r], unit)
     try:
         sizes = octic_root_clusters(vec9)
@@ -975,17 +978,18 @@ def count_stratum_points(r: tuple, seed,
     not yet labelled takes the rescaled point as its coordinates and the
     point's labels.
 
-    The four L0 points, `construction.special_points()`'s
-    `sparse_solutions` with x1 = x2 = x3 = 0, are the same rational
-    points at every triple, so they are placed first, exactly: each is
-    labelled L0, and multiple-root when its exact octic, which does not
-    depend on r, has a root of multiplicity 6 or more
-    (`max_root_multiplicity_exact`).
+    The points the construction stores exactly at r
+    (`construction.census_anchors`) are placed first, each with the
+    stratum of its exact zeros among x1, x2, x3, and multiple-root when
+    its exact octic has a root of multiplicity 6 or more
+    (`max_root_multiplicity_exact`).  `notes` names a stored point that
+    matches no endpoint, not one whose endpoint another stored point
+    labelled (at r1 = +-6 the a = 0 L1 instances are L0 points).
 
     A reference census, census S of the same triple at another seed, is
     placed next, point by point: a matched endpoint is the same point as
     one of census S, so it needs no polish or classification of its
-    own.  `unmatched` lists the endpoints neither an L0 point nor a
+    own.  `unmatched` lists the endpoints neither a stored point nor a
     reference point matched, in order; they go on to the walk below like
     any other.
 
@@ -995,7 +999,7 @@ def count_stratum_points(r: tuple, seed,
     still unlabelled are walked in order; the first one not yet covered
     is a representative, and each H-image of its polished point, its
     coordinates' signs flipped, is placed.  An endpoint no image matches
-    becomes a representative in its turn, so the L0 points, the
+    becomes a representative in its turn, so the stored points, the
     reference and the symmetry save work but never decide the label of
     an endpoint they do not match.  A point whose root clusters Pellet
     counts leave undecided carries None as its multiple-root flag and is
@@ -1012,22 +1016,30 @@ def count_stratum_points(r: tuple, seed,
     ends = np.array([e.x for e in distinct])
     points: list = [None] * len(distinct)
     min_sv = min((e.sv_min for e in distinct), default=math.inf)
+    name = f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}"
+    notes = []
     with mp.workdps(WORKING_DPS):
         chart = [mp.mpc(c) for c in run["chart"]]
 
-        def place(coords: list, label: StratumPoint) -> None:
+        def place(coords: list, label: StratumPoint) -> list[int]:
             scale = mp.fsum(a * b for a, b in zip(chart, coords))
             image = [c / scale for c in coords]
-            for k in _matching(ends, [complex(c) for c in image], TOL_MATCH):
+            hits = _matching(ends, [complex(c) for c in image], TOL_MATCH)
+            for k in hits:
                 if points[k] is None:
                     points[k] = replace(label, coords=image)
+            return hits
 
-        for p in construction.special_points()["sparse_solutions"]:
+        for point in construction.census_anchors(r):
             octic = construction.octic_form(
-                construction.sparse_solution_vec9(p))
-            coords = [embed_mp(v) for v in (_F(0), _F(0), _F(0), *p)]
-            place(coords, StratumPoint(
-                coords, "L0", max_root_multiplicity_exact(octic) >= 6))
+                construction.octic_vector_on_slice(r, point))
+            coords = [embed_mp(v) for v in point]
+            if not place(coords, StratumPoint(
+                    coords, _stratum([v != 0 for v in point[:3]]),
+                    max_root_multiplicity_exact(octic) >= 6)):
+                notes.append(f"{name}: stored point "
+                             f"{[str(v) for v in point]} matches no "
+                             "endpoint")
         unmatched = []
         if reference is not None:
             for p in reference.points:
@@ -1047,11 +1059,9 @@ def count_stratum_points(r: tuple, seed,
     partition = dict.fromkeys(
         ["L0"] + [f"{s}_X{k}" for s in ("L1", "L2", "L3", "Lopen")
                   for k in (1, 2)], 0)
-    notes = []
     for k, p in enumerate(points):
         if p.multiple_root is None:
-            notes.append(f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}: "
-                         f"endpoint {k}: root clusters undecided: "
+            notes.append(f"{name}: endpoint {k}: root clusters undecided: "
                          f"{p.undecided}")
             continue
         key = p.stratum if p.stratum == "L0" \
@@ -1260,10 +1270,11 @@ def check_stratum_counts(seed: int, sample_r: tuple,
 
     At the generic sample the thirty-two paths must produce thirty-two
     accepted, regular, distinct endpoints partitioned 4 + (2 per stratum
-    and class) + (12 + 4); the exact anchor points must each match an
-    endpoint; the four non-multiple-root open-stratum points must form a
-    single orbit of the diagonal subgroup.  At the parameter origin the
-    open stratum must carry sixteen points.
+    and class) + (12 + 4); the four non-multiple-root open-stratum points
+    must form a single orbit of the diagonal subgroup.  At the parameter
+    origin the open stratum must carry sixteen points.  Both censuses'
+    notes are residuals, so a stored point (`construction.census_anchors`)
+    that matches no endpoint of either fails the check.
     """
     started = time.perf_counter()
     residuals: list[str] = []
@@ -1286,23 +1297,6 @@ def check_stratum_counts(seed: int, sample_r: tuple,
         residuals.append(
             f"smallest endpoint singular value {census.min_sv:.3e} is not "
             f"above {SV_REGULAR:.0e} (a multiple point)")
-
-    # Exact anchors: the four sparse solutions, always; the single-pair
-    # instances whenever the square-root relation has a rational root.
-    by_stratum = {s: [[complex(c) for c in pt.coords]
-                      for pt in census.points if pt.stratum == s]
-                  for s in ("L0", "L1")}
-    sparse = construction.special_points()["sparse_solutions"]
-    for p in sparse:
-        anchor = [0, 0, 0] + [complex(_F(v)) for v in p]
-        if not _matching(by_stratum["L0"], anchor, TOL_MATCH):
-            residuals.append(f"sparse anchor {p} matches no endpoint")
-    for anchor in construction.stratum_anchor_vectors(sample_r[0]):
-        if not _matching(by_stratum["L1"], [complex(c) for c in anchor],
-                         TOL_MATCH):
-            residuals.append(
-                "single-pair-stratum anchor "
-                f"{[str(c) for c in anchor]} matches no endpoint")
 
     # Orbit structure of the four non-multiple-root open-stratum points.
     orbit_pts = [[complex(c) for c in p.coords] for p in census.points

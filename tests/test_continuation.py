@@ -15,11 +15,13 @@ import pytest
 from covforge import construction as con
 from covforge import continuation
 from covforge.construction import (CHART_VARS, PLANE_VARS, SAMPLE_R,
-                                   conic_pair, exact_preimage,
-                                   fiber_equations, literal_pure_quadrics,
+                                   census_anchors, conic_pair,
+                                   exact_preimage, fiber_equations,
+                                   literal_pure_quadrics,
                                    literal_restricted_quadrics,
-                                   projection_data, stratum_anchor_vectors)
-from covforge.continuation import (CLUSTER_RADIUS, TOL_MATCH, WORKING_DPS,
+                                   projection_data)
+from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
+                                   WORKING_DPS,
                                    CompiledSystem, NumericRun,
                                    UndecidedOctic, _census_problem,
                                    _chordal_each, _chordal_groups,
@@ -343,7 +345,7 @@ def _counting(calls, name):
 def orbit_censuses():
     """Fresh sample censuses at seed 42, with the diagonal subgroup H as
     it is ("orbits") and cut to its identity ("own", where every endpoint
-    but the four exact L0 points is polished and classified on its own),
+    but the eight stored points is polished and classified on its own),
     each with its counts of `mp_polish` and `octic_root_clusters`
     calls."""
     out = {}
@@ -360,10 +362,11 @@ def orbit_censuses():
 
 def test_the_census_polishes_and_classifies_one_point_per_h_orbit(
         orbit_censuses):
-    # 10 H-orbits of 28 endpoints: the four L0 points are exact
+    # 8 H-orbits of 24 endpoints: the four L0 and four L1 points are
+    # stored exactly
     census, calls = orbit_censuses["orbits"]
     assert census.distinct_count == 32
-    assert calls == {"mp_polish": 10, "octic_root_clusters": 10}
+    assert calls == {"mp_polish": 8, "octic_root_clusters": 8}
 
 
 def test_an_inherited_point_is_its_own_polish_with_its_own_labels(
@@ -382,7 +385,7 @@ def test_without_the_symmetry_every_endpoint_is_polished_on_its_own(
         orbit_censuses):
     census, _calls = orbit_censuses["orbits"]
     own, calls = orbit_censuses["own"]
-    assert calls == {"mp_polish": 28, "octic_root_clusters": 28}
+    assert calls == {"mp_polish": 24, "octic_root_clusters": 24}
     assert own.partition == census.partition
 
 
@@ -400,19 +403,34 @@ def _rational_triples(count: int) -> list[tuple]:
     return triples
 
 
-def test_the_l0_anchors_are_exact_census_points_without_a_sixfold_root():
-    small = tuple(v * Fraction(1, 100000) for v in SAMPLE_R)
-    triples = [SAMPLE_R, (Fraction(0),) * 3, small] + _rational_triples(4)
-    anchors = con.special_points()["sparse_solutions"]
-    assert len(anchors) == 4
-    for r in triples:
+def test_the_stored_census_points_are_exact_with_exact_labels():
+    # the four sparse L0 points at every triple; the four L1 instances of
+    # the single-pair families where a^2 = 25 r1^2 - 900 has a root in
+    # Q(i): a = 40 at the sample, a = 30i at the origin
+    origin = (Fraction(0),) * 3
+    counts = {SAMPLE_R: 8, origin: 8, SMALL_R: 4}
+    counts.update(dict.fromkeys(_rational_triples(4), 4))
+    for r, count in counts.items():
+        stored = census_anchors(r)
+        assert len(stored) == count, r
         quadrics = literal_restricted_quadrics(r)
-        for p in anchors:
-            env = dict(zip(CHART_VARS, (0, 0, 0, *p)))
-            assert all(q.evaluate(env) == 0 for q in quadrics), (r, p)
-    for p in anchors:
-        octic = con.octic_form(con.sparse_solution_vec9(p))
-        assert max_root_multiplicity_exact(octic) < 6
+        for k, point in enumerate(stored):
+            env = dict(zip(CHART_VARS, point))
+            assert all(q.evaluate(env) == 0 for q in quadrics), (r, point)
+            assert point[1] == point[2] == 0
+            assert (point[0] == 0) == (k < 4)
+            # x1 = 1 or -1 carries a sixfold root, x1 = a and the L0
+            # points simple roots only
+            octic = con.octic_form(con.octic_vector_on_slice(r, point))
+            assert max_root_multiplicity_exact(octic) == \
+                (6 if k in (4, 5) else 1), (r, point)
+    # the 40-digit classifier, given the embedded points, agrees
+    for r in (SAMPLE_R, origin):
+        with mp.workdps(WORKING_DPS):
+            for k, point in enumerate(census_anchors(r)):
+                label = _classify_point([embed_mp(v) for v in point], r)
+                assert (label.stratum, label.multiple_root) == \
+                    ("L0" if k < 4 else "L1", k in (4, 5)), (r, point)
 
 
 def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
@@ -426,7 +444,7 @@ def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
     for fn in calls:
         monkeypatch.setattr(continuation, fn, _counting(calls, fn))
     alone = count_stratum_points(SAMPLE_R, 42)
-    assert calls == {"mp_polish": 11, "octic_root_clusters": 11}
+    assert calls == {"mp_polish": 9, "octic_root_clusters": 9}
     assert alone.partition == census.partition == SAMPLE_PARTITION
     # the polished endpoint is the dropped anchor, with the anchor's labels
     with mp.workdps(WORKING_DPS):
@@ -447,6 +465,41 @@ SAMPLE_PARTITION = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2,
                     "Lopen_X2": 4}
 
 
+def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
+        monkeypatch):
+    stored = census_anchors(SAMPLE_R)
+    off = stored[4][:4] + [stored[4][4] + 1] + stored[4][5:]
+
+    def moved(r):
+        points = census_anchors(r)
+        if r == SAMPLE_R:
+            points[4] = off
+        return points
+
+    calls = {"mp_polish": 0}
+    monkeypatch.setattr(con, "census_anchors", moved)
+    monkeypatch.setattr(continuation, "mp_polish",
+                        _counting(calls, "mp_polish"))
+    fresh = NumericRun(census_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    result = check_stratum_counts(42, SAMPLE_R, fresh)
+    assert list(result.residuals) == [
+        f"census (10, 1/2, 1/3) at seed 42: stored point "
+        f"{[str(v) for v in off]} matches no endpoint"]
+    # the endpoint the point took is polished and classified on its own,
+    # one more polish than the 8 per census, with the stored labels
+    assert calls["mp_polish"] == 17
+    census = fresh.census(SAMPLE_R, 42)
+    assert census.partition == SAMPLE_PARTITION
+    with mp.workdps(WORKING_DPS):
+        exact = np.array([embed_mp(v) for v in stored[4]], dtype=object)
+        hits = [k for k, pt in enumerate(census.points)
+                if _chordal_each(np.array(pt.coords, dtype=object),
+                                 exact) < 1e-30]
+        assert len(hits) == 1
+        point = census.points[hits[0]]
+        assert (point.stratum, point.multiple_root) == ("L1", True)
+
+
 def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
     calls = {"mp_polish": 0}
     monkeypatch.setattr(continuation, "mp_polish",
@@ -454,9 +507,9 @@ def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
     result = check_seed_stability(42, SAMPLE_R, NumericRun())
     assert result.ok, result.residuals
     assert result.details["partition"] == SAMPLE_PARTITION
-    # census 42 polishes one endpoint per H-orbit off L0; every endpoint
-    # of censuses 43 and 44 matches one of its points
-    assert calls["mp_polish"] == 10
+    # census 42 polishes one endpoint per H-orbit off its stored points;
+    # every endpoint of censuses 43 and 44 matches one of its points
+    assert calls["mp_polish"] == 8
 
 
 def _moved(coords: list, distance: float) -> list:
@@ -773,11 +826,13 @@ def test_single_pair_anchors_are_the_instances_of_the_stored_families(
     pinned = {tuple(Fraction(vec[i]) for i in chart)
               for vec in map(ast.literal_eval,
                              strata.details["instances_at_10"])}
-    anchors = stratum_anchor_vectors(Fraction(10))
+    anchors = census_anchors(SAMPLE_R)[4:]
     assert len(anchors) == len(pinned) == 4
     assert {tuple(a) for a in anchors} == pinned
-    # at r1 = 1/2 the relation has no real root, so there is no anchor
-    assert stratum_anchor_vectors(Fraction(1, 2)) == []
+    # at r1 = 1/2 the relation has no root in Q(i), so only the four L0
+    # points are stored
+    half = (Fraction(1, 2),) + SAMPLE_R[1:]
+    assert census_anchors(half) == census_anchors(SAMPLE_R)[:4]
 
 
 def test_census_rejects_degenerate_parameter_triples():
