@@ -21,37 +21,37 @@ for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
 `solve_projective`'s projective residual test; whether two points are
 one, by `_matching` on the chordal distance `_chordal_each` in complex
-doubles, for the endpoint merge and for the census's stored points and
-H-images alike.
-Endpoints of the stratum systems are then refined by `mp_polish`, on
-the table's value entries embedded at `WORKING_DPS` (the coefficients
-are exact, so the refinement is limited only by working precision);
-this is what lets the multiple-root classifier separate a genuine
-sixfold root cluster from simple roots at CLUSTER_RADIUS.  Each step
-takes the 40-digit residual F and solves J0 dx = F with the endpoint's
-double Jacobian J0 (iterative refinement), and the polish stops on a
-step small relative to the point.  A census polishes and classifies
-only what it does not already know.  The points the construction
-stores exactly, four L0 points and at some triples four L1 points, are
-placed first and labelled by their exact octics.  Of the other
-endpoints, only one representative per orbit of the diagonal subgroup
-H is polished: the sign flips of H, rescaled onto the census chart,
-carry the representative's polished point and labels to every endpoint
+doubles, for the endpoint merge and for the census's stored points,
+reference points and H-images alike.
+A census point is its tracked double endpoint; what the census adds is
+its labels.  The points the construction stores exactly, four L0 points
+and at some triples four L1 points, are placed first and labelled by
+their exact octics.  Of the other endpoints, only one representative per
+orbit of the diagonal subgroup H is labelled: the sign flips of H carry
+the representative's endpoint, and with it its labels, to every endpoint
 they match within TOL_MATCH, and an endpoint no image matches is
-polished and classified on its own.  The same placement carries a
-reference census's points and labels, census S's for the censuses at
-seeds S+1 and S+2, to the endpoints they match.  The classifier
-counts the endpoint octic's root clusters instead of finding its
-roots: the double-precision roots are grouped, and Pellet's test on the
-octic's 40-digit Taylor coefficients at each group's centroid proves
-that a small disc there holds exactly the group's number of roots
+labelled on its own.  The same placement carries a reference census's
+labels, census S's for the censuses at seeds S+1 and S+2, from its
+endpoints to the endpoints they match.  Only labelling a representative
+works at `WORKING_DPS` digits: `mp_polish` refines its endpoint on the
+table's value entries embedded at that precision (the coefficients are
+exact, so the refinement is limited only by working precision), which
+is what lets the multiple-root classifier separate a genuine sixfold
+root cluster from simple roots at CLUSTER_RADIUS.  Each step takes the
+40-digit residual F and solves J0 dx = F with the endpoint's double
+Jacobian J0 (iterative refinement), and the polish stops on a step
+small relative to the point.  The classifier counts the polished
+point's octic's root clusters instead of finding its roots: the
+double-precision roots are grouped, and Pellet's test on the octic's
+40-digit Taylor coefficients at each group's centroid proves that a
+small disc there holds exactly the group's number of roots
 (`octic_root_clusters`); an octic the counts cannot decide is named in
 the check's residuals, not raised.  The centroid of a k-root cluster is
 well conditioned (Zeng, Math. Comp. 2005), so the double roots already
 place every cluster.  `embed_mp` is the one exact-to-mpmath embedding,
-for the table, the parameter triple, the stored points and the sign
-flips of H; it reads an exact value through `as_cyc(v).coords`, one mpf
-quotient per nonzero coordinate.
+for the table and the parameter triple of the classification; it reads
+an exact value through `as_cyc(v).coords`, one mpf quotient per nonzero
+coordinate.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
 0 and one preimage target are still tracked here, as cross-checks, the
@@ -73,7 +73,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -591,8 +591,9 @@ def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     (or of each row of a stack a to the same row of `points`), the sine
     of the angle between representatives, from the 2x2 minors (each
     taken twice, as (i, j) and (j, i)), so nearby points keep their
-    digits.  Entries are complex doubles, or mpmath values in object
-    arrays, then taken at the current precision; the result is doubles."""
+    digits.  Entries are complex doubles, as every caller here passes
+    them; mpmath values in object arrays are taken at the current
+    precision.  The result is doubles."""
     minors = (a[..., :, None] * points[..., None, :]
               - a[..., None, :] * points[..., :, None])
     cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
@@ -906,7 +907,7 @@ def _pellet_disc(high: list, moduli: list, points: list, group: list[int]):
 
 @dataclass
 class StratumPoint:
-    coords: list                    # 40-digit 6-vector, polished or exact
+    """The labels of a census point."""
     stratum: str                    # "L0" | "L1" | "L2" | "L3" | "Lopen" | "?"
     multiple_root: bool | None      # None when the clusters are undecided
     undecided: str | None = None    # why they are
@@ -915,7 +916,8 @@ class StratumPoint:
 @dataclass
 class StratumCensus:
     partition: dict
-    points: list[StratumPoint]
+    points: list[StratumPoint]      # the labels of the endpoints, in order
+    endpoints: np.ndarray           # one 6-vector per point, on the chart
     path_count: int
     accepted_count: int
     distinct_count: int
@@ -938,17 +940,19 @@ def _stratum(nonzero: list) -> str:
 
 
 def _classify_point(point_mp, r) -> StratumPoint:
-    """The polished chart point with its stratum label and multiple-root
-    flag, or with the reason the flag is undecided."""
-    norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
-    unit = [c / norm for c in point_mp]
-    stratum = _stratum([abs(c) >= TOL_MATCH for c in unit[:3]])
-    vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r], unit)
-    try:
-        sizes = octic_root_clusters(vec9)
-    except UndecidedOctic as exc:
-        return StratumPoint(point_mp, stratum, None, str(exc))
-    return StratumPoint(point_mp, stratum, sizes[0] >= 6)
+    """The labels of a polished chart point, at WORKING_DPS: its stratum
+    and multiple-root flag, or the reason the flag is undecided."""
+    with mp.workdps(WORKING_DPS):
+        norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
+        unit = [c / norm for c in point_mp]
+        stratum = _stratum([abs(c) >= TOL_MATCH for c in unit[:3]])
+        vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r],
+                                                  unit)
+        try:
+            sizes = octic_root_clusters(vec9)
+        except UndecidedOctic as exc:
+            return StratumPoint(stratum, None, str(exc))
+    return StratumPoint(stratum, sizes[0] >= 6)
 
 
 def _census_problem(r: tuple, seed) -> tuple:
@@ -971,12 +975,12 @@ def count_stratum_points(r: tuple, seed,
     a stack of censuses already tracked it (`solve_stacked` of
     `_census_problem`), and None to solve it here.
 
-    A labelled 40-digit point is placed on this census by rescaling it
-    onto the census chart, x / (c . x), and matching it against the
-    double endpoints at chordal distance TOL_MATCH; distinct endpoints
-    are TOL_DEDUP apart, so it meets at most one.  A matched endpoint
-    not yet labelled takes the rescaled point as its coordinates and the
-    point's labels.
+    A labelled point is placed on this census as a complex double
+    6-vector: it is matched against the endpoints at chordal distance
+    TOL_MATCH, which is projective, so the point may lie on any chart;
+    distinct endpoints are TOL_DEDUP apart, so it meets at most one.  A
+    matched endpoint not yet labelled takes the point's labels.  A
+    census point's coordinates are its own endpoint, in `endpoints`.
 
     The points the construction stores exactly at r
     (`construction.census_anchors`) are placed first, each with the
@@ -987,73 +991,64 @@ def count_stratum_points(r: tuple, seed,
     labelled (at r1 = +-6 the a = 0 L1 instances are L0 points).
 
     A reference census, census S of the same triple at another seed, is
-    placed next, point by point: a matched endpoint is the same point as
-    one of census S, so it needs no polish or classification of its
-    own.  `unmatched` lists the endpoints neither a stored point nor a
-    reference point matched, in order; they go on to the walk below like
-    any other.
+    placed next, endpoint by endpoint: a matched endpoint is the same
+    point as one of census S, so it needs no polish or classification of
+    its own.  `unmatched` lists the endpoints neither a stored point nor
+    a reference endpoint matched, in order; they go on to the walk below
+    like any other.
 
     The diagonal subgroup H (`construction.h_orbit_signs`) maps the
     system's zero set to itself and keeps both labels, so only one
     endpoint per H-orbit is polished and classified.  The endpoints
     still unlabelled are walked in order; the first one not yet covered
-    is a representative, and each H-image of its polished point, its
-    coordinates' signs flipped, is placed.  An endpoint no image matches
-    becomes a representative in its turn, so the stored points, the
-    reference and the symmetry save work but never decide the label of
-    an endpoint they do not match.  A point whose root clusters Pellet
-    counts leave undecided carries None as its multiple-root flag and is
-    left out of the partition; `notes` names the census, each endpoint
-    with that label and the reason.
+    is a representative, labelled by `_classify_point` on its
+    `mp_polish`, and each H-image of its endpoint, its coordinates'
+    signs flipped, is placed.  An endpoint no image matches becomes a
+    representative in its turn, so the stored points, the reference and
+    the symmetry save work but never decide the label of an endpoint
+    they do not match.  A point whose root clusters Pellet counts leave
+    undecided carries None as its multiple-root flag and is left out of
+    the partition; `notes` names the census, each endpoint with that
+    label and the reason, and each endpoint whose stratum is "?".
     """
     r = construction.admissible_triple(r)
     run = solved
     if run is None:
         rows, _seed, tag, _want = _census_problem(r, seed)
         run = solve_projective(rows, CHART_VARS, seed, tag)
-    sys6: CompiledSystem = run["system"]
     distinct = run["distinct"]
-    ends = np.array([e.x for e in distinct])
+    ends = np.array([e.x for e in distinct], dtype=complex).reshape(-1, 6)
     points: list = [None] * len(distinct)
     min_sv = min((e.sv_min for e in distinct), default=math.inf)
     name = f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}"
     notes = []
-    with mp.workdps(WORKING_DPS):
-        chart = [mp.mpc(c) for c in run["chart"]]
 
-        def place(coords: list, label: StratumPoint) -> list[int]:
-            scale = mp.fsum(a * b for a, b in zip(chart, coords))
-            image = [c / scale for c in coords]
-            hits = _matching(ends, [complex(c) for c in image], TOL_MATCH)
-            for k in hits:
-                if points[k] is None:
-                    points[k] = replace(label, coords=image)
-            return hits
+    def place(x: np.ndarray, label: StratumPoint) -> list[int]:
+        hits = _matching(ends, x, TOL_MATCH)
+        for k in hits:
+            if points[k] is None:
+                points[k] = label
+        return hits
 
-        for point in construction.census_anchors(r):
-            octic = construction.octic_form(
-                construction.octic_vector_on_slice(r, point))
-            coords = [embed_mp(v) for v in point]
-            if not place(coords, StratumPoint(
-                    coords, _stratum([v != 0 for v in point[:3]]),
-                    max_root_multiplicity_exact(octic) >= 6)):
-                notes.append(f"{name}: stored point "
-                             f"{[str(v) for v in point]} matches no "
-                             "endpoint")
-        unmatched = []
-        if reference is not None:
-            for p in reference.points:
-                place(p.coords, p)
-            unmatched = [i for i, p in enumerate(points) if p is None]
-        flips = [[embed_mp(s) for s in signs]
-                 for signs in construction.h_orbit_signs()]
-        for i, e in enumerate(distinct):
-            if points[i] is not None:
-                continue
-            points[i] = _classify_point(mp_polish(sys6, e.x), r)
+    for point in construction.census_anchors(r):
+        octic = construction.octic_form(
+            construction.octic_vector_on_slice(r, point))
+        if not place(np.array([complex(v) for v in point]), StratumPoint(
+                _stratum([v != 0 for v in point[:3]]),
+                max_root_multiplicity_exact(octic) >= 6)):
+            notes.append(f"{name}: stored point {[str(v) for v in point]} "
+                         "matches no endpoint")
+    unmatched = []
+    if reference is not None:
+        for x, p in zip(reference.endpoints, reference.points):
+            place(x, p)
+        unmatched = [i for i, p in enumerate(points) if p is None]
+    flips = np.array(construction.h_orbit_signs(), dtype=float)
+    for i, x in enumerate(ends):
+        if points[i] is None:
+            points[i] = _classify_point(mp_polish(run["system"], x), r)
             for flip in flips:
-                place([s * c for s, c in zip(flip, points[i].coords)],
-                      points[i])
+                place(flip * x, points[i])
     # report order: L0, then each other stratum split by the multiple-root
     # classifier (X1) or not (X2)
     partition = dict.fromkeys(
@@ -1069,12 +1064,12 @@ def count_stratum_points(r: tuple, seed,
         if key in partition:
             partition[key] += 1
         else:
-            notes.append("endpoint with exactly one vanishing leading "
-                         "coordinate (unclassifiable)")
-    return StratumCensus(partition=partition, points=points,
+            notes.append(f"{name}: endpoint {k}: exactly one vanishing "
+                         "leading coordinate (unclassifiable)")
+    return StratumCensus(partition=partition, points=points, endpoints=ends,
                          path_count=run["path_count"],
                          accepted_count=run["accepted_count"],
-                         distinct_count=len(run["distinct"]),
+                         distinct_count=len(distinct),
                          failed=run["failed"],
                          rescue_added=run["rescue_added"],
                          min_sv=min_sv, notes=notes, unmatched=unmatched)
@@ -1086,7 +1081,7 @@ def u_dprime_image(census: StratumCensus):
     Returns (the images, a (k, 9) array of complex doubles, their
     largest pairwise chordal distance).
     """
-    coords = [[complex(c) for c in p.coords] for p in census.points
+    coords = [x for x, p in zip(census.endpoints, census.points)
               if p.stratum == "Lopen" and p.multiple_root is False]
     images = np.array([[x2 * x3 / x1, x3 * x1 / x2, x1 * x2 / x3,
                         x7, x8, x9, 0, 0, 0]
@@ -1299,7 +1294,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
             f"above {SV_REGULAR:.0e} (a multiple point)")
 
     # Orbit structure of the four non-multiple-root open-stratum points.
-    orbit_pts = [[complex(c) for c in p.coords] for p in census.points
+    orbit_pts = [x for x, p in zip(census.endpoints, census.points)
                  if p.stratum == "Lopen" and p.multiple_root is False]
     if len(orbit_pts) != 4:
         residuals.append(

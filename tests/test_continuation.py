@@ -311,21 +311,29 @@ def test_mp_embedding_and_polish_reach_the_working_precision():
 
 
 def test_polished_census_points_match_the_golden_file(numeric_run):
-    """The sample census at seed 42, polished at WORKING_DPS, against its
-    points stored as 45-digit strings with their labels.  The polish
+    """Each distinct endpoint of the sample census's solve at seed 42,
+    polished at WORKING_DPS, against its point stored as 45-digit strings,
+    and the census's labels against the stored ones.  The polish
     converges to the same 40-digit point from any nearby double, so the
     file does not depend on the last bits of the double tracker."""
     golden = json.loads((Path(__file__).parent / "data"
                          / "census_polish_seed42.json").read_text("utf-8"))
     census = numeric_run.census(SAMPLE_R, 42)
     assert [Fraction(v) for v in golden["r"]] == list(SAMPLE_R)
+    rows, seed, tag, _want = _census_problem(
+        con.admissible_triple(SAMPLE_R), 42)
+    run = solve_projective(rows, CHART_VARS, seed, tag)
+    # the census's points are the endpoints of this solve
+    assert np.array_equal(census.endpoints,
+                          np.array([e.x for e in run["distinct"]]))
     assert len(census.points) == len(golden["points"])
     with mp.workdps(45):
-        for point, want in zip(census.points, golden["points"]):
+        for e, point, want in zip(run["distinct"], census.points,
+                                  golden["points"]):
             assert point.stratum == want["stratum"]
             assert point.multiple_root == want["multiple_root"]
-            for x, (re, im) in zip(point.coords, want["coords"],
-                                   strict=True):
+            for x, (re, im) in zip(mp_polish(run["system"], e.x),
+                                   want["coords"], strict=True):
                 w = mp.mpc(re, im)
                 assert abs(x - w) <= 1e-36 * (1 + abs(w))
 
@@ -369,16 +377,13 @@ def test_the_census_polishes_and_classifies_one_point_per_h_orbit(
     assert calls == {"mp_polish": 8, "octic_root_clusters": 8}
 
 
-def test_an_inherited_point_is_its_own_polish_with_its_own_labels(
-        orbit_censuses):
+def test_an_inherited_point_has_its_own_labels(orbit_censuses):
     census, _calls = orbit_censuses["orbits"]
     own, _own_calls = orbit_censuses["own"]
-    with mp.workdps(WORKING_DPS):
-        for point, alone in zip(census.points, own.points, strict=True):
-            assert point.stratum == alone.stratum
-            assert point.multiple_root == alone.multiple_root
-            for x, w in zip(point.coords, alone.coords, strict=True):
-                assert abs(x - w) <= 1e-36 * (1 + abs(w))
+    assert np.array_equal(census.endpoints, own.endpoints)
+    for point, alone in zip(census.points, own.points, strict=True):
+        assert point.stratum == alone.stratum
+        assert point.multiple_root == alone.multiple_root
 
 
 def test_without_the_symmetry_every_endpoint_is_polished_on_its_own(
@@ -446,18 +451,14 @@ def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
     alone = count_stratum_points(SAMPLE_R, 42)
     assert calls == {"mp_polish": 9, "octic_root_clusters": 9}
     assert alone.partition == census.partition == SAMPLE_PARTITION
-    # the polished endpoint is the dropped anchor, with the anchor's labels
-    with mp.workdps(WORKING_DPS):
-        exact = [mp.mpc(0)] * 3 + [embed_mp(v) for v in dropped]
-        hits = [k for k, pt in enumerate(alone.points)
-                if _chordal_each(np.array(pt.coords, dtype=object),
-                                 np.array(exact, dtype=object)) < 1e-30]
-        assert len(hits) == 1
-        point, anchored = alone.points[hits[0]], census.points[hits[0]]
-        assert (point.stratum, point.multiple_root) == ("L0", False)
-        assert (anchored.stratum, anchored.multiple_root) == ("L0", False)
-        for x, w in zip(point.coords, anchored.coords, strict=True):
-            assert abs(x - w) <= 1e-36 * (1 + abs(w))
+    # the classified endpoint is the dropped anchor's, with its labels
+    exact = [0j] * 3 + [complex(v) for v in dropped]
+    hits = _matching(alone.endpoints, exact, TOL_MATCH)
+    assert len(hits) == 1
+    assert hits == _matching(census.endpoints, exact, TOL_MATCH)
+    point, anchored = alone.points[hits[0]], census.points[hits[0]]
+    assert (point.stratum, point.multiple_root) == ("L0", False)
+    assert (anchored.stratum, anchored.multiple_root) == ("L0", False)
 
 
 SAMPLE_PARTITION = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2,
@@ -490,14 +491,11 @@ def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
     assert calls["mp_polish"] == 17
     census = fresh.census(SAMPLE_R, 42)
     assert census.partition == SAMPLE_PARTITION
-    with mp.workdps(WORKING_DPS):
-        exact = np.array([embed_mp(v) for v in stored[4]], dtype=object)
-        hits = [k for k, pt in enumerate(census.points)
-                if _chordal_each(np.array(pt.coords, dtype=object),
-                                 exact) < 1e-30]
-        assert len(hits) == 1
-        point = census.points[hits[0]]
-        assert (point.stratum, point.multiple_root) == ("L1", True)
+    hits = _matching(census.endpoints, [complex(v) for v in stored[4]],
+                     TOL_MATCH)
+    assert len(hits) == 1
+    point = census.points[hits[0]]
+    assert (point.stratum, point.multiple_root) == ("L1", True)
 
 
 def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
@@ -512,15 +510,12 @@ def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
     assert calls["mp_polish"] == 8
 
 
-def _moved(coords: list, distance: float) -> list:
+def _moved(x: np.ndarray, distance: float) -> np.ndarray:
     """The projective point moved by the given chordal distance."""
-    x = np.array([complex(c) for c in coords])
     w = np.zeros_like(x)
     w[np.argmin(np.abs(x))] = 1
     u = w - (np.vdot(x, w) / np.vdot(x, x)) * x
-    y = x + distance * np.linalg.norm(x) * u / np.linalg.norm(u)
-    with mp.workdps(WORKING_DPS):
-        return [mp.mpc(v) for v in y]
+    return x + distance * np.linalg.norm(x) * u / np.linalg.norm(u)
 
 
 def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
@@ -528,14 +523,11 @@ def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
     reference = numeric_run.census(SAMPLE_R, 42)
     j = next(i for i, p in enumerate(reference.points)
              if p.stratum == "Lopen" and p.multiple_root)
-    target = reference.points[j]
-    points = list(reference.points)
-    points[j] = dataclasses.replace(target,
-                                    coords=_moved(target.coords, 1e-6))
-    moved = dataclasses.replace(reference, points=points)
-    assert TOL_MATCH < _chordal_each(
-        np.array([complex(c) for c in points[j].coords]),
-        np.array([[complex(c) for c in target.coords]]))[0] < 1.1e-6
+    target = reference.endpoints[j]
+    endpoints = reference.endpoints.copy()
+    endpoints[j] = _moved(target, 1e-6)
+    moved = dataclasses.replace(reference, endpoints=endpoints)
+    assert TOL_MATCH < _chordal_each(endpoints[j], target[None])[0] < 1.1e-6
 
     real = continuation.count_stratum_points
     censuses = {}
@@ -556,9 +548,7 @@ def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
         got = censuses[seed]
         # the endpoint at the unmoved point is polished there on its own
         # and takes its own labels, the ones census 42 gave that point
-        hits = [k for k, p in enumerate(got.points)
-                if _matching([[complex(c) for c in p.coords]],
-                             [complex(c) for c in target.coords], TOL_MATCH)]
+        hits = _matching(got.endpoints, target, TOL_MATCH)
         assert len(hits) == 1 and got.unmatched == hits
         alone = got.points[hits[0]]
         assert (alone.stratum, alone.multiple_root) == ("Lopen", True)
@@ -1010,6 +1000,35 @@ def test_an_undecided_octic_is_a_residual_that_names_its_endpoint(
         assert note in result.residuals
     # the rest of the census is labelled as before
     assert sum(census.partition.values()) == 32 - len(undecided)
+
+
+def test_an_endpoint_of_no_stratum_is_a_note_that_names_it(monkeypatch):
+    # with H cut to its identity every endpoint off the stored points is
+    # classified on its own; the first open-stratum one is given two
+    # nonzero coordinates among x1, x2, x3, which no stratum has
+    real, calls = continuation._stratum, []
+
+    def one_off(nonzero):
+        stratum = real(nonzero)
+        if stratum == "Lopen" and not calls:
+            calls.append(nonzero)
+            return "?"
+        return stratum
+
+    identity = con.h_orbit_signs()[:1]
+    monkeypatch.setattr(con, "h_orbit_signs", lambda: identity)
+    monkeypatch.setattr(continuation, "_stratum", one_off)
+    census = count_stratum_points(SAMPLE_R, 42)
+    odd = [k for k, p in enumerate(census.points) if p.stratum == "?"]
+    assert len(calls) == 1 and len(odd) == 1
+    name = f"census (10, {SAMPLE_R[1]}, {SAMPLE_R[2]}) at seed 42"
+    assert census.notes == [f"{name}: endpoint {odd[0]}: exactly one "
+                            "vanishing leading coordinate (unclassifiable)"]
+    # the endpoint is left out of the partition, the rest as before
+    left_out = census.points[odd[0]]
+    partition = dict(SAMPLE_PARTITION)
+    partition[f"Lopen_X{1 if left_out.multiple_root else 2}"] -= 1
+    assert census.partition == partition
 
 
 def test_projection_data_is_exact_and_invertible(monkeypatch):

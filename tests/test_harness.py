@@ -164,6 +164,19 @@ def test_exact_work_loads_no_numeric_library():
     assert json.loads(out) == [[2, []], [0, []]]
 
 
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/layers.py wraps the layer functions by name, with no
+    # default, so a renamed or deleted one fails every traced benchmark
+    # run before it starts
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import layers; layers.install()"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
     for error in (ZeroDivisionError, ValueError):
         def broken(seed):
