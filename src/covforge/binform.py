@@ -18,8 +18,9 @@ a fixed integer bilinear map on the coefficient vectors a and b:
 with x_(j) the falling factorial and pref the factorial quotient above.
 The weights are built once per (m, n, i), on first use; the derivative
 definition itself is kept as the test oracle.  A group element acts on
-a form through elementary moves: two Taylor shifts of the coefficient
-vector and one diagonal scaling, O(d^2) scalar operations at degree d.
+a form with exact scalar coefficients through elementary moves: two
+Taylor shifts of the coefficient vector and one diagonal scaling, O(d^2)
+operations at degree d, all on int numerators over one denominator.
 
 The reference tables this package verifies were produced with a possibly
 different transvectant scaling and an unstated matrix-action convention;
@@ -34,7 +35,8 @@ from math import comb, factorial, perm
 from typing import Sequence, Union
 
 from .mpoly import MPoly, monomial_str
-from .scalar import CycScalar, as_cyc, as_exact, over_common_denominator
+from .scalar import (CycScalar, as_cyc, as_exact, from_numerators,
+                     numerator_columns, numerators, over_common_denominator)
 
 FormCoeff = Union[Fraction, CycScalar, MPoly]
 
@@ -175,8 +177,9 @@ def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
     if i < 0 or i > min(m, n):
         raise ValueError(f"transvectant index {i} out of range for degrees {m},{n}")
     pref, weights = _transvectant_weights(m, n, i)
-    # A rational coefficient vector runs on int numerators; `scale`
-    # divides by the denominators once.
+    # A rational-valued coefficient vector, such as group_act's image of
+    # a rational form, runs on int numerators; `scale` divides by the
+    # denominators once.
     a, a_den = over_common_denominator(f.coeffs)
     b, b_den = over_common_denominator(g.coeffs)
     acc: list = [None] * (m + n - 2 * i + 1)
@@ -289,28 +292,91 @@ def mul_closure(generators: Sequence[GroupElt], cap: int = 512) -> list[GroupElt
 ACTION_CONVENTIONS = ("substitute_inverse", "substitute_direct", "substitute_transpose")
 
 
-def _taylor_shift(coeffs: list, t) -> None:
-    """p(w) -> p(w + t) in place, for coeffs[k] the coefficient of w^k."""
-    n = len(coeffs) - 1
+def _product(x: list[int], y: list[int]) -> list[int]:
+    """The product of two numerator lists in Z[zeta_8], one int for a
+    rational value and four otherwise."""
+    if len(x) == 1:
+        return [x[0] * v for v in y]
+    if len(y) == 1:
+        return [y[0] * v for v in x]
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    # the convolution with the reduction z^4 = -1
+    return [x0 * y0 - x1 * y3 - x2 * y2 - x3 * y1,
+            x0 * y1 + x1 * y0 - x2 * y3 - x3 * y2,
+            x0 * y2 + x1 * y1 + x2 * y0 - x3 * y3,
+            x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0]
+
+
+def _taylor_shift(cols: list[list[int]], t: CycScalar, r: int,
+                  touched: list[bool]) -> int:
+    """The shift w -> w + t of a polynomial whose w^j coefficient is
+    entry j of the numerator columns, in place, on ints (von zur Gathen &
+    Gerhard, ISSAC 1997).
+
+    Entry j holds cols[.][j] / (D r^j) for one D.  With t = T/q, the
+    numerators e_j = col_j (r q)^(n-j) shifted by T leave entry j as
+    e'_j / (D r^n q^(n-j)); q is returned.  A rational T shifts each
+    power-basis coordinate alone; otherwise the columns are padded to
+    four in place and T multiplies in Z[zeta_8].  Every entry a step
+    adds to is marked in `touched`.
+    """
+    shift, q = numerators(t)
+    n = len(cols[0]) - 1
+    if r * q != 1:
+        scale = [1]
+        for _ in range(n):
+            scale.append(scale[-1] * r * q)
+        for col in cols:
+            for j in range(n + 1):
+                col[j] *= scale[n - j]
+    if len(shift) == 1:
+        s = shift[0]
+        for e in cols:
+            if not any(e):
+                continue
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    x = e[j + 1]
+                    if x:
+                        e[j] += s * x
+                        touched[j] = True
+        return q
+    cols += [[0] * (n + 1) for _ in range(4 - len(cols))]
+    e0, e1, e2, e3 = cols
+    t0, t1, t2, t3 = shift
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            x = coeffs[j + 1]
-            if x:
-                coeffs[j] = coeffs[j] + t * x
+            k = j + 1
+            x0, x1, x2, x3 = e0[k], e1[k], e2[k], e3[k]
+            if x0 or x1 or x2 or x3:
+                e0[j] += t0 * x0 - t1 * x3 - t2 * x2 - t3 * x1
+                e1[j] += t0 * x1 + t1 * x0 - t2 * x3 - t3 * x2
+                e2[j] += t0 * x2 + t1 * x1 + t2 * x0 - t3 * x3
+                e3[j] += t0 * x3 + t1 * x2 + t2 * x1 + t3 * x0
+                touched[j] = True
+    return q
 
 
 def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
-    """Action of a projective matrix on a form.
+    """Action of a projective matrix on a form with exact scalar
+    coefficients.
 
     With M = [[a, b], [c, d]] the matrix that the convention (the
     calibrated one when None) substitutes, the image is
     f(a z1 + b z2, c z1 + d z2) times det^-(degree // 2), so that the
     action only depends on g modulo scalars; an odd degree needs det 1.
     It is computed by elementary moves, M = [[1, 0], [c/a, 1]] *
-    diag(a, det/a) * [[1, b/a], [0, 1]]: each unipotent factor is a
-    Taylor shift of the coefficient vector and the diagonal a scaling.
-    When a = 0, z1 and z2 are swapped first (the vector reversed), which
-    swaps M's rows.
+    diag(a, e) * [[1, b/a], [0, 1]] with e = (ad - bc)/a: each unipotent
+    factor is a Taylor shift of the coefficient vector and the diagonal a
+    scaling.  When a = 0, z1 and z2 are swapped first (the vector
+    reversed), which swaps M's rows.  The moves run on int numerators
+    over one denominator: the scaling, coefficient k times
+    a^(degree-k) e^k, commutes past the second shift, which becomes a
+    shift by b/e, and is applied with the one division per coefficient
+    at the end.  A zero coefficient that no shift step adds to stays the
+    object it was, and the others are CycScalars, as the scalar moves
+    make them.
     """
     if convention is None:
         convention = calibrate_conventions().convention
@@ -322,32 +388,52 @@ def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> Bina
         sub = g.transpose()
     else:
         raise ValueError(f"unknown action convention {convention!r}")
-    degree, det = f.degree, sub.det()
-    if degree % 2 and det != CycScalar.one():
+    n, det = f.degree, sub.det()
+    if n % 2 and det != CycScalar.one():
         raise ValueError("odd-degree action needs a determinant-1 representative")
     a, b, c, d = sub.m
-    coeffs = list(f.coeffs)
+    coeffs = f.coeffs
     if not a:
-        coeffs.reverse()
+        coeffs = coeffs[::-1]
         a, b, c, d = c, d, a, b
+    split = numerator_columns(coeffs)
+    if split is None:
+        raise TypeError("group_act needs exact scalar coefficients")
+    cols, den = split
     inv = a ** -1
-    # f(z1, (c/a) z1 + z2): a shift in z2/z1
+    e = (a * d - b * c) * inv
+    touched = [False] * (n + 1)
+    # f(z1, (c/a) z1 + z2): a shift in z2/z1; entry k is then over
+    # den * u^(n-k) * v^k with (u, v) = (q, 1)
+    u = v = 1
     if c:
-        _taylor_shift(coeffs, c * inv)
-    # diag(a, e) scales coefficient k by a^(degree-k) e^k, with e the
-    # determinant of the (possibly swapped) matrix over a
-    ratio = (a * d - b * c) * inv * inv
-    factor = a ** degree * det ** -(degree // 2)
-    for k, x in enumerate(coeffs):
-        if x:
-            coeffs[k] = factor * x
-        factor = factor * ratio
-    # f(z1 + (b/a) z2, z2): a shift in z1/z2
+        u = _taylor_shift(cols, c * inv, 1, touched)
+    # diag(a, e), with e the determinant of the (possibly swapped)
+    # matrix over a, changes every nonzero entry; it is applied last
+    touched = [hit or any(x) for hit, x in zip(touched, zip(*cols))]
+    # f(z1 + (b/e) z2, z2): a shift in z1/z2, on the reversed vector
     if b:
-        coeffs.reverse()
-        _taylor_shift(coeffs, b * inv)
-        coeffs.reverse()
-    return BinaryForm._of(degree, coeffs)
+        for col in cols:
+            col.reverse()
+        touched.reverse()
+        v = _taylor_shift(cols, b * e ** -1, u, touched)
+        den *= u ** n
+        u = 1
+        for col in cols:
+            col.reverse()
+        touched.reverse()
+    # the scaling: entry k times a^(n-k) e^k det^-(n // 2), that is
+    # factor * ratio^k
+    factor, f_den = numerators(a ** n * det ** -(n // 2))
+    ratio, r_den = numerators(e * inv)
+    out = list(coeffs)
+    for k, hit in enumerate(touched):
+        if hit:
+            out[k] = from_numerators(
+                _product([col[k] for col in cols], factor),
+                den * f_den * u ** (n - k) * (v * r_den) ** k)
+        factor = _product(factor, ratio)
+    return BinaryForm._of(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .binform import (BinaryForm, GroupElt, Lambda, calibrate_conventions,
 from .construction import (R_NAMES, VEC15_NAMES, X_NAMES, Y_NAMES,
                            ProjPoint)
 from .exlinalg import ExactMatrix, Subspace, jacobian_at, joint_fixed_space
-from .mpoly import VAR_NAMES, MPoly, exponents, monomial_str, var_slot
+from .mpoly import (VAR_NAMES, MPoly, exponents, monomial_str, pack_powers,
+                    var_slot)
 from .scalar import CycScalar
 
 _F = Fraction
@@ -1008,14 +1009,13 @@ def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
 
 def _random_poly(rng: random.Random, names: tuple[str, ...],
                  max_terms: int = 5, max_exp: int = 3) -> MPoly:
+    """A sum of random terms, each drawn as its coefficient and then one
+    exponent per name, and built as one packed monomial."""
     acc = MPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        mono = MPoly.const(_random_rational(rng))
-        for n in names:
-            e = rng.randint(0, max_exp)
-            if e:
-                mono = mono * MPoly.var(n) ** e
-        acc = acc + mono
+        c = _random_rational(rng)
+        mono = pack_powers({n: rng.randint(0, max_exp) for n in names})
+        acc = acc + MPoly({mono: c})
     return acc
 
 

@@ -591,15 +591,13 @@ def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     (or of each row of a stack a to the same row of `points`), the sine
     of the angle between representatives, from the 2x2 minors (each
     taken twice, as (i, j) and (j, i)), so nearby points keep their
-    digits.  Entries are complex doubles, as every caller here passes
-    them; mpmath values in object arrays are taken at the current
-    precision.  The result is doubles."""
+    digits.  Entries and result are doubles, complex and real."""
     minors = (a[..., :, None] * points[..., None, :]
               - a[..., None, :] * points[..., :, None])
     cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
     norms = (np.sum(np.abs(a) ** 2, axis=-1)
              * np.sum(np.abs(points) ** 2, axis=-1))
-    return np.sqrt(np.asarray(cross / norms, dtype=float))
+    return np.sqrt(cross / norms)
 
 
 def _matching(points, target, tol: float) -> list[int]:
@@ -920,7 +918,6 @@ class StratumCensus:
     endpoints: np.ndarray           # one 6-vector per point, on the chart
     path_count: int
     accepted_count: int
-    distinct_count: int
     failed: list
     rescue_added: int
     min_sv: float
@@ -1069,7 +1066,6 @@ def count_stratum_points(r: tuple, seed,
     return StratumCensus(partition=partition, points=points, endpoints=ends,
                          path_count=run["path_count"],
                          accepted_count=run["accepted_count"],
-                         distinct_count=len(distinct),
                          failed=run["failed"],
                          rescue_added=run["rescue_added"],
                          min_sv=min_sv, notes=notes, unmatched=unmatched)
@@ -1281,10 +1277,10 @@ def check_stratum_counts(seed: int, sample_r: tuple,
                 "L3_X1": 2, "L3_X2": 2, "Lopen_X1": 12, "Lopen_X2": 4}
     if census.path_count != 32:
         residuals.append(f"path count {census.path_count} != 32")
-    if census.accepted_count != 32 or census.distinct_count != 32:
+    if census.accepted_count != 32 or len(census.points) != 32:
         residuals.append(
             f"accepted {census.accepted_count}, distinct "
-            f"{census.distinct_count}: expected 32 accepted, 32 distinct "
+            f"{len(census.points)}: expected 32 accepted, 32 distinct "
             f"(failed paths: {census.failed})")
     if census.partition != expected:
         residuals.append(f"partition {census.partition} != {expected}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .scalar import CycScalar, as_exact
+from .scalar import CycScalar, as_exact, fraction_parts
 
 Coeff = Union[Fraction, CycScalar]
 CoeffLike = Union[int, Fraction, CycScalar]
@@ -65,6 +65,17 @@ def pack_exponents(exps: Sequence[int]) -> int:
         if not 0 <= e <= MAX_EXPONENT:
             raise _overflow(k)
         mono |= e << (k * _BITS)
+    return mono
+
+
+def pack_powers(powers: Mapping[str, int]) -> int:
+    """The packed monomial of {variable name: exponent}."""
+    mono = 0
+    for name, e in powers.items():
+        slot = var_slot(name)
+        if not 0 <= e <= MAX_EXPONENT:
+            raise _overflow(slot)
+        mono += e << (slot * _BITS)
     return mono
 
 
@@ -145,10 +156,7 @@ class MPoly:
 
     def coeff(self, monomial: Mapping[str, int]) -> Coeff:
         """Coefficient of the monomial given as {var name: exponent}."""
-        exps = [0] * len(VAR_NAMES)
-        for name, e in monomial.items():
-            exps[var_slot(name)] = e
-        return self.terms.get(pack_exponents(exps), Fraction(0))
+        return self.terms.get(pack_powers(monomial), Fraction(0))
 
     # -- ring operations --------------------------------------------------
 
@@ -196,6 +204,13 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # A one-term factor puts no two products on one monomial, so
+        # only a product of longer ones gains from accumulating on ints.
+        if len(self.terms) > 1 < len(o.terms):
+            a = fraction_parts(self.terms.values())
+            b = fraction_parts(o.terms.values()) if a is not None else None
+            if b is not None:
+                return MPoly._of(_fraction_product(self.terms, a, o.terms, b))
         acc: dict[int, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
@@ -220,14 +235,15 @@ class MPoly:
     def __pow__(self, exponent: int) -> MPoly:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        out = MPoly.const(1)
+        out = None
         base, e = self, exponent
         while e:
             if e & 1:
-                out = out * base
+                out = MPoly._of(dict(base.terms)) if out is None \
+                    else out * base
             base = base * base if e > 1 else base
             e >>= 1
-        return out
+        return MPoly.const(1) if out is None else out
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -303,6 +319,24 @@ class MPoly:
         variable that occurs must be assigned."""
         values = [(k * _BITS, as_exact(assignment[VAR_NAMES[k]]))
                   for k in self._slots()]
+        cs = fraction_parts(self.terms.values())
+        vs = fraction_parts([v for _, v in values]) if cs is not None else None
+        if vs is not None:
+            # Rational terms and values: one int fraction, summed term by
+            # term, and one Fraction at the end.
+            num, den = 0, 1
+            for mono, (n, d) in zip(self.terms, cs):
+                for (shift, _), (p, q) in zip(values, vs):
+                    e = (mono >> shift) & _FIELD
+                    if e:
+                        n *= p ** e
+                        d *= q ** e
+                if d == den:
+                    num += n
+                else:
+                    num = num * d + n * den
+                    den *= d
+            return Fraction(num, den)
         total = None
         for mono, term in self.terms.items():
             for shift, v in values:
@@ -344,6 +378,38 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
+
+
+def _fraction_product(t1: Mapping[int, Fraction], a: list[tuple[int, int]],
+                      t2: Mapping[int, Fraction], b: list[tuple[int, int]]
+                      ) -> dict[int, Fraction]:
+    """The terms of the product of two rational term dicts, given with
+    their coefficients' (numerator, denominator) pairs a and b: each
+    monomial accumulates an int pair, and becomes one Fraction at the
+    end.  Terms are ordered, cancelled and guarded as in `MPoly.__mul__`."""
+    acc: dict[int, tuple[int, int]] = {}
+    for m1, (n1, d1) in zip(t1, a):
+        for m2, (n2, d2) in zip(t2, b):
+            mono = m1 + m2
+            cur = acc.get(mono)
+            if cur is None:
+                if mono & _GUARDS:
+                    raise _overflow(exponents(mono & _GUARDS)
+                                    .index(MAX_EXPONENT + 1))
+                acc[mono] = (n1 * n2, d1 * d2)
+                continue
+            num, den = cur
+            d = d1 * d2
+            if den == d:
+                num += n1 * n2
+            else:
+                num = num * d + n1 * n2 * den
+                den *= d
+            if not num:
+                del acc[mono]
+            else:
+                acc[mono] = (num, den)
+    return {m: Fraction(num, den) for m, (num, den) in acc.items()}
 
 
 def poly_vars(*names: str) -> list[MPoly]:

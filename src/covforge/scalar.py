@@ -16,7 +16,10 @@ Both domains answer the three questions the other layers ask of a
 scalar through Python's own protocols: `not x` tests for zero, `x ** -1`
 inverts (raising ZeroDivisionError at zero), and `complex(x)` is the
 complex embedding sending z to exp(i*pi/4).  This module alone decides
-what counts as an exact scalar, through `as_exact` and `as_cyc`.
+what counts as an exact scalar, through `as_exact` and `as_cyc`, and it
+alone reads their int numerators, which the int kernels of the other
+layers get from `numerators`, `numerator_columns`, `fraction_parts` and
+`over_common_denominator` and hand back through `from_numerators`.
 """
 from __future__ import annotations
 
@@ -302,12 +305,61 @@ def as_cyc(value: Scalar) -> CycScalar:
 
 
 def over_common_denominator(values: Sequence) -> tuple[Sequence, int]:
-    """Rationals as int numerators over their least common denominator,
-    so that an integer-weighted bilinear map of them runs on ints and
-    divides once; values that are not all rational come back as they
-    are, over 1."""
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        d = lcm(*(v.denominator for v in values))
-        return [v.numerator * (d // v.denominator) for v in values], d
-    return values, 1
+    """Rationals, rational-valued CycScalars included, as int numerators
+    over their least common denominator, so that an integer-weighted
+    bilinear map of them runs on ints and divides once; values that are
+    not all rational come back as they are, over 1."""
+    split = numerator_columns(values)
+    if split is None or len(split[0]) > 1:
+        return values, 1
+    return split[0][0], split[1]
 
+
+def numerator_columns(values: Sequence) -> tuple[list[list[int]], int] | None:
+    """Exact scalars as int numerators over their least common denominator
+    d, in columns on the power basis: column k holds the numerators of
+    coordinate k.  Rational values give one column and others four.
+    None when some value is not an exact scalar (an `MPoly`, say)."""
+    nums, dens = [], []
+    for v in values:
+        if isinstance(v, CycScalar):
+            nums.append(v._n)
+            dens.append(v._d)
+        elif isinstance(v, (int, Fraction)):
+            nums.append((v.numerator, 0, 0, 0))
+            dens.append(v.denominator)
+        else:
+            return None
+    d = lcm(*dens)
+    width = 4 if any(n1 or n2 or n3 for _, n1, n2, n3 in nums) else 1
+    scale = [d // q for q in dens]
+    return [[n[k] * s for n, s in zip(nums, scale)] for k in range(width)], d
+
+
+def numerators(value: Scalar) -> tuple[list[int], int]:
+    """An exact scalar as int numerators over its denominator d: [n0] when
+    it is rational, else [n0, n1, n2, n3] on the power basis."""
+    if isinstance(value, CycScalar):
+        n = value._n
+        return [n[0]] if not (n[1] or n[2] or n[3]) else list(n), value._d
+    return [value.numerator], value.denominator
+
+
+def from_numerators(n: Sequence[int], d: int) -> CycScalar:
+    """The CycScalar (n0 + n1 z + n2 z^2 + n3 z^3) / d from n = [n0, n1,
+    n2, n3], or the rational n0 / d from n = [n0]; d > 0."""
+    if len(n) == 1:
+        return _make(n[0], 0, 0, 0, d)
+    return _make(*n, d)
+
+
+def fraction_parts(values: Sequence) -> list[tuple[int, int]] | None:
+    """(numerator, denominator) of each value when all are ints or
+    Fractions; None otherwise.  A rational-valued CycScalar gives None,
+    so that arithmetic on it keeps its type."""
+    parts = []
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return None
+        parts.append((v.numerator, v.denominator))
+    return parts

@@ -7,8 +7,8 @@ from math import comb, factorial
 import pytest
 
 from covforge.binform import (ACTION_CONVENTIONS, BinaryForm, GroupElt,
-                              Lambda, calibrate_conventions, delta,
-                              expanded_coordinate_system, group_act,
+                              Lambda, _taylor_shift, calibrate_conventions,
+                              delta, expanded_coordinate_system, group_act,
                               max_root_multiplicity_exact, mul_closure,
                               transvectant)
 from covforge.construction import (assemble, delta_coordinate_system,
@@ -17,7 +17,8 @@ from covforge.construction import (assemble, delta_coordinate_system,
                                    quartic_basis, quartic_coordinates,
                                    special_points, unit15)
 from covforge.mpoly import MPoly, exponents, var_slot
-from covforge.scalar import CycScalar
+from covforge.scalar import (CycScalar, from_numerators, numerator_columns,
+                             over_common_denominator)
 
 
 def form(*coeffs):
@@ -194,6 +195,175 @@ def test_group_act_matches_the_oracle_with_a_swap_and_any_determinant(
                     group_act_oracle(g, f, convention), (m, degree)
                 cases += 1
     assert cases == 2 * (3 * 6 + 2 * 8)
+
+
+# ---------------------------------------------------------------------------
+# The integer moves against the scalar ones: the Taylor shift and the
+# action exactly as they run on CycScalars, kept as the reference path.
+
+def reference_shift(coeffs, t):
+    """p(w) -> p(w + t) by scalar arithmetic, with the set of entries a
+    step adds to."""
+    coeffs, added = list(coeffs), set()
+    n = len(coeffs) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            x = coeffs[j + 1]
+            if x:
+                coeffs[j] = coeffs[j] + t * x
+                added.add(j)
+    return coeffs, added
+
+
+def reference_act(g, f, convention):
+    """group_act by scalar moves: shift by c/a, scale, shift by b/a."""
+    sub = {"substitute_inverse": g.inverse(), "substitute_direct": g,
+           "substitute_transpose": g.transpose()}[convention]
+    degree, det = f.degree, sub.det()
+    a, b, c, d = sub.m
+    coeffs = list(f.coeffs)
+    if not a:
+        coeffs.reverse()
+        a, b, c, d = c, d, a, b
+    inv = a ** -1
+    if c:
+        coeffs, _ = reference_shift(coeffs, c * inv)
+    ratio = (a * d - b * c) * inv * inv
+    factor = a ** degree * det ** -(degree // 2)
+    for k, x in enumerate(coeffs):
+        if x:
+            coeffs[k] = factor * x
+        factor = factor * ratio
+    if b:
+        coeffs, _ = reference_shift(coeffs[::-1], b * inv)
+        coeffs.reverse()
+    return BinaryForm(degree, coeffs)
+
+
+def random_cyc_vector(rng, degree):
+    """Q(zeta_8) entries, a third of them zero and some coordinates zero."""
+    out = []
+    for _ in range(degree + 1):
+        if rng.random() < 0.3:
+            out.append(Fraction(0))
+            continue
+        parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                 if rng.random() < 0.7 else 0 for _ in range(4)]
+        out.append(CycScalar(*parts))
+    return out
+
+
+def random_shift(rng, rational):
+    """A shift over a denominator up to 10^6; unless rational, its zeta
+    part is nonzero."""
+    q = rng.randint(1, 10 ** 6)
+    parts = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+    if rational:
+        parts[1:] = [0, 0, 0]
+    elif not parts[1] and not parts[3]:
+        parts[1] = 1
+    return CycScalar(*(Fraction(x, q) for x in parts))
+
+
+def shift_on_numerators(coeffs, t, p):
+    """_taylor_shift on coeffs given over den * p^j at entry j, read back."""
+    n = len(coeffs) - 1
+    cols, den = numerator_columns(coeffs)
+    for col in cols:
+        for j in range(n + 1):
+            col[j] *= p ** j
+    touched = [False] * (n + 1)
+    q = _taylor_shift(cols, t, p, touched)
+    out = [from_numerators([col[k] for col in cols],
+                           den * p ** n * q ** (n - k)) for k in range(n + 1)]
+    return out, {k for k, hit in enumerate(touched) if hit}
+
+
+@pytest.mark.parametrize("kind", ["rational", "cyclotomic"])
+def test_the_integer_shift_matches_the_scalar_shift(kind):
+    rng = random.Random(f"integer-shift-{kind}")
+    cases = 0
+    for degree in range(9):
+        for _ in range(6):
+            coeffs = random_cyc_vector(rng, degree)
+            if kind == "rational":
+                coeffs = [c if isinstance(c, Fraction) else c.coords[0]
+                          for c in coeffs]
+            for rational_t in (True, False):
+                t = random_shift(rng, rational_t)
+                want, added = reference_shift(coeffs, t)
+                for p in (1, rng.randint(2, 10 ** 6)):
+                    got, touched = shift_on_numerators(coeffs, t, p)
+                    assert got == want and touched == added, (coeffs, t, p)
+                    cases += 1
+    assert cases == 9 * 6 * 2 * 2
+
+
+def acting_elements(rng):
+    """Group elements whose substituted matrices take every branch: the
+    24 generated elements (zeta entries, a = 0), rational unimodular
+    products, and entries over large denominators of any determinant."""
+    out = mul_closure(list(generators().values()))
+    for _ in range(4):
+        b, c = (Fraction(rng.randint(-5, 5), rng.randint(1, 10 ** 6))
+                for _ in range(2))
+        out.append(GroupElt(1, b, 0, 1) * GroupElt(1, 0, c, 1))
+        x, y, z = (random_shift(rng, False) for _ in range(3))
+        out += [GroupElt(x, y, z, x * y + 2), GroupElt(0, y, z, x)]
+    return out
+
+
+@pytest.mark.parametrize("convention", ACTION_CONVENTIONS)
+def test_group_act_keeps_the_values_types_and_text_of_the_scalar_moves(
+        convention):
+    rng = random.Random(f"integer-action-{convention}")
+    cases = 0
+    for g in acting_elements(rng):
+        degrees = range(0, 15, 2) if g.det() != 1 else range(15)
+        for degree in rng.sample(degrees, 4):
+            coeffs = random_cyc_vector(rng, degree)
+            if rng.random() < 0.5:
+                coeffs = [c if isinstance(c, Fraction) else c.coords[0]
+                          for c in coeffs]
+            f = BinaryForm(degree, coeffs)
+            got, want = group_act(g, f, convention), reference_act(
+                g, f, convention)
+            assert got == want, (g, f)
+            assert [type(c) for c in got.coeffs] == \
+                [type(c) for c in want.coeffs], (g, f)
+            assert str(got) == str(want)
+            cases += 1
+    assert cases == 4 * (24 + 4 * 3)
+
+
+def test_transvectants_of_rational_images_run_on_int_numerators():
+    # group_act's images of rational forms under a rational element hold
+    # rational-valued CycScalars; the transvectant puts them over one
+    # denominator as it does Fractions, and agrees with its definition
+    rng = random.Random("rational-images")
+    for _ in range(20):
+        b, c = (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(2))
+        elt = GroupElt(1, b, 0, 1) * GroupElt(1, 0, c, 1)
+        # a z1^d term of 1/7, which no random coefficient cancels
+        f, g = (random_form(rng, d, "rational")
+                + BinaryForm.monomial(d, 0, Fraction(1, 7))
+                for d in (rng.randint(2, 8), rng.randint(2, 8)))
+        fa, ga = group_act(elt, f), group_act(elt, g)
+        assert any(isinstance(x, CycScalar) for x in fa.coeffs)
+        nums, den = over_common_denominator(fa.coeffs)
+        assert all(isinstance(x, int) for x in nums)
+        for i in range(min(f.degree, g.degree) + 1):
+            got = transvectant(fa, ga, i)
+            assert got == transvectant_oracle(fa, ga, i)
+            assert got == group_act(elt, transvectant(f, g, i))
+            assert all(isinstance(x, Fraction) for x in got.coeffs)
+
+
+def test_group_act_takes_exact_scalar_coefficients_only():
+    f = BinaryForm(2, [MPoly.var("x1"), 0, 1])
+    with pytest.raises(TypeError, match="exact scalar"):
+        group_act(GroupElt(1, 1, 0, 1), f, "substitute_direct")
 
 
 def test_odd_degree_action_needs_a_determinant_one_representative():

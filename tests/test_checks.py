@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -189,3 +190,29 @@ def test_exact_reports_match_the_golden_rows(symbolic_report,
         for row in rows:
             del row["millis"]
         assert rows == golden[filt]
+
+
+def random_poly_by_arithmetic(rng, names, max_terms=5, max_exp=3):
+    """The random polynomial built by MPoly arithmetic, one variable
+    power at a time: the construction that `checks._random_poly` draws
+    for, kept as its oracle."""
+    acc = MPoly.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        mono = MPoly.const(checks._random_rational(rng))
+        for n in names:
+            e = rng.randint(0, max_exp)
+            if e:
+                mono = mono * MPoly.var(n) ** e
+        acc = acc + mono
+    return acc
+
+
+def test_random_polynomials_are_drawn_as_by_arithmetic():
+    for seed in range(100):
+        rngs = [random.Random(seed) for _ in range(2)]
+        for names, kw in ((("x1", "x2", "s1"), {}),
+                          (("x2", "s1"), {"max_terms": 2})):
+            got = checks._random_poly(rngs[0], names, **kw)
+            want = random_poly_by_arithmetic(rngs[1], names, **kw)
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert rngs[0].random() == rngs[1].random()

@@ -6,8 +6,9 @@ from operator import add
 
 import pytest
 
+from covforge import mpoly
 from covforge.mpoly import (MAX_EXPONENT, VAR_NAMES, MPoly, exponents,
-                            pack_exponents, poly_vars, var_slot)
+                            pack_exponents, pack_powers, poly_vars, var_slot)
 from covforge.scalar import CycScalar
 
 
@@ -197,6 +198,17 @@ def random_poly(rng, names=NAMES, max_terms=5):
     return p
 
 
+def rational_poly(rng, names=("x1", "x2", "s0"), max_terms=5):
+    """Rational coefficients on few variables of low degree, so that
+    products often put several terms on one monomial and sometimes
+    cancel one."""
+    p = MPoly.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        p = p + MPoly({pack_powers({n: rng.randint(0, 2) for n in names}): c})
+    return p
+
+
 def test_packed_monomials_match_the_tuple_oracle_in_value_and_order():
     rng = random.Random("packed-monomials")
     for _ in range(150):
@@ -228,6 +240,13 @@ def test_evaluation_matches_the_substitution_oracle():
         assert got == want
         if not want:
             assert type(got) is Fraction
+    # rational terms at a rational point: the int path
+    for _ in range(100):
+        p = rational_poly(rng)
+        point = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for n in NAMES}
+        got = p.evaluate(point)
+        assert got == evaluate_oracle(p, point) and type(got) is Fraction
     x1, x2 = poly_vars("x1", "x2")
     i = CycScalar.i()
     zero = (x1 - i * x2).evaluate({"x1": i, "x2": 1})
@@ -238,13 +257,78 @@ def test_evaluation_matches_the_substitution_oracle():
         (x1 + x2).evaluate({"x1": 1})
 
 
-def test_an_exponent_past_the_slot_width_raises():
+def counting_fraction_products(monkeypatch):
+    """Count the products that take the int-pair path."""
+    calls = []
+    real = mpoly._fraction_product
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mpoly, "_fraction_product", counted)
+    return calls
+
+
+def test_the_rational_product_matches_the_scalar_loop(monkeypatch):
+    calls = counting_fraction_products(monkeypatch)
+    rng = random.Random("rational-product")
+    x1, x2 = poly_vars("x1", "x2")
+    cancelled = 0
+    for _ in range(300):
+        f, g = rational_poly(rng), rational_poly(rng)
+        for a, b in ((f, g), (f - g, f + g), (f, -f), (f, MPoly.const(3)),
+                     (f, MPoly.zero()), (MPoly.const(Fraction(1, 2)), g)):
+            want = mul_oracle(tuple_terms(a), tuple_terms(b))
+            got = a * b
+            assert list(tuple_terms(got).items()) == list(want.items())
+            assert all(got.terms.values())
+            assert all(type(c) is Fraction for c in got.terms.values())
+            monos = {m1 + m2 for m1 in a.terms for m2 in b.terms}
+            cancelled += len(got.terms) < len(monos)
+    # (x1 - x2)(x1 + x2): the two mixed terms cancel, and none is stored
+    diff = (x1 - x2) * (x1 + x2)
+    assert list(tuple_terms(diff).items()) == list(mul_oracle(
+        tuple_terms(x1 - x2), tuple_terms(x1 + x2)).items())
+    assert diff == x1 ** 2 - x2 ** 2 and len(diff.terms) == 2
+    assert cancelled > 100 and len(calls) > 600
+
+
+def test_a_product_with_a_cyclotomic_coefficient_keeps_its_types(monkeypatch):
+    calls = counting_fraction_products(monkeypatch)
+    rng = random.Random("mixed-product")
+    i = CycScalar.i()
+    for _ in range(200):
+        f, g = rational_poly(rng), rational_poly(rng)
+        h = g + i * MPoly.var("x2")
+        for a, b in ((f, h), (h, f), (h, h), (f * i, g)):
+            want = mul_oracle(tuple_terms(a), tuple_terms(b))
+            got = a * b
+            assert list(tuple_terms(got).items()) == list(want.items())
+            assert [type(c) for c in got.terms.values()] == \
+                [type(c) for c in want.values()]
+    # a rational-valued CycScalar coefficient keeps its type too
+    half = MPoly.const(CycScalar(Fraction(1, 2)))
+    prod = (half + MPoly.var("x1")) * (MPoly.var("x1") + 1)
+    assert type(prod.coeff({})) is CycScalar
+    assert type(prod.coeff({"x1": 2})) is Fraction
+    assert not calls
+
+
+def test_an_exponent_past_the_slot_width_raises(monkeypatch):
     x1, x2 = poly_vars("x1", "x2")
     top = x1 ** MAX_EXPONENT
     assert top.coeff({"x1": MAX_EXPONENT}) == 1
     assert (top * x2).coeff({"x1": MAX_EXPONENT, "x2": 1}) == 1
     with pytest.raises(OverflowError, match="x1"):
         top * x1
+    # the same overflow in a product of rational many-term factors, which
+    # accumulates on int pairs
+    calls = counting_fraction_products(monkeypatch)
+    with pytest.raises(OverflowError, match="x1"):
+        (top + x2) * (x1 + x2)
+    assert calls == [1]
+    assert ((top + x2) * (x2 + 1)).coeff({"x1": MAX_EXPONENT, "x2": 1}) == 1
     with pytest.raises(OverflowError, match="x2"):
         x2 ** (MAX_EXPONENT + 1)
     exps = [0] * len(VAR_NAMES)

@@ -8,7 +8,10 @@ import mpmath as mp
 import pytest
 
 from covforge.continuation import WORKING_DPS, embed_mp
-from covforge.scalar import CycScalar, as_cyc, as_exact
+from covforge.mpoly import MPoly
+from covforge.scalar import (CycScalar, as_cyc, as_exact, fraction_parts,
+                             from_numerators, numerator_columns, numerators,
+                             over_common_denominator)
 
 ZETA = CycScalar.zeta()
 I = CycScalar.i()
@@ -267,3 +270,37 @@ def test_constructor_rejects_inexact_coordinates():
         CycScalar(1, 2, 3, 1j)
     with pytest.raises(TypeError):
         as_cyc(0.25)
+
+
+def test_numerators_over_one_denominator_round_trip():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    # rational values, rational-valued CycScalars among them: one column
+    values = [half, CycScalar(third), Fraction(0), 5]
+    cols, d = numerator_columns(values)
+    assert d == 6 and cols == [[3, -4, 0, 30]]
+    assert over_common_denominator(values) == ([3, -4, 0, 30], 6)
+    assert [from_numerators([n], d) for n in cols[0]] == values
+    # one irrational value: four columns, over the same denominator
+    values = [half, CycScalar(0, third, 0, 1), I]
+    cols, d = numerator_columns(values)
+    assert d == 6 and cols == [[3, 0, 0], [0, -4, 0], [0, 0, 6], [0, 6, 0]]
+    assert [from_numerators([c[k] for c in cols], d)
+            for k in range(3)] == values
+    assert over_common_denominator(values) == (values, 1)
+    # not exact scalars: the kernels fall back
+    poly = [half, MPoly.var("x1")]
+    assert numerator_columns(poly) is None
+    assert over_common_denominator(poly) == (poly, 1)
+    # one scalar, and the canonical form of what comes back
+    assert numerators(CycScalar(third)) == ([-2], 3)
+    assert numerators(half * ZETA) == ([0, 1, 0, 0], 2)
+    assert numerators(7) == ([7], 1)
+    back = from_numerators([2, 4, 0, -6], 4)
+    assert type(back) is CycScalar
+    assert back == CycScalar(half, 1, 0, Fraction(-3, 2))
+    zero = from_numerators([0], 5)
+    assert type(zero) is CycScalar and zero == 0 and not zero
+    # Fraction pairs for ints and Fractions only: a rational-valued
+    # CycScalar keeps its own arithmetic
+    assert fraction_parts([half, 3]) == [(1, 2), (3, 1)]
+    assert fraction_parts([half, CycScalar(half)]) is None
