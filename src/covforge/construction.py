@@ -13,7 +13,7 @@ erratum ledger (errata.json) records a corrected reading; each correction
 is validated by the check suite.
 
 It also holds the exact geometry of the numeric checks, none of which
-needs numpy or mpmath: the census triple, system, symmetry and stored
+needs numpy: the census triple, system, symmetry and stored
 points; the fiber's slices, two conics on a plane (`conic_pair`); and
 the preimages, two lines on a plane (`exact_preimage`).
 """
@@ -123,7 +123,7 @@ def quartic_basis() -> tuple[BinaryForm, ...]:
 
 def octic_coefficients(vec9: Sequence) -> list:
     """The degree-8 form's coefficients from basis coordinates, which may
-    be exact scalars, polynomials or mpmath complexes."""
+    be exact scalars or polynomials."""
     coeffs: list = [_F(0)] * 9
     for comp, form in zip(vec9, octic_basis()):
         for d, c in enumerate(form.coeffs):

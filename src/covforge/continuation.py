@@ -33,30 +33,27 @@ they match within TOL_MATCH, and an endpoint no image matches is
 labelled on its own.  The same placement carries a reference census's
 labels, census S's for the censuses at seeds S+1 and S+2, from its
 endpoints to the endpoints they match.  Only labelling a representative
-works at `WORKING_DPS` digits: `mp_polish` refines its endpoint on the
-table's value entries embedded at that precision (the coefficients are
-exact, so the refinement is limited only by working precision), which
-is what lets the multiple-root classifier separate a genuine sixfold
-root cluster from simple roots at CLUSTER_RADIUS.  Each step takes the
-40-digit residual F and solves J0 dx = F with the endpoint's double
-Jacobian J0 (iterative refinement), and the polish stops on a step
-small relative to the point.  The classifier counts the polished
-point's octic's root clusters instead of finding its roots: the
-double-precision roots are grouped, and Pellet's test on the octic's
-40-digit Taylor coefficients at each group's centroid proves that a
-small disc there holds exactly the group's number of roots
-(`octic_root_clusters`); an octic the counts cannot decide is named in
-the check's residuals, not raised.  The centroid of a k-root cluster is
-well conditioned (Zeng, Math. Comp. 2005), so the double roots already
-place every cluster.  `embed_mp` is the one exact-to-mpmath embedding,
-for the table and the parameter triple of the classification; it reads
-an exact value through `as_cyc(v).coords`, one mpf quotient per nonzero
-coordinate.
+works past double precision: `mp_polish` refines its endpoint to about
+WORKING_DPS digits in exact dyadic Gaussian rationals, on the system's
+own exact term rows, which is what lets the multiple-root classifier
+separate a genuine sixfold root cluster from simple roots at
+CLUSTER_RADIUS.  Each step takes the exact residual F, rounded once to
+doubles, and solves J0 dx = F with the endpoint's double Jacobian J0
+(iterative refinement), and the polish stops on a step small relative
+to the point.  The classifier counts the polished point's octic's root
+clusters instead of finding its roots: the double-precision roots are
+grouped, and Pellet's test on the exact octic's exact Taylor
+coefficients at each group's centroid, an integer Taylor shift
+(`binform.group_act`), proves that a small disc there holds exactly the
+group's number of roots (`octic_root_clusters`); an octic the counts
+cannot decide is named in the check's residuals, not raised.  The
+centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
+2005), so the double roots already place every cluster.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
 0 and one preimage target are still tracked here, as cross-checks, the
 preimage on one chart unless that chart misses the one regular endpoint
-the lemma claims.  This is the one module that imports numpy or mpmath.
+the lemma claims.  This is the one module that imports numpy.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -76,16 +73,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import construction
-from .binform import BinaryForm, max_root_multiplicity_exact
+from .binform import (BinaryForm, GroupElt, group_act,
+                      max_root_multiplicity_exact)
 from .checks import CheckResult, _finish
 from .construction import CHART_VARS, Y_NAMES
 from .exlinalg import ExactMatrix, jacobian_at
 from .mpoly import VAR_NAMES, MPoly, exponents, var_slot
-from .scalar import as_cyc, as_exact
+from .scalar import as_exact
 
 _F = Fraction
 
@@ -102,34 +99,13 @@ FIRST_STEP = 0.05
 CORRECTOR_ITERS = 3
 POLISH_ITERS = 20           # double-precision endpoint Newton steps
 MP_POLISH_ITERS = 12        # high-precision endpoint Newton steps
-WORKING_DPS = 40            # decimal digits of the high-precision work
+WORKING_DPS = 40            # decimal digits the high-precision polish keeps
 SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
 
 
 # ---------------------------------------------------------------------------
-# Compilation: exact polynomials -> one term table per system, embedded
-# as complex doubles for the tracker and at WORKING_DPS for the polish
-
-
-def _zeta_powers() -> tuple:
-    with mp.workdps(WORKING_DPS):
-        zeta = mp.exp(mp.mpc(0, 1) * mp.pi / 4)
-        return tuple(zeta ** k for k in range(4))
-
-
-_ZETA_POWERS = _zeta_powers()       # 1, z, z^2, z^3 for z = exp(i pi/4)
-
-
-def embed_mp(value):
-    """An exact scalar, or a complex double, as an mpmath complex at the
-    current precision (zeta_8 enters at WORKING_DPS)."""
-    if isinstance(value, (complex, float)):
-        return mp.mpc(complex(value))
-    acc = mp.mpc(0)
-    for c, zp in zip(as_cyc(value).coords, _ZETA_POWERS):
-        if c:
-            acc += (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * zp
-    return acc
+# Compilation: exact polynomials -> one term table per system, read as
+# complex doubles by the tracker and exactly by the polish
 
 
 def _poly_terms(poly: MPoly, var_order: tuple[str, ...]) -> list[tuple]:
@@ -170,8 +146,7 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class CompiledSystem:
     """One polynomial system, or a stack of several of the same
-    variables and row count, as one term table of complex doubles, with
-    the value entries also at WORKING_DPS.
+    variables and row count, as one term table of complex doubles.
 
     Built from a list of systems, each a list of term rows (coefficient,
     exponent tuple) whose coefficients are exact scalars or complex
@@ -186,8 +161,7 @@ class CompiledSystem:
     table order, and a zero term leaves a sum started at +0 bitwise as it
     was, so every system evaluates in the stack bitwise as it does alone.
     The tracker reads the table as complex doubles; `mp_polish` reads
-    only F of one system (`member`), from its value entries embedded at
-    WORKING_DPS on its first call (`mp_table`).
+    only F of one system (`member`), exactly, from its term rows.
     """
 
     def __init__(self, systems: list[list[list[tuple]]], nvars: int
@@ -201,7 +175,6 @@ class CompiledSystem:
         self.path_counts = [math.prod(d) for d in self.degrees]
         self._terms = [[(k, c, e) for k, row in enumerate(rows)
                         for c, e in row] for rows in systems]
-        self._mp_table = None
         # each slot's entries, as indices into `keys`, in an order that
         # holds every system's table order: a system's entry takes the
         # first equal key after its previous one, or a new key there
@@ -272,7 +245,6 @@ class CompiledSystem:
         out.path_counts = self.path_counts[k:k + 1]
         out._terms = self._terms[k:k + 1]
         out._coeffs = self._coeffs[k:k + 1]
-        out._mp_table = None
         return out
 
     def evaluate(self, x: np.ndarray, which=None
@@ -303,57 +275,49 @@ class CompiledSystem:
         return (out[:, :m].reshape(shape + (m,)),
                 out[:, m:].reshape(shape + (m, self.nvars)))
 
-    def mp_table(self) -> list[tuple]:
-        """System 0's value entries (row, coefficient, exponents), with
-        the coefficients embedded at WORKING_DPS, built on the first
-        call."""
-        if self._mp_table is None:
-            with mp.workdps(WORKING_DPS):
-                self._mp_table = [(k, embed_mp(c), e)
-                                  for k, c, e in self._terms[0]]
-        return self._mp_table
 
-
-def _mp_sum(table: list, slots: int, x: list) -> list:
-    """Each table entry's term at x, summed into its slot."""
-    out = [mp.mpc(0)] * slots
-    for slot, c, e in table:
-        prod = c
+def _exact_residual(terms: list, size: int, x: list) -> list[complex]:
+    """F at the exact point x, each row the exact sum of its terms
+    (row, coefficient, exponents), rounded once to a complex double."""
+    out = [_F(0)] * size
+    for k, c, e in terms:
         for xx, ee in zip(x, e):
             if ee:
-                prod *= xx ** ee
-        out[slot] += prod
-    return out
+                c = c * xx ** ee
+        out[k] = out[k] + c
+    return [complex(v) for v in out]
 
 
-def mp_polish(system: CompiledSystem, x0: np.ndarray):
-    """High-precision refinement of a double-precision endpoint.
+def mp_polish(system: CompiledSystem, x0: np.ndarray) -> list:
+    """High-precision refinement of a double-precision endpoint, as a
+    list of exact dyadic Gaussian rationals (`construction.gaussian`).
 
-    Each step takes the residual F at WORKING_DPS, from the value
-    entries of `mp_table`, and solves J0 dx = F in complex doubles, where
-    J0 is the Jacobian at x0 (iterative refinement: the 40-digit residual
-    alone sets the accuracy, and the double J0 only the rate, a factor of
-    about cond(J0) times the double error of x0 per step).  It stops once
-    every step is below 10^(4 - WORKING_DPS) relative to its coordinate,
-    |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), since the rounding noise
-    of a step grows with the size of the point, or after MP_POLISH_ITERS
-    steps.  A singular J0 returns the start point."""
-    table = system.mp_table()
+    Each step takes the exact residual F at x from the system's term
+    rows, the chart row's doubles taken as the exact values they are,
+    and solves J0 dx = F in complex doubles, where J0 is the Jacobian at
+    x0 (iterative refinement: the exact residual, rounded once, sets the
+    accuracy, and the double J0 only the rate, a factor of about
+    cond(J0) times the double error of x0 per step); x - dx is exact.  It
+    stops once every step is below 10^(4 - WORKING_DPS) relative to its
+    coordinate, |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), or after
+    MP_POLISH_ITERS steps.  A singular J0 returns the start point."""
+    terms = [(k, construction.gaussian(c)
+              if isinstance(c, (complex, float)) else c, e)
+             for k, c, e in system._terms[0]]
     _values, jac = system.evaluate(x0)
-    with mp.workdps(WORKING_DPS):
-        tol = mp.mpf(10) ** (-WORKING_DPS + 4)
-        x = [mp.mpc(v) for v in x0]
-        for _ in range(MP_POLISH_ITERS):
-            residual = [complex(v) for v in _mp_sum(table, system.size, x)]
-            try:
-                step = np.linalg.solve(jac, residual)
-            except np.linalg.LinAlgError:   # singular J0: x is still x0
-                break
-            dx = [mp.mpc(d) for d in step.tolist()]
-            x = [xv - dv for xv, dv in zip(x, dx)]
-            if all(abs(d) < tol * (1 + abs(v)) for d, v in zip(dx, x)):
-                break
-        return x
+    tol = 10.0 ** (4 - WORKING_DPS)
+    x = [construction.gaussian(v) for v in x0.tolist()]
+    for _ in range(MP_POLISH_ITERS):
+        residual = _exact_residual(terms, system.size, x)
+        try:
+            step = np.linalg.solve(jac, residual).tolist()
+        except np.linalg.LinAlgError:   # singular J0: x is still x0
+            break
+        x = [xv - construction.gaussian(d) for xv, d in zip(x, step)]
+        if all(abs(d) < tol * (1 + abs(complex(v)))
+               for d, v in zip(step, x)):
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -745,43 +709,39 @@ def octic_root_clusters(vec9):
     apart, s the sum of their radii: they are joined when d + s is below
     CLUSTER_RADIUS and apart when d - s is above it.
 
-    What the count bounds: it is exact for the octic whose coefficients
-    `octic_coefficients` gives at WORKING_DPS for the given (polished)
-    point, up to the rounding of its inequalities, which are evaluated
-    in WORKING_DPS floating point, not in intervals; it says nothing of
+    What the count bounds: the basis coordinates are exact, so are the
+    octic's coefficients (`octic_coefficients`), and the Taylor
+    coefficients Pellet's test reads are exact for that octic, the one of
+    the given (polished, dyadic) point; the test's inequalities are
+    compared in doubles, not in intervals.  The count says nothing of
     the distance from that point to the true census point.  Raises
-    UndecidedOctic, with the reason, when a coefficient is not finite,
-    when a single root or an unsplittable group fails the test, or when
-    two discs overlap or have centres within s of CLUSTER_RADIUS.
+    UndecidedOctic, with the reason, when a single root or an
+    unsplittable group fails the test, or when two discs overlap or have
+    centres within s of CLUSTER_RADIUS.
     """
-    with mp.workdps(WORKING_DPS):
-        return _counted_clusters(construction.octic_coefficients(
-            [v if isinstance(v, mp.mpc) else mp.mpc(v) for v in vec9]))
+    return _counted_clusters(construction.octic_coefficients(vec9))
 
 
 def _counted_clusters(coeffs: list) -> list[int]:
-    """`octic_root_clusters` of the octic with these coefficients,
-    `coeffs[d]` multiplying z1^(8-d) z2^d, at the current precision."""
-    if not all(mp.isfinite(c) for c in coeffs):
-        raise UndecidedOctic("an octic coefficient is not finite")
-    if all(c == 0 for c in coeffs):
+    """`octic_root_clusters` of the octic with these exact coefficients,
+    `coeffs[d]` multiplying z1^(8-d) z2^d."""
+    if not any(coeffs):
         return [9]
-    scale = max(abs(c) for c in coeffs)
-    high = [c / scale for c in coeffs]      # highest-first in z = z1 / z2
+    doubles = [complex(c) for c in coeffs]
+    scale = max(map(abs, doubles))
+    high = [c / scale for c in doubles]     # highest-first in z = z1 / z2
     infinite = 0
-    while abs(high[infinite]) < mp.mpf("1e-30"):
-        high[infinite] = mp.mpc(0)
+    while abs(high[infinite]) < 1e-30:
         infinite += 1
-    points = [(complex(z), 1.0) for z in
-              np.roots([complex(c) for c in high[infinite:]])]
+    points = [(complex(z), 1.0) for z in np.roots(high[infinite:])]
     points += [(1.0, 0.0)] * infinite
-    moduli = [abs(c) for c in high]
+    octic = BinaryForm(8, [_F(0)] * infinite + list(coeffs[infinite:]))
     discs = []
     pending = [(g, SEED_GROUP_RADIUS)
                for g in _chordal_groups(points, SEED_GROUP_RADIUS)]
     while pending:
         group, radius = pending.pop()
-        disc = _pellet_disc(high, moduli, points, group)
+        disc = _pellet_disc(octic, points, group)
         if disc is not None:
             discs.append(disc)
             continue
@@ -840,25 +800,21 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _pellet_disc(high: list, moduli: list, points: list, group: list[int]):
+def _pellet_disc(octic: BinaryForm, points: list, group: list[int]):
     """Pellet's test for a group of the octic's roots: (centre, radius,
     k) when the disc of that radius about the group's centroid holds
     exactly its k roots, else None.
 
-    `high` is the normalized octic, highest-first in z, `moduli` the
-    moduli of its coefficients, and `points` its double-precision roots
-    as projective points (z, 1), or (1, 0) at infinity.  A group at
-    infinity, or of mean modulus above 1, is taken in u = 1/z, on the
-    reversed coefficients.  The radius is
+    `points` are the octic's double-precision roots as projective points
+    (z, 1), or (1, 0) at infinity.  A group at infinity, or of mean
+    modulus above 1, is taken in u = 1/z.  The radius is
     min(gap / 3, CLUSTER_RADIUS / 4), gap the distance from the centroid
     to the nearest root outside the group, and the disc holds exactly k
     roots when |b_k| r^k > sum_{j != k} |b_j| r^j for the octic's Taylor
     coefficients b_j at the centroid (Pellet; Rouché's theorem on the
-    circle).  For a single root b_0 and b_1 come from one Horner pass,
-    and the tail sum_{j >= 2} |b_j| r^j is bounded by
-    A(m + r) - A(m) - r A'(m), A the polynomial of the coefficients'
-    moduli and m the centroid's modulus.  Runs at the current precision;
-    the centre is a projective point of complex doubles.
+    circle).  The b_j are exact: one Taylor shift (`group_act`) by the
+    centroid taken as the exact dyadic it is, f(z1 + c z2, z2), or
+    f(z1, c z1 + z2) in u; their moduli are compared in doubles.
     """
     k = len(group)
     far = (any(points[i][1] == 0 for i in group)
@@ -873,32 +829,15 @@ def _pellet_disc(high: list, moduli: list, points: list, group: list[int]):
     gap = min((abs(w - centre) for w in outside if w is not None),
               default=math.inf)
     radius = min(gap / 3, CLUSTER_RADIUS / 4)
-    poly, moduli = (high[::-1], moduli[::-1]) if far else (high, moduli)
-    c, r = mp.mpc(centre), mp.mpf(radius)
-    if k == 1:
-        value = slope = mp.mpc(0)
-        for a in poly:
-            slope = slope * c + value
-            value = value * c + a
-        m = abs(c)
-        at_m = d_at_m = at_mr = mp.mpf(0)
-        for a in moduli:
-            d_at_m = d_at_m * m + at_m
-            at_m = at_m * m + a
-            at_mr = at_mr * (m + r) + a
-        holds = abs(slope) * r > abs(value) + (at_mr - at_m - r * d_at_m)
-    else:
-        taylor, rest = [], list(poly)
-        while rest:
-            acc, quotient = mp.mpc(0), []
-            for a in rest:
-                acc = acc * c + a
-                quotient.append(acc)
-            taylor.append(quotient.pop())
-            rest = quotient
-        terms = [abs(b) * r ** j for j, b in enumerate(taylor)]
-        holds = terms[k] > mp.fsum(t for j, t in enumerate(terms) if j != k)
-    if not holds:
+    c = construction.gaussian(centre)
+    if far:     # b_j multiplies z1^(8-j) z2^j
+        taylor = group_act(GroupElt(1, 0, c, 1), octic,
+                           "substitute_direct").coeffs
+    else:       # b_j multiplies z1^j z2^(8-j)
+        taylor = group_act(GroupElt(1, c, 0, 1), octic,
+                           "substitute_direct").coeffs[::-1]
+    terms = [abs(complex(b)) * radius ** j for j, b in enumerate(taylor)]
+    if not terms[k] > math.fsum(t for j, t in enumerate(terms) if j != k):
         return None
     return ((1.0, centre) if far else (centre, 1.0)), radius, k
 
@@ -936,19 +875,19 @@ def _stratum(nonzero: list) -> str:
     return "Lopen" if len(nz) == 3 else "?"
 
 
-def _classify_point(point_mp, r) -> StratumPoint:
-    """The labels of a polished chart point, at WORKING_DPS: its stratum
-    and multiple-root flag, or the reason the flag is undecided."""
-    with mp.workdps(WORKING_DPS):
-        norm = mp.sqrt(sum(abs(c) ** 2 for c in point_mp))
-        unit = [c / norm for c in point_mp]
-        stratum = _stratum([abs(c) >= TOL_MATCH for c in unit[:3]])
-        vec9 = construction.octic_vector_on_slice([embed_mp(v) for v in r],
-                                                  unit)
-        try:
-            sizes = octic_root_clusters(vec9)
-        except UndecidedOctic as exc:
-            return StratumPoint(stratum, None, str(exc))
+def _classify_point(point: list, r) -> StratumPoint:
+    """The labels of a polished chart point of exact coordinates: its
+    stratum, read from its complex doubles, and its multiple-root flag,
+    from the root clusters of its exact octic, or the reason the flag is
+    undecided."""
+    doubles = np.array([complex(v) for v in point])
+    unit = doubles / np.linalg.norm(doubles)
+    stratum = _stratum([abs(c) >= TOL_MATCH for c in unit[:3]])
+    try:
+        sizes = octic_root_clusters(
+            construction.octic_vector_on_slice(r, point))
+    except UndecidedOctic as exc:
+        return StratumPoint(stratum, None, str(exc))
     return StratumPoint(stratum, sizes[0] >= 6)
 
 

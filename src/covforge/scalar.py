@@ -206,9 +206,11 @@ class CycScalar:
         return self._n == o._n and self._d == o._d
 
     def __hash__(self) -> int:
+        # a rational element hashes as the Fraction it equals, and any
+        # other as its canonical ints
         if self.is_rational():
             return hash(Fraction(self._n[0], self._d))
-        return hash(self.coords)
+        return hash((self._n, self._d))
 
     # -- embedding and display -------------------------------------------
 

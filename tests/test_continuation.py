@@ -1,9 +1,11 @@
 """Homotopy tracking, the stratum census, and the projection data."""
 
 import ast
+import cmath
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -34,14 +36,14 @@ from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
                                    check_seed_stability,
                                    check_stratum_counts, conic_points,
                                    count_stratum_points,
-                                   embed_mp, exact_slice,
+                                   exact_slice,
                                    fiber_probe, mp_polish,
                                    octic_root_clusters, PathResult,
                                    solve_projective, solve_stacked, track)
 from covforge.binform import max_root_multiplicity_exact
 from covforge.exlinalg import ExactMatrix, Subspace
 from covforge.mpoly import MPoly, exponents
-from covforge.scalar import CycScalar
+from covforge.scalar import CycScalar, as_cyc
 
 
 def test_seeded_streams_are_reproducible_and_independent():
@@ -290,32 +292,37 @@ def test_a_nan_endpoint_is_never_accepted(monkeypatch):
     assert run["failed"] == [(0, "polish")]
 
 
-def test_mp_embedding_and_polish_reach_the_working_precision():
-    with mp.workdps(WORKING_DPS):
-        # zeta_8, i and sqrt(2) of the exact field
-        assert abs(embed_mp(CycScalar.zeta())
-                   - mp.exp(mp.mpc(0, 1) * mp.pi / 4)) < 1e-38
-        assert abs(embed_mp(CycScalar.i()) - 1j) < 1e-38
-        assert abs(embed_mp(CycScalar.sqrt2()) - mp.sqrt(2)) < 1e-38
-
-        # each double endpoint of the sparse system polishes onto its
-        # exact sparse anchor
-        run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
-                               "sparse-test")
-        polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
-        for p in con.special_points()["sparse_solutions"]:
-            anchor = [embed_mp(Fraction(v)) for v in p]
-            assert min(mp_chordal(anchor, x) for x in polished) < 1e-30
+def test_the_polish_reaches_the_working_precision():
+    # each double endpoint of the sparse system polishes, in exact
+    # Gaussian rationals, onto its exact sparse anchor
+    run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
+                           "sparse-test")
+    polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
+    assert all(v.coords[1] == v.coords[3] == 0
+               for x in polished for v in x)
+    for p in con.special_points()["sparse_solutions"]:
+        anchor = [Fraction(v) for v in p]
+        assert min(_exact_chordal_squared(anchor, x)
+                   for x in polished) < Fraction(1, 10 ** 60)
 
 
-def mp_chordal(a, b):
-    """The chordal distance of two mpmath vectors at the current
-    precision, from the 2x2 minors, as `_chordal_each` takes it."""
-    n = len(a)
-    cross = mp.fsum(abs(a[i] * b[j] - a[j] * b[i]) ** 2
-                    for i in range(n) for j in range(i + 1, n))
-    return mp.sqrt(cross / (mp.fsum(abs(x) ** 2 for x in a)
-                            * mp.fsum(abs(y) ** 2 for y in b)))
+def _exact_chordal_squared(a, b) -> Fraction:
+    """The squared chordal distance of two exact vectors, from the 2x2
+    minors, as `_chordal_each` takes it, computed exactly."""
+    def norm2(z):
+        z = as_cyc(z)
+        return (z * z.conj()).coords[0]
+
+    cross = sum(norm2(a[i] * b[j] - a[j] * b[i])
+                for i, j in itertools.combinations(range(len(a)), 2))
+    return cross / (sum(map(norm2, a)) * sum(map(norm2, b)))
+
+
+def _mp_value(v):
+    """An exact scalar as an mpmath complex at the current precision."""
+    zeta = mp.exp(mp.mpc(0, 1) * mp.pi / 4)
+    return mp.fsum(mp.mpf(c.numerator) / c.denominator * zeta ** k
+                   for k, c in enumerate(as_cyc(v).coords))
 
 
 def test_polished_census_points_match_the_golden_file(numeric_run):
@@ -343,7 +350,7 @@ def test_polished_census_points_match_the_golden_file(numeric_run):
             for x, (re, im) in zip(mp_polish(run["system"], e.x),
                                    want["coords"], strict=True):
                 w = mp.mpc(re, im)
-                assert abs(x - w) <= 1e-36 * (1 + abs(w))
+                assert abs(_mp_value(x) - w) <= 1e-36 * (1 + abs(w))
 
 
 def _counting(calls, name):
@@ -437,13 +444,12 @@ def test_the_stored_census_points_are_exact_with_exact_labels():
             octic = con.octic_form(con.octic_vector_on_slice(r, point))
             assert max_root_multiplicity_exact(octic) == \
                 (6 if k in (4, 5) else 1), (r, point)
-    # the 40-digit classifier, given the embedded points, agrees
+    # the classifier of polished points, given the exact points, agrees
     for r in (SAMPLE_R, origin):
-        with mp.workdps(WORKING_DPS):
-            for k, point in enumerate(census_anchors(r)):
-                label = _classify_point([embed_mp(v) for v in point], r)
-                assert (label.stratum, label.multiple_root) == \
-                    ("L0" if k < 4 else "L1", k in (4, 5)), (r, point)
+        for k, point in enumerate(census_anchors(r)):
+            label = _classify_point(point, r)
+            assert (label.stratum, label.multiple_root) == \
+                ("L0" if k < 4 else "L1", k in (4, 5)), (r, point)
 
 
 def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
@@ -610,18 +616,20 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         monkeypatch, sample_solve_seed1):
     # the sample census at seed 1 rescues three endpoints in a second
     # chart; polished on the census chart all three have a coordinate
-    # near 80, where an absolute 1e-36 stop is below the rounding noise
-    # of a step.  A refinement step is one 40-digit residual evaluation,
-    # so the steps are counted as `_mp_sum` calls
+    # near 80, and the stop, relative to each coordinate, still ends
+    # every polish within five steps.  A refinement step is one exact
+    # residual evaluation, so the steps are counted as `_exact_residual`
+    # calls
     _args, run, charts = sample_solve_seed1
-    calls = {"_mp_sum": 0}
-    monkeypatch.setattr(continuation, "_mp_sum", _counting(calls, "_mp_sum"))
+    calls = {"_exact_residual": 0}
+    monkeypatch.setattr(continuation, "_exact_residual",
+                        _counting(calls, "_exact_residual"))
     steps, sizes = [], []
     for e in run["distinct"]:
-        calls["_mp_sum"] = 0
+        calls["_exact_residual"] = 0
         x = mp_polish(run["system"], e.x)
-        steps.append(calls["_mp_sum"])
-        sizes.append(max(abs(v) for v in x))
+        steps.append(calls["_exact_residual"])
+        sizes.append(max(abs(complex(v)) for v in x))
     assert run["rescue_added"] == 3
     assert run["accepted_count"] == 32
     # one merge: the first chart's 29 endpoints, in path order, then the
@@ -852,21 +860,22 @@ def test_root_clusters_separate_sixfold_from_simple_roots():
 
 
 def _octic(roots, infinite=0, perturb=0):
-    """Highest-first coefficients of prod (z - root), times z2^infinite,
-    at the working precision, with `perturb` added to the constant term."""
-    with mp.workdps(WORKING_DPS):
-        coeffs = [mp.mpc(1)]
-        for root in roots:
-            coeffs = [a - root * b
-                      for a, b in zip(coeffs + [0], [0] + coeffs)]
-        coeffs[-1] += perturb
-        return [mp.mpc(0)] * infinite + coeffs
+    """Exact highest-first coefficients of prod (z - root), times
+    z2^infinite, with `perturb` added to the constant term; each root is
+    a complex double, taken as the exact dyadic it is."""
+    coeffs = [Fraction(1)]
+    for root in map(con.gaussian, map(complex, roots)):
+        coeffs = [a - root * b for a, b in zip(coeffs + [Fraction(0)],
+                                                [Fraction(0)] + coeffs)]
+    coeffs[-1] += perturb
+    return [Fraction(0)] * infinite + coeffs
 
 
 def _cold_roots(coeffs):
-    """The cold-start reference: plain polyroots on the same normalized
-    polynomial, with the same roots at infinity."""
+    """The cold-start reference: plain polyroots at WORKING_DPS on the
+    same normalized polynomial, with the same roots at infinity."""
     with mp.workdps(WORKING_DPS):
+        coeffs = list(map(_mp_value, coeffs))
         scale = max(abs(c) for c in coeffs)
         normalized = [c / scale for c in coeffs]
         infinite = 0
@@ -884,10 +893,11 @@ def _sizes(points, radius=1e-4):
 
 @pytest.mark.parametrize("coeffs, expected", [
     # a sixfold root perturbed at 1e-36, beside two simple roots
-    (_octic([0.3 + 0.2j] * 6 + [-1.5, 2j], perturb=1e-36), [6, 1, 1]),
+    (_octic([0.3 + 0.2j] * 6 + [-1.5, 2j], perturb=Fraction(1, 10 ** 36)),
+     [6, 1, 1]),
     (_octic([0.3 + 0.2j] * 6 + [-1.5] * 2), [6, 2]),
     (_octic([0] * 8), [8]),
-    (_octic([mp.exp(2j * mp.pi * (k + 0.1) / 8) * (1 + k / 10)
+    (_octic([cmath.exp(2j * cmath.pi * (k + 0.1) / 8) * (1 + k / 10)
              for k in range(8)]), [1] * 8),
     # a simple pair 2e-3 apart, one coarse group that splits
     (_octic([0.3 + 0.2j] * 6 + [-1.5, -1.502]), [6, 1, 1]),
@@ -896,16 +906,10 @@ def _sizes(points, radius=1e-4):
     (_octic([529j, -529j], infinite=6), [6, 1, 1]),
     (_octic([529j, -529j] + [0.3 + 0.2j] * 6), [6, 1, 1]),
 ])
-def test_seeded_octic_roots_match_the_cold_start(coeffs, expected,
-                                                 monkeypatch):
-    # the Pellet count of the cluster sizes, which finds no root at 40
-    # digits, against the clusters of cold-start polyroots roots
-    calls = []
-    monkeypatch.setattr(mp, "polyroots", lambda *args, **kw: calls.append(1))
-    with mp.workdps(WORKING_DPS):
-        counted = _counted_clusters(coeffs)
-    assert calls == []
-    monkeypatch.undo()
+def test_seeded_octic_roots_match_the_cold_start(coeffs, expected):
+    # the Pellet count of the cluster sizes, on exact Taylor coefficients,
+    # against the clusters of cold-start 40-digit polyroots roots
+    counted = _counted_clusters(coeffs)
     if expected == [8]:
         # cold polyroots needs ~600 steps for z^8; its roots are exact
         reference = [(mp.mpc(0), mp.mpc(1))] * 8
@@ -918,16 +922,15 @@ def test_a_pair_at_the_cluster_radius_is_undecided():
     # two roots one cluster radius apart in chordal distance: each is
     # proved alone in a disc of radius CLUSTER_RADIUS / 4, and then the
     # discs cannot tell whether the pair is one cluster or two
-    with mp.workdps(WORKING_DPS):
-        d = mp.mpf(CLUSTER_RADIUS)
-        pair = [mp.mpc(0), mp.mpc(d / mp.sqrt(1 - d * d))]
-        coeffs = _octic(pair + [0.7, -0.9j, 1.5 + 1j, -2, 3j, -0.4 - 0.6j])
-        with pytest.raises(UndecidedOctic, match="within their radii"):
-            _counted_clusters(coeffs)
-        # the same pair twice as far apart is two clusters
-        coeffs = _octic([0, 2 * pair[1], 0.7, -0.9j, 1.5 + 1j, -2, 3j,
-                         -0.4 - 0.6j])
-        assert _counted_clusters(coeffs) == [1] * 8
+    d = CLUSTER_RADIUS
+    pair = [0, d / math.sqrt(1 - d * d)]
+    coeffs = _octic(pair + [0.7, -0.9j, 1.5 + 1j, -2, 3j, -0.4 - 0.6j])
+    with pytest.raises(UndecidedOctic, match="within their radii"):
+        _counted_clusters(coeffs)
+    # the same pair twice as far apart is two clusters
+    coeffs = _octic([0, 2 * pair[1], 0.7, -0.9j, 1.5 + 1j, -2, 3j,
+                     -0.4 - 0.6j])
+    assert _counted_clusters(coeffs) == [1] * 8
 
 
 # The representative the polish gave on L2 of the origin census at seed
@@ -952,24 +955,24 @@ SEED_45_L2_POINT = [
 
 
 def test_the_seed_45_origin_point_is_l2_with_a_sixfold_root():
-    with mp.workdps(WORKING_DPS):
-        point = [mp.mpc(re, im) for re, im in SEED_45_L2_POINT]
-        label = _classify_point(point, (Fraction(0),) * 3)
-        assert (label.stratum, label.multiple_root) == ("L2", True)
-        assert label.undecided is None
-        vec9 = con.octic_vector_on_slice([mp.mpc(0)] * 3, point)
-        assert octic_root_clusters(vec9) == [6, 2]
-        # the exact point it approximates has the same octic clusters
-        exact = [mp.mpc(v) for v in (0, 0.5j, 0, 7, -1, -1)]
-        assert octic_root_clusters(con.octic_vector_on_slice(
-            [mp.mpc(0)] * 3, exact)) == [6, 2]
+    origin = (Fraction(0),) * 3
+    point = [CycScalar(Fraction(re), 0, Fraction(im))
+             for re, im in SEED_45_L2_POINT]
+    label = _classify_point(point, origin)
+    assert (label.stratum, label.multiple_root) == ("L2", True)
+    assert label.undecided is None
+    vec9 = con.octic_vector_on_slice(origin, point)
+    assert octic_root_clusters(vec9) == [6, 2]
+    # the exact point it approximates has the same octic clusters
+    exact = [0, CycScalar.i() * Fraction(1, 2), 0, 7, -1, -1]
+    assert octic_root_clusters(con.octic_vector_on_slice(
+        origin, exact)) == [6, 2]
 
 
 def _nearest_root_pair(vec9) -> float:
     """The least chordal distance between two double roots of the
     octic."""
-    with mp.workdps(WORKING_DPS):
-        coeffs = [complex(c) for c in con.octic_coefficients(vec9)]
+    coeffs = [complex(c) for c in con.octic_coefficients(vec9)]
     points = np.array([[z, 1] for z in np.roots(coeffs)])
     first, second = np.triu_indices(len(points), 1)
     return float(_chordal_each(points[first], points[second]).min())

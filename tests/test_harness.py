@@ -140,18 +140,22 @@ def test_excluded_triple_is_rejected_before_any_path_is_tracked(monkeypatch):
 def test_exact_work_loads_no_numeric_library():
     # a fresh interpreter, since this one already holds numpy; the
     # configuration error runs first, so the exact check cannot hide a
-    # numeric import it makes
+    # numeric import it makes.  The numeric module then loads numpy,
+    # and still not mpmath: its polish and its Pellet counts are exact
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from covforge import harness
+        def loaded():
+            return [m for m in ("numpy", "mpmath") if m in sys.modules]
         seen = []
         for argv in (["--sample-r", "10", "0", "13/7"],
                      ["--filter", "symbolic/strata_6"]):
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 code = harness.main(argv)
-            seen.append([code, [m for m in ("numpy", "mpmath")
-                                if m in sys.modules]])
+            seen.append([code, loaded()])
+        import covforge.continuation
+        seen.append(["continuation", loaded()])
         print(json.dumps(seen))
     """)
     env = {k: v for k, v in os.environ.items()
@@ -161,7 +165,8 @@ def test_exact_work_loads_no_numeric_library():
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert json.loads(out) == [[2, []], [0, []]]
+    assert json.loads(out) == [[2, []], [0, []],
+                               ["continuation", ["numpy"]]]
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
