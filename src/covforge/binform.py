@@ -210,6 +210,13 @@ class GroupElt:
         if not self.det():
             raise ValueError("singular matrix")
 
+    @staticmethod
+    def _of(a, b, c, d) -> GroupElt:
+        """Wrap four CycScalar entries of a matrix known to be nonsingular."""
+        out = GroupElt.__new__(GroupElt)
+        out.m = (a, b, c, d)
+        return out
+
     @classmethod
     def identity(cls) -> GroupElt:
         return cls(1, 0, 0, 1)
@@ -223,17 +230,17 @@ class GroupElt:
             return NotImplemented
         a, b, c, d = self.m
         e, f, g, h = other.m
-        return GroupElt(a * e + b * g, a * f + b * h,
-                        c * e + d * g, c * f + d * h)
+        return GroupElt._of(a * e + b * g, a * f + b * h,
+                            c * e + d * g, c * f + d * h)
 
     def inverse(self) -> GroupElt:
         a, b, c, d = self.m
         # Adjugate works projectively; the determinant factor is a scalar.
-        return GroupElt(d, -b, -c, a)
+        return GroupElt._of(d, -b, -c, a)
 
     def transpose(self) -> GroupElt:
         a, b, c, d = self.m
-        return GroupElt(a, c, b, d)
+        return GroupElt._of(a, c, b, d)
 
     def canonical(self) -> tuple[CycScalar, CycScalar, CycScalar, CycScalar]:
         """Representative scaled so the first nonzero entry equals 1."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,34 +46,34 @@ MAX_WITNESSES = 10
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verification block."""
+    """Findings of one verification block.  A check returns its
+    residuals (human-readable failure witnesses), erratum notes and
+    details; the harness stamps the registry's id and paper anchor and
+    the milliseconds of the call on the result."""
 
-    check_id: str
-    status: str                      # "pass" | "fail"
-    residuals: tuple[str, ...]       # human-readable failure witnesses
+    residuals: tuple[str, ...] = ()
     erratum_notes: tuple[str, ...] = ()
-    millis: float = 0.0
     details: dict = field(default_factory=dict)
+    check_id: str = ""
+    paper_anchor: str = ""
+    millis: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return self.status == "pass"
+        return not self.residuals
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
 
 
-def _finish(check_id: str, started: float, residuals: list[str],
-            details: dict | None = None,
+def _finish(residuals: list[str], details: dict | None = None,
             erratum_notes: tuple[str, ...] = ()) -> CheckResult:
     clipped = residuals[:MAX_WITNESSES]
     if len(residuals) > MAX_WITNESSES:
         clipped.append(f"... and {len(residuals) - MAX_WITNESSES} more")
-    return CheckResult(
-        check_id=check_id,
-        status="pass" if not residuals else "fail",
-        residuals=tuple(clipped),
-        erratum_notes=erratum_notes,
-        millis=(time.perf_counter() - started) * 1000.0,
-        details=details or {},
-    )
+    return CheckResult(residuals=tuple(clipped), erratum_notes=erratum_notes,
+                       details=details or {})
 
 
 _ZERO = MPoly.zero()
@@ -120,7 +119,6 @@ def check_expansion_1_2() -> CheckResult:
     representative coefficients, and evaluates the system at the two
     distinguished zero points by both the stored and the bracket route.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     cal = calibrate_conventions()
 
@@ -170,7 +168,7 @@ def check_expansion_1_2() -> CheckResult:
         "x6*s2 (the printed form double-books the pair and breaks the "
         "recomputed expansion)",
     )
-    return _finish("symbolic/expansion_1_2", started, residuals, details, notes)
+    return _finish(residuals, details, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,6 @@ def check_action_table_3_1() -> CheckResult:
     order-3 generator cubes to it, and the stored distinguished vectors
     behave as recorded.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     cal = calibrate_conventions()
     table = construction.action_table()
@@ -226,7 +223,7 @@ def check_action_table_3_1() -> CheckResult:
 
     details = {"mismatch_counts": {k: len(v)
                                    for k, v in cal.table_mismatches.items()}}
-    return _finish("symbolic/action_table_3_1", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +255,6 @@ def check_group_structure() -> CheckResult:
     two non-diagonal generators extend to a well-defined homomorphism
     of the quotient onto the full permutation group of three objects.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     gens = construction.generators()
     omega, rho = gens["omega"], gens["rho"]
@@ -373,7 +369,7 @@ def check_group_structure() -> CheckResult:
         "quotient_order": len(cosets),
         "orbit_count_times_group": f"8*7*6 = {8 * 7 * 6} = {8 * 7 * 6 // 24} * 24",
     }
-    return _finish("symbolic/group_structure", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +390,6 @@ def check_equivariance_and_invariant_spaces() -> CheckResult:
     7-block invariant decomposition, and the distinguished plane of
     zeros spanned by the two full-group-invariant vectors.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     table = construction.action_table()
     expanded = expanded_coordinate_system()
@@ -498,7 +493,7 @@ def check_equivariance_and_invariant_spaces() -> CheckResult:
         "summand_dims": [len(v) for v in summands],
         "stored_sigma_defect_rows": defect_rows,
     }
-    return _finish("symbolic/equivariance_invariants", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +511,6 @@ def check_jacobians() -> CheckResult:
     7-dimensional tangent space.  Both computations are run at two
     sample weights to confirm the weight plays no role at these points.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     stored = construction.delta_coordinate_system()
 
@@ -575,7 +569,7 @@ def check_jacobians() -> CheckResult:
         "full_rank": 5, "full_kernel_dim": 10,
         "restricted_rank": 5, "restricted_tangent_dim": 7,
     }
-    return _finish("symbolic/jacobians", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +588,6 @@ def check_lemma_4_2() -> CheckResult:
     the two distinguished directions, and the chart image of the
     crossing point is the stored fiber point.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     table = construction.action_table()
     msig = table["sigma"]
@@ -653,7 +646,7 @@ def check_lemma_4_2() -> CheckResult:
         "quadratic": str(q),
         "literal_route_factor": 2,
     }
-    return _finish("symbolic/lemma_4_2", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +666,6 @@ def check_derivation_4_5() -> CheckResult:
     the slice-parameter action on the source side and the stored
     9-by-9 chart-space action on the cleared numerators.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     eqs = construction.y_equations_4_5()
     numerators = construction.chart_numerators_symbolic()
@@ -773,7 +765,7 @@ def check_derivation_4_5() -> CheckResult:
         "carries the third slice parameter, not the first (the printed "
         "index breaks the cleared-denominator identity)",
     )
-    return _finish("symbolic/derivation_4_5", started, residuals, details, notes)
+    return _finish(residuals, details, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +786,6 @@ def check_strata_6() -> CheckResult:
     intertwines the stored parameter action and permutes the coordinate
     pairs exactly as the stored 3-set permutations predict.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     quads = construction.pure_quadric_parts()
     x7, x8, x9 = MPoly.var("x7"), MPoly.var("x8"), MPoly.var("x9")
@@ -947,7 +938,7 @@ def check_strata_6() -> CheckResult:
         "(a zero index names no basis vector; the stored fixed-space and "
         "stabilizer data force index 9)",
     )
-    return _finish("symbolic/strata_6", started, residuals, details, notes)
+    return _finish(residuals, details, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +957,6 @@ def _random_cyc(rng: random.Random) -> CycScalar:
 
 def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
     """Randomized field-axiom suite for the cyclotomic scalar arithmetic."""
-    started = time.perf_counter()
     residuals: list[str] = []
     rng = random.Random(seed)
     zeta = CycScalar.zeta()
@@ -1000,7 +990,7 @@ def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
             break
 
     details = {"trials": trials, "seed": seed}
-    return _finish("property/field_axioms", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1011,6 @@ def _random_poly(rng: random.Random, names: tuple[str, ...],
 
 def check_mpoly_ring(seed: int, trials: int = 120) -> CheckResult:
     """Randomized ring, calculus, and substitution laws for the polynomials."""
-    started = time.perf_counter()
     residuals: list[str] = []
     rng = random.Random(seed)
     names = ("x1", "x2", "s1")
@@ -1052,7 +1041,7 @@ def check_mpoly_ring(seed: int, trials: int = 120) -> CheckResult:
             break
 
     details = {"trials": trials, "seed": seed}
-    return _finish("property/mpoly_ring", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1058,6 @@ def _random_form(rng: random.Random, degree: int) -> BinaryForm:
 def check_transvectant_properties(seed: int, trials: int = 100) -> CheckResult:
     """Randomized covariance laws for the bilinear bracket, plus frozen
     hand-computed bracket values."""
-    started = time.perf_counter()
     residuals: list[str] = []
     rng = random.Random(seed)
 
@@ -1126,7 +1114,7 @@ def check_transvectant_properties(seed: int, trials: int = 100) -> CheckResult:
             break
 
     details = {"trials": trials, "seed": seed, "frozen_values": len(frozen)}
-    return _finish("property/transvectants", started, residuals, details)
+    return _finish(residuals, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1130,6 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
     the bracket route with rescaled inputs equals the route with the
     transformed weight vector.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     rng = random.Random(seed)
     mu0, mu4, mu8 = MPoly.var("mu0"), MPoly.var("mu4"), MPoly.var("mu8")
@@ -1203,4 +1190,4 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
             break
 
     details = {"trials": trials, "seed": seed}
-    return _finish("property/scaling_1_1", started, residuals, details)
+    return _finish(residuals, details)

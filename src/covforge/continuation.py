@@ -69,7 +69,6 @@ import copy
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -1082,20 +1081,18 @@ def _slice_rows(r: tuple, seed, s: int) -> list[np.ndarray]:
 
 
 def exact_slice(r: tuple, seed, s: int) -> dict:
-    """The count of fiber slice s over r, by `construction.conic_pair`,
-    and its `points`, by `conic_points`: the three linear fiber rows and
-    the slice's three seeded rows, whose double entries are exact
-    Gaussian rationals, cut a plane over Q(i), on which the two quadrics
-    are two conics.  A run keeps its slices, but not their plane data."""
+    """`construction.conic_pair` of fiber slice s over r, its count and
+    plane data: the three linear fiber rows and the slice's three seeded
+    rows, whose double entries are exact Gaussian rationals, cut a plane
+    over Q(i), on which the two quadrics are two conics.  `conic_points`
+    recovers the slice's points from it."""
     r = tuple(map(as_exact, r))
     equations = construction.fiber_equations(r)
     rows = [[e.coeff({y: 1}) for y in Y_NAMES] for e in equations[2:]]
     rows += [[construction.gaussian(z) for z in row]
              for row in _slice_rows(r, seed, s)]
-    pair = construction.conic_pair(ExactMatrix(rows).kernel_basis(),
+    return construction.conic_pair(ExactMatrix(rows).kernel_basis(),
                                    equations[:2], Y_NAMES)
-    kept = ("count", "reason", "projection", "eliminant")
-    return {**{k: pair[k] for k in kept}, "points": conic_points(pair)}
 
 
 def fiber_probe(r: tuple, seed, slice_count: int,
@@ -1114,7 +1111,7 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
     run = solve_projective(_fiber_rows(r) + extra, Y_NAMES, seed,
                            f"fiber:{r}:0")
-    exact0 = np.array(slices[0]["points"])
+    exact0 = np.array(conic_points(slices[0]))
     chordal = [float(np.min(_chordal_each(e.x, exact0))) if len(exact0)
                else math.inf for e in run["distinct"]]
     return {
@@ -1206,7 +1203,6 @@ def check_stratum_counts(seed: int, sample_r: tuple,
     notes are residuals, so a stored point (`construction.census_anchors`)
     that matches no endpoint of either fails the check.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     sample_r = tuple(map(as_exact, sample_r))
 
@@ -1276,7 +1272,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
                        "match": TOL_MATCH, "cluster_radius": CLUSTER_RADIUS},
         "seed": seed,
     }
-    return _finish("numeric/lemma6_2", started, residuals, details)
+    return _finish(residuals, details)
 
 
 def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
@@ -1320,7 +1316,6 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     largest chordal distance of its four endpoints from the exact-plane
     points (each below TOL_MATCH).
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     origin = (_F(0), _F(0), _F(0))
 
@@ -1451,7 +1446,7 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP},
         "seed": seed,
     }
-    return _finish("numeric/fiber_5", started, residuals, details)
+    return _finish(residuals, details)
 
 
 def _fiber_point_ranks(point: list, rows: list | None,
@@ -1550,7 +1545,6 @@ def check_seed_stability(seed: int, sample_r: tuple,
     the run's `NumericRun`, which shares slice 0 at seed S with
     `numeric/fiber_5`; nothing is tracked for it.
     """
-    started = time.perf_counter()
     residuals: list[str] = []
     partitions = []
     slice_counts = []
@@ -1580,4 +1574,4 @@ def check_seed_stability(seed: int, sample_r: tuple,
         "slice_counts": slice_counts,
         "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP},
     }
-    return _finish("numeric/seed_stability", started, residuals, details)
+    return _finish(residuals, details)

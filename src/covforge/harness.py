@@ -2,14 +2,17 @@
 
 Selects registered checks by id glob, runs the exact suites before the
 continuation suites, and renders a report in text or JSON with a stable
-schema.  Every knob is both a flag and an environment variable with the
-``COVFORGE_`` prefix; a flag wins over its variable, an empty variable
-counts as unset, and a set ``COVFORGE_`` variable that names no knob or
-does not parse is a configuration error that names it.  The tolerances
-are not knobs but constants of ``continuation``, which only a run with a
-numeric check imports; the numeric checks of one run share their
-censuses through one ``NumericRun``.  The corrected-typo ledger ships
-as a package resource, named at the end of every text report.
+schema.  The registry alone names a check: a check returns its findings,
+and the runner times each call and stamps the registry's id and paper
+anchor on the result.  Every knob is both a flag and an environment
+variable with the ``COVFORGE_`` prefix; a flag wins over its variable,
+an empty variable counts as unset, and a set ``COVFORGE_`` variable that
+names no knob or does not parse is a configuration error that names it.
+The tolerances are not knobs but constants of ``continuation``, which
+only a run with a numeric check imports; the numeric checks of one run
+share their censuses through one ``NumericRun``.  The corrected-typo
+ledger ships as a package resource, named at the end of every text
+report.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -61,7 +65,8 @@ def _numeric():
 
 
 # The registry: check id, report anchor (interface data), phase, runner.
-# A runner takes the run config and the run's shared NumericRun, or None.
+# A runner takes the run config and the run's shared NumericRun, or None,
+# and returns the check's findings, which `run` stamps with id and anchor.
 def _registry() -> tuple:
     def sym(fn):
         return lambda cfg, numeric: fn()
@@ -120,7 +125,6 @@ def errata_ledger() -> list[dict]:
 class Report:
     config: RunConfig
     results: list[CheckResult]
-    anchors: dict
 
     @property
     def ok(self) -> bool:
@@ -148,7 +152,8 @@ def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
     Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  Selected numeric checks share one NumericRun,
+    is ordered by check id.  Each result carries its registry id and
+    paper anchor and the milliseconds of its one call.  Selected numeric checks share one NumericRun,
     which is told the censuses they will ask for, so that it can track
     them together.  Raises as `select` does for a malformed config or an
     empty selection.
@@ -157,11 +162,16 @@ def run(config: RunConfig) -> Report:
     numeric_ids = [cid for cid, _a, kind, _f in selected if kind == "numeric"]
     numeric = (_numeric().NumericRun(_numeric().census_plan(
         numeric_ids, config.seed, config.sample_r)) if numeric_ids else None)
-    anchors = {cid: anchor for cid, anchor, _kind, _fn in _registry()}
-    results = [fn(config, numeric)
-               for phase in ("exact", "numeric")
-               for _cid, _a, kind, fn in selected if kind == phase]
-    return Report(config=config, results=results, anchors=anchors)
+    results = []
+    for phase in ("exact", "numeric"):
+        for cid, anchor, kind, fn in selected:
+            if kind == phase:
+                started = time.perf_counter()
+                result = fn(config, numeric)
+                results.append(replace(
+                    result, check_id=cid, paper_anchor=anchor,
+                    millis=(time.perf_counter() - started) * 1000.0))
+    return Report(config=config, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def render_json(report: Report) -> str:
             details["erratum_notes"] = list(r.erratum_notes)
         rows.append({
             "check_id": r.check_id,
-            "paper_anchor": report.anchors[r.check_id],
+            "paper_anchor": r.paper_anchor,
             "status": r.status,
             "residual_count": len(r.residuals),
             "details": details,
@@ -208,7 +218,7 @@ def render_text(report: Report) -> str:
     lines = []
     for r in report.sorted_results():
         status = "PASS" if r.ok else "FAIL"
-        lines.append(f"{status}  {r.check_id:34} [{report.anchors[r.check_id]}]"
+        lines.append(f"{status}  {r.check_id:34} [{r.paper_anchor}]"
                      f"  {r.millis:9.1f} ms  residuals: {len(r.residuals)}")
         tol = r.details.get("tolerances") if isinstance(r.details, dict) \
             else None

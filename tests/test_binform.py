@@ -457,6 +457,20 @@ def test_group_element_inverse_and_order():
     assert GroupElt.identity().order() == 1
 
 
+def test_a_singular_matrix_is_rejected():
+    with pytest.raises(ValueError, match="singular matrix"):
+        GroupElt(1, 2, 2, 4)
+
+
+def test_products_inverses_and_transposes_keep_promoted_entries():
+    # built without the singular check, as the constructor would build them
+    i = CycScalar.i()
+    g, h = GroupElt(i, 1, 0, 2), GroupElt(1, 0, i, 3)
+    for built in (g * h, g.inverse(), h.transpose()):
+        assert all(isinstance(e, CycScalar) for e in built.m)
+        assert GroupElt(*built.m).m == built.m and built.det()
+
+
 def test_closure_of_the_standard_generators_has_24_elements():
     from covforge.construction import generators
     gens = generators()

@@ -675,7 +675,7 @@ def test_tracked_fiber_slices_match_the_exact_plane_points(seed):
         run = solve_projective(base + rows, con.Y_NAMES, seed,
                                f"fiber:{origin}:{s}")
         assert len(run["distinct"]) == 4
-        points = np.array(exact["points"])
+        points = np.array(conic_points(exact))
         nearest = []
         for e in run["distinct"]:
             dist = _chordal_each(e.x, points)

@@ -1,5 +1,6 @@
 """Command-line harness: configuration, report formats, and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -224,13 +225,35 @@ def test_json_report_writes_non_finite_floats_as_null():
         raise ValueError(f"non-standard JSON constant {token}")
 
     result = checks.CheckResult(
-        check_id="numeric/lemma6_2", status="fail",
         residuals=("no endpoint accepted",),
-        details={"values": [math.inf, math.nan, 1.5]})
-    report = harness.Report(config=harness.RunConfig(), results=[result],
-                            anchors={"numeric/lemma6_2": "Lemma 6.2"})
+        details={"values": [math.inf, math.nan, 1.5]},
+        check_id="numeric/lemma6_2", paper_anchor="Lemma 6.2")
+    report = harness.Report(config=harness.RunConfig(), results=[result])
     rows = json.loads(harness.render_json(report), parse_constant=reject)
     assert rows[0]["details"]["values"] == [None, None, 1.5]
+
+
+def test_a_check_result_passes_iff_it_has_no_residual():
+    assert checks.CheckResult().ok
+    assert checks.CheckResult().status == "pass"
+    planted = checks.CheckResult(residuals=("planted",))
+    assert not planted.ok and planted.status == "fail"
+
+
+def test_the_harness_names_anchors_and_times_every_row(capsys, monkeypatch):
+    # a check returns only its findings; the row's id, anchor and time
+    # come from the registry entry and the harness's own clock
+    monkeypatch.setattr(checks, "check_expansion_1_2",
+                        lambda: checks.CheckResult(residuals=("planted",)))
+    code = harness.main(["--filter", "symbolic/expansion_1_2",
+                         "--format", "json"])
+    [row] = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert row["check_id"] == "symbolic/expansion_1_2"
+    assert row["paper_anchor"] == "(1.2)"
+    assert row["status"] == "fail" and row["residual_count"] == 1
+    assert row["details"]["residuals"] == ["planted"]
+    assert row["millis"] >= 0
 
 
 def test_reports_are_identical_across_runs_up_to_timing():
@@ -272,11 +295,11 @@ def test_errata_ledger_entries_are_validated_by_known_checks():
 def test_text_report_shows_tolerances_for_numeric_rows(numeric_run):
     # render the cheapest numeric check, on the session's shared results
     cfg = harness.build_config(["--filter", "numeric/seed_stability"])
-    report = harness.Report(
-        config=cfg,
-        results=[check_seed_stability(seed=cfg.seed, sample_r=cfg.sample_r,
-                                      numeric=numeric_run)],
-        anchors={"numeric/seed_stability": "Lemma 6.2 (stability)"})
+    result = check_seed_stability(seed=cfg.seed, sample_r=cfg.sample_r,
+                                  numeric=numeric_run)
+    report = harness.Report(config=cfg, results=[dataclasses.replace(
+        result, check_id="numeric/seed_stability",
+        paper_anchor="Lemma 6.2 (stability)")])
     text = harness.render_text(report)
     assert "PASS" in text and "numeric/seed_stability" in text
     assert "tolerances:" in text
