@@ -4,13 +4,14 @@ A projective solve takes its homogeneous equations as term rows, lists
 of (coefficient, exponent tuple) over a fixed variable order:
 `_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
 random slice or alignment form with complex double coefficients.  The
-caller concatenates the rows of one system.  Every system is compiled
-once into a `CompiledSystem`: one term table, whose value and
-derivative entries give F and its Jacobian in one pass; several systems
-of one shape can share the table, each with its own coefficients.  The
-tracker reads it as complex doubles and follows H = gamma (1 - t) G + t F
-from the total-degree start system G = x^d - b, taken in closed form,
-with each system's start constants and gamma drawn from its own seeded
+caller concatenates the rows of one system.  Every system tracked here
+is quadrics and linear rows, so a `CompiledSystem` holds each row once,
+exactly, as its symmetric matrix A over y = (x, 1): the row is y^T A y
+and its gradient 2 (A y)[:n].  Several systems of one shape stack, each
+with its own matrices.  The tracker reads their complex double copy,
+one einsum per evaluation, and follows H = gamma (1 - t) G + t F from
+the total-degree start system G = x^d - b, taken in closed form, with
+each system's start constants and gamma drawn from its own seeded
 stream.  All paths advance together as one (paths, n) stack, each with
 its own system and step control, through stacked evaluations and
 solves; one helper gives H and its Jacobian to the fourth-order
@@ -34,8 +35,8 @@ labelled on its own.  The same placement carries a reference census's
 labels, census S's for the censuses at seeds S+1 and S+2, from its
 endpoints to the endpoints they match.  Only labelling a representative
 works past double precision: `mp_polish` refines its endpoint to about
-WORKING_DPS digits in exact dyadic Gaussian rationals, on the system's
-own exact term rows, which is what lets the multiple-root classifier
+WORKING_DPS digits in exact dyadic Gaussian rationals, on the same
+exact row matrices, which is what lets the multiple-root classifier
 separate a genuine sixfold root cluster from simple roots at
 CLUSTER_RADIUS.  Each step takes the exact residual F, rounded once to
 doubles, and solves J0 dx = F with the endpoint's double Jacobian J0
@@ -103,7 +104,7 @@ SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
 
 
 # ---------------------------------------------------------------------------
-# Compilation: exact polynomials -> one term table per system, read as
+# Compilation: exact polynomials -> one symmetric matrix per row, read as
 # complex doubles by the tracker and exactly by the polish
 
 
@@ -132,35 +133,40 @@ def _linear_row_terms(coeffs, constant=0) -> list[tuple]:
     return terms
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, with each of the four real products rounded on
-    its own, as a sequential complex product rounds them; numpy's
-    elementwise complex multiply may fuse a product into the sum (FMA),
-    which moves the last bits."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _row_matrix(terms: list[tuple], n: int) -> dict:
+    """The exact symmetric (n + 1) x (n + 1) matrix A of a term row of
+    degree at most 2 in n variables, as its nonzero entries {(i, j): a}:
+    the row is y^T A y over y = (x, 1), so a term c x_i x_j, i != j, puts
+    c/2 at (i, j) and (j, i), c x_i^2 puts c at (i, i), c x_i puts c/2
+    at (i, n) and (n, i), and a constant c goes at (n, n).  A complex
+    double coefficient is taken as the exact dyadic Gaussian rational it
+    is.  A term of degree above 2 raises ValueError."""
+    a = {}
+    for c, e in terms:
+        if isinstance(c, (complex, float)):
+            c = construction.gaussian(complex(c))
+        # the term's variables with multiplicity, padded by the slot n
+        i, j, *rest = [v for v in range(n) for _ in range(e[v])] + [n, n]
+        if len(rest) > 2:
+            raise ValueError("a compiled row has degree at most 2")
+        value = c if i == j else c * _F(1, 2)
+        for at in {(i, j), (j, i)}:     # one entry on the diagonal
+            a[at] = a.get(at, _F(0)) + value
+    return {at: v for at, v in a.items() if v}
 
 
 class CompiledSystem:
-    """One polynomial system, or a stack of several of the same
-    variables and row count, as one term table of complex doubles.
+    """One system of quadric and linear rows, or a stack of several of
+    the same variables and row count, as one symmetric matrix per row.
 
     Built from a list of systems, each a list of term rows (coefficient,
-    exponent tuple) whose coefficients are exact scalars or complex
-    doubles.  A system's table has a (row, coefficient, exponents) entry
-    per term, then a (size + row * nvars + j, coefficient * e_j,
-    exponents with e_j lowered) entry per term and variable j the term
-    contains, so one pass gives F in the first `size` slots and the
-    Jacobian in the rest.  The systems of a stack share one table of
-    (slot, exponents) entries, and each has its own row of
-    coefficients, 0 at an entry it lacks.
-    Each slot lists its entries in an order that keeps every system's own
-    table order, and a zero term leaves a sum started at +0 bitwise as it
-    was, so every system evaluates in the stack bitwise as it does alone.
-    The tracker reads the table as complex doubles; `mp_polish` reads
-    only F of one system (`member`), exactly, from its term rows.
+    exponent tuple) of degree at most 2, whose coefficients are exact
+    scalars or complex doubles.  Row k of a system is held once, exactly,
+    as the matrix A_k of `_row_matrix` over y = (x, 1), so F_k = y^T A_k y
+    and its gradient is J_k = 2 (A_k y)[:nvars].  `exact` holds each
+    system's matrices as their exact nonzero entries; the tracker reads
+    their complex double copy, doubled (`evaluate`), and `mp_polish`
+    reads F of one system (`member`) exactly from the same entries.
     """
 
     def __init__(self, systems: list[list[list[tuple]]], nvars: int
@@ -172,127 +178,75 @@ class CompiledSystem:
         self.degrees = [[max(sum(e) for _c, e in terms) for terms in rows]
                         for rows in systems]
         self.path_counts = [math.prod(d) for d in self.degrees]
-        self._terms = [[(k, c, e) for k, row in enumerate(rows)
-                        for c, e in row] for rows in systems]
-        # each slot's entries, as indices into `keys`, in an order that
-        # holds every system's table order: a system's entry takes the
-        # first equal key after its previous one, or a new key there
-        slots = [[] for _ in range(self.size * (1 + nvars))]
-        keys: list[tuple] = []
-        rows = []
-        for terms in self._terms:
-            coeffs, after = {}, [0] * len(slots)
-            for slot, c, e in self._table(terms):
-                seq = slots[slot]
-                at = next((i for i in range(after[slot], len(seq))
-                           if keys[seq[i]] == e), None)
-                if at is None:
-                    at = after[slot]
-                    seq.insert(at, len(keys))
-                    keys.append(e)
-                coeffs[seq[at]] = c
-                after[slot] = at + 1
-            rows.append(coeffs)
-        # the table's terms, then the term 0, which pads the slot sums
-        zero = len(keys)
-        self._coeffs = np.array([[row.get(i, 0) for i in range(zero)] + [0]
-                                 for row in rows], dtype=complex)
-        # x_j^e is entry e * nvars + j of the power table; a term is the
-        # product of its x_j^e_j with e_j > 0, in variable order, and a
-        # constant is x_0^0 = 1: `_first` holds each term's first factor,
-        # and `_more` each later one with the terms that have it
-        self._top = max(max(e) for e in keys)
-        factors = [[e[j] * nvars + j for j in range(nvars) if e[j]] or [0]
-                   for e in keys] + [[0]]
-        self._first = np.array([f[0] for f in factors])
-        self._more = []
-        for k in range(1, max(map(len, factors))):
-            terms = [i for i, f in enumerate(factors) if len(f) > k]
-            self._more.append((np.array(terms),
-                               np.array([factors[i][k] for i in terms])))
-        # slot s sums its terms in order after a leading 0, as a
-        # sequential sum from 0 does; column k of the (width, slots)
-        # gather holds every slot's k-th summand
-        width = 1 + max(map(len, slots))
-        self._gather = np.array(
-            [[zero] + m + [zero] * (width - 1 - len(m))
-             for m in slots]).T.ravel()
-
-    def _table(self, terms: list[tuple]) -> list[tuple]:
-        """A system's (slot, coefficient, exponents) entries in complex
-        doubles; a derivative coefficient is the term's coefficient times
-        e_j."""
-        m, n = self.size, self.nvars
-        values = [(k, complex(c), e) for k, c, e in terms]
-        table = list(values)
-        for k, c, e in values:
-            for j in range(n):
-                if e[j]:
-                    d = list(e)
-                    d[j] -= 1
-                    table.append((m + k * n + j, c * e[j], tuple(d)))
-        return table
-
-    @property
-    def members(self) -> int:
-        return len(self._terms)
+        self.exact = [[_row_matrix(terms, nvars) for terms in rows]
+                      for rows in systems]
+        # per system, each 2 A_k in complex doubles, stacked row-wise into
+        # one (size * (nvars + 1), nvars + 1) block
+        span = range(nvars + 1)
+        self._twice = np.array([[[2 * complex(a.get((i, j), 0)) for j in span]
+                                 for a in rows for i in span]
+                                for rows in self.exact])
 
     def member(self, k: int) -> CompiledSystem:
-        """System k of the stack alone, on the shared table."""
+        """System k of the stack alone."""
         out = copy.copy(self)
         out.degrees = self.degrees[k:k + 1]
         out.path_counts = self.path_counts[k:k + 1]
-        out._terms = self._terms[k:k + 1]
-        out._coeffs = self._coeffs[k:k + 1]
+        out.exact = self.exact[k:k + 1]
+        out._twice = self._twice[k:k + 1]
         return out
 
     def evaluate(self, x: np.ndarray, which=None
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """F and the Jacobian J, from one pass over the table, at a point
-        of shape (nvars,) or at each row of a stack of shape (P, nvars),
-        of system 0, or of system which[p] at row p.
+        """F and the Jacobian J at a point of shape (nvars,) or at each
+        row of a stack of shape (P, nvars), of system 0, or of system
+        which[p] at row p.  With y = (x, 1), one einsum takes each
+        point's block of 2 A_k times y, which gives J = (2 A_k y)[:nvars],
+        and another F = y^T (2 A_k y) / 2; the factors 2 are exact.
 
-        Every value is bitwise what a sequential sum of the terms gives
-        at that one point, whatever the stack around it.
+        einsum sums each entry over its own row of the block in one fixed
+        order, so every value is bitwise the same whatever the stack
+        around it.  A BLAS product (np.matmul) is faster but rounds
+        otherwise, and which paths end `polish` follows the last bits.
         """
-        points = x.reshape(-1, self.nvars)
-        count = len(points)
-        # x^0 and x^1 are exact, and np.power, not `**`, which squares
-        # by a fused multiply, gives the higher powers
-        powers = np.concatenate(
-            [np.ones_like(points), points]
-            + [np.power(points, e) for e in range(2, self._top + 1)], axis=1)
-        mono = powers[:, self._first]
-        for terms, factor in self._more:
-            mono[:, terms] = _cmul(mono[:, terms], powers[:, factor])
-        coeffs = self._coeffs[0] if which is None else self._coeffs[which]
-        terms = coeffs * mono
-        slots = self.size * (1 + self.nvars)
-        out = terms[:, self._gather].reshape(
-            count, len(self._gather) // slots, slots).sum(axis=1)
-        m, shape = self.size, x.shape[:-1]
-        return (out[:, :m].reshape(shape + (m,)),
-                out[:, m:].reshape(shape + (m, self.nvars)))
+        n, m, shape = self.nvars, self.size, x.shape[:-1]
+        points = x.reshape(-1, n)
+        y = np.ones((len(points), n + 1), dtype=complex)
+        y[:, :n] = points
+        if which is None:
+            which = np.zeros(len(points), dtype=int)
+        twice = np.einsum("prj,pj->pr", self._twice.take(which, axis=0),
+                          y).reshape(-1, m, n + 1)
+        values = 0.5 * np.einsum("pki,pi->pk", twice, y)
+        return (values.reshape(shape + (m,)),
+                twice[:, :, :n].reshape(shape + (m, n)))
 
 
-def _exact_residual(terms: list, size: int, x: list) -> list[complex]:
-    """F at the exact point x, each row the exact sum of its terms
-    (row, coefficient, exponents), rounded once to a complex double."""
-    out = [_F(0)] * size
-    for k, c, e in terms:
-        for xx, ee in zip(x, e):
-            if ee:
-                c = c * xx ** ee
-        out[k] = out[k] + c
-    return [complex(v) for v in out]
+def _exact_residual(matrices: list, x: list) -> list:
+    """F at the exact point x, exactly: each row y^T A y, y = (x, 1), as
+    the sum over A's nonzero entries on the diagonal plus twice the sum
+    over those above it, each product y_i y_j formed once per point."""
+    n = len(x)
+    y = [*x, 1]
+    products = {(i, n): y[i] for i in range(n + 1)}     # y_n = 1
+    out = []
+    for entries in matrices:
+        sums = [_F(0), _F(0)]       # on the diagonal, and above it
+        for (i, j), a in entries.items():
+            if i <= j:
+                if (i, j) not in products:
+                    products[i, j] = y[i] * y[j]
+                sums[i < j] = sums[i < j] + a * products[i, j]
+        out.append(sums[0] + 2 * sums[1])
+    return out
 
 
 def mp_polish(system: CompiledSystem, x0: np.ndarray) -> list:
     """High-precision refinement of a double-precision endpoint, as a
     list of exact dyadic Gaussian rationals (`construction.gaussian`).
 
-    Each step takes the exact residual F at x from the system's term
-    rows, the chart row's doubles taken as the exact values they are,
+    Each step takes the exact residual F at x from the system's exact
+    row matrices (`_exact_residual`), rounds it once to complex doubles,
     and solves J0 dx = F in complex doubles, where J0 is the Jacobian at
     x0 (iterative refinement: the exact residual, rounded once, sets the
     accuracy, and the double J0 only the rate, a factor of about
@@ -300,14 +254,11 @@ def mp_polish(system: CompiledSystem, x0: np.ndarray) -> list:
     stops once every step is below 10^(4 - WORKING_DPS) relative to its
     coordinate, |dx_j| < 10^(4 - WORKING_DPS) (1 + |x_j|), or after
     MP_POLISH_ITERS steps.  A singular J0 returns the start point."""
-    terms = [(k, construction.gaussian(c)
-              if isinstance(c, (complex, float)) else c, e)
-             for k, c, e in system._terms[0]]
     _values, jac = system.evaluate(x0)
     tol = 10.0 ** (4 - WORKING_DPS)
     x = [construction.gaussian(v) for v in x0.tolist()]
     for _ in range(MP_POLISH_ITERS):
-        residual = _exact_residual(terms, system.size, x)
+        residual = [complex(v) for v in _exact_residual(system.exact[0], x)]
         try:
             step = np.linalg.solve(jac, residual).tolist()
         except np.linalg.LinAlgError:   # singular J0: x is still x0
@@ -453,7 +404,7 @@ def track(system: CompiledSystem, rng) -> tuple[list[PathResult], int]:
     if system.size != n:
         raise ValueError("tracker needs a square system")
     rngs = [rng] if isinstance(rng, random.Random) else list(rng)
-    if len(rngs) != system.members:
+    if len(rngs) != len(system.exact):
         raise ValueError("the tracker needs one stream per stacked system")
     # per path: its system, its index there, its start point, and its
     # system's degrees, start constants and gamma

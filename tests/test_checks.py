@@ -10,6 +10,7 @@ import pytest
 from covforge import checks, construction, harness
 from covforge.construction import VEC15_NAMES
 from covforge.mpoly import MPoly
+from covforge.scalar import CycScalar
 
 EXPECTED_SYMBOLIC_IDS = [
     "symbolic/expansion_1_2",
@@ -215,4 +216,17 @@ def test_random_polynomials_are_drawn_as_by_arithmetic():
             got = checks._random_poly(rngs[0], names, **kw)
             want = random_poly_by_arithmetic(rngs[1], names, **kw)
             assert list(got.terms.items()) == list(want.terms.items())
+        assert rngs[0].random() == rngs[1].random()
+
+
+def test_random_cyclotomic_scalars_are_drawn_as_four_rationals():
+    # the oracle builds each coordinate as a Fraction; the canonical form
+    # is unique, so the int-built element is equal field by field
+    for seed in range(100):
+        rngs = [random.Random(seed) for _ in range(2)]
+        for _ in range(10):
+            got = checks._random_cyc(rngs[0])
+            want = CycScalar(*(checks._random_rational(rngs[1])
+                               for _ in range(4)))
+            assert got == want and got.coords == want.coords
         assert rngs[0].random() == rngs[1].random()

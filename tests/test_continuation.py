@@ -64,32 +64,93 @@ def _gaussian(re, im):
     return CycScalar.from_rat(Fraction(re)) + CycScalar.i() * Fraction(im)
 
 
+def _two_census_systems():
+    """Two census systems of one shape, as exact polynomials: the sample
+    census with an exact chart row, and the census at SMALL_R with a chart
+    row of complex doubles, each a dyadic Gaussian rational.  Returns the
+    polynomials and their term rows."""
+    exact_chart = [Fraction(1), Fraction(-2, 3), CycScalar.i(), Fraction(0),
+                   CycScalar.zeta() * 3, Fraction(5, 7)]
+    double_chart = [0.5 - 0.25j, 1.5j, -0.75 + 0j, 0j, 2.0 + 0.125j, -1.0j]
+    polys, rows = [], []
+    for r, chart, constant in ((SAMPLE_R, exact_chart, Fraction(-1)),
+                               (SMALL_R, double_chart, -1.0)):
+        chart_poly = MPoly.const(Fraction(constant))
+        for c, name in zip(chart, CHART_VARS):
+            if isinstance(c, complex):
+                c = con.gaussian(c)
+            chart_poly = chart_poly + MPoly.var(name) * c
+        quadrics = list(literal_restricted_quadrics(r))
+        polys.append(quadrics + [chart_poly])
+        rows.append([_poly_terms(p, CHART_VARS) for p in quadrics]
+                    + [_linear_row_terms(chart, constant=constant)])
+    return polys, rows
+
+
+# dyadic Gaussian rationals, so a double point is the exact point
+_DYADIC_POINTS = (
+    [_gaussian("3/4", "-1/8"), _gaussian("-5/2", "1/2"),
+     _gaussian("1/16", "7/4"), _gaussian("2", "0"),
+     _gaussian("-3/8", "-9/8"), _gaussian("1/2", "5/4")],
+    [_gaussian("-1/4", "3/2"), _gaussian("7/8", "0"),
+     _gaussian("0", "-5/4"), _gaussian("9/16", "1/32"),
+     _gaussian("-2", "3/4"), _gaussian("1", "-1")])
+
+
 def test_one_pass_gives_the_exact_values_and_jacobian():
-    quadrics = list(literal_restricted_quadrics(SAMPLE_R))
+    polys, rows = _two_census_systems()
     # the derivative of a squared coordinate carries the exponent factor 2
-    assert any(2 in exponents(e) for p in quadrics for e in p.terms)
-    chart = [Fraction(1), Fraction(-2, 3), CycScalar.i(), Fraction(0),
-             CycScalar.zeta() * 3, Fraction(5, 7)]
-    constant = Fraction(-1)
-    chart_poly = MPoly.const(constant)
-    for c, name in zip(chart, CHART_VARS):
-        chart_poly = chart_poly + MPoly.var(name) * c
-    system = CompiledSystem(
-        [[_poly_terms(p, CHART_VARS) for p in quadrics]
-         + [_linear_row_terms(chart, constant=constant)]], 6)
-    # dyadic Gaussian rationals, so the double point is the exact point
-    point = [_gaussian("3/4", "-1/8"), _gaussian("-5/2", "1/2"),
-             _gaussian("1/16", "7/4"), _gaussian("2", "0"),
-             _gaussian("-3/8", "-9/8"), _gaussian("1/2", "5/4")]
-    values, jac = system.evaluate(np.array([complex(v) for v in point]))
-    assert values.shape == (6,) and jac.shape == (6, 6)
-    env = dict(zip(CHART_VARS, point))
-    for i, p in enumerate(quadrics + [chart_poly]):
-        exact = complex(p.evaluate(env))
-        assert abs(values[i] - exact) < 1e-12 * max(1.0, abs(exact))
-        for j, name in enumerate(CHART_VARS):
-            exact = complex(p.diff(name).evaluate(env))
-            assert abs(jac[i, j] - exact) < 1e-12 * max(1.0, abs(exact))
+    assert any(2 in exponents(e) for p in polys[0] for e in p.terms)
+    system = CompiledSystem(rows, 6)
+    assert len(system.exact) == 2 and system.path_counts == [32, 32]
+    # each point under each system, in one stack, with `which`
+    pairs = list(itertools.product(range(2), range(2)))
+    stack = np.array([[complex(v) for v in _DYADIC_POINTS[i]]
+                      for i, _k in pairs])
+    values, jac = system.evaluate(stack, np.array([k for _i, k in pairs]))
+    assert values.shape == (4, 6) and jac.shape == (4, 6, 6)
+    for (i, k), v, j in zip(pairs, values, jac):
+        env = dict(zip(CHART_VARS, _DYADIC_POINTS[i]))
+        for row, p in enumerate(polys[k]):
+            exact = complex(p.evaluate(env))
+            assert abs(v[row] - exact) < 1e-12 * max(1.0, abs(exact))
+            for col, name in enumerate(CHART_VARS):
+                exact = complex(p.diff(name).evaluate(env))
+                assert abs(j[row, col] - exact) < 1e-12 * max(1.0,
+                                                              abs(exact))
+    # a point alone is under system 0
+    lone = system.evaluate(stack[0])
+    assert lone[0].shape == (6,) and lone[1].shape == (6, 6)
+    assert np.array_equal(lone[0], values[0])
+    assert np.array_equal(lone[1], jac[0])
+
+
+def test_the_polish_reads_each_row_exactly_from_its_matrix():
+    # the exact residual of `mp_polish` is each row's exact value, from
+    # the same matrices the tracker reads as doubles
+    polys, rows = _two_census_systems()
+    system = CompiledSystem(rows, 6)
+    for k in range(2):
+        exact = system.member(k).exact[0]
+        for row, entries in enumerate(exact):
+            twice = np.zeros((7, 7), dtype=complex)
+            for (i, j), a in entries.items():
+                assert a and entries[j, i] == a
+                twice[i, j] = 2 * complex(a)
+            assert np.array_equal(twice,
+                                  system._twice[k, 7 * row:7 * row + 7])
+        for point in _DYADIC_POINTS:
+            env = dict(zip(CHART_VARS, point))
+            assert continuation._exact_residual(exact, point) == [
+                p.evaluate(env) for p in polys[k]]
+
+
+def test_a_row_above_degree_two_does_not_compile():
+    x1, x2 = MPoly.var("x1"), MPoly.var("x2")
+    names = ("x1", "x2")
+    with pytest.raises(ValueError, match="degree at most 2"):
+        CompiledSystem([[_poly_terms(x1 * x2 - 1, names),
+                         _poly_terms(x1 ** 2 * x2 - 2, names)]], 2)
 
 
 def test_the_closed_form_start_system_and_its_jacobian():
@@ -605,17 +666,19 @@ def sample_solve_seed1():
 def test_a_census_solve_wants_every_path_and_keeps_its_rescue_chart(
         sample_solve_seed1):
     # the census passes no `want`, so it wants all 32 paths regular; its
-    # first chart fails three, and the rescue chart finds them
+    # first chart fails four, and the rescue chart finds them
     args, run, charts = sample_solve_seed1
     assert len(args) == 4
     assert len(charts) == len(run["failures"]) == 2
-    assert run["rescue_added"] == 3
+    assert run["failed"] == [(14, "polish"), (20, "polish"),
+                             (24, "polish"), (28, "polish")]
+    assert run["rescue_added"] == 4
 
 
 def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         monkeypatch, sample_solve_seed1):
-    # the sample census at seed 1 rescues three endpoints in a second
-    # chart; polished on the census chart all three have a coordinate
+    # the sample census at seed 1 rescues four endpoints in a second
+    # chart; polished on the census chart three of them have a coordinate
     # near 80, and the stop, relative to each coordinate, still ends
     # every polish within five steps.  A refinement step is one exact
     # residual evaluation, so the steps are counted as `_exact_residual`
@@ -630,15 +693,15 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         x = mp_polish(run["system"], e.x)
         steps.append(calls["_exact_residual"])
         sizes.append(max(abs(complex(v)) for v in x))
-    assert run["rescue_added"] == 3
+    assert run["rescue_added"] == 4
     assert run["accepted_count"] == 32
-    # one merge: the first chart's 29 endpoints, in path order, then the
-    # three rescued ones
+    # one merge: the first chart's 28 endpoints, in path order, then the
+    # four rescued ones
     assert len(charts) == 2
     first = [r.x for r in charts[0] if r.status == "accepted"]
-    assert len(first) == 29
-    assert [id(e.x) for e in run["distinct"][:29]] == list(map(id, first))
-    assert not any(e.x is x for e in run["distinct"][29:] for x in first)
+    assert len(first) == 28
+    assert [id(e.x) for e in run["distinct"][:28]] == list(map(id, first))
+    assert not any(e.x is x for e in run["distinct"][28:] for x in first)
     # every endpoint, rescued ones too, lies on the census chart
     for e in run["distinct"]:
         assert abs(run["chart"] @ e.x - 1) < 1e-8
