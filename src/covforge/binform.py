@@ -547,8 +547,6 @@ def _pair_series(scalars: tuple, cross: int) -> tuple[MPoly, ...]:
     eps = MPoly.var("eps")
     p6, p4, p2 = bracket_tables()
 
-    # The order of the additions fixes the order of each row's `terms`,
-    # which the tracker's compiled sums follow.
     out = [MPoly.zero() for _ in range(5)]
     for (i, j), vals in p6.items():
         mono = xs[i] * xs[j]

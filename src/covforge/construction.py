@@ -13,15 +13,16 @@ erratum ledger (errata.json) records a corrected reading; each correction
 is validated by the check suite.
 
 It also holds the exact geometry of the numeric checks, none of which
-needs numpy: the census triple, system, symmetry and stored
-points; the fiber's slices, two conics on a plane (`conic_pair`); and
-the preimages, two lines on a plane (`exact_preimage`).
+needs numpy: every quadric's exact symmetric matrix (`quadric_matrix`),
+which the tracker compiles; the census triple, system, symmetry and
+stored points; the fiber's slices, two conics on a plane
+(`conic_pair`); and the preimages, two lines on a plane
+(`exact_preimage`).
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -29,7 +30,7 @@ from typing import Sequence
 from .binform import (BinaryForm, GroupElt, expanded_coordinate_system,
                       group_act)
 from .exlinalg import ExactMatrix
-from .mpoly import MPoly
+from .mpoly import MPoly, exponents, var_slot
 from .scalar import CycScalar, as_exact
 
 X_NAMES = tuple(f"x{i}" for i in range(1, 10))
@@ -752,15 +753,47 @@ PROJECTIONS = ((0, 0, 1), (1, 2, 3), (2, -3, 1))
 PLANE_VARS = ("z1", "z2", "t")      # plane coordinates; t is lambda
 
 
+def quadric_matrix(q: MPoly, names: tuple) -> dict:
+    """The exact symmetric (n + 1) x (n + 1) matrix A of a polynomial q of
+    degree at most 2 in the n variables `names`, as its nonzero entries
+    {(i, j): a}: q = y^T A y over y = (x, 1), so a term c x_i x_j, i != j,
+    puts c/2 at (i, j) and (j, i), c x_i^2 puts c at (i, i), c x_i puts
+    c/2 at (i, n) and (n, i), and a constant c goes at (n, n).  A
+    variable outside `names` or a term of degree above 2 raises
+    ValueError."""
+    stray = q.variables() - set(names)
+    if stray:
+        raise ValueError(f"stray variable {min(stray)} in a quadric over "
+                         f"{names}")
+    n, slots = len(names), [var_slot(v) for v in names]
+    a = {}
+    for mono, c in q.terms.items():
+        e = exponents(mono)
+        # the term's variables with multiplicity, padded by the slot n
+        i, j, *rest = [v for v, s in enumerate(slots)
+                       for _ in range(e[s])] + [n, n]
+        if len(rest) > 2:
+            raise ValueError("a quadric has degree at most 2")
+        # each entry comes from one term
+        a[i, j] = a[j, i] = c if i == j else c * _F(1, 2)
+    return a
+
+
 def _on_basis(q: MPoly, basis: list, names: tuple) -> dict:
     """The quadric q on span(basis), as the coefficient co[j, k] of
     w_j w_k, j <= k, in the plane coordinates w = PLANE_VARS of
-    sum_k w_k basis[k]: one substitution, read back monomial by
-    monomial."""
-    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
-    restricted = q.substitute({name: z1 * a + z2 * b + t * c
-                               for name, a, b, c in zip(names, *basis)})
-    return {(j, k): restricted.coeff(Counter((PLANE_VARS[j], PLANE_VARS[k])))
+    sum_k w_k basis[k]: the congruence B^T A B of q's matrix A
+    (`quadric_matrix`), B the basis as columns, with the entries off
+    the diagonal doubled.  A quadric that is not homogeneous raises
+    ValueError."""
+    a = quadric_matrix(q, names)
+    n = len(names)
+    if any(n in at for at in a):
+        raise ValueError("only a homogeneous quadric restricts to a plane")
+    dense = ExactMatrix([[a.get((i, j), _F(0)) for j in range(n)]
+                         for i in range(n)])
+    c = (ExactMatrix(basis) * (dense * ExactMatrix.from_columns(basis))).rows
+    return {(j, k): c[j][k] if j == k else 2 * c[j][k]
             for j, k in itertools.combinations_with_replacement(range(3), 2)}
 
 
@@ -768,7 +801,8 @@ def conic_pair(plane: list, quadrics: tuple, names: tuple) -> dict:
     """Count the common points of two quadrics on a plane, exactly.
 
     `plane` is three exact vectors over the coordinates `names`.  In
-    plane coordinates (z1, z2, t) each quadric is, by `_on_basis`, a conic
+    plane coordinates (z1, z2, t) each quadric is a conic, its matrix
+    restricted to the plane by the congruence `_on_basis`,
     C_i = a_i t^2 + b_i t + c_i, with b_i linear and c_i quadratic in
     (z1, z2).  Eliminating t gives the Sylvester resultant
     R = K^2 - L M, a binary quartic, with K = a_2 c_1 - a_1 c_2,
@@ -860,10 +894,11 @@ def exact_preimage(n) -> dict:
     cut span(center, p) to a plane: the kernel of the rows on these six
     generators, whose two lambda = 0 vectors span the center line l and
     whose third has lambda = 1.  In plane coordinates (z1, z2, t = lambda)
-    `_on_basis` restricts each quadric to Q_i = A_i + t B_i + c_i t^2,
-    A_i quadratic and B_i linear in (z1, z2); with L_i = B_i + c_i t the
-    identity Q_i = t L_i holds exactly when A_i = 0, that is when Q_i
-    vanishes on l, and is checked, not assumed.  The preimages are the
+    the congruence `_on_basis` restricts each quadric's matrix to
+    Q_i = A_i + t B_i + c_i t^2, A_i quadratic and B_i linear in
+    (z1, z2); with L_i = B_i + c_i t the identity Q_i = t L_i holds
+    exactly when A_i = 0, that is when Q_i vanishes on l, and is
+    checked, not assumed.  The preimages are the
     points of L_1 = L_2 = 0 off l: one when [L_1; L_2] has rank 2 and
     lambda is nonzero at the meet (a transversal meet), else none.
 

@@ -1,24 +1,24 @@
 """Homotopy continuation for the small polynomial systems.
 
-A projective solve takes its homogeneous equations as term rows, lists
-of (coefficient, exponent tuple) over a fixed variable order:
-`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
-random slice or alignment form with complex double coefficients.  The
-caller concatenates the rows of one system.  Every system tracked here
-is quadrics and linear rows, so a `CompiledSystem` holds each row once,
-exactly, as its symmetric matrix A over y = (x, 1): the row is y^T A y
-and its gradient 2 (A y)[:n].  Several systems of one shape stack, each
-with its own matrices.  The tracker reads their complex double copy,
-one einsum per evaluation, and follows H = gamma (1 - t) G + t F from
-the total-degree start system G = x^d - b, taken in closed form, with
-each system's start constants and gamma drawn from its own seeded
-stream.  All paths advance together as one (paths, n) stack, each with
-its own system and step control, through stacked evaluations and
-solves; one helper gives H and its Jacobian to the fourth-order
-Runge-Kutta predictor, the short Newton corrector with adaptive step
-halving, and the endpoint polish.  So the censuses of one run are
-tracked as one stack (`solve_stacked`), and each path still ends bit
-for bit where it ends tracked alone.
+A projective solve takes its homogeneous equations as exact polynomials
+over a fixed variable order: the construction's quadrics and linear
+forms, and random slice or alignment forms whose complex double
+coefficients are taken as the exact dyadic Gaussian rationals they are
+(`_linear_form`).  Every system tracked here is quadrics and linear
+rows, so a `CompiledSystem` holds each row once, exactly, as its
+symmetric matrix A over y = (x, 1), built by the exact layer
+(`construction.quadric_matrix`): the row is y^T A y and its gradient
+2 (A y)[:n].  Several systems of one shape stack, each with its own
+matrices.  The tracker reads their complex double copy, one einsum per
+evaluation, and follows H = gamma (1 - t) G + t F from the total-degree
+start system G = x^d - b, taken in closed form, with each system's
+start constants and gamma drawn from its own seeded stream.  All paths
+advance together as one (paths, n) stack, each with its own system and
+step control, through stacked evaluations and solves; one helper gives
+H and its Jacobian to the fourth-order Runge-Kutta predictor, the short
+Newton corrector with adaptive step halving, and the endpoint polish.
+So the censuses of one run are tracked as one stack (`solve_stacked`),
+and each path still ends bit for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
 `solve_projective`'s projective residual test; whether two points are
 one, by `_matching` on the chordal distance `_chordal_each` in complex
@@ -81,7 +81,7 @@ from .binform import (BinaryForm, GroupElt, group_act,
 from .checks import CheckResult, _finish
 from .construction import CHART_VARS, Y_NAMES
 from .exlinalg import ExactMatrix, jacobian_at
-from .mpoly import VAR_NAMES, MPoly, exponents, var_slot
+from .mpoly import MPoly
 from .scalar import as_exact
 
 _F = Fraction
@@ -108,78 +108,41 @@ SEED_GROUP_RADIUS = 1e-2    # chordal radius that groups double roots
 # complex doubles by the tracker and exactly by the polish
 
 
-def _poly_terms(poly: MPoly, var_order: tuple[str, ...]) -> list[tuple]:
-    """Exact term list (coeff, exponent tuple) over the given variables."""
-    idx = [var_slot(n) for n in var_order]
-    idx_set = set(idx)
-    out = []
-    for packed, c in poly.terms.items():
-        mono = exponents(packed)
-        for pos, e in enumerate(mono):
-            if e and pos not in idx_set:
-                raise ValueError(
-                    f"stray variable {VAR_NAMES[pos]} in compiled "
-                    "polynomial")
-        out.append((c, tuple(mono[i] for i in idx)))
-    return out
-
-
-def _linear_row_terms(coeffs, constant=0) -> list[tuple]:
-    n = len(coeffs)
-    terms = [(c, tuple(1 if j == i else 0 for j in range(n)))
-             for i, c in enumerate(coeffs) if c != 0]
-    if constant != 0:
-        terms.append((constant, (0,) * n))
-    return terms
-
-
-def _row_matrix(terms: list[tuple], n: int) -> dict:
-    """The exact symmetric (n + 1) x (n + 1) matrix A of a term row of
-    degree at most 2 in n variables, as its nonzero entries {(i, j): a}:
-    the row is y^T A y over y = (x, 1), so a term c x_i x_j, i != j, puts
-    c/2 at (i, j) and (j, i), c x_i^2 puts c at (i, i), c x_i puts c/2
-    at (i, n) and (n, i), and a constant c goes at (n, n).  A complex
-    double coefficient is taken as the exact dyadic Gaussian rational it
-    is.  A term of degree above 2 raises ValueError."""
-    a = {}
-    for c, e in terms:
-        if isinstance(c, (complex, float)):
-            c = construction.gaussian(complex(c))
-        # the term's variables with multiplicity, padded by the slot n
-        i, j, *rest = [v for v in range(n) for _ in range(e[v])] + [n, n]
-        if len(rest) > 2:
-            raise ValueError("a compiled row has degree at most 2")
-        value = c if i == j else c * _F(1, 2)
-        for at in {(i, j), (j, i)}:     # one entry on the diagonal
-            a[at] = a.get(at, _F(0)) + value
-    return {at: v for at, v in a.items() if v}
+def _linear_form(coeffs, names: tuple[str, ...], constant=0) -> MPoly:
+    """The affine form sum_i c_i x_i + constant over `names`, each complex
+    double taken as the exact dyadic Gaussian rational it is."""
+    return sum((MPoly.var(v) * construction.gaussian(complex(c))
+                for c, v in zip(coeffs, names)),
+               MPoly.const(construction.gaussian(complex(constant))))
 
 
 class CompiledSystem:
     """One system of quadric and linear rows, or a stack of several of
     the same variables and row count, as one symmetric matrix per row.
 
-    Built from a list of systems, each a list of term rows (coefficient,
-    exponent tuple) of degree at most 2, whose coefficients are exact
-    scalars or complex doubles.  Row k of a system is held once, exactly,
-    as the matrix A_k of `_row_matrix` over y = (x, 1), so F_k = y^T A_k y
-    and its gradient is J_k = 2 (A_k y)[:nvars].  `exact` holds each
-    system's matrices as their exact nonzero entries; the tracker reads
-    their complex double copy, doubled (`evaluate`), and `mp_polish`
-    reads F of one system (`member`) exactly from the same entries.
+    Built from a list of systems, each a list of exact polynomials of
+    degree at most 2 in the variables `names`.  Row k of a system is held
+    once, exactly, as its matrix A_k over y = (x, 1)
+    (`construction.quadric_matrix`), so F_k = y^T A_k y and its gradient
+    is J_k = 2 (A_k y)[:nvars]; a row is a quadric, of degree 2, when an
+    entry of A_k lies off the last row and column, and else linear.
+    `exact` holds each system's matrices as their exact nonzero entries;
+    the tracker reads their complex double copy, doubled (`evaluate`),
+    and `mp_polish` reads F of one system (`member`) exactly from the
+    same entries.
     """
 
-    def __init__(self, systems: list[list[list[tuple]]], nvars: int
+    def __init__(self, systems: list[list[MPoly]], names: tuple[str, ...]
                  ) -> None:
-        self.nvars = nvars
+        nvars = self.nvars = len(names)
         self.size = len(systems[0])
         if any(len(rows) != self.size for rows in systems):
             raise ValueError("stacked systems need the same row count")
-        self.degrees = [[max(sum(e) for _c, e in terms) for terms in rows]
-                        for rows in systems]
-        self.path_counts = [math.prod(d) for d in self.degrees]
-        self.exact = [[_row_matrix(terms, nvars) for terms in rows]
+        self.exact = [[construction.quadric_matrix(q, names) for q in rows]
                       for rows in systems]
+        self.degrees = [[2 if any(max(at) < nvars for at in a) else 1
+                         for a in rows] for rows in self.exact]
+        self.path_counts = [math.prod(d) for d in self.degrees]
         # per system, each 2 A_k in complex doubles, stacked row-wise into
         # one (size * (nvars + 1), nvars + 1) block
         span = range(nvars + 1)
@@ -373,10 +336,10 @@ def _predict(homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray
     return x + step, ok1 & ok2 & ok3 & ok4
 
 
-def track(system: CompiledSystem, rng) -> tuple[list[PathResult], int]:
-    """Track every total-degree path of a square system, or of each
-    system of a stack, with the start constants and gamma drawn from
-    `rng`, or from one stream of the sequence `rng` per stacked system.
+def track(system: CompiledSystem, streams) -> tuple[list[PathResult], int]:
+    """Track every total-degree path of each system of a stack, with the
+    start constants and gamma drawn from its stream of `streams`, one
+    random.Random per stacked system.
 
     The paths of H = gamma (1 - t) G + t F run from the roots of the
     start system G = x^d - b at t = 0 to the target F at t = 1, each
@@ -403,13 +366,12 @@ def track(system: CompiledSystem, rng) -> tuple[list[PathResult], int]:
     n = system.nvars
     if system.size != n:
         raise ValueError("tracker needs a square system")
-    rngs = [rng] if isinstance(rng, random.Random) else list(rng)
-    if len(rngs) != len(system.exact):
+    if len(streams) != len(system.exact):
         raise ValueError("the tracker needs one stream per stacked system")
     # per path: its system, its index there, its start point, and its
     # system's degrees, start constants and gamma
     member, index, start, degrees, consts, gammas = [], [], [], [], [], []
-    for k, (deg, stream) in enumerate(zip(system.degrees, rngs)):
+    for k, (deg, stream) in enumerate(zip(system.degrees, streams)):
         b, roots = _start_data(deg, stream)
         gamma = cmath.exp(2j * math.pi * stream.random())
         for i, choice in enumerate(itertools.product(*map(range, deg))):
@@ -532,13 +494,12 @@ def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
     return reps
 
 
-def solve_projective(rows: list[list[tuple]], var_order: tuple[str, ...],
+def solve_projective(rows: list[MPoly], var_order: tuple[str, ...],
                      seed, tag: str, want: int | None = None) -> dict:
     """Chart-fix, track, polish, rescue, and deduplicate a projective system.
 
-    `rows` are the homogeneous equations as term rows over `var_order`
-    (`_poly_terms` of an exact polynomial, or `_linear_row_terms` of a
-    slice or alignment form).  A random unit-norm chart form set to 1
+    `rows` are the homogeneous equations, exact quadrics and linear forms
+    over `var_order`.  A random unit-norm chart form set to 1
     makes the system square.  The one residual gate: an endpoint `track`
     accepts is kept only if every homogeneous row is below TOL_TRACK at
     its unit-norm representative (NaN fails), else its path turns
@@ -580,12 +541,11 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
         per member (chart, system, results, accepted endpoints)."""
         charts = [_unit_row(streams[i], n) for i in members]
         stack = CompiledSystem(
-            [problems[i][0] + [_linear_row_terms(list(c), constant=-1.0)]
-             for i, c in zip(members, charts)], n)
+            [problems[i][0] + [_linear_form(c, var_order, constant=-1.0)]
+             for i, c in zip(members, charts)], var_order)
         paths = [_rng(problems[i][1], problems[i][2], "paths", chart_id)
                  for i in members]
-        results, _count = track(stack, paths[0] if len(paths) == 1
-                                else paths)
+        results, _count = track(stack, paths)
         out, end = [], 0
         for k, chart in enumerate(charts):
             system = stack.member(k)
@@ -844,9 +804,8 @@ def _classify_point(point: list, r) -> StratumPoint:
 def _census_problem(r: tuple, seed) -> tuple:
     """The census system over an admissible triple, as a
     `solve_stacked` problem (rows, seed, tag, want)."""
-    rows = [_poly_terms(q, CHART_VARS)
-            for q in construction.literal_restricted_quadrics(r)]
-    return rows, seed, f"stratum:{r[0]},{r[1]},{r[2]}", None
+    return (list(construction.literal_restricted_quadrics(r)), seed,
+            f"stratum:{r[0]},{r[1]},{r[2]}", None)
 
 
 def count_stratum_points(r: tuple, seed,
@@ -981,11 +940,6 @@ def u_dprime_image(census: StratumCensus):
 # The fiber probe
 
 
-def _fiber_rows(r: tuple) -> list[list[tuple]]:
-    """The chart-space fiber equations over r, as term rows in Y_NAMES."""
-    return [_poly_terms(e, Y_NAMES) for e in construction.fiber_equations(r)]
-
-
 def _form_value(f: BinaryForm, z1: complex, z2: complex) -> complex:
     n = f.degree
     return sum(complex(c) * z1 ** (n - k) * z2 ** k
@@ -1059,9 +1013,9 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     """
     r = tuple(map(as_exact, r))
     slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
-    extra = [_linear_row_terms(list(row)) for row in _slice_rows(r, seed, 0)]
-    run = solve_projective(_fiber_rows(r) + extra, Y_NAMES, seed,
-                           f"fiber:{r}:0")
+    extra = [_linear_form(row, Y_NAMES) for row in _slice_rows(r, seed, 0)]
+    run = solve_projective(construction.fiber_equations(r) + extra, Y_NAMES,
+                           seed, f"fiber:{r}:0")
     exact0 = np.array(conic_points(slices[0]))
     chordal = [float(np.min(_chordal_each(e.x, exact0))) if len(exact0)
                else math.inf for e in run["distinct"]]
@@ -1444,9 +1398,10 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
         if j == pivot:
             continue
         row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
-        align.append(_linear_row_terms(list(row)))
-    run = solve_projective(_fiber_rows((_F(0), _F(0), _F(0))) + align,
-                           Y_NAMES, seed, f"preimage:{trial}", 1)
+        align.append(_linear_form(row, Y_NAMES))
+    run = solve_projective(
+        construction.fiber_equations((_F(0), _F(0), _F(0))) + align,
+        Y_NAMES, seed, f"preimage:{trial}", 1)
     regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
     chordal = None
     if len(regular) != 1 or sol["point"] is None:

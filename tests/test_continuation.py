@@ -21,16 +21,15 @@ from covforge.construction import (CHART_VARS, PLANE_VARS, SAMPLE_R,
                                    exact_preimage, fiber_equations,
                                    literal_pure_quadrics,
                                    literal_restricted_quadrics,
-                                   projection_data)
+                                   projection_data, quadric_matrix)
 from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
                                    WORKING_DPS,
                                    CompiledSystem, NumericRun,
                                    UndecidedOctic, _census_problem,
                                    _chordal_each, _chordal_groups,
                                    _classify_point, _counted_clusters,
-                                   _fiber_point_ranks, _fiber_rows,
-                                   _linear_row_terms, _matching,
-                                   _poly_terms, _predict, _rng, _slice_rows,
+                                   _fiber_point_ranks, _linear_form,
+                                   _matching, _predict, _rng, _slice_rows,
                                    _solve_stack, _start_system, census_plan,
                                    check_fiber_geometry,
                                    check_seed_stability,
@@ -67,12 +66,11 @@ def _gaussian(re, im):
 def _two_census_systems():
     """Two census systems of one shape, as exact polynomials: the sample
     census with an exact chart row, and the census at SMALL_R with a chart
-    row of complex doubles, each a dyadic Gaussian rational.  Returns the
-    polynomials and their term rows."""
+    row of complex doubles, each a dyadic Gaussian rational."""
     exact_chart = [Fraction(1), Fraction(-2, 3), CycScalar.i(), Fraction(0),
                    CycScalar.zeta() * 3, Fraction(5, 7)]
     double_chart = [0.5 - 0.25j, 1.5j, -0.75 + 0j, 0j, 2.0 + 0.125j, -1.0j]
-    polys, rows = [], []
+    polys = []
     for r, chart, constant in ((SAMPLE_R, exact_chart, Fraction(-1)),
                                (SMALL_R, double_chart, -1.0)):
         chart_poly = MPoly.const(Fraction(constant))
@@ -80,11 +78,10 @@ def _two_census_systems():
             if isinstance(c, complex):
                 c = con.gaussian(c)
             chart_poly = chart_poly + MPoly.var(name) * c
-        quadrics = list(literal_restricted_quadrics(r))
-        polys.append(quadrics + [chart_poly])
-        rows.append([_poly_terms(p, CHART_VARS) for p in quadrics]
-                    + [_linear_row_terms(chart, constant=constant)])
-    return polys, rows
+        polys.append(list(literal_restricted_quadrics(r)) + [chart_poly])
+    # the double chart row is the form `_linear_form` builds of it
+    assert _linear_form(double_chart, CHART_VARS, -1.0) == polys[1][-1]
+    return polys
 
 
 # dyadic Gaussian rationals, so a double point is the exact point
@@ -98,10 +95,10 @@ _DYADIC_POINTS = (
 
 
 def test_one_pass_gives_the_exact_values_and_jacobian():
-    polys, rows = _two_census_systems()
+    polys = _two_census_systems()
     # the derivative of a squared coordinate carries the exponent factor 2
     assert any(2 in exponents(e) for p in polys[0] for e in p.terms)
-    system = CompiledSystem(rows, 6)
+    system = CompiledSystem(polys, CHART_VARS)
     assert len(system.exact) == 2 and system.path_counts == [32, 32]
     # each point under each system, in one stack, with `which`
     pairs = list(itertools.product(range(2), range(2)))
@@ -128,8 +125,8 @@ def test_one_pass_gives_the_exact_values_and_jacobian():
 def test_the_polish_reads_each_row_exactly_from_its_matrix():
     # the exact residual of `mp_polish` is each row's exact value, from
     # the same matrices the tracker reads as doubles
-    polys, rows = _two_census_systems()
-    system = CompiledSystem(rows, 6)
+    polys = _two_census_systems()
+    system = CompiledSystem(polys, CHART_VARS)
     for k in range(2):
         exact = system.member(k).exact[0]
         for row, entries in enumerate(exact):
@@ -145,12 +142,44 @@ def test_the_polish_reads_each_row_exactly_from_its_matrix():
                 p.evaluate(env) for p in polys[k]]
 
 
-def test_a_row_above_degree_two_does_not_compile():
-    x1, x2 = MPoly.var("x1"), MPoly.var("x2")
+def test_a_quadric_matrix_is_of_degree_two_in_its_own_variables():
+    x1, x2, x3 = MPoly.var("x1"), MPoly.var("x2"), MPoly.var("x3")
     names = ("x1", "x2")
+    assert quadric_matrix(x1 * x2 - 3 * x2 + 1, names) == {
+        (0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2),
+        (1, 2): Fraction(-3, 2), (2, 1): Fraction(-3, 2),
+        (2, 2): Fraction(1)}
+    with pytest.raises(ValueError, match="stray variable x3"):
+        quadric_matrix(x1 * x2 + x3, names)
+    with pytest.raises(ValueError, match="stray variable x3"):
+        CompiledSystem([[x1 * x2 - 1, x1 + x3]], names)
     with pytest.raises(ValueError, match="degree at most 2"):
-        CompiledSystem([[_poly_terms(x1 * x2 - 1, names),
-                         _poly_terms(x1 ** 2 * x2 - 2, names)]], 2)
+        CompiledSystem([[x1 * x2 - 1, x1 ** 2 * x2 - 2]], names)
+
+
+def test_a_compiled_row_does_not_follow_its_term_order():
+    # each matrix entry comes from one term, so the order of a row's
+    # terms, which the order of its additions fixes, reaches neither the
+    # exact matrices nor their double copy
+    quadrics = literal_restricted_quadrics(SAMPLE_R)
+    reversed_terms = [MPoly(dict(reversed(q.terms.items()))) for q in quadrics]
+    assert [list(q.terms) for q in reversed_terms] != [
+        list(q.terms) for q in quadrics]
+    for q, p in zip(quadrics, reversed_terms):
+        assert quadric_matrix(q, CHART_VARS) == quadric_matrix(p, CHART_VARS)
+    forward = CompiledSystem([list(quadrics)], CHART_VARS)
+    backward = CompiledSystem([reversed_terms], CHART_VARS)
+    assert forward.exact == backward.exact
+    assert forward._twice.tobytes() == backward._twice.tobytes()
+
+
+def test_only_a_homogeneous_quadric_restricts_to_a_plane():
+    z1, z2, t = (MPoly.var(v) for v in PLANE_VARS)
+    assert con._on_basis(z1 * t - z2 * z2, PLANE, PLANE_VARS) == {
+        (0, 0): 0, (0, 1): 0, (0, 2): 1, (1, 1): -1, (1, 2): 0, (2, 2): 0}
+    for q in (z1 * t - 1, z1 * t + z2):
+        with pytest.raises(ValueError, match="homogeneous"):
+            con._on_basis(q, PLANE, PLANE_VARS)
 
 
 def test_the_closed_form_start_system_and_its_jacobian():
@@ -170,9 +199,8 @@ def test_a_stack_evaluates_bitwise_as_its_rows():
     rng = np.random.default_rng(7)
     chart = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     system = CompiledSystem(
-        [[_poly_terms(p, CHART_VARS)
-          for p in literal_restricted_quadrics(SAMPLE_R)]
-         + [_linear_row_terms(chart, constant=-1.0)]], 6)
+        [list(literal_restricted_quadrics(SAMPLE_R))
+         + [_linear_form(chart, CHART_VARS, constant=-1.0)]], CHART_VARS)
     stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     stack[2, 1] = 0.0
     values, jac = system.evaluate(stack)
@@ -197,9 +225,8 @@ def test_a_path_that_runs_to_infinity_keeps_its_last_point():
     x1, x2 = MPoly.var("x1"), MPoly.var("x2")
     names = ("x1", "x2")
     # two parallel lines: the one path has no finite endpoint
-    system = CompiledSystem([[_poly_terms(x1 + x2 - 1, names),
-                              _poly_terms(x1 + x2 - 2, names)]], 2)
-    (path,), _count = track(system, _rng(42, "track"))
+    system = CompiledSystem([[x1 + x2 - 1, x1 + x2 - 2]], names)
+    (path,), _count = track(system, [_rng(42, "track")])
     assert path.status == "diverged"
     assert np.all(np.isfinite(path.x)) and np.linalg.norm(path.x) > 1e10
 
@@ -302,8 +329,8 @@ def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
     p = MPoly.var("x1") ** 2 - 1
-    system = CompiledSystem([[_poly_terms(p, ("x1",))]], 1)
-    results, path_count = track(system, _rng(42, "track"))
+    system = CompiledSystem([[p]], ("x1",))
+    results, path_count = track(system, [_rng(42, "track")])
     assert path_count == 2
     assert all(r.status == "accepted" for r in results)
     values = sorted(complex(r.x[0]).real for r in results)
@@ -315,8 +342,7 @@ def _sparse_rows():
     # coordinates vanish; two survive as nonzero forms in (x7, x8, x9)
     zeros = {f"x{i}": 0 for i in range(1, 7)}
     rows = [q.substitute(zeros) for q in literal_pure_quadrics()]
-    return [_poly_terms(q, ("x7", "x8", "x9")) for q in rows
-            if not q.is_zero()]
+    return [q for q in rows if not q.is_zero()]
 
 
 def test_projective_solver_recovers_the_four_sparse_solutions():
@@ -729,11 +755,11 @@ def test_tracked_fiber_slices_match_the_exact_plane_points(seed):
     # `fiber_probe` counts exactly, tracked on its seeded rows, ends at
     # four endpoints, one on each exact-plane point
     origin = (Fraction(0),) * 3
-    base = _fiber_rows(origin)
+    base = fiber_equations(origin)
     for s in range(5):
         exact = exact_slice(origin, seed, s)
         assert exact["count"] == 4 and exact["reason"] is None
-        rows = [_linear_row_terms(list(row))
+        rows = [_linear_form(row, con.Y_NAMES)
                 for row in _slice_rows(origin, seed, s)]
         run = solve_projective(base + rows, con.Y_NAMES, seed,
                                f"fiber:{origin}:{s}")
