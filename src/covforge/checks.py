@@ -960,8 +960,9 @@ def _random_cyc(rng: random.Random) -> CycScalar:
     return from_numerators([num * (d // den) for num, den in parts], d)
 
 
-def check_field_axioms(seed: int, trials: int = 1000) -> CheckResult:
+def check_field_axioms(seed: int) -> CheckResult:
     """Randomized field-axiom suite for the cyclotomic scalar arithmetic."""
+    trials = 1000
     residuals: list[str] = []
     rng = random.Random(seed)
     zeta = CycScalar.zeta()
@@ -1015,8 +1016,9 @@ def _random_poly(rng: random.Random, names: tuple[str, ...],
     return acc
 
 
-def check_mpoly_ring(seed: int, trials: int = 120) -> CheckResult:
+def check_mpoly_ring(seed: int) -> CheckResult:
     """Randomized ring, calculus, and substitution laws for the polynomials."""
+    trials = 120
     residuals: list[str] = []
     rng = random.Random(seed)
     names = ("x1", "x2", "s1")
@@ -1062,9 +1064,10 @@ def _random_form(rng: random.Random, degree: int) -> BinaryForm:
     return BinaryForm(degree, coeffs)
 
 
-def check_transvectant_properties(seed: int, trials: int = 100) -> CheckResult:
+def check_transvectant_properties(seed: int) -> CheckResult:
     """Randomized covariance laws for the bilinear bracket, plus frozen
     hand-computed bracket values."""
+    trials = 100
     residuals: list[str] = []
     rng = random.Random(seed)
 
@@ -1128,7 +1131,7 @@ def check_transvectant_properties(seed: int, trials: int = 100) -> CheckResult:
 # property/scaling_1_1
 
 
-def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
+def check_scaling_1_1(seed: int) -> CheckResult:
     """Rescaling the three inputs acts on the weight vector quadratically.
 
     Verified two ways: symbolically, the literal coordinate polynomials
@@ -1137,6 +1140,7 @@ def check_scaling_1_1(seed: int, trials: int = 30) -> CheckResult:
     the bracket route with rescaled inputs equals the route with the
     transformed weight vector.
     """
+    trials = 30
     residuals: list[str] = []
     rng = random.Random(seed)
     mu0, mu4, mu8 = MPoly.var("mu0"), MPoly.var("mu4"), MPoly.var("mu8")

@@ -22,33 +22,32 @@ and each path still ends bit for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
 `solve_projective`'s projective residual test; whether two points are
 one, by `_matching` on the chordal distance `_chordal_each` in complex
-doubles, for the endpoint merge and for the census's stored points,
-reference points and H-images alike.
-A census point is its tracked double endpoint; what the census adds is
-its labels.  The points the construction stores exactly, four L0 points
-and at some triples four L1 points, are placed first and labelled by
-their exact octics.  Of the other endpoints, only one representative per
-orbit of the diagonal subgroup H is labelled: the sign flips of H carry
-the representative's endpoint, and with it its labels, to every endpoint
-they match within TOL_MATCH, and an endpoint no image matches is
-labelled on its own.  The same placement carries a reference census's
-labels, census S's for the censuses at seeds S+1 and S+2, from its
-endpoints to the endpoints they match.  Only labelling a representative
-works past double precision: `mp_polish` refines its endpoint to about
-WORKING_DPS digits in exact dyadic Gaussian rationals, on the same
-exact row matrices, which is what lets the multiple-root classifier
-separate a genuine sixfold root cluster from simple roots at
-CLUSTER_RADIUS.  Each step takes the exact residual F, rounded once to
-doubles, and solves J0 dx = F with the endpoint's double Jacobian J0
-(iterative refinement), and the polish stops on a step small relative
-to the point.  The classifier counts the polished point's octic's root
-clusters instead of finding its roots: the double-precision roots are
-grouped, and Pellet's test on the exact octic's exact Taylor
-coefficients at each group's centroid, an integer Taylor shift
-(`binform.group_act`), proves that a small disc there holds exactly the
-group's number of roots (`octic_root_clusters`); an octic the counts
-cannot decide is named in the check's residuals, not raised.  The
-centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
+doubles, for the endpoint merge, the census's stored points and H-images
+and the match of one triple's censuses at other seeds alike.
+A census is its tracked solve plus its labels; a census point is its
+tracked double endpoint.  The points the construction stores exactly,
+four L0 points and at some triples four L1 points, are placed first and
+labelled by their exact octics.  Of the other endpoints, only one
+representative per orbit of the diagonal subgroup H is labelled: the
+sign flips of H carry the representative's endpoint, and with it its
+labels, to every endpoint they match within TOL_MATCH, and an endpoint
+no image matches is labelled on its own.  The censuses at seeds S+1 and
+S+2 are not labelled but matched to census S point for point.  Only
+labelling a representative works past double precision: `mp_polish`
+refines its endpoint to about WORKING_DPS digits in exact dyadic
+Gaussian rationals, on the same exact row matrices, which is what lets
+the multiple-root classifier separate a genuine sixfold root cluster
+from simple roots at CLUSTER_RADIUS.  Each step takes the exact residual
+F, rounded once to doubles, and solves J0 dx = F with the endpoint's
+double Jacobian J0 (iterative refinement), and the polish stops on a
+step small relative to the point.  The classifier counts the polished
+point's octic's root clusters instead of finding its roots: the
+double-precision roots are grouped, and Pellet's test on the exact
+octic's exact Taylor coefficients at each group's centroid, an integer
+Taylor shift (`binform.group_act`), proves that a small disc there holds
+exactly the group's number of roots (`octic_root_clusters`); an octic
+the counts cannot decide is named in the check's residuals, not raised.
+The centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
 2005), so the double roots already place every cluster.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
@@ -765,13 +764,7 @@ class StratumCensus:
     partition: dict
     points: list[StratumPoint]      # the labels of the endpoints, in order
     endpoints: np.ndarray           # one 6-vector per point, on the chart
-    path_count: int
-    accepted_count: int
-    failed: list
-    rescue_added: int
-    min_sv: float
     notes: list[str] = field(default_factory=list)
-    unmatched: list[int] = field(default_factory=list)   # off the reference
 
 
 def _stratum(nonzero: list) -> str:
@@ -808,17 +801,15 @@ def _census_problem(r: tuple, seed) -> tuple:
             f"stratum:{r[0]},{r[1]},{r[2]}", None)
 
 
-def count_stratum_points(r: tuple, seed,
-                         reference: StratumCensus | None = None,
-                         solved: dict | None = None) -> StratumCensus:
-    """Track the five restricted quadrics and classify every endpoint.
+def count_stratum_points(r: tuple, seed, solved: dict) -> StratumCensus:
+    """Label every endpoint of a census's tracked solve.
 
-    The partition counts endpoints by coordinate-vanishing stratum and,
-    within each stratum, by the multiple-root classifier (a sixfold or
-    larger root cluster) versus its complement.  Runs are deterministic
-    in (r, seed, reference).  `solved` is the census system's solve when
-    a stack of censuses already tracked it (`solve_stacked` of
-    `_census_problem`), and None to solve it here.
+    `solved` is the solve of the five restricted quadrics at (r, seed),
+    `solve_stacked` of `_census_problem`, as `NumericRun.solve` gives it;
+    nothing is tracked here.  The partition counts endpoints by
+    coordinate-vanishing stratum and, within each stratum, by the
+    multiple-root classifier (a sixfold or larger root cluster) versus
+    its complement.  Runs are deterministic in (r, seed).
 
     A labelled point is placed on this census as a complex double
     6-vector: it is matched against the endpoints at chordal distance
@@ -835,13 +826,6 @@ def count_stratum_points(r: tuple, seed,
     matches no endpoint, not one whose endpoint another stored point
     labelled (at r1 = +-6 the a = 0 L1 instances are L0 points).
 
-    A reference census, census S of the same triple at another seed, is
-    placed next, endpoint by endpoint: a matched endpoint is the same
-    point as one of census S, so it needs no polish or classification of
-    its own.  `unmatched` lists the endpoints neither a stored point nor
-    a reference endpoint matched, in order; they go on to the walk below
-    like any other.
-
     The diagonal subgroup H (`construction.h_orbit_signs`) maps the
     system's zero set to itself and keeps both labels, so only one
     endpoint per H-orbit is polished and classified.  The endpoints
@@ -849,22 +833,17 @@ def count_stratum_points(r: tuple, seed,
     is a representative, labelled by `_classify_point` on its
     `mp_polish`, and each H-image of its endpoint, its coordinates'
     signs flipped, is placed.  An endpoint no image matches becomes a
-    representative in its turn, so the stored points, the reference and
-    the symmetry save work but never decide the label of an endpoint
-    they do not match.  A point whose root clusters Pellet counts leave
-    undecided carries None as its multiple-root flag and is left out of
-    the partition; `notes` names the census, each endpoint with that
+    representative in its turn, so the stored points and the symmetry
+    save work but never decide the label of an endpoint they do not
+    match.  A point whose root clusters Pellet counts leave undecided
+    carries None as its multiple-root flag and is left out of the
+    partition; `notes` names the census, each endpoint with that
     label and the reason, and each endpoint whose stratum is "?".
     """
     r = construction.admissible_triple(r)
-    run = solved
-    if run is None:
-        rows, _seed, tag, _want = _census_problem(r, seed)
-        run = solve_projective(rows, CHART_VARS, seed, tag)
-    distinct = run["distinct"]
-    ends = np.array([e.x for e in distinct], dtype=complex).reshape(-1, 6)
-    points: list = [None] * len(distinct)
-    min_sv = min((e.sv_min for e in distinct), default=math.inf)
+    ends = np.array([e.x for e in solved["distinct"]],
+                    dtype=complex).reshape(-1, 6)
+    points: list = [None] * len(ends)
     name = f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}"
     notes = []
 
@@ -883,15 +862,10 @@ def count_stratum_points(r: tuple, seed,
                 max_root_multiplicity_exact(octic) >= 6)):
             notes.append(f"{name}: stored point {[str(v) for v in point]} "
                          "matches no endpoint")
-    unmatched = []
-    if reference is not None:
-        for x, p in zip(reference.endpoints, reference.points):
-            place(x, p)
-        unmatched = [i for i, p in enumerate(points) if p is None]
     flips = np.array(construction.h_orbit_signs(), dtype=float)
     for i, x in enumerate(ends):
         if points[i] is None:
-            points[i] = _classify_point(mp_polish(run["system"], x), r)
+            points[i] = _classify_point(mp_polish(solved["system"], x), r)
             for flip in flips:
                 place(flip * x, points[i])
     # report order: L0, then each other stratum split by the multiple-root
@@ -912,11 +886,7 @@ def count_stratum_points(r: tuple, seed,
             notes.append(f"{name}: endpoint {k}: exactly one vanishing "
                          "leading coordinate (unclassifiable)")
     return StratumCensus(partition=partition, points=points, endpoints=ends,
-                         path_count=run["path_count"],
-                         accepted_count=run["accepted_count"],
-                         failed=run["failed"],
-                         rescue_added=run["rescue_added"],
-                         min_sv=min_sv, notes=notes, unmatched=unmatched)
+                         notes=notes)
 
 
 def u_dprime_image(census: StratumCensus):
@@ -1047,18 +1017,15 @@ class NumericRun:
     """The census results of one battery run, shared by its numeric
     checks.
 
-    `plan` lists the censuses (r, seed) the run's checks will ask for
-    (`census_plan`).  The first request for a planned census tracks all
-    of them, each once, as one stack (`solve_stacked`); each is labelled
-    when it is first asked for, so census S, asked for first, is
-    labelled before the censuses at S+1 and S+2 take its labels.  A
-    census not in the plan is solved alone, through the same code.
-    Each distinct census is labelled once, by whichever check asks for
-    it first, through the module's `count_stratum_points`, so a tracer
-    that wraps that attribute sees every census.  A census asked for
-    with a reference census takes its matched endpoints' labels from it;
-    it is still the census of (r, seed), and is stored as such.  The
-    exact fiber slices are kept the same way, so slice 0 at seed S, which
+    A census is its tracked solve plus its labels.  `solve` is the one
+    way to a census's solve.  `plan` lists the censuses (r, seed) the
+    run's checks will ask for (`census_plan`), and the first request for
+    a planned census tracks all of them, each once, as one stack
+    (`solve_stacked`); a census not in the plan is solved alone, by
+    `solve_projective`.  `census` labels a solve the first time it is
+    asked for, through the module's `count_stratum_points`, so a tracer
+    that wraps that attribute sees every labelled census.  The exact
+    fiber slices are kept the same way, so slice 0 at seed S, which
     `numeric/fiber_5` and `numeric/seed_stability` both count, is counted
     once.  The fiber probe is not stored: `numeric/fiber_5` alone asks
     for it.
@@ -1067,22 +1034,29 @@ class NumericRun:
     def __init__(self, plan=()) -> None:
         self._plan = list(dict.fromkeys(
             (tuple(map(as_exact, r)), seed) for r, seed in plan))
-        self._solved: dict | None = None
+        self._solved: dict = {}
         self._results: dict = {}
         self._slices: dict = {}
 
-    def census(self, r: tuple, seed: int,
-               reference: StratumCensus | None = None) -> StratumCensus:
-        r = tuple(map(as_exact, r))
-        key = (r, seed)
-        if key not in self._results:
-            if key in self._plan and self._solved is None:
-                self._solved = dict(zip(self._plan, solve_stacked(
+    def solve(self, r: tuple, seed: int) -> dict:
+        key = (tuple(map(as_exact, r)), seed)
+        if key not in self._solved:
+            if key in self._plan:
+                self._solved.update(zip(self._plan, solve_stacked(
                     [_census_problem(construction.admissible_triple(pr), ps)
                      for pr, ps in self._plan], CHART_VARS)))
-            solved = (self._solved or {}).pop(key, None)
-            self._results[key] = count_stratum_points(r, seed, reference,
-                                                      solved)
+            else:
+                rows, _seed, tag, _want = _census_problem(
+                    construction.admissible_triple(r), seed)
+                self._solved[key] = solve_projective(rows, CHART_VARS, seed,
+                                                     tag)
+        return self._solved[key]
+
+    def census(self, r: tuple, seed: int) -> StratumCensus:
+        solved = self.solve(r, seed)
+        key = (tuple(map(as_exact, r)), seed)
+        if key not in self._results:
+            self._results[key] = count_stratum_points(r, seed, solved)
         return self._results[key]
 
     def exact_slice(self, r: tuple, seed, s: int) -> dict:
@@ -1111,22 +1085,24 @@ def check_stratum_counts(seed: int, sample_r: tuple,
     residuals: list[str] = []
     sample_r = tuple(map(as_exact, sample_r))
 
+    run = numeric.solve(sample_r, seed)
     census = numeric.census(sample_r, seed)
     residuals.extend(census.notes)
     expected = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2, "L2_X2": 2,
                 "L3_X1": 2, "L3_X2": 2, "Lopen_X1": 12, "Lopen_X2": 4}
-    if census.path_count != 32:
-        residuals.append(f"path count {census.path_count} != 32")
-    if census.accepted_count != 32 or len(census.points) != 32:
+    if run["path_count"] != 32:
+        residuals.append(f"path count {run['path_count']} != 32")
+    if run["accepted_count"] != 32 or len(census.points) != 32:
         residuals.append(
-            f"accepted {census.accepted_count}, distinct "
+            f"accepted {run['accepted_count']}, distinct "
             f"{len(census.points)}: expected 32 accepted, 32 distinct "
-            f"(failed paths: {census.failed})")
+            f"(failed paths: {run['failed']})")
     if census.partition != expected:
         residuals.append(f"partition {census.partition} != {expected}")
-    if census.min_sv <= SV_REGULAR:
+    min_sv = min((e.sv_min for e in run["distinct"]), default=math.inf)
+    if min_sv <= SV_REGULAR:
         residuals.append(
-            f"smallest endpoint singular value {census.min_sv:.3e} is not "
+            f"smallest endpoint singular value {min_sv:.3e} is not "
             f"above {SV_REGULAR:.0e} (a multiple point)")
 
     # Orbit structure of the four non-multiple-root open-stratum points.
@@ -1170,9 +1146,9 @@ def check_stratum_counts(seed: int, sample_r: tuple,
                               f"+{open_count}="
                               f"{census.partition['L0'] + closed + open_count}"),
         "origin_partition": origin.partition,
-        "min_singular_value": census.min_sv,
-        "failed_paths": census.failed,
-        "rescued": census.rescue_added,
+        "min_singular_value": min_sv,
+        "failed_paths": run["failed"],
+        "rescued": run["rescue_added"],
         "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP,
                        "match": TOL_MATCH, "cluster_radius": CLUSTER_RADIUS},
         "seed": seed,
@@ -1441,42 +1417,47 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
 
 def check_seed_stability(seed: int, sample_r: tuple,
                          numeric: NumericRun) -> CheckResult:
-    """The census partition and the fiber slice degree match across seeds.
+    """The census and the fiber slice degree match across seeds.
 
-    The censuses at seeds S+1 and S+2 take census S as their reference:
-    an endpoint that matches a point of census S one to one inherits its
-    labels, so only an endpoint that matches none is polished and
-    classified, and each such endpoint is named.  The degree is the
-    exact count of fiber slice 0 at each seed, by `exact_slice` through
-    the run's `NumericRun`, which shares slice 0 at seed S with
-    `numeric/fiber_5`; nothing is tracked for it.
+    Census S alone is labelled.  The censuses at seeds S+1 and S+2 are
+    matched to it point for point, each as its tracked solve
+    (`NumericRun.solve`): each endpoint that matches no point of census
+    S at TOL_MATCH, each point of census S that no endpoint matches, and
+    each stored point (`construction.census_anchors`) that no endpoint
+    matches is named.  The degree is the exact count of fiber slice 0 at
+    each seed, by `exact_slice` through the run's `NumericRun`, which
+    shares slice 0 at seed S with `numeric/fiber_5`; nothing is tracked
+    for it.
     """
+    r = construction.admissible_triple(sample_r)
     residuals: list[str] = []
-    partitions = []
-    slice_counts = []
     seeds = (seed, seed + 1, seed + 2)
-    reference = numeric.census(sample_r, seed)
-    for s in seeds:
-        census = (reference if s == seed
-                  else numeric.census(sample_r, s, reference))
-        partitions.append(census.partition)
-        residuals.extend(census.notes)
-        residuals.extend(f"seed {s}: endpoint {i} matches no point of seed "
-                         f"{seed}" for i in census.unmatched)
-        exact = numeric.exact_slice((_F(0), _F(0), _F(0)), s, 0)
-        if exact["reason"]:
-            residuals.append(f"seed {s}: fiber slice 0: {exact['reason']}")
-        slice_counts.append(exact["count"])
-    for other, part in zip(seeds[1:], partitions[1:]):
-        if part != partitions[0]:
-            residuals.append(
-                f"seed {other}: partition {part} differs from seed "
-                f"{seeds[0]}: {partitions[0]}")
+    census = numeric.census(r, seed)
+    residuals.extend(census.notes)
+    for s in seeds[1:]:
+        ends = [e.x for e in numeric.solve(r, s)["distinct"]]
+        residuals.extend(
+            f"census ({r[0]}, {r[1]}, {r[2]}) at seed {s}: stored point "
+            f"{[str(v) for v in point]} matches no endpoint"
+            for point in construction.census_anchors(r)
+            if not _matching(ends, [complex(v) for v in point], TOL_MATCH))
+        residuals.extend(
+            f"seed {s}: endpoint {i} matches no point of seed {seed}"
+            for i, x in enumerate(ends)
+            if not _matching(census.endpoints, x, TOL_MATCH))
+        residuals.extend(
+            f"seed {s}: point {j} of seed {seed} matches no endpoint"
+            for j, x in enumerate(census.endpoints)
+            if not _matching(ends, x, TOL_MATCH))
+    slices = [numeric.exact_slice((_F(0),) * 3, s, 0) for s in seeds]
+    residuals.extend(f"seed {s}: fiber slice 0: {exact['reason']}"
+                     for s, exact in zip(seeds, slices) if exact["reason"])
+    slice_counts = [exact["count"] for exact in slices]
     if len(set(slice_counts)) != 1:
         residuals.append(f"fiber slice counts {slice_counts} differ by seed")
     details = {
         "seeds": list(seeds),
-        "partition": partitions[0],
+        "partition": census.partition,
         "slice_counts": slice_counts,
         "tolerances": {"track": TOL_TRACK, "dedup": TOL_DEDUP},
     }

@@ -34,7 +34,6 @@ from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
                                    check_fiber_geometry,
                                    check_seed_stability,
                                    check_stratum_counts, conic_points,
-                                   count_stratum_points,
                                    exact_slice,
                                    fiber_probe, mp_polish,
                                    octic_root_clusters, PathResult,
@@ -274,7 +273,7 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
 
     monkeypatch.setattr(continuation, "track", first_chart)
     with pytest.raises(_FirstChart) as chart:
-        count_stratum_points(SAMPLE_R, 42)
+        NumericRun().census(SAMPLE_R, 42)
     assert chart.value.args[0] == [("accepted", s)
                                    for s in SAMPLE_CHART_STEPS]
 
@@ -302,14 +301,17 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
 
 def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
         monkeypatch, numeric_run):
+    # every census a check has tracked, in the order it first asks
     asked = []
-    census = numeric_run.census
+    solve = numeric_run.solve
 
-    def recorded(r, seed, reference=None):
-        asked.append((tuple(map(Fraction, r)), seed))
-        return census(r, seed, reference)
+    def recorded(r, seed):
+        key = (tuple(map(Fraction, r)), seed)
+        if key not in asked:
+            asked.append(key)
+        return solve(r, seed)
 
-    monkeypatch.setattr(numeric_run, "census", recorded)
+    monkeypatch.setattr(numeric_run, "solve", recorded)
     checks = {
         "numeric/lemma6_2": lambda: check_stratum_counts(42, SAMPLE_R,
                                                          numeric_run),
@@ -466,7 +468,7 @@ def orbit_censuses():
             for fn in calls:
                 patch.setattr(continuation, fn, _counting(calls, fn))
             patch.setattr(con, "h_orbit_signs", lambda: signs)
-            out[name] = count_stratum_points(SAMPLE_R, 42), calls
+            out[name] = NumericRun().census(SAMPLE_R, 42), calls
     return out
 
 
@@ -549,7 +551,7 @@ def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
     calls = dict.fromkeys(("mp_polish", "octic_root_clusters"), 0)
     for fn in calls:
         monkeypatch.setattr(continuation, fn, _counting(calls, fn))
-    alone = count_stratum_points(SAMPLE_R, 42)
+    alone = NumericRun().census(SAMPLE_R, 42)
     assert calls == {"mp_polish": 9, "octic_root_clusters": 9}
     assert alone.partition == census.partition == SAMPLE_PARTITION
     # the classified endpoint is the dropped anchor's, with its labels
@@ -599,16 +601,16 @@ def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
     assert (point.stratum, point.multiple_root) == ("L1", True)
 
 
-def test_seeds_s_plus_1_and_s_plus_2_take_census_s_labels(monkeypatch):
-    calls = {"mp_polish": 0}
-    monkeypatch.setattr(continuation, "mp_polish",
-                        _counting(calls, "mp_polish"))
+def test_seed_stability_labels_census_s_alone(monkeypatch):
+    calls = {"mp_polish": 0, "count_stratum_points": 0}
+    for fn in calls:
+        monkeypatch.setattr(continuation, fn, _counting(calls, fn))
     result = check_seed_stability(42, SAMPLE_R, NumericRun())
     assert result.ok, result.residuals
     assert result.details["partition"] == SAMPLE_PARTITION
     # census 42 polishes one endpoint per H-orbit off its stored points;
-    # every endpoint of censuses 43 and 44 matches one of its points
-    assert calls["mp_polish"] == 8
+    # the censuses at 43 and 44 are matched to it, not labelled
+    assert calls == {"mp_polish": 8, "count_stratum_points": 1}
 
 
 def _moved(x: np.ndarray, distance: float) -> np.ndarray:
@@ -619,45 +621,79 @@ def _moved(x: np.ndarray, distance: float) -> np.ndarray:
     return x + distance * np.linalg.norm(x) * u / np.linalg.norm(u)
 
 
-def test_an_endpoint_off_the_reference_is_classified_alone_and_named(
+def test_an_endpoint_off_census_s_is_named_both_ways_and_not_polished(
         monkeypatch, numeric_run):
-    reference = numeric_run.census(SAMPLE_R, 42)
-    j = next(i for i, p in enumerate(reference.points)
+    census = numeric_run.census(SAMPLE_R, 42)
+    j = next(i for i, p in enumerate(census.points)
              if p.stratum == "Lopen" and p.multiple_root)
-    target = reference.endpoints[j]
-    endpoints = reference.endpoints.copy()
+    target = census.endpoints[j]
+    endpoints = census.endpoints.copy()
     endpoints[j] = _moved(target, 1e-6)
-    moved = dataclasses.replace(reference, endpoints=endpoints)
+    moved = dataclasses.replace(census, endpoints=endpoints)
     assert TOL_MATCH < _chordal_each(endpoints[j], target[None])[0] < 1.1e-6
 
     real = continuation.count_stratum_points
-    censuses = {}
 
-    def census(r, seed, ref=None, solved=None):
-        if seed == 42:
-            return moved
-        censuses[seed] = real(r, seed, ref, solved)
-        return censuses[seed]
+    def labelled(r, seed, solved):
+        return moved if seed == 42 else real(r, seed, solved)
 
     calls = {"mp_polish": 0}
-    monkeypatch.setattr(continuation, "count_stratum_points", census)
+    monkeypatch.setattr(continuation, "count_stratum_points", labelled)
     monkeypatch.setattr(continuation, "mp_polish",
                         _counting(calls, "mp_polish"))
     result = check_seed_stability(42, SAMPLE_R, NumericRun())
     named = []
     for seed in (43, 44):
-        got = censuses[seed]
-        # the endpoint at the unmoved point is polished there on its own
-        # and takes its own labels, the ones census 42 gave that point
-        hits = _matching(got.endpoints, target, TOL_MATCH)
-        assert len(hits) == 1 and got.unmatched == hits
-        alone = got.points[hits[0]]
-        assert (alone.stratum, alone.multiple_root) == ("Lopen", True)
-        assert got.partition == SAMPLE_PARTITION
-        named.append(f"seed {seed}: endpoint {hits[0]} matches no point of "
-                     "seed 42")
+        # the endpoint at the unmoved point matches no point of census
+        # 42, and the moved point of census 42 matches no endpoint
+        ends = [e.x for e in numeric_run.solve(SAMPLE_R, seed)["distinct"]]
+        hits = _matching(ends, target, TOL_MATCH)
+        assert len(hits) == 1
+        named += [
+            f"seed {seed}: endpoint {hits[0]} matches no point of seed 42",
+            f"seed {seed}: point {j} of seed 42 matches no endpoint"]
     assert list(result.residuals) == named
-    assert calls["mp_polish"] == 2
+    assert calls["mp_polish"] == 0
+
+
+def test_a_point_of_census_s_missing_at_s_plus_1_is_named(
+        monkeypatch, numeric_run):
+    census = numeric_run.census(SAMPLE_R, 42)
+    j = next(i for i, p in enumerate(census.points) if p.stratum == "Lopen")
+    solve = numeric_run.solve
+
+    def dropped(r, seed):
+        run = solve(r, seed)
+        if seed != 43:
+            return run
+        keep = [e for e in run["distinct"]
+                if not _matching([e.x], census.endpoints[j], TOL_MATCH)]
+        assert len(keep) == len(run["distinct"]) - 1
+        return {**run, "distinct": keep}
+
+    monkeypatch.setattr(numeric_run, "solve", dropped)
+    result = check_seed_stability(42, SAMPLE_R, numeric_run)
+    assert list(result.residuals) == [
+        f"seed 43: point {j} of seed 42 matches no endpoint"]
+
+
+def test_a_stored_point_off_the_censuses_at_s_plus_1_and_s_plus_2_is_named(
+        monkeypatch, numeric_run):
+    numeric_run.census(SAMPLE_R, 42)    # labelled with the stored points
+    stored = census_anchors(SAMPLE_R)
+    off = stored[4][:4] + [stored[4][4] + 1] + stored[4][5:]
+
+    def moved(r):
+        points = list(census_anchors(r))
+        if r == SAMPLE_R:
+            points[4] = off
+        return points
+
+    monkeypatch.setattr(con, "census_anchors", moved)
+    result = check_seed_stability(42, SAMPLE_R, numeric_run)
+    assert list(result.residuals) == [
+        f"census (10, 1/2, 1/3) at seed {seed}: stored point "
+        f"{[str(v) for v in off]} matches no endpoint" for seed in (43, 44)]
 
 
 class _Tracked(Exception):
@@ -684,7 +720,7 @@ def sample_solve_seed1():
         patch.setattr(continuation, "solve_projective", tracked)
         patch.setattr(continuation, "track", recorded)
         with pytest.raises(_Tracked):
-            count_stratum_points(SAMPLE_R, 1)
+            NumericRun().census(SAMPLE_R, 1)
     (args, run), = calls
     return args, run, charts
 
@@ -736,12 +772,13 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
 
 
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
+    run = numeric_run.solve(SAMPLE_R, 42)
     census = numeric_run.census(SAMPLE_R, 42)
-    assert census.path_count == 32
-    assert census.accepted_count == 32
+    assert run["path_count"] == 32
+    assert run["accepted_count"] == 32
     assert len(census.points) == 32
-    assert census.failed == []
-    assert census.min_sv > 1e-6
+    assert run["failed"] == []
+    assert min(e.sv_min for e in run["distinct"]) > 1e-6
     assert sum(census.partition.values()) == 32
     # shared within a run: the identical query returns the same object,
     # also when the triple is given as ints
@@ -934,7 +971,7 @@ def test_census_rejects_degenerate_parameter_triples():
     # r2 = 0, r3 = 13/7 zeroes the first leading-coefficient inequation
     bad = (Fraction(10), Fraction(0), Fraction(13, 7))
     with pytest.raises(ValueError):
-        count_stratum_points(bad, 42)
+        NumericRun().census(bad, 42)
 
 
 def test_root_clusters_separate_sixfold_from_simple_roots():
@@ -1118,7 +1155,7 @@ def test_an_endpoint_of_no_stratum_is_a_note_that_names_it(monkeypatch):
     identity = con.h_orbit_signs()[:1]
     monkeypatch.setattr(con, "h_orbit_signs", lambda: identity)
     monkeypatch.setattr(continuation, "_stratum", one_off)
-    census = count_stratum_points(SAMPLE_R, 42)
+    census = NumericRun().census(SAMPLE_R, 42)
     odd = [k for k, p in enumerate(census.points) if p.stratum == "?"]
     assert len(calls) == 1 and len(odd) == 1
     name = f"census (10, {SAMPLE_R[1]}, {SAMPLE_R[2]}) at seed 42"
