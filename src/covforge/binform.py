@@ -77,12 +77,6 @@ class BinaryForm:
     def zero(cls, degree: int) -> BinaryForm:
         return cls._of(degree, [Fraction(0)] * (degree + 1))
 
-    @classmethod
-    def monomial(cls, degree: int, z2_power: int, coeff=1) -> BinaryForm:
-        cs: list = [Fraction(0)] * (degree + 1)
-        cs[z2_power] = _norm(coeff)
-        return cls._of(degree, cs)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -256,23 +250,24 @@ class GroupElt:
     def __hash__(self) -> int:
         return hash(self.canonical())
 
-    def order(self, cap: int = 64) -> int:
-        """Order modulo scalars."""
+    def order(self) -> int:
+        """Order modulo scalars, at most 64."""
         ident = GroupElt.identity()
         acc = self
-        for n in range(1, cap + 1):
+        for n in range(1, 65):
             if acc == ident:
                 return n
             acc = acc * self
-        raise RuntimeError("order exceeds cap")
+        raise RuntimeError("order exceeds 64")
 
     def __repr__(self) -> str:
         a, b, c, d = self.m
         return f"GroupElt([{a}, {b}; {c}, {d}])"
 
 
-def mul_closure(generators: Sequence[GroupElt], cap: int = 512) -> list[GroupElt]:
-    """All products of the generators modulo scalars (breadth-first)."""
+def mul_closure(generators: Sequence[GroupElt]) -> list[GroupElt]:
+    """All products of the generators modulo scalars (breadth-first), at
+    most 512 of them."""
     seen: dict[tuple, GroupElt] = {}
     frontier = [GroupElt.identity(), *generators]
     for g in frontier:
@@ -288,8 +283,8 @@ def mul_closure(generators: Sequence[GroupElt], cap: int = 512) -> list[GroupElt
                     seen[key] = prod
                     new.append(prod)
         frontier = new
-        if len(seen) > cap:
-            raise RuntimeError("group closure exceeded cap")
+        if len(seen) > 512:
+            raise RuntimeError("group closure exceeded 512 elements")
     return list(seen.values())
 
 

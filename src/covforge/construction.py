@@ -784,17 +784,22 @@ def _on_basis(q: MPoly, basis: list, names: tuple) -> dict:
     w_j w_k, j <= k, in the plane coordinates w = PLANE_VARS of
     sum_k w_k basis[k]: the congruence B^T A B of q's matrix A
     (`quadric_matrix`), B the basis as columns, with the entries off
-    the diagonal doubled.  A quadric that is not homogeneous raises
-    ValueError."""
+    the diagonal doubled.  A B is summed over A's nonzero entries and
+    B^T (A B) over the basis vectors' nonzero coordinates.  A quadric
+    that is not homogeneous raises ValueError."""
     a = quadric_matrix(q, names)
     n = len(names)
     if any(n in at for at in a):
         raise ValueError("only a homogeneous quadric restricts to a plane")
-    dense = ExactMatrix([[a.get((i, j), _F(0)) for j in range(n)]
-                         for i in range(n)])
-    c = (ExactMatrix(basis) * (dense * ExactMatrix.from_columns(basis))).rows
-    return {(j, k): c[j][k] if j == k else 2 * c[j][k]
-            for j, k in itertools.combinations_with_replacement(range(3), 2)}
+    images = [[_F(0)] * n for _ in basis]          # A b, b in the basis
+    for (i, j), c in a.items():
+        for image, b in zip(images, basis):
+            image[i] += c * b[j]
+    co = {}
+    for j, k in itertools.combinations_with_replacement(range(3), 2):
+        c = sum(x * y for x, y in zip(basis[j], images[k]) if x)
+        co[j, k] = c if j == k else 2 * c
+    return co
 
 
 def conic_pair(plane: list, quadrics: tuple, names: tuple) -> dict:

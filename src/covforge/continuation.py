@@ -20,10 +20,11 @@ Newton corrector with adaptive step halving, and the endpoint polish.
 So the censuses of one run are tracked as one stack (`solve_stacked`),
 and each path still ends bit for bit where it ends tracked alone.
 Whether an endpoint solves the system is decided once, by
-`solve_projective`'s projective residual test; whether two points are
-one, by `_matching` on the chordal distance `_chordal_each` in complex
-doubles, for the endpoint merge, the census's stored points and H-images
-and the match of one triple's censuses at other seeds alike.
+`solve_stacked`'s projective residual test, for a chart's endpoints as
+one stack; whether two points are one, by the chordal distance
+`_chordal_each` in complex doubles, for two point sets as one matrix
+(`_chordal_matrix`): the census's stored points and H-images, the orbit
+test and the match of one triple's censuses at other seeds alike.
 A census is its tracked solve plus its labels; a census point is its
 tracked double endpoint.  The points the construction stores exactly,
 four L0 points and at some triples four L1 points, are placed first and
@@ -475,12 +476,15 @@ def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(cross / norms)
 
 
-def _matching(points, target, tol: float) -> list[int]:
-    """Indices of the points, complex double vectors, within chordal
-    distance tol of the target."""
-    stack = np.asarray(points, dtype=complex).reshape(-1, len(target))
-    near = _chordal_each(np.asarray(target, dtype=complex), stack)
-    return np.flatnonzero(near < tol).tolist()
+def _chordal_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The chordal distance of each row of the stack a to each row of the
+    stack b, bitwise `_chordal_each` of each row of a alone; compared
+    with a tolerance, the near matrix of two point sets.  Eight rows of
+    a at a time keep the minors' temporaries small."""
+    out = np.empty((len(a), len(b)))
+    for i in range(0, len(a), 8):
+        out[i:i + 8] = _chordal_each(a[i:i + 8, None, :], b[None, :, :])
+    return out
 
 
 def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
@@ -488,7 +492,9 @@ def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
     endpoint kept before it."""
     reps: list[Endpoint] = []
     for e in endpoints:
-        if not _matching([r.x for r in reps], e.x, TOL_DEDUP):
+        kept = np.array([r.x for r in reps], dtype=complex)
+        if not np.any(_chordal_each(e.x, kept.reshape(-1, len(e.x)))
+                      < TOL_DEDUP):
             reps.append(e)
     return reps
 
@@ -524,20 +530,24 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
     """`solve_projective` of several systems of one shape, each given as
     (rows, seed, tag, want), with their charts tracked as stacks.
 
-    Chart 0 of every system is tracked as one stack.  Each system then
-    gets its own endpoint gate and dedup, and the systems that need a
-    rescue chart track theirs as one more stack.  A system draws its
-    charts from its own (seed, tag) stream and its paths' start data
-    from its own streams, as it does alone, and `track` moves every path
-    of a stack as it moves alone, so each system's result is bitwise the
-    one `solve_projective` gives it alone.
+    Chart 0 of every system is tracked as one stack and gated as one:
+    one stacked evaluation at the accepted endpoints' unit-norm
+    representatives, each in its own system, and one stacked SVD of the
+    Jacobians that pass.  Each system then gets its own dedup, and the
+    systems that need a rescue chart track and gate theirs as one more
+    stack.  A system draws its charts from its own (seed, tag) stream
+    and its paths' start data from its own streams, as it does alone,
+    `track` moves every path of a stack as it moves alone, and the
+    stacked gate gives each endpoint the residuals and singular values
+    it gets alone, so each system's result is bitwise the one
+    `solve_projective` gives it alone.
     """
     n = len(var_order)
     streams = [_rng(seed, tag) for _rows, seed, tag, _want in problems]
 
     def run_charts(members: list[int], chart_id: int) -> list[tuple]:
-        """Chart `chart_id` of each member problem, tracked as one stack;
-        per member (chart, system, results, accepted endpoints)."""
+        """Chart `chart_id` of each member problem, tracked and gated as
+        one stack; per member (chart, system, results, accepted endpoints)."""
         charts = [_unit_row(streams[i], n) for i in members]
         stack = CompiledSystem(
             [problems[i][0] + [_linear_form(c, var_order, constant=-1.0)]
@@ -545,24 +555,23 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
         paths = [_rng(problems[i][1], problems[i][2], "paths", chart_id)
                  for i in members]
         results, _count = track(stack, paths)
-        out, end = [], 0
-        for k, chart in enumerate(charts):
-            system = stack.member(k)
-            mine = results[end:end + stack.path_counts[k]]
-            end += stack.path_counts[k]
-            accepted = []
-            for r in mine:
-                if r.status != "accepted":
-                    continue
-                # the chart row, last, is pinned to 1 by construction
-                vals, jac = system.evaluate(r.x / np.linalg.norm(r.x))
-                if not np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
-                    r.status = "polish"
-                    continue
-                sv = np.linalg.svd(jac, compute_uv=False)
-                accepted.append(Endpoint(x=r.x, sv_min=float(sv[-1])))
-            out.append((chart, system, mine, accepted))
-        return out
+        owner = np.repeat(np.arange(len(members)), stack.path_counts)
+        done = np.array([p for p, r in enumerate(results)
+                         if r.status == "accepted"], dtype=int)
+        x = np.array([results[p].x for p in done],
+                     dtype=complex).reshape(-1, n)
+        vals, jac = stack.evaluate(x / _norms(x)[:, None], owner[done])
+        # the chart row, last, is pinned to 1 by construction
+        ok = np.max(np.abs(vals[:, :-1]), axis=1, initial=0.0) < TOL_TRACK
+        sv = np.linalg.svd(jac[ok], compute_uv=False)
+        accepted: list[list] = [[] for _ in members]
+        for p in done[~ok]:
+            results[p].status = "polish"
+        for p, s in zip(done[ok], sv[:, -1].tolist()):
+            accepted[owner[p]].append(Endpoint(x=results[p].x, sv_min=s))
+        bounds = np.cumsum([0, *stack.path_counts]).tolist()
+        return [(chart, stack.member(k), results[bounds[k]:bounds[k + 1]],
+                 accepted[k]) for k, chart in enumerate(charts)]
 
     firsts = run_charts(list(range(len(problems))), 0)
     distinct = [_dedup(accepted) for *_rest, accepted in firsts]
@@ -801,6 +810,21 @@ def _census_problem(r: tuple, seed) -> tuple:
             f"stratum:{r[0]},{r[1]},{r[2]}", None)
 
 
+def _stored_points(r: tuple, seed, ends: np.ndarray) -> tuple:
+    """The points the construction stores exactly at the admissible
+    triple r (`construction.census_anchors`), their near matrix against
+    the endpoints `ends` at TOL_MATCH, and a note naming each stored
+    point that matches no endpoint of the census at (r, seed)."""
+    anchors = construction.census_anchors(r)
+    near = _chordal_matrix(np.array(
+        [[complex(v) for v in point] for point in anchors],
+        dtype=complex).reshape(-1, ends.shape[1]), ends) < TOL_MATCH
+    return anchors, near, [
+        f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}: stored point "
+        f"{[str(v) for v in point]} matches no endpoint"
+        for point, row in zip(anchors, near) if not row.any()]
+
+
 def count_stratum_points(r: tuple, seed, solved: dict) -> StratumCensus:
     """Label every endpoint of a census's tracked solve.
 
@@ -813,8 +837,10 @@ def count_stratum_points(r: tuple, seed, solved: dict) -> StratumCensus:
 
     A labelled point is placed on this census as a complex double
     6-vector: it is matched against the endpoints at chordal distance
-    TOL_MATCH, which is projective, so the point may lie on any chart;
-    distinct endpoints are TOL_DEDUP apart, so it meets at most one.  A
+    TOL_MATCH, one near matrix (`_chordal_matrix`) for the stored points
+    and one for each representative's H-images; the distance is
+    projective, so the point may lie on any chart, and distinct
+    endpoints are TOL_DEDUP apart, so it meets at most one.  A
     matched endpoint not yet labelled takes the point's labels.  A
     census point's coordinates are its own endpoint, in `endpoints`.
 
@@ -845,29 +871,24 @@ def count_stratum_points(r: tuple, seed, solved: dict) -> StratumCensus:
                     dtype=complex).reshape(-1, 6)
     points: list = [None] * len(ends)
     name = f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}"
-    notes = []
 
-    def place(x: np.ndarray, label: StratumPoint) -> list[int]:
-        hits = _matching(ends, x, TOL_MATCH)
-        for k in hits:
+    def place(near: np.ndarray, label: StratumPoint) -> None:
+        for k in np.flatnonzero(near):
             if points[k] is None:
                 points[k] = label
-        return hits
 
-    for point in construction.census_anchors(r):
+    anchors, near, notes = _stored_points(r, seed, ends)
+    for point, row in zip(anchors, near):
         octic = construction.octic_form(
             construction.octic_vector_on_slice(r, point))
-        if not place(np.array([complex(v) for v in point]), StratumPoint(
-                _stratum([v != 0 for v in point[:3]]),
-                max_root_multiplicity_exact(octic) >= 6)):
-            notes.append(f"{name}: stored point {[str(v) for v in point]} "
-                         "matches no endpoint")
+        place(row, StratumPoint(_stratum([v != 0 for v in point[:3]]),
+                                max_root_multiplicity_exact(octic) >= 6))
     flips = np.array(construction.h_orbit_signs(), dtype=float)
     for i, x in enumerate(ends):
         if points[i] is None:
             points[i] = _classify_point(mp_polish(solved["system"], x), r)
-            for flip in flips:
-                place(flip * x, points[i])
+            place(np.any(_chordal_matrix(flips * x, ends) < TOL_MATCH,
+                         axis=0), points[i])
     # report order: L0, then each other stratum split by the multiple-root
     # classifier (X1) or not (X2)
     partition = dict.fromkeys(
@@ -901,8 +922,7 @@ def u_dprime_image(census: StratumCensus):
                         x7, x8, x9, 0, 0, 0]
                        for x1, x2, x3, x7, x8, x9 in coords],
                       dtype=complex).reshape(-1, 9)
-    spread = max((float(np.max(_chordal_each(y, images))) for y in images),
-                 default=0.0)
+    spread = float(np.max(_chordal_matrix(images, images), initial=0.0))
     return images, spread
 
 
@@ -986,9 +1006,11 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     extra = [_linear_form(row, Y_NAMES) for row in _slice_rows(r, seed, 0)]
     run = solve_projective(construction.fiber_equations(r) + extra, Y_NAMES,
                            seed, f"fiber:{r}:0")
-    exact0 = np.array(conic_points(slices[0]))
-    chordal = [float(np.min(_chordal_each(e.x, exact0))) if len(exact0)
-               else math.inf for e in run["distinct"]]
+    ends = np.array([e.x for e in run["distinct"]], dtype=complex)
+    exact0 = np.array(conic_points(slices[0]), dtype=complex)
+    chordal = np.min(_chordal_matrix(ends.reshape(-1, len(Y_NAMES)),
+                                     exact0.reshape(-1, len(Y_NAMES))),
+                     axis=1, initial=math.inf).tolist()
     return {
         "slice_counts": [sl["count"] for sl in slices],
         "slice_reasons": [sl["reason"] for sl in slices],
@@ -1020,9 +1042,10 @@ class NumericRun:
     A census is its tracked solve plus its labels.  `solve` is the one
     way to a census's solve.  `plan` lists the censuses (r, seed) the
     run's checks will ask for (`census_plan`), and the first request for
-    a planned census tracks all of them, each once, as one stack
-    (`solve_stacked`); a census not in the plan is solved alone, by
-    `solve_projective`.  `census` labels a solve the first time it is
+    a census tracks it and every planned census not yet solved, each
+    once, as one stack (`solve_stacked`): all of the plan on the first
+    request, and a census not in the plan alone once the plan is solved.
+    `census` labels a solve the first time it is
     asked for, through the module's `count_stratum_points`, so a tracer
     that wraps that attribute sees every labelled census.  The exact
     fiber slices are kept the same way, so slice 0 at seed S, which
@@ -1041,15 +1064,11 @@ class NumericRun:
     def solve(self, r: tuple, seed: int) -> dict:
         key = (tuple(map(as_exact, r)), seed)
         if key not in self._solved:
-            if key in self._plan:
-                self._solved.update(zip(self._plan, solve_stacked(
-                    [_census_problem(construction.admissible_triple(pr), ps)
-                     for pr, ps in self._plan], CHART_VARS)))
-            else:
-                rows, _seed, tag, _want = _census_problem(
-                    construction.admissible_triple(r), seed)
-                self._solved[key] = solve_projective(rows, CHART_VARS, seed,
-                                                     tag)
+            todo = [k for k in dict.fromkeys([*self._plan, key])
+                    if k not in self._solved]
+            self._solved.update(zip(todo, solve_stacked(
+                [_census_problem(construction.admissible_triple(t), s)
+                 for t, s in todo], CHART_VARS)))
         return self._solved[key]
 
     def census(self, r: tuple, seed: int) -> StratumCensus:
@@ -1112,17 +1131,15 @@ def check_stratum_counts(seed: int, sample_r: tuple,
         residuals.append(
             f"open-stratum non-multiple-root count {len(orbit_pts)} != 4")
     else:
-        matched = set()
-        for signs in construction.h_orbit_signs():
-            image = [complex(s) * c for s, c in zip(signs, orbit_pts[0])]
-            hits = _matching(orbit_pts, image, TOL_MATCH)
-            if len(hits) == 1:
-                matched.add(hits[0])
-            else:
-                residuals.append(
-                    "diagonal-subgroup image of an open-stratum point "
-                    f"matched {len(hits)} endpoints")
-        if matched != {0, 1, 2, 3}:
+        flips = np.array(construction.h_orbit_signs(), dtype=complex)
+        near = _chordal_matrix(flips * orbit_pts[0],
+                               np.array(orbit_pts)) < TOL_MATCH
+        hits = near.sum(axis=1)
+        residuals.extend("diagonal-subgroup image of an open-stratum point "
+                         f"matched {k} endpoints" for k in hits.tolist()
+                         if k != 1)
+        # every point is the one match of some image
+        if not near[hits == 1].any(axis=0).all():
             residuals.append(
                 "the four open-stratum points are not a single "
                 "diagonal-subgroup orbit")
@@ -1435,20 +1452,16 @@ def check_seed_stability(seed: int, sample_r: tuple,
     census = numeric.census(r, seed)
     residuals.extend(census.notes)
     for s in seeds[1:]:
-        ends = [e.x for e in numeric.solve(r, s)["distinct"]]
-        residuals.extend(
-            f"census ({r[0]}, {r[1]}, {r[2]}) at seed {s}: stored point "
-            f"{[str(v) for v in point]} matches no endpoint"
-            for point in construction.census_anchors(r)
-            if not _matching(ends, [complex(v) for v in point], TOL_MATCH))
+        ends = np.array([e.x for e in numeric.solve(r, s)["distinct"]],
+                        dtype=complex).reshape(-1, len(CHART_VARS))
+        residuals.extend(_stored_points(r, s, ends)[2])
+        near = _chordal_matrix(census.endpoints, ends) < TOL_MATCH
         residuals.extend(
             f"seed {s}: endpoint {i} matches no point of seed {seed}"
-            for i, x in enumerate(ends)
-            if not _matching(census.endpoints, x, TOL_MATCH))
+            for i in np.flatnonzero(~near.any(axis=0)).tolist())
         residuals.extend(
             f"seed {s}: point {j} of seed {seed} matches no endpoint"
-            for j, x in enumerate(census.endpoints)
-            if not _matching(ends, x, TOL_MATCH))
+            for j in np.flatnonzero(~near.any(axis=1)).tolist())
     slices = [numeric.exact_slice((_F(0),) * 3, s, 0) for s in seeds]
     residuals.extend(f"seed {s}: fiber slice 0: {exact['reason']}"
                      for s, exact in zip(seeds, slices) if exact["reason"])

@@ -134,16 +134,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == _CONST_MONO for m in self.terms)
-
-    def constant_value(self) -> Coeff:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def _slots(self) -> list[int]:
         """The slots of the variables that occur, in `VAR_NAMES` order."""
         used = 0
@@ -410,8 +400,3 @@ def _fraction_product(t1: Mapping[int, Fraction], a: list[tuple[int, int]],
             else:
                 acc[mono] = (num, den)
     return {m: Fraction(num, den) for m, (num, den) in acc.items()}
-
-
-def poly_vars(*names: str) -> list[MPoly]:
-    """Convenience constructor for a batch of variables."""
-    return [MPoly.var(n) for n in names]

@@ -75,10 +75,6 @@ class CycScalar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_rat(cls, value: RatLike) -> CycScalar:
-        return cls(value)
-
-    @classmethod
     def zero(cls) -> CycScalar:
         return _ZERO
 

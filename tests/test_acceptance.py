@@ -129,7 +129,7 @@ def test_orbit_quadric_chain_and_the_chart_image():
         q = construction.expected_orbit_quadratic()
         value = q.evaluate({"alpha1": CycScalar.i() * 13,
                             "alpha2": CycScalar.zero(),
-                            "alpha3": CycScalar.from_rat(5)})
+                            "alpha3": CycScalar(5)})
         assert not value
         points = construction.special_points()
         _params, image = construction.pi_chart(tuple(points["crossing_point"]))

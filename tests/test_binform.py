@@ -347,7 +347,7 @@ def test_transvectants_of_rational_images_run_on_int_numerators():
         elt = GroupElt(1, b, 0, 1) * GroupElt(1, 0, c, 1)
         # a z1^d term of 1/7, which no random coefficient cancels
         f, g = (random_form(rng, d, "rational")
-                + BinaryForm.monomial(d, 0, Fraction(1, 7))
+                + BinaryForm(d, [Fraction(1, 7)] + [0] * d)
                 for d in (rng.randint(2, 8), rng.randint(2, 8)))
         fa, ga = group_act(elt, f), group_act(elt, g)
         assert any(isinstance(x, CycScalar) for x in fa.coeffs)
@@ -386,8 +386,8 @@ def test_induced_matrices_match_the_oracle(convention):
 # binom-weighted over mixed partials and never changed since.
 
 def test_transvectant_of_pure_powers():
-    z1_4 = BinaryForm.monomial(4, 0)      # z1^4
-    z2_4 = BinaryForm.monomial(4, 4)      # z2^4
+    z1_4 = BinaryForm(4, [1, 0, 0, 0, 0])      # z1^4
+    z2_4 = BinaryForm(4, [0, 0, 0, 0, 1])      # z2^4
     assert transvectant(z2_4, z1_4, 2) == form(0, 0, 1, 0, 0)
 
 

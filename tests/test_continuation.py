@@ -23,13 +23,14 @@ from covforge.construction import (CHART_VARS, PLANE_VARS, SAMPLE_R,
                                    literal_restricted_quadrics,
                                    projection_data, quadric_matrix)
 from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
-                                   WORKING_DPS,
+                                   TOL_TRACK, WORKING_DPS,
                                    CompiledSystem, NumericRun,
                                    UndecidedOctic, _census_problem,
                                    _chordal_each, _chordal_groups,
+                                   _chordal_matrix,
                                    _classify_point, _counted_clusters,
                                    _fiber_point_ranks, _linear_form,
-                                   _matching, _predict, _rng, _slice_rows,
+                                   _predict, _rng, _slice_rows,
                                    _solve_stack, _start_system, census_plan,
                                    check_fiber_geometry,
                                    check_seed_stability,
@@ -58,8 +59,45 @@ def test_chordal_distance_ignores_scale_and_phase():
     assert abs(_chordal_each(e1, np.array([e2]))[0] - 1.0) < 1e-12
 
 
+def test_the_chordal_matrix_is_each_row_s_distances_bit_for_bit():
+    rng = np.random.default_rng(46)
+
+    def stack(k):
+        return rng.normal(size=(k, 6)) + 1j * rng.normal(size=(k, 6))
+
+    # more rows than one broadcast block of eight
+    a, b = stack(11), stack(7)
+    # near pairs too, whose minors are all small
+    b[2] = (0.3 - 2j) * a[1] + 1e-9 * stack(1)[0]
+    b[4] = -a[3]
+    b[5] = 1j * a[9]
+    matrix = _chordal_matrix(a, b)
+    assert matrix.shape == (11, 7)
+    for i, row in enumerate(matrix):
+        assert row.tobytes() == _chordal_each(a[i], b).tobytes()
+    # with the roles of the two sets swapped, the distances agree to
+    # rounding only: a complex product taken with a fused multiply-add
+    # need not commute bit for bit
+    assert np.abs(matrix.T - _chordal_matrix(b, a)).max() < 1e-14
+    assert np.argwhere(matrix < TOL_MATCH).tolist() == [[1, 2], [3, 4],
+                                                        [9, 5]]
+    # an empty set gives an empty near matrix of the right shape
+    assert _chordal_matrix(a[:0], b).shape == (0, 7)
+    assert _chordal_matrix(a, b[:0]).shape == (11, 0)
+    assert _chordal_matrix(a[:0], b[:0]).shape == (0, 0)
+
+
+def _hits(points, target) -> list[int]:
+    """Indices of the points within TOL_MATCH of the target: its row of
+    the near matrix."""
+    target = np.asarray(target, dtype=complex)
+    stack = np.asarray(points, dtype=complex).reshape(-1, len(target))
+    return np.flatnonzero(_chordal_matrix(target[None], stack)[0]
+                          < TOL_MATCH).tolist()
+
+
 def _gaussian(re, im):
-    return CycScalar.from_rat(Fraction(re)) + CycScalar.i() * Fraction(im)
+    return CycScalar(Fraction(re)) + CycScalar.i() * Fraction(im)
 
 
 def _two_census_systems():
@@ -381,6 +419,71 @@ def test_a_nan_endpoint_is_never_accepted(monkeypatch):
     assert run["failed"] == [(0, "polish")]
 
 
+def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
+    # the sample census's chart 0 at seed 1 ends four paths `polish`;
+    # the per-endpoint gate below is the oracle for the stacked one
+    charts = []
+
+    def recorded(system, streams):
+        results, count = track(system, streams)
+        charts.append((system, [(r.status, r.x.copy()) for r in results],
+                       results))
+        return results, count
+
+    monkeypatch.setattr(continuation, "track", recorded)
+    run, = solve_stacked([_census_problem(SAMPLE_R, 1)], CHART_VARS)
+    system, tracked, results = charts[0]
+    statuses, sv_min = [], {}
+    for p, (status, x) in enumerate(tracked):
+        if status == "accepted":
+            vals, jac = system.evaluate(x / np.linalg.norm(x))
+            if np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
+                sv = np.linalg.svd(jac, compute_uv=False)[-1]
+                sv_min[p] = float(sv).hex()
+            else:
+                status = "polish"
+        statuses.append(status)
+    assert [r.status for r in results] == statuses
+    assert statuses.count("polish") == 4 and len(sv_min) == 28
+    got = {p: e.sv_min.hex() for e in run["distinct"]
+           for p, r in enumerate(results) if e.x is r.x}
+    assert got == sv_min
+
+
+def test_a_stacked_solve_gates_each_chart_with_one_evaluation_and_svd(
+        monkeypatch):
+    # two censuses, one of which needs a rescue chart: two stacked
+    # charts, each gated by one evaluation and one SVD
+    calls = {"track": 0, "evaluate": 0, "svd": 0}
+    tracking = []
+    real_track, real_evaluate = track, CompiledSystem.evaluate
+    real_svd = np.linalg.svd
+
+    def counted_track(*args):
+        calls["track"] += 1
+        tracking.append(True)
+        try:
+            return real_track(*args)
+        finally:
+            tracking.pop()
+
+    def counted_evaluate(self, *args):
+        calls["evaluate"] += not tracking
+        return real_evaluate(self, *args)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "track", counted_track)
+    monkeypatch.setattr(CompiledSystem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(continuation.np.linalg, "svd", counted_svd)
+    runs = solve_stacked([_census_problem(SAMPLE_R, seed)
+                          for seed in (1, 42)], CHART_VARS)
+    assert [len(run["failures"]) for run in runs] == [2, 1]
+    assert calls == {"track": 2, "evaluate": 2, "svd": 2}
+
+
 def test_the_polish_reaches_the_working_precision():
     # each double endpoint of the sparse system polishes, in exact
     # Gaussian rationals, onto its exact sparse anchor
@@ -556,9 +659,9 @@ def test_an_l0_endpoint_no_anchor_matches_is_polished_and_classified(
     assert alone.partition == census.partition == SAMPLE_PARTITION
     # the classified endpoint is the dropped anchor's, with its labels
     exact = [0j] * 3 + [complex(v) for v in dropped]
-    hits = _matching(alone.endpoints, exact, TOL_MATCH)
+    hits = _hits(alone.endpoints, exact)
     assert len(hits) == 1
-    assert hits == _matching(census.endpoints, exact, TOL_MATCH)
+    assert hits == _hits(census.endpoints, exact)
     point, anchored = alone.points[hits[0]], census.points[hits[0]]
     assert (point.stratum, point.multiple_root) == ("L0", False)
     assert (anchored.stratum, anchored.multiple_root) == ("L0", False)
@@ -594,8 +697,7 @@ def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
     assert calls["mp_polish"] == 17
     census = fresh.census(SAMPLE_R, 42)
     assert census.partition == SAMPLE_PARTITION
-    hits = _matching(census.endpoints, [complex(v) for v in stored[4]],
-                     TOL_MATCH)
+    hits = _hits(census.endpoints, [complex(v) for v in stored[4]])
     assert len(hits) == 1
     point = census.points[hits[0]]
     assert (point.stratum, point.multiple_root) == ("L1", True)
@@ -647,7 +749,7 @@ def test_an_endpoint_off_census_s_is_named_both_ways_and_not_polished(
         # the endpoint at the unmoved point matches no point of census
         # 42, and the moved point of census 42 matches no endpoint
         ends = [e.x for e in numeric_run.solve(SAMPLE_R, seed)["distinct"]]
-        hits = _matching(ends, target, TOL_MATCH)
+        hits = _hits(ends, target)
         assert len(hits) == 1
         named += [
             f"seed {seed}: endpoint {hits[0]} matches no point of seed 42",
@@ -667,7 +769,7 @@ def test_a_point_of_census_s_missing_at_s_plus_1_is_named(
         if seed != 43:
             return run
         keep = [e for e in run["distinct"]
-                if not _matching([e.x], census.endpoints[j], TOL_MATCH)]
+                if not _hits([e.x], census.endpoints[j])]
         assert len(keep) == len(run["distinct"]) - 1
         return {**run, "distinct": keep}
 
@@ -703,12 +805,13 @@ class _Tracked(Exception):
 @pytest.fixture(scope="module")
 def sample_solve_seed1():
     """The arguments and the result of the sample census's solve at seed
-    1, and the results of each chart it tracked."""
+    1, an unplanned census solved alone as a stack of one, and the
+    results of each chart it tracked."""
     calls, charts = [], []
     track_paths = continuation.track
 
     def tracked(*args):
-        calls.append((args, solve_projective(*args)))
+        calls.append((args, solve_stacked(*args)))
         raise _Tracked
 
     def recorded(*args):
@@ -717,11 +820,11 @@ def sample_solve_seed1():
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(continuation, "solve_projective", tracked)
+        patch.setattr(continuation, "solve_stacked", tracked)
         patch.setattr(continuation, "track", recorded)
         with pytest.raises(_Tracked):
             NumericRun().census(SAMPLE_R, 1)
-    (args, run), = calls
+    (args, (run,)), = calls
     return args, run, charts
 
 
@@ -730,7 +833,9 @@ def test_a_census_solve_wants_every_path_and_keeps_its_rescue_chart(
     # the census passes no `want`, so it wants all 32 paths regular; its
     # first chart fails four, and the rescue chart finds them
     args, run, charts = sample_solve_seed1
-    assert len(args) == 4
+    (problem,), var_order = args
+    assert var_order == CHART_VARS
+    assert problem[1:] == (1, "stratum:10,1/2,1/3", None)
     assert len(charts) == len(run["failures"]) == 2
     assert run["failed"] == [(14, "polish"), (20, "polish"),
                              (24, "polish"), (28, "polish")]
@@ -769,6 +874,24 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         assert abs(run["chart"] @ e.x - 1) < 1e-8
     assert sum(size > 50 for size in sizes) == 3
     assert max(steps) <= 5
+
+
+def test_an_orbit_image_that_matches_no_point_is_named(monkeypatch,
+                                                      numeric_run):
+    # the censuses are labelled with the whole group H first; the orbit
+    # test then reads the identity twice and a flip of x1 alone, which
+    # is not in H, so only point 0 is matched
+    for r in (SAMPLE_R, (0, 0, 0)):
+        numeric_run.census(r, 42)
+    identity = con.h_orbit_signs()[0]
+    monkeypatch.setattr(con, "h_orbit_signs", lambda: [
+        identity, identity, (-identity[0],) + identity[1:]])
+    result = check_stratum_counts(42, SAMPLE_R, numeric_run)
+    assert list(result.residuals) == [
+        "diagonal-subgroup image of an open-stratum point matched 0 "
+        "endpoints",
+        "the four open-stratum points are not a single diagonal-subgroup "
+        "orbit"]
 
 
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):

@@ -8,7 +8,7 @@ import pytest
 from covforge.binform import BinaryForm
 from covforge.exlinalg import (ExactMatrix, Subspace, jacobian_at,
                                joint_fixed_space)
-from covforge.mpoly import poly_vars
+from covforge.mpoly import MPoly
 from covforge.scalar import CycScalar
 
 
@@ -195,7 +195,7 @@ def test_joint_fixed_space_of_a_sign_pair():
 
 
 def test_jacobian_evaluation_at_a_point():
-    x, y = poly_vars("x1", "x2")
+    x, y = MPoly.var("x1"), MPoly.var("x2")
     polys = [x ** 2 + y, x * y]
     mat = jacobian_at(polys, ["x1", "x2"], {"x1": Fraction(3), "x2": Fraction(2)})
     assert mat == ExactMatrix([[6, 1], [2, 3]])
@@ -238,7 +238,7 @@ def _copies(kind):
     """A value built from Fractions, the same value built from rational
     CycScalars, and a different value."""
     if kind == "mpoly":
-        x, y = poly_vars("x1", "x2")
+        x, y = MPoly.var("x1"), MPoly.var("x2")
         return (Fraction(1, 2) * x ** 2 + 3 * x * y - y,
                 CycScalar(Fraction(1, 2)) * x ** 2 + CycScalar(3) * x * y
                 - CycScalar(1) * y,

@@ -183,6 +183,20 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert out.returncode == 0, out.stderr
 
 
+def test_the_numeric_sweep_prints_one_line_per_seed():
+    # tools/numeric_sweep.py imports the package from its checkout's src
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(harness.ENV_PREFIX)}
+    out = subprocess.run([sys.executable, str(root / "tools" /
+                                              "numeric_sweep.py"), "7", "7"],
+                         env=env, capture_output=True, text=True, check=True)
+    (seed, status, digest), = [line.split() for line in
+                               out.stdout.splitlines()]
+    assert (seed, status) == ("7", "ok")
+    assert len(digest) == 64 and int(digest, 16) >= 0
+
+
 def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
     for error in (ZeroDivisionError, ValueError):
         def broken(seed):
