@@ -17,14 +17,13 @@ advance together as one (paths, n) stack, each with its own system and
 step control, through stacked evaluations and solves; one helper gives
 H and its Jacobian to the fourth-order Runge-Kutta predictor, the short
 Newton corrector with adaptive step halving, and the endpoint polish.
-So the censuses of one run are tracked as one stack (`solve_stacked`),
-and each path still ends bit for bit where it ends tracked alone.
-Whether an endpoint solves the system is decided once, by
+So a run's tracked solves of one variable order are one stack
+(`NumericRun.solve`), and each path ends bit for bit where it ends
+alone.  Whether an endpoint solves its system is decided once, by
 `solve_stacked`'s projective residual test, for a chart's endpoints as
 one stack; whether two points are one, by the chordal distance
 `_chordal_each` in complex doubles, for two point sets as one matrix
-(`_chordal_matrix`): the census's stored points and H-images, the orbit
-test and the match of one triple's censuses at other seeds alike.
+(`_chordal_matrix`).
 A census is its tracked solve plus its labels; a census point is its
 tracked double endpoint.  The points the construction stores exactly,
 four L0 points and at some triples four L1 points, are placed first and
@@ -38,23 +37,19 @@ labelling a representative works past double precision: `mp_polish`
 refines its endpoint to about WORKING_DPS digits in exact dyadic
 Gaussian rationals, on the same exact row matrices, which is what lets
 the multiple-root classifier separate a genuine sixfold root cluster
-from simple roots at CLUSTER_RADIUS.  Each step takes the exact residual
-F, rounded once to doubles, and solves J0 dx = F with the endpoint's
-double Jacobian J0 (iterative refinement), and the polish stops on a
-step small relative to the point.  The classifier counts the polished
-point's octic's root clusters instead of finding its roots: the
-double-precision roots are grouped, and Pellet's test on the exact
-octic's exact Taylor coefficients at each group's centroid, an integer
-Taylor shift (`binform.group_act`), proves that a small disc there holds
-exactly the group's number of roots (`octic_root_clusters`); an octic
-the counts cannot decide is named in the check's residuals, not raised.
+from simple roots at CLUSTER_RADIUS.  The classifier counts the polished
+point's octic's root clusters instead of finding its roots, by Pellet's
+test on the exact octic's exact Taylor coefficients at each group of
+double roots (`octic_root_clusters`); an octic the counts cannot decide
+is named in the check's residuals, not raised.
 The centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
 2005), so the double roots already place every cluster.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
-0 and one preimage target are still tracked here, as cross-checks, the
-preimage on one chart unless that chart misses the one regular endpoint
-the lemma claims.  This is the one module that imports numpy.
+0 and one preimage target are still tracked here, as cross-checks
+planned as one stack like the censuses (`solve_plan`), the preimage on
+one chart unless it misses the one regular endpoint the lemma claims.
+This is the one module that imports numpy.
 
 The zero set tracked here is that of the literal (cross-doubled)
 coordinate polynomials of the quadratic map: that is the system whose
@@ -501,46 +496,35 @@ def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
 
 def solve_projective(rows: list[MPoly], var_order: tuple[str, ...],
                      seed, tag: str, want: int | None = None) -> dict:
-    """Chart-fix, track, polish, rescue, and deduplicate a projective system.
-
-    `rows` are the homogeneous equations, exact quadrics and linear forms
-    over `var_order`.  A random unit-norm chart form set to 1
-    makes the system square.  The one residual gate: an endpoint `track`
-    accepts is kept only if every homogeneous row is below TOL_TRACK at
-    its unit-norm representative (NaN fails), else its path turns
-    `polish`; the Jacobian there gives its smallest singular value.
-    `want` is the number of regular endpoints the caller needs, by
-    default the path count.  If any path fails and the first chart has
-    fewer than `want` distinct endpoints with a smallest singular value
-    above SV_REGULAR, every path is tracked again on a fresh second
-    random chart, and each endpoint found there is rescaled onto the
-    first, x / (c . x); `_dedup` merges them after the first chart's into
-    `distinct`, all on `chart`, the first chart's c, and solving
-    `system`.  `rescue_added` counts the rescued ones in `distinct`, and
-    `accepted_count` adds them to the first chart's accepted paths.
-    `failed` lists the first chart's failed paths as (index, status);
-    `failures` holds the failed `PathResult`s of each chart that ran,
-    each with its last iterate.  This is `solve_stacked` of one system.
-    """
+    """`solve_stacked` of the one system (rows, seed, tag, want)."""
     return solve_stacked([(rows, seed, tag, want)], var_order)[0]
 
 
 def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
                   ) -> list[dict]:
-    """`solve_projective` of several systems of one shape, each given as
-    (rows, seed, tag, want), with their charts tracked as stacks.
+    """Chart-fix, track, polish, rescue, and deduplicate projective
+    systems of one shape, each (rows, seed, tag, want): `rows` exact
+    homogeneous quadrics and linear forms over `var_order`, `want` the
+    number of regular endpoints needed, by default the path count.
 
-    Chart 0 of every system is tracked as one stack and gated as one:
-    one stacked evaluation at the accepted endpoints' unit-norm
-    representatives, each in its own system, and one stacked SVD of the
-    Jacobians that pass.  Each system then gets its own dedup, and the
-    systems that need a rescue chart track and gate theirs as one more
-    stack.  A system draws its charts from its own (seed, tag) stream
-    and its paths' start data from its own streams, as it does alone,
-    `track` moves every path of a stack as it moves alone, and the
-    stacked gate gives each endpoint the residuals and singular values
-    it gets alone, so each system's result is bitwise the one
-    `solve_projective` gives it alone.
+    A random unit-norm chart form set to 1, from the system's (seed,
+    tag) stream, makes each system square.  Chart 0 of every system is
+    tracked as one stack and gated as one, by the one residual gate: an
+    endpoint `track` accepts is kept only if every homogeneous row is
+    below TOL_TRACK at its unit-norm representative (NaN fails), else
+    its path turns `polish`; one stacked SVD of the kept endpoints'
+    Jacobians gives their smallest singular values.  A system with a
+    failed path and fewer than `want` distinct endpoints above
+    SV_REGULAR tracks every path again on a second random chart, all
+    such systems as one more stack, and each endpoint found there is
+    rescaled onto the first, x / (c . x).  Per system, `_dedup` merges
+    them after chart 0's into `distinct`, all on `chart`, chart 0's c,
+    solving `system`; `rescue_added` counts the rescued ones, and
+    `accepted_count` adds them to chart 0's accepted paths; `failed`
+    lists chart 0's failed paths as (index, status), and `failures` the
+    failed `PathResult`s of each chart, with their last iterates.  Each
+    path moves in a stack as it moves alone, so each system's result is
+    bitwise the one it gets in a stack of one (`solve_projective`).
     """
     n = len(var_order)
     streams = [_rng(seed, tag) for _rows, seed, tag, _want in problems]
@@ -804,8 +788,9 @@ def _classify_point(point: list, r) -> StratumPoint:
 
 
 def _census_problem(r: tuple, seed) -> tuple:
-    """The census system over an admissible triple, as a
-    `solve_stacked` problem (rows, seed, tag, want)."""
+    """The census system over the triple r, which must be admissible,
+    as a `solve_stacked` problem (rows, seed, tag, want)."""
+    r = construction.admissible_triple(r)
     return (list(construction.literal_restricted_quadrics(r)), seed,
             f"stratum:{r[0]},{r[1]},{r[2]}", None)
 
@@ -990,6 +975,33 @@ def exact_slice(r: tuple, seed, s: int) -> dict:
                                    equations[:2], Y_NAMES)
 
 
+def _slice_problem(r: tuple, seed) -> tuple:
+    """Fiber slice 0 over r, the fiber equations and the slice's three
+    seeded rows, as a `solve_stacked` problem (rows, seed, tag, want)."""
+    rows = [_linear_form(row, Y_NAMES) for row in _slice_rows(r, seed, 0)]
+    return construction.fiber_equations(r) + rows, seed, f"fiber:{r}:0", None
+
+
+def _preimage_target(seed, trial: int) -> np.ndarray:
+    """The seeded target of a preimage trial, four complex doubles."""
+    rng = _rng(seed, "preimage", trial)
+    return np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for _ in range(4)])
+
+
+def _preimage_problem(r: tuple, seed) -> tuple:
+    """Preimage trial 0 on the fiber over r as a `solve_stacked` problem
+    that wants one regular endpoint: the fiber equations and three rows,
+    the minors of the projected point against the target n."""
+    n = _preimage_target(seed, 0)
+    extract = np.array([[complex(v) for v in row] for row
+                        in construction.projection_data()["extract_rows"]])
+    pivot = int(np.argmax(np.abs(n)))
+    align = [_linear_form(n[j] * extract[pivot] - n[pivot] * extract[j],
+                          Y_NAMES) for j in range(4) if j != pivot]
+    return construction.fiber_equations(r) + align, seed, "preimage:0", 1
+
+
 def fiber_probe(r: tuple, seed, slice_count: int,
                 numeric: NumericRun) -> dict:
     """Slice the chart-space fiber over r and count each slice.
@@ -999,13 +1011,11 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     by homotopy as a cross-check: `cross_check` holds its path count
     and, per distinct endpoint, the chordal distance to the nearest
     exact-plane point.  Runs are deterministic in the arguments.  The
-    exact slices come from the run `numeric`.
+    exact slices and the tracked slice come from the run `numeric`.
     """
     r = tuple(map(as_exact, r))
     slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
-    extra = [_linear_form(row, Y_NAMES) for row in _slice_rows(r, seed, 0)]
-    run = solve_projective(construction.fiber_equations(r) + extra, Y_NAMES,
-                           seed, f"fiber:{r}:0")
+    run = numeric.solve("slice", r, seed)
     ends = np.array([e.x for e in run["distinct"]], dtype=complex)
     exact0 = np.array(conic_points(slices[0]), dtype=complex)
     chordal = np.min(_chordal_matrix(ends.reshape(-1, len(Y_NAMES)),
@@ -1023,29 +1033,37 @@ def fiber_probe(r: tuple, seed, slice_count: int,
 SMALL_R = tuple(v * _F(1, 100000) for v in construction.SAMPLE_R)
 
 
-def census_plan(check_ids, seed: int, sample_r: tuple) -> list[tuple]:
-    """The censuses (r, seed) that the numeric checks with these ids
-    ask their `NumericRun` for, check by check, in the order they ask."""
+def solve_plan(check_ids, seed: int, sample_r: tuple) -> list[tuple]:
+    """The tracked solves (kind, r, seed) that the numeric checks with
+    these ids ask their `NumericRun` for, check by check, in the order
+    they ask: censuses, and `numeric/fiber_5`'s fiber slice 0 and, when
+    the projection has extraction rows, preimage trial 0."""
     origin = (_F(0),) * 3
+    preimage = [("preimage", origin, seed)] if (
+        construction.projection_data()["extract_rows"] is not None) else []
     asks = {
-        "numeric/lemma6_2": [(sample_r, seed), (origin, seed)],
-        "numeric/fiber_5": [(origin, seed), (SMALL_R, seed)],
-        "numeric/seed_stability": [(sample_r, seed + k) for k in range(3)],
+        "numeric/lemma6_2": [("census", sample_r, seed),
+                             ("census", origin, seed)],
+        "numeric/fiber_5": [("slice", origin, seed), ("census", origin, seed),
+                            ("census", SMALL_R, seed), *preimage],
+        "numeric/seed_stability": [("census", sample_r, seed + k)
+                                   for k in range(3)],
     }
-    return [census for cid in check_ids for census in asks.get(cid, ())]
+    return [solve for cid in check_ids for solve in asks.get(cid, ())]
 
 
 class NumericRun:
-    """The census results of one battery run, shared by its numeric
-    checks.
+    """The tracked solves and census labels of one battery run, shared
+    by its numeric checks.
 
-    A census is its tracked solve plus its labels.  `solve` is the one
-    way to a census's solve.  `plan` lists the censuses (r, seed) the
-    run's checks will ask for (`census_plan`), and the first request for
-    a census tracks it and every planned census not yet solved, each
-    once, as one stack (`solve_stacked`): all of the plan on the first
-    request, and a census not in the plan alone once the plan is solved.
-    `census` labels a solve the first time it is
+    `solve(kind, r, seed)` is the one way to a tracked solve: a "census"
+    over CHART_VARS, or fiber "slice" 0 or "preimage" trial 0 over
+    Y_NAMES.  `plan` lists the solves the run's checks will ask for
+    (`solve_plan`), and the first request for a solve tracks it and
+    every planned solve of its variable order not yet solved, each once,
+    as one stack (`solve_stacked`); a solve not in the plan is tracked
+    alone once the plan of its order is solved.  A census is its tracked
+    solve plus its labels: `census` labels a solve the first time it is
     asked for, through the module's `count_stratum_points`, so a tracer
     that wraps that attribute sees every labelled census.  The exact
     fiber slices are kept the same way, so slice 0 at seed S, which
@@ -1056,23 +1074,26 @@ class NumericRun:
 
     def __init__(self, plan=()) -> None:
         self._plan = list(dict.fromkeys(
-            (tuple(map(as_exact, r)), seed) for r, seed in plan))
+            (kind, tuple(map(as_exact, r)), seed) for kind, r, seed in plan))
         self._solved: dict = {}
         self._results: dict = {}
         self._slices: dict = {}
 
-    def solve(self, r: tuple, seed: int) -> dict:
-        key = (tuple(map(as_exact, r)), seed)
+    def solve(self, kind: str, r: tuple, seed: int) -> dict:
+        key = (kind, tuple(map(as_exact, r)), seed)
         if key not in self._solved:
+            builders = {"census": (_census_problem, CHART_VARS),
+                        "slice": (_slice_problem, Y_NAMES),
+                        "preimage": (_preimage_problem, Y_NAMES)}
+            order = builders[kind][1]
             todo = [k for k in dict.fromkeys([*self._plan, key])
-                    if k not in self._solved]
+                    if k not in self._solved and builders[k[0]][1] == order]
             self._solved.update(zip(todo, solve_stacked(
-                [_census_problem(construction.admissible_triple(t), s)
-                 for t, s in todo], CHART_VARS)))
+                [builders[k][0](t, s) for k, t, s in todo], order)))
         return self._solved[key]
 
     def census(self, r: tuple, seed: int) -> StratumCensus:
-        solved = self.solve(r, seed)
+        solved = self.solve("census", r, seed)
         key = (tuple(map(as_exact, r)), seed)
         if key not in self._results:
             self._results[key] = count_stratum_points(r, seed, solved)
@@ -1104,7 +1125,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
     residuals: list[str] = []
     sample_r = tuple(map(as_exact, sample_r))
 
-    run = numeric.solve(sample_r, seed)
+    run = numeric.solve("census", sample_r, seed)
     census = numeric.census(sample_r, seed)
     residuals.extend(census.notes)
     expected = {"L0": 4, "L1_X1": 2, "L1_X2": 2, "L2_X1": 2, "L2_X2": 2,
@@ -1279,14 +1300,9 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
     # Preimage counts of random targets, from the exact plane meet; a
     # failure of the center-line identity is a trial's reason.  Trial 0
     # is also solved by homotopy as a cross-check.
-    targets = []
-    for trial in range(10):
-        rng = _rng(seed, "preimage", trial)
-        targets.append(np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                                 for _ in range(4)]))
-    exact = [construction.exact_preimage([construction.gaussian(z)
-                                          for z in n_coords])
-             for n_coords in targets]
+    exact = [construction.exact_preimage([construction.gaussian(z) for z
+                                          in _preimage_target(seed, trial)])
+             for trial in range(10)]
     preimage_counts = [sol["count"] for sol in exact]
     for trial, sol in enumerate(exact):
         if sol["reason"]:
@@ -1322,9 +1338,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         if img_rank != 4:
             residuals.append(
                 f"projected fiber preimages span rank {img_rank} != 4")
-        extract = np.array([[complex(v) for v in row] for row in rows])
-        cross_check = _preimage_cross_check(seed, 0, targets[0], extract,
-                                            exact[0], residuals)
+        cross_check = _preimage_cross_check(seed, numeric, exact[0],
+                                            residuals)
 
     details = {
         "slice_counts": probe["slice_counts"],
@@ -1369,32 +1384,17 @@ def _fiber_point_ranks(point: list, rows: list | None,
     return jac.ncols - len(tangent), push_rank
 
 
-def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
-                          extract: np.ndarray, sol: dict,
+def _preimage_cross_check(seed: int, numeric: NumericRun, sol: dict,
                           residuals: list[str]) -> dict:
-    """Solve one preimage target by homotopy and compare it with the exact
-    meet `sol`.
-
-    The fiber rows plus three alignment rows, the minors of the projected
-    point against n, make a square system; its one regular endpoint must
-    lie within TOL_MATCH of the exact preimage.  The solve wants that one
-    regular endpoint (`want` 1), so a rescue chart is tracked only when
-    the first chart misses it.  Every failed path of a tracked chart that
-    ends `polish` must end within TOL_DEDUP of the center line l, the
-    excess component every alignment row vanishes on.  `stalled` and
-    `diverged` paths are reported by status only: their last iterate is
-    the last point they accepted on the path, not an endpoint of F.
-    """
-    pivot = int(np.argmax(np.abs(n_coords)))
-    align = []
-    for j in range(4):
-        if j == pivot:
-            continue
-        row = n_coords[j] * extract[pivot] - n_coords[pivot] * extract[j]
-        align.append(_linear_form(row, Y_NAMES))
-    run = solve_projective(
-        construction.fiber_equations((_F(0), _F(0), _F(0))) + align,
-        Y_NAMES, seed, f"preimage:{trial}", 1)
+    """Compare the run's tracked solve of preimage trial 0, which wants
+    its one regular endpoint, with the exact meet `sol`: that endpoint
+    must lie within TOL_MATCH of the exact preimage.  Every failed path
+    of a tracked chart that ends `polish` must end within TOL_DEDUP of
+    the center line l, the excess component every alignment row vanishes
+    on.  `stalled` and `diverged` paths are reported by status only:
+    their last iterate is the last point they accepted on the path, not
+    an endpoint of F."""
+    run = numeric.solve("preimage", (_F(0),) * 3, seed)
     regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
     chordal = None
     if len(regular) != 1 or sol["point"] is None:
@@ -1424,7 +1424,7 @@ def _preimage_cross_check(seed: int, trial: int, n_coords: np.ndarray,
                     f"preimage cross-check: chart {chart} path {r.index} "
                     f"ends polish {off:.2e} off the center line")
     return {
-        "trial": trial,
+        "trial": 0,
         "chordal": chordal,
         "failed_paths": [[[r.index, r.status] for r in paths]
                          for paths in run["failures"]],
@@ -1452,8 +1452,8 @@ def check_seed_stability(seed: int, sample_r: tuple,
     census = numeric.census(r, seed)
     residuals.extend(census.notes)
     for s in seeds[1:]:
-        ends = np.array([e.x for e in numeric.solve(r, s)["distinct"]],
-                        dtype=complex).reshape(-1, len(CHART_VARS))
+        distinct = numeric.solve("census", r, s)["distinct"]
+        ends = np.array([e.x for e in distinct], dtype=complex).reshape(-1, 6)
         residuals.extend(_stored_points(r, s, ends)[2])
         near = _chordal_matrix(census.endpoints, ends) < TOL_MATCH
         residuals.extend(

@@ -10,7 +10,7 @@ an empty variable counts as unset, and a set ``COVFORGE_`` variable that
 names no knob or does not parse is a configuration error that names it.
 The tolerances are not knobs but constants of ``continuation``, which
 only a run with a numeric check imports; the numeric checks of one run
-share their censuses through one ``NumericRun``.  The corrected-typo
+share their tracked solves through one ``NumericRun``.  The corrected-typo
 ledger ships as a package resource, named at the end of every text
 report.
 """
@@ -153,14 +153,14 @@ def run(config: RunConfig) -> Report:
 
     Exact checks run before numeric ones, in registry order; the report
     is ordered by check id.  Each result carries its registry id and
-    paper anchor and the milliseconds of its one call.  Selected numeric checks share one NumericRun,
-    which is told the censuses they will ask for, so that it can track
-    them together.  Raises as `select` does for a malformed config or an
-    empty selection.
+    paper anchor and the milliseconds of its one call.  Selected numeric
+    checks share one NumericRun, which is told the solves they will ask
+    for, so that it can track them together.  Raises as `select` does
+    for a malformed config or an empty selection.
     """
     selected = select(config)
     numeric_ids = [cid for cid, _a, kind, _f in selected if kind == "numeric"]
-    numeric = (_numeric().NumericRun(_numeric().census_plan(
+    numeric = (_numeric().NumericRun(_numeric().solve_plan(
         numeric_ids, config.seed, config.sample_r)) if numeric_ids else None)
     results = []
     for phase in ("exact", "numeric"):

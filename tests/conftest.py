@@ -4,17 +4,17 @@ import pytest
 
 from covforge import harness
 from covforge.construction import SAMPLE_R
-from covforge.continuation import NumericRun, census_plan
+from covforge.continuation import NumericRun, solve_plan
 
 
 @pytest.fixture(scope="session")
 def numeric_run():
-    """One census store for the whole session, so the numeric tests
-    compute each census once, as one `verify` run at seed 42 does: the
-    censuses of every numeric check are planned and tracked as one
-    stack."""
+    """One tracked-solve store for the whole session, so the numeric tests
+    compute each tracked solve once, as one `verify` run at seed 42
+    does: the solves of every numeric check are planned and tracked as
+    one stack per variable order."""
     numeric = [c for c in harness.check_ids() if c.startswith("numeric/")]
-    return NumericRun(census_plan(numeric, 42, SAMPLE_R))
+    return NumericRun(solve_plan(numeric, 42, SAMPLE_R))
 
 
 @pytest.fixture(scope="session")

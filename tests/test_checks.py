@@ -3,14 +3,15 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from covforge import checks, construction, harness
+from covforge import binform, checks, construction, harness
 from covforge.construction import VEC15_NAMES
 from covforge.mpoly import MPoly
-from covforge.scalar import CycScalar
+from covforge.scalar import CycScalar, from_numerators
 
 EXPECTED_SYMBOLIC_IDS = [
     "symbolic/expansion_1_2",
@@ -230,3 +231,82 @@ def test_random_cyclotomic_scalars_are_drawn_as_four_rationals():
                                for _ in range(4)))
             assert got == want and got.coords == want.coords
         assert rngs[0].random() == rngs[1].random()
+
+
+# Each property suite, at its default size and the default seed, finds
+# one planted defect of the layer it tests that fires on part of its
+# inputs only, and names the law it breaks.
+
+
+def test_the_field_axiom_suite_finds_a_wrong_product_on_one_class_of_pairs(
+        monkeypatch):
+    real = CycScalar.__mul__
+
+    def wrong(a, b):
+        # the w^3 * w term of the product gains the wrong sign when a's
+        # w^3 numerator equals b's w numerator
+        out = real(a, b)
+        if isinstance(b, CycScalar) and a._n[3] == b._n[1] != 0:
+            out = out + from_numerators([2 * a._n[3] * b._n[1], 0, 0, 0],
+                                        a._d * b._d)
+        return out
+
+    monkeypatch.setattr(CycScalar, "__mul__", wrong)
+    result = checks.check_field_axioms(seed=42)
+    assert result.status == "fail"
+    assert result.residuals == (
+        "trial 3: inverse fails for 3/5 + 2*w + i - 2*w^3",)
+
+
+def test_the_polynomial_ring_suite_finds_a_wrong_product_of_long_factors(
+        monkeypatch):
+    real = MPoly.__mul__
+
+    def wrong(f, g):
+        # a product of two factors of four or more terms gains 1
+        out = real(f, g)
+        if isinstance(g, MPoly) and min(len(f.terms), len(g.terms)) >= 4:
+            out = out + 1
+        return out
+
+    monkeypatch.setattr(MPoly, "__mul__", wrong)
+    result = checks.check_mpoly_ring(seed=42)
+    assert result.status == "fail"
+    assert result.residuals == ("trial 3: distributivity fails",)
+
+
+def test_the_transvectant_suite_finds_a_weight_off_by_one(monkeypatch):
+    real = binform._transvectant_weights
+
+    def wrong(m, n, i):
+        # the first weight of row 0 of every third transvectant is off
+        # by one; the suite's frozen values take indices 2, 4 and 6 only
+        pref, rows = real(m, n, i)
+        if i == 3:
+            (q, w), *rest = rows[0]
+            rows = (((q, w + 1), *rest), *rows[1:])
+        return pref, rows
+
+    monkeypatch.setattr(binform, "_transvectant_weights", wrong)
+    result = checks.check_transvectant_properties(seed=42)
+    assert result.status == "fail"
+    assert result.residuals == ("trial 5: symmetry sign fails at index 3",
+                                "trial 5: covariance fails")
+
+
+def test_the_scaling_suite_finds_a_bracket_weight_off_by_one(monkeypatch):
+    real = checks.delta_forms
+
+    def wrong(lam, f8, f0, f4):
+        # the quadratic map the suite reads weighs its fourth bracket by
+        # l4 + 1 when the constant input is a negative integer
+        out = real(lam, f8, f0, f4)
+        if f0 < 0 and Fraction(f0).denominator == 1:
+            s4 = binform.calibrate_conventions().scalars[1]
+            out = out + binform.transvectant(f8, f4, 4).scale(s4)
+        return out
+
+    monkeypatch.setattr(checks, "delta_forms", wrong)
+    result = checks.check_scaling_1_1(seed=42)
+    assert result.status == "fail"
+    assert result.residuals == ("trial 0: rescaling law fails",)

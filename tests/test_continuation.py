@@ -26,12 +26,13 @@ from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
                                    TOL_TRACK, WORKING_DPS,
                                    CompiledSystem, NumericRun,
                                    UndecidedOctic, _census_problem,
+                                   _preimage_problem, _slice_problem,
                                    _chordal_each, _chordal_groups,
                                    _chordal_matrix,
                                    _classify_point, _counted_clusters,
                                    _fiber_point_ranks, _linear_form,
                                    _predict, _rng, _slice_rows,
-                                   _solve_stack, _start_system, census_plan,
+                                   _solve_stack, _start_system, solve_plan,
                                    check_fiber_geometry,
                                    check_seed_stability,
                                    check_stratum_counts, conic_points,
@@ -336,6 +337,29 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
         solve_projective(rows, CHART_VARS, seed, tag)
         assert stacked[32 * k:32 * (k + 1)] == charts[0]
 
+    # the run's fiber stack, slice 0 and preimage trial 0 over Y_NAMES:
+    # each path, endpoint and count as in the lone solve
+    def solved(run):
+        return ([(e.x.tobytes(), e.sv_min) for e in run["distinct"]],
+                run["path_count"], run["accepted_count"], run["failed"],
+                run["rescue_added"], run["chart"].tobytes(),
+                [[(r.index, r.status, r.steps, r.x.tobytes()) for r in f]
+                 for f in run["failures"]])
+
+    origin = (Fraction(0),) * 3
+    for seed in (1, 7, 42):
+        problems = [_slice_problem(origin, seed),
+                    _preimage_problem(origin, seed)]
+        charts.clear()
+        runs = solve_stacked(problems, con.Y_NAMES)
+        stacked = charts[0]
+        assert len(stacked) == 8
+        for k, (rows, _seed, tag, want) in enumerate(problems):
+            charts.clear()
+            alone = solve_projective(rows, con.Y_NAMES, seed, tag, want)
+            assert stacked[4 * k:4 * (k + 1)] == charts[0], (seed, tag)
+            assert solved(runs[k]) == solved(alone), (seed, tag)
+
 
 def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
         monkeypatch, numeric_run):
@@ -343,11 +367,11 @@ def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
     asked = []
     solve = numeric_run.solve
 
-    def recorded(r, seed):
-        key = (tuple(map(Fraction, r)), seed)
+    def recorded(kind, r, seed):
+        key = (kind, tuple(map(Fraction, r)), seed)
         if key not in asked:
             asked.append(key)
-        return solve(r, seed)
+        return solve(kind, r, seed)
 
     monkeypatch.setattr(numeric_run, "solve", recorded)
     checks = {
@@ -360,11 +384,15 @@ def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
     for cid, run_check in checks.items():
         asked.clear()
         assert run_check().ok
-        assert asked == [(tuple(map(Fraction, r)), seed) for r, seed
-                         in census_plan([cid], 42, SAMPLE_R)], cid
-    assert census_plan(list(checks), 42, SAMPLE_R) == [
-        census for cid in checks for census in census_plan([cid], 42,
-                                                           SAMPLE_R)]
+        assert asked == [(kind, tuple(map(Fraction, r)), seed) for
+                         kind, r, seed in solve_plan([cid], 42, SAMPLE_R)], cid
+    assert solve_plan(list(checks), 42, SAMPLE_R) == [
+        solve for cid in checks for solve in solve_plan([cid], 42,
+                                                        SAMPLE_R)]
+    # numeric/fiber_5 tracks fiber slice 0 and preimage trial 0 too
+    assert [kind for kind, _r, _seed in solve_plan(
+        ["numeric/fiber_5"], 42, SAMPLE_R)] == [
+            "slice", "census", "census", "preimage"]
 
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
@@ -687,7 +715,7 @@ def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
     monkeypatch.setattr(con, "census_anchors", moved)
     monkeypatch.setattr(continuation, "mp_polish",
                         _counting(calls, "mp_polish"))
-    fresh = NumericRun(census_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    fresh = NumericRun(solve_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
     result = check_stratum_counts(42, SAMPLE_R, fresh)
     assert list(result.residuals) == [
         f"census (10, 1/2, 1/3) at seed 42: stored point "
@@ -748,7 +776,8 @@ def test_an_endpoint_off_census_s_is_named_both_ways_and_not_polished(
     for seed in (43, 44):
         # the endpoint at the unmoved point matches no point of census
         # 42, and the moved point of census 42 matches no endpoint
-        ends = [e.x for e in numeric_run.solve(SAMPLE_R, seed)["distinct"]]
+        run = numeric_run.solve("census", SAMPLE_R, seed)
+        ends = [e.x for e in run["distinct"]]
         hits = _hits(ends, target)
         assert len(hits) == 1
         named += [
@@ -764,8 +793,8 @@ def test_a_point_of_census_s_missing_at_s_plus_1_is_named(
     j = next(i for i, p in enumerate(census.points) if p.stratum == "Lopen")
     solve = numeric_run.solve
 
-    def dropped(r, seed):
-        run = solve(r, seed)
+    def dropped(kind, r, seed):
+        run = solve(kind, r, seed)
         if seed != 43:
             return run
         keep = [e for e in run["distinct"]
@@ -895,7 +924,7 @@ def test_an_orbit_image_that_matches_no_point_is_named(monkeypatch,
 
 
 def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
-    run = numeric_run.solve(SAMPLE_R, 42)
+    run = numeric_run.solve("census", SAMPLE_R, 42)
     census = numeric_run.census(SAMPLE_R, 42)
     assert run["path_count"] == 32
     assert run["accepted_count"] == 32
@@ -934,21 +963,42 @@ def test_tracked_fiber_slices_match_the_exact_plane_points(seed):
 
 
 def test_a_fiber_probe_counts_every_slice_and_tracks_slice_0(monkeypatch):
-    tags = []
+    stacks = []
 
-    def logged(rows, var_order, seed, tag):
-        tags.append(tag)
-        return solve_projective(rows, var_order, seed, tag)
+    def logged(problems, var_order):
+        stacks.append([(tag, want) for _rows, _seed, tag, want in problems])
+        return solve_stacked(problems, var_order)
 
-    monkeypatch.setattr(continuation, "solve_projective", logged)
+    monkeypatch.setattr(continuation, "solve_stacked", logged)
     probe = fiber_probe((0, 0, 0), 1, slice_count=5, numeric=NumericRun())
-    assert tags == [f"fiber:{(Fraction(0),) * 3}:0"]
+    # an unplanned slice 0 is tracked alone, with no `want`
+    assert stacks == [[(f"fiber:{(Fraction(0),) * 3}:0", None)]]
     assert probe["slice_counts"] == [4] * 5
     assert probe["slice_reasons"] == [None] * 5
     assert probe["cross_check"]["path_count"] == 4
     assert max(probe["cross_check"]["chordal"]) < TOL_MATCH
     assert set(probe) == {"slice_counts", "slice_reasons", "projections",
                           "cross_check"}
+
+
+def test_a_planned_run_tracks_slice_0_and_preimage_0_as_one_stack(
+        monkeypatch):
+    stacks = []
+
+    def logged(problems, var_order):
+        stacks.append(([tag for _rows, _seed, tag, _want in problems],
+                       var_order))
+        return solve_stacked(problems, var_order)
+
+    monkeypatch.setattr(continuation, "solve_stacked", logged)
+    origin = (Fraction(0),) * 3
+    run = NumericRun(solve_plan(["numeric/fiber_5"], 1, SAMPLE_R))
+    first = run.solve("slice", (0, 0, 0), 1)
+    # the planned censuses are over other variables: not in this stack
+    assert stacks == [([f"fiber:{origin}:0", "preimage:0"], con.Y_NAMES)]
+    assert run.solve("preimage", origin, 1)["path_count"] == 4
+    assert run.solve("slice", origin, 1) is first
+    assert len(stacks) == 1
 
 
 def _are_the_points(out, expected) -> bool:
@@ -1246,7 +1296,7 @@ def test_an_undecided_octic_is_a_residual_that_names_its_endpoint(
             return real(vec9)
 
     monkeypatch.setattr(continuation, "octic_root_clusters", at_the_edge)
-    run = NumericRun(census_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    run = NumericRun(solve_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
     result = check_stratum_counts(42, SAMPLE_R, run)
     census = run.census(SAMPLE_R, 42)
     undecided = [k for k, p in enumerate(census.points)
@@ -1325,8 +1375,7 @@ def test_projection_data_is_exact_and_invertible(monkeypatch):
         assert picked == expected
 
 
-def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch,
-                                                         numeric_run):
+def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch):
     centers = con.center_space_vectors()
     targets = [centers[0], *con.target_space_basis()[1:]]
     monkeypatch.setattr(con, "target_space_basis", lambda: targets)
@@ -1334,7 +1383,10 @@ def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch,
     assert (data["center_rank"], data["target_rank"]) == (5, 4)
     assert data["matrix"].rank() == 8
     assert data["intersection_dim"] == 1 and data["extract_rows"] is None
-    result = check_fiber_geometry(42, numeric_run)
+    # with no extraction rows the run plans no preimage solve
+    plan = solve_plan(["numeric/fiber_5"], 42, SAMPLE_R)
+    assert [kind for kind, _r, _seed in plan] == ["slice", "census", "census"]
+    result = check_fiber_geometry(42, NumericRun(plan))
     assert not result.ok
     assert "center/target intersection dimension 1 != 0" in result.residuals
     assert "center plus target do not span the chart space" in result.residuals
@@ -1477,20 +1529,19 @@ def test_a_preimage_solve_tracks_its_rescue_chart_only_below_want(
     target = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                        for _ in range(4)])
     sol = exact_preimage([con.gaussian(z) for z in target])
-    extract = np.array([[complex(v) for v in row]
-                        for row in projection_data()["extract_rows"]])
-    real = continuation.solve_projective
+    real = continuation.solve_stacked
     for want, charts in ((1, 1), (2, 2)):
         runs = []
 
-        def solve(*args):
-            assert args[3:] == ("preimage:0", 1)
-            runs.append(real(*args[:4], want))
-            return runs[-1]
+        def solve(problems, var_order):
+            (rows, seed, tag, given), = problems
+            assert (seed, tag, given) == (42, "preimage:0", 1)
+            runs.extend(real([(rows, seed, tag, want)], var_order))
+            return runs[-1:]
 
-        monkeypatch.setattr(continuation, "solve_projective", solve)
+        monkeypatch.setattr(continuation, "solve_stacked", solve)
         residuals = []
-        out = continuation._preimage_cross_check(42, 0, target, extract, sol,
+        out = continuation._preimage_cross_check(42, NumericRun(), sol,
                                                  residuals)
         (run,) = runs
         assert residuals == []
