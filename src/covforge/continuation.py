@@ -21,9 +21,9 @@ So a run's tracked solves of one variable order are one stack
 (`NumericRun.solve`), and each path ends bit for bit where it ends
 alone.  Whether an endpoint solves its system is decided once, by
 `solve_stacked`'s projective residual test, for a chart's endpoints as
-one stack; whether two points are one, by the chordal distance
-`_chordal_each` in complex doubles, for two point sets as one matrix
-(`_chordal_matrix`).
+one stack, and a solve's distinct endpoints are one (k, n) matrix;
+whether two points are one, by one chordal distance kernel in complex
+doubles, which compares two point sets as one matrix (`_chordal_matrix`).
 A census is its tracked solve plus its labels; a census point is its
 tracked double endpoint.  The points the construction stores exactly,
 four L0 points and at some triples four L1 points, are placed first and
@@ -47,7 +47,7 @@ The centroid of a k-root cluster is well conditioned (Zeng, Math. Comp.
 
 Fiber slices and preimages are counted exactly by `construction`; slice
 0 and one preimage target are still tracked here, as cross-checks
-planned as one stack like the censuses (`solve_plan`), the preimage on
+planned as one stack like the censuses (`NumericRun`), the preimage on
 one chart unless it misses the one regular endpoint the lemma claims.
 This is the one module that imports numpy.
 
@@ -243,12 +243,6 @@ class PathResult:
     status: str                     # accepted | stalled | diverged | polish
     x: np.ndarray
     steps: int = 0
-
-
-@dataclass
-class Endpoint:
-    x: np.ndarray                   # affine coordinates on the solve's chart
-    sv_min: float
 
 
 def _rng(seed, *tags) -> random.Random:
@@ -457,41 +451,37 @@ def track(system: CompiledSystem, streams) -> tuple[list[PathResult], int]:
                        steps=int(steps[i])) for i in range(count)], count
 
 
-def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Chordal distance of the projective point a to each row of a stack
-    (or of each row of a stack a to the same row of `points`), the sine
-    of the angle between representatives, from the 2x2 minors (each
-    taken twice, as (i, j) and (j, i)), so nearby points keep their
-    digits.  Entries and result are doubles, complex and real."""
-    minors = (a[..., :, None] * points[..., None, :]
-              - a[..., None, :] * points[..., :, None])
-    cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
-    norms = (np.sum(np.abs(a) ** 2, axis=-1)
-             * np.sum(np.abs(points) ** 2, axis=-1))
-    return np.sqrt(cross / norms)
-
-
 def _chordal_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The chordal distance of each row of the stack a to each row of the
-    stack b, bitwise `_chordal_each` of each row of a alone; compared
-    with a tolerance, the near matrix of two point sets.  Eight rows of
-    a at a time keep the minors' temporaries small."""
+    stack b, as projective points in complex doubles: the sine of the
+    angle between representatives, from the 2x2 minors (each taken
+    twice, as (i, j) and (j, i)), so nearby points keep their digits.
+    Entry (i, j) reads row i of a against row j of b; read the other way
+    it may differ in its last bit.  Compared with a tolerance, the near
+    matrix of two point sets.  Eight rows of a at a time keep the
+    minors' temporaries small."""
     out = np.empty((len(a), len(b)))
+    norms = np.sum(np.abs(b) ** 2, axis=-1)
     for i in range(0, len(a), 8):
-        out[i:i + 8] = _chordal_each(a[i:i + 8, None, :], b[None, :, :])
+        rows = a[i:i + 8, None, :]
+        minors = (rows[..., :, None] * b[None, :, None, :]
+                  - rows[..., None, :] * b[None, :, :, None])
+        cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
+        out[i:i + 8] = np.sqrt(
+            cross / (np.sum(np.abs(rows) ** 2, axis=-1) * norms))
     return out
 
 
-def _dedup(endpoints: list[Endpoint]) -> list[Endpoint]:
-    """The endpoints in order, less each one within TOL_DEDUP of an
-    endpoint kept before it."""
-    reps: list[Endpoint] = []
-    for e in endpoints:
-        kept = np.array([r.x for r in reps], dtype=complex)
-        if not np.any(_chordal_each(e.x, kept.reshape(-1, len(e.x)))
-                      < TOL_DEDUP):
-            reps.append(e)
-    return reps
+def _dedup(x: np.ndarray, sv_min: np.ndarray) -> tuple:
+    """The rows of the stack x in order, less each row within TOL_DEDUP
+    of a row kept before it, and their entries of the row-aligned
+    sv_min."""
+    near = _chordal_matrix(x, x) < TOL_DEDUP
+    keep: list[int] = []
+    for i, row in enumerate(near):
+        if not row[keep].any():
+            keep.append(i)
+    return x[keep], sv_min[keep]
 
 
 def solve_projective(rows: list[MPoly], var_order: tuple[str, ...],
@@ -517,21 +507,24 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
     failed path and fewer than `want` distinct endpoints above
     SV_REGULAR tracks every path again on a second random chart, all
     such systems as one more stack, and each endpoint found there is
-    rescaled onto the first, x / (c . x).  Per system, `_dedup` merges
-    them after chart 0's into `distinct`, all on `chart`, chart 0's c,
-    solving `system`; `rescue_added` counts the rescued ones, and
-    `accepted_count` adds them to chart 0's accepted paths; `failed`
-    lists chart 0's failed paths as (index, status), and `failures` the
-    failed `PathResult`s of each chart, with their last iterates.  Each
-    path moves in a stack as it moves alone, so each system's result is
-    bitwise the one it gets in a stack of one (`solve_projective`).
+    rescaled onto the first by its own x / (c . x).  Per system,
+    `_dedup` merges them after chart 0's into `distinct`, one (k, n)
+    array, (0, n) when empty, of points on `chart`, chart 0's c, solving
+    `system`, with the row-aligned array `sv_min`; `rescue_added` counts
+    the rescued ones, and `accepted_count` adds them to chart 0's
+    accepted paths; `failed` lists chart 0's failed paths as (index,
+    status), and `failures` the failed `PathResult`s of each chart, with
+    their last iterates.  Each path moves in a stack as it moves alone,
+    so each system's result is bitwise the one it gets in a stack of one
+    (`solve_projective`).
     """
     n = len(var_order)
     streams = [_rng(seed, tag) for _rows, seed, tag, _want in problems]
 
     def run_charts(members: list[int], chart_id: int) -> list[tuple]:
         """Chart `chart_id` of each member problem, tracked and gated as
-        one stack; per member (chart, system, results, accepted endpoints)."""
+        one stack; per member (chart, system, results, accepted endpoints
+        as one (k, n) array, their smallest singular values)."""
         charts = [_unit_row(streams[i], n) for i in members]
         stack = CompiledSystem(
             [problems[i][0] + [_linear_form(c, var_order, constant=-1.0)]
@@ -547,42 +540,43 @@ def solve_stacked(problems: list[tuple], var_order: tuple[str, ...]
         vals, jac = stack.evaluate(x / _norms(x)[:, None], owner[done])
         # the chart row, last, is pinned to 1 by construction
         ok = np.max(np.abs(vals[:, :-1]), axis=1, initial=0.0) < TOL_TRACK
-        sv = np.linalg.svd(jac[ok], compute_uv=False)
-        accepted: list[list] = [[] for _ in members]
+        sv = np.linalg.svd(jac[ok], compute_uv=False)[:, -1]
         for p in done[~ok]:
             results[p].status = "polish"
-        for p, s in zip(done[ok], sv[:, -1].tolist()):
-            accepted[owner[p]].append(Endpoint(x=results[p].x, sv_min=s))
+        mine = owner[done[ok]]
         bounds = np.cumsum([0, *stack.path_counts]).tolist()
         return [(chart, stack.member(k), results[bounds[k]:bounds[k + 1]],
-                 accepted[k]) for k, chart in enumerate(charts)]
+                 x[ok][mine == k], sv[mine == k])
+                for k, chart in enumerate(charts)]
 
     firsts = run_charts(list(range(len(problems))), 0)
-    distinct = [_dedup(accepted) for *_rest, accepted in firsts]
-    first_counts = list(map(len, distinct))
+    ends = [_dedup(x, sv) for *_rest, x, sv in firsts]
+    first_counts = [len(x) for x, _sv in ends]
     failures = [[[r for r in results if r.status != "accepted"]]
-                for _c, _s, results, _a in firsts]
+                for _c, _s, results, _x, _sv in firsts]
     rescue = [i for i, (*_given, want) in enumerate(problems)
               if failures[i][0]
-              and sum(e.sv_min > SV_REGULAR for e in distinct[i])
+              and np.count_nonzero(ends[i][1] > SV_REGULAR)
               < (firsts[i][1].path_counts[0] if want is None else want)]
-    for i, (*_rest, results, accepted) in zip(
+    for i, (*_rest, results, x, sv) in zip(
             rescue, run_charts(rescue, 1) if rescue else []):
         chart = firsts[i][0]
         failures[i].append([r for r in results if r.status != "accepted"])
-        distinct[i] = _dedup(distinct[i] + [
-            Endpoint(x=e.x / (chart @ e.x), sv_min=e.sv_min)
-            for e in accepted])
+        onto = np.array([row / (chart @ row) for row in x],
+                        dtype=complex).reshape(-1, n)
+        ends[i] = _dedup(np.concatenate([ends[i][0], onto]),
+                         np.concatenate([ends[i][1], sv]))
     return [{
         "system": system,
         "chart": chart,
-        "accepted_count": len(accepted) + len(distinct[i]) - first_counts[i],
-        "distinct": distinct[i],
+        "accepted_count": len(x) + len(ends[i][0]) - first_counts[i],
+        "distinct": ends[i][0],
+        "sv_min": ends[i][1],
         "path_count": system.path_counts[0],
         "failed": [(r.index, r.status) for r in failures[i][0]],
         "failures": failures[i],
-        "rescue_added": len(distinct[i]) - first_counts[i],
-    } for i, (chart, system, _results, accepted) in enumerate(firsts)]
+        "rescue_added": len(ends[i][0]) - first_counts[i],
+    } for i, (chart, system, _results, x, _sv) in enumerate(firsts)]
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +657,7 @@ def _counted_clusters(coeffs: list) -> list[int]:
     centres = np.array([c for c, _rho, _k in discs])
     radii = np.array([rho for _c, rho, _k in discs])
     first, second = np.triu_indices(len(discs), 1)
-    apart = _chordal_each(centres[first], centres[second])
+    apart = _chordal_matrix(centres, centres)[first, second]
     margin = radii[first] + radii[second]
     if np.any(apart <= margin):
         raise UndecidedOctic("two Pellet discs overlap")
@@ -693,7 +687,7 @@ def _chordal_groups(points: list, radius: float) -> list[list[int]]:
 
     first, second = np.triu_indices(len(points), 1)  # combinations order
     for i, j, d in zip(first.tolist(), second.tolist(),
-                       _chordal_each(doubles[first], doubles[second])):
+                       _chordal_matrix(doubles, doubles)[first, second]):
         if d < radius:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
@@ -852,8 +846,7 @@ def count_stratum_points(r: tuple, seed, solved: dict) -> StratumCensus:
     label and the reason, and each endpoint whose stratum is "?".
     """
     r = construction.admissible_triple(r)
-    ends = np.array([e.x for e in solved["distinct"]],
-                    dtype=complex).reshape(-1, 6)
+    ends = solved["distinct"]
     points: list = [None] * len(ends)
     name = f"census ({r[0]}, {r[1]}, {r[2]}) at seed {seed}"
 
@@ -989,13 +982,13 @@ def _preimage_target(seed, trial: int) -> np.ndarray:
                      for _ in range(4)])
 
 
-def _preimage_problem(r: tuple, seed) -> tuple:
+def _preimage_problem(r: tuple, seed, extract_rows: list) -> tuple:
     """Preimage trial 0 on the fiber over r as a `solve_stacked` problem
     that wants one regular endpoint: the fiber equations and three rows,
-    the minors of the projected point against the target n."""
+    the minors of the point projected by the exact `extract_rows` of
+    `construction.projection_data` against the target n."""
     n = _preimage_target(seed, 0)
-    extract = np.array([[complex(v) for v in row] for row
-                        in construction.projection_data()["extract_rows"]])
+    extract = np.array([[complex(v) for v in row] for row in extract_rows])
     pivot = int(np.argmax(np.abs(n)))
     align = [_linear_form(n[j] * extract[pivot] - n[pivot] * extract[j],
                           Y_NAMES) for j in range(4) if j != pivot]
@@ -1016,11 +1009,10 @@ def fiber_probe(r: tuple, seed, slice_count: int,
     r = tuple(map(as_exact, r))
     slices = [numeric.exact_slice(r, seed, s) for s in range(slice_count)]
     run = numeric.solve("slice", r, seed)
-    ends = np.array([e.x for e in run["distinct"]], dtype=complex)
-    exact0 = np.array(conic_points(slices[0]), dtype=complex)
-    chordal = np.min(_chordal_matrix(ends.reshape(-1, len(Y_NAMES)),
-                                     exact0.reshape(-1, len(Y_NAMES))),
-                     axis=1, initial=math.inf).tolist()
+    exact0 = np.array(conic_points(slices[0]),
+                      dtype=complex).reshape(-1, len(Y_NAMES))
+    chordal = np.min(_chordal_matrix(run["distinct"], exact0), axis=1,
+                     initial=math.inf).tolist()
     return {
         "slice_counts": [sl["count"] for sl in slices],
         "slice_reasons": [sl["reason"] for sl in slices],
@@ -1033,48 +1025,47 @@ def fiber_probe(r: tuple, seed, slice_count: int,
 SMALL_R = tuple(v * _F(1, 100000) for v in construction.SAMPLE_R)
 
 
-def solve_plan(check_ids, seed: int, sample_r: tuple) -> list[tuple]:
-    """The tracked solves (kind, r, seed) that the numeric checks with
-    these ids ask their `NumericRun` for, check by check, in the order
-    they ask: censuses, and `numeric/fiber_5`'s fiber slice 0 and, when
-    the projection has extraction rows, preimage trial 0."""
-    origin = (_F(0),) * 3
-    preimage = [("preimage", origin, seed)] if (
-        construction.projection_data()["extract_rows"] is not None) else []
-    asks = {
-        "numeric/lemma6_2": [("census", sample_r, seed),
-                             ("census", origin, seed)],
-        "numeric/fiber_5": [("slice", origin, seed), ("census", origin, seed),
-                            ("census", SMALL_R, seed), *preimage],
-        "numeric/seed_stability": [("census", sample_r, seed + k)
-                                   for k in range(3)],
-    }
-    return [solve for cid in check_ids for solve in asks.get(cid, ())]
-
-
 class NumericRun:
-    """The tracked solves and census labels of one battery run, shared
-    by its numeric checks.
+    """The projection data, tracked solves and census labels of one
+    battery run, shared by its numeric checks.
 
-    `solve(kind, r, seed)` is the one way to a tracked solve: a "census"
-    over CHART_VARS, or fiber "slice" 0 or "preimage" trial 0 over
-    Y_NAMES.  `plan` lists the solves the run's checks will ask for
-    (`solve_plan`), and the first request for a solve tracks it and
-    every planned solve of its variable order not yet solved, each once,
-    as one stack (`solve_stacked`); a solve not in the plan is tracked
-    alone once the plan of its order is solved.  A census is its tracked
-    solve plus its labels: `census` labels a solve the first time it is
-    asked for, through the module's `count_stratum_points`, so a tracer
-    that wraps that attribute sees every labelled census.  The exact
-    fiber slices are kept the same way, so slice 0 at seed S, which
-    `numeric/fiber_5` and `numeric/seed_stability` both count, is counted
-    once.  The fiber probe is not stored: `numeric/fiber_5` alone asks
-    for it.
+    A run for the numeric checks `check_ids` at (seed, sample_r) reads
+    `construction.projection_data` once, as `projection`, and lists in
+    `plan` the solves (kind, r, seed) its checks will ask for, check by
+    check, in the order they ask: censuses, and `numeric/fiber_5`'s
+    fiber slice 0 and, when the projection has extraction rows, preimage
+    trial 0, which they align.  `solve(kind, r, seed)` is the one way to
+    a tracked solve: a "census" over CHART_VARS, or fiber "slice" 0 or
+    "preimage" trial 0 over Y_NAMES.  The first request for a solve
+    tracks it and every planned solve of its variable order not yet
+    solved, each once, as one stack (`solve_stacked`); a solve not in
+    the plan is tracked alone once the plan of its order is solved.  A
+    census is its tracked solve plus its labels: `census` labels a solve
+    the first time it is asked for, through the module's
+    `count_stratum_points`, so a tracer that wraps that attribute sees
+    every labelled census.  The exact fiber slices are kept the same
+    way, so slice 0 at seed S, which `numeric/fiber_5` and
+    `numeric/seed_stability` both count, is counted once.  The fiber
+    probe is not stored: `numeric/fiber_5` alone asks for it.
     """
 
-    def __init__(self, plan=()) -> None:
-        self._plan = list(dict.fromkeys(
-            (kind, tuple(map(as_exact, r)), seed) for kind, r, seed in plan))
+    def __init__(self, check_ids=(), seed: int = 0,
+                 sample_r: tuple = ()) -> None:
+        self.projection = construction.projection_data()
+        rows = self.projection["extract_rows"]
+        origin = (_F(0),) * 3
+        preimage = [("preimage", origin, seed)] if rows is not None else []
+        asks = {
+            "numeric/lemma6_2": [("census", sample_r, seed),
+                                 ("census", origin, seed)],
+            "numeric/fiber_5": [("slice", origin, seed),
+                                ("census", origin, seed),
+                                ("census", SMALL_R, seed), *preimage],
+            "numeric/seed_stability": [("census", sample_r, seed + k)
+                                       for k in range(3)],
+        }
+        self.plan = [(kind, tuple(map(as_exact, r)), s)
+                     for cid in check_ids for kind, r, s in asks.get(cid, ())]
         self._solved: dict = {}
         self._results: dict = {}
         self._slices: dict = {}
@@ -1082,11 +1073,13 @@ class NumericRun:
     def solve(self, kind: str, r: tuple, seed: int) -> dict:
         key = (kind, tuple(map(as_exact, r)), seed)
         if key not in self._solved:
+            rows = self.projection["extract_rows"]
             builders = {"census": (_census_problem, CHART_VARS),
                         "slice": (_slice_problem, Y_NAMES),
-                        "preimage": (_preimage_problem, Y_NAMES)}
+                        "preimage": (lambda t, s: _preimage_problem(t, s, rows),
+                                     Y_NAMES)}
             order = builders[kind][1]
-            todo = [k for k in dict.fromkeys([*self._plan, key])
+            todo = [k for k in dict.fromkeys([*self.plan, key])
                     if k not in self._solved and builders[k[0]][1] == order]
             self._solved.update(zip(todo, solve_stacked(
                 [builders[k][0](t, s) for k, t, s in todo], order)))
@@ -1139,7 +1132,7 @@ def check_stratum_counts(seed: int, sample_r: tuple,
             f"(failed paths: {run['failed']})")
     if census.partition != expected:
         residuals.append(f"partition {census.partition} != {expected}")
-    min_sv = min((e.sv_min for e in run["distinct"]), default=math.inf)
+    min_sv = min(run["sv_min"].tolist(), default=math.inf)
     if min_sv <= SV_REGULAR:
         residuals.append(
             f"smallest endpoint singular value {min_sv:.3e} is not "
@@ -1266,7 +1259,8 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
                          f"{len(images)} != 4 at the parameter origin")
     if spread > 1e-6:
         residuals.append(f"chart images disagree (spread {spread:.2e})")
-    if len(images) and _chordal_each(exact_image, images[:1])[0] > 1e-6:
+    if len(images) and _chordal_matrix(exact_image[None],
+                                       images[:1])[0, 0] > 1e-6:
         residuals.append(
             "chart image of the non-multiple-root orbit misses the "
             "stored fiber point")
@@ -1279,12 +1273,12 @@ def check_fiber_geometry(seed: int, numeric: NumericRun) -> CheckResult:
         residuals.append(
             f"small-parameter image: count {len(images_small)}, spread "
             f"{spread_small:.2e}")
-    elif _chordal_each(exact_image, images_small[:1])[0] > 1e-2:
+    elif _chordal_matrix(exact_image[None], images_small[:1])[0, 0] > 1e-2:
         residuals.append("small-parameter image is not close to the "
                          "parameter-origin image")
 
-    # Exact projection data.
-    proj = construction.projection_data()
+    # Exact projection data, as the run read it.
+    proj = numeric.projection
     if proj["center_rank"] != 5:
         residuals.append(f"center rank {proj['center_rank']} != 5")
     if proj["target_rank"] != 4:
@@ -1395,15 +1389,15 @@ def _preimage_cross_check(seed: int, numeric: NumericRun, sol: dict,
     their last iterate is the last point they accepted on the path, not
     an endpoint of F."""
     run = numeric.solve("preimage", (_F(0),) * 3, seed)
-    regular = [e for e in run["distinct"] if e.sv_min > SV_REGULAR]
+    regular = run["distinct"][run["sv_min"] > SV_REGULAR]
     chordal = None
     if len(regular) != 1 or sol["point"] is None:
         residuals.append(
             f"preimage cross-check: {len(regular)} regular homotopy "
             f"endpoints against {sol['count']} exact preimages")
     else:
-        chordal = float(_chordal_each(
-            regular[0].x, np.array([[complex(v) for v in sol["point"]]]))[0])
+        chordal = float(_chordal_matrix(
+            regular, np.array([[complex(v) for v in sol["point"]]]))[0, 0])
         if chordal >= TOL_MATCH:
             residuals.append(
                 f"preimage cross-check: the homotopy endpoint is "
@@ -1452,8 +1446,7 @@ def check_seed_stability(seed: int, sample_r: tuple,
     census = numeric.census(r, seed)
     residuals.extend(census.notes)
     for s in seeds[1:]:
-        distinct = numeric.solve("census", r, s)["distinct"]
-        ends = np.array([e.x for e in distinct], dtype=complex).reshape(-1, 6)
+        ends = numeric.solve("census", r, s)["distinct"]
         residuals.extend(_stored_points(r, s, ends)[2])
         near = _chordal_matrix(census.endpoints, ends) < TOL_MATCH
         residuals.extend(

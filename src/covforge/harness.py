@@ -154,14 +154,16 @@ def run(config: RunConfig) -> Report:
     Exact checks run before numeric ones, in registry order; the report
     is ordered by check id.  Each result carries its registry id and
     paper anchor and the milliseconds of its one call.  Selected numeric
-    checks share one NumericRun, which is told the solves they will ask
-    for, so that it can track them together.  Raises as `select` does
-    for a malformed config or an empty selection.
+    checks share one NumericRun, built for them: it reads the projection
+    data once and plans the solves they will ask for, so that it can
+    track them together.  Raises as `select` does for a malformed config
+    or an empty selection.
     """
     selected = select(config)
     numeric_ids = [cid for cid, _a, kind, _f in selected if kind == "numeric"]
-    numeric = (_numeric().NumericRun(_numeric().solve_plan(
-        numeric_ids, config.seed, config.sample_r)) if numeric_ids else None)
+    numeric = (_numeric().NumericRun(numeric_ids, config.seed,
+                                     config.sample_r)
+               if numeric_ids else None)
     results = []
     for phase in ("exact", "numeric"):
         for cid, anchor, kind, fn in selected:

@@ -4,7 +4,7 @@ import pytest
 
 from covforge import harness
 from covforge.construction import SAMPLE_R
-from covforge.continuation import NumericRun, solve_plan
+from covforge.continuation import NumericRun
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def numeric_run():
     does: the solves of every numeric check are planned and tracked as
     one stack per variable order."""
     numeric = [c for c in harness.check_ids() if c.startswith("numeric/")]
-    return NumericRun(solve_plan(numeric, 42, SAMPLE_R))
+    return NumericRun(numeric, 42, SAMPLE_R)
 
 
 @pytest.fixture(scope="session")

@@ -310,3 +310,173 @@ def test_the_scaling_suite_finds_a_bracket_weight_off_by_one(monkeypatch):
     result = checks.check_scaling_1_1(seed=42)
     assert result.status == "fail"
     assert result.residuals == ("trial 0: rescaling law fails",)
+
+
+# Each symbolic check, fed one falsified stored input of `construction`,
+# fails and names the defect.  The session's unpatched symbolic run has
+# already filled every cache derived from that input, so the defect
+# reaches the check under test alone, and nothing cached outlives it.
+
+
+def _with_term(name: str, k: int, term: MPoly):
+    """The stored polynomial tuple `construction.<name>()` with `term`
+    added to its entry k."""
+    parts = list(getattr(construction, name)())
+    parts[k] = parts[k] + term
+    return lambda: tuple(parts)
+
+
+def test_the_expansion_check_finds_a_wrong_quadric_coefficient(
+        monkeypatch, symbolic_results):
+    monkeypatch.setattr(construction, "pure_quadric_parts", _with_term(
+        "pure_quadric_parts", 2, MPoly.var("x2") * MPoly.var("x3")))
+    result = checks.check_expansion_1_2()
+    assert result.status == "fail"
+    assert result.residuals == (
+        "spot coefficient x2*x3 in the third pure quadric is not 624",)
+
+
+def test_the_group_check_finds_a_swapped_block_permutation(
+        monkeypatch, symbolic_results):
+    perm = {g: dict(m) for g, m in construction.block_permutation().items()}
+    perm["tau"][1], perm["tau"][2] = perm["tau"][2], perm["tau"][1]
+    monkeypatch.setattr(construction, "block_permutation", lambda: perm)
+    result = checks.check_group_structure()
+    assert result.status == "fail"
+    assert result.residuals[0] == ("stored 3-set permutations do not "
+                                   "generate all six permutations")
+    assert "coset-to-permutation map is not injective" in result.residuals
+    assert result.residuals[-1] == "... and 11 more"
+
+
+def test_the_invariant_check_finds_a_wrong_fixed_basis_vector(
+        monkeypatch, symbolic_results):
+    # unit vector 5 in place of 6 in the diagonal subgroup's fixed basis
+    basis = tuple(construction.unit15(i) for i in (5, 7, 8, 9, 10, 11))
+    monkeypatch.setattr(construction, "expected_h_fixed", lambda: basis)
+    result = checks.check_equivariance_and_invariant_spaces()
+    assert result.status == "fail"
+    assert result.residuals == (
+        "diagonal-subgroup fixed space differs from the stored basis",)
+
+
+def test_the_jacobian_check_finds_a_wrong_restricted_row(
+        monkeypatch, symbolic_results):
+    monkeypatch.setattr(construction, "restricted_system_3_2", _with_term(
+        "restricted_system_3_2", 2, MPoly.var("x1") * MPoly.var("x7")))
+    result = checks.check_jacobians()
+    assert result.status == "fail"
+    assert result.residuals == tuple(
+        f"restricted Jacobian at the invariant octic (eps={eps}) differs "
+        "from the frozen row pattern" for eps in ("1", "7/3"))
+
+
+def test_the_orbit_check_finds_a_wrong_quadratic(monkeypatch,
+                                                 symbolic_results):
+    wrong = (construction.expected_orbit_quadratic()
+             + MPoly.var("alpha1") * MPoly.var("alpha3"))
+    monkeypatch.setattr(construction, "expected_orbit_quadratic",
+                        lambda: wrong)
+    result = checks.check_lemma_4_2()
+    assert result.status == "fail"
+    assert result.residuals == (
+        "stored image row 3 vs. quadratic times invariant target: nonzero "
+        "(1 terms; -2*alpha1*alpha3)",
+        "literal image row 3 vs. twice the product: nonzero (1 terms; "
+        "-4*alpha1*alpha3)",
+        "stored image row 4 vs. quadratic times invariant target: nonzero "
+        "(1 terms; -i*alpha1*alpha3)",
+        "literal image row 4 vs. twice the product: nonzero (1 terms; "
+        "-2*i*alpha1*alpha3)",
+        "stored image row 5 vs. quadratic times invariant target: nonzero "
+        "(1 terms; -1*alpha1*alpha3)",
+        "literal image row 5 vs. twice the product: nonzero (1 terms; "
+        "-2*alpha1*alpha3)",
+        "quadratic does not vanish on the crossing direction")
+
+
+def test_the_derivation_check_finds_a_wrong_chart_numerator(
+        monkeypatch, symbolic_results):
+    monkeypatch.setattr(construction, "chart_numerators_symbolic",
+                        _with_term("chart_numerators_symbolic", 0,
+                                   MPoly.var("x1")))
+    result = checks.check_derivation_4_5()
+    assert result.status == "fail"
+    assert result.residuals[0] == (
+        "cleared chart equation 1 vs. multiplier times sliced row: nonzero "
+        "(6 terms; -192*x1^3*x2^2*r2^2, -192*x1^3*x3^2*r3^2, "
+        "-96*x1^3*x2^2*r2)")
+    assert ("omega: chart minor (y1, y2): nonzero (1 terms; -2*x1^3*x3^2)"
+            in result.residuals)
+
+
+def test_the_strata_check_finds_a_moved_sparse_solution(monkeypatch,
+                                                        symbolic_results):
+    points = dict(construction.special_points())
+    (a, b, c), *rest = points["sparse_solutions"]
+    points["sparse_solutions"] = ((a, b, c + 1), *rest)
+    monkeypatch.setattr(construction, "special_points", lambda: points)
+    result = checks.check_strata_6()
+    assert result.status == "fail"
+    assert result.residuals == (
+        "stored sparse solutions differ from the branch roots",
+        f"sparse solution {(a, b, c + 1)!r} fails quadric 2")
+
+
+# The committed failing case of every check the harness can select.
+FAILING_CASES = {
+    "symbolic/expansion_1_2": (
+        "test_checks.py",
+        "test_the_expansion_check_finds_a_wrong_quadric_coefficient"),
+    "symbolic/action_table_3_1": (
+        "test_checks.py",
+        "test_action_table_check_lists_the_calibration_mismatches"),
+    "symbolic/group_structure": (
+        "test_checks.py",
+        "test_the_group_check_finds_a_swapped_block_permutation"),
+    "symbolic/equivariance_invariants": (
+        "test_checks.py",
+        "test_the_invariant_check_finds_a_wrong_fixed_basis_vector"),
+    "symbolic/jacobians": (
+        "test_checks.py",
+        "test_the_jacobian_check_finds_a_wrong_restricted_row"),
+    "symbolic/lemma_4_2": (
+        "test_checks.py", "test_the_orbit_check_finds_a_wrong_quadratic"),
+    "symbolic/derivation_4_5": (
+        "test_checks.py",
+        "test_the_derivation_check_finds_a_wrong_chart_numerator"),
+    "symbolic/strata_6": (
+        "test_checks.py",
+        "test_the_strata_check_finds_a_moved_sparse_solution"),
+    "property/field_axioms": (
+        "test_checks.py",
+        "test_the_field_axiom_suite_finds_a_wrong_product_on_one_class_of_"
+        "pairs"),
+    "property/mpoly_ring": (
+        "test_checks.py",
+        "test_the_polynomial_ring_suite_finds_a_wrong_product_of_long_"
+        "factors"),
+    "property/transvectants": (
+        "test_checks.py",
+        "test_the_transvectant_suite_finds_a_weight_off_by_one"),
+    "property/scaling_1_1": (
+        "test_checks.py",
+        "test_the_scaling_suite_finds_a_bracket_weight_off_by_one"),
+    "numeric/lemma6_2": (
+        "test_continuation.py",
+        "test_an_orbit_image_that_matches_no_point_is_named"),
+    "numeric/fiber_5": (
+        "test_continuation.py",
+        "test_a_singular_projection_is_a_residual_not_an_error"),
+    "numeric/seed_stability": (
+        "test_continuation.py",
+        "test_a_point_of_census_s_missing_at_s_plus_1_is_named"),
+}
+
+
+def test_every_check_has_a_committed_failing_case():
+    assert sorted(FAILING_CASES) == sorted(harness.check_ids())
+    sources = {module: (Path(__file__).parent / module).read_text("utf-8")
+               for module, _name in FAILING_CASES.values()}
+    for check_id, (module, name) in FAILING_CASES.items():
+        assert f"\ndef {name}(" in sources[module], (check_id, module, name)

@@ -27,12 +27,11 @@ from covforge.continuation import (CLUSTER_RADIUS, SMALL_R, TOL_MATCH,
                                    CompiledSystem, NumericRun,
                                    UndecidedOctic, _census_problem,
                                    _preimage_problem, _slice_problem,
-                                   _chordal_each, _chordal_groups,
-                                   _chordal_matrix,
+                                   _chordal_groups, _chordal_matrix,
                                    _classify_point, _counted_clusters,
                                    _fiber_point_ranks, _linear_form,
                                    _predict, _rng, _slice_rows,
-                                   _solve_stack, _start_system, solve_plan,
+                                   _solve_stack, _start_system,
                                    check_fiber_geometry,
                                    check_seed_stability,
                                    check_stratum_counts, conic_points,
@@ -53,11 +52,24 @@ def test_seeded_streams_are_reproducible_and_independent():
 
 
 def test_chordal_distance_ignores_scale_and_phase():
-    v = np.array([1.0 + 0j, 2.0, -1.0])
-    assert _chordal_each(v, np.array([3.7j * v]))[0] < 1e-12
-    e1 = np.array([1.0 + 0j, 0.0])
-    e2 = np.array([0.0j, 1.0])
-    assert abs(_chordal_each(e1, np.array([e2]))[0] - 1.0) < 1e-12
+    v = np.array([[1.0 + 0j, 2.0, -1.0]])
+    assert _chordal_matrix(v, 3.7j * v)[0, 0] < 1e-12
+    e1 = np.array([[1.0 + 0j, 0.0]])
+    e2 = np.array([[0.0j, 1.0]])
+    assert abs(_chordal_matrix(e1, e2)[0, 0] - 1.0) < 1e-12
+
+
+def _chordal_each(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The oracle of `_chordal_matrix`: the chordal distance of the
+    projective point a to each row of a stack (or of each row of a stack
+    a to the same row of `points`), from the 2x2 minors, one point or
+    one pair at a time, as the package once computed it."""
+    minors = (a[..., :, None] * points[..., None, :]
+              - a[..., None, :] * points[..., :, None])
+    cross = 0.5 * np.sum(np.abs(minors) ** 2, axis=(-2, -1))
+    norms = (np.sum(np.abs(a) ** 2, axis=-1)
+             * np.sum(np.abs(points) ** 2, axis=-1))
+    return np.sqrt(cross / norms)
 
 
 def test_the_chordal_matrix_is_each_row_s_distances_bit_for_bit():
@@ -86,6 +98,16 @@ def test_the_chordal_matrix_is_each_row_s_distances_bit_for_bit():
     assert _chordal_matrix(a[:0], b).shape == (0, 7)
     assert _chordal_matrix(a, b[:0]).shape == (11, 0)
     assert _chordal_matrix(a[:0], b[:0]).shape == (0, 0)
+    # every ordered pair (i, j), i != j, of a set's matrix against
+    # itself is the pair's own distance, row i against row j, as the
+    # dedup, the root groups and the Pellet discs read it
+    for n in (2, 6, 9):
+        p = rng.normal(size=(19, n)) + 1j * rng.normal(size=(19, n))
+        p[3] = (0.3 - 2j) * p[2] + 1e-9 * p[7]
+        p[11] = -1j * p[10]
+        first, second = np.nonzero(~np.eye(len(p), dtype=bool))
+        assert (_chordal_matrix(p, p)[first, second].tobytes()
+                == _chordal_each(p[first], p[second]).tobytes()), n
 
 
 def _hits(points, target) -> list[int]:
@@ -340,7 +362,9 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
     # the run's fiber stack, slice 0 and preimage trial 0 over Y_NAMES:
     # each path, endpoint and count as in the lone solve
     def solved(run):
-        return ([(e.x.tobytes(), e.sv_min) for e in run["distinct"]],
+        return ([(x.tobytes(), sv) for x, sv
+                 in zip(run["distinct"], run["sv_min"].tolist(),
+                        strict=True)],
                 run["path_count"], run["accepted_count"], run["failed"],
                 run["rescue_added"], run["chart"].tobytes(),
                 [[(r.index, r.status, r.steps, r.x.tobytes()) for r in f]
@@ -349,7 +373,8 @@ def test_stacked_paths_take_the_steps_of_lone_paths(monkeypatch):
     origin = (Fraction(0),) * 3
     for seed in (1, 7, 42):
         problems = [_slice_problem(origin, seed),
-                    _preimage_problem(origin, seed)]
+                    _preimage_problem(origin, seed,
+                                      projection_data()["extract_rows"])]
         charts.clear()
         runs = solve_stacked(problems, con.Y_NAMES)
         stacked = charts[0]
@@ -381,18 +406,19 @@ def test_the_plan_is_the_censuses_each_numeric_check_asks_for(
         "numeric/seed_stability": lambda: check_seed_stability(
             42, SAMPLE_R, numeric_run),
     }
+    def plan(check_ids):
+        return NumericRun(check_ids, 42, SAMPLE_R).plan
+
     for cid, run_check in checks.items():
         asked.clear()
         assert run_check().ok
         assert asked == [(kind, tuple(map(Fraction, r)), seed) for
-                         kind, r, seed in solve_plan([cid], 42, SAMPLE_R)], cid
-    assert solve_plan(list(checks), 42, SAMPLE_R) == [
-        solve for cid in checks for solve in solve_plan([cid], 42,
-                                                        SAMPLE_R)]
+                         kind, r, seed in plan([cid])], cid
+    assert plan(list(checks)) == [
+        solve for cid in checks for solve in plan([cid])]
     # numeric/fiber_5 tracks fiber slice 0 and preimage trial 0 too
-    assert [kind for kind, _r, _seed in solve_plan(
-        ["numeric/fiber_5"], 42, SAMPLE_R)] == [
-            "slice", "census", "census", "preimage"]
+    assert [kind for kind, _r, _seed in plan(["numeric/fiber_5"])] == [
+        "slice", "census", "census", "preimage"]
 
 
 def test_tracking_a_univariate_quadratic_finds_both_roots():
@@ -427,7 +453,7 @@ def test_projective_solver_recovers_the_four_sparse_solutions():
                          (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))])
                for p in con.special_points()["sparse_solutions"]]
     for t in targets:
-        best = _chordal_each(t, np.array([e.x for e in run["distinct"]])).min()
+        best = _chordal_matrix(t[None], run["distinct"]).min()
         assert best < 1e-6  # the endpoint-identification tolerance
 
 
@@ -441,10 +467,34 @@ def test_a_nan_endpoint_is_never_accepted(monkeypatch):
     monkeypatch.setattr(continuation, "track", nan_track)
     with np.errstate(invalid="ignore"):
         run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42, "nan")
-    assert run["distinct"] == []
+    assert run["distinct"].shape == (0, 3) and run["sv_min"].shape == (0,)
     assert run["accepted_count"] == 0
     assert [(r.index, r.status) for r in run["failures"][0]] == [(0, "polish")]
     assert run["failed"] == [(0, "polish")]
+
+
+def test_a_rescue_chart_that_adds_no_endpoint_keeps_chart_0_s(monkeypatch):
+    # chart 0 of the sparse system loses its first path, so a rescue
+    # chart runs; every path of that chart diverges, so it adds nothing
+    charts = []
+
+    def losing(system, streams):
+        results, count = track(system, streams)
+        for r in results if charts else results[:1]:
+            r.status = "diverged"
+        charts.append(results)
+        return results, count
+
+    monkeypatch.setattr(continuation, "track", losing)
+    run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
+                           "sparse-test")
+    assert len(charts) == len(run["failures"]) == 2
+    assert [len(f) for f in run["failures"]] == [1, 4]
+    assert run["failed"] == [(0, "diverged")]
+    assert run["rescue_added"] == 0 and run["accepted_count"] == 3
+    assert run["distinct"].shape == (3, 3) and run["sv_min"].shape == (3,)
+    assert run["distinct"].tobytes() == np.array(
+        [r.x for r in charts[0][1:]]).tobytes()
 
 
 def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
@@ -473,8 +523,9 @@ def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
         statuses.append(status)
     assert [r.status for r in results] == statuses
     assert statuses.count("polish") == 4 and len(sv_min) == 28
-    got = {p: e.sv_min.hex() for e in run["distinct"]
-           for p, r in enumerate(results) if e.x is r.x}
+    got = {p: sv.hex() for x, sv in zip(run["distinct"],
+                                        run["sv_min"].tolist())
+           for p, r in enumerate(results) if x.tobytes() == r.x.tobytes()}
     assert got == sv_min
 
 
@@ -517,7 +568,7 @@ def test_the_polish_reaches_the_working_precision():
     # Gaussian rationals, onto its exact sparse anchor
     run = solve_projective(_sparse_rows(), ("x7", "x8", "x9"), 42,
                            "sparse-test")
-    polished = [mp_polish(run["system"], e.x) for e in run["distinct"]]
+    polished = [mp_polish(run["system"], x) for x in run["distinct"]]
     assert all(v.coords[1] == v.coords[3] == 0
                for x in polished for v in x)
     for p in con.special_points()["sparse_solutions"]:
@@ -528,7 +579,7 @@ def test_the_polish_reaches_the_working_precision():
 
 def _exact_chordal_squared(a, b) -> Fraction:
     """The squared chordal distance of two exact vectors, from the 2x2
-    minors, as `_chordal_each` takes it, computed exactly."""
+    minors, as `_chordal_matrix` takes it, computed exactly."""
     def norm2(z):
         z = as_cyc(z)
         return (z * z.conj()).coords[0]
@@ -559,15 +610,14 @@ def test_polished_census_points_match_the_golden_file(numeric_run):
         con.admissible_triple(SAMPLE_R), 42)
     run = solve_projective(rows, CHART_VARS, seed, tag)
     # the census's points are the endpoints of this solve
-    assert np.array_equal(census.endpoints,
-                          np.array([e.x for e in run["distinct"]]))
+    assert np.array_equal(census.endpoints, run["distinct"])
     assert len(census.points) == len(golden["points"])
     with mp.workdps(45):
-        for e, point, want in zip(run["distinct"], census.points,
-                                  golden["points"]):
+        for end, point, want in zip(run["distinct"], census.points,
+                                    golden["points"]):
             assert point.stratum == want["stratum"]
             assert point.multiple_root == want["multiple_root"]
-            for x, (re, im) in zip(mp_polish(run["system"], e.x),
+            for x, (re, im) in zip(mp_polish(run["system"], end),
                                    want["coords"], strict=True):
                 w = mp.mpc(re, im)
                 assert abs(_mp_value(x) - w) <= 1e-36 * (1 + abs(w))
@@ -715,7 +765,7 @@ def test_a_stored_point_off_the_census_is_named_and_its_endpoint_classified(
     monkeypatch.setattr(con, "census_anchors", moved)
     monkeypatch.setattr(continuation, "mp_polish",
                         _counting(calls, "mp_polish"))
-    fresh = NumericRun(solve_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    fresh = NumericRun(["numeric/lemma6_2"], 42, SAMPLE_R)
     result = check_stratum_counts(42, SAMPLE_R, fresh)
     assert list(result.residuals) == [
         f"census (10, 1/2, 1/3) at seed 42: stored point "
@@ -760,7 +810,8 @@ def test_an_endpoint_off_census_s_is_named_both_ways_and_not_polished(
     endpoints = census.endpoints.copy()
     endpoints[j] = _moved(target, 1e-6)
     moved = dataclasses.replace(census, endpoints=endpoints)
-    assert TOL_MATCH < _chordal_each(endpoints[j], target[None])[0] < 1.1e-6
+    assert TOL_MATCH < _chordal_matrix(endpoints[j:j + 1],
+                                       target[None])[0, 0] < 1.1e-6
 
     real = continuation.count_stratum_points
 
@@ -777,8 +828,7 @@ def test_an_endpoint_off_census_s_is_named_both_ways_and_not_polished(
         # the endpoint at the unmoved point matches no point of census
         # 42, and the moved point of census 42 matches no endpoint
         run = numeric_run.solve("census", SAMPLE_R, seed)
-        ends = [e.x for e in run["distinct"]]
-        hits = _hits(ends, target)
+        hits = _hits(run["distinct"], target)
         assert len(hits) == 1
         named += [
             f"seed {seed}: endpoint {hits[0]} matches no point of seed 42",
@@ -797,10 +847,11 @@ def test_a_point_of_census_s_missing_at_s_plus_1_is_named(
         run = solve(kind, r, seed)
         if seed != 43:
             return run
-        keep = [e for e in run["distinct"]
-                if not _hits([e.x], census.endpoints[j])]
-        assert len(keep) == len(run["distinct"]) - 1
-        return {**run, "distinct": keep}
+        keep = np.array([not _hits([x], census.endpoints[j])
+                         for x in run["distinct"]])
+        assert keep.sum() == len(run["distinct"]) - 1
+        return {**run, "distinct": run["distinct"][keep],
+                "sv_min": run["sv_min"][keep]}
 
     monkeypatch.setattr(numeric_run, "solve", dropped)
     result = check_seed_stability(42, SAMPLE_R, numeric_run)
@@ -884,9 +935,9 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
     monkeypatch.setattr(continuation, "_exact_residual",
                         _counting(calls, "_exact_residual"))
     steps, sizes = [], []
-    for e in run["distinct"]:
+    for end in run["distinct"]:
         calls["_exact_residual"] = 0
-        x = mp_polish(run["system"], e.x)
+        x = mp_polish(run["system"], end)
         steps.append(calls["_exact_residual"])
         sizes.append(max(abs(complex(v)) for v in x))
     assert run["rescue_added"] == 4
@@ -896,11 +947,12 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
     assert len(charts) == 2
     first = [r.x for r in charts[0] if r.status == "accepted"]
     assert len(first) == 28
-    assert [id(e.x) for e in run["distinct"][:28]] == list(map(id, first))
-    assert not any(e.x is x for e in run["distinct"][28:] for x in first)
+    assert run["distinct"][:28].tobytes() == np.array(first).tobytes()
+    assert not any(end.tobytes() == x.tobytes()
+                   for end in run["distinct"][28:] for x in first)
     # every endpoint, rescued ones too, lies on the census chart
-    for e in run["distinct"]:
-        assert abs(run["chart"] @ e.x - 1) < 1e-8
+    for end in run["distinct"]:
+        assert abs(run["chart"] @ end - 1) < 1e-8
     assert sum(size > 50 for size in sizes) == 3
     assert max(steps) <= 5
 
@@ -930,7 +982,7 @@ def test_census_at_the_sample_parameters_is_complete_and_cached(numeric_run):
     assert run["accepted_count"] == 32
     assert len(census.points) == 32
     assert run["failed"] == []
-    assert min(e.sv_min for e in run["distinct"]) > 1e-6
+    assert run["sv_min"].min() > 1e-6
     assert sum(census.partition.values()) == 32
     # shared within a run: the identical query returns the same object,
     # also when the triple is given as ints
@@ -955,8 +1007,7 @@ def test_tracked_fiber_slices_match_the_exact_plane_points(seed):
         assert len(run["distinct"]) == 4
         points = np.array(conic_points(exact))
         nearest = []
-        for e in run["distinct"]:
-            dist = _chordal_each(e.x, points)
+        for dist in _chordal_matrix(run["distinct"], points):
             assert dist.min() < TOL_MATCH, (s, dist.min())
             nearest.append(int(dist.argmin()))
         assert sorted(nearest) == [0, 1, 2, 3]
@@ -992,7 +1043,7 @@ def test_a_planned_run_tracks_slice_0_and_preimage_0_as_one_stack(
 
     monkeypatch.setattr(continuation, "solve_stacked", logged)
     origin = (Fraction(0),) * 3
-    run = NumericRun(solve_plan(["numeric/fiber_5"], 1, SAMPLE_R))
+    run = NumericRun(["numeric/fiber_5"], 1, SAMPLE_R)
     first = run.solve("slice", (0, 0, 0), 1)
     # the planned censuses are over other variables: not in this stack
     assert stacks == [([f"fiber:{origin}:0", "preimage:0"], con.Y_NAMES)]
@@ -1003,7 +1054,7 @@ def test_a_planned_run_tracks_slice_0_and_preimage_0_as_one_stack(
 
 def _are_the_points(out, expected) -> bool:
     """Whether the kernel's points are the expected ones, one each."""
-    dist = [_chordal_each(p, np.array(expected, dtype=complex))
+    dist = [_chordal_matrix(p[None], np.array(expected, dtype=complex))[0]
             for p in conic_points(out)]
     nearest = [int(d.argmin()) for d in dist]
     return (sorted(nearest) == list(range(len(expected)))
@@ -1274,7 +1325,7 @@ def _nearest_root_pair(vec9) -> float:
     coeffs = [complex(c) for c in con.octic_coefficients(vec9)]
     points = np.array([[z, 1] for z in np.roots(coeffs)])
     first, second = np.triu_indices(len(points), 1)
-    return float(_chordal_each(points[first], points[second]).min())
+    return float(_chordal_matrix(points, points)[first, second].min())
 
 
 def test_an_undecided_octic_is_a_residual_that_names_its_endpoint(
@@ -1296,7 +1347,7 @@ def test_an_undecided_octic_is_a_residual_that_names_its_endpoint(
             return real(vec9)
 
     monkeypatch.setattr(continuation, "octic_root_clusters", at_the_edge)
-    run = NumericRun(solve_plan(["numeric/lemma6_2"], 42, SAMPLE_R))
+    run = NumericRun(["numeric/lemma6_2"], 42, SAMPLE_R)
     result = check_stratum_counts(42, SAMPLE_R, run)
     census = run.census(SAMPLE_R, 42)
     undecided = [k for k, p in enumerate(census.points)
@@ -1384,9 +1435,10 @@ def test_a_singular_projection_is_a_residual_not_an_error(monkeypatch):
     assert data["matrix"].rank() == 8
     assert data["intersection_dim"] == 1 and data["extract_rows"] is None
     # with no extraction rows the run plans no preimage solve
-    plan = solve_plan(["numeric/fiber_5"], 42, SAMPLE_R)
+    run = NumericRun(["numeric/fiber_5"], 42, SAMPLE_R)
+    plan = run.plan
     assert [kind for kind, _r, _seed in plan] == ["slice", "census", "census"]
-    result = check_fiber_geometry(42, NumericRun(plan))
+    result = check_fiber_geometry(42, run)
     assert not result.ok
     assert "center/target intersection dimension 1 != 0" in result.residuals
     assert "center plus target do not span the chart space" in result.residuals
