@@ -22,9 +22,11 @@ a form with exact scalar coefficients through elementary moves: two
 Taylor shifts of the coefficient vector and one diagonal scaling, O(d^2)
 operations at degree d, all on int numerators over one denominator.
 
-The reference tables this package verifies were produced with a possibly
-different transvectant scaling and an unstated matrix-action convention;
-`calibrate_conventions` recovers both mechanically and caches the result.
+`group_act` substitutes the matrix it is given.  The reference tables
+this package verifies were produced with a possibly different
+transvectant scaling and an unstated matrix-action convention, a choice
+of `ACTION_CONVENTIONS`; `calibrate_conventions` recovers both from the
+bracket tables, the generators and the stored action table alone.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Sequence, Union
 
-from .mpoly import MPoly, monomial_str
+from .mpoly import MPoly
 from .scalar import (CycScalar, as_cyc, as_exact, from_numerators,
                      numerator_columns, numerators, over_common_denominator)
 
@@ -291,7 +293,10 @@ def mul_closure(generators: Sequence[GroupElt]) -> list[GroupElt]:
 # ---------------------------------------------------------------------------
 # Matrix action on forms
 
-ACTION_CONVENTIONS = ("substitute_inverse", "substitute_direct", "substitute_transpose")
+# Each convention by the matrix it substitutes for a group element.
+ACTION_CONVENTIONS = {"substitute_inverse": GroupElt.inverse,
+                      "substitute_direct": lambda g: g,
+                      "substitute_transpose": GroupElt.transpose}
 
 
 def _product(x: list[int], y: list[int]) -> list[int]:
@@ -360,19 +365,18 @@ def _taylor_shift(cols: list[list[int]], t: CycScalar, r: int,
     return q
 
 
-def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> BinaryForm:
-    """Action of a projective matrix on a form with exact scalar
-    coefficients.
+def group_act(m: GroupElt, f: BinaryForm) -> BinaryForm:
+    """f(a z1 + b z2, c z1 + d z2) times det^-(degree // 2), for a form f
+    with exact scalar coefficients and m = [[a, b], [c, d]], so that the
+    image only depends on m modulo scalars; an odd degree needs det 1.
+    Substituting g * h is substituting g, then h; a convention of
+    `ACTION_CONVENTIONS` names the matrix substituted for a group element.
 
-    With M = [[a, b], [c, d]] the matrix that the convention (the
-    calibrated one when None) substitutes, the image is
-    f(a z1 + b z2, c z1 + d z2) times det^-(degree // 2), so that the
-    action only depends on g modulo scalars; an odd degree needs det 1.
-    It is computed by elementary moves, M = [[1, 0], [c/a, 1]] *
+    It is computed by elementary moves, m = [[1, 0], [c/a, 1]] *
     diag(a, e) * [[1, b/a], [0, 1]] with e = (ad - bc)/a: each unipotent
     factor is a Taylor shift of the coefficient vector and the diagonal a
     scaling.  When a = 0, z1 and z2 are swapped first (the vector
-    reversed), which swaps M's rows.  The moves run on int numerators
+    reversed), which swaps m's rows.  The moves run on int numerators
     over one denominator: the scaling, coefficient k times
     a^(degree-k) e^k, commutes past the second shift, which becomes a
     shift by b/e, and is applied with the one division per coefficient
@@ -380,20 +384,10 @@ def group_act(g: GroupElt, f: BinaryForm, convention: str | None = None) -> Bina
     object it was, and the others are CycScalars, as the scalar moves
     make them.
     """
-    if convention is None:
-        convention = calibrate_conventions().convention
-    if convention == "substitute_inverse":
-        sub = g.inverse()
-    elif convention == "substitute_direct":
-        sub = g
-    elif convention == "substitute_transpose":
-        sub = g.transpose()
-    else:
-        raise ValueError(f"unknown action convention {convention!r}")
-    n, det = f.degree, sub.det()
+    n, det = f.degree, m.det()
     if n % 2 and det != CycScalar.one():
         raise ValueError("odd-degree action needs a determinant-1 representative")
-    a, b, c, d = sub.m
+    a, b, c, d = m.m
     coeffs = f.coeffs
     if not a:
         coeffs = coeffs[::-1]
@@ -478,12 +472,12 @@ def delta(lam: Lambda, v: Sequence) -> BinaryForm:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Mechanically recovered conventions: action style and bracket scalings."""
+    """Conventions recovered from the bracket and action tables: action
+    style and bracket scalings."""
 
     convention: str
     scalars: tuple[Fraction, Fraction, Fraction]  # (s2, s4, s6)
     matched_conventions: tuple[str, ...]
-    expansion_residuals: tuple[str, ...]
     # convention -> [(generator, row, column, induced entry)] for every
     # entry of its induced matrices that differs from the stored table
     table_mismatches: dict
@@ -559,6 +553,13 @@ def _pair_series(scalars: tuple, cross: int) -> tuple[MPoly, ...]:
     return tuple(out)
 
 
+def listed_coordinate_system() -> tuple[MPoly, ...]:
+    """The quadratic map's five coordinate polynomials as the stored
+    tables list them, each unordered basis pair once, with the calibrated
+    rescalings: `check_expansion_1_2`'s reference."""
+    return _pair_series(calibrate_conventions().scalars, cross=1)
+
+
 def expanded_coordinate_system() -> tuple[MPoly, ...]:
     """The quadratic map's five coordinate polynomials, crosses doubled.
 
@@ -573,21 +574,22 @@ def expanded_coordinate_system() -> tuple[MPoly, ...]:
 
 @lru_cache(maxsize=1)
 def calibrate_conventions() -> Calibration:
-    """Recover the transvectant scalings and the matrix-action convention.
+    """Recover the transvectant scalings and the matrix-action convention
+    from the bracket tables, the generators and the stored action table.
 
     The stored coordinate tables expand the two same-argument brackets
     over unordered pairs of basis indices: the entry printed on a mixed
     product x_i*x_j (i < j) is the bilinear value on (e_i, e_j), listed
     once, while a diagonal entry x_i^2 carries the value on (e_i, e_i).
-    The comparison series here is assembled the same way, pairwise over
-    the basis, rather than by expanding the bracket of a fully symbolic
-    argument (which would double every mixed product).
+    `listed_coordinate_system` assembles the series the same way,
+    pairwise over the basis, rather than by expanding the bracket of a
+    fully symbolic argument (which would double every mixed product).
 
-    The scalings are pinned by three probe coefficients of the stored
-    expansion (each appears linearly, so each is unique); the whole
-    expansion is then recomputed and compared coefficient by
-    coefficient.  The action convention is the unique candidate whose
-    induced 15x15 generator matrices reproduce the stored action table.
+    The scalings are pinned by three probe coefficients, each one
+    bracket-table entry that the map's weights fix (each appears
+    linearly, so each is unique).  The action convention is the unique
+    candidate whose induced 15x15 generator matrices reproduce the stored
+    action table.
     """
     from . import construction
 
@@ -603,15 +605,6 @@ def calibrate_conventions() -> Calibration:
     s6 = Fraction(6) / (6 * c6)
     s4 = Fraction(1) / c4
     s2 = Fraction(2) / (6 * c2)
-
-    stored = construction.delta_coordinate_system()
-    computed = _pair_series((s2, s4, s6), cross=1)
-    residuals: list[str] = []
-    for slot in range(5):
-        diff = computed[slot] - stored[slot]
-        for mono, c in diff.sorted_terms():
-            residuals.append(
-                f"slot {slot + 1}: {monomial_str(mono)}: off by {c}")
 
     # Action convention: compare induced generator matrices to the table.
     mismatches: dict[str, list] = {}
@@ -632,7 +625,6 @@ def calibrate_conventions() -> Calibration:
         convention=matched[0] if len(matched) == 1 else "",
         scalars=(s2, s4, s6),
         matched_conventions=tuple(matched),
-        expansion_residuals=tuple(residuals),
         table_mismatches=mismatches,
     )
 

@@ -27,7 +27,8 @@ from fractions import Fraction
 from . import binform, construction
 from .binform import (BinaryForm, GroupElt, Lambda, calibrate_conventions,
                       delta, delta_forms, expanded_coordinate_system,
-                      max_root_multiplicity_exact, mul_closure, transvectant)
+                      listed_coordinate_system, max_root_multiplicity_exact,
+                      mul_closure, transvectant)
 from .construction import (R_NAMES, VEC15_NAMES, X_NAMES, Y_NAMES,
                            ProjPoint)
 from .exlinalg import ExactMatrix, Subspace, jacobian_at, joint_fixed_space
@@ -113,21 +114,26 @@ def check_expansion_1_2() -> CheckResult:
     """Recompute every stored expansion coefficient from the bracket tables.
 
     The stored tables list each unordered basis pair once, so the
-    comparison assembles the pairwise form of the bracket expansion; the
-    calibration object records the recovered listing convention and the
-    three bracket rescalings.  Also verifies the published restriction
+    comparison assembles the pairwise form of the bracket expansion
+    (`listed_coordinate_system`), with the calibrated bracket rescalings;
+    the calibration object records the recovered listing convention and
+    the three rescalings.  Also verifies the published restriction
     is the literal substitution of the full tables, spot checks two
     representative coefficients, and evaluates the system at the two
     distinguished zero points by both the stored and the bracket route.
     """
     residuals: list[str] = []
     cal = calibrate_conventions()
+    stored = construction.delta_coordinate_system()
 
-    residuals.extend(f"expansion: {r}" for r in cal.expansion_residuals)
+    expansion = [f"expansion: slot {slot}: {monomial_str(mono)}: off by {c}"
+                 for slot, (listed, q) in enumerate(
+                     zip(listed_coordinate_system(), stored), start=1)
+                 for mono, c in (listed - q).sorted_terms()]
+    residuals.extend(expansion)
     _require(residuals, cal.matched_conventions == ("substitute_inverse",),
              f"action convention not unique: {cal.matched_conventions}")
 
-    stored = construction.delta_coordinate_system()
     quads = construction.pure_quadric_parts()
     _require(residuals, stored[0].coeff({"x8": 1, "s2": 1}) == 6,
              "spot coefficient x8*s2 in the first coordinate is not 6")
@@ -159,7 +165,7 @@ def check_expansion_1_2() -> CheckResult:
         "convention": cal.convention,
         "scalars": [str(s) for s in cal.scalars],
         "expansion_listing": cal.expansion_listing,
-        "residual_sources": len(cal.expansion_residuals),
+        "residual_sources": len(expansion),
     }
     notes = (
         "coordinate table: the x2*s4 coupling in the second row reads +8 "
@@ -819,11 +825,11 @@ def check_strata_6() -> CheckResult:
     _require(residuals, got == want,
              "stored sparse solutions differ from the branch roots")
     for p in sparse:
-        vec = construction.sparse_solution_vec9(p)
-        env = dict(zip(X_NAMES, vec))
+        env = dict(zip(X_NAMES, construction.sparse_solution_vec9(p)))
+        shown = ", ".join(map(str, p))
         for k, q in enumerate(quads, start=1):
             _require(residuals, q.substitute(env).is_zero(),
-                     f"sparse solution {p} fails quadric {k}")
+                     f"sparse solution ({shown}) fails quadric {k}")
 
     # (b) The square-root families on the first single-pair stratum.
     fams, relation = construction.stratum1_solution_families()
@@ -886,9 +892,10 @@ def check_strata_6() -> CheckResult:
              f"instance count {len(instance_vecs)} != 4")
     for vec in instance_vecs:
         env = dict(zip(X_NAMES, vec))
+        shown = ", ".join(map(str, vec))
         for k, q in enumerate(quads, start=1):
             _require(residuals, q.substitute(env).is_zero(),
-                     f"instance {vec} fails quadric {k}")
+                     f"instance ({shown}) fails quadric {k}")
 
     # (e) Stratum equivariance: the octic action restricted to a generic
     # slice point lands on the image slice and permutes the coordinate

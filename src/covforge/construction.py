@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .binform import (BinaryForm, GroupElt, expanded_coordinate_system,
-                      group_act)
+from .binform import (ACTION_CONVENTIONS, BinaryForm, GroupElt,
+                      expanded_coordinate_system, group_act)
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly, exponents, var_slot
 from .scalar import CycScalar, as_exact
@@ -224,11 +224,16 @@ def pure_quadric_parts() -> tuple[MPoly, ...]:
     return q1, q2, q3, q4, q5
 
 
-@lru_cache(maxsize=1)
 def delta_coordinate_system() -> tuple[MPoly, ...]:
-    """The five stored quartic-coordinate components of the quadratic map."""
-    q1, q2, q3, q4, q5 = pure_quadric_parts()
-    Q1 = q1 + _poly([
+    """The five stored quartic-coordinate components of the quadratic map,
+    each a pure quadric plus its coupling terms."""
+    return tuple(map(MPoly.__add__, pure_quadric_parts(), _delta_couplings()))
+
+
+@lru_cache(maxsize=1)
+def _delta_couplings() -> tuple[MPoly, ...]:
+    """Each component's stored terms in the constant or quartic part."""
+    c1 = _poly([
         (1, {"x7": 1, "s1": 1}), (1, {"x9": 1, "s1": 1}), (6, {"x8": 1, "s2": 1}),
         (-1, {"x4": 1, "s3": 1}), (8, {"x5": 1, "s4": 1}), (24, {"x2": 1, "s4": 1}),
         (-8, {"x6": 1, "s5": 1}), (-24, {"x3": 1, "s5": 1}),
@@ -239,20 +244,20 @@ def delta_coordinate_system() -> tuple[MPoly, ...]:
     # slot's invariance under the diagonal generator, which swaps the
     # x2*s4 and x3*s5 couplings, and confirmed by the pairwise bracket
     # expansion of the octic/quartic cross terms).
-    Q2 = q2 + _poly([
+    c2 = _poly([
         (2, {"x8": 1, "s1": 1}), (6, {"x9": 1, "s2": 1}), (-2, {"x1": 1, "s3": 1}),
         (-8, {"x5": 1, "s4": 1}), (8, {"x2": 1, "s4": 1}), (-8, {"x6": 1, "s5": 1}),
         (8, {"x3": 1, "s5": 1}),
         (2, {"eps": 1, "s1": 2}), (-6, {"eps": 1, "s2": 2}), (-2, {"eps": 1, "s3": 2}),
         (-4, {"eps": 1, "s4": 2}), (4, {"eps": 1, "s5": 2}), (1, {"s0": 1, "s2": 1}),
     ])
-    Q3 = q3 + _poly([
+    c3 = _poly([
         (1, {"x4": 1, "s1": 1}), (6, {"x1": 1, "s2": 1}), (-1, {"x7": 1, "s3": 1}),
         (1, {"x9": 1, "s3": 1}), (32, {"x3": 1, "s4": 1}), (-32, {"x2": 1, "s5": 1}),
         (6, {"eps": 1, "s2": 1, "s3": 1}), (-12, {"eps": 1, "s4": 1, "s5": 1}),
         (1, {"s0": 1, "s3": 1}),
     ])
-    Q4 = q4 + _poly([
+    c4 = _poly([
         (2, {"x5": 1, "s1": 1}), (6, {"x2": 1, "s1": 1}), (-6, {"x5": 1, "s2": 1}),
         (6, {"x2": 1, "s2": 1}), (-8, {"x3": 1, "s3": 1}), (4, {"x8": 1, "s4": 1}),
         (-4, {"x9": 1, "s4": 1}), (-4, {"x1": 1, "s5": 1}),
@@ -261,38 +266,44 @@ def delta_coordinate_system() -> tuple[MPoly, ...]:
     ])
     # The s2-coupling below reads x6*s2, not x2*s2 (errata; forced by the
     # generator action and by the restricted system).
-    Q5 = q5 + _poly([
+    c5 = _poly([
         (2, {"x6": 1, "s1": 1}), (6, {"x3": 1, "s1": 1}), (6, {"x6": 1, "s2": 1}),
         (-6, {"x3": 1, "s2": 1}), (-8, {"x2": 1, "s3": 1}), (4, {"x1": 1, "s4": 1}),
         (-4, {"x8": 1, "s5": 1}), (-4, {"x9": 1, "s5": 1}),
         (3, {"eps": 1, "s1": 1, "s5": 1}), (-3, {"eps": 1, "s2": 1, "s5": 1}),
         (-3, {"eps": 1, "s3": 1, "s4": 1}), (1, {"s0": 1, "s5": 1}),
     ])
-    return Q1, Q2, Q3, Q4, Q5
+    return c1, c2, c3, c4, c5
+
+
+def restricted_system_3_2() -> tuple[MPoly, ...]:
+    """The five stored equations after setting s3 = s4 = s5 = 0, each a
+    pure quadric plus its coupling terms."""
+    return tuple(map(MPoly.__add__, pure_quadric_parts(),
+                     _restricted_couplings()))
 
 
 @lru_cache(maxsize=1)
-def restricted_system_3_2() -> tuple[MPoly, ...]:
-    """The five stored equations after setting s3 = s4 = s5 = 0."""
-    q1, q2, q3, q4, q5 = pure_quadric_parts()
-    r1 = q1 + _poly([
+def _restricted_couplings() -> tuple[MPoly, ...]:
+    """Each restricted equation's stored terms in the s variables."""
+    c1 = _poly([
         (1, {"x7": 1, "s1": 1}), (1, {"x9": 1, "s1": 1}), (6, {"x8": 1, "s2": 1}),
         (6, {"eps": 1, "s1": 1, "s2": 1}), (1, {"s0": 1, "s1": 1}),
     ])
-    r2 = q2 + _poly([
+    c2 = _poly([
         (2, {"x8": 1, "s1": 1}), (6, {"x9": 1, "s2": 1}),
         (2, {"eps": 1, "s1": 2}), (-6, {"eps": 1, "s2": 2}), (1, {"s0": 1, "s2": 1}),
     ])
-    r3 = q3 + _poly([(1, {"x4": 1, "s1": 1}), (6, {"x1": 1, "s2": 1})])
-    r4 = q4 + _poly([
+    c3 = _poly([(1, {"x4": 1, "s1": 1}), (6, {"x1": 1, "s2": 1})])
+    c4 = _poly([
         (2, {"x5": 1, "s1": 1}), (6, {"x2": 1, "s1": 1}),
         (-6, {"x5": 1, "s2": 1}), (6, {"x2": 1, "s2": 1}),
     ])
-    r5 = q5 + _poly([
+    c5 = _poly([
         (2, {"x6": 1, "s1": 1}), (6, {"x3": 1, "s1": 1}),
         (6, {"x6": 1, "s2": 1}), (-6, {"x3": 1, "s2": 1}),
     ])
-    return r1, r2, r3, r4, r5
+    return c1, c2, c3, c4, c5
 
 
 @lru_cache(maxsize=1)
@@ -424,16 +435,18 @@ def action_table() -> dict[str, list[list]]:
     }
 
 
-def induced_vec15_matrix(g: GroupElt, convention: str | None = None) -> list[list]:
-    """15x15 coordinate matrix induced by the matrix action on the basis:
-    `group_act` on every basis form."""
+def induced_vec15_matrix(g: GroupElt, convention: str) -> list[list]:
+    """15x15 coordinate matrix induced by the action of g on the basis
+    under a convention of `ACTION_CONVENTIONS`: `group_act` of the
+    matrix that the convention substitutes, on every basis form."""
+    sub = ACTION_CONVENTIONS[convention](g)
     columns: list[list] = []
     for f8 in octic_basis():
-        image = group_act(g, f8, convention)
+        image = group_act(sub, f8)
         columns.append(octic_coordinates(image) + [_F(0)] * 6)
     columns.append(unit15(9))
     for f4 in quartic_basis():
-        image = group_act(g, f4, convention)
+        image = group_act(sub, f4)
         columns.append([_F(0)] * 10 + quartic_coordinates(image))
     return [[columns[j][i] for j in range(15)] for i in range(15)]
 
@@ -446,7 +459,6 @@ def quartic_block(mat15: Sequence[Sequence]) -> list[list]:
     return [list(row[10:]) for row in mat15[10:]]
 
 
-@lru_cache(maxsize=1)
 def parameter_action() -> dict[str, list[list]]:
     """Stored 3x3 action on the stratum parameter triple."""
     tau = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
@@ -454,7 +466,6 @@ def parameter_action() -> dict[str, list[list]]:
     return {"tau": _rows_to_matrix(tau), "sigma": _rows_to_matrix(sigma)}
 
 
-@lru_cache(maxsize=1)
 def chart_space_action() -> dict[str, list[list]]:
     """Stored 9x9 projective action on the chart-image coordinates."""
     tau = [[_F(0)] * 9 for _ in range(9)]
@@ -476,7 +487,6 @@ def chart_space_action() -> dict[str, list[list]]:
     return {"tau": tau, "sigma": sigma}
 
 
-@lru_cache(maxsize=1)
 def block_permutation() -> dict[str, dict[int, int]]:
     """Stored permutation of the three coordinate pairs (x_j, x_{j+3})."""
     return {
@@ -489,7 +499,6 @@ def block_permutation() -> dict[str, dict[int, int]]:
 # The chart map
 
 
-@lru_cache(maxsize=1)
 def chart_numerators_symbolic() -> tuple[MPoly, ...]:
     """The chart image with denominators cleared by x1*x2*x3."""
     x = {n: MPoly.var(n) for n in ("x1", "x2", "x3", "x7", "x8", "x9",
@@ -719,7 +728,6 @@ def target_space_basis() -> tuple[tuple, ...]:
     )
 
 
-@lru_cache(maxsize=1)
 def center_space_vectors() -> tuple[tuple, ...]:
     """Spanning 9-vectors of the projection center at parameter zero."""
     pts = special_points()
@@ -950,19 +958,16 @@ def exact_preimage(n) -> dict:
 # Invariant subspace data
 
 
-@lru_cache(maxsize=1)
 def expected_h_fixed() -> tuple[list, ...]:
     return tuple(unit15(i) for i in (6, 7, 8, 9, 10, 11))
 
 
-@lru_cache(maxsize=1)
 def expected_full_group_fixed() -> tuple[list, ...]:
     v = [_F(0)] * 15
     v[6], v[8] = _F(5), _F(1)
     return (v, unit15(9))
 
 
-@lru_cache(maxsize=1)
 def module_decomposition() -> tuple[tuple[list, ...], ...]:
     """The stored seven-summand invariant decomposition (15 = 3+3+2+1+1+2+3)."""
     pair = [_F(0)] * 15
@@ -980,7 +985,6 @@ def module_decomposition() -> tuple[tuple[list, ...], ...]:
     )
 
 
-@lru_cache(maxsize=1)
 def rotation_invariant_octics() -> tuple[list, ...]:
     """Octic 9-vectors spanning the order-3 generator's fixed space."""
     v1 = [_F(0)] * 9
@@ -992,7 +996,6 @@ def rotation_invariant_octics() -> tuple[list, ...]:
     return (v1, v2, v3)
 
 
-@lru_cache(maxsize=1)
 def rotation_invariant_quartic() -> list:
     """Quartic 5-vector spanning the order-3 generator's fixed space."""
     v: list = [_F(0)] * 5

@@ -386,13 +386,17 @@ def track(system: CompiledSystem, streams) -> tuple[list[PathResult], int]:
         hx[:, diagonal, diagonal] += s[:, None] * dg
         return s[:, None] * g + t[:, None] * f, hx, -gamma[:, None] * g + f
 
-    def newton(x, t, paths, iters, tol):
+    def newton(x, t, paths, iters, tol, floor=False):
         """Up to `iters` Newton steps on H(., t) from the rows of x, one
         row per path in `paths`, counted in its steps.  A row stops once
         its step is below tol times (1 + |x|), converged, or at a singular
-        Jacobian.  Returns the last iterates and the converged rows."""
+        Jacobian.  With `floor`, a row whose step fails to halve is at its
+        rounding floor, and stops there, converged, if the smallest
+        singular value of F's Jacobian at its unit-norm representative is
+        above SV_REGULAR.  Returns the last iterates and converged rows."""
         converged = np.zeros(len(paths), dtype=bool)
         act = np.arange(len(paths))
+        last = np.full(len(paths), np.inf)
         for _ in range(iters):
             if not act.size:
                 break
@@ -402,7 +406,17 @@ def track(system: CompiledSystem, streams) -> tuple[list[PathResult], int]:
             xa = x[act] - delta
             x[act] = xa
             steps[paths[act]] += 1
-            small = _norms(delta) < tol * (1.0 + _norms(xa))
+            size = _norms(delta)
+            small = size < tol * (1.0 + _norms(xa))
+            if floor:
+                stuck = np.flatnonzero(~small & np.isfinite(size)
+                                       & (size > 0.5 * last[act]))
+                if stuck.size:
+                    unit = xa[stuck] / _norms(xa[stuck])[:, None]
+                    _f, jf = system.evaluate(unit, member[paths[act[stuck]]])
+                    small[stuck] = np.linalg.svd(
+                        jf, compute_uv=False)[:, -1] > SV_REGULAR
+                last[act] = size
             converged[act[small]] = True
             act = act[~small]
         return x, converged
@@ -444,7 +458,7 @@ def track(system: CompiledSystem, streams) -> tuple[list[PathResult], int]:
     # Endpoint polish on the target system, H at t = 1.
     polished = np.flatnonzero(running)
     x[polished], converged = newton(x[polished], np.ones(len(polished)),
-                                    polished, POLISH_ITERS, 1e-13)
+                                    polished, POLISH_ITERS, 1e-13, floor=True)
     for i in polished[converged]:
         status[i] = "accepted"
     return [PathResult(index[i], status[i], x=x[i].copy(),
@@ -727,11 +741,9 @@ def _pellet_disc(octic: BinaryForm, points: list, group: list[int]):
     radius = min(gap / 3, CLUSTER_RADIUS / 4)
     c = construction.gaussian(centre)
     if far:     # b_j multiplies z1^(8-j) z2^j
-        taylor = group_act(GroupElt(1, 0, c, 1), octic,
-                           "substitute_direct").coeffs
+        taylor = group_act(GroupElt(1, 0, c, 1), octic).coeffs
     else:       # b_j multiplies z1^j z2^(8-j)
-        taylor = group_act(GroupElt(1, c, 0, 1), octic,
-                           "substitute_direct").coeffs[::-1]
+        taylor = group_act(GroupElt(1, c, 0, 1), octic).coeffs[::-1]
     terms = [abs(complex(b)) * radius ** j for j, b in enumerate(taylor)]
     if not terms[k] > math.fsum(t for j, t in enumerate(terms) if j != k):
         return None

@@ -15,6 +15,7 @@ block).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .scalar import CycScalar, as_exact, fraction_parts
@@ -194,16 +195,21 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # A one-term factor puts no two products on one monomial, so
-        # only a product of longer ones gains from accumulating on ints.
-        if len(self.terms) > 1 < len(o.terms):
+        t1, t2, den = self.terms.items(), o.terms.items(), None
+        # A one-term factor puts no two products on one monomial, so only
+        # a product of longer rational factors gains from running on int
+        # numerators, each factor's over its least common denominator, and
+        # dividing once per term at the end.
+        if len(t1) > 1 < len(t2):
             a = fraction_parts(self.terms.values())
             b = fraction_parts(o.terms.values()) if a is not None else None
             if b is not None:
-                return MPoly._of(_fraction_product(self.terms, a, o.terms, b))
+                (t1, d1), (t2, d2) = (_over_lcm(self.terms, a),
+                                      _over_lcm(o.terms, b))
+                den = d1 * d2
         acc: dict[int, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+        for m1, c1 in t1:
+            for m2, c2 in t2:
                 mono = m1 + m2
                 c = c1 * c2
                 cur = acc.get(mono)
@@ -218,6 +224,8 @@ class MPoly:
                     del acc[mono]
                 else:
                     acc[mono] = nc
+        if den is not None:
+            acc = {m: Fraction(c, den) for m, c in acc.items()}
         return MPoly._of(acc)
 
     __rmul__ = __mul__
@@ -370,33 +378,10 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _fraction_product(t1: Mapping[int, Fraction], a: list[tuple[int, int]],
-                      t2: Mapping[int, Fraction], b: list[tuple[int, int]]
-                      ) -> dict[int, Fraction]:
-    """The terms of the product of two rational term dicts, given with
-    their coefficients' (numerator, denominator) pairs a and b: each
-    monomial accumulates an int pair, and becomes one Fraction at the
-    end.  Terms are ordered, cancelled and guarded as in `MPoly.__mul__`."""
-    acc: dict[int, tuple[int, int]] = {}
-    for m1, (n1, d1) in zip(t1, a):
-        for m2, (n2, d2) in zip(t2, b):
-            mono = m1 + m2
-            cur = acc.get(mono)
-            if cur is None:
-                if mono & _GUARDS:
-                    raise _overflow(exponents(mono & _GUARDS)
-                                    .index(MAX_EXPONENT + 1))
-                acc[mono] = (n1 * n2, d1 * d2)
-                continue
-            num, den = cur
-            d = d1 * d2
-            if den == d:
-                num += n1 * n2
-            else:
-                num = num * d + n1 * n2 * den
-                den *= d
-            if not num:
-                del acc[mono]
-            else:
-                acc[mono] = (num, den)
-    return {m: Fraction(num, den) for m, (num, den) in acc.items()}
+def _over_lcm(terms: Mapping[int, Fraction], parts: list[tuple[int, int]]
+              ) -> tuple[list[tuple[int, int]], int]:
+    """Rational terms, given with their coefficients' (numerator,
+    denominator) pairs, as (monomial, int numerator) pairs over the
+    least common denominator d of the coefficients, and d."""
+    d = lcm(*[q for _p, q in parts])
+    return [(m, p * (d // q)) for m, (p, q) in zip(terms, parts)], d

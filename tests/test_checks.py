@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,35 +316,75 @@ def test_the_scaling_suite_finds_a_bracket_weight_off_by_one(monkeypatch):
 
 
 # Each symbolic check, fed one falsified stored input of `construction`,
-# fails and names the defect.  The session's unpatched symbolic run has
-# already filled every cache derived from that input, so the defect
-# reaches the check under test alone, and nothing cached outlives it.
+# fails and names the defect.  FALSIFIED maps each getter so falsified to
+# its check and to the falsified value, built from the true one; no cache
+# derives anything from such a getter, so a falsification leaves nothing
+# behind once it is undone.
 
 
-def _with_term(name: str, k: int, term: MPoly):
-    """The stored polynomial tuple `construction.<name>()` with `term`
-    added to its entry k."""
-    parts = list(getattr(construction, name)())
-    parts[k] = parts[k] + term
-    return lambda: tuple(parts)
+def _with_term(k: int, term: MPoly):
+    """The polynomial tuple with `term` added to its entry k."""
+    def falsify(parts):
+        parts = list(parts)
+        parts[k] = parts[k] + term
+        return tuple(parts)
+    return falsify
 
 
-def test_the_expansion_check_finds_a_wrong_quadric_coefficient(
-        monkeypatch, symbolic_results):
-    monkeypatch.setattr(construction, "pure_quadric_parts", _with_term(
-        "pure_quadric_parts", 2, MPoly.var("x2") * MPoly.var("x3")))
-    result = checks.check_expansion_1_2()
+def _swap_tau_blocks(permutations):
+    perm = {g: dict(m) for g, m in permutations.items()}
+    perm["tau"][1], perm["tau"][2] = perm["tau"][2], perm["tau"][1]
+    return perm
+
+
+def _move_a_sparse_solution(points):
+    points = dict(points)
+    (a, b, c), *rest = points["sparse_solutions"]
+    points["sparse_solutions"] = ((a, b, c + 1), *rest)
+    return points
+
+
+FALSIFIED = {
+    "pure_quadric_parts": (
+        "check_expansion_1_2",
+        _with_term(2, MPoly.var("x2") * MPoly.var("x3"))),
+    "block_permutation": ("check_group_structure", _swap_tau_blocks),
+    # unit vector 5 in place of 6 in the diagonal subgroup's fixed basis
+    "expected_h_fixed": (
+        "check_equivariance_and_invariant_spaces",
+        lambda _basis: tuple(construction.unit15(i)
+                             for i in (5, 7, 8, 9, 10, 11))),
+    "restricted_system_3_2": (
+        "check_jacobians",
+        _with_term(2, MPoly.var("x1") * MPoly.var("x7"))),
+    "expected_orbit_quadratic": (
+        "check_lemma_4_2",
+        lambda q: q + MPoly.var("alpha1") * MPoly.var("alpha3")),
+    "chart_numerators_symbolic": (
+        "check_derivation_4_5", _with_term(0, MPoly.var("x1"))),
+    "special_points": ("check_strata_6", _move_a_sparse_solution),
+}
+
+
+def _falsified_check(monkeypatch, getter: str):
+    """The check of FALSIFIED[getter] run on the falsified getter."""
+    check, falsify = FALSIFIED[getter]
+    value = falsify(getattr(construction, getter)())
+    monkeypatch.setattr(construction, getter, lambda: value)
+    return getattr(checks, check)()
+
+
+def test_the_expansion_check_finds_a_wrong_quadric_coefficient(monkeypatch):
+    result = _falsified_check(monkeypatch, "pure_quadric_parts")
     assert result.status == "fail"
     assert result.residuals == (
-        "spot coefficient x2*x3 in the third pure quadric is not 624",)
+        "expansion: slot 3: x2*x3: off by -1",
+        "spot coefficient x2*x3 in the third pure quadric is not 624")
+    assert result.details["residual_sources"] == 1
 
 
-def test_the_group_check_finds_a_swapped_block_permutation(
-        monkeypatch, symbolic_results):
-    perm = {g: dict(m) for g, m in construction.block_permutation().items()}
-    perm["tau"][1], perm["tau"][2] = perm["tau"][2], perm["tau"][1]
-    monkeypatch.setattr(construction, "block_permutation", lambda: perm)
-    result = checks.check_group_structure()
+def test_the_group_check_finds_a_swapped_block_permutation(monkeypatch):
+    result = _falsified_check(monkeypatch, "block_permutation")
     assert result.status == "fail"
     assert result.residuals[0] == ("stored 3-set permutations do not "
                                    "generate all six permutations")
@@ -349,35 +392,23 @@ def test_the_group_check_finds_a_swapped_block_permutation(
     assert result.residuals[-1] == "... and 11 more"
 
 
-def test_the_invariant_check_finds_a_wrong_fixed_basis_vector(
-        monkeypatch, symbolic_results):
-    # unit vector 5 in place of 6 in the diagonal subgroup's fixed basis
-    basis = tuple(construction.unit15(i) for i in (5, 7, 8, 9, 10, 11))
-    monkeypatch.setattr(construction, "expected_h_fixed", lambda: basis)
-    result = checks.check_equivariance_and_invariant_spaces()
+def test_the_invariant_check_finds_a_wrong_fixed_basis_vector(monkeypatch):
+    result = _falsified_check(monkeypatch, "expected_h_fixed")
     assert result.status == "fail"
     assert result.residuals == (
         "diagonal-subgroup fixed space differs from the stored basis",)
 
 
-def test_the_jacobian_check_finds_a_wrong_restricted_row(
-        monkeypatch, symbolic_results):
-    monkeypatch.setattr(construction, "restricted_system_3_2", _with_term(
-        "restricted_system_3_2", 2, MPoly.var("x1") * MPoly.var("x7")))
-    result = checks.check_jacobians()
+def test_the_jacobian_check_finds_a_wrong_restricted_row(monkeypatch):
+    result = _falsified_check(monkeypatch, "restricted_system_3_2")
     assert result.status == "fail"
     assert result.residuals == tuple(
         f"restricted Jacobian at the invariant octic (eps={eps}) differs "
         "from the frozen row pattern" for eps in ("1", "7/3"))
 
 
-def test_the_orbit_check_finds_a_wrong_quadratic(monkeypatch,
-                                                 symbolic_results):
-    wrong = (construction.expected_orbit_quadratic()
-             + MPoly.var("alpha1") * MPoly.var("alpha3"))
-    monkeypatch.setattr(construction, "expected_orbit_quadratic",
-                        lambda: wrong)
-    result = checks.check_lemma_4_2()
+def test_the_orbit_check_finds_a_wrong_quadratic(monkeypatch):
+    result = _falsified_check(monkeypatch, "expected_orbit_quadratic")
     assert result.status == "fail"
     assert result.residuals == (
         "stored image row 3 vs. quadratic times invariant target: nonzero "
@@ -395,12 +426,8 @@ def test_the_orbit_check_finds_a_wrong_quadratic(monkeypatch,
         "quadratic does not vanish on the crossing direction")
 
 
-def test_the_derivation_check_finds_a_wrong_chart_numerator(
-        monkeypatch, symbolic_results):
-    monkeypatch.setattr(construction, "chart_numerators_symbolic",
-                        _with_term("chart_numerators_symbolic", 0,
-                                   MPoly.var("x1")))
-    result = checks.check_derivation_4_5()
+def test_the_derivation_check_finds_a_wrong_chart_numerator(monkeypatch):
+    result = _falsified_check(monkeypatch, "chart_numerators_symbolic")
     assert result.status == "fail"
     assert result.residuals[0] == (
         "cleared chart equation 1 vs. multiplier times sliced row: nonzero "
@@ -410,17 +437,41 @@ def test_the_derivation_check_finds_a_wrong_chart_numerator(
             in result.residuals)
 
 
-def test_the_strata_check_finds_a_moved_sparse_solution(monkeypatch,
-                                                        symbolic_results):
-    points = dict(construction.special_points())
-    (a, b, c), *rest = points["sparse_solutions"]
-    points["sparse_solutions"] = ((a, b, c + 1), *rest)
-    monkeypatch.setattr(construction, "special_points", lambda: points)
-    result = checks.check_strata_6()
+def test_the_strata_check_finds_a_moved_sparse_solution(monkeypatch):
+    result = _falsified_check(monkeypatch, "special_points")
     assert result.status == "fail"
     assert result.residuals == (
         "stored sparse solutions differ from the branch roots",
-        f"sparse solution {(a, b, c + 1)!r} fails quadric 2")
+        "sparse solution (5, 0, 2) fails quadric 2")
+
+
+# In a fresh process, so that no earlier run has filled a cache: the
+# falsified check fails, and once the getter is restored it passes.
+FRESH_FALSIFICATION = """
+import sys
+from covforge import checks, construction
+from test_checks import FALSIFIED
+getter = sys.argv[1]
+check, falsify = FALSIFIED[getter]
+check = getattr(checks, check)
+true = getattr(construction, getter)
+value = falsify(true())
+setattr(construction, getter, lambda: value)
+falsified = check()
+setattr(construction, getter, true)
+print(falsified.status, check().status)
+"""
+
+
+@pytest.mark.parametrize("getter", FALSIFIED)
+def test_a_falsification_undone_in_a_fresh_process_leaves_no_trace(getter):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    out = subprocess.run([sys.executable, "-c", FRESH_FALSIFICATION, getter],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["fail", "pass"]
 
 
 # The committed failing case of every check the harness can select.

@@ -498,8 +498,10 @@ def test_a_rescue_chart_that_adds_no_endpoint_keeps_chart_0_s(monkeypatch):
 
 
 def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
-    # the sample census's chart 0 at seed 1 ends four paths `polish`;
-    # the per-endpoint gate below is the oracle for the stacked one
+    # the run's fiber stack at seed 42, slice 0 and preimage trial 0:
+    # the preimage's chart 0 ends a path `polish` at a singular point of
+    # the center line; the per-endpoint gate below, each endpoint in its
+    # own system, is the oracle for the stacked one
     charts = []
 
     def recorded(system, streams):
@@ -509,12 +511,17 @@ def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
         return results, count
 
     monkeypatch.setattr(continuation, "track", recorded)
-    run, = solve_stacked([_census_problem(SAMPLE_R, 1)], CHART_VARS)
+    origin = (Fraction(0),) * 3
+    runs = solve_stacked([_slice_problem(origin, 42),
+                          _preimage_problem(origin, 42,
+                                            projection_data()["extract_rows"])],
+                         con.Y_NAMES)
     system, tracked, results = charts[0]
+    owner = np.repeat(np.arange(2), system.path_counts)
     statuses, sv_min = [], {}
     for p, (status, x) in enumerate(tracked):
         if status == "accepted":
-            vals, jac = system.evaluate(x / np.linalg.norm(x))
+            vals, jac = system.member(owner[p]).evaluate(x / np.linalg.norm(x))
             if np.max(np.abs(vals[:-1]), initial=0.0) < TOL_TRACK:
                 sv = np.linalg.svd(jac, compute_uv=False)[-1]
                 sv_min[p] = float(sv).hex()
@@ -522,44 +529,50 @@ def test_the_stacked_gate_decides_as_one_endpoint_at_a_time(monkeypatch):
                 status = "polish"
         statuses.append(status)
     assert [r.status for r in results] == statuses
-    assert statuses.count("polish") == 4 and len(sv_min) == 28
-    got = {p: sv.hex() for x, sv in zip(run["distinct"],
-                                        run["sv_min"].tolist())
-           for p, r in enumerate(results) if x.tobytes() == r.x.tobytes()}
+    assert statuses[4:].count("polish") == 1 and len(sv_min) == 5
+    got = {p: sv.hex() for k, run in enumerate(runs)
+           for x, sv in zip(run["distinct"], run["sv_min"].tolist())
+           for p, r in enumerate(results)
+           if owner[p] == k and x.tobytes() == r.x.tobytes()}
     assert got == sv_min
 
 
 def test_a_stacked_solve_gates_each_chart_with_one_evaluation_and_svd(
         monkeypatch):
-    # two censuses, one of which needs a rescue chart: two stacked
-    # charts, each gated by one evaluation and one SVD
+    # two censuses, the first of which loses a path of chart 0 and so
+    # tracks a rescue chart: two stacked charts, each gated by one
+    # evaluation and one SVD outside the tracker
     calls = {"track": 0, "evaluate": 0, "svd": 0}
     tracking = []
     real_track, real_evaluate = track, CompiledSystem.evaluate
     real_svd = np.linalg.svd
 
-    def counted_track(*args):
+    def losing_track(*args):
         calls["track"] += 1
         tracking.append(True)
         try:
-            return real_track(*args)
+            results, count = real_track(*args)
         finally:
             tracking.pop()
+        if calls["track"] == 1:
+            results[0].status = "diverged"
+        return results, count
 
     def counted_evaluate(self, *args):
         calls["evaluate"] += not tracking
         return real_evaluate(self, *args)
 
     def counted_svd(*args, **kwargs):
-        calls["svd"] += 1
+        calls["svd"] += not tracking
         return real_svd(*args, **kwargs)
 
-    monkeypatch.setattr(continuation, "track", counted_track)
+    monkeypatch.setattr(continuation, "track", losing_track)
     monkeypatch.setattr(CompiledSystem, "evaluate", counted_evaluate)
     monkeypatch.setattr(continuation.np.linalg, "svd", counted_svd)
     runs = solve_stacked([_census_problem(SAMPLE_R, seed)
                           for seed in (1, 42)], CHART_VARS)
     assert [len(run["failures"]) for run in runs] == [2, 1]
+    assert runs[0]["failed"] == [(0, "diverged")]
     assert calls == {"track": 2, "evaluate": 2, "svd": 2}
 
 
@@ -882,55 +895,67 @@ class _Tracked(Exception):
     pass
 
 
+# The four paths of the sample census's chart 0 at seed 1 that ended
+# `polish` before the endpoint polish stopped at its noise floor.
+LOST_AT_SEED_1 = (14, 20, 24, 28)
+
+
 @pytest.fixture(scope="module")
 def sample_solve_seed1():
     """The arguments and the result of the sample census's solve at seed
-    1, an unplanned census solved alone as a stack of one, and the
-    results of each chart it tracked."""
-    calls, charts = [], []
+    1, an unplanned census solved alone as a stack of one, with the paths
+    LOST_AT_SEED_1 of chart 0 turned `polish`; the results of each chart
+    it tracked; and each chart's statuses as tracked."""
+    calls, charts, statuses = [], [], []
     track_paths = continuation.track
 
     def tracked(*args):
         calls.append((args, solve_stacked(*args)))
         raise _Tracked
 
-    def recorded(*args):
-        out = track_paths(*args)
-        charts.append(out[0])
-        return out
+    def losing(*args):
+        results, count = track_paths(*args)
+        statuses.append([r.status for r in results])
+        if not charts:
+            for i in LOST_AT_SEED_1:
+                results[i].status = "polish"
+        charts.append(results)
+        return results, count
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(continuation, "solve_stacked", tracked)
-        patch.setattr(continuation, "track", recorded)
+        patch.setattr(continuation, "track", losing)
         with pytest.raises(_Tracked):
             NumericRun().census(SAMPLE_R, 1)
     (args, (run,)), = calls
-    return args, run, charts
+    return args, run, charts, statuses
 
 
 def test_a_census_solve_wants_every_path_and_keeps_its_rescue_chart(
         sample_solve_seed1):
     # the census passes no `want`, so it wants all 32 paths regular; its
-    # first chart fails four, and the rescue chart finds them
-    args, run, charts = sample_solve_seed1
+    # first chart, tracked, accepts every path, each polish stopping at
+    # its noise floor at the latest; with four of them lost, the rescue
+    # chart finds them
+    args, run, charts, statuses = sample_solve_seed1
     (problem,), var_order = args
     assert var_order == CHART_VARS
     assert problem[1:] == (1, "stratum:10,1/2,1/3", None)
+    assert statuses[0] == ["accepted"] * 32
     assert len(charts) == len(run["failures"]) == 2
-    assert run["failed"] == [(14, "polish"), (20, "polish"),
-                             (24, "polish"), (28, "polish")]
+    assert run["failed"] == [(i, "polish") for i in LOST_AT_SEED_1]
     assert run["rescue_added"] == 4
 
 
 def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         monkeypatch, sample_solve_seed1):
-    # the sample census at seed 1 rescues four endpoints in a second
-    # chart; polished on the census chart three of them have a coordinate
-    # near 80, and the stop, relative to each coordinate, still ends
-    # every polish within five steps.  A refinement step is one exact
-    # residual evaluation, so the steps are counted as `_exact_residual`
-    # calls
-    _args, run, charts = sample_solve_seed1
+    # the sample census at seed 1, with four paths of chart 0 lost,
+    # rescues four endpoints in a second chart; polished on the census
+    # chart three of them have a coordinate near 80, and the stop,
+    # relative to each coordinate, still ends every polish within five
+    # steps.  A refinement step is one exact residual evaluation, so the
+    # steps are counted as `_exact_residual` calls
+    _args, run, charts, _statuses = sample_solve_seed1
     calls = {"_exact_residual": 0}
     monkeypatch.setattr(continuation, "_exact_residual",
                         _counting(calls, "_exact_residual"))
@@ -955,6 +980,20 @@ def test_the_relative_stop_ends_a_large_point_after_its_noise_floor(
         assert abs(run["chart"] @ end - 1) < 1e-8
     assert sum(size > 50 for size in sizes) == 3
     assert max(steps) <= 5
+
+
+def test_a_regular_endpoint_above_the_polish_stop_is_accepted_at_its_floor():
+    # at (23/5, -30, -21/11) and seed 3, chart 0 of the sample census
+    # ends two regular L2 points whose polish steps, relative, stay
+    # between 3e-13 and 1e-12, above the 1e-13 stop; each stops where its
+    # step no longer halves, as its Jacobian is regular, so every path
+    # is accepted and the census counts all 32 points
+    r = (Fraction(23, 5), Fraction(-30), Fraction(-21, 11))
+    result = check_stratum_counts(3, r, NumericRun(["numeric/lemma6_2"],
+                                                   3, r))
+    assert result.ok, result.residuals
+    assert result.details["failed_paths"] == []
+    assert result.details["rescued"] == 0
 
 
 def test_an_orbit_image_that_matches_no_point_is_named(monkeypatch,
