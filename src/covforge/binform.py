@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial, perm
 from typing import Sequence, Union
 
@@ -164,6 +164,18 @@ def _transvectant_weights(m: int, n: int, i: int) -> tuple[Fraction, tuple]:
                 row.append((q, w))
         rows.append(tuple(row))
     return pref, tuple(rows)
+
+
+def cached_per_weights(fn):
+    """Cache the one value of the argument-free `fn` per transvectant
+    weights function: a value derived from replaced weights is not
+    served once the weights are restored."""
+    cached = lru_cache(maxsize=1)(lambda weights: fn())
+
+    @wraps(fn)
+    def value():
+        return cached(_transvectant_weights)
+    return value
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
@@ -488,7 +500,7 @@ class Calibration:
     expansion_listing: str = "unordered-pairs"
 
 
-@lru_cache(maxsize=1)
+@cached_per_weights
 def bracket_tables() -> tuple[dict, dict, dict]:
     """Slot coordinates of every basis-pair bracket, as three pair maps.
 
@@ -572,7 +584,7 @@ def expanded_coordinate_system() -> tuple[MPoly, ...]:
     return _pair_series(calibrate_conventions().scalars, cross=2)
 
 
-@lru_cache(maxsize=1)
+@cached_per_weights
 def calibrate_conventions() -> Calibration:
     """Recover the transvectant scalings and the matrix-action convention
     from the bracket tables, the generators and the stored action table.

@@ -28,7 +28,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .binform import (ACTION_CONVENTIONS, BinaryForm, GroupElt,
-                      expanded_coordinate_system, group_act)
+                      cached_per_weights, expanded_coordinate_system,
+                      group_act)
 from .exlinalg import ExactMatrix
 from .mpoly import MPoly, exponents, var_slot
 from .scalar import CycScalar, as_exact
@@ -651,7 +652,7 @@ def admissible_triple(r: tuple) -> tuple:
     return r
 
 
-@lru_cache(maxsize=1)
+@cached_per_weights
 def literal_pure_quadrics() -> tuple[MPoly, ...]:
     """The five literal quadric coordinates restricted to the octic block."""
     cut = {n: _F(0) for n in ("s0", "s1", "s2", "s3", "s4", "s5", "eps")}

@@ -1,18 +1,23 @@
 """Command-line battery runner for the verification checks.
 
-Selects registered checks by id glob, runs the exact suites before the
+Selects registered checks by id glob, runs the exact suites and the
 continuation suites, and renders a report in text or JSON with a stable
-schema.  The registry alone names a check: a check returns its findings,
-and the runner times each call and stamps the registry's id and paper
-anchor on the result.  Every knob is both a flag and an environment
-variable with the ``COVFORGE_`` prefix; a flag wins over its variable,
-an empty variable counts as unset, and a set ``COVFORGE_`` variable that
-names no knob or does not parse is a configuration error that names it.
-The tolerances are not knobs but constants of ``continuation``, which
-only a run with a numeric check imports; the numeric checks of one run
-share their tracked solves through one ``NumericRun``.  The corrected-typo
-ledger ships as a package resource, named at the end of every text
-report.
+schema.  When a run selects both, the exact suites run in one forked
+process beside the continuation suites, which the calling process runs;
+a platform without `os.fork` runs them one after the other.  A row's
+time is its call's wall time within its own process, and an error in an
+exact check still ends the run with its traceback, once the continuation
+suites are over.  The registry alone names a check: a check returns its
+findings, and the runner times each call and stamps the registry's id
+and paper anchor on the result.  Every knob is both a flag and an
+environment variable with the ``COVFORGE_`` prefix; a flag wins over its
+variable, an empty variable counts as unset, and a set ``COVFORGE_``
+variable that names no knob or does not parse is a configuration error
+that names it.  The tolerances are not knobs but constants of
+``continuation``, which only a run with a numeric check imports; the
+numeric checks of one run share their tracked solves through one
+``NumericRun``.  The corrected-typo ledger ships as a package resource,
+named at the end of every text report.
 """
 
 from __future__ import annotations
@@ -151,29 +156,133 @@ def select(config: RunConfig) -> list:
 def run(config: RunConfig) -> Report:
     """Run every check whose id matches the config filter.
 
-    Exact checks run before numeric ones, in registry order; the report
-    is ordered by check id.  Each result carries its registry id and
-    paper anchor and the milliseconds of its one call.  Selected numeric
-    checks share one NumericRun, built for them: it reads the projection
-    data once and plans the solves they will ask for, so that it can
-    track them together.  Raises as `select` does for a malformed config
-    or an empty selection.
+    The exact phase and the numeric phase each run their checks in
+    registry order, and the results list the exact ones first; the
+    report is ordered by check id.  When the selection holds both
+    phases, the exact checks run in one forked process beside the
+    numeric phase, which the calling process runs: no numeric check
+    reads an exact result.  A platform without `os.fork` runs the two
+    phases one after the other, as does a single-phase run.  Each result
+    carries its registry id and paper anchor and the milliseconds of its
+    one call, timed in the process that made it, so an exact row's time
+    can include contention for a CPU.  An error in an exact check ends
+    the run with its type and its traceback once the numeric phase is
+    over; no process outlives the call.  Selected numeric checks share
+    one NumericRun, built for them: it reads the projection data once
+    and plans the solves they will ask for, so that it can track them
+    together.  Raises as `select` does for a malformed config or an
+    empty selection.
     """
     selected = select(config)
-    numeric_ids = [cid for cid, _a, kind, _f in selected if kind == "numeric"]
-    numeric = (_numeric().NumericRun(numeric_ids, config.seed,
-                                     config.sample_r)
-               if numeric_ids else None)
+    exact = [entry for entry in selected if entry[2] == "exact"]
+    numeric = [entry for entry in selected if entry[2] == "numeric"]
+    if not (exact and numeric and hasattr(os, "fork")):
+        return Report(config=config, results=_run_phase(config, exact)
+                      + _numeric_phase(config, numeric))
+    with _ForkedPhase(config, exact) as forked:
+        numeric_results = _numeric_phase(config, numeric)
+        return Report(config=config,
+                      results=forked.results() + numeric_results)
+
+
+def _run_phase(config: RunConfig, entries: list, numeric=None) -> list:
+    """The stamped results of the registry entries, each call timed."""
     results = []
-    for phase in ("exact", "numeric"):
-        for cid, anchor, kind, fn in selected:
-            if kind == phase:
-                started = time.perf_counter()
-                result = fn(config, numeric)
-                results.append(replace(
-                    result, check_id=cid, paper_anchor=anchor,
-                    millis=(time.perf_counter() - started) * 1000.0))
-    return Report(config=config, results=results)
+    for cid, anchor, _kind, fn in entries:
+        started = time.perf_counter()
+        result = fn(config, numeric)
+        results.append(replace(
+            result, check_id=cid, paper_anchor=anchor,
+            millis=(time.perf_counter() - started) * 1000.0))
+    return results
+
+
+def _numeric_phase(config: RunConfig, entries: list) -> list:
+    """The numeric entries' results, on one NumericRun built for them."""
+    if not entries:
+        return []
+    numeric = _numeric().NumericRun([entry[0] for entry in entries],
+                                    config.seed, config.sample_r)
+    return _run_phase(config, entries, numeric)
+
+
+class _ForkedPhase:
+    """One phase of checks run in a forked process, which pickles its
+    stamped results, or the error that ended it, into a pipe.
+
+    The forked process sees the caller's state as it was at the fork,
+    monkeypatches included, and ends with `os._exit`.  `results` reads
+    the pipe, reaps the process and returns its results or raises its
+    error; leaving the `with` block closes the pipe and kills and reaps
+    a process that `results` did not reap, whatever ended the block.
+    """
+
+    def __init__(self, config: RunConfig, entries: list) -> None:
+        read_end, write_end = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _send_phase(config, entries, read_end, write_end)
+        os.close(write_end)
+        self._pipe = os.fdopen(read_end, "rb")
+
+    def results(self) -> list:
+        import pickle
+        data = self._pipe.read()
+        _pid, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(f"the exact-phase process ended with {how} "
+                               "and sent no results")
+        results, error, text = pickle.loads(data)
+        if text is None:
+            return results
+        if error is None:
+            raise RuntimeError("an exact check failed in the exact-phase "
+                               f"process:\n{text}")
+        raise error from RuntimeError(f"in the exact-phase process:\n{text}")
+
+    def __enter__(self) -> "_ForkedPhase":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pipe.close()
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _send_phase(config: RunConfig, entries: list, read_end: int,
+                write_end: int):
+    """The forked process of `_ForkedPhase`: run the phase and send
+    (results, error, traceback text) through the pipe; an error that
+    does not survive pickling is sent as its traceback text alone.
+    Never returns."""
+    import pickle
+    import traceback
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = (_run_phase(config, entries), None, None)
+        except BaseException as exc:
+            payload = (None, exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)
+        except BaseException:
+            data = pickle.dumps(
+                (None, None, payload[2] or traceback.format_exc()))
+        with os.fdopen(write_end, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

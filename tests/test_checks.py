@@ -474,6 +474,39 @@ def test_a_falsification_undone_in_a_fresh_process_leaves_no_trace(getter):
     assert out.stdout.split() == ["fail", "pass"]
 
 
+# The same for the transvectant weights, which the bracket tables, the
+# calibration and the literal quadrics are derived from.
+FRESH_WEIGHT_FALSIFICATION = """
+from covforge import binform, checks
+true = binform._transvectant_weights
+calls = []
+def wrong(m, n, i):
+    # the first weight of row 0 is off by one on every sixth call
+    calls.append((m, n, i))
+    pref, rows = true(m, n, i)
+    if len(calls) % 6 == 0:
+        (q, w), *rest = rows[0]
+        rows = (((q, w + 1), *rest), *rows[1:])
+    return pref, rows
+binform._transvectant_weights = wrong
+falsified = checks.check_expansion_1_2()
+binform._transvectant_weights = true
+print(falsified.status, checks.check_expansion_1_2().status)
+print(falsified.residuals[0])
+"""
+
+
+def test_a_weight_falsification_undone_in_a_fresh_process_leaves_no_trace():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(here.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", FRESH_WEIGHT_FALSIFICATION],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    statuses, residual = out.stdout.splitlines()
+    assert statuses.split() == ["fail", "pass"]
+    assert residual == "expansion: slot 1: x4*s3: off by -1/80640"
+
+
 # The committed failing case of every check the harness can select.
 FAILING_CASES = {
     "symbolic/expansion_1_2": (

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from covforge import checks, continuation, harness
+from covforge import checks, construction, continuation, harness
 from covforge.continuation import check_seed_stability
 
 JSON_KEY_ORDER = ["check_id", "paper_anchor", "status", "residual_count",
@@ -205,6 +205,163 @@ def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
         monkeypatch.setattr(checks, "check_field_axioms", broken)
         with pytest.raises(error, match="inside a check"):
             harness.main(["--filter", "property/field_axioms"])
+
+
+# A cheap selection with both phases: symbolic/strata_6,
+# property/scaling_1_1 and numeric/seed_stability.
+TWO_PHASES = "*/s*"
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cheap_numeric_phase(monkeypatch, error=None):
+    """Replace numeric/seed_stability with a check that records its call
+    and raises `error`, if given; returns the list of calls."""
+    calls = []
+
+    def stub(seed, sample_r, numeric):
+        calls.append(seed)
+        if error is not None:
+            raise error("inside a numeric check")
+        return checks.CheckResult()
+
+    monkeypatch.setattr(continuation, "check_seed_stability", stub)
+    return calls
+
+
+def _rows_without_timing(report):
+    rows = json.loads(harness.render_json(report))
+    for row in rows:
+        del row["millis"]
+    return rows
+
+
+def test_a_two_phase_run_equals_the_merge_of_its_single_phase_runs():
+    both = harness.run(harness.RunConfig(filter=TWO_PHASES, seed=7))
+    _no_child_is_left()
+    exact = harness.run(harness.RunConfig(filter="[sp]*/s*", seed=7))
+    numeric = harness.run(harness.RunConfig(filter="numeric/s*", seed=7))
+    assert [r.check_id for r in both.results] == [
+        "symbolic/strata_6", "property/scaling_1_1",
+        "numeric/seed_stability"]
+    merged = harness.Report(config=both.config,
+                            results=exact.results + numeric.results)
+    assert _rows_without_timing(both) == _rows_without_timing(merged)
+    assert both.ok
+
+
+def test_an_exact_error_ends_a_two_phase_run_after_the_numeric_phase(
+        monkeypatch):
+    calls = _cheap_numeric_phase(monkeypatch)
+
+    def broken():
+        raise ZeroDivisionError("inside an exact check")
+
+    monkeypatch.setattr(checks, "check_strata_6", broken)
+    with pytest.raises(ZeroDivisionError,
+                       match="inside an exact check") as raised:
+        harness.run(harness.RunConfig(filter=TWO_PHASES))
+    _no_child_is_left()
+    assert calls == [42]
+    # the exact-phase process's traceback is the error's cause
+    cause = raised.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert "in broken" in str(cause) and "ZeroDivisionError" in str(cause)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
+def test_an_exact_error_that_does_not_pickle_keeps_its_traceback(
+        monkeypatch):
+    _cheap_numeric_phase(monkeypatch)
+
+    def broken(seed):
+        raise _Unpicklable("inside", "an exact check")
+
+    monkeypatch.setattr(checks, "check_scaling_1_1", broken)
+    with pytest.raises(RuntimeError, match="_Unpicklable: inside an exact"):
+        harness.run(harness.RunConfig(filter=TWO_PHASES))
+    _no_child_is_left()
+
+
+def test_an_exact_phase_that_dies_names_its_exit_status(monkeypatch):
+    _cheap_numeric_phase(monkeypatch)
+    monkeypatch.setattr(checks, "check_strata_6", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exit status 3 and sent no"):
+        harness.run(harness.RunConfig(filter=TWO_PHASES))
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_numeric_error_leaves_no_exact_phase_process(monkeypatch, error):
+    calls = _cheap_numeric_phase(monkeypatch, error)
+    with pytest.raises(error, match="inside a numeric check"):
+        harness.run(harness.RunConfig(filter=TWO_PHASES))
+    assert calls == [42]
+    _no_child_is_left()
+
+
+def test_the_exact_phase_process_sees_the_callers_state(monkeypatch):
+    # a falsified getter, set before the fork, fails its exact check
+    _cheap_numeric_phase(monkeypatch)
+    points = dict(construction.special_points())
+    (a, b, c), *rest = points["sparse_solutions"]
+    points["sparse_solutions"] = ((a, b, c + 1), *rest)
+    monkeypatch.setattr(construction, "special_points", lambda: points)
+    report = harness.run(harness.RunConfig(filter=TWO_PHASES))
+    _no_child_is_left()
+    strata, scaling, stability = report.results
+    assert strata.check_id == "symbolic/strata_6"
+    assert strata.residuals == (
+        "stored sparse solutions differ from the branch roots",
+        "sparse solution (5, 0, 2) fails quadric 2")
+    assert scaling.ok and stability.ok
+
+
+def test_the_exact_phase_process_forks_before_numpy_loads():
+    # a fresh interpreter, since this one already holds numpy: the
+    # exact-phase process is forked before the caller imports the
+    # numeric layer, so no BLAS thread exists at the fork
+    script = textwrap.dedent("""
+        import sys
+        from covforge import checks, harness
+        def strata():
+            return checks.CheckResult(details={"numpy": "numpy" in sys.modules})
+        checks.check_strata_6 = strata
+        report = harness.run(harness.RunConfig(filter="*/s*"))
+        print(report.results[0].details["numpy"], "numpy" in sys.modules)
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(harness.ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
+
+
+def test_a_single_phase_run_never_forks(monkeypatch):
+    calls = _cheap_numeric_phase(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for glob in ("[sp]*/s*", "numeric/s*"):
+        assert harness.run(harness.RunConfig(filter=glob)).ok
+    assert calls == [42]
+    # without os.fork, a two-phase run runs its phases in turn
+    monkeypatch.delattr(os, "fork")
+    report = harness.run(harness.RunConfig(filter=TWO_PHASES))
+    assert [r.check_id for r in report.results] == [
+        "symbolic/strata_6", "property/scaling_1_1",
+        "numeric/seed_stability"]
+    assert report.ok and calls == [42, 42]
 
 
 def test_unknown_filter_lists_the_known_ids(capsys):
