@@ -4,20 +4,20 @@ Selects registered checks by id glob, runs the exact suites and the
 continuation suites, and renders a report in text or JSON with a stable
 schema.  When a run selects both, the exact suites run in one forked
 process beside the continuation suites, which the calling process runs;
-a platform without `os.fork` runs them one after the other.  A row's
-time is its call's wall time within its own process, and an error in an
-exact check still ends the run with its traceback, once the continuation
-suites are over.  The registry alone names a check: a check returns its
-findings, and the runner times each call and stamps the registry's id
-and paper anchor on the result.  Every knob is both a flag and an
-environment variable with the ``COVFORGE_`` prefix; a flag wins over its
-variable, an empty variable counts as unset, and a set ``COVFORGE_``
-variable that names no knob or does not parse is a configuration error
-that names it.  The tolerances are not knobs but constants of
-``continuation``, which only a run with a numeric check imports; the
-numeric checks of one run share their tracked solves through one
-``NumericRun``.  The corrected-typo ledger ships as a package resource,
-named at the end of every text report.
+a platform without `os.fork` or a process bound to one CPU runs them one
+after the other.  A row's time is its call's wall time within its own
+process, and an error in an exact check still ends the run with its
+traceback, once the continuation suites are over.  The registry alone
+names a check: a check returns its findings, and the runner times each
+call and stamps the registry's id and paper anchor on the result.  Every
+knob is both a flag and an environment variable with the ``COVFORGE_``
+prefix; a flag wins over its variable, an empty variable counts as
+unset, and a set ``COVFORGE_`` variable that names no knob or does not
+parse is a configuration error that names it.  The tolerances are not
+knobs but constants of ``continuation``, which only a run with a numeric
+check imports; the numeric checks of one run share their tracked solves
+through one ``NumericRun``.  The corrected-typo ledger ships as a
+package resource, named at the end of every text report.
 """
 
 from __future__ import annotations
@@ -161,13 +161,21 @@ def run(config: RunConfig) -> Report:
     report is ordered by check id.  When the selection holds both
     phases, the exact checks run in one forked process beside the
     numeric phase, which the calling process runs: no numeric check
-    reads an exact result.  A platform without `os.fork` runs the two
-    phases one after the other, as does a single-phase run.  Each result
+    reads an exact result.  The two phases run one after the other in
+    the calling process on a platform without `os.fork`, in a process
+    bound to one CPU, when the system cannot fork, and in a single-phase
+    run.  The fork comes before the numeric layer is imported, so a CLI
+    run forks a single-threaded process; a caller that has loaded numpy
+    already forks one that holds its BLAS threads, which the forked
+    process, doing exact arithmetic only, never uses.  A numpy that the
+    caller loads beside the forked process keeps one OpenBLAS thread,
+    unless OPENBLAS_NUM_THREADS is set.  Each result
     carries its registry id and paper anchor and the milliseconds of its
     one call, timed in the process that made it, so an exact row's time
     can include contention for a CPU.  An error in an exact check ends
     the run with its type and its traceback once the numeric phase is
-    over; no process outlives the call.  Selected numeric checks share
+    over; the forked process ends with the call, however the calling
+    process ends.  Selected numeric checks share
     one NumericRun, built for them: it reads the projection data once
     and plans the solves they will ask for, so that it can track them
     together.  Raises as `select` does for a malformed config or an
@@ -176,13 +184,28 @@ def run(config: RunConfig) -> Report:
     selected = select(config)
     exact = [entry for entry in selected if entry[2] == "exact"]
     numeric = [entry for entry in selected if entry[2] == "numeric"]
-    if not (exact and numeric and hasattr(os, "fork")):
+    forked = None
+    if exact and numeric and hasattr(os, "fork") and _cpus() > 1:
+        try:
+            forked = _ForkedPhase(config, exact)
+        except OSError:         # no process to spare: run them in turn
+            pass
+    if forked is None:
+        shared = _numeric_run(config, numeric)
         return Report(config=config, results=_run_phase(config, exact)
-                      + _numeric_phase(config, numeric))
-    with _ForkedPhase(config, exact) as forked:
-        numeric_results = _numeric_phase(config, numeric)
+                      + _run_phase(config, numeric, shared))
+    with forked:
+        shared = _numeric_run(config, numeric, one_blas_thread=True)
+        numeric_results = _run_phase(config, numeric, shared)
         return Report(config=config,
                       results=forked.results() + numeric_results)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_phase(config: RunConfig, entries: list, numeric=None) -> list:
@@ -197,13 +220,27 @@ def _run_phase(config: RunConfig, entries: list, numeric=None) -> list:
     return results
 
 
-def _numeric_phase(config: RunConfig, entries: list) -> list:
-    """The numeric entries' results, on one NumericRun built for them."""
+def _numeric_run(config: RunConfig, entries: list,
+                 one_blas_thread: bool = False):
+    """One NumericRun built for the numeric entries, or None for none.
+
+    With `one_blas_thread`, a numpy first loaded here keeps one OpenBLAS
+    thread, unless OPENBLAS_NUM_THREADS is set: the idle threads of its
+    pool spin for a while after they start, which only takes a CPU from
+    a forked phase.  The variable is unset again once numpy has loaded.
+    """
     if not entries:
-        return []
-    numeric = _numeric().NumericRun([entry[0] for entry in entries],
-                                    config.seed, config.sample_r)
-    return _run_phase(config, entries, numeric)
+        return None
+    pin = one_blas_thread and "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        numeric = _numeric()
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numeric.NumericRun([entry[0] for entry in entries],
+                              config.seed, config.sample_r)
 
 
 class _ForkedPhase:
@@ -211,20 +248,33 @@ class _ForkedPhase:
     stamped results, or the error that ended it, into a pipe.
 
     The forked process sees the caller's state as it was at the fork,
-    monkeypatches included, and ends with `os._exit`.  `results` reads
-    the pipe, reaps the process and returns its results or raises its
-    error; leaving the `with` block closes the pipe and kills and reaps
-    a process that `results` did not reap, whatever ended the block.
+    monkeypatches included, and ends with `os._exit`; it also ends as
+    soon as the caller does, however the caller ends, since a thread of
+    it waits for end-of-file on a second pipe whose only write end the
+    caller holds.  `results` reads the pipe, reaps the process and
+    returns its results or raises its error; leaving the `with` block
+    closes the pipes and kills and reaps a process that `results` did
+    not reap, whatever ended the block.  Raises OSError, holding no
+    pipe, when the system cannot make the pipes or the process.
     """
 
     def __init__(self, config: RunConfig, entries: list) -> None:
-        read_end, write_end = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        self.pid = os.fork()
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
         if self.pid == 0:
-            _send_phase(config, entries, read_end, write_end)
+            _send_phase(config, entries, *fds)
+        read_end, write_end, life_end, self._lifeline = fds
         os.close(write_end)
+        os.close(life_end)
         self._pipe = os.fdopen(read_end, "rb")
 
     def results(self) -> list:
@@ -250,6 +300,7 @@ class _ForkedPhase:
 
     def __exit__(self, *exc_info) -> None:
         self._pipe.close()
+        os.close(self._lifeline)
         if self.pid is not None:
             import signal
             os.kill(self.pid, signal.SIGKILL)
@@ -258,16 +309,20 @@ class _ForkedPhase:
 
 
 def _send_phase(config: RunConfig, entries: list, read_end: int,
-                write_end: int):
+                write_end: int, life_end: int, lifeline: int):
     """The forked process of `_ForkedPhase`: run the phase and send
     (results, error, traceback text) through the pipe; an error that
     does not survive pickling is sent as its traceback text alone.
-    Never returns."""
+    Ends at once when `life_end` reads end-of-file.  Never returns."""
     import pickle
+    import threading
     import traceback
     status = 1
     try:
         os.close(read_end)
+        os.close(lifeline)
+        threading.Thread(target=_end_at_eof, args=(life_end,),
+                         daemon=True).start()
         try:
             payload = (_run_phase(config, entries), None, None)
         except BaseException as exc:
@@ -283,6 +338,13 @@ def _send_phase(config: RunConfig, entries: list, read_end: int,
         status = 0
     finally:
         os._exit(status)
+
+
+def _end_at_eof(fd: int) -> None:
+    """End this process once `fd` reads end-of-file."""
+    while os.read(fd, 1):
+        pass
+    os._exit(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command-line harness: configuration, report formats, and exit codes."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import textwrap
@@ -212,6 +215,12 @@ def test_an_error_inside_a_check_is_not_a_configuration_error(monkeypatch):
 TWO_PHASES = "*/s*"
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let a two-phase run fork, however many CPUs this host has."""
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+
+
 def _no_child_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -239,7 +248,8 @@ def _rows_without_timing(report):
     return rows
 
 
-def test_a_two_phase_run_equals_the_merge_of_its_single_phase_runs():
+def test_a_two_phase_run_equals_the_merge_of_its_single_phase_runs(
+        two_cpus):
     both = harness.run(harness.RunConfig(filter=TWO_PHASES, seed=7))
     _no_child_is_left()
     exact = harness.run(harness.RunConfig(filter="[sp]*/s*", seed=7))
@@ -254,7 +264,7 @@ def test_a_two_phase_run_equals_the_merge_of_its_single_phase_runs():
 
 
 def test_an_exact_error_ends_a_two_phase_run_after_the_numeric_phase(
-        monkeypatch):
+        monkeypatch, two_cpus):
     calls = _cheap_numeric_phase(monkeypatch)
 
     def broken():
@@ -278,7 +288,7 @@ class _Unpicklable(Exception):
 
 
 def test_an_exact_error_that_does_not_pickle_keeps_its_traceback(
-        monkeypatch):
+        monkeypatch, two_cpus):
     _cheap_numeric_phase(monkeypatch)
 
     def broken(seed):
@@ -290,7 +300,8 @@ def test_an_exact_error_that_does_not_pickle_keeps_its_traceback(
     _no_child_is_left()
 
 
-def test_an_exact_phase_that_dies_names_its_exit_status(monkeypatch):
+def test_an_exact_phase_that_dies_names_its_exit_status(monkeypatch,
+                                                        two_cpus):
     _cheap_numeric_phase(monkeypatch)
     monkeypatch.setattr(checks, "check_strata_6", lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exit status 3 and sent no"):
@@ -299,7 +310,8 @@ def test_an_exact_phase_that_dies_names_its_exit_status(monkeypatch):
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_a_numeric_error_leaves_no_exact_phase_process(monkeypatch, error):
+def test_a_numeric_error_leaves_no_exact_phase_process(monkeypatch, error,
+                                                       two_cpus):
     calls = _cheap_numeric_phase(monkeypatch, error)
     with pytest.raises(error, match="inside a numeric check"):
         harness.run(harness.RunConfig(filter=TWO_PHASES))
@@ -307,7 +319,8 @@ def test_a_numeric_error_leaves_no_exact_phase_process(monkeypatch, error):
     _no_child_is_left()
 
 
-def test_the_exact_phase_process_sees_the_callers_state(monkeypatch):
+def test_the_exact_phase_process_sees_the_callers_state(monkeypatch,
+                                                        two_cpus):
     # a falsified getter, set before the fork, fails its exact check
     _cheap_numeric_phase(monkeypatch)
     points = dict(construction.special_points())
@@ -334,6 +347,7 @@ def test_the_exact_phase_process_forks_before_numpy_loads():
         def strata():
             return checks.CheckResult(details={"numpy": "numpy" in sys.modules})
         checks.check_strata_6 = strata
+        harness._cpus = lambda: 2
         report = harness.run(harness.RunConfig(filter="*/s*"))
         print(report.results[0].details["numpy"], "numpy" in sys.modules)
     """)
@@ -345,7 +359,103 @@ def test_the_exact_phase_process_forks_before_numpy_loads():
     assert out.split() == ["False", "True"]
 
 
-def test_a_single_phase_run_never_forks(monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                         ids=["SIGTERM", "SIGKILL"])
+def test_the_exact_phase_process_ends_with_its_caller(sig):
+    # the caller prints the forked pid, then is killed while the forked
+    # process sits in a slow exact check; the caller's stdout reaches
+    # end-of-file only once every process holding it has ended
+    script = textwrap.dedent("""
+        import os, time
+        from covforge import checks, harness
+        fork = os.fork
+        def announce():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+        os.fork = announce
+        harness._cpus = lambda: 2
+        checks.check_strata_6 = lambda: time.sleep(60)
+        harness.run(harness.RunConfig(filter="*/s*"))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(harness.ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE)
+    pid = None
+    try:
+        pid = int(proc.stdout.readline())
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == -sig
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready and os.read(proc.stdout.fileno(), 1) == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_a_process_bound_to_one_cpu_runs_the_phases_in_turn(monkeypatch):
+    calls = _cheap_numeric_phase(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    report = harness.run(harness.RunConfig(filter=TWO_PHASES))
+    assert [r.check_id for r in report.results] == [
+        "symbolic/strata_6", "property/scaling_1_1",
+        "numeric/seed_stability"]
+    assert report.ok and calls == [42]
+
+
+def test_a_run_that_cannot_fork_runs_the_phases_in_turn(monkeypatch,
+                                                        two_cpus):
+    calls = _cheap_numeric_phase(monkeypatch)
+
+    def no_process():
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_process, raising=False)
+    harness.run(harness.RunConfig(filter=TWO_PHASES))
+    fds = set(os.listdir("/dev/fd"))
+    report = harness.run(harness.RunConfig(filter=TWO_PHASES))
+    assert set(os.listdir("/dev/fd")) <= fds    # no pipe end left open
+    assert report.ok and calls == [42, 42]
+
+
+def test_numpy_loaded_beside_a_fork_keeps_one_blas_thread(monkeypatch):
+    seen = []
+
+    def numeric_layer():
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return continuation
+
+    monkeypatch.setattr(harness, "_numeric", numeric_layer)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    config = harness.RunConfig()
+    entries = [e for e in harness.select(config) if e[2] == "numeric"]
+    harness._numeric_run(config, entries, one_blas_thread=True)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    harness._numeric_run(config, entries)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    harness._numeric_run(config, entries, one_blas_thread=True)
+    assert seen == ["1", None, "3"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_a_single_phase_run_never_forks(monkeypatch, two_cpus):
     calls = _cheap_numeric_phase(monkeypatch)
 
     def no_fork():
